@@ -29,7 +29,6 @@ from .forms import (
 from .reduction import canonical_reduce, orbit_bfs, stabilizer_order
 from .enumeration import (
     ClassRecord,
-    EnumerationParams,
     enumerate_classes,
     brute_force_classes,
     master_classes,

@@ -18,7 +18,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .enumeration import EVEN_LATTICES, master_classes
+from .enumeration import master_classes
+from .forms import index_scale, lattice_membership
 from .series import CheckReport, _report
 
 # ---------------------------------------------------------------------------
@@ -186,24 +187,14 @@ def _residue_tuples(mod: int):
     return [x.ravel() for x in g]
 
 
-def _odd_member_mask(lattice: int, a, b, c, d):
-    if lattice == 1:
-        return np.ones(len(a), dtype=bool)
-    if lattice == 3:
-        return (b + c) % 2 == 0
-    if lattice == 5:
-        return (a % 2 == 0) & (d % 2 == 0) & ((b + c) % 2 == 0)
-    if lattice == 7:
-        return ((a + b + c) % 2 == 0) & ((b + c + d) % 2 == 0)
-    if lattice == 9:
-        return ((a + b + d) % 2 == 0) & ((a + c + d) % 2 == 0)
-    raise ValueError(f"odd lattice expected, got {lattice}")
+def _count_in(lattice: int, cols, keep=slice(None)) -> int:
+    """How many of the kept coefficient columns lie in the lattice."""
+    return int(lattice_membership(cols)[keep, lattice - 1].sum())
 
 
 def _density_ird(lattice: int, mod: int) -> Fraction:
     """Integral of the indicator of the closure of L in Z_2^4."""
-    a, b, c, d = _residue_tuples(mod)
-    return Fraction(int(_odd_member_mask(lattice, a, b, c, d).sum()), mod ** 4)
+    return Fraction(_count_in(lattice, _residue_tuples(mod)), mod ** 4)
 
 
 def _density_rd(lattice: int, mod: int) -> Fraction:
@@ -215,9 +206,9 @@ def _density_rd(lattice: int, mod: int) -> Fraction:
     # the unused 4th grid coordinate multiplies numerator and denominator by mod
     denom = (mod // 2) * mod ** 3
     # t odd (valuation 0) contribution
-    mu0 = Fraction(int(_odd_member_mask(lattice, z, t, u1, u2)[odd].sum()), denom)
+    mu0 = Fraction(_count_in(lattice, (z, t, u1, u2), odd), denom)
     # valuation >= 1: second slot is even, so the mask is that of t = 0
-    mu_inf = Fraction(int(_odd_member_mask(lattice, z, z, u1, u2)[odd].sum()), denom)
+    mu_inf = Fraction(_count_in(lattice, (z, z, u1, u2), odd), denom)
     return mu0 + mu_inf * Fraction(1, 3)  # sum_{k>=1} 4^(-k) = 1/3
 
 
@@ -228,8 +219,8 @@ def _density_b(lattice: int, mod: int) -> Qcbrt:
     odd = t % 2 == 1
     z = np.zeros(len(t), dtype=np.int64)
     denom = (mod // 2) * mod ** 3
-    nu0 = Fraction(int(_odd_member_mask(lattice, t, u1, u2, u3)[odd].sum()), denom)
-    nu_inf = Fraction(int(_odd_member_mask(lattice, z, u1, u2, u3)[odd].sum()), denom)
+    nu0 = Fraction(_count_in(lattice, (t, u1, u2, u3), odd), denom)
+    nu_inf = Fraction(_count_in(lattice, (z, u1, u2, u3), odd), denom)
     return Qcbrt(nu0) + _GEOM_TAIL.scale(nu_inf)
 
 
@@ -361,7 +352,7 @@ def density_report(
 ) -> list:
     """Counts S(X) of irreducible classes at geometric checkpoints up to max_x,
     against the two-term prediction; gauge = |S - prediction| / X^(2/3)."""
-    scale = 27 if lattice in EVEN_LATTICES else 1
+    scale = index_scale(lattice)
     master = master_classes(max_x * scale, workers=workers)
     latcol = master.member[:, lattice - 1]
     want_pos = sign == "+"

@@ -122,26 +122,29 @@ def _verify_density(max_x: int, workers: int) -> series_mod.CheckReport:
     return series_mod._report(f"density counts vs prediction (X <= {max_x})", failures, details)
 
 
+def _verify_rank(workers: int) -> series_mod.CheckReport:
+    rank = series_mod.span_rank(200, workers=workers)
+    return series_mod.CheckReport(
+        "coefficient span rank", rank == 14, [f"rank = {rank} (want 14)"]
+    )
+
+
 def _suite_checks(suite: str, args) -> list:
     w = args.workers
     n_rel = args.max if args.max is not None else 300
+    # the dual and indices suites are one check
+    indices_and_duality = lambda: [latclass.verify_indices_and_duality()]
     checks = {
         "tables": lambda: [series_mod.verify_tables(workers=w)],
         "relations": lambda: [series_mod.verify_relations(n_rel, workers=w)],
         "non-relation": lambda: [series_mod.verify_non_relation(workers=w)],
         "decomps": lambda: [series_mod.verify_decompositions()],
         "congruence": lambda: [series_mod.verify_congruence_lemma()],
-        "rank": lambda: [
-            series_mod.CheckReport(
-                "coefficient span rank",
-                series_mod.span_rank(200, workers=w) == 14,
-                [f"rank = {series_mod.span_rank(200, workers=w)} (want 14)"],
-            )
-        ],
+        "rank": lambda: [_verify_rank(w)],
         "euler": lambda: [series_mod.euler_product_check(workers=w)],
         "lambda": lambda: [series_mod.lambda_coefficient_identity(n_rel, workers=w)],
-        "dual": lambda: [latclass.verify_indices_and_duality()],
-        "indices": lambda: [latclass.verify_indices_and_duality()],
+        "dual": indices_and_duality,
+        "indices": indices_and_duality,
         "classification": lambda: [latclass.verify_classification()],
         "local-densities": lambda: [analytic.verify_table1_ratios()],
         "oracle": lambda: [
@@ -152,9 +155,13 @@ def _suite_checks(suite: str, args) -> list:
         ],
     }
     if suite == "all":
+        # run each distinct check once; a shared one prints at every position
+        done = {}
         out = []
-        for name in checks:
-            out.extend(checks[name]())
+        for check in checks.values():
+            if check not in done:
+                done[check] = check()
+            out.extend(done[check])
         return out
     return checks[suite]()
 

@@ -32,15 +32,19 @@ from math import isqrt
 import numpy as np
 
 from .forms import (
+    EVEN_LATTICES,
     CubicForm,
+    _divisors,
     action_matrix,
     discriminant,
+    hessian,
+    index_scale,
     is_irreducible,
     lattice_member,
+    lattice_membership,
+    value_at,
 )
 from .reduction import SMALL_MATRICES, orbit_bfs, stabilizer_order
-
-EVEN_LATTICES = (2, 4, 6, 8, 10)
 
 
 @dataclass(frozen=True)
@@ -66,14 +70,6 @@ class ClassRecord:
 
     def sort_key(self):
         return (self.n, tuple(self.rep))
-
-
-@dataclass
-class EnumerationParams:
-    max_index: int
-    oracle_box: int = 40
-    stab_search_bound: int = 0  # 0 = automatic
-    workers: int = 1
 
 
 # ---------------------------------------------------------------------------
@@ -103,21 +99,6 @@ def _expand_windows(lo: np.ndarray, hi: np.ndarray):
     starts = np.concatenate(([0], np.cumsum(cnt)[:-1]))
     vals = lo.repeat(cnt) + (np.arange(total, dtype=np.int64) - starts.repeat(cnt))
     return idx, vals
-
-
-def _disc_cols(a, b, c, d):
-    return (
-        b * b * c * c
-        - 4 * a * c ** 3
-        - 4 * b ** 3 * d
-        + 18 * a * b * c * d
-        - 27 * a * a * d * d
-    )
-
-
-def _value_at(a, b, c, d, p, q):
-    """Homogeneous value f(p, q) columnwise."""
-    return a * p ** 3 + b * p * p * q + c * p * q * q + d * q ** 3
 
 
 # ---------------------------------------------------------------------------
@@ -191,13 +172,8 @@ def _pos_candidates_for_a(a: int, limit: int) -> np.ndarray:
     return _ranges_to_rows(rows)
 
 
-def _hessian_cols(rows: np.ndarray):
-    a, b, c, d = rows[:, 0], rows[:, 1], rows[:, 2], rows[:, 3]
-    return b * b - 3 * a * c, b * c - 9 * a * d, c * c - 3 * b * d
-
-
 def _weakly_reduced_mask(rows: np.ndarray) -> np.ndarray:
-    A, B, C = _hessian_cols(rows)
+    A, B, C = hessian(rows.T)
     return (A > 0) & (np.abs(B) <= A) & (C >= A)
 
 
@@ -223,7 +199,7 @@ def _pos_stratum(a: int, limit: int) -> np.ndarray:
     cand = _pos_candidates_for_a(a, limit)
     if len(cand) == 0:
         return cand
-    A, B, C = _hessian_cols(cand)
+    A, B, C = hessian(cand.T)
     disc3 = 4 * A * C - B * B
     keep = (C >= A) & (disc3 >= 3) & (disc3 <= 3 * limit)
     cand = cand[keep]
@@ -314,11 +290,12 @@ def _neg_ird_windows(a: int, limit: int) -> np.ndarray:
 
 def _in_open_domain_mask(rows: np.ndarray) -> np.ndarray:
     """Vectorized exact fundamental-domain test (see reduction._in_open_domain)."""
-    a, b, c, d = rows[:, 0], rows[:, 1], rows[:, 2], rows[:, 3]
+    cols = rows.T
+    a, b, _, d = cols
     ok = (a > 0) & (d != 0)
-    t1 = _value_at(a, b, c, d, -b - a, a) < 0
-    t2 = _value_at(a, b, c, d, a - b, a) > 0
-    v3 = _value_at(a, b, c, d, -d, a)
+    t1 = value_at(cols, -b - a, a) < 0
+    t2 = value_at(cols, a - b, a) > 0
+    v3 = value_at(cols, -d, a)
     t3 = np.where(d < 0, v3 > 0, v3 < 0)
     return ok & t1 & t2 & t3
 
@@ -337,31 +314,16 @@ def _real_root(rows: np.ndarray) -> np.ndarray:
     return y - b / (3 * a)
 
 
-def _divisors_int(n: int) -> list:
-    n = abs(n)
-    out = []
-    i = 1
-    while i * i <= n:
-        if n % i == 0:
-            out.append(i)
-            if i != n // i:
-                out.append(n // i)
-        i += 1
-    return sorted(out)
-
-
-def _reducible_mask_single_a(rows: np.ndarray, a: int) -> np.ndarray:
-    """Rows (all leading coefficient a) with a rational root; P < 0 case only."""
+def _root_near_mask(rows: np.ndarray, root: np.ndarray, a: int) -> np.ndarray:
+    """Rows with a rational root p/q next to the float root: f(p, q) == 0 for
+    some q | a and p = rint(root * q) + {-1, 0, 1}, tested exactly.  a is the
+    common |leading coefficient|, so q | a covers every rational root."""
+    cols = rows.T
     red = np.zeros(len(rows), dtype=bool)
-    if len(rows) == 0:
-        return red
-    rho = _real_root(rows)
-    b, c, d = rows[:, 1], rows[:, 2], rows[:, 3]
-    aa = rows[:, 0]
-    for q0 in _divisors_int(a):
-        p0 = np.rint(rho * q0).astype(np.int64)
+    for q in _divisors(a):
+        p0 = np.rint(root * q).astype(np.int64)
         for off in (-1, 0, 1):
-            red |= _value_at(aa, b, c, d, p0 + off, q0) == 0
+            red |= value_at(cols, p0 + off, q) == 0
     return red
 
 
@@ -369,15 +331,14 @@ def _neg_ird_stratum(a: int, limit: int) -> np.ndarray:
     rows = _neg_ird_windows(a, limit)
     if len(rows) == 0:
         return rows
-    disc = _disc_cols(rows[:, 0], rows[:, 1], rows[:, 2], rows[:, 3])
+    disc = discriminant(rows.T)
     rows = rows[(disc < 0) & (disc >= -limit)]
     if len(rows) == 0:
         return rows
     rows = rows[_in_open_domain_mask(rows)]
     if len(rows) == 0:
         return rows
-    rows = rows[~_reducible_mask_single_a(rows, a)]
-    return rows
+    return rows[~_root_near_mask(rows, _real_root(rows), a)]
 
 
 # ---------------------------------------------------------------------------
@@ -433,26 +394,6 @@ class MasterClasses:
         return len(self.disc)
 
 
-def _membership_matrix(rows: np.ndarray) -> np.ndarray:
-    a, b, c, d = rows[:, 0], rows[:, 1], rows[:, 2], rows[:, 3]
-    m = np.empty((len(rows), 10), dtype=bool)
-    b3, c3 = b % 3 == 0, c % 3 == 0
-    in_l2 = b3 & c3
-    bd, cd = b // 3, c // 3
-    pa, pd = a % 2 == 0, d % 2 == 0
-    m[:, 0] = True
-    m[:, 2] = (b + c) % 2 == 0
-    m[:, 4] = pa & pd & m[:, 2]
-    m[:, 6] = ((a + b + c) % 2 == 0) & ((b + c + d) % 2 == 0)
-    m[:, 8] = ((a + b + d) % 2 == 0) & ((a + c + d) % 2 == 0)
-    m[:, 1] = in_l2
-    m[:, 3] = in_l2 & pa & pd & ((bd + cd) % 2 == 0)
-    m[:, 5] = in_l2 & ((bd + cd) % 2 == 0)
-    m[:, 7] = in_l2 & ((a + bd + d) % 2 == 0) & ((a + cd + d) % 2 == 0)
-    m[:, 9] = in_l2 & ((a + bd + cd) % 2 == 0) & ((bd + cd + d) % 2 == 0)
-    return m
-
-
 def _pos_irreducible_mask(rows: np.ndarray) -> np.ndarray:
     """Irreducibility for P > 0 rows (up to three real roots, trig Cardano)."""
     irred = np.ones(len(rows), dtype=bool)
@@ -477,13 +418,7 @@ def _pos_irreducible_mask(rows: np.ndarray) -> np.ndarray:
         red = np.zeros(len(sub), dtype=bool)
         for k in range(3):
             t = 2.0 * m * np.cos((phi - 2.0 * np.pi * k) / 3.0) - bf / (3 * af)
-            for q0 in _divisors_int(int(av)):
-                p0 = np.rint(t * q0).astype(np.int64)
-                for off in (-1, 0, 1):
-                    red |= (
-                        _value_at(sub[:, 0], sub[:, 1], sub[:, 2], sub[:, 3], p0 + off, q0)
-                        == 0
-                    )
+            red |= _root_near_mask(sub, t, int(av))
         irred[sel[red]] = False
     return irred
 
@@ -564,7 +499,7 @@ def master_classes(limit: int, workers: int = 1, use_cache: bool = True) -> Mast
             raise AssertionError(f"duplicate representatives in {name} stratum")
 
     reps = np.concatenate([pos_rows, ird_rows, rd_rows], axis=0)
-    disc = _disc_cols(reps[:, 0], reps[:, 1], reps[:, 2], reps[:, 3])
+    disc = discriminant(reps.T)
     stab = np.ones(len(reps), dtype=np.int64)
     if len(pos_rows):
         stab[: len(pos_rows)] = _pos_stab_column(pos_rows)
@@ -576,7 +511,7 @@ def master_classes(limit: int, workers: int = 1, use_cache: bool = True) -> Mast
     if not ((disc != 0).all() and (np.abs(disc) <= limit).all()):
         raise AssertionError("enumeration produced out-of-range discriminants")
 
-    master = MasterClasses(limit, reps, disc, stab, irred, _membership_matrix(reps))
+    master = MasterClasses(limit, reps, disc, stab, irred, lattice_membership(reps.T))
     if use_cache:
         _MASTER_CACHE[limit] = master
         for k in [k for k in _MASTER_CACHE if k < limit]:
@@ -592,8 +527,7 @@ def master_classes(limit: int, workers: int = 1, use_cache: bool = True) -> Mast
 def _signed_selection(master: MasterClasses, lattice: int, sign: str, max_index: int):
     if sign not in ("+", "-"):
         raise ValueError(f"sign must be '+' or '-', got {sign!r}")
-    scale = 27 if lattice in EVEN_LATTICES else 1
-    n = np.abs(master.disc) // scale
+    n = np.abs(master.disc) // index_scale(lattice)
     mask = master.member[:, lattice - 1] & (n >= 1) & (n <= max_index)
     mask &= (master.disc > 0) if sign == "+" else (master.disc < 0)
     return mask, n
@@ -612,8 +546,7 @@ def enumerate_classes(
     """
     if max_index < 1:
         raise ValueError("max_index must be >= 1")
-    scale = 27 if lattice in EVEN_LATTICES else 1
-    master = master_classes(max_index * scale, workers=workers)
+    master = master_classes(max_index * index_scale(lattice), workers=workers)
     mask, n = _signed_selection(master, lattice, sign, max_index)
     idx = np.where(mask)[0]
     records = [
@@ -653,7 +586,7 @@ def _box_survivors(box: int, p_limit: int, family: int) -> np.ndarray:
     bf, cf = b.astype(np.float64), c.astype(np.float64)
     chunks = []
 
-    def emit(a, lo, hi):
+    def emit(a, b, c, lo, hi):
         lo = np.maximum(lo, -box)
         hi = np.minimum(hi, box)
         idx, ds = _expand_windows(lo, hi)
@@ -662,7 +595,7 @@ def _box_survivors(box: int, p_limit: int, family: int) -> np.ndarray:
         rows = np.stack(
             [np.full(len(ds), a, dtype=np.int64), b[idx], c[idx], ds], axis=1
         )
-        p = _disc_cols(rows[:, 0], rows[:, 1], rows[:, 2], rows[:, 3])
+        p = discriminant(rows.T)
         keep = (p != 0) & (np.abs(p) <= p_limit)
         if keep.any():
             chunks.append(rows[keep])
@@ -675,19 +608,7 @@ def _box_survivors(box: int, p_limit: int, family: int) -> np.ndarray:
             half = p_limit / (4.0 * np.abs(bf[nz]) ** 3)
             lo = np.floor(center - half).astype(np.int64) - 1
             hi = np.ceil(center + half).astype(np.int64) + 1
-            bsave, csave = b, c
-            bnz, cnz = b[nz], c[nz]
-            idx, ds = _expand_windows(np.maximum(lo, -box), np.minimum(hi, box))
-            if len(ds):
-                rows = np.stack(
-                    [np.zeros(len(ds), dtype=np.int64), bnz[idx], cnz[idx], ds],
-                    axis=1,
-                )
-                p = _disc_cols(rows[:, 0], rows[:, 1], rows[:, 2], rows[:, 3])
-                keep = (p != 0) & (np.abs(p) <= p_limit)
-                if keep.any():
-                    chunks.append(rows[keep])
-            b, c = bsave, csave
+            emit(a, b[nz], c[nz], lo, hi)
             continue
         af = float(a)
         # P(d) = A2 d^2 + B2 d + C2 with A2 = -27 a^2 < 0
@@ -719,8 +640,8 @@ def _box_survivors(box: int, p_limit: int, family: int) -> np.ndarray:
         # window 1: [dlo, min(dhi, glo - 1)]; window 2: [max(dlo, ghi + 1), dhi]
         hi1 = np.where(gap, np.minimum(dhi, glo - 1), dhi)
         lo2 = np.where(gap, np.maximum(dlo, ghi + 1), dhi + 1)
-        emit(a, dlo, hi1)
-        emit(a, lo2, dhi)
+        emit(a, b, c, dlo, hi1)
+        emit(a, b, c, lo2, dhi)
     return _ranges_to_rows(chunks)
 
 
@@ -766,8 +687,7 @@ def brute_force_classes(
     """
     if cap is None:
         cap = 4 * box
-    scale = 27 if lattice in EVEN_LATTICES else 1
-    p_limit = max_index * scale
+    p_limit = max_index * index_scale(lattice)
     records = _oracle_records(lattice, sign, max_index, box, p_limit, cap)
     if check_stability:
         bigger = _oracle_records(
@@ -788,7 +708,7 @@ def brute_force_classes(
 def _oracle_records(lattice, sign, max_index, box, p_limit, cap) -> list:
     family = 2 if lattice in EVEN_LATTICES else 1
     reps = _group_box_orbits(box, p_limit, cap, family)
-    scale = 27 if lattice in EVEN_LATTICES else 1
+    scale = index_scale(lattice)
     want_pos = sign == "+"
     records = []
     for rep in reps:

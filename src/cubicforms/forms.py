@@ -3,6 +3,11 @@
 Forms are 4-tuples (x1, x2, x3, x4) of Python integers (arbitrary precision,
 so arithmetic can never wrap).  The group GL2(Z) acts by substitution twisted
 by 1/det; the discriminant P is a degree-4 invariant with P(g.f) = det(g)^2 P(f).
+
+The polynomial helpers (discriminant, value_at, hessian) are pure arithmetic,
+so they also accept coefficient columns, e.g. rows.T of an (N, 4) numpy array.
+Lattice membership is one residue table mod 6, used by both the scalar and
+the columnwise callers.
 """
 
 from __future__ import annotations
@@ -10,6 +15,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 from typing import Iterable, NamedTuple
+
+import numpy as np
 
 
 class CubicForm(NamedTuple):
@@ -96,6 +103,12 @@ def discriminant(f) -> int:
     )
 
 
+def value_at(f, p, q):
+    """Homogeneous value f(p, q) = x1 p^3 + x2 p^2 q + x3 p q^2 + x4 q^3."""
+    a, b, c, d = f
+    return a * p ** 3 + b * p * p * q + c * p * q * q + d * q ** 3
+
+
 def q_discriminant(f) -> int:
     """P(f)/27 for forms in L2 (where P is always divisible by 27)."""
     if not lattice_member(f, 2):
@@ -173,40 +186,61 @@ def delta(f) -> int:
     return a * c ** 3 + b ** 3 * d - a * a * d * d
 
 
-def lattice_member(f, lattice: int) -> bool:
-    """Membership of f in L1..L10.
+# The even lattices are the images of odd ones under
+# (x1, x2, x3, x4) -> (x1, 3 x2, 3 x3, x4): L2i = phi(L_EVEN_PARTNER[2i]).
+EVEN_PARTNER = {2: 1, 4: 5, 6: 3, 8: 9, 10: 7}
+EVEN_LATTICES = tuple(EVEN_PARTNER)
 
-    Odd-indexed lattices are congruence sublattices of Z^4; even-indexed ones
-    additionally require x2, x3 divisible by 3, with the parity conditions
-    evaluated on the divided values b = x2/3, c = x3/3.
-    """
+
+def index_scale(lattice: int) -> int:
+    """|P| per unit of index: 27 on even lattices (index |Q| = |P|/27), else 1."""
+    return 27 if lattice in EVEN_LATTICES else 1
+
+
+def _odd_congruences(a, b, c, d) -> dict:
+    """The congruences defining L1, L3, L5, L7, L9, columnwise."""
+    l3 = (b + c) % 2 == 0
+    return {
+        1: np.ones_like(l3),
+        3: l3,
+        5: (a % 2 == 0) & (d % 2 == 0) & l3,
+        7: ((a + b + c) % 2 == 0) & ((b + c + d) % 2 == 0),
+        9: ((a + b + d) % 2 == 0) & ((a + c + d) % 2 == 0),
+    }
+
+
+def _membership_table() -> np.ndarray:
+    """(6^4, 10) booleans: row ((a*6 + b)*6 + c)*6 + d holds the membership of
+    (a, b, c, d) in L1..L10.  Every L_i contains 6 Z^4, so a form's residues
+    mod 6 decide its membership.  An even lattice requires x2, x3 divisible
+    by 3 and its odd partner's congruences on (x1, x2/3, x3/3, x4)."""
+    a, b, c, d = np.indices((6, 6, 6, 6)).reshape(4, -1)
+    odd = _odd_congruences(a, b, c, d)
+    divided = _odd_congruences(a, b // 3, c // 3, d)
+    in_l2 = (b % 3 == 0) & (c % 3 == 0)
+    columns = [
+        in_l2 & divided[EVEN_PARTNER[i]] if i in EVEN_PARTNER else odd[i]
+        for i in range(1, 11)
+    ]
+    return np.stack(columns, axis=1)
+
+
+_MEMBERSHIP = _membership_table()
+_MEMBERSHIP.flags.writeable = False  # one form's lookup is a view of it
+
+
+def lattice_membership(f) -> np.ndarray:
+    """Membership in L1..L10: shape (10,) for one form, (N, 10) for
+    coefficient columns (e.g. rows.T of an (N, 4) array)."""
     a, b, c, d = f
-    if lattice == 1:
-        return True
-    if lattice in (2, 4, 6, 8, 10):
-        if b % 3 or c % 3:
-            return False
-        b //= 3
-        c //= 3
-        if lattice == 2:
-            return True
-        if lattice == 4:
-            return a % 2 == 0 and d % 2 == 0 and (b + c) % 2 == 0
-        if lattice == 6:
-            return (b + c) % 2 == 0
-        if lattice == 8:
-            return (a + b + d) % 2 == 0 and (a + c + d) % 2 == 0
-        # lattice == 10
-        return (a + b + c) % 2 == 0 and (b + c + d) % 2 == 0
-    if lattice == 3:
-        return (b + c) % 2 == 0
-    if lattice == 5:
-        return a % 2 == 0 and d % 2 == 0 and (b + c) % 2 == 0
-    if lattice == 7:
-        return (a + b + c) % 2 == 0 and (b + c + d) % 2 == 0
-    if lattice == 9:
-        return (a + b + d) % 2 == 0 and (a + c + d) % 2 == 0
-    raise ValueError(f"lattice index must be 1..10, got {lattice}")
+    return _MEMBERSHIP[((a % 6 * 6 + b % 6) * 6 + c % 6) * 6 + d % 6]
+
+
+def lattice_member(f, lattice: int) -> bool:
+    """Membership of f in L_lattice, lattice in 1..10."""
+    if lattice not in range(1, 11):
+        raise ValueError(f"lattice index must be 1..10, got {lattice}")
+    return bool(lattice_membership(f)[lattice - 1])
 
 
 def _divisors(n: int) -> list:
@@ -229,17 +263,7 @@ def is_irreducible(f) -> bool:
     """
     if discriminant(f) == 0:
         raise ValueError(f"form {tuple(f)} has zero discriminant")
-    a, b, c, d = f
-    if a == 0 or d == 0:
-        return False  # v | f, resp. root t = 0
-    for q in _divisors(a):
-        for p in _divisors(d):
-            if gcd(p, q) != 1:
-                continue
-            for p_ in (p, -p):
-                if a * p_ ** 3 + b * p_ * p_ * q + c * p_ * q * q + d * q ** 3 == 0:
-                    return False
-    return True
+    return not rational_roots(f)
 
 
 def rational_roots(f) -> list:
@@ -263,6 +287,6 @@ def rational_roots(f) -> list:
             if gcd(p, q) != 1:
                 continue
             for p_ in (p, -p):
-                if a * p_ ** 3 + b * p_ * p_ * q + c * p_ * q * q + d * q ** 3 == 0:
+                if value_at(f, p_, q) == 0:
                     roots.append((p_, q))
     return roots

@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .forms import U1, W, action_matrix, lattice_member, pairing
+from .forms import EVEN_PARTNER, U1, W, action_matrix, lattice_member, pairing
 from .series import CheckReport, _report
 
 _DIM = 4
@@ -183,7 +183,7 @@ def verify_classification() -> CheckReport:
 # Z-bases of the odd lattices; the even ones are images of odd partners under
 # (x1, x2, x3, x4) -> (x1, 3 x2, 3 x3, x4), with the parity condition carried
 # on the divided middle coordinates: L2 = phi(L1), L4 = phi(L5), L6 = phi(L3),
-# L8 = phi(L9), L10 = phi(L7).
+# L8 = phi(L9), L10 = phi(L7) (forms.EVEN_PARTNER).
 _ODD_BASES = {
     1: ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)),
     3: ((1, 0, 0, 0), (0, 0, 0, 1), (0, 1, 1, 0), (0, 2, 0, 0)),
@@ -192,13 +192,11 @@ _ODD_BASES = {
     9: ((1, 1, 1, 0), (0, 1, 1, 1), (2, 0, 0, 0), (0, 2, 0, 0)),
 }
 
-_EVEN_PARTNER = {2: 1, 4: 5, 6: 3, 8: 9, 10: 7}
-
 
 def lattice_basis(lattice: int) -> tuple:
     if lattice % 2 == 1:
         return _ODD_BASES[lattice]
-    odd = _ODD_BASES[_EVEN_PARTNER[lattice]]
+    odd = _ODD_BASES[EVEN_PARTNER[lattice]]
     return tuple((v[0], 3 * v[1], 3 * v[2], v[3]) for v in odd)
 
 
@@ -221,7 +219,8 @@ def _det4(rows) -> Fraction:
 
 
 def _solve4(rows, rhs) -> list:
-    """Solve the 4x4 system rows^T * x = rhs over Q (rows are basis vectors)."""
+    """Exact x over Q with sum_j x_j * rows[j] = rhs: the coordinates of rhs
+    in the basis `rows` (the 4x4 system rows^T * x = rhs)."""
     m = [[Fraction(rows[j][i]) for j in range(4)] + [Fraction(rhs[i])] for i in range(4)]
     for col in range(4):
         piv = next(r for r in range(col, 4) if m[r][col])
@@ -240,48 +239,23 @@ def _index_in(sup: int, sub: int) -> Fraction:
     return abs(_det4(lattice_basis(sub))) / abs(_det4(lattice_basis(sup)))
 
 
-def _coords_in_basis(basis, v) -> list:
-    return _solve4(basis, v)
-
-
 def _is_member_by_basis(lattice: int, v) -> bool:
-    return all(c.denominator == 1 for c in _coords_in_basis(lattice_basis(lattice), v))
+    return all(c.denominator == 1 for c in _solve4(lattice_basis(lattice), v))
 
 
 def dual_basis(lattice: int) -> tuple:
     """Basis of the dual lattice under the alternating pairing."""
-    basis = lattice_basis(lattice)
-    duals = []
-    for i in range(4):
-        rhs = [Fraction(1) if j == i else Fraction(0) for j in range(4)]
-        # solve <basis[j], y> = delta_ij; pairing is linear in y
-        # pairing(x, y) = x1 y4 - x2 y3/3 + x3 y2/3 - x4 y1
-        rows = []
-        for x in basis:
-            rows.append(
-                [
-                    Fraction(-x[3]),
-                    Fraction(x[2], 3),
-                    Fraction(-x[1], 3),
-                    Fraction(x[0]),
-                ]
-            )
-        duals.append(_solve_general(rows, rhs))
-    return tuple(tuple(d) for d in duals)
-
-
-def _solve_general(rows, rhs) -> list:
-    m = [list(rows[i]) + [rhs[i]] for i in range(4)]
-    for col in range(4):
-        piv = next(r for r in range(col, 4) if m[r][col])
-        m[col], m[piv] = m[piv], m[col]
-        inv = 1 / m[col][col]
-        m[col] = [x * inv for x in m[col]]
-        for r in range(4):
-            if r != col and m[r][col]:
-                fac = m[r][col]
-                m[r] = [x - fac * y for x, y in zip(m[r], m[col])]
-    return [m[i][4] for i in range(4)]
+    # <x, y> = x1 y4 - x2 y3/3 + x3 y2/3 - x4 y1 is linear in y with
+    # coefficients (-x4, x3/3, -x2/3, x1).  The dual vector y_i solves
+    # <basis[j], y_i> = delta_ij, i.e. sum_k y_ik * columns[k] = e_i.
+    rows = [
+        (-x[3], Fraction(x[2], 3), Fraction(-x[1], 3), x[0])
+        for x in lattice_basis(lattice)
+    ]
+    columns = tuple(zip(*rows))
+    return tuple(
+        tuple(_solve4(columns, [int(i == j) for j in range(4)])) for i in range(4)
+    )
 
 
 def _same_lattice(basis_a, basis_b) -> bool:
@@ -311,7 +285,7 @@ def verify_indices_and_duality() -> CheckReport:
         got = _index_in(1, i)
         if got != 2 ** b:
             failures.append(f"[L1:L{i}] = {got}, expected {2 ** b}")
-    for even, odd in _EVEN_PARTNER.items():
+    for even, odd in EVEN_PARTNER.items():
         got_even = _index_in(1, even)
         want = 9 * 2 ** want_b[odd]
         if got_even != want:

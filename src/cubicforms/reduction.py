@@ -27,6 +27,8 @@ from __future__ import annotations
 import itertools
 from collections import deque
 
+import numpy as np
+
 from .forms import (
     CubicForm,
     UnimodularMatrix,
@@ -34,10 +36,12 @@ from .forms import (
     U1_INV,
     W,
     act,
+    action_matrix,
     discriminant,
     hessian,
     is_irreducible,
     rational_roots,
+    value_at,
 )
 
 # All determinant +1 matrices with entries in {-1, 0, 1} (20 of them).  Two
@@ -81,8 +85,7 @@ def _canonical_pos(f: CubicForm) -> CubicForm:
 
 def _sign_at(f, p: int, q: int) -> int:
     """Sign of f(p, q) (value of the cubic at the rational point p/q, q > 0)."""
-    a, b, c, d = f
-    v = a * p ** 3 + b * p * p * q + c * p * q * q + d * q ** 3
+    v = value_at(f, p, q)
     return (v > 0) - (v < 0)
 
 
@@ -110,8 +113,6 @@ def _in_open_domain(f) -> bool:
 
 def _canonical_neg_irreducible(f: CubicForm) -> CubicForm:
     """Float-guided root reduction, accepted only by the exact domain test."""
-    import numpy as np
-
     for _ in range(10000):
         if _in_open_domain(f):
             return f
@@ -208,22 +209,12 @@ def orbit_bfs(f, cap: int) -> set:
     return seen
 
 
-# Order-3 elements of SL2(Z) have trace -1: g = (p, q; r, -1-p) with
-# q*r = -(p^2 + p + 1).  Their action matrices up to an entry bound are
-# enumerated once and cached (a larger cache is a superset, so reusing it
-# for smaller bounds can only find more genuine stabilizers).
-_STAB3_SEARCH_CACHE = {"bound": 0, "mats": None}
+def _order3_elements(bound: int):
+    """Order-3 elements of SL2(Z) with |q|, |r| <= bound.
 
-
-def _stab3_action_matrices(bound: int):
-    import numpy as np
-
-    from .forms import action_matrix
-
-    cache = _STAB3_SEARCH_CACHE
-    if cache["bound"] >= bound and cache["mats"] is not None:
-        return cache["mats"]
-    mats = []
+    They have trace -1: g = (p, q; r, -1-p) with q*r = -(p^2 + p + 1), and
+    p runs over -bound..bound.
+    """
     for p in range(-bound, bound + 1):
         m = p * p + p + 1
         q = 1
@@ -233,12 +224,22 @@ def _stab3_action_matrices(bound: int):
                     for sgn in (1, -1):
                         qv = sgn * qq
                         rv = -m // qv
-                        if abs(qv) > bound or abs(rv) > bound:
-                            continue
-                        mats.append(
-                            action_matrix(UnimodularMatrix(p, qv, rv, -1 - p))
-                        )
+                        if abs(qv) <= bound and abs(rv) <= bound:
+                            yield UnimodularMatrix(p, qv, rv, -1 - p)
             q += 1
+
+
+# The action matrices of the order-3 elements up to an entry bound are
+# enumerated once and cached (a larger cache is a superset, so reusing it
+# for smaller bounds can only find more genuine stabilizers).
+_STAB3_SEARCH_CACHE = {"bound": 0, "mats": None}
+
+
+def _stab3_action_matrices(bound: int):
+    cache = _STAB3_SEARCH_CACHE
+    if cache["bound"] >= bound and cache["mats"] is not None:
+        return cache["mats"]
+    mats = [action_matrix(g) for g in _order3_elements(bound)]
     arr = np.array(mats, dtype=np.int64).reshape(-1, 4, 4)
     cache["bound"] = bound
     cache["mats"] = arr
@@ -252,8 +253,6 @@ def stabilizer_order(f, search_bound: int | None = None) -> int:
     (default 10 * (1 + max |coefficient|)); every reported stabilizer is
     verified exactly.
     """
-    import numpy as np
-
     f = CubicForm(*f)
     if discriminant(f) == 0:
         raise ValueError(f"form {tuple(f)} has zero discriminant")
@@ -261,21 +260,7 @@ def stabilizer_order(f, search_bound: int | None = None) -> int:
         search_bound = 10 * (1 + max(abs(t) for t in f))
     if search_bound > 2000 or max(abs(t) for t in f) > 10 ** 4:
         # avoid int64 overflow in the vectorized path; exact Python loop
-        for p in range(-search_bound, search_bound + 1):
-            m = p * p + p + 1
-            q = 1
-            while q * q <= m:
-                if m % q == 0:
-                    for qq in {q, m // q}:
-                        for sgn in (1, -1):
-                            qv = sgn * qq
-                            rv = -m // qv
-                            if abs(qv) > search_bound or abs(rv) > search_bound:
-                                continue
-                            if act(UnimodularMatrix(p, qv, rv, -1 - p), f) == f:
-                                return 3
-                q += 1
-        return 1
+        return 3 if any(act(g, f) == f for g in _order3_elements(search_bound)) else 1
     mats = _stab3_action_matrices(search_bound)
     if len(mats) == 0:
         return 1

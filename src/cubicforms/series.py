@@ -17,13 +17,12 @@ from fractions import Fraction
 import numpy as np
 
 from .enumeration import (
-    EVEN_LATTICES,
     ClassRecord,
     MasterClasses,
     _signed_selection,
     master_classes,
 )
-from .forms import discriminant, lattice_member
+from .forms import EVEN_LATTICES, discriminant, lattice_member, lattice_membership
 from .golden import GoldenTable, golden_table
 
 ALL_PAIRS = tuple((lat, sign) for lat in range(1, 11) for sign in ("+", "-"))
@@ -322,47 +321,20 @@ def verify_decompositions(box: int = 20) -> CheckReport:
         for a in rng:
             for b in rng:
                 if base == 1:
-                    xa, xb, xc, xd = a, b, cg, dg
+                    x = (a, b, cg, dg)
                 else:
-                    xa, xb, xc, xd = a, 3 * b, 3 * cg, 3 * dg
-                # membership, vectorized over (c, d)
-                if base == 1:
-                    m = _member_cols(lattice, xa, xb, xc, xd)
-                else:
-                    m = _member_cols(lattice, xa, xb, xc, xd)
+                    x = (a, 3 * b, 3 * cg, 3 * dg)
+                # membership and discriminant, vectorized over (c, d)
+                m = lattice_membership(x)[:, lattice - 1]
                 doubled = (a % 2 == 0) and (b % 2 == 0)
                 dbl = doubled & ((cg % 2 == 0) & (dg % 2 == 0))
-                p = (
-                    xb * xb * xc * xc
-                    - 4 * xa * xc ** 3
-                    - 4 * xb ** 3 * xd
-                    + 18 * xa * xb * xc * xd
-                    - 27 * xa * xa * xd * xd
-                )
-                res = p % 8 == p_res
+                res = discriminant(x) % 8 == p_res
                 bad += int((m != (dbl | res)).sum()) + int((dbl & res).sum())
         if bad:
             failures.append(f"L{lattice} box decomposition: {bad} mismatching points")
     return _report(
         f"lattice decompositions (mod 8 exhaustive + box {box})", failures
     )
-
-
-def _member_cols(lattice, a, b, c, d):
-    """Vectorized odd/even lattice membership on raw coordinates."""
-    if lattice in EVEN_LATTICES:
-        in2 = (b % 3 == 0) & (c % 3 == 0)
-        bd, cd = b // 3, c // 3
-        if lattice == 8:
-            return in2 & ((a + bd + d) % 2 == 0) & ((a + cd + d) % 2 == 0)
-        if lattice == 10:
-            return in2 & ((a + bd + cd) % 2 == 0) & ((bd + cd + d) % 2 == 0)
-        raise ValueError(lattice)
-    if lattice == 7:
-        return ((a + b + c) % 2 == 0) & ((b + c + d) % 2 == 0)
-    if lattice == 9:
-        return ((a + b + d) % 2 == 0) & ((a + c + d) % 2 == 0)
-    raise ValueError(lattice)
 
 
 def verify_congruence_lemma() -> CheckReport:

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,7 +22,7 @@ from cubicforms import (
     psi,
     q_discriminant,
 )
-from cubicforms.forms import u_of, rational_roots
+from cubicforms.forms import lattice_membership, u_of, rational_roots
 
 rng = random.Random(12345)
 
@@ -139,13 +140,26 @@ def test_lattice_member_examples():
 def test_lattice_inclusions():
     # L5 < L3 < L1, L5 < L7 < L1, L9 < L3, 2*L1 < L5, and even analogues in L2
     inclusions = [(5, 3), (3, 1), (5, 7), (7, 1), (9, 3), (9, 1), (4, 6), (6, 2)]
+    drawn = []
     for _ in range(2000):
         f = tuple(rng.randint(-12, 12) for _ in range(4))
+        drawn.append(f)
         for sub, sup in inclusions:
             if lattice_member(f, sub):
                 assert lattice_member(f, sup), (f, sub, sup)
         if all(t % 2 == 0 for t in f):
             assert lattice_member(f, 5) and lattice_member(f, 7) and lattice_member(f, 9)
+    # the columnwise membership matrix agrees with the scalar test row by row
+    rows = np.array(drawn, dtype=np.int64)
+    scalar = [[lattice_member(f, lat) for lat in range(1, 11)] for f in drawn]
+    assert (rows < 0).any()
+    assert lattice_membership(rows.T).tolist() == scalar
+
+
+def test_lattice_member_rejects_bad_index():
+    for lattice in (0, 11, -1):
+        with pytest.raises(ValueError):
+            lattice_member((0, 0, 0, 0), lattice)
 
 
 def test_even_lattice_requires_divisibility():
