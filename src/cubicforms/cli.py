@@ -252,13 +252,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "max", None) is not None and args.command != "verify":
-        if args.max < 1:
-            return _fail_usage(parser, "--max must be >= 1")
-    if args.command == "density":
-        if args.checkpoints < 1:
-            return _fail_usage(parser, "--checkpoints must be >= 1")
-        if args.max > MAX_DENSITY_X:
+    if getattr(args, "max", None) is not None and args.max < 1:
+        return _fail_usage(parser, "--max must be >= 1")
+    if args.command == "verify" and args.box < 1:
+        return _fail_usage(parser, "--box must be >= 1")
+    if args.command == "density" and args.checkpoints < 1:
+        return _fail_usage(parser, "--checkpoints must be >= 1")
+    # the density command and verify's density and all suites run at X = --max
+    if args.command == "density" or getattr(args, "suite", None) in ("density", "all"):
+        if args.max is not None and args.max > MAX_DENSITY_X:
             return _fail_usage(parser, f"--max exceeds safety bound {MAX_DENSITY_X}")
     if getattr(args, "workers", 1) < 1:
         return _fail_usage(parser, "--workers must be >= 1")

@@ -44,7 +44,14 @@ from .forms import (
     lattice_membership,
     value_at,
 )
-from .reduction import SMALL_MATRICES, orbit_bfs, stabilizer_order
+from .reduction import (
+    ORDER3_MATRICES,
+    SMALL_MATRICES,
+    _in_open_domain,
+    _weakly_reduced,
+    orbit_bfs,
+    stabilizer_order,
+)
 
 
 @dataclass(frozen=True)
@@ -106,11 +113,7 @@ def _expand_windows(lo: np.ndarray, hi: np.ndarray):
 # ---------------------------------------------------------------------------
 
 _SMALL_MATS = [np.array(action_matrix(g), dtype=np.int64) for g in SMALL_MATRICES]
-_STAB3_MATS = [
-    np.array(action_matrix(g), dtype=np.int64)
-    for g in SMALL_MATRICES
-    if g.p + g.s == -1
-]
+_STAB3_MATS = [np.array(action_matrix(g), dtype=np.int64) for g in ORDER3_MATRICES]
 
 
 def _pos_candidates_for_a(a: int, limit: int) -> np.ndarray:
@@ -172,11 +175,6 @@ def _pos_candidates_for_a(a: int, limit: int) -> np.ndarray:
     return _ranges_to_rows(rows)
 
 
-def _weakly_reduced_mask(rows: np.ndarray) -> np.ndarray:
-    A, B, C = hessian(rows.T)
-    return (A > 0) & (np.abs(B) <= A) & (C >= A)
-
-
 def _lex_less(y: np.ndarray, b: np.ndarray) -> np.ndarray:
     l0, e0 = y[:, 0] < b[:, 0], y[:, 0] == b[:, 0]
     l1, e1 = y[:, 1] < b[:, 1], y[:, 1] == b[:, 1]
@@ -190,7 +188,7 @@ def _canonicalize_pos_rows(rows: np.ndarray) -> np.ndarray:
     best = rows.copy()
     for mat in _SMALL_MATS:
         imgs = rows @ mat.T
-        ok = _weakly_reduced_mask(imgs) & _lex_less(imgs, best)
+        ok = _weakly_reduced(imgs.T) & _lex_less(imgs, best)
         best[ok] = imgs[ok]
     return best
 
@@ -288,30 +286,22 @@ def _neg_ird_windows(a: int, limit: int) -> np.ndarray:
     return rows
 
 
-def _in_open_domain_mask(rows: np.ndarray) -> np.ndarray:
-    """Vectorized exact fundamental-domain test (see reduction._in_open_domain)."""
-    cols = rows.T
-    a, b, _, d = cols
-    ok = (a > 0) & (d != 0)
-    t1 = value_at(cols, -b - a, a) < 0
-    t2 = value_at(cols, a - b, a) > 0
-    v3 = value_at(cols, -d, a)
-    t3 = np.where(d < 0, v3 > 0, v3 < 0)
-    return ok & t1 & t2 & t3
+def _depressed(rows: np.ndarray):
+    """Floats (p, q, shift): the roots of the dehomogenized cubic are
+    y - shift for the roots y of the depressed cubic y^3 + p y + q."""
+    a, b, c, d = rows.T.astype(np.float64)
+    p = c / a - b * b / (3 * a * a)
+    q = 2 * b ** 3 / (27 * a ** 3) - b * c / (3 * a * a) + d / a
+    return p, q, b / (3 * a)
 
 
 def _real_root(rows: np.ndarray) -> np.ndarray:
     """Real root of the dehomogenized cubic (exactly one; P < 0), by Cardano."""
-    a = rows[:, 0].astype(np.float64)
-    b = rows[:, 1].astype(np.float64)
-    c = rows[:, 2].astype(np.float64)
-    d = rows[:, 3].astype(np.float64)
-    p = c / a - b * b / (3 * a * a)
-    q = 2 * b ** 3 / (27 * a ** 3) - b * c / (3 * a * a) + d / a
+    p, q, shift = _depressed(rows)
     disc = (q / 2) ** 2 + (p / 3) ** 3
     sq = np.sqrt(np.maximum(disc, 0.0))
     y = np.cbrt(-q / 2 + sq) + np.cbrt(-q / 2 - sq)
-    return y - b / (3 * a)
+    return y - shift
 
 
 def _root_near_mask(rows: np.ndarray, root: np.ndarray, a: int) -> np.ndarray:
@@ -335,7 +325,7 @@ def _neg_ird_stratum(a: int, limit: int) -> np.ndarray:
     rows = rows[(disc < 0) & (disc >= -limit)]
     if len(rows) == 0:
         return rows
-    rows = rows[_in_open_domain_mask(rows)]
+    rows = rows[_in_open_domain(rows.T)]
     if len(rows) == 0:
         return rows
     return rows[~_root_near_mask(rows, _real_root(rows), a)]
@@ -405,19 +395,14 @@ def _pos_irreducible_mask(rows: np.ndarray) -> np.ndarray:
             continue
         sel = np.where(live & (np.abs(a) == av))[0]
         sub = rows[sel]
-        af = sub[:, 0].astype(np.float64)
-        bf = sub[:, 1].astype(np.float64)
-        cf = sub[:, 2].astype(np.float64)
-        df = sub[:, 3].astype(np.float64)
-        p = cf / af - bf * bf / (3 * af * af)
-        q = 2 * bf ** 3 / (27 * af ** 3) - bf * cf / (3 * af * af) + df / af
+        p, q, shift = _depressed(sub)
         # P > 0 => three distinct real roots => (q/2)^2 + (p/3)^3 < 0, p < 0
         m = np.sqrt(np.maximum(-p / 3.0, 1e-300))
         arg = np.clip(3.0 * q / (2.0 * p * m), -1.0, 1.0)
         phi = np.arccos(arg)
         red = np.zeros(len(sub), dtype=bool)
         for k in range(3):
-            t = 2.0 * m * np.cos((phi - 2.0 * np.pi * k) / 3.0) - bf / (3 * af)
+            t = 2.0 * m * np.cos((phi - 2.0 * np.pi * k) / 3.0) - shift
             red |= _root_near_mask(sub, t, int(av))
         irred[sel[red]] = False
     return irred

@@ -1,33 +1,36 @@
 """Canonical orbit representatives, orbit search and stabilizer orders.
 
-Reduction strategy, by sign of the discriminant P:
+Every scalar rule reduces first and then decides on the small reduced form,
+with exact integer arithmetic throughout, so it runs in time polynomial in the
+digit count of the input.  Reduction strategy, by sign of the discriminant P:
 
 * P > 0: the Hessian covariant is positive definite (disc = -3P < 0).  Reduce
   it to |B| <= A <= C by classical Gauss reduction, pulling the substitutions
   back to the cubic.  The forms in one orbit whose Hessian is weakly reduced
   differ by one of the 20 determinant-one matrices with entries in {-1,0,1};
   the canonical representative is the lexicographically least of those images
-  that are themselves weakly reduced.
+  that are themselves weakly reduced.  A stabilizer of f fixes its Hessian,
+  and the automorphs of a reduced positive-definite quadratic form have
+  entries in {-1, 0, 1}, so the stabilizer is read off the same reduced form.
 
-* P < 0, irreducible: the dehomogenized cubic has one real and two complex
-  roots.  Move the upper-half-plane root into the standard fundamental domain
-  |Re z| <= 1/2, |z| >= 1 of SL2(Z) and normalize the leading coefficient
-  positive.  An irreducible form can never land on the domain boundary (that
-  would force a rational relation on the roots), so each orbit contains
-  exactly one representative with the root strictly inside and x1 > 0.
-  Membership in the open domain is decided by exact integer sign tests.
+* P < 0: the dehomogenized cubic has one real root rho and two complex roots.
+  Root reduction moves the upper-half-plane root theta into the closed
+  fundamental domain |Re z| <= 1/2, |z| >= 1 of SL2(Z) with x1 > 0, steered by
+  exact integer sign tests (sign f(t) = sign(t - rho)).  The reduced form is
+  small, so its rational roots are cheap to find, and they decide the rest:
 
-* P < 0, reducible: the form has exactly one rational root; moving that root
-  to (0:1) gives a presentation (p, q, r, 0) = u * (p u^2 + q u v + r v^2)
-  with r != 0.  Normalizing r > 0 and 0 <= q < 2r is a bijection onto orbits.
+  - irreducible: the form can never land on the domain boundary (that would
+    force a rational relation on the roots), so each orbit contains exactly
+    one representative with theta strictly inside and x1 > 0;
+  - reducible: the form has exactly one rational root; moving that root to
+    (0:1) gives a presentation (p, q, r, 0) = u * (p u^2 + q u v + r v^2)
+    with r != 0.  Normalizing r > 0 and 0 <= q < 2r is a bijection onto orbits.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import deque
-
-import numpy as np
 
 from .forms import (
     CubicForm,
@@ -36,10 +39,8 @@ from .forms import (
     U1_INV,
     W,
     act,
-    action_matrix,
     discriminant,
     hessian,
-    is_irreducible,
     rational_roots,
     value_at,
 )
@@ -52,29 +53,40 @@ SMALL_MATRICES = tuple(
     if g[0] * g[3] - g[1] * g[2] == 1
 )
 
-# Lower-triangular unipotent: fixes the Hessian's A and shifts B by 2*alpha*A.
+# The order-3 elements among them (trace -1; there are 4).  They contain every
+# stabilizer of order 3 of a weakly Hessian-reduced form.
+ORDER3_MATRICES = tuple(g for g in SMALL_MATRICES if g.p + g.s == -1)
+
+
+# Lower-triangular unipotent: fixes the Hessian's A and shifts B by 2*alpha*A;
+# it substitutes u -> u + alpha v, translating the roots t -> t - alpha.
 def _n_of(alpha: int) -> UnimodularMatrix:
     return UnimodularMatrix(1, 0, alpha, 1)
 
 
-def _weakly_reduced(f) -> bool:
+def _weakly_reduced(f):
+    """|B| <= A <= C for the Hessian (A, B, C) of f; f may be columns."""
     A, B, C = hessian(f)
-    return A > 0 and abs(B) <= A <= C
+    return (A > 0) & (abs(B) <= A) & (A <= C)
 
 
-def _canonical_pos(f: CubicForm) -> CubicForm:
-    """Canonical representative for P > 0 via Gauss reduction of the Hessian."""
+def _hessian_reduce(f: CubicForm) -> CubicForm:
+    """A form in the orbit of f (P > 0) whose Hessian is weakly reduced."""
     while True:
         A, B, C = hessian(f)
         if abs(B) > A:
             k = (B + A) // (2 * A)
             f = act(_n_of(-k), f)
-            continue
-        if C < A:
+        elif C < A:
             f = act(W, f)
-            continue
-        break
-    # f is now weakly reduced; minimize over the weakly reduced small images.
+        else:
+            return f
+
+
+def _canonical_pos(f: CubicForm) -> CubicForm:
+    """Canonical representative for P > 0: the lex-least weakly reduced small
+    image of the Hessian-reduced form."""
+    f = _hessian_reduce(f)
     best = tuple(f)
     for g in SMALL_MATRICES:
         h = act(g, f)
@@ -83,68 +95,61 @@ def _canonical_pos(f: CubicForm) -> CubicForm:
     return CubicForm(*best)
 
 
-def _sign_at(f, p: int, q: int) -> int:
-    """Sign of f(p, q) (value of the cubic at the rational point p/q, q > 0)."""
-    v = value_at(f, p, q)
-    return (v > 0) - (v < 0)
-
-
-def _in_open_domain(f) -> bool:
+def _in_open_domain(f):
     """Exact test: x1 > 0 and the complex root lies strictly inside the domain.
 
     Writing the real root as rho and the complex pair as roots of
     t^2 - s1 t + s2 (so rho + s1 = -b/a, s2 * rho = -d/a), the conditions
     |s1| < 1 and s2 > 1 translate into sign conditions of f at the rational
     points (-b-a)/a, (-b+a)/a and -d/a, because sign f(t) = sign(t - rho).
+    f may be columns (rows.T of an (N, 4) array).
     """
-    a, b, c, d = f
-    if a <= 0 or d == 0:
-        return False
-    # s1 < 1  <=>  rho > (-b-a)/a  <=>  f((-b-a)/a) < 0
-    if _sign_at(f, -b - a, a) >= 0:
-        return False
-    # s1 > -1 <=>  rho < (-b+a)/a  <=>  f((-b+a)/a) > 0
-    if _sign_at(f, a - b, a) <= 0:
-        return False
-    # s2 > 1  <=>  (d < 0 and f(-d/a) > 0) or (d > 0 and f(-d/a) < 0)
-    s = _sign_at(f, -d, a)
-    return s > 0 if d < 0 else s < 0
+    a, b, _, d = f
+    # s2 > 1  <=>  f(-d/a) has the sign opposite to d (s2 * rho = -d/a)
+    v = value_at(f, -d, a)
+    return (
+        (a > 0)
+        & (value_at(f, -b - a, a) < 0)  # s1 < 1  <=> rho > (-b-a)/a
+        & (value_at(f, a - b, a) > 0)  # s1 > -1 <=> rho < (-b+a)/a
+        & (((d < 0) & (v > 0)) | ((d > 0) & (v < 0)))
+    )
 
 
-def _canonical_neg_irreducible(f: CubicForm) -> CubicForm:
-    """Float-guided root reduction, accepted only by the exact domain test."""
-    for _ in range(10000):
-        if _in_open_domain(f):
-            return f
-        if _in_open_domain(-f):
-            return -f
+def _root_reduce(f: CubicForm) -> CubicForm:
+    """Move the complex root of f (P < 0) into the closed fundamental domain.
+
+    Returns a form with x1 > 0, -1 <= s1 < 1, and s2 >= 1 or x4 = 0 (the real
+    root at 0; only a reducible form gets there).  Each W raises Im theta, so
+    the loop ends; every step is an exact integer sign test.
+    """
+    if f.x1 == 0:
+        f = act(W, f)
+    while True:
+        if f.x1 < 0:
+            f = -f
         a, b, c, d = f
-        if a == 0:
-            raise AssertionError(f"irreducible form with x1 = 0: {tuple(f)}")
-        # complex root theta of a t^3 + b t^2 + c t + d
-        rts = np.roots([a, b, c, d])
-        theta = max(rts, key=lambda z: abs(z.imag))
-        k = round(theta.real)
-        if k != 0:
-            # (1 0; k 1) substitutes u -> u + k v, translating roots t -> t - k.
-            f = act(_n_of(k), f)
-            continue
-        if abs(theta) < 1:
-            f = act(W, f)
-            continue
-        # Float says we are on the boundary; nudge by a translation and retry.
-        f = act(_n_of(1 if theta.real > 0 else -1), f)
-    raise AssertionError(f"root reduction failed to converge for {tuple(f)}")
+        # The least k with s1 - 2k < 1, i.e. f((-b - (2k+1)a)/a) < 0.  Every
+        # root lies in (-m, m) (Cauchy bound), so lo fails and hi holds.
+        m = 2 + max(abs(b), abs(c), abs(d)) // a
+        lo, hi = -m - 1, m
+        while hi - lo > 1:
+            k = (lo + hi) // 2
+            if value_at(f, -b - (2 * k + 1) * a, a) < 0:
+                hi = k
+            else:
+                lo = k
+        f = act(_n_of(hi), f)
+        a, _, _, d = f
+        # s2 < 1  <=>  f(-d/a) has the sign of d (as in _in_open_domain)
+        if d * value_at(f, -d, a) <= 0:
+            return f
+        f = act(W, f)
 
 
-def _canonical_neg_reducible(f: CubicForm) -> CubicForm:
-    """Unique presentation (p, q, r, 0) with r > 0 and 0 <= q < 2r."""
-    roots = rational_roots(f)
-    if len(roots) != 1:
-        raise AssertionError(
-            f"form {tuple(f)} with P < 0 should have exactly one rational root, got {roots}"
-        )
-    p0, q0 = roots[0]
+def _canonical_neg_reducible(f: CubicForm, root) -> CubicForm:
+    """Unique presentation (p, q, r, 0) with r > 0 and 0 <= q < 2r, given the
+    rational root (p0, q0) of f."""
+    p0, q0 = root
     # Send the root (p0 : q0) to (0 : 1): need g = (p q; p0 q0) with det +1.
     g_, u_, v_ = _xgcd(q0, -p0)
     assert g_ == 1, (p0, q0)
@@ -183,9 +188,15 @@ def canonical_reduce(f) -> CubicForm:
         raise ValueError(f"form {tuple(f)} has zero discriminant")
     if p > 0:
         return _canonical_pos(f)
-    if is_irreducible(f):
-        return _canonical_neg_irreducible(f)
-    return _canonical_neg_reducible(f)
+    f = _root_reduce(f)
+    # P < 0 allows at most one rational root.  x4 = 0 puts it at (0 : 1); the
+    # loop may stop there while the coefficients are still large.
+    roots = [(0, 1)] if f.x4 == 0 else rational_roots(f)
+    if roots:
+        return _canonical_neg_reducible(f, roots[0])
+    if not _in_open_domain(f):
+        raise AssertionError(f"root reduction left {tuple(f)} outside the domain")
+    return f
 
 
 def orbit_bfs(f, cap: int) -> set:
@@ -209,60 +220,23 @@ def orbit_bfs(f, cap: int) -> set:
     return seen
 
 
-def _order3_elements(bound: int):
-    """Order-3 elements of SL2(Z) with |q|, |r| <= bound.
-
-    They have trace -1: g = (p, q; r, -1-p) with q*r = -(p^2 + p + 1), and
-    p runs over -bound..bound.
-    """
-    for p in range(-bound, bound + 1):
-        m = p * p + p + 1
-        q = 1
-        while q * q <= m:
-            if m % q == 0:
-                for qq in {q, m // q}:
-                    for sgn in (1, -1):
-                        qv = sgn * qq
-                        rv = -m // qv
-                        if abs(qv) <= bound and abs(rv) <= bound:
-                            yield UnimodularMatrix(p, qv, rv, -1 - p)
-            q += 1
-
-
-# The action matrices of the order-3 elements up to an entry bound are
-# enumerated once and cached (a larger cache is a superset, so reusing it
-# for smaller bounds can only find more genuine stabilizers).
-_STAB3_SEARCH_CACHE = {"bound": 0, "mats": None}
-
-
-def _stab3_action_matrices(bound: int):
-    cache = _STAB3_SEARCH_CACHE
-    if cache["bound"] >= bound and cache["mats"] is not None:
-        return cache["mats"]
-    mats = [action_matrix(g) for g in _order3_elements(bound)]
-    arr = np.array(mats, dtype=np.int64).reshape(-1, 4, 4)
-    cache["bound"] = bound
-    cache["mats"] = arr
-    return arr
-
-
-def stabilizer_order(f, search_bound: int | None = None) -> int:
+def stabilizer_order(f) -> int:
     """1 or 3: order of the SL2(Z)-stabilizer of f.
 
-    The search covers order-3 candidates with entries up to search_bound
-    (default 10 * (1 + max |coefficient|)); every reported stabilizer is
-    verified exactly.
+    -I acts as -1, so the stabilizer is trivial or generated by an element of
+    order 3 (trace -1).  Such an element has no real fixed point, so it cannot
+    fix the one real root of a form with P < 0: the order is 1 there.  For
+    P > 0 a stabilizer of f also fixes its positive-definite Hessian, and the
+    automorphs of a reduced positive-definite quadratic form have entries in
+    {-1, 0, 1} (Cremona, Reduction of binary cubic and quartic forms, LMS JCM
+    1999).  So after Gauss reduction of the Hessian the order is 3 iff one of
+    ORDER3_MATRICES fixes the form.  Exact, and polynomial in the digit count.
     """
     f = CubicForm(*f)
-    if discriminant(f) == 0:
+    p = discriminant(f)
+    if p == 0:
         raise ValueError(f"form {tuple(f)} has zero discriminant")
-    if search_bound is None:
-        search_bound = 10 * (1 + max(abs(t) for t in f))
-    if search_bound > 2000 or max(abs(t) for t in f) > 10 ** 4:
-        # avoid int64 overflow in the vectorized path; exact Python loop
-        return 3 if any(act(g, f) == f for g in _order3_elements(search_bound)) else 1
-    mats = _stab3_action_matrices(search_bound)
-    if len(mats) == 0:
+    if p < 0:
         return 1
-    v = np.array(f, dtype=np.int64)
-    return 3 if ((mats @ v) == v).all(axis=1).any() else 1
+    f = _hessian_reduce(f)
+    return 3 if any(act(g, f) == f for g in ORDER3_MATRICES) else 1

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from cubicforms.cli import main
+from cubicforms.cli import MAX_DENSITY_X, main
 
 
 def run_cli(args, tmp_path):
@@ -121,6 +121,13 @@ def test_usage_errors():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--suite", "bogus"])
     assert exc.value.code == 2
+    # verify bounds are checked before any suite runs
+    assert main(["verify", "--suite", "oracle", "--max", "0"]) == 2
+    assert main(["verify", "--suite", "oracle", "--box", "0"]) == 2
+    assert main(["verify", "--suite", "oracle", "--box", "-3"]) == 2
+    over = str(MAX_DENSITY_X + 1)
+    assert main(["verify", "--suite", "density", "--max", over]) == 2
+    assert main(["verify", "--suite", "all", "--max", over]) == 2
 
 
 def test_mutation_flips_verify(tmp_path, monkeypatch):

@@ -1,5 +1,7 @@
+import itertools
 import random
 
+import numpy as np
 import pytest
 
 from cubicforms import (
@@ -10,7 +12,7 @@ from cubicforms import (
     act,
     discriminant,
 )
-from cubicforms.forms import u_of
+from cubicforms.forms import UnimodularMatrix, action_matrix, is_irreducible, u_of
 from cubicforms.reduction import (
     SMALL_MATRICES,
     canonical_reduce,
@@ -121,3 +123,65 @@ def test_no_negative_discriminant_stab3():
             count += 1
             assert stabilizer_order(f) == 1
     assert count > 50
+
+
+def _order3_elements(bound):
+    """Order-3 elements (p, q; r, -1-p) of SL2(Z), q r = -(p^2 + p + 1), with
+    |p|, |q|, |r| <= bound: the bounded search that stabilizer_order ran
+    before it reduced first."""
+    for p in range(-bound, bound + 1):
+        m = p * p + p + 1  # q * r = -m
+        for q in range(1, bound + 1):
+            if m % q == 0 and m // q <= bound:
+                yield UnimodularMatrix(p, q, -(m // q), -1 - p)
+                yield UnimodularMatrix(p, -q, m // q, -1 - p)
+
+
+def test_stabilizer_order_matches_bounded_search():
+    # Reference: search the order-3 elements with entries up to 50, the old
+    # default bound 10 * (1 + max |coefficient|) for this box.
+    forms = np.array(
+        [f for f in itertools.product(range(-4, 5), repeat=4) if discriminant(f)],
+        dtype=np.int64,
+    )
+    assert len(forms) == 6324
+    fixed = np.zeros(len(forms), dtype=bool)
+    for g in _order3_elements(50):
+        mat = np.array(action_matrix(g), dtype=np.int64)
+        fixed |= (forms @ mat.T == forms).all(axis=1)
+    expected = np.where(fixed, 3, 1)
+    got = [stabilizer_order(tuple(int(t) for t in f)) for f in forms]
+    assert got == expected.tolist()
+    assert (expected == 3).sum() > 0
+
+
+def test_reduction_of_large_moved_forms():
+    # 80 generators, alternating u(+-40) and w, give coefficients with more
+    # than 150 digits; reduction and stabilizer must still be exact and fast.
+    local = random.Random(2024)
+    forms = [(0, 1, -1, 0), (1, 0, -3, 1)]  # stabilizer of order 3
+    forms += [random_nondegenerate(local, bound=4) for _ in range(60)]
+    kinds = set()
+    for f in forms:
+        g = IDENTITY
+        for _ in range(40):
+            g = g @ u_of(local.choice((40, -40))) @ W
+        moved = act(g, f)
+        assert min(abs(t) for t in moved) >= 10 ** 20
+        assert canonical_reduce(moved) == canonical_reduce(f)
+        assert stabilizer_order(moved) == stabilizer_order(f)
+        kinds.add((discriminant(f) > 0, is_irreducible(f), stabilizer_order(f)))
+    # every kind of form occurs: P < 0 (irreducible and reducible) and P > 0
+    # (irreducible, reducible, and with stabilizer of order 3)
+    assert {(False, True, 1), (False, False, 1), (True, True, 1), (True, False, 1)} <= kinds
+    assert any(k[2] == 3 for k in kinds)
+
+
+def test_canonical_reduce_large_form_with_root_at_zero():
+    # u (a u^2 + b u v + v^2) with a = (b^2 + 3)/4 has P = -3 and its rational
+    # root at (0 : 1) while a is huge; it must not need a rational-root search.
+    b = 10 ** 30 + 1
+    f = ((b * b + 3) // 4, b, 1, 0)
+    assert discriminant(f) == -3
+    assert canonical_reduce(f) == (1, 1, 1, 0)
+    assert canonical_reduce(act(u_of(7), f)) == (1, 1, 1, 0)
