@@ -20,7 +20,8 @@ import sys
 from fractions import Fraction
 
 from . import analytic, latclass, series as series_mod
-from .enumeration import brute_force_classes, enumerate_classes
+from .enumeration import MAX_LIMIT, brute_force_classes, enumerate_classes
+from .forms import index_scale
 from .golden import golden_table
 from .series import build_all_series, build_series
 
@@ -262,6 +263,10 @@ def main(argv=None) -> int:
     if args.command == "density" or getattr(args, "suite", None) in ("density", "all"):
         if args.max is not None and args.max > MAX_DENSITY_X:
             return _fail_usage(parser, f"--max exceeds safety bound {MAX_DENSITY_X}")
+    if args.command in ("enumerate", "coeffs"):
+        bound = MAX_LIMIT // index_scale(args.lattice)
+        if args.max > bound:
+            return _fail_usage(parser, f"--max exceeds the int64 safety bound {bound}")
     if getattr(args, "workers", 1) < 1:
         return _fail_usage(parser, "--workers must be >= 1")
     if args.output:

@@ -8,7 +8,9 @@ binary cubic forms with 1 <= |P| <= Y in three provably complete strata:
   loops: A <= sqrt(P), |a| <= (2/sqrt(27)) P^(1/4), |b| <= sqrt(A) + 1.5|a|.
   Every orbit contains a weakly reduced form with a >= 1, or with a = 0 and
   b >= 1 (negating a form stays in its orbit), so scanning those two strata
-  hits every orbit; canonicalization plus dedup yields one row per orbit.
+  hits every orbit.  Each row is replaced by its canonical image; one
+  lexicographic sort and a comparison of neighbouring rows then keep one row
+  per orbit.
 
 * P < 0, irreducible: unique representative with x1 > 0 whose complex root
   lies strictly inside the fundamental domain |Re z| <= 1/2, |z| >= 1.
@@ -21,6 +23,8 @@ binary cubic forms with 1 <= |P| <= Y in three provably complete strata:
 
 All candidate generation over-covers with float windows and is then cut back
 by exact integer tests, so float error can only cost speed, never classes.
+The negative strata are checked for duplicates by the same sort.  Integer
+arithmetic is int64, exact up to limit = MAX_LIMIT (about 2.3e9).
 """
 
 from __future__ import annotations
@@ -441,13 +445,54 @@ def _run_task(task) -> tuple:
     return kind, _neg_rd_stratum(r_lo, r_hi, limit)
 
 
+def _lex_order(rows: np.ndarray) -> np.ndarray:
+    """Indices that sort the rows lexicographically (first column first)."""
+    return np.lexsort(rows.T[::-1])
+
+
+def _sorted_distinct(rows: np.ndarray) -> tuple:
+    """(distinct rows in lexicographic order, whether rows had no duplicates).
+
+    One lexsort, then a row is new when it differs from its sorted
+    predecessor.  A row-wise unique on numpy's structured view gives the same
+    rows in the same order, at many times the cost.
+    """
+    rows = rows[_lex_order(rows)]
+    new = np.ones(len(rows), dtype=bool)
+    new[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    return rows[new], bool(new.all())
+
+
+# The largest limit Y at which every int64 intermediate of the strata and of
+# the column code (discriminant, value_at, hessian, rows @ mat.T) stays below
+# 2^63.  By size, in units of Y^2:
+#   - discriminant of a reducible row (p, q, r, 0): r = 1 allows p up to
+#     (Y + 1) // 4 (r >= 2 allows less), and the partial product 27*a*a is
+#     27 p^2 <= 27 ((Y + 1) // 4)^2, about 1.69 Y^2.  This one binds;
+#   - small-matrix images of the P > 0 rows (0, b, c, d): b = 1 allows
+#     |c| <= 1 and |d| <= Y/4 + 1, so s = |b| + |c| + |d| <= Y/4 + 3.  Image
+#     coefficients are at most s (x1, x4) and 3 s (x2, x3), so each Hessian
+#     product is at most 9 s^2, about 0.56 Y^2;
+#   - in _neg_rd_stratum, q^2 r^2 < 4 r^4 <= 4 Y^2 / 9 (q < 2r, r^2 <= Y/3),
+#     and 4 p r^3 <= q^2 r^2 + Y.
+# Everything else grows at most like Y^(7/4): the P < 0 irreducible windows
+# keep |d| = a |t| s2 of order Y^(7/12), and the P > 0 rows with a != 0 are
+# Hessian-reduced.  Measured at Y = 1e4..1e6, these maxima match the terms
+# above (1.6875 Y^2 and 0.5625 Y^2) and stay below Y^(7/4).
+MAX_LIMIT = 4 * isqrt((2 ** 63 - 1) // 27) + 2  # 2_337_884_074
+
 _MASTER_CACHE: dict = {}
 
 
 def master_classes(limit: int, workers: int = 1, use_cache: bool = True) -> MasterClasses:
-    """All orbits with 1 <= |P| <= limit, across the full integer lattice L1."""
+    """All orbits with 1 <= |P| <= limit, across the full integer lattice L1.
+
+    limit may not exceed MAX_LIMIT, the bound of exact int64 arithmetic.
+    """
     if limit < 1:
         raise ValueError("limit must be >= 1")
+    if limit > MAX_LIMIT:
+        raise ValueError(f"limit {limit} exceeds the int64 safety bound {MAX_LIMIT}")
     if use_cache:
         for cached_limit, master in sorted(_MASTER_CACHE.items()):
             if cached_limit >= limit:
@@ -474,13 +519,13 @@ def master_classes(limit: int, workers: int = 1, use_cache: bool = True) -> Mast
     pos_rows = _ranges_to_rows([r for k, r in results if k == "pos"])
     ird_rows = _ranges_to_rows([r for k, r in results if k == "negird"])
     rd_rows = _ranges_to_rows([r for k, r in results if k == "negrd"])
+    del results  # frees the per-task arrays; the three blocks hold copies
 
-    if len(pos_rows):
-        pos_rows = np.unique(pos_rows, axis=0)
+    pos_rows, _ = _sorted_distinct(pos_rows)
     # The negative strata produce exactly one row per orbit by construction;
     # verify rather than assume.
     for name, rows in (("neg-irreducible", ird_rows), ("neg-reducible", rd_rows)):
-        if len(rows) and len(np.unique(rows, axis=0)) != len(rows):
+        if not _sorted_distinct(rows)[1]:
             raise AssertionError(f"duplicate representatives in {name} stratum")
 
     reps = np.concatenate([pos_rows, ird_rows, rd_rows], axis=0)
@@ -534,19 +579,17 @@ def enumerate_classes(
     master = master_classes(max_index * index_scale(lattice), workers=workers)
     mask, n = _signed_selection(master, lattice, sign, max_index)
     idx = np.where(mask)[0]
-    records = [
-        ClassRecord(
-            lattice,
-            sign,
-            int(n[i]),
-            CubicForm(*(int(t) for t in master.reps[i])),
-            int(master.stab[i]),
-            bool(master.irred[i]),
+    # the order of ClassRecord.sort_key: by index, then representative
+    idx = idx[_lex_order(np.column_stack((n[idx], master.reps[idx])))]
+    return [
+        ClassRecord(lattice, sign, k, CubicForm._make(rep), stab, irred)
+        for k, rep, stab, irred in zip(
+            n[idx].tolist(),
+            master.reps[idx].tolist(),
+            master.stab[idx].tolist(),
+            master.irred[idx].tolist(),
         )
-        for i in idx
     ]
-    records.sort(key=ClassRecord.sort_key)
-    return records
 
 
 # ---------------------------------------------------------------------------

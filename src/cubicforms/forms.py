@@ -260,10 +260,15 @@ def is_irreducible(f) -> bool:
     """True iff f has no linear factor over Q (rational-root test).
 
     Requires P(f) != 0; forms with repeated factors are outside the domain.
+    Irreducibility is orbit-invariant, so the test runs on the canonical
+    representative, whose coefficients are small: polynomial in the digit
+    count of f, where divisors of the raw end coefficients would not be.
     """
+    from .reduction import canonical_reduce  # reduction imports this module
+
     if discriminant(f) == 0:
         raise ValueError(f"form {tuple(f)} has zero discriminant")
-    return not rational_roots(f)
+    return not rational_roots(canonical_reduce(f))
 
 
 def rational_roots(f) -> list:

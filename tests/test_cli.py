@@ -4,6 +4,7 @@ import json
 import pytest
 
 from cubicforms.cli import MAX_DENSITY_X, main
+from cubicforms.enumeration import MAX_LIMIT
 
 
 def run_cli(args, tmp_path):
@@ -128,6 +129,17 @@ def test_usage_errors():
     over = str(MAX_DENSITY_X + 1)
     assert main(["verify", "--suite", "density", "--max", over]) == 2
     assert main(["verify", "--suite", "all", "--max", over]) == 2
+    # enumerate and coeffs stop at the int64 bound, scaled by 27 on even
+    # lattices, before any enumeration runs
+    assert main(["enumerate", "--lattice", "2", "--sign", "pos", "--max", "200000000"]) == 2
+    for command, lattice, max_index in (
+        ("enumerate", "1", MAX_LIMIT + 1),
+        ("coeffs", "1", MAX_LIMIT + 1),
+        ("enumerate", "2", MAX_LIMIT // 27 + 1),
+        ("coeffs", "4", MAX_LIMIT // 27 + 1),
+    ):
+        argv = [command, "--lattice", lattice, "--sign", "neg", "--max", str(max_index)]
+        assert main(argv) == 2
 
 
 def test_mutation_flips_verify(tmp_path, monkeypatch):

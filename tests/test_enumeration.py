@@ -11,6 +11,8 @@ from cubicforms import (
     lattice_member,
     master_classes,
 )
+from cubicforms import enumeration
+from cubicforms.enumeration import MAX_LIMIT
 from cubicforms.reduction import canonical_reduce, stabilizer_order
 
 
@@ -109,3 +111,66 @@ def test_json_roundtrip():
         d = r.to_json_dict()
         assert d["lattice"] == 9 and d["sign"] == "+"
         assert discriminant(d["rep"]) == d["n"]
+
+
+def test_master_matches_unique_reference():
+    # the same stratum rows, deduplicated by a row-wise np.unique
+    limit = 20000
+    results = [enumeration._run_task(t) for t in enumeration._stratum_tasks(limit)]
+    blocks = {
+        kind: enumeration._ranges_to_rows([r for k, r in results if k == kind])
+        for kind in ("pos", "negird", "negrd")
+    }
+    pos = np.unique(blocks["pos"], axis=0)
+    for kind in ("negird", "negrd"):
+        assert len(np.unique(blocks[kind], axis=0)) == len(blocks[kind])
+    want = np.concatenate([pos, blocks["negird"], blocks["negrd"]])
+    m = master_classes(limit, use_cache=False)
+    assert m.reps.dtype == want.dtype and (m.reps == want).all()
+    assert (m.disc == discriminant(want.T)).all()
+    assert len(pos) < len(blocks["pos"])  # the dedup had work to do
+
+
+def test_master_positive_block_strictly_increasing():
+    m = master_classes(20000, use_cache=False)
+    pos = [tuple(r) for r in m.reps[m.disc > 0].tolist()]
+    assert len(pos) == (m.disc > 0).sum() > 0
+    assert all(x < y for x, y in zip(pos, pos[1:]))
+    # the positive block comes first
+    assert (m.disc[: len(pos)] > 0).all()
+
+
+@pytest.mark.parametrize("kind", ["negird", "negrd"])
+def test_master_rejects_duplicate_negative_rows(monkeypatch, kind):
+    run_task = enumeration._run_task
+
+    def doubled(task):
+        got_kind, rows = run_task(task)
+        if got_kind == kind:
+            rows = np.concatenate([rows, rows[:1]])
+        return got_kind, rows
+
+    monkeypatch.setattr(enumeration, "_run_task", doubled)
+    with pytest.raises(AssertionError, match="duplicate representatives"):
+        master_classes(2000, use_cache=False)
+
+
+def test_master_rejects_limit_past_int64_bound(monkeypatch):
+    def no_work(task):
+        raise AssertionError("stratum work started")
+
+    monkeypatch.setattr(enumeration, "_run_task", no_work)
+    for use_cache in (True, False):
+        with pytest.raises(ValueError, match="int64 safety bound"):
+            master_classes(MAX_LIMIT + 1, use_cache=use_cache)
+    with pytest.raises(ValueError, match="int64 safety bound"):
+        enumerate_classes(2, "+", MAX_LIMIT // 27 + 1)
+
+
+def test_int64_bound_binding_term():
+    # the binding intermediate of MAX_LIMIT: 27 p^2 for the reducible row with
+    # r = 1 and the largest p; it fits at the bound and not one step past it
+    p_max = (MAX_LIMIT + 1) // 4
+    assert 27 * p_max ** 2 < 2 ** 63 <= 27 * ((MAX_LIMIT + 2) // 4) ** 2
+    row = np.array([[p_max, 1, 1, 0]], dtype=np.int64)
+    assert int(discriminant(row.T)[0]) == discriminant((p_max, 1, 1, 0)) == 1 - 4 * p_max

@@ -179,6 +179,29 @@ def test_is_irreducible_rejects_degenerate():
         is_irreducible((1, 3, 3, 1))
 
 
+def test_is_irreducible_of_large_moved_forms():
+    # Irreducibility is orbit-invariant: forms moved by 80 generators,
+    # alternating u(+-40) and w, have coefficients with more than 150 digits,
+    # and the answer must still equal the rational-root test on the small form.
+    local = random.Random(31)
+    forms = [(1, 0, 1, 1), (1, 0, -3, 1), (1, 0, -1, 0), (0, 1, -1, 0), (1, 0, 0, 1)]
+    while len(forms) < 40:
+        f = tuple(local.randint(-4, 4) for _ in range(4))
+        if discriminant(f) != 0:
+            forms.append(f)
+    kinds = set()
+    for f in forms:
+        g = IDENTITY
+        for _ in range(40):
+            g = g @ u_of(local.choice((40, -40))) @ W
+        moved = act(g, f)
+        assert min(abs(t) for t in moved) >= 10 ** 20
+        want = not rational_roots(f)
+        assert is_irreducible(moved) == want
+        kinds.add((discriminant(f) > 0, want))
+    assert kinds == {(False, False), (False, True), (True, False), (True, True)}
+
+
 def test_rational_roots_are_roots():
     for _ in range(500):
         f = tuple(rng.randint(-8, 8) for _ in range(4))
