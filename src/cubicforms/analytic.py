@@ -19,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from .enumeration import master_classes
-from .forms import index_scale, lattice_membership
+from .forms import EVEN_PARTNER, index_scale, lattice_membership, residue_grid
 from .series import CheckReport, _report
 
 # ---------------------------------------------------------------------------
@@ -181,12 +181,6 @@ def residue_constants() -> ResidueTable:
 # ---------------------------------------------------------------------------
 
 
-def _residue_tuples(mod: int):
-    side = np.arange(mod, dtype=np.int64)
-    g = np.meshgrid(side, side, side, side, indexing="ij")
-    return [x.ravel() for x in g]
-
-
 def _count_in(lattice: int, cols, keep=slice(None)) -> int:
     """How many of the kept coefficient columns lie in the lattice."""
     return int(lattice_membership(cols)[keep, lattice - 1].sum())
@@ -194,13 +188,13 @@ def _count_in(lattice: int, cols, keep=slice(None)) -> int:
 
 def _density_ird(lattice: int, mod: int) -> Fraction:
     """Integral of the indicator of the closure of L in Z_2^4."""
-    return Fraction(_count_in(lattice, _residue_tuples(mod)), mod ** 4)
+    return Fraction(_count_in(lattice, residue_grid(mod)), mod ** 4)
 
 
 def _density_rd(lattice: int, mod: int) -> Fraction:
     """Integral of |t|_2^2 over (0, t, u1, u2) in the closure, d*t normalized
     so that the odd units have measure 1."""
-    t, u1, u2, _ = _residue_tuples(mod)
+    t, u1, u2, _ = residue_grid(mod)
     odd = t % 2 == 1
     z = np.zeros(len(t), dtype=np.int64)
     # the unused 4th grid coordinate multiplies numerator and denominator by mod
@@ -215,7 +209,7 @@ def _density_rd(lattice: int, mod: int) -> Fraction:
 def _density_b(lattice: int, mod: int) -> Qcbrt:
     """Integral of |t|_2^(1/3) over (t, u1, u2, u3) in the closure, exactly in
     Q(2^(1/3))."""
-    t, u1, u2, u3 = _residue_tuples(mod)
+    t, u1, u2, u3 = residue_grid(mod)
     odd = t % 2 == 1
     z = np.zeros(len(t), dtype=np.int64)
     denom = (mod // 2) * mod ** 3
@@ -294,27 +288,25 @@ def verify_table1_ratios() -> CheckReport:
                 f"(L{lat}, {sign}): m_alpha {e.m_alpha} != ird + rd "
                 f"{e.m_alpha_ird + e.m_alpha_rd}"
             )
-    pair_map = {1: 2, 3: 6, 5: 4, 7: 10, 9: 8}
-    for odd_l, even_l in pair_map.items():
-        for sign in ("+",):
-            eo = table.entry(odd_l, sign)
-            ee = table.entry(even_l, sign)
-            if ee.m_alpha_ird != 3 * eo.m_alpha_ird:
-                failures.append(
-                    f"even column L{even_l}: ird multiplier not 3x that of L{odd_l}"
-                )
-            if ee.m_alpha_rd != eo.m_alpha_rd:
-                failures.append(
-                    f"even column L{even_l}: rd multiplier differs from L{odd_l}"
-                )
-            if (
-                ee.m_beta.rational != eo.m_beta.rational
-                or ee.m_beta.inv_cbrt2 != eo.m_beta.inv_cbrt2
-                or ee.m_beta.sqrt3 == eo.m_beta.sqrt3
-            ):
-                failures.append(
-                    f"even column L{even_l}: beta multiplier not sqrt(3) x that of L{odd_l}"
-                )
+    for even_l, odd_l in EVEN_PARTNER.items():
+        eo = table.entry(odd_l, "+")
+        ee = table.entry(even_l, "+")
+        if ee.m_alpha_ird != 3 * eo.m_alpha_ird:
+            failures.append(
+                f"even column L{even_l}: ird multiplier not 3x that of L{odd_l}"
+            )
+        if ee.m_alpha_rd != eo.m_alpha_rd:
+            failures.append(
+                f"even column L{even_l}: rd multiplier differs from L{odd_l}"
+            )
+        if (
+            ee.m_beta.rational != eo.m_beta.rational
+            or ee.m_beta.inv_cbrt2 != eo.m_beta.inv_cbrt2
+            or ee.m_beta.sqrt3 == eo.m_beta.sqrt3
+        ):
+            failures.append(
+                f"even column L{even_l}: beta multiplier not sqrt(3) x that of L{odd_l}"
+            )
     return _report("local density ratios vs stored multipliers", failures)
 
 

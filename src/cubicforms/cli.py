@@ -263,9 +263,11 @@ def main(argv=None) -> int:
     if args.command == "density" or getattr(args, "suite", None) in ("density", "all"):
         if args.max is not None and args.max > MAX_DENSITY_X:
             return _fail_usage(parser, f"--max exceeds safety bound {MAX_DENSITY_X}")
-    if args.command in ("enumerate", "coeffs"):
-        bound = MAX_LIMIT // index_scale(args.lattice)
-        if args.max > bound:
+    # enumeration runs at --max times the index scale (27 for the series suites)
+    series_suite = getattr(args, "suite", None) in ("relations", "lambda", "oracle")
+    if args.command in ("enumerate", "coeffs") or series_suite:
+        bound = MAX_LIMIT // (27 if series_suite else index_scale(args.lattice))
+        if args.max is not None and args.max > bound:
             return _fail_usage(parser, f"--max exceeds the int64 safety bound {bound}")
     if getattr(args, "workers", 1) < 1:
         return _fail_usage(parser, "--workers must be >= 1")

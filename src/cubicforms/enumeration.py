@@ -484,7 +484,7 @@ MAX_LIMIT = 4 * isqrt((2 ** 63 - 1) // 27) + 2  # 2_337_884_074
 _MASTER_CACHE: dict = {}
 
 
-def master_classes(limit: int, workers: int = 1, use_cache: bool = True) -> MasterClasses:
+def master_classes(limit: int, workers: int = 1) -> MasterClasses:
     """All orbits with 1 <= |P| <= limit, across the full integer lattice L1.
 
     limit may not exceed MAX_LIMIT, the bound of exact int64 arithmetic.
@@ -493,20 +493,19 @@ def master_classes(limit: int, workers: int = 1, use_cache: bool = True) -> Mast
         raise ValueError("limit must be >= 1")
     if limit > MAX_LIMIT:
         raise ValueError(f"limit {limit} exceeds the int64 safety bound {MAX_LIMIT}")
-    if use_cache:
-        for cached_limit, master in sorted(_MASTER_CACHE.items()):
-            if cached_limit >= limit:
-                if cached_limit == limit:
-                    return master
-                keep = np.abs(master.disc) <= limit
-                return MasterClasses(
-                    limit,
-                    master.reps[keep],
-                    master.disc[keep],
-                    master.stab[keep],
-                    master.irred[keep],
-                    master.member[keep],
-                )
+    for cached_limit, master in sorted(_MASTER_CACHE.items()):
+        if cached_limit >= limit:
+            if cached_limit == limit:
+                return master
+            keep = np.abs(master.disc) <= limit
+            return MasterClasses(
+                limit,
+                master.reps[keep],
+                master.disc[keep],
+                master.stab[keep],
+                master.irred[keep],
+                master.member[keep],
+            )
     tasks = _stratum_tasks(limit)
     if workers > 1:
         import multiprocessing as mp
@@ -542,10 +541,9 @@ def master_classes(limit: int, workers: int = 1, use_cache: bool = True) -> Mast
         raise AssertionError("enumeration produced out-of-range discriminants")
 
     master = MasterClasses(limit, reps, disc, stab, irred, lattice_membership(reps.T))
-    if use_cache:
-        _MASTER_CACHE[limit] = master
-        for k in [k for k in _MASTER_CACHE if k < limit]:
-            del _MASTER_CACHE[k]
+    _MASTER_CACHE[limit] = master
+    for k in [k for k in _MASTER_CACHE if k < limit]:
+        del _MASTER_CACHE[k]
     return master
 
 

@@ -6,8 +6,9 @@ by 1/det; the discriminant P is a degree-4 invariant with P(g.f) = det(g)^2 P(f)
 
 The polynomial helpers (discriminant, value_at, hessian) are pure arithmetic,
 so they also accept coefficient columns, e.g. rows.T of an (N, 4) numpy array.
-Lattice membership is one residue table mod 6, used by both the scalar and
-the columnwise callers.
+The invariant lattices L1..L10 are defined once, by their Z-bases
+(lattice_basis).  Membership is one residue table mod 6 generated from those
+bases, used by both the scalar and the columnwise callers.
 """
 
 from __future__ import annotations
@@ -186,10 +187,31 @@ def delta(f) -> int:
     return a * c ** 3 + b ** 3 * d - a * a * d * d
 
 
-# The even lattices are the images of odd ones under
-# (x1, x2, x3, x4) -> (x1, 3 x2, 3 x3, x4): L2i = phi(L_EVEN_PARTNER[2i]).
+# Z-bases of the odd lattices: the one definition of L1..L10.  The even
+# lattices are their images under phi: L2i = phi(L_EVEN_PARTNER[2i]).
+_ODD_BASES = {
+    1: ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)),
+    3: ((1, 0, 0, 0), (0, 0, 0, 1), (0, 1, 1, 0), (0, 2, 0, 0)),
+    5: ((2, 0, 0, 0), (0, 0, 0, 2), (0, 1, 1, 0), (0, 2, 0, 0)),
+    7: ((1, 1, 0, 1), (1, 0, 1, 1), (2, 0, 0, 0), (0, 0, 0, 2)),
+    9: ((1, 1, 1, 0), (0, 1, 1, 1), (2, 0, 0, 0), (0, 2, 0, 0)),
+}
 EVEN_PARTNER = {2: 1, 4: 5, 6: 3, 8: 9, 10: 7}
 EVEN_LATTICES = tuple(EVEN_PARTNER)
+
+
+def phi(f) -> tuple:
+    """(x1, x2, x3, x4) -> (x1, 3 x2, 3 x3, x4), which maps each odd lattice
+    onto its even partner; ints or coefficient columns."""
+    a, b, c, d = f
+    return (a, 3 * b, 3 * c, d)
+
+
+def lattice_basis(lattice: int) -> tuple:
+    """Z-basis of L_lattice (rows), lattice in 1..10."""
+    if lattice in EVEN_PARTNER:
+        return tuple(phi(v) for v in _ODD_BASES[EVEN_PARTNER[lattice]])
+    return _ODD_BASES[lattice]
 
 
 def index_scale(lattice: int) -> int:
@@ -197,32 +219,29 @@ def index_scale(lattice: int) -> int:
     return 27 if lattice in EVEN_LATTICES else 1
 
 
-def _odd_congruences(a, b, c, d) -> dict:
-    """The congruences defining L1, L3, L5, L7, L9, columnwise."""
-    l3 = (b + c) % 2 == 0
-    return {
-        1: np.ones_like(l3),
-        3: l3,
-        5: (a % 2 == 0) & (d % 2 == 0) & l3,
-        7: ((a + b + c) % 2 == 0) & ((b + c + d) % 2 == 0),
-        9: ((a + b + d) % 2 == 0) & ((a + c + d) % 2 == 0),
-    }
+def _residue_row(f):
+    """Row ((a*6 + b)*6 + c)*6 + d of the residue table for f = (a, b, c, d)."""
+    a, b, c, d = f
+    return ((a % 6 * 6 + b % 6) * 6 + c % 6) * 6 + d % 6
+
+
+def residue_grid(mod: int) -> np.ndarray:
+    """All of (Z/mod)^4 as coefficient columns, shape (4, mod^4), in
+    lexicographic order."""
+    return np.indices((mod,) * 4).reshape(4, -1)
 
 
 def _membership_table() -> np.ndarray:
-    """(6^4, 10) booleans: row ((a*6 + b)*6 + c)*6 + d holds the membership of
-    (a, b, c, d) in L1..L10.  Every L_i contains 6 Z^4, so a form's residues
-    mod 6 decide its membership.  An even lattice requires x2, x3 divisible
-    by 3 and its odd partner's congruences on (x1, x2/3, x3/3, x4)."""
-    a, b, c, d = np.indices((6, 6, 6, 6)).reshape(4, -1)
-    odd = _odd_congruences(a, b, c, d)
-    divided = _odd_congruences(a, b // 3, c // 3, d)
-    in_l2 = (b % 3 == 0) & (c % 3 == 0)
-    columns = [
-        in_l2 & divided[EVEN_PARTNER[i]] if i in EVEN_PARTNER else odd[i]
-        for i in range(1, 11)
-    ]
-    return np.stack(columns, axis=1)
+    """(6^4, 10) booleans: the membership of each residue tuple mod 6 in
+    L1..L10.  L_i mod 6 is the set of combinations c . B_i mod 6 of its basis
+    rows B_i, c in (Z/6)^4.  Every L_i contains 6 Z^4 (checked by
+    latclass.verify_indices_and_duality), so a form's residues mod 6 decide
+    its membership."""
+    coeffs = residue_grid(6).T
+    table = np.zeros((6 ** 4, 10), dtype=bool)
+    for i in range(1, 11):
+        table[_residue_row((coeffs @ np.array(lattice_basis(i))).T), i - 1] = True
+    return table
 
 
 _MEMBERSHIP = _membership_table()
@@ -232,8 +251,7 @@ _MEMBERSHIP.flags.writeable = False  # one form's lookup is a view of it
 def lattice_membership(f) -> np.ndarray:
     """Membership in L1..L10: shape (10,) for one form, (N, 10) for
     coefficient columns (e.g. rows.T of an (N, 4) array)."""
-    a, b, c, d = f
-    return _MEMBERSHIP[((a % 6 * 6 + b % 6) * 6 + c % 6) * 6 + d % 6]
+    return _MEMBERSHIP[_residue_row(f)]
 
 
 def lattice_member(f, lattice: int) -> bool:

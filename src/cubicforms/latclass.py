@@ -5,6 +5,9 @@ matrices u(1) = (1 1; 0 1) and w = (0 1; -1 0), which generate.  Invariant
 sublattices of Z^4 containing N*Z^4 correspond to invariant subspaces of
 F_p^4 for the primes p | N; enumerating those exhaustively and gluing by CRT
 recovers exactly the ten lattices L1..L10.
+
+The lattices are defined by their Z-bases in `forms`; the CRT gluing and the
+congruences written here are checks on them.
 """
 
 from __future__ import annotations
@@ -13,7 +16,10 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .forms import EVEN_PARTNER, U1, W, action_matrix, lattice_member, pairing
+import numpy as np
+
+from .forms import (EVEN_PARTNER, U1, W, action_matrix, lattice_basis, lattice_membership,
+                    pairing, residue_grid)
 from .series import CheckReport, _report
 
 _DIM = 4
@@ -114,11 +120,8 @@ _EXPECTED_COUNTS = {2: 6, 3: 3, 5: 2, 7: 2}
 
 
 def _lattice_residues_mod(lattice: int, mod: int) -> frozenset:
-    return frozenset(
-        v
-        for v in itertools.product(range(mod), repeat=_DIM)
-        if lattice_member(v, lattice)
-    )
+    grid = residue_grid(mod)
+    return frozenset(map(tuple, grid.T[lattice_membership(grid)[:, lattice - 1]].tolist()))
 
 
 def verify_classification() -> CheckReport:
@@ -156,7 +159,7 @@ def verify_classification() -> CheckReport:
                 e3 = s3.elements()
                 res6 = frozenset(
                     v
-                    for v in itertools.product(range(6), repeat=_DIM)
+                    for v in map(tuple, residue_grid(6).T.tolist())
                     if tuple(x % 2 for x in v) in e2
                     and tuple(x % 3 for x in v) in e3
                 )
@@ -180,24 +183,31 @@ def verify_classification() -> CheckReport:
 # indices and duality
 # ---------------------------------------------------------------------------
 
-# Z-bases of the odd lattices; the even ones are images of odd partners under
-# (x1, x2, x3, x4) -> (x1, 3 x2, 3 x3, x4), with the parity condition carried
-# on the divided middle coordinates: L2 = phi(L1), L4 = phi(L5), L6 = phi(L3),
-# L8 = phi(L9), L10 = phi(L7) (forms.EVEN_PARTNER).
-_ODD_BASES = {
-    1: ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)),
-    3: ((1, 0, 0, 0), (0, 0, 0, 1), (0, 1, 1, 0), (0, 2, 0, 0)),
-    5: ((2, 0, 0, 0), (0, 0, 0, 2), (0, 1, 1, 0), (0, 2, 0, 0)),
-    7: ((1, 1, 0, 1), (1, 0, 1, 1), (2, 0, 0, 0), (0, 0, 0, 2)),
-    9: ((1, 1, 1, 0), (0, 1, 1, 1), (2, 0, 0, 0), (0, 2, 0, 0)),
-}
+
+def _odd_congruences(a, b, c, d) -> dict:
+    """The congruences of L1, L3, L5, L7, L9, columnwise: the check on the
+    bases."""
+    l3 = (b + c) % 2 == 0
+    return {
+        1: np.ones_like(l3),
+        3: l3,
+        5: (a % 2 == 0) & (d % 2 == 0) & l3,
+        7: ((a + b + c) % 2 == 0) & ((b + c + d) % 2 == 0),
+        9: ((a + b + d) % 2 == 0) & ((a + c + d) % 2 == 0),
+    }
 
 
-def lattice_basis(lattice: int) -> tuple:
-    if lattice % 2 == 1:
-        return _ODD_BASES[lattice]
-    odd = _ODD_BASES[EVEN_PARTNER[lattice]]
-    return tuple((v[0], 3 * v[1], 3 * v[2], v[3]) for v in odd)
+def _congruence_membership(a, b, c, d) -> np.ndarray:
+    """(N, 10) membership in L1..L10 by congruences: an even lattice requires
+    3 | x2, x3 and its odd partner's congruences on (x1, x2/3, x3/3, x4)."""
+    odd = _odd_congruences(a, b, c, d)
+    divided = _odd_congruences(a, b // 3, c // 3, d)
+    in_l2 = (b % 3 == 0) & (c % 3 == 0)
+    columns = [
+        in_l2 & divided[EVEN_PARTNER[i]] if i in EVEN_PARTNER else odd[i]
+        for i in range(1, 11)
+    ]
+    return np.stack(columns, axis=1)
 
 
 def _det4(rows) -> Fraction:
@@ -270,14 +280,19 @@ def verify_indices_and_duality() -> CheckReport:
     failures = []
     details = []
 
-    # basis membership agrees with the congruence definitions on a box
+    # The table (built from the bases) agrees with the congruences mod 6, and
+    # 6 Z^4 lies in each lattice.  Both definitions then repeat mod 6, so
+    # they agree on all of Z^4.
+    residues = residue_grid(6)
+    agree = lattice_membership(residues) == _congruence_membership(*residues)
     for lattice in range(1, 11):
-        for v in itertools.product(range(-3, 4), repeat=4):
-            if _is_member_by_basis(lattice, v) != lattice_member(v, lattice):
-                failures.append(
-                    f"L{lattice}: basis and congruence membership disagree at {v}"
-                )
-                break
+        bad = np.flatnonzero(~agree[:, lattice - 1])
+        if len(bad):
+            v = tuple(int(x) for x in residues[:, bad[0]])
+            failures.append(f"L{lattice}: basis and congruence membership disagree at {v}")
+        for k in range(4):
+            if not _is_member_by_basis(lattice, [6 * (j == k) for j in range(4)]):
+                failures.append(f"L{lattice}: 6 e{k + 1} is not in the lattice")
 
     # indices in L1: 2^(0,1,3,2,2) for i=1,3,5,7,9; even ones are 9x larger
     want_b = {1: 0, 3: 1, 5: 3, 7: 2, 9: 2}
@@ -310,8 +325,6 @@ def verify_indices_and_duality() -> CheckReport:
         got = 16 / abs(_det4(lattice_basis(lat)))
         if got != want:
             failures.append(f"[L{lat}:2L1] = {got}, expected {want}")
-    if abs(_det4(lattice_basis(9))) * 4 != 16:
-        failures.append("[L1:L9] * [L9:2L1] != 16")
 
     # duality: dual of L_i is (1/2) L_{i+1} for i = 3, 5, 7, 9
     for i in (3, 5, 7, 9):

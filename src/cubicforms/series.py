@@ -22,7 +22,7 @@ from .enumeration import (
     _signed_selection,
     master_classes,
 )
-from .forms import EVEN_LATTICES, discriminant, lattice_member, lattice_membership
+from .forms import EVEN_LATTICES, discriminant, lattice_membership, phi, residue_grid
 from .golden import GoldenTable, golden_table
 
 ALL_PAIRS = tuple((lat, sign) for lat in range(1, 11) for sign in ("+", "-"))
@@ -282,53 +282,37 @@ _DECOMPOSITIONS = (
 )
 
 
-def _decomposition_sides(lattice: int, base: int, p_res: int, a, b, c, d):
-    """(x in lattice, x in 2*base, P(x) = p_res mod 8) for given coordinates."""
-    if base == 1:
-        x = (a, b, c, d)
-    else:
-        x = (a, 3 * b, 3 * c, d)
-    in_lat = lattice_member(x, lattice)
-    doubled = all(t % 2 == 0 for t in (a, b, c, d))
-    p_mod8 = discriminant(x) % 8
-    return in_lat, doubled, p_mod8 == p_res
+def _decomposition_sides(lattice: int, base: int, p_res: int, cols):
+    """Columnwise (x in lattice, x in 2*base, P(x) = p_res mod 8) for the
+    points x = cols (base 1) or x = phi(cols) (base 2)."""
+    a, b, c, d = cols
+    x = cols if base == 1 else phi(cols)
+    in_lat = lattice_membership(x)[:, lattice - 1]
+    doubled = (a % 2 == 0) & (b % 2 == 0) & (c % 2 == 0) & (d % 2 == 0)
+    return in_lat, doubled, discriminant(x) % 8 == p_res
 
 
 def verify_decompositions(box: int = 20) -> CheckReport:
     """Each of L7..L10 is the disjoint union of a doubled lattice and a
     discriminant-residue slice; checked exhaustively mod 8 and on a box."""
     failures = []
+    residues = residue_grid(8)
     for lattice, base, p_res in _DECOMPOSITIONS:
-        for a in range(8):
-            for b in range(8):
-                for c in range(8):
-                    for d in range(8):
-                        in_lat, doubled, res = _decomposition_sides(
-                            lattice, base, p_res, a, b, c, d
-                        )
-                        if in_lat != (doubled or res) or (doubled and res):
-                            failures.append(
-                                f"L{lattice} mod-8 failure at residues {(a, b, c, d)}: "
-                                f"member={in_lat}, doubled={doubled}, residue-slice={res}"
-                            )
-    # set-level check on an integer box
+        in_lat, doubled, res = _decomposition_sides(lattice, base, p_res, residues)
+        for i in np.flatnonzero((in_lat != (doubled | res)) | (doubled & res)):
+            failures.append(
+                f"L{lattice} mod-8 failure at residues {tuple(residues[:, i].tolist())}: "
+                f"member={in_lat[i]}, doubled={doubled[i]}, residue-slice={res[i]}"
+            )
+    # set-level check on an integer box, vectorized over (c, d)
     rng = range(-box, box + 1)
     side = np.array(rng, dtype=np.int64)
-    cg, dg = np.meshgrid(side, side, indexing="ij")
-    cg, dg = cg.ravel(), dg.ravel()
+    cg, dg = (g.ravel() for g in np.meshgrid(side, side, indexing="ij"))
     for lattice, base, p_res in _DECOMPOSITIONS:
         bad = 0
         for a in rng:
             for b in rng:
-                if base == 1:
-                    x = (a, b, cg, dg)
-                else:
-                    x = (a, 3 * b, 3 * cg, 3 * dg)
-                # membership and discriminant, vectorized over (c, d)
-                m = lattice_membership(x)[:, lattice - 1]
-                doubled = (a % 2 == 0) and (b % 2 == 0)
-                dbl = doubled & ((cg % 2 == 0) & (dg % 2 == 0))
-                res = discriminant(x) % 8 == p_res
+                m, dbl, res = _decomposition_sides(lattice, base, p_res, (a, b, cg, dg))
                 bad += int((m != (dbl | res)).sum()) + int((dbl & res).sum())
         if bad:
             failures.append(f"L{lattice} box decomposition: {bad} mismatching points")
@@ -340,27 +324,18 @@ def verify_decompositions(box: int = 20) -> CheckReport:
 def verify_congruence_lemma() -> CheckReport:
     """Characterize P = 1 and P = 5 mod 8 by coefficient parities, exhaustively."""
     failures = []
-    for a in range(8):
-        for b in range(8):
-            for c in range(8):
-                for d in range(8):
-                    p = discriminant((a, b, c, d)) % 8
-                    even = lambda *t: all(x % 2 == 0 for x in t)
-                    odd = lambda *t: all(x % 2 == 1 for x in t)
-                    cond1 = (even(a, d) and odd(b, c)) or (
-                        odd(a, d) and (b + c) % 2 == 1
-                    )
-                    cond5 = (even(b, c) and odd(a, d)) or (
-                        odd(b, c) and (a + d) % 2 == 1
-                    )
-                    if (p == 1) != cond1:
-                        failures.append(
-                            f"P=1 mod 8 criterion fails at {(a, b, c, d)}: P%8={p}"
-                        )
-                    if (p == 5) != cond5:
-                        failures.append(
-                            f"P=5 mod 8 criterion fails at {(a, b, c, d)}: P%8={p}"
-                        )
+    residues = residue_grid(8)
+    p = discriminant(residues) % 8
+    a, b, c, d = residues % 2
+    criteria = {
+        1: ((a == 0) & (d == 0) & (b == 1) & (c == 1)) | ((a == 1) & (d == 1) & (b != c)),
+        5: ((b == 0) & (c == 0) & (a == 1) & (d == 1)) | ((b == 1) & (c == 1) & (a != d)),
+    }
+    for i in range(residues.shape[1]):
+        for r, cond in criteria.items():
+            if (p[i] == r) != cond[i]:
+                v = tuple(residues[:, i].tolist())
+                failures.append(f"P={r} mod 8 criterion fails at {v}: P%8={p[i]}")
     return _report("discriminant congruence criteria mod 8 (4096 tuples)", failures)
 
 
@@ -414,7 +389,6 @@ def euler_product_check(series: dict | None = None, workers: int = 1) -> CheckRe
     if series is None:
         series = build_all_series(15, workers=workers)
     failures = []
-    lines = []
     for lattice in range(1, 11):
         for branch in (1, -1):
             c1 = _combo_coeff(series, lattice, branch, 1)
@@ -426,8 +400,6 @@ def euler_product_check(series: dict | None = None, workers: int = 1) -> CheckRe
             tag = f"L{lattice}, sqrt(3)*xi+ {'+' if branch == 1 else '-'} xi-"
             if lhs == rhs:
                 failures.append(f"{tag}: c1*c15 = c3*c5 = {lhs} (multiplicative!)")
-            else:
-                lines.append(f"{tag}: c1*c15 = {lhs} vs c3*c5 = {rhs}")
     return _report("no Euler product (c1*c15 != c3*c5, all 20 combos)", failures)
 
 

@@ -140,6 +140,9 @@ def test_usage_errors():
     ):
         argv = [command, "--lattice", lattice, "--sign", "neg", "--max", str(max_index)]
         assert main(argv) == 2
+    # so do the suites that build the series of the even lattices
+    for suite in ("relations", "lambda", "oracle"):
+        assert main(["verify", "--suite", suite, "--max", str(MAX_LIMIT // 27 + 1)]) == 2
 
 
 def test_mutation_flips_verify(tmp_path, monkeypatch):

@@ -40,9 +40,12 @@ def test_master_cache_filters_down():
     assert len(small) < len(big)
 
 
-def test_master_workers_deterministic():
-    a = master_classes(300, workers=1, use_cache=False)
-    b = master_classes(300, workers=2, use_cache=False)
+def test_master_workers_deterministic(monkeypatch):
+    built = []
+    for workers in (1, 2):
+        monkeypatch.setattr(enumeration, "_MASTER_CACHE", {})  # a fresh build each
+        built.append(master_classes(300, workers=workers))
+    a, b = built
     order_a = np.lexsort(a.reps.T)
     order_b = np.lexsort(b.reps.T)
     assert (a.reps[order_a] == b.reps[order_b]).all()
@@ -113,7 +116,7 @@ def test_json_roundtrip():
         assert discriminant(d["rep"]) == d["n"]
 
 
-def test_master_matches_unique_reference():
+def test_master_matches_unique_reference(monkeypatch):
     # the same stratum rows, deduplicated by a row-wise np.unique
     limit = 20000
     results = [enumeration._run_task(t) for t in enumeration._stratum_tasks(limit)]
@@ -125,14 +128,16 @@ def test_master_matches_unique_reference():
     for kind in ("negird", "negrd"):
         assert len(np.unique(blocks[kind], axis=0)) == len(blocks[kind])
     want = np.concatenate([pos, blocks["negird"], blocks["negrd"]])
-    m = master_classes(limit, use_cache=False)
+    monkeypatch.setattr(enumeration, "_MASTER_CACHE", {})
+    m = master_classes(limit)
     assert m.reps.dtype == want.dtype and (m.reps == want).all()
     assert (m.disc == discriminant(want.T)).all()
     assert len(pos) < len(blocks["pos"])  # the dedup had work to do
 
 
-def test_master_positive_block_strictly_increasing():
-    m = master_classes(20000, use_cache=False)
+def test_master_positive_block_strictly_increasing(monkeypatch):
+    monkeypatch.setattr(enumeration, "_MASTER_CACHE", {})
+    m = master_classes(20000)
     pos = [tuple(r) for r in m.reps[m.disc > 0].tolist()]
     assert len(pos) == (m.disc > 0).sum() > 0
     assert all(x < y for x, y in zip(pos, pos[1:]))
@@ -151,8 +156,9 @@ def test_master_rejects_duplicate_negative_rows(monkeypatch, kind):
         return got_kind, rows
 
     monkeypatch.setattr(enumeration, "_run_task", doubled)
+    monkeypatch.setattr(enumeration, "_MASTER_CACHE", {})
     with pytest.raises(AssertionError, match="duplicate representatives"):
-        master_classes(2000, use_cache=False)
+        master_classes(2000)
 
 
 def test_master_rejects_limit_past_int64_bound(monkeypatch):
@@ -160,9 +166,10 @@ def test_master_rejects_limit_past_int64_bound(monkeypatch):
         raise AssertionError("stratum work started")
 
     monkeypatch.setattr(enumeration, "_run_task", no_work)
-    for use_cache in (True, False):
-        with pytest.raises(ValueError, match="int64 safety bound"):
-            master_classes(MAX_LIMIT + 1, use_cache=use_cache)
+    # the bound is checked before the cache, even one that would answer
+    monkeypatch.setattr(enumeration, "_MASTER_CACHE", {MAX_LIMIT + 2: None})
+    with pytest.raises(ValueError, match="int64 safety bound"):
+        master_classes(MAX_LIMIT + 1)
     with pytest.raises(ValueError, match="int64 safety bound"):
         enumerate_classes(2, "+", MAX_LIMIT // 27 + 1)
 

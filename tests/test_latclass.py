@@ -1,6 +1,9 @@
 import itertools
 from fractions import Fraction
 
+import pytest
+
+from cubicforms import forms, latclass
 from cubicforms import (
     invariant_subspaces_mod_p,
     lattice_member,
@@ -117,3 +120,39 @@ def test_dual_determinant_inverse():
 def test_verify_indices_and_duality():
     rep = verify_indices_and_duality()
     assert rep.passed, str(rep)
+
+
+def test_mutated_congruence_fails_indices_check(monkeypatch):
+    odd_congruences = latclass._odd_congruences
+
+    def mutated(a, b, c, d):
+        out = odd_congruences(a, b, c, d)
+        out[7] = ((a + b + c) % 2 == 0) & ((a + c + d) % 2 == 0)  # was b + c + d
+        return out
+
+    monkeypatch.setattr(latclass, "_odd_congruences", mutated)
+    rep = verify_indices_and_duality()
+    assert not rep.passed
+    assert any("L7: basis and congruence membership disagree" in d for d in rep.details)
+
+
+@pytest.mark.parametrize(
+    "lattice, row, vector, message",
+    [
+        # same determinant, another lattice: the residue table moves
+        (7, 0, (1, 1, 1, 0), "L7: basis and congruence membership disagree"),
+        # same residues mod 6, but 6 Z^4 is no longer inside
+        (1, 0, (7, 0, 0, 0), "L1: 6 e1 is not in the lattice"),
+    ],
+)
+def test_mutated_basis_fails_indices_check(monkeypatch, lattice, row, vector, message):
+    bases = dict(forms._ODD_BASES)
+    rows = list(bases[lattice])
+    rows[row] = vector
+    bases[lattice] = tuple(rows)
+    monkeypatch.setattr(forms, "_ODD_BASES", bases)
+    # the table is built from the bases at import; build it from the mutant
+    monkeypatch.setattr(forms, "_MEMBERSHIP", forms._membership_table())
+    rep = verify_indices_and_duality()
+    assert not rep.passed
+    assert any(message in d for d in rep.details)
