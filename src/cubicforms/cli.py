@@ -20,10 +20,10 @@ import sys
 from fractions import Fraction
 
 from . import analytic, latclass, series as series_mod
-from .enumeration import MAX_LIMIT, brute_force_classes, enumerate_classes
+from .enumeration import MAX_LIMIT, brute_force_classes, enumerate_classes, master_classes
 from .forms import index_scale
 from .golden import golden_table
-from .series import build_all_series, build_series
+from .series import build_all_series, series_from_master
 
 SCHEMA_LINE = "schema:1"
 
@@ -56,19 +56,20 @@ def cmd_enumerate(args, out) -> int:
 
 
 def cmd_coeffs(args, out) -> int:
-    records = enumerate_classes(args.lattice, _sign_arg(args.sign), args.max, args.workers)
-    s = build_series(records, args.max) if records else None
+    master = master_classes(args.max * index_scale(args.lattice), workers=args.workers)
+    s = series_from_master(master, args.lattice, _sign_arg(args.sign), args.max)
+    counts = s.orbits.sum(axis=(0, 1)).tolist()
+    # 3 a_n: all orbits, the irreducible and the reducible ones
+    weighted, ird, rd = (s.thirds(irreducible=i).tolist() for i in (None, True, False))
     print(SCHEMA_LINE, file=out)
     print("n,weighted,unweighted,irreducible_weighted,reducible_weighted", file=out)
     for n in range(1, args.max + 1):
-        if s is None or n not in s.coeffs:
-            continue
-        print(
-            f"{n},{_frac_str(s.coeffs[n])},{s.counts[n]},"
-            f"{_frac_str(s.ird_coeffs.get(n, Fraction(0)))},"
-            f"{_frac_str(s.rd_coeffs.get(n, Fraction(0)))}",
-            file=out,
-        )
+        if counts[n]:
+            print(
+                f"{n},{_frac_str(Fraction(weighted[n], 3))},{counts[n]},"
+                f"{_frac_str(Fraction(ird[n], 3))},{_frac_str(Fraction(rd[n], 3))}",
+                file=out,
+            )
     return 0
 
 
@@ -111,9 +112,7 @@ def _verify_density(max_x: int, workers: int) -> series_mod.CheckReport:
     failures = []
     details = []
     rows = analytic.density_report(1, "+", max_x, checkpoints=10, workers=workers)
-    gauges = {}
     for row in rows:
-        gauges[row.x] = row.gauge
         details.append(
             f"X={row.x}: S={row.count}, prediction={row.prediction:.1f}, "
             f"gauge={row.gauge:.4f}"

@@ -278,15 +278,15 @@ def is_irreducible(f) -> bool:
     """True iff f has no linear factor over Q (rational-root test).
 
     Requires P(f) != 0; forms with repeated factors are outside the domain.
-    Irreducibility is orbit-invariant, so the test runs on the canonical
-    representative, whose coefficients are small: polynomial in the digit
-    count of f, where divisors of the raw end coefficients would not be.
+    Irreducibility is orbit-invariant, so the test runs on a reduced form in
+    the orbit: it has small coefficients or x4 = 0 (a root at (0 : 1)), which
+    keeps it polynomial in the digit count of f, where divisors of the raw end
+    coefficients would not be.
     """
-    from .reduction import canonical_reduce  # reduction imports this module
+    from .reduction import _small_form  # reduction imports this module
 
-    if discriminant(f) == 0:
-        raise ValueError(f"form {tuple(f)} has zero discriminant")
-    return not rational_roots(canonical_reduce(f))
+    _, g = _small_form(f)
+    return g.x4 != 0 and not rational_roots(g)
 
 
 def rational_roots(f) -> list:

@@ -84,9 +84,8 @@ def _hessian_reduce(f: CubicForm) -> CubicForm:
 
 
 def _canonical_pos(f: CubicForm) -> CubicForm:
-    """Canonical representative for P > 0: the lex-least weakly reduced small
-    image of the Hessian-reduced form."""
-    f = _hessian_reduce(f)
+    """Canonical representative for P > 0, given a Hessian-reduced f: the
+    lex-least weakly reduced small image of f."""
     best = tuple(f)
     for g in SMALL_MATRICES:
         h = act(g, f)
@@ -180,15 +179,23 @@ def _xgcd(a: int, b: int):
     return old_r, old_s, old_t
 
 
-def canonical_reduce(f) -> CubicForm:
-    """Orbit-constant, orbit-distinguishing representative of the orbit of f."""
+def _small_form(f):
+    """(P, g): the discriminant of f and a form g in its orbit with small
+    coefficients, Hessian-reduced if P > 0 and root-reduced if P < 0.  A
+    root-reduced g may stop at x4 = 0, a rational root at (0 : 1), with its
+    coefficients still large."""
     f = CubicForm(*f)
     p = discriminant(f)
     if p == 0:
         raise ValueError(f"form {tuple(f)} has zero discriminant")
+    return p, (_hessian_reduce(f) if p > 0 else _root_reduce(f))
+
+
+def canonical_reduce(f) -> CubicForm:
+    """Orbit-constant, orbit-distinguishing representative of the orbit of f."""
+    p, f = _small_form(f)
     if p > 0:
         return _canonical_pos(f)
-    f = _root_reduce(f)
     # P < 0 allows at most one rational root.  x4 = 0 puts it at (0 : 1); the
     # loop may stop there while the coefficients are still large.
     roots = [(0, 1)] if f.x4 == 0 else rational_roots(f)

@@ -5,8 +5,10 @@ For a lattice L and sign +-, the coefficient at index n is
     a_n = sum over SL2(Z)-orbits in L with index n of 1 / |stabilizer|,
 
 an element of (1/3) Z.  The index is |P| for odd-numbered lattices and
-|P| / 27 for even-numbered ones.  Identities mixing the two signs live in the
-quadratic ring Z[sqrt(3)], implemented exactly as pairs of Fractions.
+|P| / 27 for even-numbered ones.  A series holds int64 orbit counts by n, so
+a_n = c1 + c3/3 is exact.  The coefficientwise identities compare whole arrays
+of 3 a_n; those mixing the two signs live in Z[sqrt(3)] (exact class Qrt3) and
+compare the rational and the sqrt(3) part as two arrays.
 """
 
 from __future__ import annotations
@@ -16,14 +18,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .enumeration import (
-    ClassRecord,
-    MasterClasses,
-    _signed_selection,
-    master_classes,
-)
+from .enumeration import MasterClasses, _signed_selection, master_classes
 from .forms import EVEN_LATTICES, discriminant, lattice_membership, phi, residue_grid
-from .golden import GoldenTable, golden_table
+from .golden import golden_table
 
 ALL_PAIRS = tuple((lat, sign) for lat in range(1, 11) for sign in ("+", "-"))
 
@@ -46,9 +43,6 @@ class Qrt3:
     def __sub__(self, other: "Qrt3") -> "Qrt3":
         return Qrt3(self.a - other.a, self.b - other.b)
 
-    def __neg__(self) -> "Qrt3":
-        return Qrt3(-self.a, -self.b)
-
     def __mul__(self, other: "Qrt3") -> "Qrt3":
         return Qrt3(
             self.a * other.a + 3 * self.b * other.b,
@@ -62,9 +56,6 @@ class Qrt3:
         return f"{self.a} + {self.b}*sqrt(3)"
 
 
-SQRT3 = Qrt3(Fraction(0), Fraction(1))
-
-
 # ---------------------------------------------------------------------------
 # coefficient series
 # ---------------------------------------------------------------------------
@@ -72,35 +63,60 @@ SQRT3 = Qrt3(Fraction(0), Fraction(1))
 
 @dataclass
 class CoefficientSeries:
-    """Exact coefficients a_n, n = 1..max_n, of one (lattice, sign) series."""
+    """Exact coefficients a_n, n = 1..max_n, of one (lattice, sign) series.
+
+    `orbits[s, i, n]` is an int64 count: the orbits of index n whose stabilizer
+    has order (1, 3)[s] and which are reducible (i = 0) or irreducible (i = 1);
+    n = 0 is always empty.  a_n = c1 + c3/3 is exact, with c1 and c3 the counts
+    of the two stabilizer orders, so 3 a_n is an integer (`thirds`); a
+    Fraction is made only by `coeff`.  The dense length max_n + 1 is small
+    next to the master rows it is counted from.
+    """
 
     lattice: int
     sign: str
     max_n: int
-    coeffs: dict = field(default_factory=dict)       # n -> Fraction (weighted)
-    counts: dict = field(default_factory=dict)       # n -> int (orbit count)
-    ird_coeffs: dict = field(default_factory=dict)   # irreducible part
-    rd_coeffs: dict = field(default_factory=dict)    # reducible part
+    orbits: np.ndarray  # (2, 2, max_n + 1) int64
+
+    def thirds(self, upto: int | None = None, irreducible: bool | None = None) -> np.ndarray:
+        """3 a_n (int64) for n = 0..upto, by default max_n; with `irreducible`
+        given, only the irreducible or only the reducible orbits count."""
+        upto = self.max_n if upto is None else upto
+        if upto > self.max_n:
+            raise ValueError(f"n = {upto} outside computed range 1..{self.max_n}")
+        c = self.orbits[:, :, : upto + 1]
+        c = c.sum(axis=1) if irreducible is None else c[:, int(irreducible)]
+        return 3 * c[0] + c[1]
+
+    def _cells(self, n: int) -> np.ndarray:
+        if not 1 <= n <= self.max_n:
+            raise ValueError(f"n = {n} outside computed range 1..{self.max_n}")
+        return self.orbits[:, :, n]
 
     def coeff(self, n: int) -> Fraction:
-        if not 1 <= n <= self.max_n:
-            raise ValueError(f"n = {n} outside computed range 1..{self.max_n}")
-        return self.coeffs.get(n, Fraction(0))
+        c1, c3 = self._cells(n).sum(axis=1).tolist()
+        return Fraction(3 * c1 + c3, 3)
 
     def count(self, n: int) -> int:
-        if not 1 <= n <= self.max_n:
-            raise ValueError(f"n = {n} outside computed range 1..{self.max_n}")
-        return self.counts.get(n, 0)
+        return int(self._cells(n).sum())
+
+
+def _count_orbits(lattice: int, sign: str, max_n: int, n, stab, irred) -> CoefficientSeries:
+    """One bincount over the columns (index, stabilizer order, irreducible) of
+    the orbits of one (lattice, sign) pair with 1 <= index <= max_n."""
+    if not np.isin(stab, (1, 3)).all():
+        raise ValueError("stabilizer orders must be 1 or 3")
+    cell = 2 * (stab == 3) + irred
+    counts = np.bincount(cell * (max_n + 1) + n, minlength=4 * (max_n + 1))
+    return CoefficientSeries(lattice, sign, max_n, counts.reshape(2, 2, max_n + 1))
 
 
 def build_series(records: list, max_n: int) -> CoefficientSeries:
     """Aggregate ClassRecords (all one lattice and sign) into a series."""
     if not records:
         raise ValueError("cannot build a series from an empty record list")
-    lattice = records[0].lattice
-    sign = records[0].sign
-    seen = set()
-    out = CoefficientSeries(lattice, sign, max_n)
+    lattice, sign = records[0].lattice, records[0].sign
+    seen, cols = set(), []
     for r in records:
         if r.lattice != lattice or r.sign != sign:
             raise ValueError("records mix lattices or signs")
@@ -110,43 +126,21 @@ def build_series(records: list, max_n: int) -> CoefficientSeries:
         if key in seen:
             raise AssertionError(f"duplicate class record {key} for (L{lattice}, {sign})")
         seen.add(key)
-        w = Fraction(1, r.stab_order)
-        out.coeffs[r.n] = out.coeffs.get(r.n, Fraction(0)) + w
-        out.counts[r.n] = out.counts.get(r.n, 0) + 1
-        bucket = out.ird_coeffs if r.irreducible else out.rd_coeffs
-        bucket[r.n] = bucket.get(r.n, Fraction(0)) + w
-    return out
+        cols.append((r.n, r.stab_order, r.irreducible))
+    return _count_orbits(lattice, sign, max_n, *np.array(cols, dtype=np.int64).reshape(-1, 3).T)
 
 
-def _series_from_master(
-    master: MasterClasses, lattice: int, sign: str, max_n: int
-) -> CoefficientSeries:
+def series_from_master(master: MasterClasses, lattice: int, sign: str, max_n: int):
+    """The (lattice, sign) series up to index max_n, counted from master rows."""
     mask, n = _signed_selection(master, lattice, sign, max_n)
-    out = CoefficientSeries(lattice, sign, max_n)
-    sel = np.where(mask)[0]
-    ns = n[sel]
-    stab = master.stab[sel]
-    ird = master.irred[sel]
-    for subset, weight in ((stab == 1, Fraction(1)), (stab == 3, Fraction(1, 3))):
-        for irdval, bucket in ((True, out.ird_coeffs), (False, out.rd_coeffs)):
-            pick = subset & (ird == irdval)
-            if not pick.any():
-                continue
-            cnt = np.bincount(ns[pick], minlength=max_n + 1)
-            for nv in np.nonzero(cnt)[0]:
-                k = int(cnt[nv])
-                nv = int(nv)
-                bucket[nv] = bucket.get(nv, Fraction(0)) + weight * k
-                out.coeffs[nv] = out.coeffs.get(nv, Fraction(0)) + weight * k
-                out.counts[nv] = out.counts.get(nv, 0) + k
-    return out
+    return _count_orbits(lattice, sign, max_n, n[mask], master.stab[mask], master.irred[mask])
 
 
 def build_all_series(max_n: int, workers: int = 1) -> dict:
     """All twenty series (lattice 1..10, both signs) up to index max_n."""
     master = master_classes(27 * max_n, workers=workers)
     return {
-        (lat, sign): _series_from_master(master, lat, sign, max_n)
+        (lat, sign): series_from_master(master, lat, sign, max_n)
         for lat, sign in ALL_PAIRS
     }
 
@@ -211,10 +205,8 @@ def verify_tables(series: dict | None = None, workers: int = 1) -> CheckReport:
     checked = 0
     for side in ("left", "right"):
         gold = golden_table(side)
-        computed = {n: vals for n, vals in render_table(side, series)}
-        for n, expected in gold.rows:
-            for j, ((lat, sign), want) in enumerate(zip(gold.columns, expected)):
-                got = computed[n][j]
+        for (n, expected), (_, computed) in zip(gold.rows, render_table(side, series)):
+            for (lat, sign), want, got in zip(gold.columns, expected, computed):
                 checked += 1
                 if got != Fraction(want):
                     failures.append(
@@ -244,12 +236,12 @@ def verify_relations(max_n: int = 300, series: dict | None = None, workers: int 
         series = build_all_series(max_n, workers=workers)
     failures = []
     for name, left, right, scalar in RELATION_PAIRS:
-        sl, sr = series[left], series[right]
-        for n in range(1, max_n + 1):
-            lhs = scalar * sl.coeff(n)
-            rhs = sr.coeff(n)
-            if lhs != rhs:
-                failures.append(f"{name} fails at n={n}: {lhs} != {rhs}")
+        lhs = scalar * series[left].thirds(max_n)
+        rhs = series[right].thirds(max_n)
+        failures.extend(
+            f"{name} fails at n={n}: {Fraction(int(lhs[n]), 3)} != {Fraction(int(rhs[n]), 3)}"
+            for n in np.flatnonzero(lhs != rhs).tolist()
+        )
     return _report(
         f"relation identities (n <= {max_n})",
         failures,
@@ -345,17 +337,17 @@ def verify_congruence_lemma() -> CheckReport:
 
 
 def span_rank(max_n: int = 200, series: dict | None = None, workers: int = 1) -> int:
-    """Rank of the 20 x max_n matrix of exact coefficients, by exact elimination."""
+    """Rank of the 20 x max_n matrix of exact coefficients, by exact elimination
+    on the integer rows 3 a_n (scaling a row does not change the rank)."""
     if series is None:
         series = build_all_series(max_n, workers=workers)
     rows = [
-        [series[pair].coeff(n) for n in range(1, max_n + 1)]
+        [Fraction(x) for x in series[pair].thirds(max_n)[1:].tolist()]
         for pair in ALL_PAIRS
     ]
     rank = 0
     col = 0
-    ncols = max_n
-    while rank < len(rows) and col < ncols:
+    while rank < len(rows) and col < max_n:
         piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
         if piv is None:
             col += 1
@@ -415,15 +407,19 @@ def lambda_coefficient_identity(
         series = build_all_series(max_n, workers=workers)
     failures = []
     for i in LAMBDA_BASE_LATTICES:
+        plus0, minus0, plus1, minus1 = (
+            series[(lat, sign)].thirds(max_n) for lat in (i, i + 1) for sign in "+-"
+        )
         for branch in (1, -1):
+            # In units of 1/3: the left side is branch*minus1 + plus1*sqrt(3),
+            # and +-sqrt(3) * (branch*minus0 + plus0*sqrt(3)) is
+            # 3*branch*plus0 + minus0*sqrt(3).
+            bad = (branch * minus1 != 3 * branch * plus0) | (plus1 != minus0)
             scal = Qrt3(Fraction(0), Fraction(branch))  # +- sqrt(3)
-            for n in range(1, max_n + 1):
+            for n in np.flatnonzero(bad).tolist():
                 lhs = _combo_coeff(series, i + 1, branch, n)
                 rhs = scal * _combo_coeff(series, i, branch, n)
-                if lhs != rhs:
-                    failures.append(
-                        f"i={i}, branch={branch:+d}, n={n}: {lhs} != {rhs}"
-                    )
+                failures.append(f"i={i}, branch={branch:+d}, n={n}: {lhs} != {rhs}")
     return _report(
         f"sqrt(3)-twisted coefficient identity (i in 1,7,9; n <= {max_n})", failures
     )

@@ -202,6 +202,15 @@ def test_is_irreducible_of_large_moved_forms():
     assert kinds == {(False, False), (False, True), (True, False), (True, True)}
 
 
+def test_is_irreducible_large_form_with_root_at_zero():
+    # u (a u^2 + b u v + v^2) with a = (b^2 + 3)/4 has P = -3 and its rational
+    # root at (0 : 1) while a is huge: x4 = 0 decides without a root search.
+    b = 10 ** 30 + 1
+    f = ((b * b + 3) // 4, b, 1, 0)
+    assert not is_irreducible(f)
+    assert not is_irreducible(act(u_of(7), f))
+
+
 def test_rational_roots_are_roots():
     for _ in range(500):
         f = tuple(rng.randint(-8, 8) for _ in range(4))
@@ -270,5 +279,6 @@ def test_support_classes_mod_4(series300):
             s = series300[(lat, sign)]
             left_family = (lat % 2 == 1) == (sign == "-")
             allowed = {0, 3} if left_family else {0, 1}
-            for n in s.coeffs:
-                assert n % 4 in allowed, (lat, sign, n)
+            for n in range(1, 301):
+                if s.count(n) > 0:
+                    assert n % 4 in allowed, (lat, sign, n)

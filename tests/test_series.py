@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -53,8 +54,73 @@ def test_build_series_from_records():
 def test_series_splits_sum(series300):
     for pair in ALL_PAIRS:
         s = series300[pair]
-        for n in s.coeffs:
-            assert s.coeffs[n] == s.ird_coeffs.get(n, 0) + s.rd_coeffs.get(n, 0)
+        ird, rd = s.thirds(irreducible=True), s.thirds(irreducible=False)
+        assert (s.thirds() == ird + rd).all()
+        for n in range(1, 301):
+            assert s.coeff(n) == Fraction(int(ird[n] + rd[n]), 3)
+            # a_n = c1 + c3/3 with count(n) = c1 + c3 orbits
+            assert s.coeff(n) <= s.count(n) <= 3 * s.coeff(n)
+
+
+def test_record_path_equals_master_path(series300):
+    for lattice, sign in ALL_PAIRS:
+        want = series300[(lattice, sign)]
+        records = enumerate_classes(lattice, sign, 300)
+        s = build_series(records, 300)
+        assert (s.lattice, s.sign, s.max_n) == (lattice, sign, 300)
+        for n in range(1, 301):
+            assert s.coeff(n) == want.coeff(n), (lattice, sign, n)
+            assert s.count(n) == want.count(n), (lattice, sign, n)
+        # 3 a_n of each part, summed record by record
+        parts = {True: [0] * 301, False: [0] * 301}
+        for r in records:
+            parts[r.irreducible][r.n] += 3 // r.stab_order
+        for irreducible, thirds in parts.items():
+            assert s.thirds(irreducible=irreducible).tolist() == thirds
+            assert want.thirds(irreducible=irreducible).tolist() == thirds
+
+
+# One extra orbit of index 5 in one series: (pair, stabilizer slot, irreducible
+# slot) and the reports it gives, word for word.
+PERTURBED_REPORTS = [
+    (
+        (2, "+"), 1, 1,
+        "[FAIL] relation identities (n <= 300)\n"
+        "    6 identities x 300 coefficients\n"
+        "    xi-(L1) = xi+(L2) fails at n=5: 0 != 1/3",
+        "[FAIL] sqrt(3)-twisted coefficient identity (i in 1,7,9; n <= 300)\n"
+        "    i=1, branch=+1, n=5: 3 + 1/3*sqrt(3) != 3 + 0*sqrt(3)\n"
+        "    i=1, branch=-1, n=5: -3 + 1/3*sqrt(3) != -3 + 0*sqrt(3)",
+    ),
+    (
+        (9, "+"), 0, 0,
+        "[FAIL] relation identities (n <= 300)\n"
+        "    6 identities x 300 coefficients\n"
+        "    3 xi+(L9) = xi-(L10) fails at n=5: 6 != 3",
+        "[FAIL] sqrt(3)-twisted coefficient identity (i in 1,7,9; n <= 300)\n"
+        "    i=9, branch=+1, n=5: 3 + 0*sqrt(3) != 6 + 0*sqrt(3)\n"
+        "    i=9, branch=-1, n=5: -3 + 0*sqrt(3) != -6 + 0*sqrt(3)",
+    ),
+]
+
+
+@pytest.mark.parametrize("pair, stab, irred, relations, twisted", PERTURBED_REPORTS)
+def test_identity_failures_report_exact_text(series300, pair, stab, irred, relations, twisted):
+    s = series300[pair]
+    orbits = s.orbits.copy()
+    orbits[stab, irred, 5] += 1
+    series = dict(series300)
+    series[pair] = dataclasses.replace(s, orbits=orbits)
+    for check, want in ((verify_relations, relations), (lambda_coefficient_identity, twisted)):
+        rep = check(300, series=series)
+        assert not rep.passed
+        assert str(rep) == want
+
+
+def test_checks_reject_n_past_series(series51):
+    for check in (verify_relations, lambda_coefficient_identity, span_rank):
+        with pytest.raises(ValueError, match="outside computed range"):
+            check(52, series=series51)
 
 
 def test_render_table_rows(series51):
@@ -119,7 +185,6 @@ def test_span_rank(series300):
     # full span has rank 14; small sub-families collapse as the identities say
     sub = {p: series300[p] for p in [(1, "-"), (2, "+"), (1, "+"), (2, "-")]}
     rows = [[sub[p].coeff(n) for n in range(1, 201)] for p in sub]
-    import itertools
 
     def rank_of(rows):
         rows = [list(r) for r in rows]
