@@ -252,6 +252,11 @@ def verify_table1_ratios() -> CheckReport:
     table = residue_constants()
     failures = []
 
+    def beta_as_qcbrt(m: BetaMultiplier) -> Qcbrt:
+        # sqrt(3) never mixes with 2^(-1/3); strip it for the 2-adic part.
+        base = Qcbrt(m.rational) if not m.inv_cbrt2 else Qcbrt(0, m.rational)
+        return base
+
     for mod in (2, 4, 8):
         for lattice in (3, 5, 7, 9):
             r = local_density_ratios(lattice, mod=mod)
@@ -267,15 +272,14 @@ def verify_table1_ratios() -> CheckReport:
                     f"mod {mod}: L{lattice} reducible density ratio {r.rd_ratio} "
                     f"!= multiplier ratio {el.m_alpha_rd / e1.m_alpha_rd}"
                 )
-            # the ratio vs m_beta(L1) = 1; sqrt(3) never mixes with 2^(-1/3),
-            # so it is stripped for the 2-adic part
-            m = el.m_beta
-            want = Qcbrt(0, m.rational) if m.inv_cbrt2 else Qcbrt(m.rational)
-            # compare b_value / b_reference with want
-            if r.b_value != want * r.b_reference:
+            want = beta_as_qcbrt(el.m_beta)  # ratio vs m_beta(L1) = 1
+            got_ref = r.b_reference
+            got = r.b_value
+            # compare got / got_ref with want:  got == want * got_ref
+            if got != want * got_ref:
                 failures.append(
-                    f"mod {mod}: L{lattice} beta-type density {r.b_value} != "
-                    f"{want} * reference {r.b_reference}"
+                    f"mod {mod}: L{lattice} beta-type density {got} != "
+                    f"{want} * reference {got_ref}"
                 )
     # structural checks on the table itself
     for (lat, sign), e in table.entries.items():

@@ -58,15 +58,14 @@ def cmd_enumerate(args, out) -> int:
 def cmd_coeffs(args, out) -> int:
     master = master_classes(args.max * index_scale(args.lattice), workers=args.workers)
     s = series_from_master(master, args.lattice, _sign_arg(args.sign), args.max)
-    counts = s.orbits.sum(axis=(0, 1)).tolist()
     # 3 a_n: all orbits, the irreducible and the reducible ones
     weighted, ird, rd = (s.thirds(irreducible=i).tolist() for i in (None, True, False))
     print(SCHEMA_LINE, file=out)
     print("n,weighted,unweighted,irreducible_weighted,reducible_weighted", file=out)
     for n in range(1, args.max + 1):
-        if counts[n]:
+        if weighted[n]:
             print(
-                f"{n},{_frac_str(Fraction(weighted[n], 3))},{counts[n]},"
+                f"{n},{_frac_str(Fraction(weighted[n], 3))},{s.count(n)},"
                 f"{_frac_str(Fraction(ird[n], 3))},{_frac_str(Fraction(rd[n], 3))}",
                 file=out,
             )
@@ -131,25 +130,23 @@ def _verify_rank(workers: int) -> series_mod.CheckReport:
 
 def _suite_checks(suite: str, args) -> list:
     w = args.workers
-    n_rel = args.max if args.max is not None else 300
+    max_n = args.max if args.max is not None else 300
     # the dual and indices suites are one check
     indices_and_duality = lambda: [latclass.verify_indices_and_duality()]
     checks = {
         "tables": lambda: [series_mod.verify_tables(workers=w)],
-        "relations": lambda: [series_mod.verify_relations(n_rel, workers=w)],
+        "relations": lambda: [series_mod.verify_relations(max_n, workers=w)],
         "non-relation": lambda: [series_mod.verify_non_relation(workers=w)],
         "decomps": lambda: [series_mod.verify_decompositions()],
         "congruence": lambda: [series_mod.verify_congruence_lemma()],
         "rank": lambda: [_verify_rank(w)],
         "euler": lambda: [series_mod.euler_product_check(workers=w)],
-        "lambda": lambda: [series_mod.lambda_coefficient_identity(n_rel, workers=w)],
+        "lambda": lambda: [series_mod.lambda_coefficient_identity(max_n, workers=w)],
         "dual": indices_and_duality,
         "indices": indices_and_duality,
         "classification": lambda: [latclass.verify_classification()],
         "local-densities": lambda: [analytic.verify_table1_ratios()],
-        "oracle": lambda: [
-            _verify_oracle(args.max if args.max is not None else 300, args.box, w)
-        ],
+        "oracle": lambda: [_verify_oracle(max_n, args.box, w)],
         "density": lambda: [
             _verify_density(args.max if args.max is not None else 10 ** 5, w)
         ],
@@ -168,11 +165,9 @@ def _suite_checks(suite: str, args) -> list:
 
 def cmd_verify(args, out) -> int:
     reports = _suite_checks(args.suite, args)
-    ok = True
     for rep in reports:
         print(str(rep), file=out)
-        ok = ok and rep.passed
-    return 0 if ok else 1
+    return 0 if all(rep.passed for rep in reports) else 1
 
 
 def cmd_density(args, out) -> int:

@@ -115,12 +115,14 @@ def build_series(records: list, max_n: int) -> CoefficientSeries:
     """Aggregate ClassRecords (all one lattice and sign) into a series."""
     if not records:
         raise ValueError("cannot build a series from an empty record list")
-    lattice, sign = records[0].lattice, records[0].sign
-    seen, cols = set(), []
+    lattice = records[0].lattice
+    sign = records[0].sign
+    seen = set()
+    cols = []
     for r in records:
         if r.lattice != lattice or r.sign != sign:
             raise ValueError("records mix lattices or signs")
-        if r.n > max_n:
+        if not 1 <= r.n <= max_n:
             continue
         key = (r.n, tuple(r.rep))
         if key in seen:
@@ -410,11 +412,10 @@ def lambda_coefficient_identity(
         plus0, minus0, plus1, minus1 = (
             series[(lat, sign)].thirds(max_n) for lat in (i, i + 1) for sign in "+-"
         )
+        # In units of 1/3, on both branches: minus1 = 3*plus0 (rational part)
+        # and plus1 = minus0 (sqrt(3) part).
+        bad = (minus1 != 3 * plus0) | (plus1 != minus0)
         for branch in (1, -1):
-            # In units of 1/3: the left side is branch*minus1 + plus1*sqrt(3),
-            # and +-sqrt(3) * (branch*minus0 + plus0*sqrt(3)) is
-            # 3*branch*plus0 + minus0*sqrt(3).
-            bad = (branch * minus1 != 3 * branch * plus0) | (plus1 != minus0)
             scal = Qrt3(Fraction(0), Fraction(branch))  # +- sqrt(3)
             for n in np.flatnonzero(bad).tolist():
                 lhs = _combo_coeff(series, i + 1, branch, n)

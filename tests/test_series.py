@@ -80,6 +80,22 @@ def test_record_path_equals_master_path(series300):
             assert want.thirds(irreducible=irreducible).tolist() == thirds
 
 
+def test_record_path_drops_records_past_max_n(series300):
+    # Records of index 301..450 are left out, not counted in another cell.
+    for lattice, sign in ALL_PAIRS:
+        records = enumerate_classes(lattice, sign, 450)
+        assert any(r.n > 300 for r in records), (lattice, sign)
+        s = build_series(records, 300)
+        want = series300[(lattice, sign)]
+        assert s.max_n == 300
+        for irreducible in (None, True, False):
+            assert (
+                s.thirds(irreducible=irreducible).tolist()
+                == want.thirds(irreducible=irreducible).tolist()
+            ), (lattice, sign, irreducible)
+        assert [s.count(n) for n in range(1, 301)] == [want.count(n) for n in range(1, 301)]
+
+
 # One extra orbit of index 5 in one series: (pair, stabilizer slot, irreducible
 # slot) and the reports it gives, word for word.
 PERTURBED_REPORTS = [
