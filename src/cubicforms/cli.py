@@ -87,7 +87,8 @@ def cmd_table(args, out) -> int:
     return 0
 
 
-def _verify_oracle(max_index: int, box: int, workers: int) -> series_mod.CheckReport:
+def verify_oracle(max_index: int, box: int, workers: int = 1) -> series_mod.CheckReport:
+    """Enumeration against the brute-force oracle, for all 20 pairs."""
     failures = []
     for lattice in range(1, 11):
         for sign in ("+", "-"):
@@ -146,7 +147,7 @@ def _suite_checks(suite: str, args) -> list:
         "indices": indices_and_duality,
         "classification": lambda: [latclass.verify_classification()],
         "local-densities": lambda: [analytic.verify_table1_ratios()],
-        "oracle": lambda: [_verify_oracle(max_n, args.box, w)],
+        "oracle": lambda: [verify_oracle(max_n, args.box, w)],
         "density": lambda: [
             _verify_density(args.max if args.max is not None else 10 ** 5, w)
         ],

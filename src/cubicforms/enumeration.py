@@ -8,9 +8,10 @@ binary cubic forms with 1 <= |P| <= Y in three provably complete strata:
   loops: A <= sqrt(P), |a| <= (2/sqrt(27)) P^(1/4), |b| <= sqrt(A) + 1.5|a|.
   Every orbit contains a weakly reduced form with a >= 1, or with a = 0 and
   b >= 1 (negating a form stays in its orbit), so scanning those two strata
-  hits every orbit.  Each row is replaced by its canonical image; one
-  lexicographic sort and a comparison of neighbouring rows then keep one row
-  per orbit.
+  hits every orbit.  Each orbit's canonical representative
+  (reduction._canonical_pos) has its negation in the scan (same Hessian,
+  first nonzero coefficient positive); a row is kept iff it is that
+  negation, and its canonical image is emitted: one row per orbit.
 
 * P < 0, irreducible: unique representative with x1 > 0 whose complex root
   lies strictly inside the fundamental domain |Re z| <= 1/2, |z| >= 1.
@@ -23,7 +24,7 @@ binary cubic forms with 1 <= |P| <= Y in three provably complete strata:
 
 All candidate generation over-covers with float windows and is then cut back
 by exact integer tests, so float error can only cost speed, never classes.
-The negative strata are checked for duplicates by the same sort.  Integer
+One lexicographic sort per stratum checks it for duplicate rows.  Integer
 arithmetic is int64, exact up to limit = MAX_LIMIT (about 2.3e9).
 """
 
@@ -50,9 +51,8 @@ from .forms import (
 )
 from .reduction import (
     ORDER3_MATRICES,
-    SMALL_MATRICES,
+    _canonical_pos,
     _in_open_domain,
-    _weakly_reduced,
     orbit_bfs,
     stabilizer_order,
 )
@@ -116,15 +116,15 @@ def _expand_windows(lo: np.ndarray, hi: np.ndarray):
 # positive-discriminant stratum
 # ---------------------------------------------------------------------------
 
-_SMALL_MATS = [np.array(action_matrix(g), dtype=np.int64) for g in SMALL_MATRICES]
 _STAB3_MATS = [np.array(action_matrix(g), dtype=np.int64) for g in ORDER3_MATRICES]
 
 
-def _pos_candidates_for_a(a: int, limit: int) -> np.ndarray:
-    """Weakly Hessian-reduced candidates with leading coefficient a (a >= 0)."""
+def _pos_scan(a: int, limit: int) -> np.ndarray:
+    """The weakly Hessian-reduced rows with leading coefficient a (a >= 0)
+    and 1 <= P <= limit: integer windows, then exact cuts."""
     sqrt_limit = isqrt(limit)
+    rows = []
     if a == 0:
-        rows = []
         bmax = isqrt(sqrt_limit)
         for b in range(1, bmax + 1):
             A = b * b
@@ -147,70 +147,45 @@ def _pos_candidates_for_a(a: int, limit: int) -> np.ndarray:
                     axis=1,
                 )
             )
-        return _ranges_to_rows(rows)
-
-    rows = []
-    bmax = isqrt(sqrt_limit) + (3 * a + 1) // 2 + 1
-    for b in range(-bmax, bmax + 1):
-        c_lo = _ceil_div(b * b - sqrt_limit, 3 * a)
-        c_hi = (b * b - 1) // (3 * a)
-        if c_hi < c_lo:
-            continue
-        cs = np.arange(c_lo, c_hi + 1, dtype=np.int64)
-        A = b * b - 3 * a * cs
-        bc = b * cs
-        lo = _ceil_div(bc - A, 9 * a)
-        hi = (bc + A) // (9 * a)
-        idx, ds = _expand_windows(lo, hi)
-        if len(ds) == 0:
-            continue
-        c_col = cs[idx]
-        rows.append(
-            np.stack(
-                [
-                    np.full(len(ds), a, dtype=np.int64),
-                    np.full(len(ds), b, dtype=np.int64),
-                    c_col,
-                    ds,
-                ],
-                axis=1,
+    else:
+        bmax = isqrt(sqrt_limit) + (3 * a + 1) // 2 + 1
+        for b in range(-bmax, bmax + 1):
+            c_lo = _ceil_div(b * b - sqrt_limit, 3 * a)
+            c_hi = (b * b - 1) // (3 * a)
+            if c_hi < c_lo:
+                continue
+            cs = np.arange(c_lo, c_hi + 1, dtype=np.int64)
+            A = b * b - 3 * a * cs
+            bc = b * cs
+            lo = _ceil_div(bc - A, 9 * a)
+            hi = (bc + A) // (9 * a)
+            idx, ds = _expand_windows(lo, hi)
+            if len(ds) == 0:
+                continue
+            c_col = cs[idx]
+            rows.append(
+                np.stack(
+                    [
+                        np.full(len(ds), a, dtype=np.int64),
+                        np.full(len(ds), b, dtype=np.int64),
+                        c_col,
+                        ds,
+                    ],
+                    axis=1,
+                )
             )
-        )
-    return _ranges_to_rows(rows)
-
-
-def _lex_less(y: np.ndarray, b: np.ndarray) -> np.ndarray:
-    l0, e0 = y[:, 0] < b[:, 0], y[:, 0] == b[:, 0]
-    l1, e1 = y[:, 1] < b[:, 1], y[:, 1] == b[:, 1]
-    l2, e2 = y[:, 2] < b[:, 2], y[:, 2] == b[:, 2]
-    l3 = y[:, 3] < b[:, 3]
-    return l0 | (e0 & (l1 | (e1 & (l2 | (e2 & l3)))))
-
-
-def _canonicalize_pos_rows(rows: np.ndarray) -> np.ndarray:
-    """Lex-min weakly reduced small-matrix image, rowwise (rows already reduced)."""
-    best = rows.copy()
-    for mat in _SMALL_MATS:
-        imgs = rows @ mat.T
-        ok = _weakly_reduced(imgs.T) & _lex_less(imgs, best)
-        best[ok] = imgs[ok]
-    return best
+    rows = _ranges_to_rows(rows)  # drops the per-b pieces before the cuts
+    A, B, C = hessian(rows.T)
+    disc3 = 4 * A * C - B * B  # 3 P
+    return rows[(C >= A) & (disc3 >= 3) & (disc3 <= 3 * limit)]
 
 
 def _pos_stratum(a: int, limit: int) -> np.ndarray:
-    cand = _pos_candidates_for_a(a, limit)
-    if len(cand) == 0:
-        return cand
-    A, B, C = hessian(cand.T)
-    disc3 = 4 * A * C - B * B
-    keep = (C >= A) & (disc3 >= 3) & (disc3 <= 3 * limit)
-    cand = cand[keep]
-    if len(cand) == 0:
-        return cand
-    out = []
-    for chunk in np.array_split(cand, max(1, len(cand) // 500_000)):
-        out.append(_canonicalize_pos_rows(chunk))
-    return np.concatenate(out, axis=0)
+    """The canonical representatives whose negation has leading coefficient
+    a; over all a >= 0, one row per orbit with 1 <= P <= limit."""
+    rows = _pos_scan(a, limit)
+    canon = _canonical_pos(rows)
+    return canon[(canon == -rows).all(axis=1)]
 
 
 # ---------------------------------------------------------------------------
@@ -450,17 +425,13 @@ def _lex_order(rows: np.ndarray) -> np.ndarray:
     return np.lexsort(rows.T[::-1])
 
 
-def _sorted_distinct(rows: np.ndarray) -> tuple:
-    """(distinct rows in lexicographic order, whether rows had no duplicates).
-
-    One lexsort, then a row is new when it differs from its sorted
-    predecessor.  A row-wise unique on numpy's structured view gives the same
-    rows in the same order, at many times the cost.
-    """
+def _lex_sorted(rows: np.ndarray, stratum: str) -> np.ndarray:
+    """The rows in lexicographic order; AssertionError if two are equal.
+    (A row-wise unique on numpy's structured view costs many times more.)"""
     rows = rows[_lex_order(rows)]
-    new = np.ones(len(rows), dtype=bool)
-    new[1:] = (rows[1:] != rows[:-1]).any(axis=1)
-    return rows[new], bool(new.all())
+    if (rows[1:] == rows[:-1]).all(axis=1).any():
+        raise AssertionError(f"duplicate representatives in {stratum} stratum")
+    return rows
 
 
 # The largest limit Y at which every int64 intermediate of the strata and of
@@ -520,21 +491,18 @@ def master_classes(limit: int, workers: int = 1) -> MasterClasses:
     rd_rows = _ranges_to_rows([r for k, r in results if k == "negrd"])
     del results  # frees the per-task arrays; the three blocks hold copies
 
-    pos_rows, _ = _sorted_distinct(pos_rows)
-    # The negative strata produce exactly one row per orbit by construction;
-    # verify rather than assume.
-    for name, rows in (("neg-irreducible", ird_rows), ("neg-reducible", rd_rows)):
-        if not _sorted_distinct(rows)[1]:
-            raise AssertionError(f"duplicate representatives in {name} stratum")
+    # Each stratum yields one row per orbit by construction; verify rather
+    # than assume.  The negative blocks keep their stratum order.
+    pos_rows = _lex_sorted(pos_rows, "pos")
+    _lex_sorted(ird_rows, "neg-irreducible")
+    _lex_sorted(rd_rows, "neg-reducible")
 
     reps = np.concatenate([pos_rows, ird_rows, rd_rows], axis=0)
     disc = discriminant(reps.T)
     stab = np.ones(len(reps), dtype=np.int64)
-    if len(pos_rows):
-        stab[: len(pos_rows)] = _pos_stab_column(pos_rows)
+    stab[: len(pos_rows)] = _pos_stab_column(pos_rows)
     irred = np.zeros(len(reps), dtype=bool)
-    if len(pos_rows):
-        irred[: len(pos_rows)] = _pos_irreducible_mask(pos_rows)
+    irred[: len(pos_rows)] = _pos_irreducible_mask(pos_rows)
     irred[len(pos_rows): len(pos_rows) + len(ird_rows)] = True
 
     if not ((disc != 0).all() and (np.abs(disc) <= limit).all()):
@@ -552,13 +520,21 @@ def master_classes(limit: int, workers: int = 1) -> MasterClasses:
 # ---------------------------------------------------------------------------
 
 
-def _signed_selection(master: MasterClasses, lattice: int, sign: str, max_index: int):
+def _index_columns(master: MasterClasses, scale: int, max_index: int) -> tuple:
+    """(n, by_sign): the index n = |P| // scale of every row and, for each
+    sign, the mask of the rows of that sign with 1 <= n <= max_index."""
+    n = np.abs(master.disc) // scale
+    in_range = (n >= 1) & (n <= max_index)
+    return n, {"+": in_range & (master.disc > 0), "-": in_range & (master.disc < 0)}
+
+
+def _signed_selection(master: MasterClasses, lattice: int, sign: str, columns: tuple):
+    """(mask, n) for one (lattice, sign) pair, given the _index_columns of
+    the lattice's index scale."""
     if sign not in ("+", "-"):
         raise ValueError(f"sign must be '+' or '-', got {sign!r}")
-    n = np.abs(master.disc) // index_scale(lattice)
-    mask = master.member[:, lattice - 1] & (n >= 1) & (n <= max_index)
-    mask &= (master.disc > 0) if sign == "+" else (master.disc < 0)
-    return mask, n
+    n, by_sign = columns
+    return by_sign[sign] & master.member[:, lattice - 1], n
 
 
 def enumerate_classes(
@@ -575,7 +551,8 @@ def enumerate_classes(
     if max_index < 1:
         raise ValueError("max_index must be >= 1")
     master = master_classes(max_index * index_scale(lattice), workers=workers)
-    mask, n = _signed_selection(master, lattice, sign, max_index)
+    columns = _index_columns(master, index_scale(lattice), max_index)
+    mask, n = _signed_selection(master, lattice, sign, columns)
     idx = np.where(mask)[0]
     # the order of ClassRecord.sort_key: by index, then representative
     idx = idx[_lex_order(np.column_stack((n[idx], master.reps[idx])))]

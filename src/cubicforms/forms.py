@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,14 +30,6 @@ class CubicForm(NamedTuple):
 
     def __neg__(self) -> "CubicForm":
         return CubicForm(-self.x1, -self.x2, -self.x3, -self.x4)
-
-    def to_json(self) -> list:
-        return [self.x1, self.x2, self.x3, self.x4]
-
-    @staticmethod
-    def from_json(data: Iterable[int]) -> "CubicForm":
-        x1, x2, x3, x4 = (int(t) for t in data)
-        return CubicForm(x1, x2, x3, x4)
 
 
 class UnimodularMatrix(NamedTuple):
@@ -59,14 +51,6 @@ class UnimodularMatrix(NamedTuple):
             self.r * other.p + self.s * other.r,
             self.r * other.q + self.s * other.s,
         )
-
-    def to_json(self) -> list:
-        return [[self.p, self.q], [self.r, self.s]]
-
-    @staticmethod
-    def from_json(data) -> "UnimodularMatrix":
-        (p, q), (r, s) = data
-        return UnimodularMatrix(int(p), int(q), int(r), int(s))
 
 
 class QuadraticForm(NamedTuple):

@@ -9,9 +9,14 @@ digit count of the input.  Reduction strategy, by sign of the discriminant P:
   back to the cubic.  The forms in one orbit whose Hessian is weakly reduced
   differ by one of the 20 determinant-one matrices with entries in {-1,0,1};
   the canonical representative is the lexicographically least of those images
-  that are themselves weakly reduced.  A stabilizer of f fixes its Hessian,
-  and the automorphs of a reduced positive-definite quadratic form have
-  entries in {-1, 0, 1}, so the stabilizer is read off the same reduced form.
+  that are themselves weakly reduced.  The Hessian's boundary type decides
+  which images compete: +-f if |B| < A < C, all 20 if A = C.  If |B| = A < C,
+  +-n(-B/A) f flip B, and the image with B = A always wins: once the sign makes
+  x1 (or x2 if x1 = 0) negative, n(1) lowers x2 by 3|x1| (or x3 by 2|x2|).
+  One columnwise rule (_canonical_pos) serves single forms and whole strata.
+  A stabilizer of f fixes its Hessian, and the automorphs of a reduced
+  positive-definite quadratic form have entries in {-1, 0, 1}, so the
+  stabilizer is read off the same reduced form.
 
 * P < 0: the dehomogenized cubic has one real root rho and two complex roots.
   Root reduction moves the upper-half-plane root theta into the closed
@@ -32,6 +37,8 @@ from __future__ import annotations
 import itertools
 from collections import deque
 
+import numpy as np
+
 from .forms import (
     CubicForm,
     UnimodularMatrix,
@@ -39,6 +46,7 @@ from .forms import (
     U1_INV,
     W,
     act,
+    action_matrix,
     discriminant,
     hessian,
     rational_roots,
@@ -83,15 +91,36 @@ def _hessian_reduce(f: CubicForm) -> CubicForm:
             return f
 
 
-def _canonical_pos(f: CubicForm) -> CubicForm:
-    """Canonical representative for P > 0, given a Hessian-reduced f: the
-    lex-least weakly reduced small image of f."""
-    best = tuple(f)
-    for g in SMALL_MATRICES:
-        h = act(g, f)
-        if _weakly_reduced(h) and tuple(h) < best:
-            best = tuple(h)
-    return CubicForm(*best)
+_SMALL_MATS = [np.array(action_matrix(g), dtype=np.int64) for g in SMALL_MATRICES]
+_FLIP_MAT = np.array(action_matrix(_n_of(1)), dtype=np.int64)  # B = -A to B = A
+
+
+def _lex_less(y: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Rowwise y < b in lexicographic order: the first differing column decides."""
+    diff = y != b
+    at = np.arange(len(y)), diff.argmax(axis=1)
+    return diff.any(axis=1) & (y[at] < b[at])
+
+
+def _canonical_pos(rows: np.ndarray) -> np.ndarray:
+    """Canonical representatives for P > 0, given Hessian-reduced rows (an
+    (N, 4) array; dtype object keeps big ints exact): the lex-least weakly
+    reduced small-matrix image of each row."""
+    A, B, C = hessian(rows.T)
+    best = rows.copy()
+    edge = np.flatnonzero((B == -A) & (A < C))
+    best[edge] = best[edge] @ _FLIP_MAT.T
+    # lexmin(f, -f): the first nonzero coefficient (x1, else x2) made negative
+    x1, x2 = best[:, 0], best[:, 1]
+    best[(x1 > 0) | ((x1 == 0) & (x2 > 0))] *= -1
+    # +-f have the same 20 images, since -I times a small matrix is one
+    idx = np.flatnonzero(A == C)
+    small = best[idx]
+    for mat in _SMALL_MATS:
+        imgs = small @ mat.T
+        ok = _weakly_reduced(imgs.T) & _lex_less(imgs, best[idx])
+        best[idx[ok]] = imgs[ok]
+    return best
 
 
 def _in_open_domain(f):
@@ -195,7 +224,7 @@ def canonical_reduce(f) -> CubicForm:
     """Orbit-constant, orbit-distinguishing representative of the orbit of f."""
     p, f = _small_form(f)
     if p > 0:
-        return _canonical_pos(f)
+        return CubicForm._make(_canonical_pos(np.array([f], dtype=object))[0])
     # P < 0 allows at most one rational root.  x4 = 0 puts it at (0 : 1); the
     # loop may stop there while the coefficients are still large.
     roots = [(0, 1)] if f.x4 == 0 else rational_roots(f)

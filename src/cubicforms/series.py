@@ -18,8 +18,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .enumeration import MasterClasses, _signed_selection, master_classes
-from .forms import EVEN_LATTICES, discriminant, lattice_membership, phi, residue_grid
+from .enumeration import MasterClasses, _index_columns, _signed_selection, master_classes
+from .forms import EVEN_LATTICES, discriminant, index_scale, lattice_membership, phi, residue_grid
 from .golden import golden_table
 
 ALL_PAIRS = tuple((lat, sign) for lat in range(1, 11) for sign in ("+", "-"))
@@ -132,17 +132,24 @@ def build_series(records: list, max_n: int) -> CoefficientSeries:
     return _count_orbits(lattice, sign, max_n, *np.array(cols, dtype=np.int64).reshape(-1, 3).T)
 
 
+def _pair_series(master: MasterClasses, lattice: int, sign: str, max_n: int, columns: tuple):
+    mask, n = _signed_selection(master, lattice, sign, columns)
+    return _count_orbits(lattice, sign, max_n, n[mask], master.stab[mask], master.irred[mask])
+
+
 def series_from_master(master: MasterClasses, lattice: int, sign: str, max_n: int):
     """The (lattice, sign) series up to index max_n, counted from master rows."""
-    mask, n = _signed_selection(master, lattice, sign, max_n)
-    return _count_orbits(lattice, sign, max_n, n[mask], master.stab[mask], master.irred[mask])
+    columns = _index_columns(master, index_scale(lattice), max_n)
+    return _pair_series(master, lattice, sign, max_n, columns)
 
 
 def build_all_series(max_n: int, workers: int = 1) -> dict:
     """All twenty series (lattice 1..10, both signs) up to index max_n."""
     master = master_classes(27 * max_n, workers=workers)
+    # the index column and the sign masks once per index scale, not per pair
+    columns = {scale: _index_columns(master, scale, max_n) for scale in (1, 27)}
     return {
-        (lat, sign): series_from_master(master, lat, sign, max_n)
+        (lat, sign): _pair_series(master, lat, sign, max_n, columns[index_scale(lat)])
         for lat, sign in ALL_PAIRS
     }
 

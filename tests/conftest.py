@@ -1,6 +1,9 @@
+import numpy as np
 import pytest
 
-from cubicforms import build_all_series
+from cubicforms import build_all_series, hessian
+from cubicforms.forms import action_matrix
+from cubicforms.reduction import SMALL_MATRICES
 
 
 @pytest.fixture(scope="session")
@@ -12,3 +15,25 @@ def series300():
 def series51(series300):
     # any max_n <= 300 can reuse the cached master enumeration
     return build_all_series(51)
+
+
+def _lexmin_small_images(rows: np.ndarray) -> np.ndarray:
+    """For Hessian-reduced rows (int64 or object), the lex-least weakly
+    reduced image among all 20 SMALL_MATRICES images of each row: the P > 0
+    canonical rule before the Hessian's boundary type chose the images."""
+    best = rows.copy()
+    at = np.arange(len(rows))
+    for g in SMALL_MATRICES:
+        imgs = rows @ np.array(action_matrix(g), dtype=np.int64).T
+        A, B, C = hessian(imgs.T)
+        diff = imgs != best
+        first = diff.argmax(axis=1)  # the first column where they differ
+        less = diff.any(axis=1) & (imgs[at, first] < best[at, first])
+        ok = less & (A > 0) & (abs(B) <= A) & (A <= C)
+        best[ok] = imgs[ok]
+    return best
+
+
+@pytest.fixture(scope="session")
+def reference_canonical_pos():
+    return _lexmin_small_images

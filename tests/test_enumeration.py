@@ -116,23 +116,29 @@ def test_json_roundtrip():
         assert discriminant(d["rep"]) == d["n"]
 
 
-def test_master_matches_unique_reference(monkeypatch):
-    # the same stratum rows, deduplicated by a row-wise np.unique
+def test_master_matches_unique_reference(monkeypatch, reference_canonical_pos):
+    # the P > 0 block is a row-wise np.unique of the reference canonical
+    # images of every scanned row, whichever row the stratum keeps
     limit = 20000
-    results = [enumeration._run_task(t) for t in enumeration._stratum_tasks(limit)]
+    tasks = enumeration._stratum_tasks(limit)
+    scan = enumeration._ranges_to_rows(
+        [enumeration._pos_scan(a, lim) for kind, a, lim in tasks if kind == "pos"]
+    )
+    pos = np.unique(reference_canonical_pos(scan), axis=0)
+    assert len(pos) < len(scan)  # some orbits are scanned more than once
+    results = [enumeration._run_task(t) for t in tasks if t[0] != "pos"]
     blocks = {
         kind: enumeration._ranges_to_rows([r for k, r in results if k == kind])
-        for kind in ("pos", "negird", "negrd")
+        for kind in ("negird", "negrd")
     }
-    pos = np.unique(blocks["pos"], axis=0)
     for kind in ("negird", "negrd"):
         assert len(np.unique(blocks[kind], axis=0)) == len(blocks[kind])
     want = np.concatenate([pos, blocks["negird"], blocks["negrd"]])
     monkeypatch.setattr(enumeration, "_MASTER_CACHE", {})
     m = master_classes(limit)
-    assert m.reps.dtype == want.dtype and (m.reps == want).all()
+    assert m.reps.dtype == want.dtype and m.reps.shape == want.shape
+    assert (m.reps == want).all()
     assert (m.disc == discriminant(want.T)).all()
-    assert len(pos) < len(blocks["pos"])  # the dedup had work to do
 
 
 def test_master_positive_block_strictly_increasing(monkeypatch):
@@ -145,8 +151,8 @@ def test_master_positive_block_strictly_increasing(monkeypatch):
     assert (m.disc[: len(pos)] > 0).all()
 
 
-@pytest.mark.parametrize("kind", ["negird", "negrd"])
-def test_master_rejects_duplicate_negative_rows(monkeypatch, kind):
+@pytest.mark.parametrize("kind", ["pos", "negird", "negrd"])
+def test_master_rejects_duplicate_rows(monkeypatch, kind):
     run_task = enumeration._run_task
 
     def doubled(task):

@@ -11,10 +11,14 @@ from cubicforms import (
     CubicForm,
     act,
     discriminant,
+    hessian,
 )
+from cubicforms import enumeration
 from cubicforms.forms import UnimodularMatrix, action_matrix, is_irreducible, u_of
 from cubicforms.reduction import (
     SMALL_MATRICES,
+    _canonical_pos,
+    _hessian_reduce,
     canonical_reduce,
     orbit_bfs,
     stabilizer_order,
@@ -155,7 +159,35 @@ def test_stabilizer_order_matches_bounded_search():
     assert (expected == 3).sum() > 0
 
 
-def test_reduction_of_large_moved_forms():
+def test_canonical_pos_matches_reference_on_box(reference_canonical_pos):
+    forms = [f for f in itertools.product(range(-4, 5), repeat=4) if discriminant(f) > 0]
+    assert len(forms) == 1492
+    rows = np.array([_hessian_reduce(CubicForm(*f)) for f in forms], dtype=np.int64)
+    want = reference_canonical_pos(rows)
+    assert (_canonical_pos(rows) == want).all()
+    assert [tuple(canonical_reduce(f)) for f in forms] == [tuple(r) for r in want.tolist()]
+    # k f keeps the Hessian's boundary type (times k^2) and the lex order of
+    # the images; on object rows the big coefficients stay exact
+    k = 10 ** 30 + 7
+    assert (_canonical_pos(rows.astype(object) * k) == want.astype(object) * k).all()
+
+
+def test_canonical_pos_matches_reference_on_scan(reference_canonical_pos):
+    # every weakly reduced row the P > 0 stratum scans at Y = 3e5
+    limit = 300_000
+    rows = enumeration._ranges_to_rows(
+        [enumeration._pos_scan(a, lim) for kind, a, lim in enumeration._stratum_tasks(limit)
+         if kind == "pos"]
+    )
+    A, B, C = hessian(rows.T)
+    # all three boundary types of the Hessian occur
+    assert ((abs(B) < A) & (A < C)).any()
+    assert ((abs(B) == A) & (A < C)).any()
+    assert (A == C).any()
+    assert (_canonical_pos(rows) == reference_canonical_pos(rows)).all()
+
+
+def test_reduction_of_large_moved_forms(reference_canonical_pos):
     # 80 generators, alternating u(+-40) and w, give coefficients with more
     # than 150 digits; reduction and stabilizer must still be exact and fast.
     local = random.Random(2024)
@@ -169,6 +201,9 @@ def test_reduction_of_large_moved_forms():
         moved = act(g, f)
         assert min(abs(t) for t in moved) >= 10 ** 20
         assert canonical_reduce(moved) == canonical_reduce(f)
+        if discriminant(f) > 0:
+            reduced = np.array([_hessian_reduce(moved)], dtype=object)
+            assert canonical_reduce(moved) == tuple(reference_canonical_pos(reduced)[0])
         assert stabilizer_order(moved) == stabilizer_order(f)
         kinds.add((discriminant(f) > 0, is_irreducible(f), stabilizer_order(f)))
     # every kind of form occurs: P < 0 (irreducible and reducible) and P > 0
