@@ -20,7 +20,14 @@ import sys
 from fractions import Fraction
 
 from . import analytic, latclass, series as series_mod
-from .enumeration import MAX_LIMIT, brute_force_classes, enumerate_classes, master_classes
+from .enumeration import (
+    MAX_BOX,
+    MAX_LIMIT,
+    brute_force_classes,
+    enumerate_classes,
+    master_classes,
+    stability_box,
+)
 from .forms import index_scale
 from .golden import golden_table
 from .series import build_all_series, series_from_master
@@ -252,6 +259,13 @@ def main(argv=None) -> int:
         return _fail_usage(parser, "--max must be >= 1")
     if args.command == "verify" and args.box < 1:
         return _fail_usage(parser, "--box must be >= 1")
+    # the oracle scans at its stability box, (3 * --box + 1) // 2
+    if getattr(args, "suite", None) in ("oracle", "all") and stability_box(args.box) > MAX_BOX:
+        return _fail_usage(
+            parser,
+            f"--box {args.box} scans at box {stability_box(args.box)}, "
+            f"past the int64 safety bound {MAX_BOX}",
+        )
     if args.command == "density" and args.checkpoints < 1:
         return _fail_usage(parser, "--checkpoints must be >= 1")
     # the density command and verify's density and all suites run at X = --max

@@ -22,10 +22,15 @@ binary cubic forms with 1 <= |P| <= Y in three provably complete strata:
 * P < 0, reducible: unique presentation (p, q, r, 0) with r >= 1 and
   0 <= q < 2r; then P = -r^2 (4pr - q^2), enumerated directly.
 
-All candidate generation over-covers with float windows and is then cut back
-by exact integer tests, so float error can only cost speed, never classes.
-One lexicographic sort per stratum checks it for duplicate rows.  Integer
-arithmetic is int64, exact up to limit = MAX_LIMIT (about 2.3e9).
+The fast path's candidate generation over-covers with float windows and is
+then cut back by exact integer tests, so float error can only cost speed,
+never classes.  One lexicographic sort per stratum checks it for duplicate
+rows.  Integer arithmetic is int64, exact up to limit = MAX_LIMIT (about
+2.3e9).
+
+The brute-force oracle shares none of that: it scans the box [-box, box]^4
+with exact integer d-windows (an int64 isqrt per (a, b, c); exact up to
+box = MAX_BOX) and groups the survivors into orbits by BFS under u(+-1), w.
 """
 
 from __future__ import annotations
@@ -40,7 +45,6 @@ from .forms import (
     EVEN_LATTICES,
     CubicForm,
     _divisors,
-    action_matrix,
     discriminant,
     hessian,
     index_scale,
@@ -50,9 +54,9 @@ from .forms import (
     value_at,
 )
 from .reduction import (
-    ORDER3_MATRICES,
     _canonical_pos,
     _in_open_domain,
+    _pos_stab_column,
     orbit_bfs,
     stabilizer_order,
 )
@@ -115,9 +119,6 @@ def _expand_windows(lo: np.ndarray, hi: np.ndarray):
 # ---------------------------------------------------------------------------
 # positive-discriminant stratum
 # ---------------------------------------------------------------------------
-
-_STAB3_MATS = [np.array(action_matrix(g), dtype=np.int64) for g in ORDER3_MATRICES]
-
 
 def _pos_scan(a: int, limit: int) -> np.ndarray:
     """The weakly Hessian-reduced rows with leading coefficient a (a >= 0)
@@ -387,15 +388,6 @@ def _pos_irreducible_mask(rows: np.ndarray) -> np.ndarray:
     return irred
 
 
-def _pos_stab_column(rows: np.ndarray) -> np.ndarray:
-    stab = np.ones(len(rows), dtype=np.int64)
-    fixed = np.zeros(len(rows), dtype=bool)
-    for mat in _STAB3_MATS:
-        fixed |= (rows @ mat.T == rows).all(axis=1)
-    stab[fixed] = 3
-    return stab
-
-
 def _stratum_tasks(limit: int) -> list:
     amax_pos = int((4.0 / 27.0) ** 0.5 * limit ** 0.25) + 2
     amax_neg = int((16.0 * limit / 27.0) ** 0.25) + 2
@@ -572,102 +564,120 @@ def enumerate_classes(
 # ---------------------------------------------------------------------------
 
 _ORACLE_CACHE: dict = {}
+_SCAN_CACHE: dict = {}
+
+
+def _isqrt64(n: np.ndarray) -> np.ndarray:
+    """floor(sqrt(n)) for int64 n >= 0 with (isqrt(n) + 1)^2 < 2^63.  The
+    float64 root of n < 2^63 is within one of the integer root (both n and
+    its root are rounded to 53 bits), and one integer step each way fixes it."""
+    s = np.sqrt(n.astype(np.float64)).astype(np.int64)
+    s -= s * s > n
+    s += (s + 1) * (s + 1) <= n
+    return s
+
+
+def _d_windows(a: int, b: np.ndarray, c: np.ndarray, p_limit: int) -> tuple:
+    """For a >= 1 and int64 columns b, c: two disjoint d-windows (lo, hi),
+    whose union is exactly the d with -p_limit <= P(a, b, c, d) <= p_limit.
+
+    P(d) = -alpha d^2 + B2 d + C2 with alpha = 27 a^2, so
+    4 alpha (P(d) - k) = B2^2 + 4 alpha (C2 - k) - (2 alpha d - B2)^2, and
+    each bound on P is a bound on the integer |2 alpha d - B2|: an isqrt.
+    """
+    alpha = 27 * a * a
+    B2 = 18 * a * b * c - 4 * b ** 3
+    C2 = b * b * c * c - 4 * a * c ** 3
+    two_alpha = 2 * alpha
+    # P >= -p_limit  <=>  (2 alpha d - B2)^2 <= outer
+    outer = B2 * B2 + 4 * alpha * (C2 + p_limit)
+    s = _isqrt64(np.maximum(outer, 0))
+    lo = _ceil_div(B2 - s, two_alpha)
+    hi = np.where(outer >= 0, (B2 + s) // two_alpha, lo - 1)
+    # P > p_limit  <=>  (2 alpha d - B2)^2 < inner: the gap between the windows
+    inner = B2 * B2 + 4 * alpha * (C2 - p_limit)
+    t = _isqrt64(np.maximum(inner, 0))
+    t -= t * t == inner  # strict: |2 alpha d - B2| <= t
+    gap = inner > 0
+    glo = np.where(gap, _ceil_div(B2 - t, two_alpha), hi + 1)
+    ghi = np.where(gap, (B2 + t) // two_alpha, hi)
+    return (lo, np.minimum(hi, glo - 1)), (np.maximum(lo, ghi + 1), hi)
+
+
+def _scan_window_bound(box: int, p_limit: int) -> int:
+    """The largest B2^2 + 4 alpha (C2 + p_limit) of _d_windows over the box,
+    reached at a = b = -c = box: there |B2| = 22 box^3 and C2 = 5 box^4."""
+    return 1024 * box ** 6 + 108 * box ** 2 * p_limit
+
+
+# The largest box at which the exact windows stay in int64 for every
+# p_limit <= MAX_LIMIT: _isqrt64 needs (isqrt(n) + 1)^2 < 2^63 for the
+# largest n, _scan_window_bound(box, MAX_LIMIT).  Every other intermediate
+# (B2 +- s, the discriminant of a box row) is of order box^4 or smaller.
+MAX_BOX = int((2 ** 63 / 1024) ** (1 / 6))  # from the box^6 term alone
+while (isqrt(_scan_window_bound(MAX_BOX, MAX_LIMIT)) + 1) ** 2 >= 2 ** 63:
+    MAX_BOX -= 1  # 455
+
+
+def stability_box(box: int) -> int:
+    """The box of brute_force_classes' stability re-run."""
+    return (3 * box + 1) // 2
 
 
 def _box_survivors(box: int, p_limit: int, family: int) -> np.ndarray:
-    """Forms in [-box, box]^4 with 1 <= |P| <= p_limit; family 2 keeps L2 only.
+    """Forms in [-box, box]^4 with 1 <= |P| <= p_limit, each once; family 2
+    keeps L2 only (b, c in 3Z).
 
-    For fixed (a, b, c), P is a downward parabola (a != 0) or linear (a = 0,
-    b != 0) in d, so |P| <= p_limit confines d to at most two short windows.
-    Windows are computed in floats with padding and cut back by the exact test.
+    For fixed (a, b, c), |P| <= p_limit confines d to exact integer windows:
+    P is linear in d for a = 0 and a downward parabola (at most two windows,
+    _d_windows) for a != 0.  Only a >= 1, and a = 0 with b >= 1, are scanned;
+    negation maps them onto the rest, since P(-f) = P(f).  The exact test
+    p != 0, |p| <= p_limit runs on every candidate.
     """
     side = np.arange(-box, box + 1, dtype=np.int64)
     bc_side = side[side % 3 == 0] if family == 2 else side
     b_grid, c_grid = np.meshgrid(bc_side, bc_side, indexing="ij")
     b = b_grid.ravel()
     c = c_grid.ravel()
-    bf, cf = b.astype(np.float64), c.astype(np.float64)
     chunks = []
 
     def emit(a, b, c, lo, hi):
-        lo = np.maximum(lo, -box)
-        hi = np.minimum(hi, box)
-        idx, ds = _expand_windows(lo, hi)
-        if len(ds) == 0:
-            return
+        idx, ds = _expand_windows(np.maximum(lo, -box), np.minimum(hi, box))
         rows = np.stack(
             [np.full(len(ds), a, dtype=np.int64), b[idx], c[idx], ds], axis=1
         )
         p = discriminant(rows.T)
-        keep = (p != 0) & (np.abs(p) <= p_limit)
-        if keep.any():
-            chunks.append(rows[keep])
+        chunks.append(rows[(p != 0) & (np.abs(p) <= p_limit)])
 
-    for a in side:
-        if a == 0:
-            nz = b != 0
-            # P = b^2 c^2 - 4 b^3 d: window of length p_limit / (2 |b|^3)
-            center = cf[nz] * cf[nz] / (4.0 * bf[nz])
-            half = p_limit / (4.0 * np.abs(bf[nz]) ** 3)
-            lo = np.floor(center - half).astype(np.int64) - 1
-            hi = np.ceil(center + half).astype(np.int64) + 1
-            emit(a, b[nz], c[nz], lo, hi)
-            continue
-        af = float(a)
-        # P(d) = A2 d^2 + B2 d + C2 with A2 = -27 a^2 < 0
-        A2 = -27.0 * af * af
-        B2 = 18.0 * af * bf * cf - 4.0 * bf ** 3
-        C2 = bf * bf * cf * cf - 4.0 * af * cf ** 3
-        # P >= -p_limit between the roots of P = -p_limit; the limit is padded
-        # so tangent windows (discriminant exactly 0) survive float rounding
-        disc_out = B2 * B2 - 4.0 * A2 * (C2 + p_limit + 0.5)
-        has = disc_out > 0
-        if not has.any():
-            continue
-        sq_out = np.sqrt(np.where(has, disc_out, 0.0))
-        r1 = (-B2 - sq_out) / (2.0 * A2)
-        r2 = (-B2 + sq_out) / (2.0 * A2)
-        dlo = np.floor(np.minimum(r1, r2)).astype(np.int64) - 1
-        dhi = np.ceil(np.maximum(r1, r2)).astype(np.int64) + 1
-        dlo[~has] = 1
-        dhi[~has] = 0
-        # exclude the middle stretch where P > p_limit (if the peak exceeds it);
-        # padding here shrinks the gap, which only adds candidates
-        disc_in = B2 * B2 - 4.0 * A2 * (C2 - p_limit - 0.5)
-        gap = disc_in > 0
-        sq_in = np.sqrt(np.where(gap, disc_in, 0.0))
-        g1 = (-B2 - sq_in) / (2.0 * A2)
-        g2 = (-B2 + sq_in) / (2.0 * A2)
-        glo = np.ceil(np.minimum(g1, g2)).astype(np.int64) + 1
-        ghi = np.floor(np.maximum(g1, g2)).astype(np.int64) - 1
-        # window 1: [dlo, min(dhi, glo - 1)]; window 2: [max(dlo, ghi + 1), dhi]
-        hi1 = np.where(gap, np.minimum(dhi, glo - 1), dhi)
-        lo2 = np.where(gap, np.maximum(dlo, ghi + 1), dhi + 1)
-        emit(a, b, c, dlo, hi1)
-        emit(a, b, c, lo2, dhi)
-    return _ranges_to_rows(chunks)
+    # a = 0 < b: P = b^2 c^2 - 4 b^3 d falls with d
+    b0, c0 = b[b > 0], c[b > 0]
+    bbcc, slope = b0 * b0 * c0 * c0, 4 * b0 ** 3
+    emit(0, b0, c0, _ceil_div(bbcc - p_limit, slope), (bbcc + p_limit) // slope)
+    for a in range(1, box + 1):
+        for lo, hi in _d_windows(a, b, c, p_limit):
+            emit(a, b, c, lo, hi)
+    rows = _ranges_to_rows(chunks)
+    return np.concatenate([rows, -rows])
 
 
-def _group_box_orbits(box: int, p_limit: int, cap: int, family: int) -> list:
-    """Group box survivors into orbits; returns list of lexmin in-box reps."""
+def _group_box_orbits(box: int, p_limit: int, cap: int, family: int, scan_box: int) -> list:
+    """Group the box survivors into orbits; returns the lexmin in-box reps.
+    The survivors are filtered from the scan at scan_box >= box, which is
+    made once per (scan_box, p_limit, family)."""
     key = (box, p_limit, cap, family)
     if key in _ORACLE_CACHE:
         return _ORACLE_CACHE[key]
-    survivors = _box_survivors(box, p_limit, family)
+    scan_key = (scan_box, p_limit, family)
+    if scan_key not in _SCAN_CACHE:
+        _SCAN_CACHE[scan_key] = _box_survivors(*scan_key)
+    survivors = _SCAN_CACHE[scan_key]
+    survivors = survivors[(np.abs(survivors) <= box).all(axis=1)]
     todo = set(map(tuple, survivors.tolist()))
     reps = []
-    visited = set()
     while todo:
-        seed = todo.pop()
-        if seed in visited:
-            continue
-        orbit = orbit_bfs(seed, cap)
-        visited |= orbit
-        in_box = [
-            x for x in orbit if all(abs(t) <= box for t in x)
-        ]
+        orbit = orbit_bfs(todo.pop(), cap)
         todo -= orbit
-        reps.append(min(in_box))
+        reps.append(min(x for x in orbit if -box <= min(x) and max(x) <= box))
     reps.sort()
     _ORACLE_CACHE[key] = reps
     return reps
@@ -685,32 +695,40 @@ def brute_force_classes(
 
     Correct only when every orbit with index <= max_index has a member in
     [-box, box]^4 and box members are BFS-connected within the cap (default
-    4 * box).  With check_stability=True the run is repeated at 1.5 * box and
-    a warning is raised if the class multiset changes.
+    4 * box).  With check_stability=True the run is repeated at
+    stability_box(box) = (3 * box + 1) // 2, with 1.5 times the cap, and a
+    warning is raised if the class multiset changes; one scan at that box
+    serves both runs.  The box scanned may not exceed MAX_BOX, nor the
+    discriminant bound MAX_LIMIT, the bounds of exact int64 arithmetic.
     """
     if cap is None:
         cap = 4 * box
     p_limit = max_index * index_scale(lattice)
-    records = _oracle_records(lattice, sign, max_index, box, p_limit, cap)
+    scan_box = stability_box(box) if check_stability else box
+    if scan_box > MAX_BOX:
+        raise ValueError(f"box {scan_box} exceeds the int64 safety bound {MAX_BOX}")
+    if p_limit > MAX_LIMIT:
+        raise ValueError(f"limit {p_limit} exceeds the int64 safety bound {MAX_LIMIT}")
+    records = _oracle_records(lattice, sign, max_index, box, p_limit, cap, scan_box)
     if check_stability:
         bigger = _oracle_records(
-            lattice, sign, max_index, (3 * box + 1) // 2, p_limit, cap * 3 // 2
+            lattice, sign, max_index, scan_box, p_limit, cap * 3 // 2, scan_box
         )
         a = sorted((r.n, r.stab_order, r.irreducible) for r in records)
         b = sorted((r.n, r.stab_order, r.irreducible) for r in bigger)
         if a != b:
             warnings.warn(
                 f"brute_force_classes unstable under box growth "
-                f"({box} -> {(3 * box + 1) // 2}) for (L{lattice}, {sign}); "
+                f"({box} -> {scan_box}) for (L{lattice}, {sign}); "
                 f"results may be incomplete",
                 stacklevel=2,
             )
     return records
 
 
-def _oracle_records(lattice, sign, max_index, box, p_limit, cap) -> list:
+def _oracle_records(lattice, sign, max_index, box, p_limit, cap, scan_box) -> list:
     family = 2 if lattice in EVEN_LATTICES else 1
-    reps = _group_box_orbits(box, p_limit, cap, family)
+    reps = _group_box_orbits(box, p_limit, cap, family, scan_box)
     scale = index_scale(lattice)
     want_pos = sign == "+"
     records = []

@@ -35,7 +35,6 @@ digit count of the input.  Reduction strategy, by sign of the discriminant P:
 from __future__ import annotations
 
 import itertools
-from collections import deque
 
 import numpy as np
 
@@ -92,6 +91,7 @@ def _hessian_reduce(f: CubicForm) -> CubicForm:
 
 
 _SMALL_MATS = [np.array(action_matrix(g), dtype=np.int64) for g in SMALL_MATRICES]
+_STAB3_MATS = [np.array(action_matrix(g), dtype=np.int64) for g in ORDER3_MATRICES]
 _FLIP_MAT = np.array(action_matrix(_n_of(1)), dtype=np.int64)  # B = -A to B = A
 
 
@@ -121,6 +121,16 @@ def _canonical_pos(rows: np.ndarray) -> np.ndarray:
         ok = _weakly_reduced(imgs.T) & _lex_less(imgs, best[idx])
         best[idx[ok]] = imgs[ok]
     return best
+
+
+def _pos_stab_column(rows: np.ndarray) -> np.ndarray:
+    """Stabilizer orders (1 or 3) of Hessian-reduced P > 0 rows (an (N, 4)
+    array; dtype object keeps big ints exact): 3 iff an ORDER3_MATRICES
+    element fixes the row."""
+    fixed = np.zeros(len(rows), dtype=bool)
+    for mat in _STAB3_MATS:
+        fixed |= (rows @ mat.T == rows).all(axis=1)
+    return np.where(fixed, 3, 1)
 
 
 def _in_open_domain(f):
@@ -235,6 +245,13 @@ def canonical_reduce(f) -> CubicForm:
     return f
 
 
+# The action matrices of u(1), u(-1) and w, each flattened row by row:
+# orbit_bfs takes the images as integer dot products with these rows.
+_BFS_MATS = tuple(
+    tuple(v for row in action_matrix(g) for v in row) for g in (U1, U1_INV, W)
+)
+
+
 def orbit_bfs(f, cap: int) -> set:
     """BFS closure of {f} under u(1), u(-1), w within the box |coeff| <= cap."""
     f = CubicForm(*f)
@@ -242,15 +259,18 @@ def orbit_bfs(f, cap: int) -> set:
         raise ValueError(f"form {tuple(f)} has zero discriminant")
     start = tuple(f)
     seen = {start}
-    if any(abs(t) > cap for t in start):
+    if not (-cap <= min(start) and max(start) <= cap):
         return seen
-    queue = deque([start])
-    gens = (U1, U1_INV, W)
-    while queue:
-        x = queue.popleft()
-        for g in gens:
-            y = tuple(act(g, x))
-            if y not in seen and all(abs(t) <= cap for t in y):
+    queue = [start]  # read while it grows, so in breadth-first order
+    for x0, x1, x2, x3 in queue:
+        for a0, a1, a2, a3, b0, b1, b2, b3, c0, c1, c2, c3, d0, d1, d2, d3 in _BFS_MATS:
+            y = (
+                a0 * x0 + a1 * x1 + a2 * x2 + a3 * x3,
+                b0 * x0 + b1 * x1 + b2 * x2 + b3 * x3,
+                c0 * x0 + c1 * x1 + c2 * x2 + c3 * x3,
+                d0 * x0 + d1 * x1 + d2 * x2 + d3 * x3,
+            )
+            if y not in seen and -cap <= min(y) and max(y) <= cap:
                 seen.add(y)
                 queue.append(y)
     return seen
@@ -266,7 +286,8 @@ def stabilizer_order(f) -> int:
     automorphs of a reduced positive-definite quadratic form have entries in
     {-1, 0, 1} (Cremona, Reduction of binary cubic and quartic forms, LMS JCM
     1999).  So after Gauss reduction of the Hessian the order is 3 iff one of
-    ORDER3_MATRICES fixes the form.  Exact, and polynomial in the digit count.
+    ORDER3_MATRICES fixes the form (_pos_stab_column, on a one-row object
+    array, so big ints stay exact).  Polynomial in the digit count.
     """
     f = CubicForm(*f)
     p = discriminant(f)
@@ -274,5 +295,4 @@ def stabilizer_order(f) -> int:
         raise ValueError(f"form {tuple(f)} has zero discriminant")
     if p < 0:
         return 1
-    f = _hessian_reduce(f)
-    return 3 if any(act(g, f) == f for g in ORDER3_MATRICES) else 1
+    return int(_pos_stab_column(np.array([_hessian_reduce(f)], dtype=object))[0])

@@ -1,8 +1,10 @@
+from collections import deque
+
 import numpy as np
 import pytest
 
-from cubicforms import build_all_series, hessian
-from cubicforms.forms import action_matrix
+from cubicforms import U1, W, act, build_all_series, hessian
+from cubicforms.forms import U1_INV, action_matrix
 from cubicforms.reduction import SMALL_MATRICES
 
 
@@ -37,3 +39,27 @@ def _lexmin_small_images(rows: np.ndarray) -> np.ndarray:
 @pytest.fixture(scope="session")
 def reference_canonical_pos():
     return _lexmin_small_images
+
+
+def _act_orbit_bfs(f, cap: int) -> set:
+    """The BFS closure of {f} under u(1), u(-1), w within |coeff| <= cap,
+    taking every image with a scalar act call: orbit_bfs before it took
+    the images as dot products with the action matrices' rows."""
+    start = tuple(f)
+    seen = {start}
+    if any(abs(t) > cap for t in start):
+        return seen
+    queue = deque([start])
+    while queue:
+        x = queue.popleft()
+        for g in (U1, U1_INV, W):
+            y = tuple(act(g, x))
+            if y not in seen and all(abs(t) <= cap for t in y):
+                seen.add(y)
+                queue.append(y)
+    return seen
+
+
+@pytest.fixture(scope="session")
+def reference_orbit_bfs():
+    return _act_orbit_bfs

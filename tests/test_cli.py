@@ -2,8 +2,10 @@ import json
 
 import pytest
 
+from cubicforms import cli, enumeration
 from cubicforms.cli import MAX_DENSITY_X, main
 from cubicforms.enumeration import MAX_LIMIT
+from cubicforms.series import CheckReport
 
 
 def run_cli(args, tmp_path):
@@ -142,6 +144,20 @@ def test_usage_errors():
     # so do the suites that build the series of the even lattices
     for suite in ("relations", "lambda", "oracle"):
         assert main(["verify", "--suite", suite, "--max", str(MAX_LIMIT // 27 + 1)]) == 2
+
+
+def test_verify_rejects_box_past_int64_bound(monkeypatch):
+    def no_scan(box, p_limit, family):
+        raise AssertionError("box scan started")
+
+    monkeypatch.setattr(enumeration, "_box_survivors", no_scan)
+    # the oracle's stability re-run scans at (3 box + 1) // 2 <= MAX_BOX
+    top = 2 * enumeration.MAX_BOX // 3
+    for suite in ("oracle", "all"):
+        assert main(["verify", "--suite", suite, "--box", str(top + 1)]) == 2
+    passed = CheckReport("oracle stand-in", True, [])
+    monkeypatch.setattr(cli, "verify_oracle", lambda max_index, box, workers: passed)
+    assert main(["verify", "--suite", "oracle", "--box", str(top)]) == 0
 
 
 def test_mutation_flips_verify(tmp_path, monkeypatch):

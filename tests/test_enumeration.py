@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import isqrt
 
 import numpy as np
 import pytest
@@ -187,3 +188,112 @@ def test_int64_bound_binding_term():
     assert 27 * p_max ** 2 < 2 ** 63 <= 27 * ((MAX_LIMIT + 2) // 4) ** 2
     row = np.array([[p_max, 1, 1, 0]], dtype=np.int64)
     assert int(discriminant(row.T)[0]) == discriminant((p_max, 1, 1, 0)) == 1 - 4 * p_max
+
+
+def _grid_survivors(box: int, p_limit: int, family: int) -> np.ndarray:
+    """The full-grid reference: every form of [-box, box]^4 (b, c in 3Z for
+    family 2) with 1 <= |P| <= p_limit, in lexicographic order."""
+    side = np.arange(-box, box + 1, dtype=np.int64)
+    bc = side[side % 3 == 0] if family == 2 else side
+    rows = np.stack(
+        [g.ravel() for g in np.meshgrid(side, bc, bc, side, indexing="ij")], axis=1
+    )
+    p = np.abs(discriminant(rows.T))
+    return rows[(p >= 1) & (p <= p_limit)]
+
+
+def _lex_rows(rows: np.ndarray) -> np.ndarray:
+    return rows[enumeration._lex_order(rows)]
+
+
+# forms at the peak d = B2 / (2 alpha) of P in d, with |P| = p_limit there:
+# P = +p_limit makes the gap between the two d-windows empty (tangent from
+# below), P = -p_limit shrinks the outer window to one point
+TANGENT_CASES = (
+    ((2, -3, 1, 0), 1, 1),
+    ((1, -6, 11, -6), 4, 1),
+    ((1, -3, 4, -2), 4, 1),
+    ((2, -3, 3, -1), 27, 2),
+)
+
+
+def test_tangent_cases_sit_at_the_peak():
+    for (a, b, c, d), p_limit, family in TANGENT_CASES:
+        assert 18 * a * b * c - 4 * b ** 3 == 2 * 27 * a * a * d  # B2 = 2 alpha d
+        assert abs(discriminant((a, b, c, d))) == p_limit
+        assert family == 1 or b % 3 == c % 3 == 0
+
+
+def test_box_survivors_match_full_grid():
+    for box, p_limit, family in (
+        (3, 1, 1), (6, 4, 1), (9, 27, 1), (12, 300, 1),
+        (4, 1, 2), (6, 27, 2), (9, 4, 2), (12, 300, 2),
+    ):
+        got = enumeration._box_survivors(box, p_limit, family)
+        assert len(np.unique(got, axis=0)) == len(got), (box, p_limit, family)
+        want = _grid_survivors(box, p_limit, family)
+        assert np.array_equal(_lex_rows(got), want), (box, p_limit, family)
+        rows = set(map(tuple, got.tolist()))
+        for f, limit, fam in TANGENT_CASES:
+            if (limit, fam) == (p_limit, family) and max(map(abs, f)) <= box:
+                assert f in rows and tuple(-t for t in f) in rows
+
+
+def test_box_survivors_filter_from_the_stability_box():
+    for box, p_limit, family in ((8, 300, 1), (12, 27, 1), (10, 300, 2)):
+        big = enumeration._box_survivors(enumeration.stability_box(box), p_limit, family)
+        inside = big[(np.abs(big) <= box).all(axis=1)]
+        got = enumeration._box_survivors(box, p_limit, family)
+        assert np.array_equal(_lex_rows(inside), _lex_rows(got)), (box, p_limit, family)
+
+
+def test_isqrt64_exact_near_squares():
+    top = isqrt(2 ** 63 - 1) - 1  # (top + 1)^2 < 2^63
+    ks = [1, 2, 3, 1000, 94906265, 2 ** 31, top - 1000, top - 1, top]
+    ns = [k * k + off for k in ks for off in (-1, 0, 1, 2 * k)]
+    got = enumeration._isqrt64(np.array(ns, dtype=np.int64))
+    assert got.tolist() == [isqrt(n) for n in ns]
+
+
+def test_scan_windows_exact_at_the_box_bound():
+    box = enumeration.MAX_BOX
+    worst = enumeration._scan_window_bound(box, MAX_LIMIT)
+    # the worst case of B2^2 + 4 alpha (C2 + L), in Python ints
+    a, b, c = box, box, -box
+    B2, C2 = 18 * a * b * c - 4 * b ** 3, b * b * c * c - 4 * a * c ** 3
+    assert B2 * B2 + 4 * 27 * a * a * (C2 + MAX_LIMIT) == worst
+    assert (isqrt(worst) + 1) ** 2 < 2 ** 63
+    over = enumeration._scan_window_bound(box + 1, MAX_LIMIT)
+    assert (isqrt(over) + 1) ** 2 >= 2 ** 63
+    # the int64 windows there are exact: P(d) is checked in Python ints at
+    # both sides of every window end
+    col = lambda v: np.array([v], dtype=np.int64)
+    (lo1, hi1), (lo2, hi2) = (
+        (int(lo[0]), int(hi[0])) for lo, hi in enumeration._d_windows(a, col(b), col(c), MAX_LIMIT)
+    )
+    P = lambda d: discriminant((a, b, c, d))
+    assert lo1 <= hi1 < lo2 <= hi2
+    assert P(lo1 - 1) < -MAX_LIMIT <= P(lo1) and P(hi2) >= -MAX_LIMIT > P(hi2 + 1)
+    assert P(hi1) <= MAX_LIMIT < P(hi1 + 1) and P(lo2 - 1) > MAX_LIMIT >= P(lo2)
+
+
+def test_brute_force_rejects_box_past_int64_bound(monkeypatch):
+    def no_scan(box, p_limit, family):
+        raise AssertionError("box scan started")
+
+    monkeypatch.setattr(enumeration, "_box_survivors", no_scan)
+    box = enumeration.MAX_BOX
+    with pytest.raises(ValueError, match="int64 safety bound"):
+        brute_force_classes(1, "+", 1, box=box + 1)
+    # with the stability check the scan is at (3 box + 1) // 2
+    stable = 2 * box // 3
+    assert enumeration.stability_box(stable) == box
+    with pytest.raises(ValueError, match="int64 safety bound"):
+        brute_force_classes(1, "+", 1, box=stable + 1, check_stability=True)
+    with pytest.raises(ValueError, match="int64 safety bound"):
+        brute_force_classes(1, "+", MAX_LIMIT + 1, box=2)
+    # at the bound the scan starts
+    with pytest.raises(AssertionError, match="box scan started"):
+        brute_force_classes(1, "+", 1, box=box)
+    with pytest.raises(AssertionError, match="box scan started"):
+        brute_force_classes(1, "+", 1, box=stable, check_stability=True)

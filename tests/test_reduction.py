@@ -95,6 +95,21 @@ def test_orbit_bfs_cap_boundary():
     assert closure == {f}
 
 
+def test_orbit_bfs_matches_act_reference(reference_orbit_bfs):
+    # seeded random box-40 oracle survivors, BFS at cap 160
+    rows = enumeration._box_survivors(40, 300, 1)
+    pick = np.random.default_rng(2024).choice(len(rows), size=200, replace=False)
+    sizes = 0
+    for row in rows[pick].tolist():
+        closure = orbit_bfs(row, 160)
+        assert closure == reference_orbit_bfs(row, 160), row
+        sizes += len(closure)
+    assert sizes > 200  # the closures are not just their seeds
+    # the cap boundary: a seed past the cap, and images that reach it exactly
+    for f, cap in (((5, 0, 0, 7), 2), ((0, 1, -1, 0), 3), ((0, 1, -1, 0), 1), ((1, 0, -3, 1), 3)):
+        assert orbit_bfs(f, cap) == reference_orbit_bfs(f, cap), (f, cap)
+
+
 def test_orbit_bfs_shared_closures():
     for _ in range(40):
         f = random_nondegenerate(rng, bound=3)
