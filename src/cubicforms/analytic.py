@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .enumeration import master_classes
+from .enumeration import _sign_positive, master_classes
 from .forms import EVEN_PARTNER, index_scale, lattice_membership, residue_grid
 from .series import CheckReport, _report
 
@@ -345,9 +345,9 @@ def density_report(
     """Counts S(X) of irreducible classes at geometric checkpoints up to max_x,
     against the two-term prediction; gauge = |S - prediction| / X^(2/3)."""
     scale = index_scale(lattice)
+    want_pos = _sign_positive(sign)
     master = master_classes(max_x * scale, workers=workers)
     latcol = master.member[:, lattice - 1]
-    want_pos = sign == "+"
     sel = latcol & master.irred & ((master.disc > 0) == want_pos)
     n = np.abs(master.disc[sel]) // scale
     stab = master.stab[sel]

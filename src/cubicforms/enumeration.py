@@ -15,22 +15,23 @@ binary cubic forms with 1 <= |P| <= Y in three provably complete strata:
 
 * P < 0, irreducible: unique representative with x1 > 0 whose complex root
   lies strictly inside the fundamental domain |Re z| <= 1/2, |z| >= 1.
-  Writing the real root rho and s2 = |theta|^2, reducedness forces
-  s2 <= (16|P| / (27 a^4))^(1/3), |rho + b/a| <= 1, giving finite windows
-  for (a, b, c) and a short interval of valid d per triple.
+  Writing the real root rho, the complex pair's sum s1 and s2 = |theta|^2,
+  reducedness forces s2 <= (16|P| / (27 a^4))^(1/3) and a bounded rho,
+  giving finite (b, c) windows; |s1| < 1 is linear in d.
 
 * P < 0, reducible: unique presentation (p, q, r, 0) with r >= 1 and
   0 <= q < 2r; then P = -r^2 (4pr - q^2), enumerated directly.
 
-The fast path's candidate generation over-covers with float windows and is
-then cut back by exact integer tests, so float error can only cost speed,
-never classes.  One lexicographic sort per stratum checks it for duplicate
-rows.  Integer arithmetic is int64, exact up to limit = MAX_LIMIT (about
-2.3e9).
+At fixed (a, b, c) every condition on d is an exact integer window: the
+bound on P is forms._d_windows (an int64 isqrt), and |B| <= A, C >= A and
+|s1| < 1 are linear in d.  Only s2 > 1 and the rational-root test of the
+P < 0 irreducible stratum are cuts on the rows.  One lexicographic sort per
+stratum checks it for duplicate rows.  Integer arithmetic is int64, exact up
+to limit = MAX_LIMIT (about 2.3e9).
 
-The brute-force oracle shares none of that: it scans the box [-box, box]^4
-with exact integer d-windows (an int64 isqrt per (a, b, c); exact up to
-box = MAX_BOX) and groups the survivors into orbits by BFS under u(+-1), w.
+The brute-force oracle shares none of the strata: it scans the box
+[-box, box]^4 with the same d-windows of forms (exact up to box = MAX_BOX)
+and groups the survivors into orbits by BFS under u(+-1), w.
 """
 
 from __future__ import annotations
@@ -44,9 +45,10 @@ import numpy as np
 from .forms import (
     EVEN_LATTICES,
     CubicForm,
+    _ceil_div,
+    _d_windows,
     _divisors,
     discriminant,
-    hessian,
     index_scale,
     is_irreducible,
     lattice_member,
@@ -55,8 +57,8 @@ from .forms import (
 )
 from .reduction import (
     _canonical_pos,
-    _in_open_domain,
     _pos_stab_column,
+    _s2_above_one,
     orbit_bfs,
     stabilizer_order,
 )
@@ -92,11 +94,6 @@ class ClassRecord:
 # ---------------------------------------------------------------------------
 
 
-def _ceil_div(x, y):
-    """Ceiling division for positive y (works on ints and numpy arrays)."""
-    return -((-x) // y)
-
-
 def _ranges_to_rows(parts: list) -> np.ndarray:
     good = [p for p in parts if len(p)]
     if not good:
@@ -116,69 +113,75 @@ def _expand_windows(lo: np.ndarray, hi: np.ndarray):
     return idx, vals
 
 
+def _bc_pairs(bs: np.ndarray, c_lo: np.ndarray, c_hi: np.ndarray) -> tuple:
+    """The (b, c) columns of the windows c_lo[i] <= c <= c_hi[i] at b = bs[i],
+    in lexicographic order when bs is increasing."""
+    idx, c = _expand_windows(c_lo, c_hi)
+    return bs[idx], c
+
+
+def _window_rows(a: int, b: np.ndarray, c: np.ndarray, windows) -> np.ndarray:
+    """The rows (a, b_i, c_i, d) for every d in the windows (lo, hi) of each
+    (b_i, c_i); in lexicographic order when the (b, c) pairs are and the
+    windows of a pair are disjoint and increasing."""
+    lo = np.stack([w[0] for w in windows], axis=1).ravel()
+    hi = np.stack([w[1] for w in windows], axis=1).ravel()
+    idx, d = _expand_windows(lo, hi)
+    idx //= len(windows)
+    return np.stack([np.full(len(d), a, dtype=np.int64), b[idx], c[idx], d], axis=1)
+
+
+_INT64 = np.iinfo(np.int64)  # its min and max stand for no bound in _clip
+
+
+def _clip(windows, lo, hi) -> list:
+    """Each window (w_lo, w_hi) intersected with [lo, hi]."""
+    return [(np.maximum(w_lo, lo), np.minimum(w_hi, hi)) for w_lo, w_hi in windows]
+
+
 # ---------------------------------------------------------------------------
 # positive-discriminant stratum
 # ---------------------------------------------------------------------------
 
-def _pos_scan(a: int, limit: int) -> np.ndarray:
-    """The weakly Hessian-reduced rows with leading coefficient a (a >= 0)
-    and 1 <= P <= limit: integer windows, then exact cuts."""
+
+def _pos_bc_windows(a: int, limit: int) -> tuple:
+    """(bs, c_lo, c_hi): the b of the weakly Hessian-reduced forms with
+    leading coefficient a >= 0 and P <= limit (b >= 1 if a = 0), and the
+    c-window of each.  3P = 4AC - B^2 >= 3A^2 gives A <= sqrt(limit)."""
     sqrt_limit = isqrt(limit)
-    rows = []
     if a == 0:
-        bmax = isqrt(sqrt_limit)
-        for b in range(1, bmax + 1):
-            A = b * b
-            cs = np.arange(-b, b + 1, dtype=np.int64)
-            cmax_val = (3 * limit + A * A) // (4 * A)
-            lo = _ceil_div(cs * cs - cmax_val, 3 * b)
-            hi = (cs * cs - A) // (3 * b)
-            idx, ds = _expand_windows(lo, hi)
-            if len(ds) == 0:
-                continue
-            c_col = cs[idx]
-            rows.append(
-                np.stack(
-                    [
-                        np.zeros(len(ds), dtype=np.int64),
-                        np.full(len(ds), b, dtype=np.int64),
-                        c_col,
-                        ds,
-                    ],
-                    axis=1,
-                )
-            )
-    else:
-        bmax = isqrt(sqrt_limit) + (3 * a + 1) // 2 + 1
-        for b in range(-bmax, bmax + 1):
-            c_lo = _ceil_div(b * b - sqrt_limit, 3 * a)
-            c_hi = (b * b - 1) // (3 * a)
-            if c_hi < c_lo:
-                continue
-            cs = np.arange(c_lo, c_hi + 1, dtype=np.int64)
-            A = b * b - 3 * a * cs
-            bc = b * cs
-            lo = _ceil_div(bc - A, 9 * a)
-            hi = (bc + A) // (9 * a)
-            idx, ds = _expand_windows(lo, hi)
-            if len(ds) == 0:
-                continue
-            c_col = cs[idx]
-            rows.append(
-                np.stack(
-                    [
-                        np.full(len(ds), a, dtype=np.int64),
-                        np.full(len(ds), b, dtype=np.int64),
-                        c_col,
-                        ds,
-                    ],
-                    axis=1,
-                )
-            )
-    rows = _ranges_to_rows(rows)  # drops the per-b pieces before the cuts
-    A, B, C = hessian(rows.T)
-    disc3 = 4 * A * C - B * B  # 3 P
-    return rows[(C >= A) & (disc3 >= 3) & (disc3 <= 3 * limit)]
+        bs = np.arange(1, isqrt(sqrt_limit) + 1, dtype=np.int64)  # A = b^2
+        return bs, -bs, bs  # |B| = |bc| <= A for every d
+    bmax = isqrt(sqrt_limit) + (3 * a + 1) // 2 + 1
+    bs = np.arange(-bmax, bmax + 1, dtype=np.int64)
+    # 1 <= A = b^2 - 3ac <= sqrt(limit)
+    c_lo = _ceil_div(bs * bs - sqrt_limit, 3 * a)
+    c_hi = (bs * bs - 1) // (3 * a)
+    c_hi[bmax] = -3 * a  # b = 0: C = c^2 >= A = -3ac asks c <= -3a
+    return bs, c_lo, c_hi
+
+
+def _pos_scan(a: int, limit: int) -> np.ndarray:
+    """The weakly Hessian-reduced rows (|B| <= A <= C) with leading
+    coefficient a >= 0 (b >= 1 if a = 0) and 1 <= P <= limit, in
+    lexicographic order.  At fixed (b, c) each condition is exact in d:
+    1 <= P <= limit gives the windows of _d_windows, and |B| <= A and
+    C >= A, both linear in d, clip them."""
+    b, c = _bc_pairs(*_pos_bc_windows(a, limit))
+    A = b * b - 3 * a * c
+    windows = _d_windows(a, b, c, 1, limit)
+    if a:  # |B| = |bc - 9ad| <= A
+        windows = _clip(windows, _ceil_div(b * c - A, 9 * a), (b * c + A) // (9 * a))
+    # C = c^2 - 3bd >= A bounds d above for b > 0 and below for b < 0
+    # (b = 0 is settled by the c-windows)
+    k = c * c - A
+    step = np.where(b == 0, 1, 3 * b)
+    windows = _clip(
+        windows,
+        np.where(b < 0, _ceil_div(k, step), _INT64.min),
+        np.where(b > 0, k // step, _INT64.max),
+    )
+    return _window_rows(a, b, c, windows)
 
 
 def _pos_stratum(a: int, limit: int) -> np.ndarray:
@@ -194,76 +197,22 @@ def _pos_stratum(a: int, limit: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _neg_ird_windows(a: int, limit: int) -> np.ndarray:
-    """Candidate rows for given leading coefficient a >= 1 (float windows)."""
-    s2max = (16.0 * limit / (27.0 * a ** 4)) ** (1.0 / 3.0) + 1e-9
-    if s2max < 1.0:
-        return np.empty((0, 4), dtype=np.int64)
-    rho_max = 0.5 + (limit / (3.0 * a ** 4)) ** 0.25
-    bmax = int(1.5 * a + a * rho_max - a + 2) + 1  # |b| <= a(1 + |rho|)
-    bmax = max(bmax, int(a * (1 + rho_max)) + 2)
-    cmax = int(a * (rho_max + s2max)) + 2
-    eps = 1e-9
-    out = []
-    app = out.append
-    for b in range(-bmax, bmax + 1):
-        ba = b / a
-        mid = -ba
-        i0_lo, i0_hi = mid - 1.0 - eps, mid + 1.0 + eps
-        for c in range(-cmax, cmax + 1):
-            ca = c / a
-            # q(t) = t^2 + ba*t + ca must lie in [1, s2max] for t = rho
-            rad2 = ba * ba - 4.0 * (ca - s2max)
-            if rad2 <= 0:
-                continue
-            sq2 = rad2 ** 0.5
-            r1, r2 = (-ba - sq2) / 2.0, (-ba + sq2) / 2.0
-            lo, hi = max(i0_lo, r1 - eps), min(i0_hi, r2 + eps)
-            if hi <= lo:
-                continue
-            rad1 = ba * ba - 4.0 * (ca - 1.0)
-            pieces = []
-            if rad1 <= 0:
-                pieces.append((lo, hi))
-            else:
-                sq1 = rad1 ** 0.5
-                g1, g2 = (-ba - sq1) / 2.0, (-ba + sq1) / 2.0
-                if lo < g1:
-                    pieces.append((lo, min(hi, g1 + eps)))
-                if hi > g2:
-                    pieces.append((max(lo, g2 - eps), hi))
-            for plo, phi in pieces:
-                if phi <= plo:
-                    continue
-                ts = [plo, phi]
-                # critical points of d(t) = -(a t^3 + b t^2 + c t)
-                radc = 4.0 * b * b - 12.0 * a * c
-                if radc >= 0:
-                    sqc = radc ** 0.5
-                    for tc in ((-2.0 * b - sqc) / (6.0 * a), (-2.0 * b + sqc) / (6.0 * a)):
-                        if plo < tc < phi:
-                            ts.append(tc)
-                dv = [-(a * t ** 3 + b * t * t + c * t) for t in ts]
-                dlo_f, dhi_f = min(dv), max(dv)
-                pad = 1e-6 * (1.0 + abs(dlo_f) + abs(dhi_f))
-                dlo = int(np.ceil(dlo_f - pad))
-                dhi = int(np.floor(dhi_f + pad))
-                if dhi >= dlo:
-                    app((b, c, dlo, dhi))
-    if not out:
-        return np.empty((0, 4), dtype=np.int64)
-    arr = np.array(out, dtype=np.int64)
-    idx, ds = _expand_windows(arr[:, 2], arr[:, 3])
-    rows = np.stack(
-        [
-            np.full(len(ds), a, dtype=np.int64),
-            arr[idx, 0],
-            arr[idx, 1],
-            ds,
-        ],
-        axis=1,
-    )
-    return rows
+def _neg_ird_bc_windows(a: int, limit: int) -> tuple:
+    """(bs, c_lo, c_hi) covering the (b, c) of every root-reduced P < 0 form
+    with leading coefficient a >= 1 and |P| <= limit.
+
+    With |s1| < 1 < s2: |P| >= 27 a^4 s2^3 / 16 and |P| >= 3 a^4 (|rho| - 1/2)^4,
+    so a s2 <= (16 limit / (27 a))^(1/3) and |b| = a |rho + s1| <
+    3a/2 + (limit/3)^(1/4); c = a (s2 + rho s1) lies in (-|b|, a s2 + |b| + a).
+    The float cube root is rounded up by a margin, so it may cost speed,
+    never rows.
+    """
+    if 27 * a ** 4 > 16 * limit:  # s2 <= 1: no reduced form
+        return (np.empty(0, dtype=np.int64),) * 3
+    bmax = 3 * a // 2 + isqrt(isqrt(limit // 3)) + 1
+    bs = np.arange(-bmax, bmax + 1, dtype=np.int64)
+    s2a_max = int((16 * limit / (27 * a)) ** (1 / 3)) + 2
+    return bs, 1 - np.abs(bs), s2a_max + np.abs(bs) + a
 
 
 def _depressed(rows: np.ndarray):
@@ -298,16 +247,19 @@ def _root_near_mask(rows: np.ndarray, root: np.ndarray, a: int) -> np.ndarray:
 
 
 def _neg_ird_stratum(a: int, limit: int) -> np.ndarray:
-    rows = _neg_ird_windows(a, limit)
-    if len(rows) == 0:
-        return rows
-    disc = discriminant(rows.T)
-    rows = rows[(disc < 0) & (disc >= -limit)]
-    if len(rows) == 0:
-        return rows
-    rows = rows[_in_open_domain(rows.T)]
-    if len(rows) == 0:
-        return rows
+    """The irreducible P < 0 representatives with leading coefficient a >= 1
+    and -limit <= P <= -1, in lexicographic order: the exact d-windows of P,
+    clipped to |s1| < 1, then the exact cuts s2 > 1 and no rational root."""
+    b, c = _bc_pairs(*_neg_ird_bc_windows(a, limit))
+    # |s1| < 1, the sign tests of _in_open_domain at (-b -+ a)/a, in d:
+    # -(a - b)(a - b + c) < a d < (a + b)(a + b + c)
+    windows = _clip(
+        _d_windows(a, b, c, -limit, -1),
+        (-(a - b) * (a - b + c)) // a + 1,
+        _ceil_div((a + b) * (a + b + c), a) - 1,
+    )
+    rows = _window_rows(a, b, c, windows)
+    rows = rows[_s2_above_one(rows.T)]
     return rows[~_root_near_mask(rows, _real_root(rows), a)]
 
 
@@ -442,6 +394,10 @@ def _lex_sorted(rows: np.ndarray, stratum: str) -> np.ndarray:
 # keep |d| = a |t| s2 of order Y^(7/12), and the P > 0 rows with a != 0 are
 # Hessian-reduced.  Measured at Y = 1e4..1e6, these maxima match the terms
 # above (1.6875 Y^2 and 0.5625 Y^2) and stay below Y^(7/4).
+# The d-windows (forms._d_windows) need (isqrt(n) + 1)^2 < 2^63 for
+# n = B2^2 + 4 alpha (|C2| + Y), which grows like Y^(3/2).  Over the strata's
+# (b, c) windows at Y = MAX_LIMIT it is at most 2.45e18 (0.27 * 2^63, P < 0
+# at a = 192) and 1.6e16 for P > 0 (test_strata_windows_exact_at_max_limit).
 MAX_LIMIT = 4 * isqrt((2 ** 63 - 1) // 27) + 2  # 2_337_884_074
 
 _MASTER_CACHE: dict = {}
@@ -520,11 +476,17 @@ def _index_columns(master: MasterClasses, scale: int, max_index: int) -> tuple:
     return n, {"+": in_range & (master.disc > 0), "-": in_range & (master.disc < 0)}
 
 
+def _sign_positive(sign: str) -> bool:
+    """True for '+', False for '-'; ValueError for any other sign."""
+    if sign not in ("+", "-"):
+        raise ValueError(f"sign must be '+' or '-', got {sign!r}")
+    return sign == "+"
+
+
 def _signed_selection(master: MasterClasses, lattice: int, sign: str, columns: tuple):
     """(mask, n) for one (lattice, sign) pair, given the _index_columns of
     the lattice's index scale."""
-    if sign not in ("+", "-"):
-        raise ValueError(f"sign must be '+' or '-', got {sign!r}")
+    _sign_positive(sign)
     n, by_sign = columns
     return by_sign[sign] & master.member[:, lattice - 1], n
 
@@ -567,43 +529,6 @@ _ORACLE_CACHE: dict = {}
 _SCAN_CACHE: dict = {}
 
 
-def _isqrt64(n: np.ndarray) -> np.ndarray:
-    """floor(sqrt(n)) for int64 n >= 0 with (isqrt(n) + 1)^2 < 2^63.  The
-    float64 root of n < 2^63 is within one of the integer root (both n and
-    its root are rounded to 53 bits), and one integer step each way fixes it."""
-    s = np.sqrt(n.astype(np.float64)).astype(np.int64)
-    s -= s * s > n
-    s += (s + 1) * (s + 1) <= n
-    return s
-
-
-def _d_windows(a: int, b: np.ndarray, c: np.ndarray, p_limit: int) -> tuple:
-    """For a >= 1 and int64 columns b, c: two disjoint d-windows (lo, hi),
-    whose union is exactly the d with -p_limit <= P(a, b, c, d) <= p_limit.
-
-    P(d) = -alpha d^2 + B2 d + C2 with alpha = 27 a^2, so
-    4 alpha (P(d) - k) = B2^2 + 4 alpha (C2 - k) - (2 alpha d - B2)^2, and
-    each bound on P is a bound on the integer |2 alpha d - B2|: an isqrt.
-    """
-    alpha = 27 * a * a
-    B2 = 18 * a * b * c - 4 * b ** 3
-    C2 = b * b * c * c - 4 * a * c ** 3
-    two_alpha = 2 * alpha
-    # P >= -p_limit  <=>  (2 alpha d - B2)^2 <= outer
-    outer = B2 * B2 + 4 * alpha * (C2 + p_limit)
-    s = _isqrt64(np.maximum(outer, 0))
-    lo = _ceil_div(B2 - s, two_alpha)
-    hi = np.where(outer >= 0, (B2 + s) // two_alpha, lo - 1)
-    # P > p_limit  <=>  (2 alpha d - B2)^2 < inner: the gap between the windows
-    inner = B2 * B2 + 4 * alpha * (C2 - p_limit)
-    t = _isqrt64(np.maximum(inner, 0))
-    t -= t * t == inner  # strict: |2 alpha d - B2| <= t
-    gap = inner > 0
-    glo = np.where(gap, _ceil_div(B2 - t, two_alpha), hi + 1)
-    ghi = np.where(gap, (B2 + t) // two_alpha, hi)
-    return (lo, np.minimum(hi, glo - 1)), (np.maximum(lo, ghi + 1), hi)
-
-
 def _scan_window_bound(box: int, p_limit: int) -> int:
     """The largest B2^2 + 4 alpha (C2 + p_limit) of _d_windows over the box,
     reached at a = b = -c = box: there |B2| = 22 box^3 and C2 = 5 box^4."""
@@ -628,34 +553,21 @@ def _box_survivors(box: int, p_limit: int, family: int) -> np.ndarray:
     """Forms in [-box, box]^4 with 1 <= |P| <= p_limit, each once; family 2
     keeps L2 only (b, c in 3Z).
 
-    For fixed (a, b, c), |P| <= p_limit confines d to exact integer windows:
-    P is linear in d for a = 0 and a downward parabola (at most two windows,
-    _d_windows) for a != 0.  Only a >= 1, and a = 0 with b >= 1, are scanned;
+    For fixed (a, b, c), |P| <= p_limit confines d to the exact integer
+    windows of _d_windows.  Only a >= 1, and a = 0 with b >= 1, are scanned;
     negation maps them onto the rest, since P(-f) = P(f).  The exact test
     p != 0, |p| <= p_limit runs on every candidate.
     """
     side = np.arange(-box, box + 1, dtype=np.int64)
     bc_side = side[side % 3 == 0] if family == 2 else side
-    b_grid, c_grid = np.meshgrid(bc_side, bc_side, indexing="ij")
-    b = b_grid.ravel()
-    c = c_grid.ravel()
+    b, c = (g.ravel() for g in np.meshgrid(bc_side, bc_side, indexing="ij"))
     chunks = []
-
-    def emit(a, b, c, lo, hi):
-        idx, ds = _expand_windows(np.maximum(lo, -box), np.minimum(hi, box))
-        rows = np.stack(
-            [np.full(len(ds), a, dtype=np.int64), b[idx], c[idx], ds], axis=1
-        )
+    for a in range(box + 1):
+        ab, ac = (b[b > 0], c[b > 0]) if a == 0 else (b, c)
+        windows = _clip(_d_windows(a, ab, ac, -p_limit, p_limit), -box, box)
+        rows = _window_rows(a, ab, ac, windows)
         p = discriminant(rows.T)
         chunks.append(rows[(p != 0) & (np.abs(p) <= p_limit)])
-
-    # a = 0 < b: P = b^2 c^2 - 4 b^3 d falls with d
-    b0, c0 = b[b > 0], c[b > 0]
-    bbcc, slope = b0 * b0 * c0 * c0, 4 * b0 ** 3
-    emit(0, b0, c0, _ceil_div(bbcc - p_limit, slope), (bbcc + p_limit) // slope)
-    for a in range(1, box + 1):
-        for lo, hi in _d_windows(a, b, c, p_limit):
-            emit(a, b, c, lo, hi)
     rows = _ranges_to_rows(chunks)
     return np.concatenate([rows, -rows])
 
@@ -701,6 +613,7 @@ def brute_force_classes(
     serves both runs.  The box scanned may not exceed MAX_BOX, nor the
     discriminant bound MAX_LIMIT, the bounds of exact int64 arithmetic.
     """
+    _sign_positive(sign)
     if cap is None:
         cap = 4 * box
     p_limit = max_index * index_scale(lattice)

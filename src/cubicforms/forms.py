@@ -6,6 +6,8 @@ by 1/det; the discriminant P is a degree-4 invariant with P(g.f) = det(g)^2 P(f)
 
 The polynomial helpers (discriminant, value_at, hessian) are pure arithmetic,
 so they also accept coefficient columns, e.g. rows.T of an (N, 4) numpy array.
+_d_windows solves lo <= P <= hi for the last coefficient exactly on int64
+columns; the enumeration strata and the brute-force oracle both scan with it.
 The invariant lattices L1..L10 are defined once, by their Z-bases
 (lattice_basis).  Membership is one residue table mod 6 generated from those
 bases, used by both the scalar and the columnwise callers.
@@ -86,6 +88,56 @@ def discriminant(f) -> int:
         + 18 * a * b * c * d
         - 27 * a * a * d * d
     )
+
+
+def _ceil_div(x, y):
+    """Ceiling division for nonzero y (works on ints and numpy arrays)."""
+    return -((-x) // y)
+
+
+def _isqrt64(n: np.ndarray) -> np.ndarray:
+    """floor(sqrt(n)) for int64 n >= 0 with (isqrt(n) + 1)^2 < 2^63.  The
+    float64 root of n < 2^63 is within one of the integer root (both n and
+    its root are rounded to 53 bits), and one integer step each way fixes it."""
+    s = np.sqrt(n.astype(np.float64)).astype(np.int64)
+    s -= s * s > n
+    s += (s + 1) * (s + 1) <= n
+    return s
+
+
+def _d_windows(a: int, b: np.ndarray, c: np.ndarray, lo: int, hi: int) -> tuple:
+    """For a >= 0 and int64 columns b, c (b >= 1 where a = 0): two disjoint
+    d-windows (lo_i, hi_i), the first below the second, whose union is
+    exactly the d with lo <= P(a, b, c, d) <= hi.
+
+    For a >= 1, P(d) = -alpha d^2 + B2 d + C2 with alpha = 27 a^2, so
+    4 alpha (P(d) - k) = B2^2 + 4 alpha (C2 - k) - (2 alpha d - B2)^2, and
+    each bound on P is a bound on the integer |2 alpha d - B2|: an isqrt.
+    The int64 intermediates are exact while B2^2 + 4 alpha (|C2| + max(|lo|,
+    |hi|)) = n has (isqrt(n) + 1)^2 < 2^63.  For a = 0, P = b^2 c^2 - 4 b^3 d
+    falls with d: one window, and an empty second one.
+    """
+    if a == 0:
+        bbcc, slope = b * b * c * c, 4 * b ** 3
+        first = (_ceil_div(bbcc - hi, slope), (bbcc - lo) // slope)
+        return first, (first[1] + 1, first[1])
+    alpha = 27 * a * a
+    B2 = 18 * a * b * c - 4 * b ** 3
+    C2 = b * b * c * c - 4 * a * c ** 3
+    two_alpha = 2 * alpha
+    # P >= lo  <=>  (2 alpha d - B2)^2 <= outer
+    outer = B2 * B2 + 4 * alpha * (C2 - lo)
+    s = _isqrt64(np.maximum(outer, 0))
+    w_lo = _ceil_div(B2 - s, two_alpha)
+    w_hi = np.where(outer >= 0, (B2 + s) // two_alpha, w_lo - 1)
+    # P > hi  <=>  (2 alpha d - B2)^2 < inner: the gap between the windows
+    inner = B2 * B2 + 4 * alpha * (C2 - hi)
+    t = _isqrt64(np.maximum(inner, 0))
+    t -= t * t == inner  # strict: |2 alpha d - B2| <= t
+    gap = inner > 0
+    g_lo = np.where(gap, _ceil_div(B2 - t, two_alpha), w_hi + 1)
+    g_hi = np.where(gap, (B2 + t) // two_alpha, w_hi)
+    return (w_lo, np.minimum(w_hi, g_lo - 1)), (np.maximum(w_lo, g_hi + 1), w_hi)
 
 
 def value_at(f, p, q):
@@ -198,8 +250,15 @@ def lattice_basis(lattice: int) -> tuple:
     return _ODD_BASES[lattice]
 
 
+def _check_lattice(lattice: int) -> None:
+    if lattice not in range(1, 11):
+        raise ValueError(f"lattice index must be 1..10, got {lattice}")
+
+
 def index_scale(lattice: int) -> int:
-    """|P| per unit of index: 27 on even lattices (index |Q| = |P|/27), else 1."""
+    """|P| per unit of index: 27 on even lattices (index |Q| = |P|/27), else 1.
+    ValueError for a lattice outside 1..10."""
+    _check_lattice(lattice)
     return 27 if lattice in EVEN_LATTICES else 1
 
 
@@ -240,8 +299,7 @@ def lattice_membership(f) -> np.ndarray:
 
 def lattice_member(f, lattice: int) -> bool:
     """Membership of f in L_lattice, lattice in 1..10."""
-    if lattice not in range(1, 11):
-        raise ValueError(f"lattice index must be 1..10, got {lattice}")
+    _check_lattice(lattice)
     return bool(lattice_membership(f)[lattice - 1])
 
 

@@ -91,7 +91,13 @@ def _hessian_reduce(f: CubicForm) -> CubicForm:
 
 
 _SMALL_MATS = [np.array(action_matrix(g), dtype=np.int64) for g in SMALL_MATRICES]
-_STAB3_MATS = [np.array(action_matrix(g), dtype=np.int64) for g in ORDER3_MATRICES]
+# ORDER3_MATRICES are two inverse pairs g, g^-1 = g^2, and g fixes f iff g^-1
+# does: one of each pair (the lexicographically smaller) decides.
+_STAB3_MATS = [
+    np.array(action_matrix(g), dtype=np.int64)
+    for g in ORDER3_MATRICES
+    if g < UnimodularMatrix(g.s, -g.q, -g.r, g.p)
+]
 _FLIP_MAT = np.array(action_matrix(_n_of(1)), dtype=np.int64)  # B = -A to B = A
 
 
@@ -126,7 +132,7 @@ def _canonical_pos(rows: np.ndarray) -> np.ndarray:
 def _pos_stab_column(rows: np.ndarray) -> np.ndarray:
     """Stabilizer orders (1 or 3) of Hessian-reduced P > 0 rows (an (N, 4)
     array; dtype object keeps big ints exact): 3 iff an ORDER3_MATRICES
-    element fixes the row."""
+    element fixes the row, tested on one of each inverse pair."""
     fixed = np.zeros(len(rows), dtype=bool)
     for mat in _STAB3_MATS:
         fixed |= (rows @ mat.T == rows).all(axis=1)
@@ -142,15 +148,21 @@ def _in_open_domain(f):
     points (-b-a)/a, (-b+a)/a and -d/a, because sign f(t) = sign(t - rho).
     f may be columns (rows.T of an (N, 4) array).
     """
-    a, b, _, d = f
-    # s2 > 1  <=>  f(-d/a) has the sign opposite to d (s2 * rho = -d/a)
-    v = value_at(f, -d, a)
+    a, b, _, _ = f
     return (
         (a > 0)
         & (value_at(f, -b - a, a) < 0)  # s1 < 1  <=> rho > (-b-a)/a
         & (value_at(f, a - b, a) > 0)  # s1 > -1 <=> rho < (-b+a)/a
-        & (((d < 0) & (v > 0)) | ((d > 0) & (v < 0)))
+        & _s2_above_one(f)
     )
+
+
+def _s2_above_one(f):
+    """Exact test s2 > 1 for x1 > 0 (f may be columns): f(-d/a) has the sign
+    opposite to d, since s2 * rho = -d/a."""
+    a, _, _, d = f
+    v = value_at(f, -d, a)
+    return ((d < 0) & (v > 0)) | ((d > 0) & (v < 0))
 
 
 def _root_reduce(f: CubicForm) -> CubicForm:

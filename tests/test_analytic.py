@@ -128,3 +128,9 @@ def test_density_report_even_lattice_indexing():
     rows2 = density_report(2, "-", 500, checkpoints=2)
     for r1, r2 in zip(rows1, rows2):
         assert r2.count >= r1.count  # L2- carries 3x the irreducible density
+
+
+def test_density_report_rejects_bad_lattice_and_sign():
+    for lattice, sign in ((0, "+"), (11, "-"), (1, "x")):
+        with pytest.raises(ValueError):
+            density_report(lattice, sign, 100, checkpoints=2)

@@ -8,13 +8,15 @@ from cubicforms import (
     brute_force_classes,
     discriminant,
     enumerate_classes,
+    hessian,
     is_irreducible,
     lattice_member,
     master_classes,
 )
 from cubicforms import enumeration
 from cubicforms.enumeration import MAX_LIMIT
-from cubicforms.reduction import canonical_reduce, stabilizer_order
+from cubicforms.forms import _d_windows, _isqrt64
+from cubicforms.reduction import _in_open_domain, canonical_reduce, stabilizer_order
 
 
 def test_master_rows_are_canonical_distinct_classes():
@@ -79,6 +81,19 @@ def test_enumerate_classes_bad_args():
         enumerate_classes(1, "x", 10)
     with pytest.raises(ValueError):
         enumerate_classes(1, "+", 0)
+
+
+def test_enumerate_classes_rejects_lattice_out_of_range():
+    for lattice in (0, 11):
+        with pytest.raises(ValueError, match="lattice index must be 1..10"):
+            enumerate_classes(lattice, "+", 50)
+
+
+def test_brute_force_rejects_bad_sign_and_lattice():
+    with pytest.raises(ValueError, match="sign must be"):
+        brute_force_classes(1, "x", 20, box=8)
+    with pytest.raises(ValueError, match="lattice index must be 1..10"):
+        brute_force_classes(0, "+", 20, box=8)
 
 
 def test_brute_force_tiny():
@@ -251,7 +266,7 @@ def test_isqrt64_exact_near_squares():
     top = isqrt(2 ** 63 - 1) - 1  # (top + 1)^2 < 2^63
     ks = [1, 2, 3, 1000, 94906265, 2 ** 31, top - 1000, top - 1, top]
     ns = [k * k + off for k in ks for off in (-1, 0, 1, 2 * k)]
-    got = enumeration._isqrt64(np.array(ns, dtype=np.int64))
+    got = _isqrt64(np.array(ns, dtype=np.int64))
     assert got.tolist() == [isqrt(n) for n in ns]
 
 
@@ -269,7 +284,7 @@ def test_scan_windows_exact_at_the_box_bound():
     # both sides of every window end
     col = lambda v: np.array([v], dtype=np.int64)
     (lo1, hi1), (lo2, hi2) = (
-        (int(lo[0]), int(hi[0])) for lo, hi in enumeration._d_windows(a, col(b), col(c), MAX_LIMIT)
+        (int(lo[0]), int(hi[0])) for lo, hi in _d_windows(a, col(b), col(c), -MAX_LIMIT, MAX_LIMIT)
     )
     P = lambda d: discriminant((a, b, c, d))
     assert lo1 <= hi1 < lo2 <= hi2
@@ -297,3 +312,106 @@ def test_brute_force_rejects_box_past_int64_bound(monkeypatch):
         brute_force_classes(1, "+", 1, box=box)
     with pytest.raises(AssertionError, match="box scan started"):
         brute_force_classes(1, "+", 1, box=stable, check_stability=True)
+
+
+def _brute_d_windows(a: int, b: int, c: int, lo: int, hi: int) -> list:
+    """The d with lo <= P(a, b, c, d) <= hi, by scanning every d that can
+    reach |P| <= m = max(|lo|, |hi|): for a >= 1, 27 a^2 d^2 <= |B2| |d| +
+    |C2| + m; for a = 0 (b >= 1), 4 b^3 |d| <= |C2| + m."""
+    B2, C2 = 18 * a * b * c - 4 * b ** 3, b * b * c * c - 4 * a * c ** 3
+    m = max(abs(lo), abs(hi))
+    if a:
+        alpha = 27 * a * a
+        reach = abs(B2) // alpha + isqrt((abs(C2) + m) // alpha + 1) + 2
+    else:
+        reach = (abs(C2) + m) // (4 * b ** 3) + 2
+    return [d for d in range(-reach, reach + 1) if lo <= discriminant((a, b, c, d)) <= hi]
+
+
+def test_d_windows_match_brute_d_scan():
+    rng = np.random.default_rng(0)
+    triples = [f[:3] for f, _, _ in TANGENT_CASES]
+    for _ in range(300):
+        a = int(rng.integers(0, 7))
+        b = int(rng.integers(1 if a == 0 else -15, 16))
+        triples.append((a, b, int(rng.integers(-15, 16))))
+    col = lambda v: np.array([v], dtype=np.int64)
+    for limit in (1, 4, 27, 300):
+        for lo, hi in ((-limit, -1), (1, limit), (-limit, limit)):
+            for a, b, c in triples:
+                (lo1, hi1), (lo2, hi2) = (
+                    (int(w_lo[0]), int(w_hi[0]))
+                    for w_lo, w_hi in _d_windows(a, col(b), col(c), lo, hi)
+                )
+                assert lo1 > hi1 or lo2 > hi2 or hi1 < lo2, (a, b, c, lo, hi)
+                got = list(range(lo1, hi1 + 1)) + list(range(lo2, hi2 + 1))
+                assert got == _brute_d_windows(a, b, c, lo, hi), (a, b, c, lo, hi)
+
+
+def _box_reference(a: int, b_max: int, c_max: int, d_max: int, keep) -> np.ndarray:
+    """The rows (a, b, c, d) of the box |b| <= b_max, |c| <= c_max,
+    |d| <= d_max that keep(rows) accepts, in lexicographic order; every row
+    kept lies strictly inside the box, so the box is large enough."""
+    span = lambda m: np.arange(-m, m + 1, dtype=np.int64)
+    b, c, d = (g.ravel() for g in np.meshgrid(span(b_max), span(c_max), span(d_max), indexing="ij"))
+    rows = np.stack([np.full(len(b), a, dtype=np.int64), b, c, d], axis=1)
+    rows = rows[keep(rows)]
+    assert (np.abs(rows[:, 1:]) < [b_max, c_max, d_max]).all(), a
+    return rows
+
+
+def test_strata_rows_match_box_reference():
+    limit = 500
+    tasks = enumeration._stratum_tasks(limit)
+
+    def weakly_reduced(rows):
+        A, B, C = hessian(rows.T)
+        p = discriminant(rows.T)
+        keep = (abs(B) <= A) & (A <= C) & (p >= 1) & (p <= limit)
+        return keep & ((rows[:, 0] > 0) | (rows[:, 1] > 0))
+
+    def root_reduced_irreducible(rows):
+        p = discriminant(rows.T)
+        keep = (p < 0) & (p >= -limit) & _in_open_domain(rows.T)
+        keep[keep] = [is_irreducible(tuple(f)) for f in rows[keep].tolist()]
+        return keep
+
+    pos = [a for kind, a, _ in tasks if kind == "pos"]
+    neg = [a for kind, a, _ in tasks if kind == "negird"]
+    assert pos[0] == 0 and neg[0] == 1
+    for a in pos:
+        want = _box_reference(a, 16, 40, limit // 4 + 8 if a == 0 else 40, weakly_reduced)
+        assert np.array_equal(enumeration._pos_scan(a, limit), want), a
+    for a in neg:
+        want = _box_reference(a, 16, 40, 60, root_reduced_irreducible)
+        assert np.array_equal(enumeration._neg_ird_stratum(a, limit), want), a
+    # past the tasks' a there is nothing
+    assert len(_box_reference(pos[-1] + 1, 16, 40, 40, weakly_reduced)) == 0
+    assert len(_box_reference(neg[-1] + 1, 16, 40, 60, root_reduced_irreducible)) == 0
+
+
+def test_strata_windows_exact_at_max_limit():
+    # n = B2^2 + 4 alpha (|C2| + L) bounds every int64 intermediate of
+    # _d_windows; the strata need (isqrt(n) + 1)^2 < 2^63 over their (b, c)
+    # windows at L = MAX_LIMIT.  At fixed (a, b), B2 is linear in c, and
+    # C2 = b^2 c^2 - 4 a c^3 has its extrema at c = 0 and c = b^2 / (6a), so
+    # |B2| and |C2| peak at a window end or next to those points.
+    worst = {}
+    for kind, a, _ in enumeration._stratum_tasks(MAX_LIMIT):
+        if kind == "pos":
+            windows = enumeration._pos_bc_windows(a, MAX_LIMIT)
+        elif kind == "negird":
+            windows = enumeration._neg_ird_bc_windows(a, MAX_LIMIT)
+        else:
+            continue
+        for b, c_lo, c_hi in zip(*(w.tolist() for w in windows)):
+            inner = (0, b * b // (6 * a), b * b // (6 * a) + 1) if a else (0,)
+            cs = [c_lo, c_hi] + [c for c in inner if c_lo <= c <= c_hi]
+            B2 = max(abs(18 * a * b * c - 4 * b ** 3) for c in cs)
+            C2 = max(abs(b * b * c * c - 4 * a * c ** 3) for c in cs)
+            n = B2 * B2 + 4 * 27 * a * a * (C2 + MAX_LIMIT)
+            worst[kind] = max(worst.get(kind, 0), n)
+    assert (isqrt(worst["negird"]) + 1) ** 2 < 2 ** 63
+    assert (isqrt(worst["pos"]) + 1) ** 2 < 2 ** 63
+    # the figures quoted beside MAX_LIMIT
+    assert 2.4e18 < worst["negird"] < 2.5e18 and 1.6e16 < worst["pos"] < 1.7e16

@@ -16,9 +16,12 @@ from cubicforms import (
 from cubicforms import enumeration
 from cubicforms.forms import UnimodularMatrix, action_matrix, is_irreducible, u_of
 from cubicforms.reduction import (
+    ORDER3_MATRICES,
     SMALL_MATRICES,
+    _STAB3_MATS,
     _canonical_pos,
     _hessian_reduce,
+    _pos_stab_column,
     canonical_reduce,
     orbit_bfs,
     stabilizer_order,
@@ -235,3 +238,25 @@ def test_canonical_reduce_large_form_with_root_at_zero():
     assert discriminant(f) == -3
     assert canonical_reduce(f) == (1, 1, 1, 0)
     assert canonical_reduce(act(u_of(7), f)) == (1, 1, 1, 0)
+
+
+def test_order3_matrices_are_two_inverse_pairs():
+    inverse = lambda g: UnimodularMatrix(g.s, -g.q, -g.r, g.p)
+    assert len(ORDER3_MATRICES) == 4
+    assert all(g @ g == inverse(g) != g for g in ORDER3_MATRICES)
+    assert {inverse(g) for g in ORDER3_MATRICES} == set(ORDER3_MATRICES)
+    # the stabilizer column tests one matrix of each pair
+    kept = [g for g in ORDER3_MATRICES if g < inverse(g)]
+    assert len(kept) == 2 and inverse(kept[0]) != kept[1]
+    assert [m.tolist() for m in _STAB3_MATS] == [action_matrix(g) for g in kept]
+
+
+def test_pos_stab_column_matches_all_four_order3_matrices():
+    m = enumeration.master_classes(10 ** 5)
+    rows = m.reps[m.disc > 0]
+    fixed = np.zeros(len(rows), dtype=bool)
+    for g in ORDER3_MATRICES:
+        mat = np.array(action_matrix(g), dtype=np.int64)
+        fixed |= (rows @ mat.T == rows).all(axis=1)
+    assert fixed.sum() > 0
+    assert np.array_equal(_pos_stab_column(rows), np.where(fixed, 3, 1))

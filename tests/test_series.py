@@ -10,6 +10,7 @@ from cubicforms import (
     enumerate_classes,
     euler_product_check,
     lambda_coefficient_identity,
+    master_classes,
     render_table,
     span_rank,
     verify_congruence_lemma,
@@ -19,7 +20,7 @@ from cubicforms import (
     verify_tables,
 )
 from cubicforms.golden import golden_table
-from cubicforms.series import _combo_coeff, ALL_PAIRS
+from cubicforms.series import _combo_coeff, ALL_PAIRS, series_from_master
 
 
 def test_qrt3_arithmetic():
@@ -252,3 +253,10 @@ def test_lambda_identity(series300):
     lhs = _combo_coeff(series300, 2, 1, 1)
     rhs = Qrt3(Fraction(0), Fraction(1)) * _combo_coeff(series300, 1, 1, 1)
     assert lhs == rhs == Qrt3(Fraction(1), Fraction(0))
+
+
+def test_series_from_master_rejects_lattice_out_of_range():
+    m = master_classes(50)
+    for lattice in (-1, 0, 11):
+        with pytest.raises(ValueError, match="lattice index must be 1..10"):
+            series_from_master(m, lattice, "+", 50)
