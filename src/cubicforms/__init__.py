@@ -29,6 +29,7 @@ from .forms import (
 from .reduction import canonical_reduce, orbit_bfs, stabilizer_order
 from .enumeration import (
     ClassRecord,
+    ClassTable,
     enumerate_classes,
     brute_force_classes,
     master_classes,

@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Subcommands:
-    enumerate  one JSON line per orbit (lattice, sign, index, representative)
+    enumerate  one JSON line per orbit (lattice, sign, index, representative),
+               formatted from the ClassTable columns in fixed-size blocks
     coeffs     CSV of exact series coefficients
     table      render a reference table (or dump the compiled-in golden copy)
     verify     run a named verification suite; exit 0 iff every check passes
@@ -15,7 +16,6 @@ identical arguments regardless of worker count.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from fractions import Fraction
 
@@ -54,11 +54,32 @@ def _frac_str(x: Fraction) -> str:
 # ---------------------------------------------------------------------------
 
 
+# One enumerate line per orbit: what json.dumps(..., separators=(",", ":"))
+# writes for a dict with these keys in this order.
+_ENUMERATE_LINE = (
+    '{"lattice":%d,"sign":"%s","n":%d,"rep":[%d,%d,%d,%d],"stab":%d,"irreducible":%s}\n'
+)
+# Rows formatted per write, so the output is never held as one string.
+_ENUMERATE_BLOCK = 8192
+
+
 def cmd_enumerate(args, out) -> int:
-    records = enumerate_classes(args.lattice, _sign_arg(args.sign), args.max, args.workers)
+    table = enumerate_classes(args.lattice, _sign_arg(args.sign), args.max, args.workers)
     print(SCHEMA_LINE, file=out)
-    for r in records:
-        print(json.dumps(r.to_json_dict(), separators=(",", ":")), file=out)
+    head = (table.lattice, table.sign)
+    for start in range(0, len(table), _ENUMERATE_BLOCK):
+        block = slice(start, start + _ENUMERATE_BLOCK)
+        out.write(
+            "".join(
+                _ENUMERATE_LINE % (*head, n, *rep, stab, "true" if irred else "false")
+                for n, rep, stab, irred in zip(
+                    table.n[block].tolist(),
+                    table.reps[block].tolist(),
+                    table.stab[block].tolist(),
+                    table.irred[block].tolist(),
+                )
+            )
+        )
     return 0
 
 
@@ -101,7 +122,7 @@ def verify_oracle(max_index: int, box: int, workers: int = 1) -> series_mod.Chec
         for sign in ("+", "-"):
             fast = enumerate_classes(lattice, sign, max_index, workers)
             slow = brute_force_classes(lattice, sign, max_index, box, check_stability=True)
-            a = sorted((r.n, r.stab_order, r.irreducible) for r in fast)
+            a = sorted(zip(fast.n.tolist(), fast.stab.tolist(), fast.irred.tolist()))
             b = sorted((r.n, r.stab_order, r.irreducible) for r in slow)
             if a != b:
                 only_fast = [x for x in a if x not in b][:3]

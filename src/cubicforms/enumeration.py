@@ -32,6 +32,10 @@ to limit = MAX_LIMIT (about 2.3e9).
 The brute-force oracle shares none of the strata: it scans the box
 [-box, box]^4 with the same d-windows of forms (exact up to box = MAX_BOX)
 and groups the survivors into orbits by BFS under u(+-1), w.
+
+enumerate_classes selects one (lattice, sign) pair from the master rows and
+returns it as a ClassTable of columns; ClassTable.records() builds one
+ClassRecord per orbit, the type brute_force_classes returns.
 """
 
 from __future__ import annotations
@@ -74,16 +78,6 @@ class ClassRecord:
     rep: CubicForm
     stab_order: int
     irreducible: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "lattice": self.lattice,
-            "sign": self.sign,
-            "n": self.n,
-            "rep": list(self.rep),
-            "stab": self.stab_order,
-            "irreducible": self.irreducible,
-        }
 
     def sort_key(self):
         return (self.n, tuple(self.rep))
@@ -491,16 +485,40 @@ def _signed_selection(master: MasterClasses, lattice: int, sign: str, columns: t
     return by_sign[sign] & master.member[:, lattice - 1], n
 
 
+@dataclass
+class ClassTable:
+    """The orbits of one (lattice, sign) pair as parallel numpy columns,
+    sorted by (index, representative), the order of ClassRecord.sort_key."""
+
+    lattice: int
+    sign: str  # '+' or '-'
+    n: np.ndarray  # (N,) int64, index
+    reps: np.ndarray  # (N, 4) int64, canonical representatives
+    stab: np.ndarray  # (N,) int64, 1 or 3
+    irred: np.ndarray  # (N,) bool
+
+    def __len__(self):
+        return len(self.n)
+
+    def records(self) -> list:
+        """One ClassRecord per row, in the table's order."""
+        return [
+            ClassRecord(self.lattice, self.sign, k, CubicForm._make(rep), stab, irred)
+            for k, rep, stab, irred in zip(
+                self.n.tolist(), self.reps.tolist(), self.stab.tolist(), self.irred.tolist()
+            )
+        ]
+
+
 def enumerate_classes(
     lattice: int,
     sign: str,
     max_index: int,
     workers: int = 1,
-) -> list:
-    """One ClassRecord per orbit in the lattice with 1 <= index <= max_index.
+) -> ClassTable:
+    """The ClassTable of the orbits in the lattice with 1 <= index <= max_index.
 
     The index is |P| for odd lattices and |Q| = |P|/27 for even lattices.
-    Sorted by (index, representative).
     """
     if max_index < 1:
         raise ValueError("max_index must be >= 1")
@@ -508,17 +526,10 @@ def enumerate_classes(
     columns = _index_columns(master, index_scale(lattice), max_index)
     mask, n = _signed_selection(master, lattice, sign, columns)
     idx = np.where(mask)[0]
-    # the order of ClassRecord.sort_key: by index, then representative
     idx = idx[_lex_order(np.column_stack((n[idx], master.reps[idx])))]
-    return [
-        ClassRecord(lattice, sign, k, CubicForm._make(rep), stab, irred)
-        for k, rep, stab, irred in zip(
-            n[idx].tolist(),
-            master.reps[idx].tolist(),
-            master.stab[idx].tolist(),
-            master.irred[idx].tolist(),
-        )
-    ]
+    return ClassTable(
+        lattice, sign, n[idx], master.reps[idx], master.stab[idx], master.irred[idx]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -584,12 +595,15 @@ def _group_box_orbits(box: int, p_limit: int, cap: int, family: int, scan_box: i
         _SCAN_CACHE[scan_key] = _box_survivors(*scan_key)
     survivors = _SCAN_CACHE[scan_key]
     survivors = survivors[(np.abs(survivors) <= box).all(axis=1)]
-    todo = set(map(tuple, survivors.tolist()))
+    # A closure's in-box members are its survivors: all share P, and L2 is
+    # invariant, so the family-2 filter keeps every one of them.
+    in_box = set(map(tuple, survivors.tolist()))
+    todo = set(in_box)
     reps = []
     while todo:
         orbit = orbit_bfs(todo.pop(), cap)
         todo -= orbit
-        reps.append(min(x for x in orbit if -box <= min(x) and max(x) <= box))
+        reps.append(min(orbit & in_box))
     reps.sort()
     _ORACLE_CACHE[key] = reps
     return reps

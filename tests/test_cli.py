@@ -45,6 +45,44 @@ def test_enumerate_empty(tmp_path):
     assert text.strip() == "schema:1"
 
 
+def _json_dumps_lines(table) -> str:
+    """The enumerate output written record by record with json.dumps."""
+    lines = ["schema:1"]
+    for r in table.records():
+        d = {"lattice": r.lattice, "sign": r.sign, "n": r.n, "rep": list(r.rep),
+             "stab": r.stab_order, "irreducible": r.irreducible}
+        lines.append(json.dumps(d, separators=(",", ":")))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("block", [cli._ENUMERATE_BLOCK, 7])
+@pytest.mark.parametrize(
+    "lattice, sign, max_index",
+    [(1, "pos", 300), (1, "neg", 300), (2, "pos", 300), (7, "neg", 300),
+     (9, "pos", 400), (4, "pos", 2)],
+)
+def test_enumerate_lines_equal_json_dumps(tmp_path, monkeypatch, block, lattice, sign,
+                                          max_index):
+    monkeypatch.setattr(cli, "_ENUMERATE_BLOCK", block)
+    code, text = run_cli(
+        ["enumerate", "--lattice", str(lattice), "--sign", sign, "--max", str(max_index)],
+        tmp_path,
+    )
+    assert code == 0
+    table = enumeration.enumerate_classes(lattice, "+" if sign == "pos" else "-", max_index)
+    assert text == _json_dumps_lines(table)
+    if max_index == 2:  # L4+ has no orbit of index <= 2
+        assert len(table) == 0
+    else:
+        assert len(table) > 7  # a block of 7 rows splits the selection
+    if lattice == 1:
+        # the rows the format must cover: stabilizer 3, both irreducibility
+        # values and negative coefficients
+        assert (table.stab == 3).any() == (sign == "pos")
+        assert table.irred.any() and not table.irred.all()
+        assert (table.reps < 0).any()
+
+
 def test_coeffs_csv(tmp_path):
     code, text = run_cli(
         ["coeffs", "--lattice", "1", "--sign", "pos", "--max", "16"], tmp_path

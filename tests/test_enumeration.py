@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 from math import isqrt
 
@@ -14,9 +15,15 @@ from cubicforms import (
     master_classes,
 )
 from cubicforms import enumeration
+from cubicforms.cli import main
 from cubicforms.enumeration import MAX_LIMIT
 from cubicforms.forms import _d_windows, _isqrt64
-from cubicforms.reduction import _in_open_domain, canonical_reduce, stabilizer_order
+from cubicforms.reduction import (
+    _in_open_domain,
+    canonical_reduce,
+    orbit_bfs,
+    stabilizer_order,
+)
 
 
 def test_master_rows_are_canonical_distinct_classes():
@@ -55,25 +62,34 @@ def test_master_workers_deterministic(monkeypatch):
 
 
 def test_enumerate_classes_examples():
-    recs = enumerate_classes(1, "+", 1)
-    assert len(recs) == 1
-    assert recs[0].n == 1 and recs[0].stab_order == 3 and not recs[0].irreducible
+    table = enumerate_classes(1, "+", 1)
+    assert len(table) == 1
+    assert table.n.tolist() == [1] and table.stab.tolist() == [3]
+    assert table.irred.tolist() == [False]
 
-    recs = enumerate_classes(1, "-", 23)
-    at23 = [r for r in recs if r.n == 23]
-    assert len(at23) == 3 and all(r.stab_order == 1 for r in at23)
+    table = enumerate_classes(1, "-", 23)
+    at23 = table.stab[table.n == 23]
+    assert len(at23) == 3 and (at23 == 1).all()
 
-    recs = enumerate_classes(4, "+", 3)
-    total = sum(Fraction(1, r.stab_order) for r in recs if r.n == 3)
+    table = enumerate_classes(4, "+", 3)
+    total = sum(Fraction(1, stab) for stab in table.stab[table.n == 3].tolist())
     assert total == Fraction(1, 3)
 
 
 def test_enumerate_classes_sorted_and_in_lattice():
-    recs = enumerate_classes(7, "-", 60)
+    table = enumerate_classes(7, "-", 60)
+    recs = table.records()
+    assert len(table) == len(recs) > 0
     assert recs == sorted(recs, key=lambda r: r.sort_key())
     for r in recs:
+        assert (r.lattice, r.sign) == (7, "-")
         assert lattice_member(r.rep, 7)
         assert discriminant(r.rep) == -r.n
+    # the records are the table's rows, in its order
+    assert [r.n for r in recs] == table.n.tolist()
+    assert [list(r.rep) for r in recs] == table.reps.tolist()
+    assert [r.stab_order for r in recs] == table.stab.tolist()
+    assert [r.irreducible for r in recs] == table.irred.tolist()
 
 
 def test_enumerate_classes_bad_args():
@@ -101,6 +117,25 @@ def test_brute_force_tiny():
     assert len(recs) == 1 and recs[0].stab_order == 3
 
 
+@pytest.mark.parametrize("family, p_limit", [(1, 60), (2, 27 * 12)])
+def test_group_box_orbits_reps_are_lexmin_in_box(monkeypatch, family, p_limit):
+    box, cap = 12, 48
+    monkeypatch.setattr(enumeration, "_ORACLE_CACHE", {})
+    monkeypatch.setattr(enumeration, "_SCAN_CACHE", {})
+    scan_box = enumeration.stability_box(box)
+    reps = enumeration._group_box_orbits(box, p_limit, cap, family, scan_box)
+    # reference: the least in-box form of each closure, found by testing
+    # every closure member against the box
+    todo = set(map(tuple, enumeration._box_survivors(box, p_limit, family).tolist()))
+    want = []
+    while todo:
+        orbit = orbit_bfs(todo.pop(), cap)
+        todo -= orbit
+        want.append(min(x for x in orbit if max(map(abs, x)) <= box))
+    assert len(reps) > 10
+    assert reps == sorted(want)
+
+
 def test_brute_force_matches_enumeration_small():
     for lattice, sign, max_index, box in [
         (1, "+", 60, 30),
@@ -108,7 +143,7 @@ def test_brute_force_matches_enumeration_small():
         (5, "-", 100, 30),
         (2, "+", 4, 30),
     ]:
-        fast = enumerate_classes(lattice, sign, max_index)
+        fast = enumerate_classes(lattice, sign, max_index).records()
         slow = brute_force_classes(lattice, sign, max_index, box=box)
         a = sorted((r.n, r.stab_order, r.irreducible) for r in fast)
         b = sorted((r.n, r.stab_order, r.irreducible) for r in slow)
@@ -124,11 +159,20 @@ def test_reducible_count_growth():
     assert abs(count - expect) < 0.05 * expect
 
 
-def test_json_roundtrip():
-    recs = enumerate_classes(9, "+", 40)
-    for r in recs:
-        d = r.to_json_dict()
-        assert d["lattice"] == 9 and d["sign"] == "+"
+def test_json_roundtrip(tmp_path):
+    out = tmp_path / "out.txt"
+    assert main(["enumerate", "--lattice", "9", "--sign", "pos", "--max", "40",
+                 "--output", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    table = enumerate_classes(9, "+", 40)
+    assert lines[0] == "schema:1" and len(lines) == len(table) + 1 > 1
+    for line, n, rep, stab, irred in zip(
+        lines[1:], table.n.tolist(), table.reps.tolist(), table.stab.tolist(),
+        table.irred.tolist(),
+    ):
+        d = json.loads(line)
+        assert d == {"lattice": 9, "sign": "+", "n": n, "rep": rep, "stab": stab,
+                     "irreducible": irred}
         assert discriminant(d["rep"]) == d["n"]
 
 

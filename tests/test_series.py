@@ -42,7 +42,7 @@ def test_build_series_examples(series300):
 
 
 def test_build_series_from_records():
-    recs = enumerate_classes(3, "-", 50)
+    recs = enumerate_classes(3, "-", 50).records()
     s = build_series(recs, 50)
     assert isinstance(s, CoefficientSeries)
     assert s.coeff(7) == 1
@@ -66,7 +66,7 @@ def test_series_splits_sum(series300):
 def test_record_path_equals_master_path(series300):
     for lattice, sign in ALL_PAIRS:
         want = series300[(lattice, sign)]
-        records = enumerate_classes(lattice, sign, 300)
+        records = enumerate_classes(lattice, sign, 300).records()
         s = build_series(records, 300)
         assert (s.lattice, s.sign, s.max_n) == (lattice, sign, 300)
         for n in range(1, 301):
@@ -84,7 +84,7 @@ def test_record_path_equals_master_path(series300):
 def test_record_path_drops_records_past_max_n(series300):
     # Records of index 301..450 are left out, not counted in another cell.
     for lattice, sign in ALL_PAIRS:
-        records = enumerate_classes(lattice, sign, 450)
+        records = enumerate_classes(lattice, sign, 450).records()
         assert any(r.n > 300 for r in records), (lattice, sign)
         s = build_series(records, 300)
         want = series300[(lattice, sign)]
