@@ -68,16 +68,10 @@ def cmd_enumerate(args, out) -> int:
     print(SCHEMA_LINE, file=out)
     head = (table.lattice, table.sign)
     for start in range(0, len(table), _ENUMERATE_BLOCK):
-        block = slice(start, start + _ENUMERATE_BLOCK)
         out.write(
             "".join(
                 _ENUMERATE_LINE % (*head, n, *rep, stab, "true" if irred else "false")
-                for n, rep, stab, irred in zip(
-                    table.n[block].tolist(),
-                    table.reps[block].tolist(),
-                    table.stab[block].tolist(),
-                    table.irred[block].tolist(),
-                )
+                for n, rep, stab, irred in table.rows(slice(start, start + _ENUMERATE_BLOCK))
             )
         )
     return 0

@@ -500,13 +500,21 @@ class ClassTable:
     def __len__(self):
         return len(self.n)
 
+    def rows(self, block: slice = slice(None)):
+        """(n, rep, stab, irred) for each row of the block, as Python ints,
+        lists of ints and bools."""
+        return zip(
+            self.n[block].tolist(),
+            self.reps[block].tolist(),
+            self.stab[block].tolist(),
+            self.irred[block].tolist(),
+        )
+
     def records(self) -> list:
         """One ClassRecord per row, in the table's order."""
         return [
             ClassRecord(self.lattice, self.sign, k, CubicForm._make(rep), stab, irred)
-            for k, rep, stab, irred in zip(
-                self.n.tolist(), self.reps.tolist(), self.stab.tolist(), self.irred.tolist()
-            )
+            for k, rep, stab, irred in self.rows()
         ]
 
 
