@@ -31,7 +31,12 @@ to limit = MAX_LIMIT (about 2.3e9).
 
 The brute-force oracle shares none of the strata: it scans the box
 [-box, box]^4 with the same d-windows of forms (exact up to box = MAX_BOX)
-and groups the survivors into orbits by BFS under u(+-1), w.
+and groups the survivors into orbits by BFS under u(+-1), w.  Before the
+windows, an exact Hessian cut drops the (a, b, c) with a >= 1 and
+3ac > b^2 + h0: by 27 a^2 P = 4 H^3 - G^2 (H = b^2 - 3ac), P >= -p_limit
+needs 4 (-H)^3 <= 27 a^2 p_limit.  Each grouping computes the columns of its
+representatives (discriminant, lattice membership, stabilizer order,
+irreducibility) once, and every (lattice, sign) selects from them.
 
 enumerate_classes selects one (lattice, sign) pair from the master rows and
 returns it as a ClassTable of columns; ClassTable.records() builds one
@@ -55,7 +60,6 @@ from .forms import (
     discriminant,
     index_scale,
     is_irreducible,
-    lattice_member,
     lattice_membership,
     value_at,
 )
@@ -462,9 +466,10 @@ def master_classes(limit: int, workers: int = 1) -> MasterClasses:
 # ---------------------------------------------------------------------------
 
 
-def _index_columns(master: MasterClasses, scale: int, max_index: int) -> tuple:
+def _index_columns(master: MasterClasses | BoxOrbits, scale: int, max_index: int) -> tuple:
     """(n, by_sign): the index n = |P| // scale of every row and, for each
-    sign, the mask of the rows of that sign with 1 <= n <= max_index."""
+    sign, the mask of the rows of that sign with 1 <= n <= max_index.
+    master is the master enumeration or the oracle's orbits."""
     n = np.abs(master.disc) // scale
     in_range = (n >= 1) & (n <= max_index)
     return n, {"+": in_range & (master.disc > 0), "-": in_range & (master.disc < 0)}
@@ -477,7 +482,9 @@ def _sign_positive(sign: str) -> bool:
     return sign == "+"
 
 
-def _signed_selection(master: MasterClasses, lattice: int, sign: str, columns: tuple):
+def _signed_selection(
+    master: MasterClasses | BoxOrbits, lattice: int, sign: str, columns: tuple
+):
     """(mask, n) for one (lattice, sign) pair, given the _index_columns of
     the lattice's index scale."""
     _sign_positive(sign)
@@ -568,21 +575,37 @@ def stability_box(box: int) -> int:
     return (3 * box + 1) // 2
 
 
+def _hessian_floor(a: int, p_limit: int) -> int:
+    """h0 = max{h >= 0 : 4 h^3 <= 27 a^2 p_limit}, for a >= 1.  The float
+    cube root of n / 4 < 2^53 (n = 27 a^2 p_limit, at most about 1.3e16 for
+    a <= MAX_BOX and p_limit <= MAX_LIMIT) is within one of the integer
+    root, and one exact integer step each way fixes it, as in _isqrt64."""
+    n = 27 * a * a * p_limit
+    h = int((n / 4) ** (1 / 3))
+    h -= 4 * h ** 3 > n
+    h += 4 * (h + 1) ** 3 <= n
+    return h
+
+
 def _box_survivors(box: int, p_limit: int, family: int) -> np.ndarray:
     """Forms in [-box, box]^4 with 1 <= |P| <= p_limit, each once; family 2
     keeps L2 only (b, c in 3Z).
 
-    For fixed (a, b, c), |P| <= p_limit confines d to the exact integer
-    windows of _d_windows.  Only a >= 1, and a = 0 with b >= 1, are scanned;
-    negation maps them onto the rest, since P(-f) = P(f).  The exact test
-    p != 0, |p| <= p_limit runs on every candidate.
+    Only a >= 1, and a = 0 with b >= 1, are scanned; negation maps them onto
+    the rest, since P(-f) = P(f).  For a >= 1, 27 a^2 P = 4 H^3 - G^2 with
+    H = b^2 - 3ac (the Hessian's A) and G = 2b^3 - 9abc + 27a^2 d, so
+    P >= -p_limit needs H >= -h0 (_hessian_floor): the (b, c) pairs with
+    3ac > b^2 + h0 are dropped before any d.  For each remaining (a, b, c),
+    |P| <= p_limit confines d to the exact integer windows of _d_windows,
+    and the exact test p != 0, |p| <= p_limit runs on every candidate.
     """
     side = np.arange(-box, box + 1, dtype=np.int64)
     bc_side = side[side % 3 == 0] if family == 2 else side
     b, c = (g.ravel() for g in np.meshgrid(bc_side, bc_side, indexing="ij"))
     chunks = []
     for a in range(box + 1):
-        ab, ac = (b[b > 0], c[b > 0]) if a == 0 else (b, c)
+        keep = b > 0 if a == 0 else 3 * a * c <= b * b + _hessian_floor(a, p_limit)
+        ab, ac = b[keep], c[keep]
         windows = _clip(_d_windows(a, ab, ac, -p_limit, p_limit), -box, box)
         rows = _window_rows(a, ab, ac, windows)
         p = discriminant(rows.T)
@@ -591,10 +614,24 @@ def _box_survivors(box: int, p_limit: int, family: int) -> np.ndarray:
     return np.concatenate([rows, -rows])
 
 
-def _group_box_orbits(box: int, p_limit: int, cap: int, family: int, scan_box: int) -> list:
-    """Group the box survivors into orbits; returns the lexmin in-box reps.
-    The survivors are filtered from the scan at scan_box >= box, which is
-    made once per (scan_box, p_limit, family)."""
+@dataclass(frozen=True)
+class BoxOrbits:
+    """The orbits found by one oracle grouping: the lexmin in-box member of
+    each, sorted, and per representative the columns the records read."""
+
+    reps: list  # tuples of ints, in lexicographic order
+    disc: np.ndarray  # (N,) int64, signed P
+    member: np.ndarray  # (N, 10) bool, membership in L1..L10
+    stab: np.ndarray  # (N,) int64, 1 or 3
+    irred: np.ndarray  # (N,) bool
+
+
+def _group_box_orbits(
+    box: int, p_limit: int, cap: int, family: int, scan_box: int
+) -> BoxOrbits:
+    """Group the box survivors into orbits: their lexmin in-box reps and the
+    columns of each.  The survivors are filtered from the scan at
+    scan_box >= box, which is made once per (scan_box, p_limit, family)."""
     key = (box, p_limit, cap, family)
     if key in _ORACLE_CACHE:
         return _ORACLE_CACHE[key]
@@ -609,12 +646,20 @@ def _group_box_orbits(box: int, p_limit: int, cap: int, family: int, scan_box: i
     todo = set(in_box)
     reps = []
     while todo:
-        orbit = orbit_bfs(todo.pop(), cap)
-        todo -= orbit
-        reps.append(min(orbit & in_box))
+        members = orbit_bfs(todo.pop(), cap) & in_box
+        todo -= members
+        reps.append(min(members))
     reps.sort()
-    _ORACLE_CACHE[key] = reps
-    return reps
+    cols = np.array(reps, dtype=np.int64).reshape(-1, 4).T
+    orbits = BoxOrbits(
+        reps,
+        discriminant(cols),
+        lattice_membership(cols),
+        np.array([stabilizer_order(f) for f in reps], dtype=np.int64),
+        np.array([is_irreducible(f) for f in reps], dtype=bool),
+    )
+    _ORACLE_CACHE[key] = orbits
+    return orbits
 
 
 def brute_force_classes(
@@ -630,14 +675,22 @@ def brute_force_classes(
     Correct only when every orbit with index <= max_index has a member in
     [-box, box]^4 and box members are BFS-connected within the cap (default
     4 * box).  With check_stability=True the run is repeated at
-    stability_box(box) = (3 * box + 1) // 2, with 1.5 times the cap, and a
-    warning is raised if the class multiset changes; one scan at that box
-    serves both runs.  The box scanned may not exceed MAX_BOX, nor the
-    discriminant bound MAX_LIMIT, the bounds of exact int64 arithmetic.
+    stability_box(box) = (3 * box + 1) // 2, with 1.5 times the cap (at
+    least that box), and a warning is raised if the class multiset changes;
+    one scan at that box serves both runs.  ValueError for max_index < 1,
+    box < 1 or cap < box (a survivor outside the cap would be its own
+    class).  The box scanned may not exceed MAX_BOX, nor the discriminant
+    bound MAX_LIMIT, the bounds of exact int64 arithmetic.
     """
     _sign_positive(sign)
+    if max_index < 1:
+        raise ValueError("max_index must be >= 1")
+    if box < 1:
+        raise ValueError("box must be >= 1")
     if cap is None:
         cap = 4 * box
+    if cap < box:
+        raise ValueError(f"cap {cap} is below the box {box}")
     p_limit = max_index * index_scale(lattice)
     scan_box = stability_box(box) if check_stability else box
     if scan_box > MAX_BOX:
@@ -646,8 +699,9 @@ def brute_force_classes(
         raise ValueError(f"limit {p_limit} exceeds the int64 safety bound {MAX_LIMIT}")
     records = _oracle_records(lattice, sign, max_index, box, p_limit, cap, scan_box)
     if check_stability:
+        big_cap = max(cap * 3 // 2, scan_box)
         bigger = _oracle_records(
-            lattice, sign, max_index, scan_box, p_limit, cap * 3 // 2, scan_box
+            lattice, sign, max_index, scan_box, p_limit, big_cap, scan_box
         )
         a = sorted((r.n, r.stab_order, r.irreducible) for r in records)
         b = sorted((r.n, r.stab_order, r.irreducible) for r in bigger)
@@ -663,31 +717,16 @@ def brute_force_classes(
 
 def _oracle_records(lattice, sign, max_index, box, p_limit, cap, scan_box) -> list:
     family = 2 if lattice in EVEN_LATTICES else 1
-    reps = _group_box_orbits(box, p_limit, cap, family, scan_box)
-    scale = index_scale(lattice)
-    want_pos = sign == "+"
-    records = []
-    for rep in reps:
-        if not lattice_member(rep, lattice):
-            continue
-        p = discriminant(rep)
-        if (p > 0) != want_pos:
-            continue
-        if abs(p) % scale:
-            continue
-        n = abs(p) // scale
-        if not 1 <= n <= max_index:
-            continue
-        f = CubicForm(*rep)
-        records.append(
-            ClassRecord(
-                lattice,
-                sign,
-                n,
-                f,
-                stabilizer_order(f),
-                is_irreducible(f),
-            )
+    orbits = _group_box_orbits(box, p_limit, cap, family, scan_box)
+    # the even lattices lie in L2, where 27 divides P, so |P| // 27 is exact
+    columns = _index_columns(orbits, index_scale(lattice), max_index)
+    mask, n = _signed_selection(orbits, lattice, sign, columns)
+    idx = np.flatnonzero(mask)
+    records = [
+        ClassRecord(lattice, sign, k, CubicForm._make(orbits.reps[i]), stab, irred)
+        for i, k, stab, irred in zip(
+            idx.tolist(), n[idx].tolist(), orbits.stab[idx].tolist(), orbits.irred[idx].tolist()
         )
+    ]
     records.sort(key=ClassRecord.sort_key)
     return records

@@ -41,8 +41,6 @@ import numpy as np
 from .forms import (
     CubicForm,
     UnimodularMatrix,
-    U1,
-    U1_INV,
     W,
     act,
     action_matrix,
@@ -257,15 +255,18 @@ def canonical_reduce(f) -> CubicForm:
     return f
 
 
-# The action matrices of u(1), u(-1) and w, each flattened row by row:
-# orbit_bfs takes the images as integer dot products with these rows.
-_BFS_MATS = tuple(
-    tuple(v for row in action_matrix(g) for v in row) for g in (U1, U1_INV, W)
-)
-
-
 def orbit_bfs(f, cap: int) -> set:
-    """BFS closure of {f} under u(1), u(-1), w within the box |coeff| <= cap."""
+    """BFS closure of {f} under u(1), u(-1), w within the box |coeff| <= cap.
+
+    The images are written out: u(+-1) (x1, x2, x3, x4) = (x1 +- x2 + x3 +- x4,
+    x2 +- 2 x3 + 3 x4, x3 +- 3 x4, x4), so u(1) f = f + psi(f), and
+    w (x1, x2, x3, x4) = (x4, -x3, x2, -x1).  u(+-1) keep x4, so only the
+    three coefficients they change are tested against the cap; w permutes and
+    negates, so it never leaves the cap.  w^2 = -I acts as -1, so the closure
+    of a seed inside the cap is closed under negation: each new form enters
+    with its negation, and only the one reached first is expanded, since the
+    images of -x are the negations of those of x.
+    """
     f = CubicForm(*f)
     if discriminant(f) == 0:
         raise ValueError(f"form {tuple(f)} has zero discriminant")
@@ -273,18 +274,30 @@ def orbit_bfs(f, cap: int) -> set:
     seen = {start}
     if not (-cap <= min(start) and max(start) <= cap):
         return seen
+    seen.add(tuple(-f))
     queue = [start]  # read while it grows, so in breadth-first order
+    add, push = seen.add, queue.append
     for x0, x1, x2, x3 in queue:
-        for a0, a1, a2, a3, b0, b1, b2, b3, c0, c1, c2, c3, d0, d1, d2, d3 in _BFS_MATS:
-            y = (
-                a0 * x0 + a1 * x1 + a2 * x2 + a3 * x3,
-                b0 * x0 + b1 * x1 + b2 * x2 + b3 * x3,
-                c0 * x0 + c1 * x1 + c2 * x2 + c3 * x3,
-                d0 * x0 + d1 * x1 + d2 * x2 + d3 * x3,
-            )
-            if y not in seen and -cap <= min(y) and max(y) <= cap:
-                seen.add(y)
-                queue.append(y)
+        even, odd, mid, s, t = x0 + x2, x1 + x3, x1 + 3 * x3, 2 * x2, 3 * x3
+        y0, y1, y2 = even + odd, mid + s, x2 + t  # u(1)
+        if -cap <= y0 <= cap and -cap <= y1 <= cap and -cap <= y2 <= cap:
+            y = (y0, y1, y2, x3)
+            if y not in seen:
+                add(y)
+                add((-y0, -y1, -y2, -x3))
+                push(y)
+        y0, y1, y2 = even - odd, mid - s, x2 - t  # u(-1)
+        if -cap <= y0 <= cap and -cap <= y1 <= cap and -cap <= y2 <= cap:
+            y = (y0, y1, y2, x3)
+            if y not in seen:
+                add(y)
+                add((-y0, -y1, -y2, -x3))
+                push(y)
+        y = (x3, -x2, x1, -x0)  # w
+        if y not in seen:
+            add(y)
+            add((-x3, x2, -x1, x0))
+            push(y)
     return seen
 
 

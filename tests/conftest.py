@@ -43,8 +43,9 @@ def reference_canonical_pos():
 
 def _act_orbit_bfs(f, cap: int) -> set:
     """The BFS closure of {f} under u(1), u(-1), w within |coeff| <= cap,
-    taking every image with a scalar act call: orbit_bfs before it took
-    the images as dot products with the action matrices' rows."""
+    taking every image with a scalar act call and testing all four
+    coefficients of each against the cap, where orbit_bfs writes the images
+    out, tests only the changed ones and expands one form of each +-pair."""
     start = tuple(f)
     seen = {start}
     if any(abs(t) > cap for t in start):

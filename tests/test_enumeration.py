@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 from math import isqrt
 
@@ -112,6 +113,37 @@ def test_brute_force_rejects_bad_sign_and_lattice():
         brute_force_classes(0, "+", 20, box=8)
 
 
+def test_brute_force_rejects_bad_bounds(monkeypatch):
+    def no_scan(box, p_limit, family):
+        raise AssertionError("box scan started")
+
+    monkeypatch.setattr(enumeration, "_box_survivors", no_scan)
+    for max_index, box, cap, match in (
+        (0, 10, None, "max_index must be >= 1"),
+        (-5, 10, None, "max_index must be >= 1"),
+        (20, 0, None, "box must be >= 1"),
+        (20, -3, None, "box must be >= 1"),
+        (20, 10, 0, "cap 0 is below the box 10"),
+        (20, 10, 9, "cap 9 is below the box 10"),
+    ):
+        with pytest.raises(ValueError, match=match):
+            brute_force_classes(1, "+", max_index, box, cap=cap)
+
+
+def test_brute_force_stability_cap_covers_its_box(monkeypatch):
+    caps = []
+
+    def record_caps(lattice, sign, max_index, box, p_limit, cap, scan_box):
+        caps.append((box, cap))
+        return []
+
+    monkeypatch.setattr(enumeration, "_oracle_records", record_caps)
+    brute_force_classes(1, "+", 20, 9, cap=9, check_stability=True)
+    brute_force_classes(1, "+", 20, 10, check_stability=True)
+    # 1.5 times the cap, but at least the stability box (14 for box 9)
+    assert caps == [(9, 9), (14, 14), (10, 40), (15, 60)]
+
+
 def test_brute_force_tiny():
     recs = brute_force_classes(1, "+", 1, box=2)
     assert len(recs) == 1 and recs[0].stab_order == 3
@@ -123,7 +155,8 @@ def test_group_box_orbits_reps_are_lexmin_in_box(monkeypatch, family, p_limit):
     monkeypatch.setattr(enumeration, "_ORACLE_CACHE", {})
     monkeypatch.setattr(enumeration, "_SCAN_CACHE", {})
     scan_box = enumeration.stability_box(box)
-    reps = enumeration._group_box_orbits(box, p_limit, cap, family, scan_box)
+    orbits = enumeration._group_box_orbits(box, p_limit, cap, family, scan_box)
+    reps = orbits.reps
     # reference: the least in-box form of each closure, found by testing
     # every closure member against the box
     todo = set(map(tuple, enumeration._box_survivors(box, p_limit, family).tolist()))
@@ -134,6 +167,13 @@ def test_group_box_orbits_reps_are_lexmin_in_box(monkeypatch, family, p_limit):
         want.append(min(x for x in orbit if max(map(abs, x)) <= box))
     assert len(reps) > 10
     assert reps == sorted(want)
+    # one column entry per rep, as the scalar functions give it
+    assert orbits.disc.tolist() == [discriminant(f) for f in reps]
+    assert orbits.member.tolist() == [
+        [lattice_member(f, lat) for lat in range(1, 11)] for f in reps
+    ]
+    assert orbits.stab.tolist() == [stabilizer_order(f) for f in reps]
+    assert orbits.irred.tolist() == [is_irreducible(f) for f in reps]
 
 
 def test_brute_force_matches_enumeration_small():
@@ -267,11 +307,16 @@ def _lex_rows(rows: np.ndarray) -> np.ndarray:
 
 # forms at the peak d = B2 / (2 alpha) of P in d, with |P| = p_limit there:
 # P = +p_limit makes the gap between the two d-windows empty (tangent from
-# below), P = -p_limit shrinks the outer window to one point
+# below), P = -p_limit shrinks the outer window to one point.  The peak is
+# G = 2b^3 - 9abc + 27a^2 d = 0, so at P = -p_limit the identity
+# 27 a^2 P = 4 H^3 - G^2 gives 4 (-H)^3 = 27 a^2 p_limit: the scan's Hessian
+# cut H >= -h0 holds with equality there.
 TANGENT_CASES = (
     ((2, -3, 1, 0), 1, 1),
     ((1, -6, 11, -6), 4, 1),
     ((1, -3, 4, -2), 4, 1),
+    ((1, 0, 1, 0), 4, 1),
+    ((2, 0, 1, 0), 8, 1),
     ((2, -3, 3, -1), 27, 2),
 )
 
@@ -285,7 +330,7 @@ def test_tangent_cases_sit_at_the_peak():
 
 def test_box_survivors_match_full_grid():
     for box, p_limit, family in (
-        (3, 1, 1), (6, 4, 1), (9, 27, 1), (12, 300, 1),
+        (3, 1, 1), (6, 4, 1), (4, 8, 1), (9, 27, 1), (12, 300, 1),
         (4, 1, 2), (6, 27, 2), (9, 4, 2), (12, 300, 2),
     ):
         got = enumeration._box_survivors(box, p_limit, family)
@@ -296,6 +341,78 @@ def test_box_survivors_match_full_grid():
         for f, limit, fam in TANGENT_CASES:
             if (limit, fam) == (p_limit, family) and max(map(abs, f)) <= box:
                 assert f in rows and tuple(-t for t in f) in rows
+
+
+def test_tangent_cases_bind_the_hessian_cut():
+    for (a, b, c, d), p_limit, _ in TANGENT_CASES:
+        if discriminant((a, b, c, d)) == -p_limit:
+            assert 3 * a * c == b * b + enumeration._hessian_floor(a, p_limit)
+
+
+def test_hessian_identity_on_big_ints():
+    # 27 a^2 P = 4 H^3 - G^2 with H the Hessian's A, G = 2b^3 - 9abc + 27a^2 d
+    r = random.Random(27)
+    for bits in (4, 20, 70, 200):
+        for _ in range(50):
+            a, b, c, d = (r.randint(-(2 ** bits), 2 ** bits) for _ in range(4))
+            H = hessian((a, b, c, d)).A
+            G = 2 * b ** 3 - 9 * a * b * c + 27 * a * a * d
+            assert 27 * a * a * discriminant((a, b, c, d)) == 4 * H ** 3 - G * G
+
+
+def _ref_hessian_floor(a: int, p_limit: int) -> int:
+    """max{h >= 0 : 4 h^3 <= 27 a^2 p_limit}, by bisection in Python ints."""
+    n = 27 * a * a * p_limit
+    lo, hi = 0, 1
+    while 4 * hi ** 3 <= n:
+        hi *= 2
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if 4 * mid ** 3 <= n else (lo, mid)
+    return lo
+
+
+def test_hessian_floor_exact_near_cubes():
+    # 4 * 3^3 = 27 * 2^2 * 1: the bound is met exactly
+    assert enumeration._hessian_floor(2, 1) == 3
+    assert enumeration._hessian_floor(1, 4) == 3 and enumeration._hessian_floor(1, 3) == 2
+    assert enumeration._hessian_floor(2, 8) == 6 and enumeration._hessian_floor(2, 7) == 5
+    # h0 steps up to h where 27 a^2 p_limit passes 4 h^3
+    for a in (1, 2, 3, 7, 150, enumeration.MAX_BOX):
+        limits = {1, MAX_LIMIT}
+        for h in (1, 2, 3, 10, 999, 10 ** 4, 123_456, 200_000):
+            step = 4 * h ** 3 // (27 * a * a)
+            limits |= {p for p in (step - 1, step, step + 1) if 1 <= p <= MAX_LIMIT}
+        for p_limit in sorted(limits):
+            assert enumeration._hessian_floor(a, p_limit) == _ref_hessian_floor(a, p_limit)
+
+
+def test_box_scan_cut_is_exactly_the_hessian_bound(monkeypatch):
+    # the (b, c) pairs handed to _d_windows at a >= 1 are exactly those with
+    # 4 max(-H, 0)^3 <= 27 a^2 p_limit, i.e. H >= -h0
+    handed = []
+    d_windows = enumeration._d_windows
+
+    def spy(a, b, c, lo, hi):
+        handed.append((a, b.tolist(), c.tolist()))
+        return d_windows(a, b, c, lo, hi)
+
+    monkeypatch.setattr(enumeration, "_d_windows", spy)
+    binding = 0
+    for box, p_limit, family in ((6, 4, 1), (7, 8, 1), (9, 27, 2), (10, 300, 1)):
+        handed.clear()
+        enumeration._box_survivors(box, p_limit, family)
+        side = [v for v in range(-box, box + 1) if family == 1 or v % 3 == 0]
+        assert [a for a, _, _ in handed] == list(range(box + 1))
+        for a, b, c in handed[1:]:
+            want = [
+                (bv, cv) for bv in side for cv in side
+                if 4 * max(3 * a * cv - bv * bv, 0) ** 3 <= 27 * a * a * p_limit
+            ]
+            assert list(zip(b, c)) == want, (box, p_limit, family, a)
+            h0 = enumeration._hessian_floor(a, p_limit)
+            binding += sum(3 * a * cv == bv * bv + h0 for bv, cv in want)
+    assert binding > 0  # pairs on the bound itself were kept
 
 
 def test_box_survivors_filter_from_the_stability_box():

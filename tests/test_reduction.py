@@ -7,6 +7,7 @@ import pytest
 from cubicforms import (
     IDENTITY,
     U1,
+    U1_INV,
     W,
     CubicForm,
     act,
@@ -111,6 +112,50 @@ def test_orbit_bfs_matches_act_reference(reference_orbit_bfs):
     # the cap boundary: a seed past the cap, and images that reach it exactly
     for f, cap in (((5, 0, 0, 7), 2), ((0, 1, -1, 0), 3), ((0, 1, -1, 0), 1), ((1, 0, -3, 1), 3)):
         assert orbit_bfs(f, cap) == reference_orbit_bfs(f, cap), (f, cap)
+
+
+def test_orbit_bfs_images_match_act(reference_orbit_bfs):
+    # seeded random forms, up to Python ints far past int64; the cap admits
+    # the seed and its three images, so each must be in the closure
+    r = random.Random(31)
+    for bits in (3, 40, 70, 130):
+        for _ in range(25):
+            f = random_nondegenerate(r, bound=2 ** bits)
+            images = [tuple(act(g, f)) for g in (U1, U1_INV, W)]
+            cap = max(abs(t) for x in (f, *images) for t in x)
+            closure = orbit_bfs(f, cap)
+            assert set(images) <= closure, f
+            assert closure == reference_orbit_bfs(f, cap), f
+
+
+def test_orbit_bfs_one_image_past_the_cap(reference_orbit_bfs):
+    # seeds on the cap where exactly one of u(1) f, u(-1) f leaves it
+    cases = 0
+    for f in itertools.product(range(-3, 4), repeat=4):
+        if discriminant(f) == 0:
+            continue
+        cap = max(map(abs, f))
+        up, down = (tuple(act(g, f)) for g in (U1, U1_INV))
+        inside = [max(map(abs, y)) <= cap for y in (up, down)]
+        if inside.count(True) != 1:
+            continue
+        closure = orbit_bfs(f, cap)
+        assert closure == reference_orbit_bfs(f, cap), f
+        assert [y in closure for y in (up, down)] == inside, f
+        cases += 1
+    assert cases > 100
+
+
+def test_orbit_bfs_matches_act_reference_family2(reference_orbit_bfs):
+    # seeded random L2 survivors of the box-150 scan at P = 27 * 300, cap 600
+    rows = enumeration._box_survivors(150, 27 * 300, 2)
+    pick = np.random.default_rng(2025).choice(len(rows), size=60, replace=False)
+    sizes = 0
+    for row in rows[pick].tolist():
+        closure = orbit_bfs(row, 600)
+        assert closure == reference_orbit_bfs(row, 600), row
+        sizes += len(closure)
+    assert sizes > 60 * 100
 
 
 def test_orbit_bfs_shared_closures():
