@@ -10,8 +10,11 @@ binary cubic forms with 1 <= |P| <= Y in three provably complete strata:
   b >= 1 (negating a form stays in its orbit), so scanning those two strata
   hits every orbit.  Each orbit's canonical representative
   (reduction._canonical_pos) has its negation in the scan (same Hessian,
-  first nonzero coefficient positive); a row is kept iff it is that
-  negation, and its canonical image is emitted: one row per orbit.
+  first nonzero coefficient positive); a row f is kept iff it is that
+  negation, and -f is emitted: one row per orbit.  Where A < C, f is kept
+  iff B != -A, so the strict clips B > -A and C > A are the keep rule;
+  only the A = C rows (one d per (b, c), every d at b = 0) go through
+  _canonical_pos.
 
 * P < 0, irreducible: unique representative with x1 > 0 whose complex root
   lies strictly inside the fundamental domain |Re z| <= 1/2, |z| >= 1.
@@ -25,9 +28,11 @@ binary cubic forms with 1 <= |P| <= Y in three provably complete strata:
 At fixed (a, b, c) every condition on d is an exact integer window: the
 bound on P is forms._d_windows (an int64 isqrt), and |B| <= A, C >= A and
 |s1| < 1 are linear in d.  Only s2 > 1 and the rational-root test of the
-P < 0 irreducible stratum are cuts on the rows.  One lexicographic sort per
-stratum checks it for duplicate rows.  Integer arithmetic is int64, exact up
-to limit = MAX_LIMIT (about 2.3e9).
+P < 0 irreducible stratum are cuts on the rows.  Every stratum emits its
+rows in order (the P > 0 tasks by descending a, since x1 = -a), so no sort
+is needed: one pass over neighbouring rows checks that each block strictly
+increases in its own key, which proves it has no duplicate rows.  Integer
+arithmetic is int64, exact up to limit = MAX_LIMIT (about 2.3e9).
 
 The brute-force oracle shares none of the strata: it scans the box
 [-box, box]^4 with the same d-windows of forms (exact up to box = MAX_BOX)
@@ -137,6 +142,21 @@ def _clip(windows, lo, hi) -> list:
     return [(np.maximum(w_lo, lo), np.minimum(w_hi, hi)) for w_lo, w_hi in windows]
 
 
+def _at_most(alpha: np.ndarray, beta: np.ndarray) -> tuple:
+    """(lo, hi): the d with alpha * d <= beta.  Where alpha = 0 the
+    condition does not involve d, and no bound is given."""
+    step = np.where(alpha == 0, 1, alpha)
+    return (
+        np.where(alpha < 0, _ceil_div(beta, step), _INT64.min),
+        np.where(alpha > 0, beta // step, _INT64.max),
+    )
+
+
+def _only(windows, keep: np.ndarray) -> list:
+    """Each (finite) window, emptied where keep is False."""
+    return [(w_lo, np.where(keep, w_hi, w_lo - 1)) for w_lo, w_hi in windows]
+
+
 # ---------------------------------------------------------------------------
 # positive-discriminant stratum
 # ---------------------------------------------------------------------------
@@ -159,35 +179,68 @@ def _pos_bc_windows(a: int, limit: int) -> tuple:
     return bs, c_lo, c_hi
 
 
-def _pos_scan(a: int, limit: int) -> np.ndarray:
-    """The weakly Hessian-reduced rows (|B| <= A <= C) with leading
-    coefficient a >= 0 (b >= 1 if a = 0) and 1 <= P <= limit, in
-    lexicographic order.  At fixed (b, c) each condition is exact in d:
-    1 <= P <= limit gives the windows of _d_windows, and |B| <= A and
-    C >= A, both linear in d, clip them."""
+def _pos_windows(a: int, limit: int) -> tuple:
+    """(b, c, A, k, windows): the (b, c) pairs of _pos_scan, their Hessian
+    A = b^2 - 3ac and k = c^2 - A, and the d-windows of each pair.  At
+    fixed (b, c) each condition is exact in d: 1 <= P <= limit gives the
+    windows of _d_windows, and |B| <= A and C >= A, both linear in d, clip
+    them."""
     b, c = _bc_pairs(*_pos_bc_windows(a, limit))
     A = b * b - 3 * a * c
     windows = _d_windows(a, b, c, 1, limit)
     if a:  # |B| = |bc - 9ad| <= A
         windows = _clip(windows, _ceil_div(b * c - A, 9 * a), (b * c + A) // (9 * a))
-    # C = c^2 - 3bd >= A bounds d above for b > 0 and below for b < 0
-    # (b = 0 is settled by the c-windows)
+    # C = c^2 - 3bd >= A, i.e. 3bd <= k, bounds d above for b > 0 and below
+    # for b < 0 (b = 0 is settled by the c-windows)
     k = c * c - A
-    step = np.where(b == 0, 1, 3 * b)
-    windows = _clip(
-        windows,
-        np.where(b < 0, _ceil_div(k, step), _INT64.min),
-        np.where(b > 0, k // step, _INT64.max),
-    )
+    return b, c, A, k, _clip(windows, *_at_most(3 * b, k))
+
+
+def _pos_scan(a: int, limit: int) -> np.ndarray:
+    """The weakly Hessian-reduced rows (|B| <= A <= C) with leading
+    coefficient a >= 0 (b >= 1 if a = 0) and 1 <= P <= limit, in
+    lexicographic order."""
+    b, c, _, _, windows = _pos_windows(a, limit)
     return _window_rows(a, b, c, windows)
+
+
+def _pair_counts(windows) -> np.ndarray:
+    """The number of d in the windows of each (b, c) pair."""
+    return sum(np.maximum(w_hi - w_lo + 1, 0) for w_lo, w_hi in windows)
 
 
 def _pos_stratum(a: int, limit: int) -> np.ndarray:
     """The canonical representatives whose negation has leading coefficient
-    a; over all a >= 0, one row per orbit with 1 <= P <= limit."""
-    rows = _pos_scan(a, limit)
-    canon = _canonical_pos(rows)
-    return canon[(canon == -rows).all(axis=1)]
+    a, in lexicographic order; over all a >= 0, one row per orbit with
+    1 <= P <= limit.
+
+    A scan row f is kept, and -f emitted, iff -f is canonical
+    (reduction._canonical_pos).  Where A < C that holds iff B != -A, so
+    the strict clips B > -A and C > A give the rows kept outright.  Only
+    the A = C rows go through _canonical_pos: one d = k / (3b) per (b, c),
+    the end of the C clip (every d of the pair c = -3a at b = 0).  The
+    scan is in lexicographic order, so the negated rows are reversed."""
+    b, c, A, k, windows = _pos_windows(a, limit)
+    if a:  # B = bc - 9ad > -A
+        strict = _clip(windows, _INT64.min, (b * c + A - 1) // (9 * a))
+    else:  # B = bc > -A = -b^2
+        strict = _only(windows, c != -b)
+    # C > A, and C = A; at b = 0, C - A = k for every d
+    strict = _only(_clip(strict, *_at_most(3 * b, k - 1)), (b != 0) | (k > 0))
+    equal = _only(_clip(windows, *_at_most(-3 * b, -k)), (b != 0) | (k == 0))
+    rows = _window_rows(a, b, c, strict)
+    edge = _window_rows(a, b, c, equal)
+    edge_pair = np.repeat(np.arange(len(b)), _pair_counts(equal))
+    # an A = C row ends its pair's rows for b > 0 and starts them for b <= 0
+    counts = _pair_counts(strict)
+    at = np.cumsum(counts)[edge_pair] - np.where(b > 0, 0, counts)[edge_pair]
+    keep = (_canonical_pos(edge) == -edge).all(axis=1)
+    pieces = np.split(rows, at[keep])
+    merged = pieces[:1]
+    for row, piece in zip(edge[keep], pieces[1:]):
+        merged += [row[None], piece]
+    rows = np.concatenate([piece[::-1] for piece in reversed(merged)])
+    return np.negative(rows, out=rows)
 
 
 # ---------------------------------------------------------------------------
@@ -314,27 +367,23 @@ class MasterClasses:
         return len(self.disc)
 
 
-def _pos_irreducible_mask(rows: np.ndarray) -> np.ndarray:
-    """Irreducibility for P > 0 rows (up to three real roots, trig Cardano)."""
-    irred = np.ones(len(rows), dtype=bool)
-    a = rows[:, 0]
-    irred[(a == 0) | (rows[:, 3] == 0)] = False
-    live = irred.copy()
-    for av in np.unique(np.abs(a[live])):
-        if av == 0:
-            continue
-        sel = np.where(live & (np.abs(a) == av))[0]
-        sub = rows[sel]
-        p, q, shift = _depressed(sub)
-        # P > 0 => three distinct real roots => (q/2)^2 + (p/3)^3 < 0, p < 0
-        m = np.sqrt(np.maximum(-p / 3.0, 1e-300))
-        arg = np.clip(3.0 * q / (2.0 * p * m), -1.0, 1.0)
-        phi = np.arccos(arg)
-        red = np.zeros(len(sub), dtype=bool)
-        for k in range(3):
-            t = 2.0 * m * np.cos((phi - 2.0 * np.pi * k) / 3.0) - shift
-            red |= _root_near_mask(sub, t, int(av))
-        irred[sel[red]] = False
+def _pos_irreducible_mask(rows: np.ndarray, a: int) -> np.ndarray:
+    """Irreducibility of P > 0 rows whose leading coefficient is a or -a,
+    a >= 1 (three real roots, trig Cardano); a row with x4 = 0 has the
+    root (0 : 1)."""
+    irred = rows[:, 3] != 0
+    sel = np.flatnonzero(irred)
+    sub = rows[sel]
+    p, q, shift = _depressed(sub)
+    # P > 0 => three distinct real roots => (q/2)^2 + (p/3)^3 < 0, p < 0
+    m = np.sqrt(np.maximum(-p / 3.0, 1e-300))
+    arg = np.clip(3.0 * q / (2.0 * p * m), -1.0, 1.0)
+    phi = np.arccos(arg)
+    red = np.zeros(len(sub), dtype=bool)
+    for k in range(3):
+        t = 2.0 * m * np.cos((phi - 2.0 * np.pi * k) / 3.0) - shift
+        red |= _root_near_mask(sub, t, a)
+    irred[sel[red]] = False
     return irred
 
 
@@ -367,13 +416,22 @@ def _lex_order(rows: np.ndarray) -> np.ndarray:
     return np.lexsort(rows.T[::-1])
 
 
-def _lex_sorted(rows: np.ndarray, stratum: str) -> np.ndarray:
-    """The rows in lexicographic order; AssertionError if two are equal.
-    (A row-wise unique on numpy's structured view costs many times more.)"""
-    rows = rows[_lex_order(rows)]
-    if (rows[1:] == rows[:-1]).all(axis=1).any():
-        raise AssertionError(f"duplicate representatives in {stratum} stratum")
-    return rows
+def _check_increasing(cols, stratum: str) -> None:
+    """AssertionError unless the rows with these key columns (first key
+    first, at most 7) strictly increase in lexicographic order: an O(n)
+    proof that no two rows are equal.  Each pair of neighbours x, y scores
+    the sum of 2^(k - 1 - j) sign(y_j - x_j) over its k keys, which is
+    positive iff y follows x: the first differing key outweighs the rest."""
+    score = np.zeros(max(len(cols[0]) - 1, 0), dtype=np.int8)
+    for col in cols:
+        x, y = col[:-1], col[1:]
+        score *= 2
+        score += (y > x).view(np.int8)
+        score -= (y < x).view(np.int8)
+    if not (score > 0).all():
+        raise AssertionError(
+            f"duplicate representatives or rows out of order in {stratum} stratum"
+        )
 
 
 # The largest limit Y at which every int64 intermediate of the strata and of
@@ -382,16 +440,20 @@ def _lex_sorted(rows: np.ndarray, stratum: str) -> np.ndarray:
 #   - discriminant of a reducible row (p, q, r, 0): r = 1 allows p up to
 #     (Y + 1) // 4 (r >= 2 allows less), and the partial product 27*a*a is
 #     27 p^2 <= 27 ((Y + 1) // 4)^2, about 1.69 Y^2.  This one binds;
-#   - small-matrix images of the P > 0 rows (0, b, c, d): b = 1 allows
+#   - small-matrix images of a P > 0 row (0, b, c, d): b = 1 allows
 #     |c| <= 1 and |d| <= Y/4 + 1, so s = |b| + |c| + |d| <= Y/4 + 3.  Image
-#     coefficients are at most s (x1, x4) and 3 s (x2, x3), so each Hessian
-#     product is at most 9 s^2, about 0.56 Y^2;
+#     coefficients are at most s (x1, x4) and 3 s (x2, x3), so a Hessian
+#     product of an image is at most 9 s^2, about 0.56 Y^2.  The stratum
+#     takes images (and their Hessians) of its A = C rows only, which have
+#     |d| <= b / 3 at a = 0, and the stabilizer column takes images without
+#     Hessians, so this bound is not reached;
 #   - in _neg_rd_stratum, q^2 r^2 < 4 r^4 <= 4 Y^2 / 9 (q < 2r, r^2 <= Y/3),
 #     and 4 p r^3 <= q^2 r^2 + Y.
 # Everything else grows at most like Y^(7/4): the P < 0 irreducible windows
 # keep |d| = a |t| s2 of order Y^(7/12), and the P > 0 rows with a != 0 are
-# Hessian-reduced.  Measured at Y = 1e4..1e6, these maxima match the terms
-# above (1.6875 Y^2 and 0.5625 Y^2) and stay below Y^(7/4).
+# Hessian-reduced.  Measured at Y = 1e4..1e6 with the images of every scan
+# row, these maxima matched the terms above (1.6875 Y^2 and 0.5625 Y^2) and
+# stayed below Y^(7/4).
 # The d-windows (forms._d_windows) need (isqrt(n) + 1)^2 < 2^63 for
 # n = B2^2 + 4 alpha (|C2| + Y), which grows like Y^(3/2).  Over the strata's
 # (b, c) windows at Y = MAX_LIMIT it is at most 2.45e18 (0.27 * 2^63, P < 0
@@ -432,24 +494,36 @@ def master_classes(limit: int, workers: int = 1) -> MasterClasses:
     else:
         results = [_run_task(t) for t in tasks]
 
-    pos_rows = _ranges_to_rows([r for k, r in results if k == "pos"])
-    ird_rows = _ranges_to_rows([r for k, r in results if k == "negird"])
-    rd_rows = _ranges_to_rows([r for k, r in results if k == "negrd"])
-    del results  # frees the per-task arrays; the three blocks hold copies
+    blocks = {"pos": [], "negird": [], "negrd": []}
+    for kind, rows in results:
+        blocks[kind].append(rows)
+    # a P > 0 task emits x1 = -a, so its blocks run in order by descending a
+    blocks["pos"].reverse()
+    pos_a = [a for kind, a, _ in reversed(tasks) if kind == "pos"]
+    pos_sizes = [len(rows) for rows in blocks["pos"]]
+    n_pos = sum(pos_sizes)
+    n_neg = n_pos + sum(len(rows) for rows in blocks["negird"])
+    reps = _ranges_to_rows(blocks["pos"] + blocks["negird"] + blocks["negrd"])
+    del results, blocks  # frees the per-task arrays; reps is the one copy
+    pos_rows = reps[:n_pos]
 
-    # Each stratum yields one row per orbit by construction; verify rather
-    # than assume.  The negative blocks keep their stratum order.
-    pos_rows = _lex_sorted(pos_rows, "pos")
-    _lex_sorted(ird_rows, "neg-irreducible")
-    _lex_sorted(rd_rows, "neg-reducible")
+    # Each stratum emits one row per orbit, in order; verify rather than
+    # assume, in each block's own key: the rows (p, q, r, 0) by (r, q, p).
+    _check_increasing(pos_rows.T, "pos")
+    _check_increasing(reps[n_pos:n_neg].T, "neg-irreducible")
+    _check_increasing(reps[n_neg:, 2::-1].T, "neg-reducible")
 
-    reps = np.concatenate([pos_rows, ird_rows, rd_rows], axis=0)
     disc = discriminant(reps.T)
     stab = np.ones(len(reps), dtype=np.int64)
-    stab[: len(pos_rows)] = _pos_stab_column(pos_rows)
+    stab[:n_pos] = _pos_stab_column(pos_rows)
     irred = np.zeros(len(reps), dtype=bool)
-    irred[: len(pos_rows)] = _pos_irreducible_mask(pos_rows)
-    irred[len(pos_rows): len(pos_rows) + len(ird_rows)] = True
+    irred[n_pos:n_neg] = True
+    # the rows of the a = 0 task (x1 = 0, last) are reducible: v divides them
+    end = 0
+    for a, size in zip(pos_a, pos_sizes):
+        start, end = end, end + size
+        if a:
+            irred[start:end] = _pos_irreducible_mask(reps[start:end], a)
 
     if not ((disc != 0).all() and (np.abs(disc) <= limit).all()):
         raise AssertionError("enumeration produced out-of-range discriminants")

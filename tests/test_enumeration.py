@@ -20,6 +20,7 @@ from cubicforms.cli import main
 from cubicforms.enumeration import MAX_LIMIT
 from cubicforms.forms import _d_windows, _isqrt64
 from cubicforms.reduction import (
+    _canonical_pos,
     _in_open_domain,
     canonical_reduce,
     orbit_bfs,
@@ -265,6 +266,82 @@ def test_master_rejects_duplicate_rows(monkeypatch, kind):
     monkeypatch.setattr(enumeration, "_MASTER_CACHE", {})
     with pytest.raises(AssertionError, match="duplicate representatives"):
         master_classes(2000)
+
+
+@pytest.mark.parametrize("kind", ["pos", "negird", "negrd"])
+def test_master_rejects_rows_out_of_order(monkeypatch, kind):
+    run_task = enumeration._run_task
+    swapped = []
+
+    def swap_first_pair(task):
+        got_kind, rows = run_task(task)
+        if got_kind == kind and not swapped and len(rows) >= 2:
+            rows = rows.copy()
+            rows[[0, 1]] = rows[[1, 0]]
+            swapped.append((rows[0] != rows[1]).any())
+        return got_kind, rows
+
+    monkeypatch.setattr(enumeration, "_run_task", swap_first_pair)
+    monkeypatch.setattr(enumeration, "_MASTER_CACHE", {})
+    with pytest.raises(AssertionError, match="out of order"):
+        master_classes(2000)
+    assert swapped == [True]  # two distinct rows, nothing else changed
+
+
+def test_check_increasing_reads_the_first_differing_key():
+    for j in range(4):
+        rows = np.zeros((2, 4), dtype=np.int64)
+        rows[1, j] = 1
+        rows[1, j + 1:] = -5  # later keys fall, and must not count
+        enumeration._check_increasing(rows.T, "test")
+        with pytest.raises(AssertionError, match="out of order in test stratum"):
+            enumeration._check_increasing(rows[::-1].T, "test")
+        with pytest.raises(AssertionError, match="duplicate representatives"):
+            enumeration._check_increasing(rows[[0, 1, 1]].T, "test")
+    for n in (0, 1):
+        enumeration._check_increasing(np.zeros((n, 4), dtype=np.int64).T, "test")
+
+
+def _count_a_equal_c(rows: np.ndarray) -> int:
+    A, _, C = hessian(rows.T)
+    return int((A == C).sum())
+
+
+@pytest.mark.parametrize("limit", [300_000, 1_000_000])
+def test_pos_stratum_matches_scan_reference(limit, reference_pos_stratum):
+    # every task, as arrays and in order, against the keep test run on every
+    # scan row; the A = C rows occur, and some of them are dropped
+    emitted = dropped = 0
+    for kind, a, lim in enumeration._stratum_tasks(limit):
+        if kind != "pos":
+            continue
+        got = enumeration._pos_stratum(a, lim)
+        want = reference_pos_stratum(a, lim)[::-1]
+        assert got.dtype == want.dtype and np.array_equal(got, want), a
+        emitted += _count_a_equal_c(got)
+        dropped += _count_a_equal_c(enumeration._pos_scan(a, lim)) - _count_a_equal_c(got)
+    assert emitted > 0 and dropped > 0
+
+
+def test_master_matches_sorted_reference(monkeypatch, reference_master):
+    # byte-equal to the master whose P > 0 block comes from the keep test on
+    # every scan row, ordered by a lexsort
+    limit = 300_000
+    monkeypatch.setattr(enumeration, "_MASTER_CACHE", {})
+    m = master_classes(limit)
+    want = reference_master(limit)
+    for name in ("reps", "disc", "stab", "irred", "member"):
+        got, ref = getattr(m, name), getattr(want, name)
+        assert (got.dtype, got.shape) == (ref.dtype, ref.shape), name
+        assert got.tobytes() == ref.tobytes(), name
+
+
+def test_master_positive_block_is_canonical():
+    # each P > 0 row is its own canonical image, so distinct rows are
+    # distinct orbits
+    m = master_classes(20000)
+    pos = m.reps[m.disc > 0]
+    assert np.array_equal(_canonical_pos(pos), pos)
 
 
 def test_master_rejects_limit_past_int64_bound(monkeypatch):
@@ -549,6 +626,29 @@ def test_strata_rows_match_box_reference():
     # past the tasks' a there is nothing
     assert len(_box_reference(pos[-1] + 1, 16, 40, 40, weakly_reduced)) == 0
     assert len(_box_reference(neg[-1] + 1, 16, 40, 60, root_reduced_irreducible)) == 0
+
+
+def test_pos_stratum_matches_box_reference(reference_canonical_pos):
+    # the negations of the box rows that are weakly reduced, in range and
+    # whose negation is the 20-matrix lex-min image, in order
+    limit = 500
+
+    def negation_canonical(rows):
+        A, B, C = hessian(rows.T)
+        p = discriminant(rows.T)
+        keep = (abs(B) <= A) & (A <= C) & (p >= 1) & (p <= limit)
+        keep &= (rows[:, 0] > 0) | (rows[:, 1] > 0)
+        keep[keep] = (reference_canonical_pos(-rows[keep]) == -rows[keep]).all(axis=1)
+        return keep
+
+    total = 0
+    for kind, a, _ in enumeration._stratum_tasks(limit):
+        if kind == "pos":
+            d_max = limit // 4 + 8 if a == 0 else 40
+            want = -_box_reference(a, 16, 40, d_max, negation_canonical)[::-1]
+            assert np.array_equal(enumeration._pos_stratum(a, limit), want), a
+            total += len(want)
+    assert total == (master_classes(limit).disc > 0).sum() > 0
 
 
 def test_strata_windows_exact_at_max_limit():
