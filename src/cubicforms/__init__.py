@@ -28,7 +28,6 @@ from .forms import (
 )
 from .reduction import canonical_reduce, orbit_bfs, stabilizer_order
 from .enumeration import (
-    ClassRecord,
     ClassTable,
     enumerate_classes,
     brute_force_classes,
@@ -38,7 +37,6 @@ from .series import (
     CheckReport,
     CoefficientSeries,
     Qrt3,
-    build_series,
     build_all_series,
     render_table,
     verify_tables,

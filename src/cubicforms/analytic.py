@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .enumeration import _sign_positive, master_classes
+from .enumeration import _index_columns, _sign_positive, _signed_selection, master_classes
 from .forms import EVEN_PARTNER, index_scale, lattice_membership, residue_grid
 from .series import CheckReport, _report
 
@@ -345,11 +345,12 @@ def density_report(
     """Counts S(X) of irreducible classes at geometric checkpoints up to max_x,
     against the two-term prediction; gauge = |S - prediction| / X^(2/3)."""
     scale = index_scale(lattice)
-    want_pos = _sign_positive(sign)
+    _sign_positive(sign)  # before the master is built
     master = master_classes(max_x * scale, workers=workers)
-    latcol = master.member[:, lattice - 1]
-    sel = latcol & master.irred & ((master.disc > 0) == want_pos)
-    n = np.abs(master.disc[sel]) // scale
+    columns = _index_columns(master, scale, max_x)
+    sel, n = _signed_selection(master, lattice, sign, columns)
+    sel &= master.irred
+    n = n[sel]
     stab = master.stab[sel]
     xs = sorted(
         {int(round(max_x ** (j / checkpoints))) for j in range(1, checkpoints + 1)}

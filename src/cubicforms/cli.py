@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections import Counter
 from fractions import Fraction
 
 from . import analytic, latclass, series as series_mod
@@ -116,11 +117,10 @@ def verify_oracle(max_index: int, box: int, workers: int = 1) -> series_mod.Chec
         for sign in ("+", "-"):
             fast = enumerate_classes(lattice, sign, max_index, workers)
             slow = brute_force_classes(lattice, sign, max_index, box, check_stability=True)
-            a = sorted(zip(fast.n.tolist(), fast.stab.tolist(), fast.irred.tolist()))
-            b = sorted((r.n, r.stab_order, r.irreducible) for r in slow)
+            a, b = fast.class_multiset(), slow.class_multiset()
             if a != b:
-                only_fast = [x for x in a if x not in b][:3]
-                only_slow = [x for x in b if x not in a][:3]
+                only_fast = sorted((Counter(a) - Counter(b)).elements())[:3]
+                only_slow = sorted((Counter(b) - Counter(a)).elements())[:3]
                 failures.append(
                     f"(L{lattice}, {sign}): enumeration and oracle disagree; "
                     f"fast-only {only_fast}, oracle-only {only_slow}"

@@ -43,9 +43,10 @@ needs 4 (-H)^3 <= 27 a^2 p_limit.  Each grouping computes the columns of its
 representatives (discriminant, lattice membership, stabilizer order,
 irreducibility) once, and every (lattice, sign) selects from them.
 
-enumerate_classes selects one (lattice, sign) pair from the master rows and
-returns it as a ClassTable of columns; ClassTable.records() builds one
-ClassRecord per orbit, the type brute_force_classes returns.
+The master rows and an oracle grouping are both MasterClasses: orbit
+columns (representative, discriminant, stabilizer order, irreducibility,
+lattice membership).  enumerate_classes and brute_force_classes select one
+(lattice, sign) pair from them the same way and return it as a ClassTable.
 """
 
 from __future__ import annotations
@@ -58,7 +59,6 @@ import numpy as np
 
 from .forms import (
     EVEN_LATTICES,
-    CubicForm,
     _ceil_div,
     _d_windows,
     _divisors,
@@ -75,21 +75,6 @@ from .reduction import (
     orbit_bfs,
     stabilizer_order,
 )
-
-
-@dataclass(frozen=True)
-class ClassRecord:
-    """One SL2(Z)-orbit: lattice, sign of P, index n, canonical representative."""
-
-    lattice: int
-    sign: str  # '+' or '-'
-    n: int
-    rep: CubicForm
-    stab_order: int
-    irreducible: bool
-
-    def sort_key(self):
-        return (self.n, tuple(self.rep))
 
 
 # ---------------------------------------------------------------------------
@@ -354,10 +339,11 @@ def _neg_rd_stratum(r_lo: int, r_hi: int, limit: int) -> np.ndarray:
 
 @dataclass
 class MasterClasses:
-    """One row per orbit with 1 <= |P(rep)| <= limit, as parallel numpy arrays."""
+    """One row per orbit with 1 <= |P(rep)| <= limit, as parallel numpy arrays:
+    the master enumeration, or one oracle grouping (its in-box orbits)."""
 
     limit: int
-    reps: np.ndarray  # (N, 4) int64, canonical representatives
+    reps: np.ndarray  # (N, 4) int64, representatives, one per orbit
     disc: np.ndarray  # (N,) int64, signed P
     stab: np.ndarray  # (N,) int64, 1 or 3
     irred: np.ndarray  # (N,) bool
@@ -489,7 +475,7 @@ def master_classes(limit: int, workers: int = 1) -> MasterClasses:
     if workers > 1:
         import multiprocessing as mp
 
-        with mp.get_context("fork").Pool(workers) as pool:
+        with mp.get_context("fork").Pool(min(workers, len(tasks))) as pool:
             results = pool.map(_run_task, tasks)
     else:
         results = [_run_task(t) for t in tasks]
@@ -536,14 +522,13 @@ def master_classes(limit: int, workers: int = 1) -> MasterClasses:
 
 
 # ---------------------------------------------------------------------------
-# public record-level interfaces
+# one (lattice, sign) pair as columns
 # ---------------------------------------------------------------------------
 
 
-def _index_columns(master: MasterClasses | BoxOrbits, scale: int, max_index: int) -> tuple:
+def _index_columns(master: MasterClasses, scale: int, max_index: int) -> tuple:
     """(n, by_sign): the index n = |P| // scale of every row and, for each
-    sign, the mask of the rows of that sign with 1 <= n <= max_index.
-    master is the master enumeration or the oracle's orbits."""
+    sign, the mask of the rows of that sign with 1 <= n <= max_index."""
     n = np.abs(master.disc) // scale
     in_range = (n >= 1) & (n <= max_index)
     return n, {"+": in_range & (master.disc > 0), "-": in_range & (master.disc < 0)}
@@ -556,9 +541,7 @@ def _sign_positive(sign: str) -> bool:
     return sign == "+"
 
 
-def _signed_selection(
-    master: MasterClasses | BoxOrbits, lattice: int, sign: str, columns: tuple
-):
+def _signed_selection(master: MasterClasses, lattice: int, sign: str, columns: tuple):
     """(mask, n) for one (lattice, sign) pair, given the _index_columns of
     the lattice's index scale."""
     _sign_positive(sign)
@@ -569,7 +552,7 @@ def _signed_selection(
 @dataclass
 class ClassTable:
     """The orbits of one (lattice, sign) pair as parallel numpy columns,
-    sorted by (index, representative), the order of ClassRecord.sort_key."""
+    sorted by (index, representative) in lexicographic order."""
 
     lattice: int
     sign: str  # '+' or '-'
@@ -591,12 +574,22 @@ class ClassTable:
             self.irred[block].tolist(),
         )
 
-    def records(self) -> list:
-        """One ClassRecord per row, in the table's order."""
-        return [
-            ClassRecord(self.lattice, self.sign, k, CubicForm._make(rep), stab, irred)
-            for k, rep, stab, irred in self.rows()
-        ]
+    def class_multiset(self) -> list:
+        """The sorted (n, stab, irred) triples of the rows, as Python ints and
+        bools: what the enumeration and the oracle must agree on."""
+        return sorted(zip(self.n.tolist(), self.stab.tolist(), self.irred.tolist()))
+
+
+def _class_table(orbits: MasterClasses, lattice: int, sign: str, max_index: int) -> ClassTable:
+    """The ClassTable of the orbits of one (lattice, sign) pair with
+    1 <= index <= max_index, selected from orbit columns."""
+    columns = _index_columns(orbits, index_scale(lattice), max_index)
+    mask, n = _signed_selection(orbits, lattice, sign, columns)
+    idx = np.flatnonzero(mask)
+    idx = idx[_lex_order(np.column_stack((n[idx], orbits.reps[idx])))]
+    return ClassTable(
+        lattice, sign, n[idx], orbits.reps[idx], orbits.stab[idx], orbits.irred[idx]
+    )
 
 
 def enumerate_classes(
@@ -612,13 +605,7 @@ def enumerate_classes(
     if max_index < 1:
         raise ValueError("max_index must be >= 1")
     master = master_classes(max_index * index_scale(lattice), workers=workers)
-    columns = _index_columns(master, index_scale(lattice), max_index)
-    mask, n = _signed_selection(master, lattice, sign, columns)
-    idx = np.where(mask)[0]
-    idx = idx[_lex_order(np.column_stack((n[idx], master.reps[idx])))]
-    return ClassTable(
-        lattice, sign, n[idx], master.reps[idx], master.stab[idx], master.irred[idx]
-    )
+    return _class_table(master, lattice, sign, max_index)
 
 
 # ---------------------------------------------------------------------------
@@ -688,24 +675,13 @@ def _box_survivors(box: int, p_limit: int, family: int) -> np.ndarray:
     return np.concatenate([rows, -rows])
 
 
-@dataclass(frozen=True)
-class BoxOrbits:
-    """The orbits found by one oracle grouping: the lexmin in-box member of
-    each, sorted, and per representative the columns the records read."""
-
-    reps: list  # tuples of ints, in lexicographic order
-    disc: np.ndarray  # (N,) int64, signed P
-    member: np.ndarray  # (N, 10) bool, membership in L1..L10
-    stab: np.ndarray  # (N,) int64, 1 or 3
-    irred: np.ndarray  # (N,) bool
-
-
 def _group_box_orbits(
     box: int, p_limit: int, cap: int, family: int, scan_box: int
-) -> BoxOrbits:
-    """Group the box survivors into orbits: their lexmin in-box reps and the
-    columns of each.  The survivors are filtered from the scan at
-    scan_box >= box, which is made once per (scan_box, p_limit, family)."""
+) -> MasterClasses:
+    """Group the box survivors into orbits: their lexmin in-box reps, in
+    lexicographic order, and the columns of each.  The survivors are
+    filtered from the scan at scan_box >= box, which is made once per
+    (scan_box, p_limit, family)."""
     key = (box, p_limit, cap, family)
     if key in _ORACLE_CACHE:
         return _ORACLE_CACHE[key]
@@ -724,13 +700,15 @@ def _group_box_orbits(
         todo -= members
         reps.append(min(members))
     reps.sort()
-    cols = np.array(reps, dtype=np.int64).reshape(-1, 4).T
-    orbits = BoxOrbits(
-        reps,
+    rows = np.array(reps, dtype=np.int64).reshape(-1, 4)
+    cols = rows.T
+    orbits = MasterClasses(
+        p_limit,
+        rows,
         discriminant(cols),
-        lattice_membership(cols),
         np.array([stabilizer_order(f) for f in reps], dtype=np.int64),
         np.array([is_irreducible(f) for f in reps], dtype=bool),
+        lattice_membership(cols),
     )
     _ORACLE_CACHE[key] = orbits
     return orbits
@@ -743,8 +721,9 @@ def brute_force_classes(
     box: int,
     cap: int | None = None,
     check_stability: bool = False,
-) -> list:
-    """Independent oracle: box enumeration + BFS orbit grouping.
+) -> ClassTable:
+    """Independent oracle: box enumeration + BFS orbit grouping, returned as
+    the ClassTable of the pair, in the order of enumerate_classes.
 
     Correct only when every orbit with index <= max_index has a member in
     [-box, box]^4 and box members are BFS-connected within the cap (default
@@ -771,36 +750,21 @@ def brute_force_classes(
         raise ValueError(f"box {scan_box} exceeds the int64 safety bound {MAX_BOX}")
     if p_limit > MAX_LIMIT:
         raise ValueError(f"limit {p_limit} exceeds the int64 safety bound {MAX_LIMIT}")
-    records = _oracle_records(lattice, sign, max_index, box, p_limit, cap, scan_box)
+    # the even lattices lie in L2, where 27 divides P, so |P| // 27 is exact
+    family = 2 if lattice in EVEN_LATTICES else 1
+
+    def grouped(at_box: int, at_cap: int) -> ClassTable:
+        orbits = _group_box_orbits(at_box, p_limit, at_cap, family, scan_box)
+        return _class_table(orbits, lattice, sign, max_index)
+
+    table = grouped(box, cap)
     if check_stability:
-        big_cap = max(cap * 3 // 2, scan_box)
-        bigger = _oracle_records(
-            lattice, sign, max_index, scan_box, p_limit, big_cap, scan_box
-        )
-        a = sorted((r.n, r.stab_order, r.irreducible) for r in records)
-        b = sorted((r.n, r.stab_order, r.irreducible) for r in bigger)
-        if a != b:
+        bigger = grouped(scan_box, max(cap * 3 // 2, scan_box))
+        if table.class_multiset() != bigger.class_multiset():
             warnings.warn(
                 f"brute_force_classes unstable under box growth "
                 f"({box} -> {scan_box}) for (L{lattice}, {sign}); "
                 f"results may be incomplete",
                 stacklevel=2,
             )
-    return records
-
-
-def _oracle_records(lattice, sign, max_index, box, p_limit, cap, scan_box) -> list:
-    family = 2 if lattice in EVEN_LATTICES else 1
-    orbits = _group_box_orbits(box, p_limit, cap, family, scan_box)
-    # the even lattices lie in L2, where 27 divides P, so |P| // 27 is exact
-    columns = _index_columns(orbits, index_scale(lattice), max_index)
-    mask, n = _signed_selection(orbits, lattice, sign, columns)
-    idx = np.flatnonzero(mask)
-    records = [
-        ClassRecord(lattice, sign, k, CubicForm._make(orbits.reps[i]), stab, irred)
-        for i, k, stab, irred in zip(
-            idx.tolist(), n[idx].tolist(), orbits.stab[idx].tolist(), orbits.irred[idx].tolist()
-        )
-    ]
-    records.sort(key=ClassRecord.sort_key)
-    return records
+    return table

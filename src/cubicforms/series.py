@@ -101,40 +101,17 @@ class CoefficientSeries:
         return int(self._cells(n).sum())
 
 
-def _count_orbits(lattice: int, sign: str, max_n: int, n, stab, irred) -> CoefficientSeries:
+def _pair_series(master: MasterClasses, lattice: int, sign: str, max_n: int, columns: tuple):
     """One bincount over the columns (index, stabilizer order, irreducible) of
-    the orbits of one (lattice, sign) pair with 1 <= index <= max_n."""
+    the orbits of one (lattice, sign) pair with 1 <= index <= max_n, given
+    the _index_columns of the lattice's index scale."""
+    mask, n = _signed_selection(master, lattice, sign, columns)
+    stab = master.stab[mask]
     if not np.isin(stab, (1, 3)).all():
         raise ValueError("stabilizer orders must be 1 or 3")
-    cell = 2 * (stab == 3) + irred
-    counts = np.bincount(cell * (max_n + 1) + n, minlength=4 * (max_n + 1))
+    cell = 2 * (stab == 3) + master.irred[mask]
+    counts = np.bincount(cell * (max_n + 1) + n[mask], minlength=4 * (max_n + 1))
     return CoefficientSeries(lattice, sign, max_n, counts.reshape(2, 2, max_n + 1))
-
-
-def build_series(records: list, max_n: int) -> CoefficientSeries:
-    """Aggregate ClassRecords (all one lattice and sign) into a series."""
-    if not records:
-        raise ValueError("cannot build a series from an empty record list")
-    lattice = records[0].lattice
-    sign = records[0].sign
-    seen = set()
-    cols = []
-    for r in records:
-        if r.lattice != lattice or r.sign != sign:
-            raise ValueError("records mix lattices or signs")
-        if not 1 <= r.n <= max_n:
-            continue
-        key = (r.n, tuple(r.rep))
-        if key in seen:
-            raise AssertionError(f"duplicate class record {key} for (L{lattice}, {sign})")
-        seen.add(key)
-        cols.append((r.n, r.stab_order, r.irreducible))
-    return _count_orbits(lattice, sign, max_n, *np.array(cols, dtype=np.int64).reshape(-1, 3).T)
-
-
-def _pair_series(master: MasterClasses, lattice: int, sign: str, max_n: int, columns: tuple):
-    mask, n = _signed_selection(master, lattice, sign, columns)
-    return _count_orbits(lattice, sign, max_n, n[mask], master.stab[mask], master.irred[mask])
 
 
 def series_from_master(master: MasterClasses, lattice: int, sign: str, max_n: int):

@@ -3,7 +3,7 @@ from collections import deque
 import numpy as np
 import pytest
 
-from cubicforms import U1, W, act, build_all_series, hessian
+from cubicforms import U1, W, ClassTable, CoefficientSeries, act, build_all_series, hessian
 from cubicforms import enumeration
 from cubicforms.enumeration import MasterClasses
 from cubicforms.forms import U1_INV, action_matrix, discriminant, lattice_membership
@@ -19,6 +19,31 @@ def series300():
 def series51(series300):
     # any max_n <= 300 can reuse the cached master enumeration
     return build_all_series(51)
+
+
+def _series_from_rows(table: ClassTable, max_n: int) -> CoefficientSeries:
+    """The series of one ClassTable up to index max_n, counted row by row
+    from ClassTable.rows(): the reference for the master path.  Rows past
+    max_n are left out; AssertionError for a repeated (n, rep), ValueError
+    for an empty table or a stabilizer order other than 1 or 3."""
+    if not len(table):
+        raise ValueError("cannot build a series from an empty table")
+    orbits = np.zeros((2, 2, max_n + 1), dtype=np.int64)
+    seen = set()
+    for n, rep, stab, irred in table.rows():
+        if not 1 <= n <= max_n:
+            continue
+        key = (n, tuple(rep))
+        if key in seen:
+            raise AssertionError(f"duplicate class row {key} for (L{table.lattice}, {table.sign})")
+        seen.add(key)
+        orbits[(1, 3).index(stab), int(irred), n] += 1
+    return CoefficientSeries(table.lattice, table.sign, max_n, orbits)
+
+
+@pytest.fixture(scope="session")
+def build_series():
+    return _series_from_rows
 
 
 def _lexmin_small_images(rows: np.ndarray) -> np.ndarray:

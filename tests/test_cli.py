@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from cubicforms import cli, enumeration
@@ -46,11 +47,11 @@ def test_enumerate_empty(tmp_path):
 
 
 def _json_dumps_lines(table) -> str:
-    """The enumerate output written record by record with json.dumps."""
+    """The enumerate output written row by row with json.dumps."""
     lines = ["schema:1"]
-    for r in table.records():
-        d = {"lattice": r.lattice, "sign": r.sign, "n": r.n, "rep": list(r.rep),
-             "stab": r.stab_order, "irreducible": r.irreducible}
+    for n, rep, stab, irred in table.rows():
+        d = {"lattice": table.lattice, "sign": table.sign, "n": n, "rep": rep,
+             "stab": stab, "irreducible": irred}
         lines.append(json.dumps(d, separators=(",", ":")))
     return "\n".join(lines) + "\n"
 
@@ -196,6 +197,32 @@ def test_verify_rejects_box_past_int64_bound(monkeypatch):
     passed = CheckReport("oracle stand-in", True, [])
     monkeypatch.setattr(cli, "verify_oracle", lambda max_index, box, workers: passed)
     assert main(["verify", "--suite", "oracle", "--box", str(top)]) == 0
+
+
+def test_verify_oracle_names_a_class_missing_one_copy(monkeypatch):
+    # The enumeration's multiset against an oracle stand-in that lacks one
+    # copy of a repeated class (L1-) or holds an extra copy (L1+): each
+    # surplus copy is named, though the class itself is on both sides.
+    def stand_in(lattice, sign, max_index, box, check_stability):
+        table = enumeration.enumerate_classes(lattice, sign, max_index)
+        idx = np.arange(len(table))
+        if (lattice, sign) == (1, "-"):
+            assert table.class_multiset().count((16, 1, False)) == 2
+            idx = np.delete(idx, np.flatnonzero(table.n == 16)[0])
+        elif (lattice, sign) == (1, "+"):
+            idx = np.append(idx, 0)
+        return enumeration.ClassTable(
+            lattice, sign, table.n[idx], table.reps[idx], table.stab[idx], table.irred[idx]
+        )
+
+    monkeypatch.setattr(cli, "brute_force_classes", stand_in)
+    assert str(cli.verify_oracle(23, box=5)) == (
+        "[FAIL] oracle equivalence (index <= 23, box 5)\n"
+        "    (L1, +): enumeration and oracle disagree; "
+        "fast-only [], oracle-only [(1, 3, False)]\n"
+        "    (L1, -): enumeration and oracle disagree; "
+        "fast-only [(16, 1, False)], oracle-only []"
+    )
 
 
 def test_mutation_flips_verify(tmp_path, monkeypatch):

@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 import random
 from fractions import Fraction
 from math import isqrt
@@ -63,6 +64,38 @@ def test_master_workers_deterministic(monkeypatch):
     assert (a.reps[order_a] == b.reps[order_b]).all()
 
 
+def test_master_pool_size_is_bounded_by_tasks(monkeypatch):
+    # no real process: the fake pool records its size and maps serially
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return [fn(t) for t in tasks]
+
+    class SerialContext:
+        Pool = SerialPool
+
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method: SerialContext)
+    monkeypatch.setattr(enumeration, "_MASTER_CACHE", {})
+    wide = master_classes(100, workers=10 ** 6)
+    assert sizes == [len(enumeration._stratum_tasks(100))]
+    monkeypatch.setattr(enumeration, "_MASTER_CACHE", {})
+    serial = master_classes(100, workers=1)
+    assert sizes == [len(enumeration._stratum_tasks(100))]  # workers=1 starts no pool
+    for name in ("reps", "disc", "stab", "irred", "member"):
+        a, b = getattr(wide, name), getattr(serial, name)
+        assert a.dtype == b.dtype and (a == b).all(), name
+
+
 def test_enumerate_classes_examples():
     table = enumerate_classes(1, "+", 1)
     assert len(table) == 1
@@ -78,20 +111,34 @@ def test_enumerate_classes_examples():
     assert total == Fraction(1, 3)
 
 
-def test_enumerate_classes_sorted_and_in_lattice():
-    table = enumerate_classes(7, "-", 60)
-    recs = table.records()
-    assert len(table) == len(recs) > 0
-    assert recs == sorted(recs, key=lambda r: r.sort_key())
-    for r in recs:
-        assert (r.lattice, r.sign) == (7, "-")
-        assert lattice_member(r.rep, 7)
-        assert discriminant(r.rep) == -r.n
-    # the records are the table's rows, in its order
-    assert [r.n for r in recs] == table.n.tolist()
-    assert [list(r.rep) for r in recs] == table.reps.tolist()
-    assert [r.stab_order for r in recs] == table.stab.tolist()
-    assert [r.irreducible for r in recs] == table.irred.tolist()
+def _oracle_classes(lattice: int, sign: str, max_index: int):
+    return brute_force_classes(lattice, sign, max_index, box=16)
+
+
+@pytest.mark.parametrize(
+    "produce", [enumerate_classes, _oracle_classes], ids=["enumeration", "oracle"]
+)
+@pytest.mark.parametrize(
+    "lattice, sign, max_index", [(7, "-", 60), (8, "-", 20)], ids=["L7-", "L8-"]
+)
+def test_enumerate_classes_sorted_and_in_lattice(produce, lattice, sign, max_index):
+    table = produce(lattice, sign, max_index)
+    assert (table.lattice, table.sign) == (lattice, sign)
+    assert len(table) > 0
+    assert table.reps.dtype == np.int64 and table.reps.shape == (len(table), 4)
+    keys = list(zip(table.n.tolist(), map(tuple, table.reps.tolist())))
+    assert keys == sorted(set(keys))  # sorted by (n, rep), and distinct
+    scale = 27 if lattice % 2 == 0 else 1
+    for n, rep in keys:
+        assert 1 <= n <= max_index
+        assert lattice_member(rep, lattice)
+        assert discriminant(rep) == (n if sign == "+" else -n) * scale
+    # rows() gives the columns, in the table's order, as Python values
+    rows = list(table.rows())
+    columns = (table.n, table.reps, table.stab, table.irred)
+    assert rows == list(zip(*(col.tolist() for col in columns)))
+    assert all(type(x) is int for n, rep, stab, _ in rows for x in (n, *rep, stab))
+    assert all(type(irred) is bool for _, _, _, irred in rows)
 
 
 def test_enumerate_classes_bad_args():
@@ -134,11 +181,15 @@ def test_brute_force_rejects_bad_bounds(monkeypatch):
 def test_brute_force_stability_cap_covers_its_box(monkeypatch):
     caps = []
 
-    def record_caps(lattice, sign, max_index, box, p_limit, cap, scan_box):
+    def record_caps(box, p_limit, cap, family, scan_box):
         caps.append((box, cap))
-        return []
+        no_rows = np.empty((0, 4), dtype=np.int64)
+        return enumeration.MasterClasses(
+            p_limit, no_rows, no_rows[:, 0], no_rows[:, 0], no_rows[:, 0] != 0,
+            np.empty((0, 10), dtype=bool),
+        )
 
-    monkeypatch.setattr(enumeration, "_oracle_records", record_caps)
+    monkeypatch.setattr(enumeration, "_group_box_orbits", record_caps)
     brute_force_classes(1, "+", 20, 9, cap=9, check_stability=True)
     brute_force_classes(1, "+", 20, 10, check_stability=True)
     # 1.5 times the cap, but at least the stability box (14 for box 9)
@@ -146,8 +197,8 @@ def test_brute_force_stability_cap_covers_its_box(monkeypatch):
 
 
 def test_brute_force_tiny():
-    recs = brute_force_classes(1, "+", 1, box=2)
-    assert len(recs) == 1 and recs[0].stab_order == 3
+    table = brute_force_classes(1, "+", 1, box=2)
+    assert len(table) == 1 and table.stab.tolist() == [3]
 
 
 @pytest.mark.parametrize("family, p_limit", [(1, 60), (2, 27 * 12)])
@@ -157,7 +208,9 @@ def test_group_box_orbits_reps_are_lexmin_in_box(monkeypatch, family, p_limit):
     monkeypatch.setattr(enumeration, "_SCAN_CACHE", {})
     scan_box = enumeration.stability_box(box)
     orbits = enumeration._group_box_orbits(box, p_limit, cap, family, scan_box)
-    reps = orbits.reps
+    assert orbits.limit == p_limit
+    assert orbits.reps.dtype == np.int64 and orbits.reps.shape == (len(orbits), 4)
+    reps = list(map(tuple, orbits.reps.tolist()))
     # reference: the least in-box form of each closure, found by testing
     # every closure member against the box
     todo = set(map(tuple, enumeration._box_survivors(box, p_limit, family).tolist()))
@@ -184,10 +237,11 @@ def test_brute_force_matches_enumeration_small():
         (5, "-", 100, 30),
         (2, "+", 4, 30),
     ]:
-        fast = enumerate_classes(lattice, sign, max_index).records()
+        fast = enumerate_classes(lattice, sign, max_index)
         slow = brute_force_classes(lattice, sign, max_index, box=box)
-        a = sorted((r.n, r.stab_order, r.irreducible) for r in fast)
-        b = sorted((r.n, r.stab_order, r.irreducible) for r in slow)
+        a, b = (
+            sorted(zip(t.n.tolist(), t.stab.tolist(), t.irred.tolist())) for t in (fast, slow)
+        )
         assert a == b, (lattice, sign)
 
 

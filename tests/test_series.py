@@ -1,12 +1,13 @@
 import dataclasses
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from cubicforms import (
+    ClassTable,
     CoefficientSeries,
     Qrt3,
-    build_series,
     enumerate_classes,
     euler_product_check,
     lambda_coefficient_identity,
@@ -41,15 +42,24 @@ def test_build_series_examples(series300):
     assert series300[(2, "-")].coeff(1) == 1
 
 
-def test_build_series_from_records():
-    recs = enumerate_classes(3, "-", 50).records()
-    s = build_series(recs, 50)
+def _take(table: ClassTable, idx) -> ClassTable:
+    """The table's rows at the positions idx, in that order."""
+    idx = np.asarray(idx, dtype=np.int64)
+    return ClassTable(
+        table.lattice, table.sign, table.n[idx], table.reps[idx], table.stab[idx],
+        table.irred[idx],
+    )
+
+
+def test_build_series_from_records(build_series):
+    table = enumerate_classes(3, "-", 50)
+    s = build_series(table, 50)
     assert isinstance(s, CoefficientSeries)
     assert s.coeff(7) == 1
     with pytest.raises(AssertionError):
-        build_series(recs + recs[:1], 50)
+        build_series(_take(table, [*range(len(table)), 0]), 50)
     with pytest.raises(ValueError):
-        build_series([], 50)
+        build_series(_take(table, []), 50)
 
 
 def test_series_splits_sum(series300):
@@ -63,30 +73,30 @@ def test_series_splits_sum(series300):
             assert s.coeff(n) <= s.count(n) <= 3 * s.coeff(n)
 
 
-def test_record_path_equals_master_path(series300):
+def test_record_path_equals_master_path(series300, build_series):
     for lattice, sign in ALL_PAIRS:
         want = series300[(lattice, sign)]
-        records = enumerate_classes(lattice, sign, 300).records()
-        s = build_series(records, 300)
+        table = enumerate_classes(lattice, sign, 300)
+        s = build_series(table, 300)
         assert (s.lattice, s.sign, s.max_n) == (lattice, sign, 300)
         for n in range(1, 301):
             assert s.coeff(n) == want.coeff(n), (lattice, sign, n)
             assert s.count(n) == want.count(n), (lattice, sign, n)
-        # 3 a_n of each part, summed record by record
+        # 3 a_n of each part, summed row by row
         parts = {True: [0] * 301, False: [0] * 301}
-        for r in records:
-            parts[r.irreducible][r.n] += 3 // r.stab_order
+        for n, _, stab, irred in table.rows():
+            parts[irred][n] += 3 // stab
         for irreducible, thirds in parts.items():
             assert s.thirds(irreducible=irreducible).tolist() == thirds
             assert want.thirds(irreducible=irreducible).tolist() == thirds
 
 
-def test_record_path_drops_records_past_max_n(series300):
-    # Records of index 301..450 are left out, not counted in another cell.
+def test_record_path_drops_records_past_max_n(series300, build_series):
+    # Rows of index 301..450 are left out, not counted in another cell.
     for lattice, sign in ALL_PAIRS:
-        records = enumerate_classes(lattice, sign, 450).records()
-        assert any(r.n > 300 for r in records), (lattice, sign)
-        s = build_series(records, 300)
+        table = enumerate_classes(lattice, sign, 450)
+        assert (table.n > 300).any(), (lattice, sign)
+        s = build_series(table, 300)
         want = series300[(lattice, sign)]
         assert s.max_n == 300
         for irreducible in (None, True, False):
