@@ -305,31 +305,12 @@ def _neg_ird_stratum(a: int, limit: int) -> np.ndarray:
 
 
 def _neg_rd_stratum(r_lo: int, r_hi: int, limit: int) -> np.ndarray:
-    """Rows (p, q, r, 0), r in [r_lo, r_hi], 0 <= q < 2r, 1 <= -P <= limit."""
-    rows = []
-    for r in range(r_lo, r_hi + 1):
-        dmax = limit // (r * r)
-        if dmax < 3:
-            continue
-        qs = np.arange(0, 2 * r, dtype=np.int64)
-        lo = _ceil_div(qs * qs + 1, 4 * r)
-        hi = (qs * qs * r * r + limit) // (4 * r ** 3)
-        idx, ps = _expand_windows(lo, hi)
-        if len(ps) == 0:
-            continue
-        q_col = qs[idx]
-        rows.append(
-            np.stack(
-                [
-                    ps,
-                    q_col,
-                    np.full(len(ps), r, dtype=np.int64),
-                    np.zeros(len(ps), dtype=np.int64),
-                ],
-                axis=1,
-            )
-        )
-    return _ranges_to_rows(rows)
+    """Rows (p, q, r, 0), r in [r_lo, r_hi], 0 <= q < 2r, 1 <= -P <= limit,
+    in lexicographic order of (r, q, p)."""
+    rs = np.arange(r_lo, r_hi + 1, dtype=np.int64)
+    r, q = _bc_pairs(rs, np.zeros_like(rs), 2 * rs - 1)
+    idx, p = _expand_windows(_ceil_div(q * q + 1, 4 * r), (q * q * r * r + limit) // (4 * r ** 3))
+    return np.stack([p, q[idx], r[idx], np.zeros_like(p)], axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -604,6 +585,7 @@ def enumerate_classes(
     """
     if max_index < 1:
         raise ValueError("max_index must be >= 1")
+    _sign_positive(sign)
     master = master_classes(max_index * index_scale(lattice), workers=workers)
     return _class_table(master, lattice, sign, max_index)
 

@@ -10,7 +10,8 @@ _d_windows solves lo <= P <= hi for the last coefficient exactly on int64
 columns; the enumeration strata and the brute-force oracle both scan with it.
 The invariant lattices L1..L10 are defined once, by their Z-bases
 (lattice_basis).  Membership is one residue table mod 6 generated from those
-bases, used by both the scalar and the columnwise callers.
+bases (residue_span, the span of rows mod m), used by both the scalar and the
+columnwise callers.  gauss_jordan is the one exact elimination over Q.
 """
 
 from __future__ import annotations
@@ -274,16 +275,52 @@ def residue_grid(mod: int) -> np.ndarray:
     return np.indices((mod,) * 4).reshape(4, -1)
 
 
+def residue_span(rows, mod: int) -> np.ndarray:
+    """The combinations c . rows mod `mod` of four rows of length 4, one per
+    c in (Z/mod)^4: shape (mod^4, 4), with repeats when the rows are
+    dependent mod `mod`."""
+    return residue_grid(mod).T @ np.array(rows, dtype=np.int64) % mod
+
+
+def gauss_jordan(rows) -> tuple:
+    """Exact Gauss-Jordan elimination over Q: (reduced, pivots, det).
+
+    Each pivot column is cleared in every other row; pivot rows are not
+    scaled, so reduced[k][pivots[k]] is the k-th pivot and len(pivots) is the
+    rank.  det is the determinant of the leading square block (the first
+    len(rows) columns), zero when it is singular.
+    """
+    m = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    det = Fraction(1)
+    for col in range(len(m[0]) if m else 0):
+        k = len(pivots)
+        if k == len(m):
+            break
+        piv = next((i for i in range(k, len(m)) if m[i][col]), None)
+        if piv is None:
+            continue
+        if piv != k:
+            m[k], m[piv] = m[piv], m[k]
+            det = -det
+        pv = m[k][col]
+        det *= pv
+        for i in range(len(m)):
+            if i != k and m[i][col]:
+                fac = m[i][col] / pv
+                m[i] = [x - fac * y for x, y in zip(m[i], m[k])]
+        pivots.append(col)
+    return m, pivots, det if pivots == list(range(len(m))) else Fraction(0)
+
+
 def _membership_table() -> np.ndarray:
     """(6^4, 10) booleans: the membership of each residue tuple mod 6 in
-    L1..L10.  L_i mod 6 is the set of combinations c . B_i mod 6 of its basis
-    rows B_i, c in (Z/6)^4.  Every L_i contains 6 Z^4 (checked by
-    latclass.verify_indices_and_duality), so a form's residues mod 6 decide
-    its membership."""
-    coeffs = residue_grid(6).T
+    L1..L10.  L_i mod 6 is the residue_span of its basis rows mod 6.  Every
+    L_i contains 6 Z^4 (checked by latclass.verify_indices_and_duality), so a
+    form's residues mod 6 decide its membership."""
     table = np.zeros((6 ** 4, 10), dtype=bool)
     for i in range(1, 11):
-        table[_residue_row((coeffs @ np.array(lattice_basis(i))).T), i - 1] = True
+        table[_residue_row(residue_span(lattice_basis(i), 6).T), i - 1] = True
     return table
 
 

@@ -7,7 +7,11 @@ F_p^4 for the primes p | N; enumerating those exhaustively and gluing by CRT
 recovers exactly the ten lattices L1..L10.
 
 The lattices are defined by their Z-bases in `forms`; the CRT gluing and the
-congruences written here are checks on them.
+congruences written here are checks on them.  A subspace's elements are the
+residue array forms.residue_span of its basis, the one span mod m that also
+builds the membership table; the gluing compares boolean masks over
+(Z/6)^4 with the columns of that table.  Determinants, coordinates and
+duals come from the one exact elimination over Q, forms.gauss_jordan.
 """
 
 from __future__ import annotations
@@ -18,8 +22,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .forms import (EVEN_PARTNER, U1, W, action_matrix, lattice_basis, lattice_membership,
-                    pairing, residue_grid)
+from .forms import (EVEN_PARTNER, U1, W, action_matrix, gauss_jordan, lattice_basis,
+                    lattice_membership, pairing, residue_grid, residue_span)
 from .series import CheckReport, _report
 
 _DIM = 4
@@ -44,16 +48,18 @@ class ModpSubspace:
     def contains(self, v) -> bool:
         return _reduce_against(self.p, self.basis, v) is None
 
+    def _span(self) -> np.ndarray:
+        # the basis padded with zero rows to the four rows residue_span takes
+        return residue_span(self.basis + ((0,) * _DIM,) * (_DIM - self.dim), self.p)
+
     def elements(self) -> set:
-        p = self.p
-        out = set()
-        for coeffs in itertools.product(range(p), repeat=self.dim):
-            v = [0] * _DIM
-            for c, row in zip(coeffs, self.basis):
-                for i in range(_DIM):
-                    v[i] = (v[i] + c * row[i]) % p
-            out.add(tuple(v))
-        return out
+        return set(map(tuple, self._span().tolist()))
+
+    def mask(self, grid: np.ndarray) -> np.ndarray:
+        """Whether each coefficient column of grid lies in the subspace mod p."""
+        table = np.zeros((self.p,) * _DIM, dtype=bool)
+        table[tuple(self._span().T)] = True
+        return table[tuple(grid % self.p)]
 
 
 def _reduce_against(p: int, basis, v):
@@ -88,25 +94,15 @@ def _all_subspaces(p: int):
                 yield ModpSubspace(p, tuple(tuple(r) for r in rows))
 
 
-def _action_mats_mod_p(p: int):
-    return [
-        [[x % p for x in row] for row in action_matrix(g)] for g in (U1, W)
-    ]
-
-
-def _apply(mat, v, p):
-    return tuple(sum(mat[i][j] * v[j] for j in range(_DIM)) % p for i in range(_DIM))
-
-
 def invariant_subspaces_mod_p(p: int) -> list:
     """All subspaces of F_p^4 invariant under the reduced SL2(Z)-action,
     ordered by (dimension, basis)."""
-    mats = _action_mats_mod_p(p)
+    mats = [np.array(action_matrix(g), dtype=np.int64) % p for g in (U1, W)]
     out = []
     for sub in _all_subspaces(p):
-        if all(
-            sub.contains(_apply(m, row, p)) for m in mats for row in sub.basis
-        ):
+        # the images M v of the basis rows v are the rows of B M^T
+        rows = np.array(sub.basis, dtype=np.int64).reshape(-1, _DIM)
+        if all(sub.contains(v) for m in mats for v in (rows @ m.T).tolist()):
             out.append(sub)
     out.sort(key=lambda s: (s.dim, s.basis))
     return out
@@ -117,11 +113,6 @@ def invariant_subspaces_mod_p(p: int) -> list:
 # ---------------------------------------------------------------------------
 
 _EXPECTED_COUNTS = {2: 6, 3: 3, 5: 2, 7: 2}
-
-
-def _lattice_residues_mod(lattice: int, mod: int) -> frozenset:
-    grid = residue_grid(mod)
-    return frozenset(map(tuple, grid.T[lattice_membership(grid)[:, lattice - 1]].tolist()))
 
 
 def verify_classification() -> CheckReport:
@@ -139,39 +130,37 @@ def verify_classification() -> CheckReport:
             failures.append(f"p={p}: expected {want} invariant subspaces, got {got}")
 
     # mod 3 the proper invariant subspace must be the residue set of L2
-    l2_mod3 = _lattice_residues_mod(2, 3)
+    grid3 = residue_grid(3)
     proper3 = [s for s in subs.get(3, []) if 0 < s.dim < _DIM]
-    if len(proper3) != 1 or proper3[0].elements() != l2_mod3:
+    if len(proper3) != 1 or not np.array_equal(
+        proper3[0].mask(grid3), lattice_membership(grid3)[:, 1]
+    ):
         failures.append("mod-3 proper invariant subspace does not match L2")
 
     # glue: 5 invariant subspaces mod 2 excluding the zero space (which would
-    # rescale the lattice at 2), times {full, L2-slice} mod 3 -> ten lattices
+    # rescale the lattice at 2), times {full, L2-slice} mod 3 -> ten lattices;
+    # a glued choice is a mask over (Z/6)^4, a lattice is a membership column
     if not failures:
         choices2 = [s for s in subs[2] if s.dim > 0]
         choices3 = [s for s in subs[3] if s.dim in (2, _DIM)]
-        lattice_res6 = {
-            lat: _lattice_residues_mod(lat, 6) for lat in range(1, 11)
-        }
-        found = {}
+        grid6 = residue_grid(6)
+        member6 = lattice_membership(grid6)
+        found = set()
         for s2 in choices2:
-            e2 = s2.elements()
+            mask2 = s2.mask(grid6)
             for s3 in choices3:
-                e3 = s3.elements()
-                res6 = frozenset(
-                    v
-                    for v in map(tuple, residue_grid(6).T.tolist())
-                    if tuple(x % 2 for x in v) in e2
-                    and tuple(x % 3 for x in v) in e3
-                )
-                matches = [lat for lat, r in lattice_res6.items() if r == res6]
+                glued = mask2 & s3.mask(grid6)
+                matches = [
+                    lat for lat in range(1, 11) if np.array_equal(member6[:, lat - 1], glued)
+                ]
                 if len(matches) != 1:
                     failures.append(
                         f"glued subspace (dim2={s2.dim}, dim3={s3.dim}) matches "
                         f"lattices {matches}"
                     )
                 else:
-                    found[matches[0]] = (s2, s3)
-        missing = sorted(set(range(1, 11)) - set(found))
+                    found.add(matches[0])
+        missing = sorted(set(range(1, 11)) - found)
         if missing:
             failures.append(f"lattices not produced by gluing: {missing}")
         else:
@@ -211,37 +200,16 @@ def _congruence_membership(a, b, c, d) -> np.ndarray:
 
 
 def _det4(rows) -> Fraction:
-    m = [[Fraction(x) for x in row] for row in rows]
-    det = Fraction(1)
-    for col in range(4):
-        piv = next((r for r in range(col, 4) if m[r][col]), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, 4):
-            fac = m[r][col] * inv
-            m[r] = [x - fac * y for x, y in zip(m[r], m[col])]
-    return det
+    return gauss_jordan(rows)[2]
 
 
 def _solve4(rows, rhs) -> list:
     """Exact x over Q with sum_j x_j * rows[j] = rhs: the coordinates of rhs
     in the basis `rows` (the 4x4 system rows^T * x = rhs)."""
-    m = [[Fraction(rows[j][i]) for j in range(4)] + [Fraction(rhs[i])] for i in range(4)]
-    for col in range(4):
-        piv = next(r for r in range(col, 4) if m[r][col])
-        m[col], m[piv] = m[piv], m[col]
-        inv = 1 / m[col][col]
-        m[col] = [x * inv for x in m[col]]
-        for r in range(4):
-            if r != col and m[r][col]:
-                fac = m[r][col]
-                m[r] = [x - fac * y for x, y in zip(m[r], m[col])]
-    return [m[i][4] for i in range(4)]
+    m, _, det = gauss_jordan([[rows[j][i] for j in range(4)] + [rhs[i]] for i in range(4)])
+    if not det:
+        raise ValueError(f"rows {rows} are not a basis")
+    return [m[i][4] / m[i][i] for i in range(4)]
 
 
 def _index_in(sup: int, sub: int) -> Fraction:

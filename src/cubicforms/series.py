@@ -19,7 +19,8 @@ from fractions import Fraction
 import numpy as np
 
 from .enumeration import MasterClasses, _index_columns, _signed_selection, master_classes
-from .forms import EVEN_LATTICES, discriminant, index_scale, lattice_membership, phi, residue_grid
+from .forms import (EVEN_LATTICES, discriminant, gauss_jordan, index_scale, lattice_membership,
+                    phi, residue_grid)
 from .golden import golden_table
 
 ALL_PAIRS = tuple((lat, sign) for lat in range(1, 11) for sign in ("+", "-"))
@@ -327,26 +328,8 @@ def span_rank(max_n: int = 200, series: dict | None = None, workers: int = 1) ->
     on the integer rows 3 a_n (scaling a row does not change the rank)."""
     if series is None:
         series = build_all_series(max_n, workers=workers)
-    rows = [
-        [Fraction(x) for x in series[pair].thirds(max_n)[1:].tolist()]
-        for pair in ALL_PAIRS
-    ]
-    rank = 0
-    col = 0
-    while rank < len(rows) and col < max_n:
-        piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
-        if piv is None:
-            col += 1
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        pv = rows[rank][col]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col]:
-                fac = rows[i][col] / pv
-                rows[i] = [x - fac * y for x, y in zip(rows[i], rows[rank])]
-        rank += 1
-        col += 1
-    return rank
+    rows = [series[pair].thirds(max_n)[1:].tolist() for pair in ALL_PAIRS]
+    return len(gauss_jordan(rows)[1])
 
 
 # ---------------------------------------------------------------------------

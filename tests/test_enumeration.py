@@ -411,6 +411,16 @@ def test_master_rejects_limit_past_int64_bound(monkeypatch):
         enumerate_classes(2, "+", MAX_LIMIT // 27 + 1)
 
 
+def test_enumerate_rejects_bad_sign_before_master_build(monkeypatch):
+    def no_work(task):
+        raise AssertionError("stratum work started")
+
+    monkeypatch.setattr(enumeration, "_run_task", no_work)
+    monkeypatch.setattr(enumeration, "_MASTER_CACHE", {})
+    with pytest.raises(ValueError, match="sign must be"):
+        enumerate_classes(1, "x", 10 ** 6)
+
+
 def test_int64_bound_binding_term():
     # the binding intermediate of MAX_LIMIT: 27 p^2 for the reducible row with
     # r = 1 and the largest p; it fits at the bound and not one step past it

@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -12,8 +13,10 @@ from cubicforms import (
     verify_indices_and_duality,
 )
 from cubicforms.latclass import (
+    _all_subspaces,
     _det4,
     _index_in,
+    _solve4,
     dual_basis,
     lattice_basis,
 )
@@ -156,3 +159,83 @@ def test_mutated_basis_fails_indices_check(monkeypatch, lattice, row, vector, me
     rep = verify_indices_and_duality()
     assert not rep.passed
     assert any(message in d for d in rep.details)
+
+
+@pytest.mark.parametrize(
+    "lattice, row, vector, message",
+    [
+        # L7 and L10 leave the invariant lattices: two glued choices match none
+        (7, 0, (1, 1, 1, 0), "lattices not produced by gluing: [7, 10]"),
+        # L9 becomes L3 (and L8 becomes L6): a glued choice matches both
+        (9, 2, (1, 0, 0, 0), "glued subspace (dim2=3, dim3=4) matches lattices [3, 9]"),
+    ],
+)
+def test_mutated_basis_fails_classification(monkeypatch, lattice, row, vector, message):
+    bases = dict(forms._ODD_BASES)
+    rows = list(bases[lattice])
+    rows[row] = vector
+    bases[lattice] = tuple(rows)
+    monkeypatch.setattr(forms, "_ODD_BASES", bases)
+    monkeypatch.setattr(forms, "_MEMBERSHIP", forms._membership_table())
+    rep = verify_classification()
+    assert not rep.passed
+    assert message in rep.details
+
+
+def _random_matrices(seed: int, count: int = 300):
+    """Seeded 4x4 matrices: integer entries in [-3, 3] (some singular) and
+    Fractions with denominators 1, 2, 3, 6, as in the dual and halved bases."""
+    rng = random.Random(seed)
+    for k in range(count):
+        if k % 2:
+            yield [[rng.randint(-3, 3) for _ in range(4)] for _ in range(4)]
+        else:
+            yield [
+                [Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3, 6))) for _ in range(4)]
+                for _ in range(4)
+            ]
+
+
+def _leibniz_det(m) -> Fraction:
+    total = Fraction(0)
+    for perm in itertools.permutations(range(4)):
+        inversions = sum(perm[i] > perm[j] for i in range(4) for j in range(i + 1, 4))
+        term = Fraction((-1) ** inversions)
+        for i, j in enumerate(perm):
+            term *= m[i][j]
+        total += term
+    return total
+
+
+def test_det4_matches_leibniz_formula():
+    dets = [(_det4(m), _leibniz_det(m)) for m in _random_matrices(1)]
+    assert all(got == want for got, want in dets)
+    assert any(want == 0 for _, want in dets)  # singular matrices were drawn
+
+
+def test_solve4_solutions_are_exact():
+    rng = random.Random(2)
+    solved = 0
+    for rows in _random_matrices(3):
+        rhs = [Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 6))) for _ in range(4)]
+        if _leibniz_det(rows) == 0:
+            with pytest.raises(ValueError, match="not a basis"):
+                _solve4(rows, rhs)
+            continue
+        x = _solve4(rows, rhs)
+        assert [sum(x[j] * rows[j][i] for j in range(4)) for i in range(4)] == rhs
+        solved += 1
+    assert solved > 200
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_subspace_elements_match_nested_loops(p):
+    space = list(itertools.product(range(p), repeat=4))
+    for sub in _all_subspaces(p):
+        want = {
+            tuple(sum(c * row[i] for c, row in zip(coeffs, sub.basis)) % p for i in range(4))
+            for coeffs in itertools.product(range(p), repeat=sub.dim)
+        }
+        assert sub.elements() == want
+        assert all(isinstance(x, int) for v in want for x in v)
+        assert [sub.contains(v) for v in space] == [v in want for v in space]

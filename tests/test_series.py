@@ -1,4 +1,5 @@
 import dataclasses
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -20,6 +21,7 @@ from cubicforms import (
     verify_relations,
     verify_tables,
 )
+from cubicforms.forms import gauss_jordan
 from cubicforms.golden import golden_table
 from cubicforms.series import _combo_coeff, ALL_PAIRS, series_from_master
 
@@ -239,6 +241,24 @@ def test_span_rank(series300):
 
 def test_span_rank_full(series300):
     assert span_rank(200, series=series300) == 14
+
+
+@pytest.mark.parametrize("k", [0, 1, 7, 14, 20])
+def test_span_rank_elimination_counts_independent_rows(k):
+    # 20 x 40 integer rows: combinations C B of k independent rows B = (I_k | R),
+    # with C = (I_k over random rows), so the rank is exactly k
+    rng = random.Random(k)
+    basis = [[int(i == j) for j in range(k)] + [rng.randint(-5, 5) for _ in range(40 - k)]
+             for i in range(k)]
+    coeffs = [[int(i == j) for j in range(k)] for i in range(k)]
+    coeffs += [[rng.randint(-3, 3) for _ in range(k)] for _ in range(20 - k)]
+    rng.shuffle(coeffs)
+    rows = [[sum(c * b[j] for c, b in zip(cs, basis)) for j in range(40)] for cs in coeffs]
+    reduced, pivots, det = gauss_jordan(rows)
+    assert len(pivots) == k
+    assert all(reduced[i][pivots[i]] for i in range(k))
+    # the leading 20 x 20 block is a row permutation of I_20 at k = 20, else singular
+    assert abs(det) == (k == 20)
 
 
 def test_euler_product_check(series300):
