@@ -228,9 +228,12 @@ class DensityRatios:
 
 
 def local_density_ratios(lattice: int, mod: int = 8) -> DensityRatios:
-    """2-adic density ratios of L in {L3, L5, L7, L9} against L1."""
+    """2-adic density ratios of L in {L3, L5, L7, L9} against L1, counted
+    over the residues mod `mod` (even and >= 2)."""
     if lattice not in (3, 5, 7, 9):
         raise ValueError(f"lattice must be one of 3, 5, 7, 9; got {lattice}")
+    if mod < 2 or mod % 2:
+        raise ValueError(f"mod must be even and >= 2; got {mod}")
     ird = _density_ird(lattice, mod) / _density_ird(1, mod)
     rd = _density_rd(lattice, mod) / _density_rd(1, mod)
     return DensityRatios(lattice, ird, rd, _density_b(lattice, mod), _density_b(1, mod))
@@ -335,18 +338,14 @@ class DensityRow:
     gauge: float  # |residual| / x^(2/3)
 
 
-def density_report(
-    lattice: int,
-    sign: str,
-    max_x: int,
-    checkpoints: int = 10,
-    workers: int = 1,
-) -> list:
+def density_report(lattice: int, sign: str, max_x: int, checkpoints: int = 10) -> list:
     """Counts S(X) of irreducible classes at geometric checkpoints up to max_x,
     against the two-term prediction; gauge = |S - prediction| / X^(2/3)."""
     scale = index_scale(lattice)
     _sign_positive(sign)  # before the master is built
-    master = master_classes(max_x * scale, workers=workers)
+    if checkpoints < 1:
+        raise ValueError(f"checkpoints must be >= 1; got {checkpoints}")
+    master = master_classes(max_x * scale)
     columns = _index_columns(master, scale, max_x)
     sel, n = _signed_selection(master, lattice, sign, columns)
     sel &= master.irred

@@ -9,8 +9,9 @@ Subcommands:
     density    CSV comparison of counts against the two-term prediction
 
 Exit codes: 0 success, 1 verification or integrity failure, 2 usage error.
-All outputs start with a `schema:1` header line and are byte-identical for
-identical arguments regardless of worker count.
+All outputs start with a `schema:1` header line.  The master enumeration
+runs in one process: the worker count that every subcommand accepts (N >= 1)
+is kept for compatibility with existing command lines and has no effect.
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ _ENUMERATE_BLOCK = 8192
 
 
 def cmd_enumerate(args, out) -> int:
-    table = enumerate_classes(args.lattice, _sign_arg(args.sign), args.max, args.workers)
+    table = enumerate_classes(args.lattice, _sign_arg(args.sign), args.max)
     print(SCHEMA_LINE, file=out)
     head = (table.lattice, table.sign)
     for start in range(0, len(table), _ENUMERATE_BLOCK):
@@ -79,7 +80,7 @@ def cmd_enumerate(args, out) -> int:
 
 
 def cmd_coeffs(args, out) -> int:
-    master = master_classes(args.max * index_scale(args.lattice), workers=args.workers)
+    master = master_classes(args.max * index_scale(args.lattice))
     s = series_from_master(master, args.lattice, _sign_arg(args.sign), args.max)
     # 3 a_n: all orbits, the irreducible and the reducible ones
     weighted, ird, rd = (s.thirds(irreducible=i).tolist() for i in (None, True, False))
@@ -104,18 +105,18 @@ def cmd_table(args, out) -> int:
         for n, vals in gold.rows:
             print(f"{n}," + ",".join(str(v) for v in vals), file=out)
         return 0
-    all_series = build_all_series(max(n for n, _ in gold.rows), workers=args.workers)
+    all_series = build_all_series(max(n for n, _ in gold.rows))
     for n, vals in series_mod.render_table(args.side, all_series):
         print(f"{n}," + ",".join(_frac_str(v) for v in vals), file=out)
     return 0
 
 
-def verify_oracle(max_index: int, box: int, workers: int = 1) -> series_mod.CheckReport:
+def verify_oracle(max_index: int, box: int) -> series_mod.CheckReport:
     """Enumeration against the brute-force oracle, for all 20 pairs."""
     failures = []
     for lattice in range(1, 11):
         for sign in ("+", "-"):
-            fast = enumerate_classes(lattice, sign, max_index, workers)
+            fast = enumerate_classes(lattice, sign, max_index)
             slow = brute_force_classes(lattice, sign, max_index, box, check_stability=True)
             a, b = fast.class_multiset(), slow.class_multiset()
             if a != b:
@@ -130,10 +131,10 @@ def verify_oracle(max_index: int, box: int, workers: int = 1) -> series_mod.Chec
     )
 
 
-def _verify_density(max_x: int, workers: int) -> series_mod.CheckReport:
+def _verify_density(max_x: int) -> series_mod.CheckReport:
     failures = []
     details = []
-    rows = analytic.density_report(1, "+", max_x, checkpoints=10, workers=workers)
+    rows = analytic.density_report(1, "+", max_x, checkpoints=10)
     for row in rows:
         details.append(
             f"X={row.x}: S={row.count}, prediction={row.prediction:.1f}, "
@@ -144,35 +145,32 @@ def _verify_density(max_x: int, workers: int) -> series_mod.CheckReport:
     return series_mod._report(f"density counts vs prediction (X <= {max_x})", failures, details)
 
 
-def _verify_rank(workers: int) -> series_mod.CheckReport:
-    rank = series_mod.span_rank(200, workers=workers)
+def _verify_rank() -> series_mod.CheckReport:
+    rank = series_mod.span_rank(200)
     return series_mod.CheckReport(
         "coefficient span rank", rank == 14, [f"rank = {rank} (want 14)"]
     )
 
 
 def _suite_checks(suite: str, args) -> list:
-    w = args.workers
     max_n = args.max if args.max is not None else 300
     # the dual and indices suites are one check
     indices_and_duality = lambda: [latclass.verify_indices_and_duality()]
     checks = {
-        "tables": lambda: [series_mod.verify_tables(workers=w)],
-        "relations": lambda: [series_mod.verify_relations(max_n, workers=w)],
-        "non-relation": lambda: [series_mod.verify_non_relation(workers=w)],
+        "tables": lambda: [series_mod.verify_tables()],
+        "relations": lambda: [series_mod.verify_relations(max_n)],
+        "non-relation": lambda: [series_mod.verify_non_relation()],
         "decomps": lambda: [series_mod.verify_decompositions()],
         "congruence": lambda: [series_mod.verify_congruence_lemma()],
-        "rank": lambda: [_verify_rank(w)],
-        "euler": lambda: [series_mod.euler_product_check(workers=w)],
-        "lambda": lambda: [series_mod.lambda_coefficient_identity(max_n, workers=w)],
+        "rank": lambda: [_verify_rank()],
+        "euler": lambda: [series_mod.euler_product_check()],
+        "lambda": lambda: [series_mod.lambda_coefficient_identity(max_n)],
         "dual": indices_and_duality,
         "indices": indices_and_duality,
         "classification": lambda: [latclass.verify_classification()],
         "local-densities": lambda: [analytic.verify_table1_ratios()],
-        "oracle": lambda: [verify_oracle(max_n, args.box, w)],
-        "density": lambda: [
-            _verify_density(args.max if args.max is not None else 10 ** 5, w)
-        ],
+        "oracle": lambda: [verify_oracle(max_n, args.box)],
+        "density": lambda: [_verify_density(args.max if args.max is not None else 10 ** 5)],
     }
     if suite == "all":
         # run each distinct check once; a shared one prints at every position
@@ -195,7 +193,7 @@ def cmd_verify(args, out) -> int:
 
 def cmd_density(args, out) -> int:
     rows = analytic.density_report(
-        args.lattice, _sign_arg(args.sign), args.max, args.checkpoints, args.workers
+        args.lattice, _sign_arg(args.sign), args.max, args.checkpoints
     )
     print(SCHEMA_LINE, file=out)
     print("X,S_unweighted,S_weighted,prediction,residual,gauge", file=out)
@@ -232,7 +230,8 @@ def build_parser() -> argparse.ArgumentParser:
         if lattice:
             p.add_argument("--lattice", type=int, required=True, choices=range(1, 11))
             p.add_argument("--sign", required=True, choices=("pos", "neg", "+", "-"))
-        p.add_argument("--workers", type=int, default=1)
+        p.add_argument("--workers", type=int, default=1,
+                       help="accepted for compatibility (must be >= 1); has no effect")
         p.add_argument("--output", default=None, help="write to file instead of stdout")
 
     p = sub.add_parser("enumerate", help="list orbits as JSON lines")
@@ -293,7 +292,7 @@ def main(argv=None) -> int:
         bound = MAX_LIMIT // (27 if series_suite else index_scale(args.lattice))
         if args.max is not None and args.max > bound:
             return _fail_usage(parser, f"--max exceeds the int64 safety bound {bound}")
-    if getattr(args, "workers", 1) < 1:
+    if args.workers < 1:
         return _fail_usage(parser, "--workers must be >= 1")
     if args.output:
         with open(args.output, "w") as out:

@@ -19,6 +19,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 
 import numpy as np
 
@@ -96,7 +97,9 @@ def _all_subspaces(p: int):
 
 def invariant_subspaces_mod_p(p: int) -> list:
     """All subspaces of F_p^4 invariant under the reduced SL2(Z)-action,
-    ordered by (dimension, basis)."""
+    ordered by (dimension, basis).  p must be prime: Z/p is a field only then."""
+    if p < 2 or any(p % d == 0 for d in range(2, isqrt(p) + 1)):
+        raise ValueError(f"p must be prime; got {p}")
     mats = [np.array(action_matrix(g), dtype=np.int64) % p for g in (U1, W)]
     out = []
     for sub in _all_subspaces(p):

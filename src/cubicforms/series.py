@@ -121,9 +121,9 @@ def series_from_master(master: MasterClasses, lattice: int, sign: str, max_n: in
     return _pair_series(master, lattice, sign, max_n, columns)
 
 
-def build_all_series(max_n: int, workers: int = 1) -> dict:
+def build_all_series(max_n: int) -> dict:
     """All twenty series (lattice 1..10, both signs) up to index max_n."""
-    master = master_classes(27 * max_n, workers=workers)
+    master = master_classes(27 * max_n)
     # the index column and the sign masks once per index scale, not per pair
     columns = {scale: _index_columns(master, scale, max_n) for scale in (1, 27)}
     return {
@@ -184,10 +184,10 @@ def render_table(side: str, series: dict) -> list:
     return rows
 
 
-def verify_tables(series: dict | None = None, workers: int = 1) -> CheckReport:
+def verify_tables(series: dict | None = None) -> CheckReport:
     """Every entry of both reference tables, exactly."""
     if series is None:
-        series = build_all_series(51, workers=workers)
+        series = build_all_series(51)
     failures = []
     checked = 0
     for side in ("left", "right"):
@@ -217,10 +217,10 @@ RELATION_PAIRS = (
 )
 
 
-def verify_relations(max_n: int = 300, series: dict | None = None, workers: int = 1) -> CheckReport:
+def verify_relations(max_n: int = 300, series: dict | None = None) -> CheckReport:
     """The six coefficientwise identities between odd and even lattices."""
     if series is None:
-        series = build_all_series(max_n, workers=workers)
+        series = build_all_series(max_n)
     failures = []
     for name, left, right, scalar in RELATION_PAIRS:
         lhs = scalar * series[left].thirds(max_n)
@@ -236,10 +236,10 @@ def verify_relations(max_n: int = 300, series: dict | None = None, workers: int 
     )
 
 
-def verify_non_relation(series: dict | None = None, workers: int = 1) -> CheckReport:
+def verify_non_relation(series: dict | None = None) -> CheckReport:
     """Witness that xi-(L3) and xi+(L4) do not satisfy the analogous identity."""
     if series is None:
-        series = build_all_series(7, workers=workers)
+        series = build_all_series(7)
     a = series[(3, "-")].coeff(7)
     b = series[(4, "+")].coeff(7)
     ok = a == Fraction(1) and b == Fraction(0)
@@ -323,11 +323,11 @@ def verify_congruence_lemma() -> CheckReport:
 # ---------------------------------------------------------------------------
 
 
-def span_rank(max_n: int = 200, series: dict | None = None, workers: int = 1) -> int:
+def span_rank(max_n: int = 200, series: dict | None = None) -> int:
     """Rank of the 20 x max_n matrix of exact coefficients, by exact elimination
     on the integer rows 3 a_n (scaling a row does not change the rank)."""
     if series is None:
-        series = build_all_series(max_n, workers=workers)
+        series = build_all_series(max_n)
     rows = [series[pair].thirds(max_n)[1:].tolist() for pair in ALL_PAIRS]
     return len(gauss_jordan(rows)[1])
 
@@ -344,11 +344,11 @@ def _combo_coeff(series: dict, lattice: int, branch: int, n: int) -> Qrt3:
     return Qrt3(branch * minus, plus)
 
 
-def euler_product_check(series: dict | None = None, workers: int = 1) -> CheckReport:
+def euler_product_check(series: dict | None = None) -> CheckReport:
     """c_1 * c_15 != c_3 * c_5 in Z[sqrt(3)] for each of the twenty combinations
     sqrt(3)*xi+ +- xi-, ruling out an Euler product with multiplicative c_n."""
     if series is None:
-        series = build_all_series(15, workers=workers)
+        series = build_all_series(15)
     failures = []
     for lattice in range(1, 11):
         for branch in (1, -1):
@@ -367,13 +367,11 @@ def euler_product_check(series: dict | None = None, workers: int = 1) -> CheckRe
 LAMBDA_BASE_LATTICES = (1, 7, 9)
 
 
-def lambda_coefficient_identity(
-    max_n: int = 300, series: dict | None = None, workers: int = 1
-) -> CheckReport:
+def lambda_coefficient_identity(max_n: int = 300, series: dict | None = None) -> CheckReport:
     """sqrt(3)*xi+(L_{i+1}) +- xi-(L_{i+1}) = +-sqrt(3)*(sqrt(3)*xi+(L_i) +- xi-(L_i))
     coefficientwise, for i in {1, 7, 9}."""
     if series is None:
-        series = build_all_series(max_n, workers=workers)
+        series = build_all_series(max_n)
     failures = []
     for i in LAMBDA_BASE_LATTICES:
         plus0, minus0, plus1, minus1 = (

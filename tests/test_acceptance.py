@@ -125,8 +125,8 @@ def test_criterion_11_local_densities():
 
 def test_criterion_12_density():
     t0 = time.time()
-    rows = density_report(1, "+", 10 ** 6, checkpoints=6, workers=4)
-    rows_minus = density_report(1, "-", 10 ** 6, checkpoints=6, workers=4)
+    rows = density_report(1, "+", 10 ** 6, checkpoints=6)
+    rows_minus = density_report(1, "-", 10 ** 6, checkpoints=6)
     elapsed = time.time() - t0
     ok = True
     details = []

@@ -12,6 +12,7 @@ from cubicforms import (
     verify_table1_ratios,
     zeta,
 )
+from cubicforms import enumeration
 from cubicforms.latclass import lattice_basis, _det4
 
 mpmath = pytest.importorskip("mpmath")
@@ -77,6 +78,17 @@ def test_local_density_rejects_other_lattices():
         local_density_ratios(2)
 
 
+def test_local_density_modulus_must_be_even():
+    # an odd modulus does not count 2-adic residues (mod 3 gave L3 an
+    # irreducible ratio of 5/9, not 1/2); mod <= 0 has no residues at all
+    for mod in (3, 1, 0, -8):
+        with pytest.raises(ValueError, match="mod must be even"):
+            local_density_ratios(3, mod=mod)
+    for lat in (3, 5, 7, 9):
+        ratios = [local_density_ratios(lat, mod=mod) for mod in (2, 4, 6, 8)]
+        assert all(r == ratios[0] for r in ratios)
+
+
 def test_verify_table1_ratios():
     rep = verify_table1_ratios()
     assert rep.passed, str(rep)
@@ -134,3 +146,14 @@ def test_density_report_rejects_bad_lattice_and_sign():
     for lattice, sign in ((0, "+"), (11, "-"), (1, "x")):
         with pytest.raises(ValueError):
             density_report(lattice, sign, 100, checkpoints=2)
+
+
+def test_density_report_rejects_no_checkpoints_before_master_build(monkeypatch):
+    def no_work(task):
+        raise AssertionError("stratum work started")
+
+    monkeypatch.setattr(enumeration, "_run_task", no_work)
+    monkeypatch.setattr(enumeration, "_MASTER_CACHE", {})
+    for checkpoints in (0, -1):
+        with pytest.raises(ValueError, match="checkpoints must be"):
+            density_report(1, "+", 10 ** 6, checkpoints=checkpoints)

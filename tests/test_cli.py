@@ -122,6 +122,20 @@ def test_workers_byte_identical(tmp_path):
     assert a == b
 
 
+def test_workers_below_one_is_a_usage_error(monkeypatch):
+    def no_work(task):
+        raise AssertionError("stratum work started")
+
+    monkeypatch.setattr(enumeration, "_run_task", no_work)
+    monkeypatch.setattr(enumeration, "_MASTER_CACHE", {})
+    for workers in ("0", "-1"):
+        assert main(["enumerate", "--lattice", "1", "--sign", "neg", "--max", "100",
+                     "--workers", workers]) == 2
+        assert main(["verify", "--suite", "tables", "--workers", workers]) == 2
+        assert main(["density", "--lattice", "1", "--sign", "pos", "--max", "100",
+                     "--workers", workers]) == 2
+
+
 def test_verify_suite_exit_codes(tmp_path):
     code, text = run_cli(["verify", "--suite", "congruence"], tmp_path)
     assert code == 0
@@ -195,7 +209,7 @@ def test_verify_rejects_box_past_int64_bound(monkeypatch):
     for suite in ("oracle", "all"):
         assert main(["verify", "--suite", suite, "--box", str(top + 1)]) == 2
     passed = CheckReport("oracle stand-in", True, [])
-    monkeypatch.setattr(cli, "verify_oracle", lambda max_index, box, workers: passed)
+    monkeypatch.setattr(cli, "verify_oracle", lambda max_index, box: passed)
     assert main(["verify", "--suite", "oracle", "--box", str(top)]) == 0
 
 

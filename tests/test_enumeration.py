@@ -1,5 +1,4 @@
 import json
-import multiprocessing
 import random
 from fractions import Fraction
 from math import isqrt
@@ -51,49 +50,6 @@ def test_master_cache_filters_down():
     assert small.limit == 150
     assert (np.abs(small.disc) <= 150).all()
     assert len(small) < len(big)
-
-
-def test_master_workers_deterministic(monkeypatch):
-    built = []
-    for workers in (1, 2):
-        monkeypatch.setattr(enumeration, "_MASTER_CACHE", {})  # a fresh build each
-        built.append(master_classes(300, workers=workers))
-    a, b = built
-    order_a = np.lexsort(a.reps.T)
-    order_b = np.lexsort(b.reps.T)
-    assert (a.reps[order_a] == b.reps[order_b]).all()
-
-
-def test_master_pool_size_is_bounded_by_tasks(monkeypatch):
-    # no real process: the fake pool records its size and maps serially
-    sizes = []
-
-    class SerialPool:
-        def __init__(self, processes):
-            sizes.append(processes)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks):
-            return [fn(t) for t in tasks]
-
-    class SerialContext:
-        Pool = SerialPool
-
-    monkeypatch.setattr(multiprocessing, "get_context", lambda method: SerialContext)
-    monkeypatch.setattr(enumeration, "_MASTER_CACHE", {})
-    wide = master_classes(100, workers=10 ** 6)
-    assert sizes == [len(enumeration._stratum_tasks(100))]
-    monkeypatch.setattr(enumeration, "_MASTER_CACHE", {})
-    serial = master_classes(100, workers=1)
-    assert sizes == [len(enumeration._stratum_tasks(100))]  # workers=1 starts no pool
-    for name in ("reps", "disc", "stab", "irred", "member"):
-        a, b = getattr(wide, name), getattr(serial, name)
-        assert a.dtype == b.dtype and (a == b).all(), name
 
 
 def test_enumerate_classes_examples():

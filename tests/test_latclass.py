@@ -29,6 +29,14 @@ def test_invariant_subspace_counts():
     assert len(invariant_subspaces_mod_p(7)) == 2
 
 
+def test_invariant_subspaces_need_a_prime():
+    # Z/p is no field for composite p (4, 6 and 9 each gave 2 "subspaces"),
+    # and p <= 1 has no nonzero residue to eliminate with
+    for p in (0, 1, 4, 6, 9):
+        with pytest.raises(ValueError, match="must be prime"):
+            invariant_subspaces_mod_p(p)
+
+
 def test_invariant_subspace_dims_mod_2():
     dims = sorted(s.dim for s in invariant_subspaces_mod_p(2))
     assert dims == [0, 1, 2, 2, 3, 4]
