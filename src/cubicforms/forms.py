@@ -17,7 +17,7 @@ columnwise callers.  gauss_jordan is the one exact elimination over Q.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import isqrt
 from typing import NamedTuple
 
 import numpy as np
@@ -340,55 +340,70 @@ def lattice_member(f, lattice: int) -> bool:
     return bool(lattice_membership(f)[lattice - 1])
 
 
-def _divisors(n: int) -> list:
-    n = abs(n)
-    out = []
-    i = 1
-    while i * i <= n:
-        if n % i == 0:
-            out.append(i)
-            if i != n // i:
-                out.append(n // i)
-        i += 1
-    return out
+def _integer_roots(b: int, c: int, e: int) -> set:
+    """The integer roots of the monic cubic g(y) = y^3 + b y^2 + c y + e.
 
-
-def is_irreducible(f) -> bool:
-    """True iff f has no linear factor over Q (rational-root test).
-
-    Requires P(f) != 0; forms with repeated factors are outside the domain.
-    Irreducibility is orbit-invariant, so the test runs on a reduced form in
-    the orbit: it has small coefficients or x4 = 0 (a root at (0 : 1)), which
-    keeps it polynomial in the digit count of f, where divisors of the raw end
-    coefficients would not be.
+    g rises up to its first critical point, falls to the second and rises
+    after it.  With h = b^2 - 3c (clipped at 0, where g rises throughout),
+    the critical points are (-b -+ sqrt(h)) / 3, and their floors k1 and k2
+    are exact through isqrt.  On each of the monotone pieces (-r, k1],
+    [k1 + 1, k2] and [k2 + 1, r), exact integer bisection finds the one
+    candidate.  Every root lies in (-r, r) (Cauchy bound), so this takes
+    O(digits) evaluations of g.
     """
-    from .reduction import _small_form  # reduction imports this module
 
-    _, g = _small_form(f)
-    return g.x4 != 0 and not rational_roots(g)
+    def g(y):
+        return ((y + b) * y + c) * y + e
+
+    r = 1 + max(abs(b), abs(c), abs(e))
+    h = max(b * b - 3 * c, 0)
+    s = isqrt(h)
+    k1, k2 = (-b - s - (s * s < h)) // 3, (s - b) // 3
+    roots = set()
+    for lo, hi, sign in ((-r, k1, 1), (k1 + 1, k2, -1), (k2 + 1, r, 1)):
+        # sign * g rises on [lo, hi]: the least y with sign * g(y) >= 0
+        if lo > hi or sign * g(hi) < 0:
+            continue
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if sign * g(mid) < 0:
+                lo = mid + 1
+            else:
+                hi = mid
+        if g(lo) == 0:
+            roots.add(lo)
+    return roots
 
 
 def rational_roots(f) -> list:
-    """All rational roots of f as primitive pairs (p, q), q >= 0, f(p, q) = 0.
+    """All rational roots of f as primitive pairs (p, q), q >= 0, f(p, q) = 0,
+    in increasing order of p/q, the root at infinity (1, 0) last (x1 = 0);
+    ValueError if P(f) = 0.
 
-    The pair (1, 0) encodes the root at infinity (x1 = 0).  Roots are of the
-    dehomogenized polynomial x1 t^3 + x2 t^2 + x3 t + x4 at t = p/q.
+    Roots are of the dehomogenized polynomial x1 t^3 + x2 t^2 + x3 t + x4 at
+    t = p/q.  A root p/q in lowest terms has q | x1, so y = x1 p / q is an
+    integer and f(y, x1) = x1 g(y) with g(y) = y^3 + x2 y^2 + x1 x3 y +
+    x1^2 x4 monic: the roots are y / x1 for the integer roots y of g
+    (_integer_roots).  For x1 = 0, f = v (x2 u^2 + x3 u v + x4 v^2) with
+    x2 != 0, whose finite roots are rational iff the discriminant
+    h = P / x2^2 of the quadratic is a square.  Both are polynomial in the
+    digit count of f.
     """
     a, b, c, d = f
-    roots = []
-    if a == 0:
-        roots.append((1, 0))
-    if d == 0:
-        roots.append((0, 1))
-    den = a if a != 0 else (b if b != 0 else c)
-    num = d if d != 0 else (c if c != 0 else b)
-    if den == 0 or num == 0:
-        return roots
-    for q in _divisors(den):
-        for p in _divisors(num):
-            if gcd(p, q) != 1:
-                continue
-            for p_ in (p, -p):
-                if value_at(f, p_, q) == 0:
-                    roots.append((p_, q))
-    return roots
+    if discriminant(f) == 0:
+        raise ValueError(f"form {tuple(f)} has zero discriminant")
+    if a:
+        ts, at_infinity = [Fraction(y, a) for y in _integer_roots(b, a * c, a * a * d)], []
+    else:
+        h = c * c - 4 * b * d
+        s = isqrt(max(h, 0))
+        ts = [Fraction(-c - s, 2 * b), Fraction(s - c, 2 * b)] if s * s == h else []
+        at_infinity = [(1, 0)]
+    return [(t.numerator, t.denominator) for t in sorted(ts)] + at_infinity
+
+
+def is_irreducible(f) -> bool:
+    """True iff f has no linear factor over Q: no rational root
+    (rational_roots).  ValueError if P(f) = 0; forms with repeated factors
+    are outside the domain."""
+    return not rational_roots(f)

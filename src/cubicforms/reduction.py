@@ -21,8 +21,9 @@ digit count of the input.  Reduction strategy, by sign of the discriminant P:
 * P < 0: the dehomogenized cubic has one real root rho and two complex roots.
   Root reduction moves the upper-half-plane root theta into the closed
   fundamental domain |Re z| <= 1/2, |z| >= 1 of SL2(Z) with x1 > 0, steered by
-  exact integer sign tests (sign f(t) = sign(t - rho)).  The reduced form is
-  small, so its rational roots are cheap to find, and they decide the rest:
+  exact integer sign tests (sign f(t) = sign(t - rho)).  The rational roots
+  of the reduced form (forms.rational_roots, exact and polynomial in the
+  digit count) decide the rest:
 
   - irreducible: the form can never land on the domain boundary (that would
     force a rational relation on the roots), so each orbit contains exactly
@@ -198,10 +199,10 @@ def _canonical_neg_reducible(f: CubicForm, root) -> CubicForm:
     """Unique presentation (p, q, r, 0) with r > 0 and 0 <= q < 2r, given the
     rational root (p0, q0) of f."""
     p0, q0 = root
-    # Send the root (p0 : q0) to (0 : 1): need g = (p q; p0 q0) with det +1.
-    g_, u_, v_ = _xgcd(q0, -p0)
-    assert g_ == 1, (p0, q0)
-    g = UnimodularMatrix(u_, v_, p0, q0)
+    # Send the root (p0 : q0) to (0 : 1): g = (u v; p0 q0) with det
+    # u q0 - v p0 = 1, so u inverts q0 mod p0 (p0 = 0 leaves q0 = 1).
+    u = pow(q0, -1, p0) if p0 else 1
+    g = UnimodularMatrix(u, (u * q0 - 1) // p0 if p0 else 0, p0, q0)
     f = act(g, f)
     p, q, r, z = f
     assert z == 0 and r != 0, (tuple(f),)
@@ -213,41 +214,16 @@ def _canonical_neg_reducible(f: CubicForm, root) -> CubicForm:
     return CubicForm(p, q, r, 0)
 
 
-def _xgcd(a: int, b: int):
-    """(g, s, t) with g = gcd >= 0 and s*a + t*b = g."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        qt = old_r // r
-        old_r, r = r, old_r - qt * r
-        old_s, s = s, old_s - qt * s
-        old_t, t = t, old_t - qt * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
-
-
-def _small_form(f):
-    """(P, g): the discriminant of f and a form g in its orbit with small
-    coefficients, Hessian-reduced if P > 0 and root-reduced if P < 0.  A
-    root-reduced g may stop at x4 = 0, a rational root at (0 : 1), with its
-    coefficients still large."""
+def canonical_reduce(f) -> CubicForm:
+    """Orbit-constant, orbit-distinguishing representative of the orbit of f."""
     f = CubicForm(*f)
     p = discriminant(f)
     if p == 0:
         raise ValueError(f"form {tuple(f)} has zero discriminant")
-    return p, (_hessian_reduce(f) if p > 0 else _root_reduce(f))
-
-
-def canonical_reduce(f) -> CubicForm:
-    """Orbit-constant, orbit-distinguishing representative of the orbit of f."""
-    p, f = _small_form(f)
     if p > 0:
-        return CubicForm._make(_canonical_pos(np.array([f], dtype=object))[0])
-    # P < 0 allows at most one rational root.  x4 = 0 puts it at (0 : 1); the
-    # loop may stop there while the coefficients are still large.
-    roots = [(0, 1)] if f.x4 == 0 else rational_roots(f)
+        return CubicForm._make(_canonical_pos(np.array([_hessian_reduce(f)], dtype=object))[0])
+    f = _root_reduce(f)
+    roots = rational_roots(f)  # P < 0 allows at most one
     if roots:
         return _canonical_neg_reducible(f, roots[0])
     if not _in_open_domain(f):

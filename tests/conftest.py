@@ -1,4 +1,5 @@
 from collections import deque
+from math import gcd
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from cubicforms import U1, W, ClassTable, CoefficientSeries, act, build_all_series, hessian
 from cubicforms import enumeration
 from cubicforms.enumeration import MasterClasses
-from cubicforms.forms import U1_INV, action_matrix, discriminant, lattice_membership
+from cubicforms.forms import U1_INV, action_matrix, discriminant, lattice_membership, value_at
 from cubicforms.reduction import SMALL_MATRICES, _canonical_pos, _pos_stab_column
 
 
@@ -148,3 +149,64 @@ def _sorted_master(limit: int) -> MasterClasses:
 @pytest.fixture(scope="session")
 def reference_master():
     return _sorted_master
+
+
+def _divisors(n: int) -> list:
+    """The positive divisors of |n|, by trial division up to its square root."""
+    n = abs(n)
+    out = []
+    i = 1
+    while i * i <= n:
+        if n % i == 0:
+            out.append(i)
+            if i != n // i:
+                out.append(n // i)
+        i += 1
+    return out
+
+
+def _divisor_rational_roots(f) -> list:
+    """The rational roots of f as primitive pairs (p, q), q >= 0, found by
+    trying every p dividing the last nonzero end coefficient and q dividing
+    the first: exponential in the digit count, so small forms only."""
+    a, b, c, d = f
+    roots = []
+    if a == 0:
+        roots.append((1, 0))
+    if d == 0:
+        roots.append((0, 1))
+    den = a if a != 0 else (b if b != 0 else c)
+    num = d if d != 0 else (c if c != 0 else b)
+    if den == 0 or num == 0:
+        return roots
+    for q in _divisors(den):
+        for p in _divisors(num):
+            if gcd(p, q) != 1:
+                continue
+            for p_ in (p, -p):
+                if value_at(f, p_, q) == 0:
+                    roots.append((p_, q))
+    return roots
+
+
+@pytest.fixture(scope="session")
+def reference_rational_roots():
+    return _divisor_rational_roots
+
+
+def _divisor_root_near_mask(rows: np.ndarray, root: np.ndarray, a: int) -> np.ndarray:
+    """Rows with f(p, q) == 0 for some divisor q of a and p = rint(root * q)
+    + {-1, 0, 1}: the root mask that tries every denominator, where
+    enumeration._root_near_mask tries q = a only."""
+    cols = rows.T
+    red = np.zeros(len(rows), dtype=bool)
+    for q in _divisors(a):
+        p0 = np.rint(root * q).astype(np.int64)
+        for off in (-1, 0, 1):
+            red |= value_at(cols, p0 + off, q) == 0
+    return red
+
+
+@pytest.fixture(scope="session")
+def reference_root_near_mask():
+    return _divisor_root_near_mask

@@ -671,6 +671,39 @@ def test_pos_stratum_matches_box_reference(reference_canonical_pos):
     assert total == (master_classes(limit).disc > 0).sum() > 0
 
 
+def test_root_near_mask_matches_divisor_loop(monkeypatch, reference_root_near_mask):
+    # q = a in place of every divisor q of a.  At Y = 3e5 the two masks give
+    # the same verdict on every row they see: the P < 0 irreducible window
+    # rows after the s2 > 1 cut (what the stratum keeps), and the P > 0 rows
+    # with a >= 1 (the union over the three float roots).
+    limit = 300000
+    tasks = [
+        (k, a)
+        for k, a, _ in enumeration._stratum_tasks(limit)
+        if k == "negird" or (k == "pos" and a)
+    ]
+    pos = {a: enumeration._pos_stratum(a, limit) for k, a in tasks if k == "pos"}
+
+    def verdicts():
+        return [
+            enumeration._neg_ird_stratum(a, limit)
+            if k == "negird"
+            else enumeration._pos_irreducible_mask(pos[a], a)
+            for k, a in tasks
+        ]
+
+    got = verdicts()
+    monkeypatch.setattr(enumeration, "_root_near_mask", reference_root_near_mask)
+    want = verdicts()
+    monkeypatch.setattr(enumeration, "_root_near_mask", lambda rows, *_: np.zeros(len(rows), bool))
+    unmasked = verdicts()
+    dropped = {"negird": 0, "pos": 0}
+    for (k, a), x, y, z in zip(tasks, got, want, unmasked):
+        assert np.array_equal(x, y), (k, a)
+        dropped[k] += len(z) - len(x) if k == "negird" else int((~x).sum())
+    assert dropped["negird"] > 1000 and dropped["pos"] > 1000
+
+
 def test_strata_windows_exact_at_max_limit():
     # n = B2^2 + 4 alpha (|C2| + L) bounds every int64 intermediate of
     # _d_windows; the strata need (isqrt(n) + 1)^2 < 2^63 over their (b, c)

@@ -1,5 +1,7 @@
 import random
 from fractions import Fraction
+from math import gcd, isqrt
+from time import perf_counter
 
 import numpy as np
 import pytest
@@ -22,7 +24,8 @@ from cubicforms import (
     psi,
     q_discriminant,
 )
-from cubicforms.forms import lattice_membership, u_of, rational_roots
+from cubicforms.forms import lattice_membership, u_of, rational_roots, value_at
+from cubicforms.reduction import canonical_reduce
 
 rng = random.Random(12345)
 
@@ -204,7 +207,7 @@ def test_is_irreducible_of_large_moved_forms():
 
 def test_is_irreducible_large_form_with_root_at_zero():
     # u (a u^2 + b u v + v^2) with a = (b^2 + 3)/4 has P = -3 and its rational
-    # root at (0 : 1) while a is huge: x4 = 0 decides without a root search.
+    # root at (0 : 1) while a is huge: the root search stays polynomial.
     b = 10 ** 30 + 1
     f = ((b * b + 3) // 4, b, 1, 0)
     assert not is_irreducible(f)
@@ -221,6 +224,117 @@ def test_rational_roots_are_roots():
             assert a * p ** 3 + b * p * p * q + c * p * q * q + d * q ** 3 == 0
 
 
+def test_rational_roots_match_divisor_search(reference_rational_roots):
+    # every nondegenerate form in [-6, 6]^4 (28 088 of them), in increasing
+    # order of p/q with the root at infinity last
+    seen = 0
+    for a in range(-6, 7):
+        for b in range(-6, 7):
+            for c in range(-6, 7):
+                for d in range(-6, 7):
+                    f = (a, b, c, d)
+                    if discriminant(f) == 0:
+                        continue
+                    seen += 1
+                    roots = rational_roots(f)
+                    assert sorted(roots) == sorted(reference_rational_roots(f)), f
+                    finite = [Fraction(p, q) for p, q in roots if q]
+                    assert finite == sorted(set(finite))
+                    assert roots[len(finite):] == ([(1, 0)] if a == 0 else [])
+    assert seen == 28088
+
+
+def test_rational_roots_rejects_degenerate():
+    for f in [(1, 3, 3, 1), (0, 1, 2, 1), (0, 0, 1, 0), (1, 0, 0, 0), (0, 0, 0, 0)]:
+        with pytest.raises(ValueError):
+            rational_roots(f)
+
+
+def _times_linear(quad, p, q):
+    """(q u - p v) (x u^2 + y u v + z v^2) as a cubic form."""
+    x, y, z = quad
+    return (q * x, q * y - p * x, q * z - p * y, -p * z)
+
+
+def _coprime_pair(local, digits):
+    """A random primitive root (p, q) with q >= 2 and |p|, q below 10^digits."""
+    while True:
+        p, q = local.randrange(-10 ** digits, 10 ** digits), local.randrange(2, 10 ** digits)
+        if gcd(p, q) == 1:
+            return p, q
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_rational_roots_of_30_digit_products(sign):
+    # (q u - p v) times a quadratic of discriminant sign `sign` with
+    # irrational roots: P has that sign, and (p, q) is the only root
+    local = random.Random(30 + sign)
+    done = 0
+    while done < 6:
+        p, q = _coprime_pair(local, 10)
+        quad = tuple(local.randrange(-10 ** 20, 10 ** 20) for _ in range(3))
+        h = quad[1] ** 2 - 4 * quad[0] * quad[2]
+        if h * sign <= 0 or isqrt(max(h, 0)) ** 2 == h:
+            continue
+        f = _times_linear(quad, p, q)
+        assert max(abs(t) for t in f) >= 10 ** 28
+        assert (discriminant(f) > 0) == (sign > 0)
+        start = perf_counter()
+        roots = rational_roots(f)
+        assert perf_counter() - start < 0.05
+        assert roots == [(p, q)]
+        done += 1
+
+
+def test_rational_roots_of_30_digit_split_forms():
+    # three linear factors with 10-digit coefficients: all three roots
+    local = random.Random(3)
+    for _ in range(6):
+        (p1, q1), (p2, q2), (p3, q3) = (_coprime_pair(local, 10) for _ in range(3))
+        f = _times_linear((q1 * q2, -(q1 * p2 + p1 * q2), p1 * p2), p3, q3)
+        if discriminant(f) == 0:
+            continue
+        start = perf_counter()
+        roots = rational_roots(f)
+        assert perf_counter() - start < 0.05
+        want = sorted([(p1, q1), (p2, q2), (p3, q3)], key=lambda r: Fraction(*r))
+        assert roots == want
+
+
+def _no_root_mod(f, p: int) -> bool:
+    """f has no root in P^1(F_p).  A linear factor over Q can be taken
+    primitive, (q u - p v), and reduces to a root mod every prime, so this
+    certifies that f is irreducible."""
+    return f[0] % p != 0 and all(value_at(f, t, 1) % p for t in range(p))
+
+
+def test_14_digit_neg_forms_in_polynomial_time():
+    # random P < 0 forms with 14-digit coefficients, irreducible by a mod p
+    # certificate, and reducible products (q u - p v)(quadratic of
+    # negative discriminant); each call in under 50 ms
+    local = random.Random(14)
+    cases = []
+    while len(cases) < 8:
+        f = tuple(local.choice((-1, 1)) * local.randrange(10 ** 13, 10 ** 14) for _ in range(4))
+        if discriminant(f) < 0 and any(_no_root_mod(f, p) for p in (2, 3, 5, 7, 11, 13, 17, 19)):
+            cases.append((f, True))
+    while len(cases) < 14:
+        quad = tuple(local.randrange(10 ** 8, 10 ** 10) for _ in range(3))
+        f = _times_linear(quad, *_coprime_pair(local, 5))
+        if quad[1] ** 2 < 4 * quad[0] * quad[2] and max(abs(t) for t in f) >= 10 ** 13:
+            cases.append((f, False))
+    for f, irreducible in cases:
+        assert discriminant(f) < 0 and max(abs(t) for t in f) >= 10 ** 13
+        start = perf_counter()
+        assert is_irreducible(f) == irreducible
+        assert perf_counter() - start < 0.05
+        start = perf_counter()
+        rep = canonical_reduce(f)
+        assert perf_counter() - start < 0.05
+        assert (rep.x4 == 0) == (not irreducible)
+        assert canonical_reduce(act(random_unimodular(local), f)) == rep
+
+
 def test_delta_examples():
     assert delta((0, 1, 1, 1)) == 1
     assert delta((1, 0, 0, 1)) == -1
@@ -228,16 +342,12 @@ def test_delta_examples():
 
 
 def test_delta_discriminant_identity():
-    # P = (bc + ad)^2 - 4*Delta + 16*(abcd - 2 a^2 d^2) ... verified as the
-    # exact polynomial relation P = b^2c^2 + ... by direct comparison.
+    # P = (bc + ad)^2 - 4 Delta + 16 (abcd - 2 a^2 d^2)
     for _ in range(1000):
         a, b, c, d = (rng.randint(-10, 10) for _ in range(4))
-        p = discriminant((a, b, c, d))
-        dl = delta((a, b, c, d))
-        assert dl == a * c ** 3 + b ** 3 * d - a * a * d * d
-        # spot-check a clean special case: b = c = 0 gives P = -27 a^2 d^2
-        if b == 0 and c == 0:
-            assert p == -27 * a * a * d * d
+        f = (a, b, c, d)
+        want = (b * c + a * d) ** 2 - 4 * delta(f) + 16 * (a * b * c * d - 2 * a * a * d * d)
+        assert discriminant(f) == want
 
 
 def test_hessian_discriminant():

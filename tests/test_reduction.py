@@ -277,7 +277,8 @@ def test_reduction_of_large_moved_forms(reference_canonical_pos):
 
 def test_canonical_reduce_large_form_with_root_at_zero():
     # u (a u^2 + b u v + v^2) with a = (b^2 + 3)/4 has P = -3 and its rational
-    # root at (0 : 1) while a is huge; it must not need a rational-root search.
+    # root at (0 : 1) while a is huge; the rational-root search on the huge
+    # root-reduced form stays polynomial in the digit count.
     b = 10 ** 30 + 1
     f = ((b * b + 3) // 4, b, 1, 0)
     assert discriminant(f) == -3
