@@ -28,11 +28,12 @@ binary cubic forms with 1 <= |P| <= Y in three provably complete strata:
 At fixed (a, b, c) every condition on d is an exact integer window: the
 bound on P is forms._d_windows (an int64 isqrt), and |B| <= A, C >= A and
 |s1| < 1 are linear in d.  Only s2 > 1 and the rational-root test of the
-P < 0 irreducible stratum are cuts on the rows.  Every stratum emits its
-rows in order (the P > 0 tasks by descending a, since x1 = -a), so no sort
-is needed: one pass over neighbouring rows checks that each block strictly
-increases in its own key, which proves it has no duplicate rows.  Integer
-arithmetic is int64, exact up to limit = MAX_LIMIT (about 2.3e9).
+P < 0 irreducible stratum are cuts on the rows.  Each task emits its rows in
+order, and the tasks are listed in row order (P > 0 by descending a, since
+x1 = -a), so no sort is needed: one pass over neighbours (reduction._lex_less)
+checks that each stratum's block strictly increases in its own key, so it has
+no duplicates.  _task_columns gives the stab and irred columns of each task.
+Integer arithmetic is int64, exact up to limit = MAX_LIMIT (about 2.3e9).
 
 The brute-force oracle shares none of the strata: it scans the box
 [-box, box]^4 with the same d-windows of forms (exact up to box = MAX_BOX)
@@ -53,6 +54,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from itertools import groupby
 from math import isqrt
 
 import numpy as np
@@ -69,6 +71,7 @@ from .forms import (
 )
 from .reduction import (
     _canonical_pos,
+    _lex_less,
     _pos_stab_column,
     _s2_above_one,
     orbit_bfs,
@@ -82,10 +85,7 @@ from .reduction import (
 
 
 def _ranges_to_rows(parts: list) -> np.ndarray:
-    good = [p for p in parts if len(p)]
-    if not good:
-        return np.empty((0, 4), dtype=np.int64)
-    return np.concatenate(good, axis=0)
+    return np.concatenate([np.empty((0, 4), dtype=np.int64), *parts])
 
 
 def _expand_windows(lo: np.ndarray, hi: np.ndarray):
@@ -359,7 +359,8 @@ def _stratum_tasks(limit: int) -> list:
     amax_pos = int((4.0 / 27.0) ** 0.5 * limit ** 0.25) + 2
     amax_neg = int((16.0 * limit / 27.0) ** 0.25) + 2
     rmax = isqrt(limit // 3) if limit >= 3 else 0
-    tasks = [("pos", a, limit) for a in range(0, amax_pos + 1)]
+    # x1 = -a on the P > 0 rows: by descending a, the tasks are in row order
+    tasks = [("pos", a, limit) for a in range(amax_pos, -1, -1)]
     tasks += [("negird", a, limit) for a in range(1, amax_neg + 1)]
     # 16 r-ranges: one range (one array of nearly all the stratum's rows)
     # raised peak RSS by about 25 MB at Y = 1e6, through glibc's mmap threshold
@@ -377,8 +378,21 @@ def _run_task(task) -> tuple:
         return kind, _pos_stratum(arg, limit)
     if kind == "negird":
         return kind, _neg_ird_stratum(arg, limit)
-    r_lo, r_hi = arg
-    return kind, _neg_rd_stratum(r_lo, r_hi, limit)
+    return kind, _neg_rd_stratum(*arg, limit)
+
+
+def _task_columns(task, rows: np.ndarray) -> tuple:
+    """(stab, irred) of the rows of one stratum task, a scalar for a constant
+    column: P < 0 rows have stab 1, negird rows are irreducible, and negrd
+    rows and the P > 0 rows with x1 = 0 (v divides them) are reducible."""
+    kind, a, _ = task
+    if kind != "pos":
+        return 1, kind == "negird"
+    return _pos_stab_column(rows), a > 0 and _pos_irreducible_mask(rows, a)
+
+
+# The key columns in which each task kind's block increases: negrd (p, q, r, 0) by (r, q, p)
+_BLOCK_KEYS = {"pos": slice(None), "negird": slice(None), "negrd": slice(2, None, -1)}
 
 
 def _lex_order(rows: np.ndarray) -> np.ndarray:
@@ -388,17 +402,10 @@ def _lex_order(rows: np.ndarray) -> np.ndarray:
 
 def _check_increasing(cols, stratum: str) -> None:
     """AssertionError unless the rows with these key columns (first key
-    first, at most 7) strictly increase in lexicographic order: an O(n)
-    proof that no two rows are equal.  Each pair of neighbours x, y scores
-    the sum of 2^(k - 1 - j) sign(y_j - x_j) over its k keys, which is
-    positive iff y follows x: the first differing key outweighs the rest."""
-    score = np.zeros(max(len(cols[0]) - 1, 0), dtype=np.int8)
-    for col in cols:
-        x, y = col[:-1], col[1:]
-        score *= 2
-        score += (y > x).view(np.int8)
-        score -= (y < x).view(np.int8)
-    if not (score > 0).all():
+    first, at most 7) strictly increase in lexicographic order
+    (reduction._lex_less): an O(n) proof that no two rows are equal."""
+    rows = cols.T
+    if not _lex_less(rows[:-1], rows[1:]).all():
         raise AssertionError(
             f"duplicate representatives or rows out of order in {stratum} stratum"
         )
@@ -457,37 +464,24 @@ def master_classes(limit: int) -> MasterClasses:
             )
     tasks = _stratum_tasks(limit)
     results = [_run_task(t) for t in tasks]
-
-    blocks = {"pos": [], "negird": [], "negrd": []}
-    for kind, rows in results:
-        blocks[kind].append(rows)
-    # a P > 0 task emits x1 = -a, so its blocks run in order by descending a
-    blocks["pos"].reverse()
-    pos_a = [a for kind, a, _ in reversed(tasks) if kind == "pos"]
-    pos_sizes = [len(rows) for rows in blocks["pos"]]
-    n_pos = sum(pos_sizes)
-    n_neg = n_pos + sum(len(rows) for rows in blocks["negird"])
-    reps = _ranges_to_rows(blocks["pos"] + blocks["negird"] + blocks["negrd"])
-    del results, blocks  # frees the per-task arrays; reps is the one copy
-    pos_rows = reps[:n_pos]
+    starts = np.cumsum([0] + [len(rows) for _, rows in results]).tolist()
+    reps = _ranges_to_rows([rows for _, rows in results])
+    del results  # frees the per-task arrays; reps is the one copy
+    spans = list(zip(tasks, starts[:-1], starts[1:]))
 
     # Each stratum emits one row per orbit, in order; verify rather than
-    # assume, in each block's own key: the rows (p, q, r, 0) by (r, q, p).
-    _check_increasing(pos_rows.T, "pos")
-    _check_increasing(reps[n_pos:n_neg].T, "neg-irreducible")
-    _check_increasing(reps[n_neg:, 2::-1].T, "neg-reducible")
+    # assume, in each block's own key.
+    for kind, block in groupby(spans, key=lambda span: span[0][0]):
+        block = list(block)
+        _check_increasing(reps[block[0][1] : block[-1][2], _BLOCK_KEYS[kind]].T, kind)
 
-    disc = discriminant(reps.T)
-    stab = np.ones(len(reps), dtype=np.int64)
-    stab[:n_pos] = _pos_stab_column(pos_rows)
-    irred = np.zeros(len(reps), dtype=bool)
-    irred[n_pos:n_neg] = True
-    # the rows of the a = 0 task (x1 = 0, last) are reducible: v divides them
-    end = 0
-    for a, size in zip(pos_a, pos_sizes):
-        start, end = end, end + size
-        if a:
-            irred[start:end] = _pos_irreducible_mask(reps[start:end], a)
+    disc = np.empty(len(reps), dtype=np.int64)
+    stab = np.empty(len(reps), dtype=np.int64)
+    irred = np.empty(len(reps), dtype=bool)
+    for task, start, end in spans:  # per slice, so the temporaries stay small
+        rows = reps[start:end]
+        disc[start:end] = discriminant(rows.T)
+        stab[start:end], irred[start:end] = _task_columns(task, rows)
 
     if not ((disc != 0).all() and (np.abs(disc) <= limit).all()):
         raise AssertionError("enumeration produced out-of-range discriminants")

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import isqrt
+from operator import index
 from typing import NamedTuple
 
 import numpy as np
@@ -33,6 +34,13 @@ class CubicForm(NamedTuple):
 
     def __neg__(self) -> "CubicForm":
         return CubicForm(-self.x1, -self.x2, -self.x3, -self.x4)
+
+
+def _int_form(f) -> CubicForm:
+    """f as a CubicForm of Python ints, each coefficient through
+    operator.index: numpy integers become exact (no int64 wraparound), and
+    floats raise TypeError.  The scalar entry points read their form here."""
+    return CubicForm(*map(index, f))
 
 
 class UnimodularMatrix(NamedTuple):
@@ -163,11 +171,11 @@ def act(g, f) -> CubicForm:
 
     Satisfies P(act(g, f)) = det(g)^2 * P(f) and act(g, act(h, f)) = act(g@h, f).
     """
-    p, q, r, s = g
+    p, q, r, s = map(index, g)
     det = p * s - q * r
     if det not in (1, -1):
         raise ValueError(f"matrix {tuple(g)} has determinant {det}, not +-1")
-    a, b, c, d = f
+    a, b, c, d = _int_form(f)
     na = a * p ** 3 + b * p * p * q + c * p * q * q + d * q ** 3
     nb = (
         3 * a * p * p * r
@@ -389,7 +397,7 @@ def rational_roots(f) -> list:
     h = P / x2^2 of the quadratic is a square.  Both are polynomial in the
     digit count of f.
     """
-    a, b, c, d = f
+    a, b, c, d = f = _int_form(f)
     if discriminant(f) == 0:
         raise ValueError(f"form {tuple(f)} has zero discriminant")
     if a:

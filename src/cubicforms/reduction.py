@@ -43,6 +43,7 @@ from .forms import (
     CubicForm,
     UnimodularMatrix,
     W,
+    _int_form,
     act,
     action_matrix,
     discriminant,
@@ -101,10 +102,15 @@ _FLIP_MAT = np.array(action_matrix(_n_of(1)), dtype=np.int64)  # B = -A to B = A
 
 
 def _lex_less(y: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Rowwise y < b in lexicographic order: the first differing column decides."""
-    diff = y != b
-    at = np.arange(len(y)), diff.argmax(axis=1)
-    return diff.any(axis=1) & (y[at] < b[at])
+    """Rowwise y < b in lexicographic order (the one row order), for (N, k)
+    arrays with k <= 7, dtype object too: the sum of 2^(k - 1 - j)
+    sign(b_j - y_j) over the columns has the sign of its first nonzero term."""
+    score = np.zeros(len(y), dtype=np.int8)
+    for j in range(y.shape[1]):
+        score *= 2
+        score += (b[:, j] > y[:, j]).view(np.int8)
+        score -= (b[:, j] < y[:, j]).view(np.int8)
+    return score > 0
 
 
 def _canonical_pos(rows: np.ndarray) -> np.ndarray:
@@ -216,7 +222,7 @@ def _canonical_neg_reducible(f: CubicForm, root) -> CubicForm:
 
 def canonical_reduce(f) -> CubicForm:
     """Orbit-constant, orbit-distinguishing representative of the orbit of f."""
-    f = CubicForm(*f)
+    f = _int_form(f)
     p = discriminant(f)
     if p == 0:
         raise ValueError(f"form {tuple(f)} has zero discriminant")
@@ -243,7 +249,7 @@ def orbit_bfs(f, cap: int) -> set:
     with its negation, and only the one reached first is expanded, since the
     images of -x are the negations of those of x.
     """
-    f = CubicForm(*f)
+    f = _int_form(f)
     if discriminant(f) == 0:
         raise ValueError(f"form {tuple(f)} has zero discriminant")
     start = tuple(f)
@@ -290,7 +296,7 @@ def stabilizer_order(f) -> int:
     ORDER3_MATRICES fixes the form (_pos_stab_column, on a one-row object
     array, so big ints stay exact).  Polynomial in the digit count.
     """
-    f = CubicForm(*f)
+    f = _int_form(f)
     p = discriminant(f)
     if p == 0:
         raise ValueError(f"form {tuple(f)} has zero discriminant")

@@ -116,8 +116,15 @@ def _pair_series(master: MasterClasses, lattice: int, sign: str, max_n: int, col
 
 
 def series_from_master(master: MasterClasses, lattice: int, sign: str, max_n: int):
-    """The (lattice, sign) series up to index max_n, counted from master rows."""
-    columns = _index_columns(master, index_scale(lattice), max_n)
+    """The (lattice, sign) series up to index max_n, counted from master rows.
+    ValueError if the master stops short of it (max_n times the index scale
+    past master.limit)."""
+    scale = index_scale(lattice)
+    if max_n * scale > master.limit:
+        raise ValueError(
+            f"max_n {max_n} needs |P| up to {max_n * scale}, past the master's {master.limit}"
+        )
+    columns = _index_columns(master, scale, max_n)
     return _pair_series(master, lattice, sign, max_n, columns)
 
 

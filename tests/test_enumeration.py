@@ -279,6 +279,23 @@ def test_master_rejects_duplicate_rows(monkeypatch, kind):
 
 
 @pytest.mark.parametrize("kind", ["pos", "negird", "negrd"])
+def test_master_rejects_duplicates_across_tasks(monkeypatch, kind):
+    # each task's rows increase, so only the block-level check sees a task
+    # run twice
+    stratum_tasks, run_task = enumeration._stratum_tasks, enumeration._run_task
+
+    def repeated(limit):
+        tasks = stratum_tasks(limit)
+        i = next(i for i, t in enumerate(tasks) if t[0] == kind and len(run_task(t)[1]))
+        return tasks[: i + 1] + tasks[i:]
+
+    monkeypatch.setattr(enumeration, "_stratum_tasks", repeated)
+    monkeypatch.setattr(enumeration, "_MASTER_CACHE", {})
+    with pytest.raises(AssertionError, match="duplicate representatives"):
+        master_classes(2000)
+
+
+@pytest.mark.parametrize("kind", ["pos", "negird", "negrd"])
 def test_master_rejects_rows_out_of_order(monkeypatch, kind):
     run_task = enumeration._run_task
     swapped = []
@@ -636,7 +653,7 @@ def test_strata_rows_match_box_reference():
 
     pos = [a for kind, a, _ in tasks if kind == "pos"]
     neg = [a for kind, a, _ in tasks if kind == "negird"]
-    assert pos[0] == 0 and neg[0] == 1
+    assert min(pos) == 0 and neg[0] == 1
     for a in pos:
         want = _box_reference(a, 16, 40, limit // 4 + 8 if a == 0 else 40, weakly_reduced)
         assert np.array_equal(enumeration._pos_scan(a, limit), want), a
@@ -644,7 +661,7 @@ def test_strata_rows_match_box_reference():
         want = _box_reference(a, 16, 40, 60, root_reduced_irreducible)
         assert np.array_equal(enumeration._neg_ird_stratum(a, limit), want), a
     # past the tasks' a there is nothing
-    assert len(_box_reference(pos[-1] + 1, 16, 40, 40, weakly_reduced)) == 0
+    assert len(_box_reference(max(pos) + 1, 16, 40, 40, weakly_reduced)) == 0
     assert len(_box_reference(neg[-1] + 1, 16, 40, 60, root_reduced_irreducible)) == 0
 
 

@@ -335,6 +335,37 @@ def test_14_digit_neg_forms_in_polynomial_time():
         assert canonical_reduce(act(random_unimodular(local), f)) == rep
 
 
+def test_scalar_entry_points_read_numpy_integers_exactly():
+    # an int64 array gives the same answers as the tuple of Python ints,
+    # where int64 arithmetic would wrap (or steer root reduction astray);
+    # floats are not forms
+    from cubicforms.reduction import orbit_bfs, stabilizer_order
+
+    reducible = (1000003000, -992982979, 992003116, -998983017)
+    assert rational_roots(reducible) == [(999983, 1000003)]
+    stab3 = act(W @ u_of(300) @ W @ u_of(-40), (1, 0, -3, 1))
+    assert max(map(abs, stab3)) > 10 ** 6
+    for f in (reducible, (10 ** 5, 3, 7, 10 ** 6 + 3), stab3):
+        arr = np.array(f, dtype=np.int64)
+        assert rational_roots(arr) == rational_roots(f)
+        assert is_irreducible(arr) == is_irreducible(f)
+        start = perf_counter()
+        rep = canonical_reduce(arr)
+        assert perf_counter() - start < 1.0
+        assert rep == canonical_reduce(f) and all(type(x) is int for x in rep)
+        assert stabilizer_order(arr) == stabilizer_order(f)
+        assert act(np.array(W), arr) == act(W, f)
+        assert all(type(x) is int for x in act(W, arr))
+    assert stabilizer_order(np.array(stab3)) == 3
+    closure = orbit_bfs(np.array((1, 0, -3, 1)), 4)
+    assert closure == orbit_bfs((1, 0, -3, 1), 4)
+    assert all(type(x) is int for y in closure for x in y)
+    for entry in (rational_roots, is_irreducible, canonical_reduce, stabilizer_order,
+                  lambda f: orbit_bfs(f, 4), lambda f: act(W, f)):
+        with pytest.raises(TypeError):
+            entry((1.0, 0, -3, 1))
+
+
 def test_delta_examples():
     assert delta((0, 1, 1, 1)) == 1
     assert delta((1, 0, 0, 1)) == -1

@@ -290,3 +290,14 @@ def test_series_from_master_rejects_lattice_out_of_range():
     for lattice in (-1, 0, 11):
         with pytest.raises(ValueError, match="lattice index must be 1..10"):
             series_from_master(m, lattice, "+", 50)
+
+
+def test_series_from_master_rejects_index_past_master():
+    # the master at 100 holds no row with |P| = 500; it may not answer 0
+    m = master_classes(100)
+    for lattice, max_n in ((1, 101), (1, 1000), (2, 4)):
+        with pytest.raises(ValueError, match="past the master's 100"):
+            series_from_master(m, lattice, "+", max_n)
+    # up to the master's limit it answers: 100 = 1 * 100 and 81 = 27 * 3
+    assert series_from_master(m, 1, "-", 100).count(100) == (m.disc == -100).sum() > 0
+    assert series_from_master(m, 2, "+", 3).max_n == 3
