@@ -1,8 +1,7 @@
 """Command-line interface.
 
 Subcommands:
-    enumerate  one JSON line per orbit (lattice, sign, index, representative),
-               formatted from the ClassTable columns in fixed-size blocks
+    enumerate  one JSON line per orbit (lattice, sign, index, representative)
     coeffs     CSV of exact series coefficients
     table      render a reference table (or dump the compiled-in golden copy)
     verify     run a named verification suite; exit 0 iff every check passes
@@ -12,6 +11,8 @@ Exit codes: 0 success, 1 verification or integrity failure, 2 usage error.
 All outputs start with a `schema:1` header line.  The master enumeration
 runs in one process: the worker count that every subcommand accepts (N >= 1)
 is kept for compatibility with existing command lines and has no effect.
+Both bulk writers, `enumerate` and `coeffs`, format whole int64 columns in
+fixed-size blocks of rows (`_format_rows`), with no Python call per row.
 """
 
 from __future__ import annotations
@@ -20,6 +21,8 @@ import argparse
 import sys
 from collections import Counter
 from fractions import Fraction
+
+import numpy as np
 
 from . import analytic, latclass, series as series_mod
 from .enumeration import (
@@ -56,43 +59,103 @@ def _frac_str(x: Fraction) -> str:
 # ---------------------------------------------------------------------------
 
 
-# One enumerate line per orbit: what json.dumps(..., separators=(",", ":"))
-# writes for a dict with these keys in this order.
-_ENUMERATE_LINE = (
-    '{"lattice":%d,"sign":"%s","n":%d,"rep":[%d,%d,%d,%d],"stab":%d,"irreducible":%s}\n'
-)
-# Rows formatted per write, so the output is never held as one string.
+# Rows formatted per write by the enumerate and coeffs writers, so neither
+# output is ever held as one string.
 _ENUMERATE_BLOCK = 8192
+# 10, 100, ..., 10**18: a nonnegative int64 v has
+# 1 + searchsorted(_POW10, v, "right") decimal digits.
+_POW10 = 10 ** np.arange(1, 19, dtype=np.int64)
+
+
+def _format_rows(pieces, block: slice = slice(None)) -> bytes:
+    """The lines of one block of rows, formatted from whole columns.
+
+    Each piece is constant bytes, an int64 column (written as str(int)
+    writes it) or a tuple (mask, if_true, if_false) of a bool column and two
+    constants; a row joins its pieces in order, and at least one piece is a
+    column.  The fields are right-aligned in a NUL-padded (rows, width) uint8
+    matrix and one compress drops the NULs, so no constant may hold a NUL.
+    ValueError for INT64_MIN, whose absolute value int64 cannot hold.
+    """
+    cols = [p[block] for p in pieces if not isinstance(p, (bytes, tuple))]
+    ints = np.column_stack(cols).astype(np.int64, copy=False)
+    rows = len(ints)
+    if not rows:
+        return b""
+    mag = np.abs(ints)
+    if (mag < 0).any():
+        raise ValueError("INT64_MIN has no int64 absolute value")
+    ndig = 1 + np.searchsorted(_POW10, mag, side="right")
+    top = int(ndig.max())
+    # field[row, col, j] is the digit of 10**(top - j) for j > start =
+    # top - ndig, the sign or NUL at start, and NUL before it
+    field = np.empty(ints.shape + (top + 1,), dtype=np.uint8)
+    for j in range(top, 0, -1):
+        quot = mag // 10
+        field[..., j] = mag - 10 * quot
+        mag = quot
+    field += ord("0")
+    start = top - ndig
+    field *= np.arange(top + 1) > start[..., None]
+    neg = ints < 0
+    at = np.flatnonzero(neg)
+    field.reshape(-1)[at * (top + 1) + start.reshape(-1)[at]] = ord("-")
+    widths = (ndig + neg).max(axis=0).tolist()
+    fields = iter([field[:, c, top + 1 - w:] for c, w in enumerate(widths)])
+    parts = []
+    for p in pieces:
+        if isinstance(p, bytes):
+            parts.append(np.broadcast_to(np.frombuffer(p, dtype=np.uint8), (rows, len(p))))
+        elif isinstance(p, tuple):
+            mask, yes, no = p
+            choice = np.zeros((2, max(len(yes), len(no))), dtype=np.uint8)
+            choice[0, : len(no)] = list(no)
+            choice[1, : len(yes)] = list(yes)
+            parts.append(choice[np.asarray(mask[block], dtype=np.intp)])
+        else:
+            parts.append(next(fields))
+    mat = np.concatenate(parts, axis=1)
+    return mat[mat != 0].tobytes()
+
+
+def _write_rows(out, rows: int, pieces) -> None:
+    """Write `rows` lines of _format_rows(pieces), one block at a time."""
+    for start in range(0, rows, _ENUMERATE_BLOCK):
+        out.write(_format_rows(pieces, slice(start, start + _ENUMERATE_BLOCK)).decode("ascii"))
 
 
 def cmd_enumerate(args, out) -> int:
     table = enumerate_classes(args.lattice, _sign_arg(args.sign), args.max)
     print(SCHEMA_LINE, file=out)
-    head = (table.lattice, table.sign)
-    for start in range(0, len(table), _ENUMERATE_BLOCK):
-        out.write(
-            "".join(
-                _ENUMERATE_LINE % (*head, n, *rep, stab, "true" if irred else "false")
-                for n, rep, stab, irred in table.rows(slice(start, start + _ENUMERATE_BLOCK))
-            )
-        )
+    # what json.dumps(..., separators=(",", ":")) writes for a dict with
+    # these keys in this order
+    r0, r1, r2, r3 = table.reps.T
+    _write_rows(out, len(table), [
+        b'{"lattice":%d,"sign":"%s","n":' % (table.lattice, table.sign.encode()), table.n,
+        b',"rep":[', r0, b",", r1, b",", r2, b",", r3, b'],"stab":', table.stab,
+        b',"irreducible":', (table.irred, b"true", b"false"), b"}\n",
+    ])
     return 0
+
+
+def _third_pieces(w: np.ndarray) -> list:
+    """Pieces that write w / 3 as _frac_str(Fraction(w, 3)) writes it."""
+    whole = w % 3 == 0
+    return [np.where(whole, w // 3, w), (whole, b"", b"/3")]
 
 
 def cmd_coeffs(args, out) -> int:
     master = master_classes(args.max * index_scale(args.lattice))
     s = series_from_master(master, args.lattice, _sign_arg(args.sign), args.max)
     # 3 a_n: all orbits, the irreducible and the reducible ones
-    weighted, ird, rd = (s.thirds(irreducible=i).tolist() for i in (None, True, False))
+    weighted, ird, rd = (s.thirds(irreducible=i) for i in (None, True, False))
+    n = np.flatnonzero(weighted)  # index 0 holds no orbit
     print(SCHEMA_LINE, file=out)
     print("n,weighted,unweighted,irreducible_weighted,reducible_weighted", file=out)
-    for n in range(1, args.max + 1):
-        if weighted[n]:
-            print(
-                f"{n},{_frac_str(Fraction(weighted[n], 3))},{s.count(n)},"
-                f"{_frac_str(Fraction(ird[n], 3))},{_frac_str(Fraction(rd[n], 3))}",
-                file=out,
-            )
+    _write_rows(out, len(n), [
+        n, b",", *_third_pieces(weighted[n]), b",", s.orbits.sum(axis=(0, 1))[n],
+        b",", *_third_pieces(ird[n]), b",", *_third_pieces(rd[n]), b"\n",
+    ])
     return 0
 
 

@@ -1,4 +1,5 @@
 from collections import deque
+from fractions import Fraction
 from math import gcd
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 from cubicforms import U1, W, ClassTable, CoefficientSeries, act, build_all_series, hessian
 from cubicforms import enumeration
+from cubicforms.cli import _frac_str
 from cubicforms.enumeration import MasterClasses
 from cubicforms.forms import U1_INV, action_matrix, discriminant, lattice_membership, value_at
 from cubicforms.reduction import SMALL_MATRICES, _canonical_pos, _pos_stab_column
@@ -210,3 +212,24 @@ def _divisor_root_near_mask(rows: np.ndarray, root: np.ndarray, a: int) -> np.nd
 @pytest.fixture(scope="session")
 def reference_root_near_mask():
     return _divisor_root_near_mask
+
+
+def _fraction_coeffs_text(s: CoefficientSeries) -> str:
+    """The coeffs CSV of one series written row by row: each a_n as three
+    Fractions and a CoefficientSeries.count call, indices with a_n = 0
+    left out.  The reference for cli.cmd_coeffs, which formats whole
+    columns."""
+    weighted, ird, rd = (s.thirds(irreducible=i).tolist() for i in (None, True, False))
+    lines = ["schema:1", "n,weighted,unweighted,irreducible_weighted,reducible_weighted"]
+    for n in range(1, s.max_n + 1):
+        if weighted[n]:
+            lines.append(
+                f"{n},{_frac_str(Fraction(weighted[n], 3))},{s.count(n)},"
+                f"{_frac_str(Fraction(ird[n], 3))},{_frac_str(Fraction(rd[n], 3))}"
+            )
+    return "\n".join(lines) + "\n"
+
+
+@pytest.fixture(scope="session")
+def reference_coeffs_text():
+    return _fraction_coeffs_text

@@ -5,8 +5,9 @@ import pytest
 
 from cubicforms import cli, enumeration
 from cubicforms.cli import MAX_DENSITY_X, main
-from cubicforms.enumeration import MAX_LIMIT
-from cubicforms.series import CheckReport
+from cubicforms.enumeration import MAX_LIMIT, master_classes
+from cubicforms.forms import index_scale
+from cubicforms.series import CheckReport, series_from_master
 
 
 def run_cli(args, tmp_path):
@@ -95,6 +96,99 @@ def test_coeffs_csv(tmp_path):
     rows = {l.split(",")[0]: l for l in lines[2:]}
     assert rows["1"].split(",")[1] == "1/3"
     assert rows["16"].split(",")[1] == "4/3"
+
+
+def _str_lines(pieces, block=slice(None)) -> bytes:
+    """The rows of _format_rows(pieces, block) written with str(int) per value."""
+    columns = [p[0] if isinstance(p, tuple) else p for p in pieces if not isinstance(p, bytes)]
+    out = b""
+    for i in range(len(columns[0]))[block]:
+        for p in pieces:
+            if isinstance(p, bytes):
+                out += p
+            elif isinstance(p, tuple):
+                out += p[1] if p[0][i] else p[2]
+            else:
+                out += str(int(p[i])).encode()
+    return out
+
+
+_INT64_MAX = 2 ** 63 - 1
+
+
+def test_format_rows_equals_str():
+    edge = [0, 1, 9, 10, 99, 100, _INT64_MAX] + [10 ** k for k in range(19)]
+    edge += [10 ** k - 1 for k in range(1, 19)]
+    values = np.array(sorted(set(edge + [-v for v in edge])), dtype=np.int64)
+    rng = np.random.default_rng(7)
+    # every digit count in one block, in random order
+    scales = 10 ** rng.integers(0, 19, size=2000)
+    spread = rng.integers(-scales, scales, dtype=np.int64)
+    for col in (values, spread):
+        other = col[::-1].copy()  # a field of another width in the same row
+        mask = rng.integers(0, 2, size=len(col)).astype(bool)
+        pieces = [b"<", col, b",", other, b"|", (mask, b"true", b"false"), b"/",
+                  (~mask, b"", b"/3"), b">\n"]
+        # the whole column, one row, a few rows
+        for block in (slice(None), slice(0, 1), slice(5, 6), slice(3, 17)):
+            assert cli._format_rows(pieces, block) == _str_lines(pieces, block)
+    # a block of one column only, and an empty block
+    assert cli._format_rows([np.array([-7, 0, 12], dtype=np.int64)]) == b"-7012"
+    assert cli._format_rows([b"x", values[:0], b"\n"]) == b""
+    assert cli._format_rows([b"x", values, b"\n"], slice(len(values), None)) == b""
+
+
+def test_format_rows_rejects_int64_min():
+    # np.abs wraps at INT64_MIN; the kernel must refuse it, not misprint it
+    col = np.array([5, np.iinfo(np.int64).min, -3], dtype=np.int64)
+    with pytest.raises(ValueError):
+        cli._format_rows([col, b"\n"])
+    assert cli._format_rows([col, b"\n"], slice(2, 3)) == b"-3\n"
+
+
+@pytest.mark.parametrize("block", [cli._ENUMERATE_BLOCK, 7])
+@pytest.mark.parametrize(
+    "lattice, sign, max_index",
+    [(1, "pos", 2000), (1, "neg", 2000), (2, "pos", 300), (7, "neg", 300),
+     (9, "pos", 400), (4, "pos", 2)],
+)
+def test_coeffs_equals_fraction_rows(tmp_path, monkeypatch, reference_coeffs_text, block,
+                                     lattice, sign, max_index):
+    monkeypatch.setattr(cli, "_ENUMERATE_BLOCK", block)
+    code, text = run_cli(
+        ["coeffs", "--lattice", str(lattice), "--sign", sign, "--max", str(max_index)],
+        tmp_path,
+    )
+    assert code == 0
+    s = series_from_master(
+        master_classes(max_index * index_scale(lattice)),
+        lattice, "+" if sign == "pos" else "-", max_index,
+    )
+    assert text == reference_coeffs_text(s)
+    weighted = s.thirds()
+    # indices with a_n = 0 are left out
+    assert (weighted[1:] == 0).any()
+    if max_index == 2:  # L4+ has no orbit of index <= 2
+        assert not weighted.any()
+    else:
+        assert (weighted != 0).sum() > 7  # a block of 7 rows splits the rows
+    if sign == "pos" and lattice in (1, 2, 9):
+        # stab-3 orbits give thirds that are not whole numbers
+        split = [s.thirds(irreducible=i) for i in (None, True, False)]
+        assert any((w % 3 != 0).any() for w in split)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["enumerate", "--lattice", "6", "--sign", "neg", "--max", "500"],
+     ["coeffs", "--lattice", "1", "--sign", "pos", "--max", "500"]],
+)
+def test_stdout_equals_output_file(tmp_path, capsys, argv):
+    _, text = run_cli(argv, tmp_path)
+    capsys.readouterr()
+    assert main(argv) == 0
+    assert capsys.readouterr().out == text
+    assert text.count("\n") > 10
 
 
 def test_table_dump_golden(tmp_path):
