@@ -345,10 +345,9 @@ def density_report(lattice: int, sign: str, max_x: int, checkpoints: int = 10) -
     _sign_positive(sign)  # before the master is built
     if checkpoints < 1:
         raise ValueError(f"checkpoints must be >= 1; got {checkpoints}")
-    master = master_classes(max_x * scale)
+    master = master_classes(max_x * scale, sign, irreducible=True)
     columns = _index_columns(master, scale, max_x)
     sel, n = _signed_selection(master, lattice, sign, columns)
-    sel &= master.irred
     n = n[sel]
     stab = master.stab[sel]
     xs = sorted(

@@ -145,8 +145,9 @@ def _third_pieces(w: np.ndarray) -> list:
 
 
 def cmd_coeffs(args, out) -> int:
-    master = master_classes(args.max * index_scale(args.lattice))
-    s = series_from_master(master, args.lattice, _sign_arg(args.sign), args.max)
+    sign = _sign_arg(args.sign)
+    master = master_classes(args.max * index_scale(args.lattice), sign)
+    s = series_from_master(master, args.lattice, sign, args.max)
     # 3 a_n: all orbits, the irreducible and the reducible ones
     weighted, ird, rd = (s.thirds(irreducible=i) for i in (None, True, False))
     n = np.flatnonzero(weighted)  # index 0 holds no orbit

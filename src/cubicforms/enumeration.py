@@ -48,6 +48,8 @@ The master rows and an oracle grouping are both MasterClasses: orbit
 columns (representative, discriminant, stabilizer order, irreducibility,
 lattice membership).  enumerate_classes and brute_force_classes select one
 (lattice, sign) pair from them the same way and return it as a ClassTable.
+master_classes can also build a selection, one sign of P or the irreducible
+orbits only, from the stratum tasks that can hold it.
 """
 
 from __future__ import annotations
@@ -84,8 +86,11 @@ from .reduction import (
 # ---------------------------------------------------------------------------
 
 
+_NO_ROWS = np.empty((0, 4), dtype=np.int64)
+
+
 def _ranges_to_rows(parts: list) -> np.ndarray:
-    return np.concatenate([np.empty((0, 4), dtype=np.int64), *parts])
+    return np.concatenate([_NO_ROWS, *parts])
 
 
 def _expand_windows(lo: np.ndarray, hi: np.ndarray):
@@ -327,7 +332,9 @@ def _neg_rd_stratum(r_lo: int, r_hi: int, limit: int) -> np.ndarray:
 @dataclass
 class MasterClasses:
     """One row per orbit with 1 <= |P(rep)| <= limit, as parallel numpy arrays:
-    the master enumeration, or one oracle grouping (its in-box orbits)."""
+    the master enumeration, or one oracle grouping (its in-box orbits).
+    sign ('+' or '-') and irreducible record a selection: the rows are then
+    only the orbits of that sign of P, or only the irreducible ones."""
 
     limit: int
     reps: np.ndarray  # (N, 4) int64, representatives, one per orbit
@@ -335,6 +342,8 @@ class MasterClasses:
     stab: np.ndarray  # (N,) int64, 1 or 3
     irred: np.ndarray  # (N,) bool
     member: np.ndarray  # (N, 10) bool, membership in L1..L10
+    sign: str | None = None  # None: both signs
+    irreducible: bool = False  # True: the irreducible orbits only
 
     def __len__(self):
         return len(self.disc)
@@ -437,23 +446,45 @@ def _check_increasing(cols, stratum: str) -> None:
 # at a = 192) and 1.6e16 for P > 0 (test_strata_windows_exact_at_max_limit).
 MAX_LIMIT = 4 * isqrt((2 ** 63 - 1) // 27) + 2  # 2_337_884_074
 
-_MASTER_CACHE: dict = {}
+_MASTER_CACHE: dict = {}  # limit -> full master (both signs, every orbit)
 
 
-def master_classes(limit: int) -> MasterClasses:
+def _task_can_hold(task, sign, irreducible: bool) -> bool:
+    """Whether a stratum task can hold orbits of the selection: its rows
+    have the sign of P asked for (P > 0 on the pos rows), and with
+    irreducible=True, _task_columns does not state its irred column as the
+    constant False (as it does for negrd, and for pos at a = 0)."""
+    if sign is not None and (task[0] == "pos") != (sign == "+"):
+        return False
+    return not irreducible or _task_columns(task, _NO_ROWS)[1] is not False
+
+
+def master_classes(limit: int, sign: str | None = None, irreducible: bool = False) -> MasterClasses:
     """All orbits with 1 <= |P| <= limit, across the full integer lattice L1.
 
-    limit may not exceed MAX_LIMIT, the bound of exact int64 arithmetic.
+    With sign '+' or '-', only the orbits of that sign of P; with
+    irreducible=True, only the irreducible ones.  The rows are in master row
+    order, and only the stratum tasks that can hold them are run.  A cached
+    full master that covers limit serves any selection; only full masters
+    are cached.  limit may not exceed MAX_LIMIT, the bound of exact int64
+    arithmetic.
     """
     if limit < 1:
         raise ValueError("limit must be >= 1")
     if limit > MAX_LIMIT:
         raise ValueError(f"limit {limit} exceeds the int64 safety bound {MAX_LIMIT}")
+    if sign is not None:
+        _sign_positive(sign)
+    full = sign is None and not irreducible
     for cached_limit, master in sorted(_MASTER_CACHE.items()):
         if cached_limit >= limit:
-            if cached_limit == limit:
+            if cached_limit == limit and full:
                 return master
             keep = np.abs(master.disc) <= limit
+            if sign is not None:
+                keep &= (master.disc > 0) == (sign == "+")
+            if irreducible:
+                keep &= master.irred
             return MasterClasses(
                 limit,
                 master.reps[keep],
@@ -461,8 +492,10 @@ def master_classes(limit: int) -> MasterClasses:
                 master.stab[keep],
                 master.irred[keep],
                 master.member[keep],
+                sign,
+                irreducible,
             )
-    tasks = _stratum_tasks(limit)
+    tasks = [t for t in _stratum_tasks(limit) if _task_can_hold(t, sign, irreducible)]
     results = [_run_task(t) for t in tasks]
     starts = np.cumsum([0] + [len(rows) for _, rows in results]).tolist()
     reps = _ranges_to_rows([rows for _, rows in results])
@@ -486,10 +519,15 @@ def master_classes(limit: int) -> MasterClasses:
     if not ((disc != 0).all() and (np.abs(disc) <= limit).all()):
         raise AssertionError("enumeration produced out-of-range discriminants")
 
-    master = MasterClasses(limit, reps, disc, stab, irred, lattice_membership(reps.T))
-    _MASTER_CACHE[limit] = master
-    for k in [k for k in _MASTER_CACHE if k < limit]:
-        del _MASTER_CACHE[k]
+    if irreducible and not irred.all():  # the reducible rows of pos a >= 1
+        reps, disc, stab, irred = reps[irred], disc[irred], stab[irred], irred[irred]
+    master = MasterClasses(
+        limit, reps, disc, stab, irred, lattice_membership(reps.T), sign, irreducible
+    )
+    if full:
+        _MASTER_CACHE[limit] = master
+        for k in [k for k in _MASTER_CACHE if k < limit]:
+            del _MASTER_CACHE[k]
     return master
 
 
@@ -515,8 +553,11 @@ def _sign_positive(sign: str) -> bool:
 
 def _signed_selection(master: MasterClasses, lattice: int, sign: str, columns: tuple):
     """(mask, n) for one (lattice, sign) pair, given the _index_columns of
-    the lattice's index scale."""
+    the lattice's index scale.  ValueError for a sign the master does not
+    hold."""
     _sign_positive(sign)
+    if master.sign not in (None, sign):
+        raise ValueError(f"the master holds the sign {master.sign!r} only, not {sign!r}")
     n, by_sign = columns
     return by_sign[sign] & master.member[:, lattice - 1], n
 
@@ -535,16 +576,6 @@ class ClassTable:
 
     def __len__(self):
         return len(self.n)
-
-    def rows(self, block: slice = slice(None)):
-        """(n, rep, stab, irred) for each row of the block, as Python ints,
-        lists of ints and bools."""
-        return zip(
-            self.n[block].tolist(),
-            self.reps[block].tolist(),
-            self.stab[block].tolist(),
-            self.irred[block].tolist(),
-        )
 
     def class_multiset(self) -> list:
         """The sorted (n, stab, irred) triples of the rows, as Python ints and

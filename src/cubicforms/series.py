@@ -89,23 +89,20 @@ class CoefficientSeries:
         c = c.sum(axis=1) if irreducible is None else c[:, int(irreducible)]
         return 3 * c[0] + c[1]
 
-    def _cells(self, n: int) -> np.ndarray:
+    def coeff(self, n: int) -> Fraction:
         if not 1 <= n <= self.max_n:
             raise ValueError(f"n = {n} outside computed range 1..{self.max_n}")
-        return self.orbits[:, :, n]
-
-    def coeff(self, n: int) -> Fraction:
-        c1, c3 = self._cells(n).sum(axis=1).tolist()
+        c1, c3 = self.orbits[:, :, n].sum(axis=1).tolist()
         return Fraction(3 * c1 + c3, 3)
-
-    def count(self, n: int) -> int:
-        return int(self._cells(n).sum())
 
 
 def _pair_series(master: MasterClasses, lattice: int, sign: str, max_n: int, columns: tuple):
     """One bincount over the columns (index, stabilizer order, irreducible) of
     the orbits of one (lattice, sign) pair with 1 <= index <= max_n, given
-    the _index_columns of the lattice's index scale."""
+    the _index_columns of the lattice's index scale.  ValueError on a master
+    of the irreducible orbits only, whose reducible counts would read 0."""
+    if master.irreducible:
+        raise ValueError("a series counts every orbit; the master holds the irreducible ones only")
     mask, n = _signed_selection(master, lattice, sign, columns)
     stab = master.stab[mask]
     if not np.isin(stab, (1, 3)).all():
@@ -118,7 +115,8 @@ def _pair_series(master: MasterClasses, lattice: int, sign: str, max_n: int, col
 def series_from_master(master: MasterClasses, lattice: int, sign: str, max_n: int):
     """The (lattice, sign) series up to index max_n, counted from master rows.
     ValueError if the master stops short of it (max_n times the index scale
-    past master.limit)."""
+    past master.limit), holds the other sign only, or holds the irreducible
+    orbits only."""
     scale = index_scale(lattice)
     if max_n * scale > master.limit:
         raise ValueError(

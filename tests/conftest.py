@@ -24,16 +24,41 @@ def series51(series300):
     return build_all_series(51)
 
 
+def _class_rows(table: ClassTable):
+    """(n, rep, stab, irred) for each row of the table, as Python ints,
+    lists of ints and bools."""
+    return zip(
+        table.n.tolist(), table.reps.tolist(), table.stab.tolist(), table.irred.tolist()
+    )
+
+
+@pytest.fixture(scope="session")
+def class_rows():
+    return _class_rows
+
+
+def _orbit_count(s: CoefficientSeries, n: int) -> int:
+    """The number of orbits of index n in the series, 1 <= n <= max_n."""
+    if not 1 <= n <= s.max_n:
+        raise ValueError(f"n = {n} outside computed range 1..{s.max_n}")
+    return int(s.orbits[:, :, n].sum())
+
+
+@pytest.fixture(scope="session")
+def orbit_count():
+    return _orbit_count
+
+
 def _series_from_rows(table: ClassTable, max_n: int) -> CoefficientSeries:
     """The series of one ClassTable up to index max_n, counted row by row
-    from ClassTable.rows(): the reference for the master path.  Rows past
+    from _class_rows: the reference for the master path.  Rows past
     max_n are left out; AssertionError for a repeated (n, rep), ValueError
     for an empty table or a stabilizer order other than 1 or 3."""
     if not len(table):
         raise ValueError("cannot build a series from an empty table")
     orbits = np.zeros((2, 2, max_n + 1), dtype=np.int64)
     seen = set()
-    for n, rep, stab, irred in table.rows():
+    for n, rep, stab, irred in _class_rows(table):
         if not 1 <= n <= max_n:
             continue
         key = (n, tuple(rep))
@@ -216,7 +241,7 @@ def reference_root_near_mask():
 
 def _fraction_coeffs_text(s: CoefficientSeries) -> str:
     """The coeffs CSV of one series written row by row: each a_n as three
-    Fractions and a CoefficientSeries.count call, indices with a_n = 0
+    Fractions and an _orbit_count call, indices with a_n = 0
     left out.  The reference for cli.cmd_coeffs, which formats whole
     columns."""
     weighted, ird, rd = (s.thirds(irreducible=i).tolist() for i in (None, True, False))
@@ -224,7 +249,7 @@ def _fraction_coeffs_text(s: CoefficientSeries) -> str:
     for n in range(1, s.max_n + 1):
         if weighted[n]:
             lines.append(
-                f"{n},{_frac_str(Fraction(weighted[n], 3))},{s.count(n)},"
+                f"{n},{_frac_str(Fraction(weighted[n], 3))},{_orbit_count(s, n)},"
                 f"{_frac_str(Fraction(ird[n], 3))},{_frac_str(Fraction(rd[n], 3))}"
             )
     return "\n".join(lines) + "\n"

@@ -157,3 +157,34 @@ def test_density_report_rejects_no_checkpoints_before_master_build(monkeypatch):
     for checkpoints in (0, -1):
         with pytest.raises(ValueError, match="checkpoints must be"):
             density_report(1, "+", 10 ** 6, checkpoints=checkpoints)
+
+
+def test_density_report_builds_only_the_strata_it_reads(monkeypatch):
+    # P < 0: the negird tasks alone; P > 0: the pos tasks with a >= 1 (the
+    # negrd rows and the a = 0 rows are reducible).  The counts equal those
+    # read from the full master.
+    run_task = enumeration._run_task
+    built = []
+
+    def recording(task):
+        built.append(task)
+        return run_task(task)
+
+    monkeypatch.setattr(enumeration, "_run_task", recording)
+    monkeypatch.setattr(enumeration, "_MASTER_CACHE", {})
+    limit = 20000
+    tasks = enumeration._stratum_tasks(limit)
+    rows = {}
+    for sign, want in (
+        ("-", [t for t in tasks if t[0] == "negird"]),
+        ("+", [t for t in tasks if t[0] == "pos" and t[1] >= 1]),
+    ):
+        built.clear()
+        rows[sign] = density_report(1, sign, limit, checkpoints=3)
+        assert built == want
+    assert not enumeration._MASTER_CACHE
+    enumeration.master_classes(limit)
+    built.clear()
+    for sign in ("+", "-"):
+        assert density_report(1, sign, limit, checkpoints=3) == rows[sign]
+    assert built == []  # served from the cached full master

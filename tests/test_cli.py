@@ -47,10 +47,10 @@ def test_enumerate_empty(tmp_path):
     assert text.strip() == "schema:1"
 
 
-def _json_dumps_lines(table) -> str:
+def _json_dumps_lines(table, class_rows) -> str:
     """The enumerate output written row by row with json.dumps."""
     lines = ["schema:1"]
-    for n, rep, stab, irred in table.rows():
+    for n, rep, stab, irred in class_rows(table):
         d = {"lattice": table.lattice, "sign": table.sign, "n": n, "rep": rep,
              "stab": stab, "irreducible": irred}
         lines.append(json.dumps(d, separators=(",", ":")))
@@ -63,8 +63,8 @@ def _json_dumps_lines(table) -> str:
     [(1, "pos", 300), (1, "neg", 300), (2, "pos", 300), (7, "neg", 300),
      (9, "pos", 400), (4, "pos", 2)],
 )
-def test_enumerate_lines_equal_json_dumps(tmp_path, monkeypatch, block, lattice, sign,
-                                          max_index):
+def test_enumerate_lines_equal_json_dumps(tmp_path, monkeypatch, class_rows, block, lattice,
+                                          sign, max_index):
     monkeypatch.setattr(cli, "_ENUMERATE_BLOCK", block)
     code, text = run_cli(
         ["enumerate", "--lattice", str(lattice), "--sign", sign, "--max", str(max_index)],
@@ -72,7 +72,7 @@ def test_enumerate_lines_equal_json_dumps(tmp_path, monkeypatch, block, lattice,
     )
     assert code == 0
     table = enumeration.enumerate_classes(lattice, "+" if sign == "pos" else "-", max_index)
-    assert text == _json_dumps_lines(table)
+    assert text == _json_dumps_lines(table, class_rows)
     if max_index == 2:  # L4+ has no orbit of index <= 2
         assert len(table) == 0
     else:

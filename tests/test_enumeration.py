@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from fractions import Fraction
 from math import isqrt
 
@@ -52,6 +53,53 @@ def test_master_cache_filters_down():
     assert len(small) < len(big)
 
 
+_SELECTIONS = [("+", False), ("+", True), ("-", False), ("-", True)]
+
+
+@pytest.mark.parametrize("limit", [2000, 10 ** 5])
+def test_master_selection_is_the_full_master_masked(monkeypatch, limit):
+    # built cold, and served from a cached larger full master
+    monkeypatch.setattr(enumeration, "_MASTER_CACHE", {})
+    cold = {sel: master_classes(limit, *sel) for sel in _SELECTIONS}
+    assert enumeration._MASTER_CACHE == {}  # a partial build is not cached
+    full = master_classes(limit)
+    master_classes(limit + 1000)
+    assert list(enumeration._MASTER_CACHE) == [limit + 1000]
+    for sign, irreducible in _SELECTIONS:
+        keep = (full.disc > 0) == (sign == "+")
+        if irreducible:
+            keep &= full.irred
+        assert 0 < keep.sum() < len(full)
+        for got in (cold[sign, irreducible], master_classes(limit, sign, irreducible)):
+            assert (got.limit, got.sign, got.irreducible) == (limit, sign, irreducible)
+            for name in ("reps", "disc", "stab", "irred", "member"):
+                have, want = getattr(got, name), getattr(full, name)[keep]
+                assert (have.dtype, have.shape) == (want.dtype, want.shape), name
+                assert have.tobytes() == want.tobytes(), name
+
+
+def test_master_selection_rejects_bad_sign_before_build(monkeypatch):
+    def no_work(task):
+        raise AssertionError("stratum work started")
+
+    monkeypatch.setattr(enumeration, "_run_task", no_work)
+    monkeypatch.setattr(enumeration, "_MASTER_CACHE", {})
+    for sign in ("x", "pos", 1):
+        with pytest.raises(ValueError, match="sign must be"):
+            master_classes(1000, sign)
+
+
+def test_signed_selection_rejects_a_sign_the_master_lacks():
+    # a one-sign master holds no row of the other sign; it may not answer 0
+    for sign, other in (("+", "-"), ("-", "+")):
+        m = master_classes(300, sign)
+        columns = enumeration._index_columns(m, 1, 300)
+        mask, _ = enumeration._signed_selection(m, 1, sign, columns)
+        assert mask.all()
+        with pytest.raises(ValueError, match=re.escape(f"holds the sign {sign!r} only")):
+            enumeration._signed_selection(m, 1, other, columns)
+
+
 def test_enumerate_classes_examples():
     table = enumerate_classes(1, "+", 1)
     assert len(table) == 1
@@ -77,7 +125,7 @@ def _oracle_classes(lattice: int, sign: str, max_index: int):
 @pytest.mark.parametrize(
     "lattice, sign, max_index", [(7, "-", 60), (8, "-", 20)], ids=["L7-", "L8-"]
 )
-def test_enumerate_classes_sorted_and_in_lattice(produce, lattice, sign, max_index):
+def test_enumerate_classes_sorted_and_in_lattice(class_rows, produce, lattice, sign, max_index):
     table = produce(lattice, sign, max_index)
     assert (table.lattice, table.sign) == (lattice, sign)
     assert len(table) > 0
@@ -89,8 +137,8 @@ def test_enumerate_classes_sorted_and_in_lattice(produce, lattice, sign, max_ind
         assert 1 <= n <= max_index
         assert lattice_member(rep, lattice)
         assert discriminant(rep) == (n if sign == "+" else -n) * scale
-    # rows() gives the columns, in the table's order, as Python values
-    rows = list(table.rows())
+    # class_rows gives the columns, in the table's order, as Python values
+    rows = list(class_rows(table))
     columns = (table.n, table.reps, table.stab, table.irred)
     assert rows == list(zip(*(col.tolist() for col in columns)))
     assert all(type(x) is int for n, rep, stab, _ in rows for x in (n, *rep, stab))
@@ -262,8 +310,18 @@ def test_master_positive_block_strictly_increasing(monkeypatch):
     assert (m.disc[: len(pos)] > 0).all()
 
 
-@pytest.mark.parametrize("kind", ["pos", "negird", "negrd"])
-def test_master_rejects_duplicate_rows(monkeypatch, kind):
+# Each task kind, with the full master and with one partial selection that
+# still runs that kind's tasks.
+_PARTIAL = {"pos": ("+", True), "negird": ("-", True), "negrd": ("-",)}
+_KIND_SELECTIONS = pytest.mark.parametrize(
+    "kind, selection",
+    [(kind, ()) for kind in _PARTIAL] + list(_PARTIAL.items()),
+    ids=list(_PARTIAL) + [f"{kind}-partial" for kind in _PARTIAL],
+)
+
+
+@_KIND_SELECTIONS
+def test_master_rejects_duplicate_rows(monkeypatch, kind, selection):
     run_task = enumeration._run_task
 
     def doubled(task):
@@ -275,11 +333,11 @@ def test_master_rejects_duplicate_rows(monkeypatch, kind):
     monkeypatch.setattr(enumeration, "_run_task", doubled)
     monkeypatch.setattr(enumeration, "_MASTER_CACHE", {})
     with pytest.raises(AssertionError, match="duplicate representatives"):
-        master_classes(2000)
+        master_classes(2000, *selection)
 
 
-@pytest.mark.parametrize("kind", ["pos", "negird", "negrd"])
-def test_master_rejects_duplicates_across_tasks(monkeypatch, kind):
+@_KIND_SELECTIONS
+def test_master_rejects_duplicates_across_tasks(monkeypatch, kind, selection):
     # each task's rows increase, so only the block-level check sees a task
     # run twice
     stratum_tasks, run_task = enumeration._stratum_tasks, enumeration._run_task
@@ -292,11 +350,11 @@ def test_master_rejects_duplicates_across_tasks(monkeypatch, kind):
     monkeypatch.setattr(enumeration, "_stratum_tasks", repeated)
     monkeypatch.setattr(enumeration, "_MASTER_CACHE", {})
     with pytest.raises(AssertionError, match="duplicate representatives"):
-        master_classes(2000)
+        master_classes(2000, *selection)
 
 
-@pytest.mark.parametrize("kind", ["pos", "negird", "negrd"])
-def test_master_rejects_rows_out_of_order(monkeypatch, kind):
+@_KIND_SELECTIONS
+def test_master_rejects_rows_out_of_order(monkeypatch, kind, selection):
     run_task = enumeration._run_task
     swapped = []
 
@@ -311,7 +369,7 @@ def test_master_rejects_rows_out_of_order(monkeypatch, kind):
     monkeypatch.setattr(enumeration, "_run_task", swap_first_pair)
     monkeypatch.setattr(enumeration, "_MASTER_CACHE", {})
     with pytest.raises(AssertionError, match="out of order"):
-        master_classes(2000)
+        master_classes(2000, *selection)
     assert swapped == [True]  # two distinct rows, nothing else changed
 
 

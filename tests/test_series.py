@@ -64,18 +64,18 @@ def test_build_series_from_records(build_series):
         build_series(_take(table, []), 50)
 
 
-def test_series_splits_sum(series300):
+def test_series_splits_sum(series300, orbit_count):
     for pair in ALL_PAIRS:
         s = series300[pair]
         ird, rd = s.thirds(irreducible=True), s.thirds(irreducible=False)
         assert (s.thirds() == ird + rd).all()
         for n in range(1, 301):
             assert s.coeff(n) == Fraction(int(ird[n] + rd[n]), 3)
-            # a_n = c1 + c3/3 with count(n) = c1 + c3 orbits
-            assert s.coeff(n) <= s.count(n) <= 3 * s.coeff(n)
+            # a_n = c1 + c3/3 with orbit_count(s, n) = c1 + c3 orbits
+            assert s.coeff(n) <= orbit_count(s, n) <= 3 * s.coeff(n)
 
 
-def test_record_path_equals_master_path(series300, build_series):
+def test_record_path_equals_master_path(series300, build_series, class_rows, orbit_count):
     for lattice, sign in ALL_PAIRS:
         want = series300[(lattice, sign)]
         table = enumerate_classes(lattice, sign, 300)
@@ -83,17 +83,17 @@ def test_record_path_equals_master_path(series300, build_series):
         assert (s.lattice, s.sign, s.max_n) == (lattice, sign, 300)
         for n in range(1, 301):
             assert s.coeff(n) == want.coeff(n), (lattice, sign, n)
-            assert s.count(n) == want.count(n), (lattice, sign, n)
+            assert orbit_count(s, n) == orbit_count(want, n), (lattice, sign, n)
         # 3 a_n of each part, summed row by row
         parts = {True: [0] * 301, False: [0] * 301}
-        for n, _, stab, irred in table.rows():
+        for n, _, stab, irred in class_rows(table):
             parts[irred][n] += 3 // stab
         for irreducible, thirds in parts.items():
             assert s.thirds(irreducible=irreducible).tolist() == thirds
             assert want.thirds(irreducible=irreducible).tolist() == thirds
 
 
-def test_record_path_drops_records_past_max_n(series300, build_series):
+def test_record_path_drops_records_past_max_n(series300, build_series, orbit_count):
     # Rows of index 301..450 are left out, not counted in another cell.
     for lattice, sign in ALL_PAIRS:
         table = enumerate_classes(lattice, sign, 450)
@@ -106,7 +106,9 @@ def test_record_path_drops_records_past_max_n(series300, build_series):
                 s.thirds(irreducible=irreducible).tolist()
                 == want.thirds(irreducible=irreducible).tolist()
             ), (lattice, sign, irreducible)
-        assert [s.count(n) for n in range(1, 301)] == [want.count(n) for n in range(1, 301)]
+        assert [orbit_count(s, n) for n in range(1, 301)] == [
+            orbit_count(want, n) for n in range(1, 301)
+        ]
 
 
 # One extra orbit of index 5 in one series: (pair, stabilizer slot, irreducible
@@ -292,12 +294,26 @@ def test_series_from_master_rejects_lattice_out_of_range():
             series_from_master(m, lattice, "+", 50)
 
 
-def test_series_from_master_rejects_index_past_master():
+def test_series_from_master_rejects_index_past_master(orbit_count):
     # the master at 100 holds no row with |P| = 500; it may not answer 0
     m = master_classes(100)
     for lattice, max_n in ((1, 101), (1, 1000), (2, 4)):
         with pytest.raises(ValueError, match="past the master's 100"):
             series_from_master(m, lattice, "+", max_n)
     # up to the master's limit it answers: 100 = 1 * 100 and 81 = 27 * 3
-    assert series_from_master(m, 1, "-", 100).count(100) == (m.disc == -100).sum() > 0
+    assert orbit_count(series_from_master(m, 1, "-", 100), 100) == (m.disc == -100).sum() > 0
     assert series_from_master(m, 2, "+", 3).max_n == 3
+
+
+def test_series_from_master_rejects_a_partial_master():
+    # a one-sign master answers its own sign only, and an irreducible-only
+    # master no series: its reducible counts would read 0
+    full = series_from_master(master_classes(300), 1, "-", 300)
+    neg = master_classes(300, "-")
+    assert (series_from_master(neg, 1, "-", 300).orbits == full.orbits).all()
+    with pytest.raises(ValueError, match="holds the sign '-' only"):
+        series_from_master(neg, 1, "+", 300)
+    for sign in ("+", "-"):
+        irred = master_classes(300, sign, irreducible=True)
+        with pytest.raises(ValueError, match="irreducible ones only"):
+            series_from_master(irred, 1, sign, 300)
