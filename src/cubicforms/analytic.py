@@ -18,8 +18,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .enumeration import _index_columns, _sign_positive, _signed_selection, master_classes
-from .forms import EVEN_PARTNER, index_scale, lattice_membership, residue_grid
+from .enumeration import master_classes
+from .forms import EVEN_PARTNER, index_scale, lattice_member, residue_grid
 from .series import CheckReport, _report
 
 # ---------------------------------------------------------------------------
@@ -183,7 +183,7 @@ def residue_constants() -> ResidueTable:
 
 def _count_in(lattice: int, cols, keep=slice(None)) -> int:
     """How many of the kept coefficient columns lie in the lattice."""
-    return int(lattice_membership(cols)[keep, lattice - 1].sum())
+    return int(lattice_member(cols, lattice)[keep].sum())
 
 
 def _density_ird(lattice: int, mod: int) -> Fraction:
@@ -342,14 +342,11 @@ def density_report(lattice: int, sign: str, max_x: int, checkpoints: int = 10) -
     """Counts S(X) of irreducible classes at geometric checkpoints up to max_x,
     against the two-term prediction; gauge = |S - prediction| / X^(2/3)."""
     scale = index_scale(lattice)
-    _sign_positive(sign)  # before the master is built
     if checkpoints < 1:
         raise ValueError(f"checkpoints must be >= 1; got {checkpoints}")
     master = master_classes(max_x * scale, sign, irreducible=True)
-    columns = _index_columns(master, scale, max_x)
-    sel, n = _signed_selection(master, lattice, sign, columns)
-    n = n[sel]
-    stab = master.stab[sel]
+    rows, n = master.select(lattice, sign, max_x)
+    stab = master.stab[rows]
     xs = sorted(
         {int(round(max_x ** (j / checkpoints))) for j in range(1, checkpoints + 1)}
     )

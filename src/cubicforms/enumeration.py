@@ -46,8 +46,9 @@ irreducibility) once, and every (lattice, sign) selects from them.
 
 The master rows and an oracle grouping are both MasterClasses: orbit
 columns (representative, discriminant, stabilizer order, irreducibility,
-lattice membership).  enumerate_classes and brute_force_classes select one
-(lattice, sign) pair from them the same way and return it as a ClassTable.
+lattice membership).  MasterClasses.select is the one rule for the orbits of
+a (lattice, sign) pair: enumerate_classes and brute_force_classes return its
+rows as a ClassTable, and the series and density counts read them too.
 master_classes can also build a selection, one sign of P or the irreducible
 orbits only, from the stratum tasks that can hold it.
 """
@@ -348,6 +349,31 @@ class MasterClasses:
     def __len__(self):
         return len(self.disc)
 
+    def select(self, lattice: int, sign: str, max_index: int) -> tuple:
+        """(rows, n): the indices, in row order, of the orbits of the
+        (lattice, sign) pair with 1 <= index <= max_index, and the index
+        n = |P| // index_scale(lattice) of each.  ValueError for a lattice
+        outside 1..10, a sign other than '+' or '-', max_index < 1, a sign
+        the rows do not hold, or an index range past the limit."""
+        scale = index_scale(lattice)
+        positive = _sign_positive(sign)
+        if max_index < 1:
+            raise ValueError("max_index must be >= 1")
+        if self.sign not in (None, sign):
+            raise ValueError(f"the master holds the sign {self.sign!r} only, not {sign!r}")
+        if max_index * scale > self.limit:
+            raise ValueError(
+                f"max_index {max_index} needs |P| up to {max_index * scale}, "
+                f"past the master's {self.limit}"
+            )
+        # 1 <= |P| // scale <= max_index, on the side of P that sign names
+        lo, hi = scale, (max_index + 1) * scale - 1
+        if not positive:
+            lo, hi = -hi, -lo
+        keep = (self.disc >= lo) & (self.disc <= hi) & self.member[:, lattice - 1]
+        rows = np.flatnonzero(keep)
+        return rows, np.abs(self.disc[rows]) // scale
+
 
 def _pos_irreducible_mask(rows: np.ndarray, a: int) -> np.ndarray:
     """Irreducibility of P > 0 rows whose leading coefficient is a or -a,
@@ -532,16 +558,8 @@ def master_classes(limit: int, sign: str | None = None, irreducible: bool = Fals
 
 
 # ---------------------------------------------------------------------------
-# one (lattice, sign) pair as columns
+# one (lattice, sign) pair as a table
 # ---------------------------------------------------------------------------
-
-
-def _index_columns(master: MasterClasses, scale: int, max_index: int) -> tuple:
-    """(n, by_sign): the index n = |P| // scale of every row and, for each
-    sign, the mask of the rows of that sign with 1 <= n <= max_index."""
-    n = np.abs(master.disc) // scale
-    in_range = (n >= 1) & (n <= max_index)
-    return n, {"+": in_range & (master.disc > 0), "-": in_range & (master.disc < 0)}
 
 
 def _sign_positive(sign: str) -> bool:
@@ -549,17 +567,6 @@ def _sign_positive(sign: str) -> bool:
     if sign not in ("+", "-"):
         raise ValueError(f"sign must be '+' or '-', got {sign!r}")
     return sign == "+"
-
-
-def _signed_selection(master: MasterClasses, lattice: int, sign: str, columns: tuple):
-    """(mask, n) for one (lattice, sign) pair, given the _index_columns of
-    the lattice's index scale.  ValueError for a sign the master does not
-    hold."""
-    _sign_positive(sign)
-    if master.sign not in (None, sign):
-        raise ValueError(f"the master holds the sign {master.sign!r} only, not {sign!r}")
-    n, by_sign = columns
-    return by_sign[sign] & master.member[:, lattice - 1], n
 
 
 @dataclass
@@ -585,13 +592,12 @@ class ClassTable:
 
 def _class_table(orbits: MasterClasses, lattice: int, sign: str, max_index: int) -> ClassTable:
     """The ClassTable of the orbits of one (lattice, sign) pair with
-    1 <= index <= max_index, selected from orbit columns."""
-    columns = _index_columns(orbits, index_scale(lattice), max_index)
-    mask, n = _signed_selection(orbits, lattice, sign, columns)
-    idx = np.flatnonzero(mask)
-    idx = idx[_lex_order(np.column_stack((n[idx], orbits.reps[idx])))]
+    1 <= index <= max_index (MasterClasses.select), sorted."""
+    idx, n = orbits.select(lattice, sign, max_index)
+    order = _lex_order(np.column_stack((n, orbits.reps[idx])))
+    idx = idx[order]
     return ClassTable(
-        lattice, sign, n[idx], orbits.reps[idx], orbits.stab[idx], orbits.irred[idx]
+        lattice, sign, n[order], orbits.reps[idx], orbits.stab[idx], orbits.irred[idx]
     )
 
 
@@ -714,35 +720,25 @@ def _group_box_orbits(
 
 
 def brute_force_classes(
-    lattice: int,
-    sign: str,
-    max_index: int,
-    box: int,
-    cap: int | None = None,
-    check_stability: bool = False,
+    lattice: int, sign: str, max_index: int, box: int, check_stability: bool = False
 ) -> ClassTable:
     """Independent oracle: box enumeration + BFS orbit grouping, returned as
     the ClassTable of the pair, in the order of enumerate_classes.
 
     Correct only when every orbit with index <= max_index has a member in
-    [-box, box]^4 and box members are BFS-connected within the cap (default
-    4 * box).  With check_stability=True the run is repeated at
-    stability_box(box) = (3 * box + 1) // 2, with 1.5 times the cap (at
-    least that box), and a warning is raised if the class multiset changes;
-    one scan at that box serves both runs.  ValueError for max_index < 1,
-    box < 1 or cap < box (a survivor outside the cap would be its own
-    class).  The box scanned may not exceed MAX_BOX, nor the discriminant
-    bound MAX_LIMIT, the bounds of exact int64 arithmetic.
+    [-box, box]^4 and box members are BFS-connected within the cap 4 * box.
+    With check_stability=True the run is repeated at stability_box(box) =
+    (3 * box + 1) // 2 with the cap 6 * box, and a warning is raised if the
+    class multiset changes; one scan at that box serves both runs.
+    ValueError for max_index < 1 or box < 1.  The box scanned may not exceed
+    MAX_BOX, nor the discriminant bound MAX_LIMIT, the bounds of exact int64
+    arithmetic.
     """
     _sign_positive(sign)
     if max_index < 1:
         raise ValueError("max_index must be >= 1")
     if box < 1:
         raise ValueError("box must be >= 1")
-    if cap is None:
-        cap = 4 * box
-    if cap < box:
-        raise ValueError(f"cap {cap} is below the box {box}")
     p_limit = max_index * index_scale(lattice)
     scan_box = stability_box(box) if check_stability else box
     if scan_box > MAX_BOX:
@@ -752,13 +748,13 @@ def brute_force_classes(
     # the even lattices lie in L2, where 27 divides P, so |P| // 27 is exact
     family = 2 if lattice in EVEN_LATTICES else 1
 
-    def grouped(at_box: int, at_cap: int) -> ClassTable:
-        orbits = _group_box_orbits(at_box, p_limit, at_cap, family, scan_box)
+    def grouped(at_box: int, cap: int) -> ClassTable:
+        orbits = _group_box_orbits(at_box, p_limit, cap, family, scan_box)
         return _class_table(orbits, lattice, sign, max_index)
 
-    table = grouped(box, cap)
+    table = grouped(box, 4 * box)
     if check_stability:
-        bigger = grouped(scan_box, max(cap * 3 // 2, scan_box))
+        bigger = grouped(scan_box, 6 * box)
         if table.class_multiset() != bigger.class_multiset():
             warnings.warn(
                 f"brute_force_classes unstable under box growth "

@@ -342,10 +342,12 @@ def lattice_membership(f) -> np.ndarray:
     return _MEMBERSHIP[_residue_row(f)]
 
 
-def lattice_member(f, lattice: int) -> bool:
-    """Membership of f in L_lattice, lattice in 1..10."""
+def lattice_member(f, lattice: int):
+    """Membership in L_lattice, lattice in 1..10: a bool for one form, an
+    (N,) bool array for coefficient columns (one column of the table)."""
     _check_lattice(lattice)
-    return bool(lattice_membership(f)[lattice - 1])
+    member = _MEMBERSHIP[_residue_row(f), lattice - 1]
+    return bool(member) if member.ndim == 0 else member
 
 
 def _integer_roots(b: int, c: int, e: int) -> set:

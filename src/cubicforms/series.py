@@ -5,10 +5,12 @@ For a lattice L and sign +-, the coefficient at index n is
     a_n = sum over SL2(Z)-orbits in L with index n of 1 / |stabilizer|,
 
 an element of (1/3) Z.  The index is |P| for odd-numbered lattices and
-|P| / 27 for even-numbered ones.  A series holds int64 orbit counts by n, so
-a_n = c1 + c3/3 is exact.  The coefficientwise identities compare whole arrays
-of 3 a_n; those mixing the two signs live in Z[sqrt(3)] (exact class Qrt3) and
-compare the rational and the sqrt(3) part as two arrays.
+|P| / 27 for even-numbered ones.  The orbits of a series and their indices
+are the rows MasterClasses.select gives for its (lattice, sign) pair.  A
+series holds int64 orbit counts by n, so a_n = c1 + c3/3 is exact.  The
+coefficientwise identities compare whole arrays of 3 a_n; those mixing the
+two signs live in Z[sqrt(3)] (exact class Qrt3) and compare the rational and
+the sqrt(3) part as two arrays.
 """
 
 from __future__ import annotations
@@ -18,9 +20,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .enumeration import MasterClasses, _index_columns, _signed_selection, master_classes
-from .forms import (EVEN_LATTICES, discriminant, gauss_jordan, index_scale, lattice_membership,
-                    phi, residue_grid)
+from .enumeration import MasterClasses, master_classes
+from .forms import EVEN_LATTICES, discriminant, gauss_jordan, lattice_member, phi, residue_grid
 from .golden import golden_table
 
 ALL_PAIRS = tuple((lat, sign) for lat in range(1, 11) for sign in ("+", "-"))
@@ -83,8 +84,8 @@ class CoefficientSeries:
         """3 a_n (int64) for n = 0..upto, by default max_n; with `irreducible`
         given, only the irreducible or only the reducible orbits count."""
         upto = self.max_n if upto is None else upto
-        if upto > self.max_n:
-            raise ValueError(f"n = {upto} outside computed range 1..{self.max_n}")
+        if not 0 <= upto <= self.max_n:
+            raise ValueError(f"n = {upto} outside computed range 0..{self.max_n}")
         c = self.orbits[:, :, : upto + 1]
         c = c.sum(axis=1) if irreducible is None else c[:, int(irreducible)]
         return 3 * c[0] + c[1]
@@ -96,45 +97,28 @@ class CoefficientSeries:
         return Fraction(3 * c1 + c3, 3)
 
 
-def _pair_series(master: MasterClasses, lattice: int, sign: str, max_n: int, columns: tuple):
-    """One bincount over the columns (index, stabilizer order, irreducible) of
-    the orbits of one (lattice, sign) pair with 1 <= index <= max_n, given
-    the _index_columns of the lattice's index scale.  ValueError on a master
-    of the irreducible orbits only, whose reducible counts would read 0."""
+def series_from_master(master: MasterClasses, lattice: int, sign: str, max_n: int):
+    """The (lattice, sign) series up to index max_n: one bincount over the
+    columns (index, stabilizer order, irreducible) of the pair's master rows
+    (MasterClasses.select, which rejects a bad pair, max_n < 1, a sign the
+    master does not hold and an index range past master.limit).  ValueError
+    also on a master of the irreducible orbits only, whose reducible counts
+    would read 0."""
     if master.irreducible:
         raise ValueError("a series counts every orbit; the master holds the irreducible ones only")
-    mask, n = _signed_selection(master, lattice, sign, columns)
-    stab = master.stab[mask]
+    rows, n = master.select(lattice, sign, max_n)
+    stab = master.stab[rows]
     if not np.isin(stab, (1, 3)).all():
         raise ValueError("stabilizer orders must be 1 or 3")
-    cell = 2 * (stab == 3) + master.irred[mask]
-    counts = np.bincount(cell * (max_n + 1) + n[mask], minlength=4 * (max_n + 1))
+    cell = 2 * (stab == 3) + master.irred[rows]
+    counts = np.bincount(cell * (max_n + 1) + n, minlength=4 * (max_n + 1))
     return CoefficientSeries(lattice, sign, max_n, counts.reshape(2, 2, max_n + 1))
-
-
-def series_from_master(master: MasterClasses, lattice: int, sign: str, max_n: int):
-    """The (lattice, sign) series up to index max_n, counted from master rows.
-    ValueError if the master stops short of it (max_n times the index scale
-    past master.limit), holds the other sign only, or holds the irreducible
-    orbits only."""
-    scale = index_scale(lattice)
-    if max_n * scale > master.limit:
-        raise ValueError(
-            f"max_n {max_n} needs |P| up to {max_n * scale}, past the master's {master.limit}"
-        )
-    columns = _index_columns(master, scale, max_n)
-    return _pair_series(master, lattice, sign, max_n, columns)
 
 
 def build_all_series(max_n: int) -> dict:
     """All twenty series (lattice 1..10, both signs) up to index max_n."""
     master = master_classes(27 * max_n)
-    # the index column and the sign masks once per index scale, not per pair
-    columns = {scale: _index_columns(master, scale, max_n) for scale in (1, 27)}
-    return {
-        (lat, sign): _pair_series(master, lat, sign, max_n, columns[index_scale(lat)])
-        for lat, sign in ALL_PAIRS
-    }
+    return {pair: series_from_master(master, *pair, max_n) for pair in ALL_PAIRS}
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +255,7 @@ def _decomposition_sides(lattice: int, base: int, p_res: int, cols):
     points x = cols (base 1) or x = phi(cols) (base 2)."""
     a, b, c, d = cols
     x = cols if base == 1 else phi(cols)
-    in_lat = lattice_membership(x)[:, lattice - 1]
+    in_lat = lattice_member(x, lattice)
     doubled = (a % 2 == 0) & (b % 2 == 0) & (c % 2 == 0) & (d % 2 == 0)
     return in_lat, doubled, discriminant(x) % 8 == p_res
 
@@ -315,11 +299,12 @@ def verify_congruence_lemma() -> CheckReport:
         1: ((a == 0) & (d == 0) & (b == 1) & (c == 1)) | ((a == 1) & (d == 1) & (b != c)),
         5: ((b == 0) & (c == 0) & (a == 1) & (d == 1)) | ((b == 1) & (c == 1) & (a != d)),
     }
-    for i in range(residues.shape[1]):
-        for r, cond in criteria.items():
-            if (p[i] == r) != cond[i]:
-                v = tuple(residues[:, i].tolist())
-                failures.append(f"P={r} mod 8 criterion fails at {v}: P%8={p[i]}")
+    # one mismatch column per residue r; np.nonzero walks them tuple by tuple
+    rs = list(criteria)
+    bad = np.stack([(p == r) != criteria[r] for r in rs], axis=1)
+    for i, k in zip(*np.nonzero(bad)):
+        v = tuple(residues[:, i].tolist())
+        failures.append(f"P={rs[k]} mod 8 criterion fails at {v}: P%8={p[i]}")
     return _report("discriminant congruence criteria mod 8 (4096 tuples)", failures)
 
 

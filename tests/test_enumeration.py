@@ -89,15 +89,77 @@ def test_master_selection_rejects_bad_sign_before_build(monkeypatch):
             master_classes(1000, sign)
 
 
-def test_signed_selection_rejects_a_sign_the_master_lacks():
+@pytest.mark.parametrize("selection", [(None, False), *_SELECTIONS])
+def test_select_is_the_per_row_rule(selection):
+    # every pair, on the full master and on each selection: the rows of
+    # sign +- in the lattice with 1 <= |P| // scale <= max_index, row by row
+    m = master_classes(2000, *selection)
+    disc = m.disc.tolist()
+    reps = m.reps.tolist()
+    for lattice in range(1, 11):
+        scale = 27 if lattice % 2 == 0 else 1
+        member = [lattice_member(f, lattice) for f in reps]
+        for sign in ("+", "-"):
+            if m.sign not in (None, sign):
+                continue
+            for max_index in (1, 7, 2000 // scale):
+                want = [
+                    i for i, p in enumerate(disc)
+                    if (p > 0) == (sign == "+") and member[i]
+                    and 1 <= abs(p) // scale <= max_index
+                ]
+                rows, n = m.select(lattice, sign, max_index)
+                assert rows.tolist() == want, (lattice, sign, max_index)
+                assert n.tolist() == [abs(disc[i]) // scale for i in want]
+                assert n.dtype == np.int64
+            assert len(m.select(lattice, sign, 2000 // scale)[0]) > 0
+
+
+def test_select_floors_the_index_on_any_columns():
+    # columns no stratum makes (P = 0, P not a multiple of 27 in every
+    # lattice): the index is still |P| // scale, and n = 0 is left out
+    disc = np.arange(-3000, 3001, dtype=np.int64)
+    m = enumeration.MasterClasses(
+        3000, np.zeros((len(disc), 4), dtype=np.int64), disc, np.ones_like(disc),
+        disc != 0, np.ones((len(disc), 10), dtype=bool),
+    )
+    for lattice, max_index in ((1, 3000), (1, 5), (2, 111), (2, 1)):
+        scale = 27 if lattice == 2 else 1
+        for sign in ("+", "-"):
+            rows, n = m.select(lattice, sign, max_index)
+            want = [
+                i for i, p in enumerate(disc.tolist())
+                if (p > 0) == (sign == "+") and 1 <= abs(p) // scale <= max_index
+            ]
+            assert rows.tolist() == want
+            assert n.tolist() == [abs(int(disc[i])) // scale for i in want]
+
+
+def test_select_rejects_a_sign_the_master_lacks():
     # a one-sign master holds no row of the other sign; it may not answer 0
     for sign, other in (("+", "-"), ("-", "+")):
         m = master_classes(300, sign)
-        columns = enumeration._index_columns(m, 1, 300)
-        mask, _ = enumeration._signed_selection(m, 1, sign, columns)
-        assert mask.all()
+        rows, _ = m.select(1, sign, 300)
+        assert rows.tolist() == list(range(len(m)))
         with pytest.raises(ValueError, match=re.escape(f"holds the sign {sign!r} only")):
-            enumeration._signed_selection(m, 1, other, columns)
+            m.select(1, other, 300)
+
+
+def test_select_rejects_bad_arguments():
+    m = master_classes(300)
+    for args, match in (
+        ((1, "+", 0), "max_index must be >= 1"),
+        ((1, "-", -2), "max_index must be >= 1"),
+        ((1, "+", 301), "past the master's 300"),
+        ((2, "-", 12), "past the master's 300"),
+        ((1, "x", 10), "sign must be"),
+        ((0, "+", 10), "lattice index must be 1..10"),
+    ):
+        with pytest.raises(ValueError, match=match):
+            m.select(*args)
+    # up to the limit it answers: 300 = 1 * 300 and 297 = 27 * 11
+    assert m.select(1, "+", 300)[1].max() == 300
+    assert len(m.select(2, "-", 11)[0]) > 0
 
 
 def test_enumerate_classes_examples():
@@ -170,16 +232,14 @@ def test_brute_force_rejects_bad_bounds(monkeypatch):
         raise AssertionError("box scan started")
 
     monkeypatch.setattr(enumeration, "_box_survivors", no_scan)
-    for max_index, box, cap, match in (
-        (0, 10, None, "max_index must be >= 1"),
-        (-5, 10, None, "max_index must be >= 1"),
-        (20, 0, None, "box must be >= 1"),
-        (20, -3, None, "box must be >= 1"),
-        (20, 10, 0, "cap 0 is below the box 10"),
-        (20, 10, 9, "cap 9 is below the box 10"),
+    for max_index, box, match in (
+        (0, 10, "max_index must be >= 1"),
+        (-5, 10, "max_index must be >= 1"),
+        (20, 0, "box must be >= 1"),
+        (20, -3, "box must be >= 1"),
     ):
         with pytest.raises(ValueError, match=match):
-            brute_force_classes(1, "+", max_index, box, cap=cap)
+            brute_force_classes(1, "+", max_index, box)
 
 
 def test_brute_force_stability_cap_covers_its_box(monkeypatch):
@@ -194,10 +254,10 @@ def test_brute_force_stability_cap_covers_its_box(monkeypatch):
         )
 
     monkeypatch.setattr(enumeration, "_group_box_orbits", record_caps)
-    brute_force_classes(1, "+", 20, 9, cap=9, check_stability=True)
-    brute_force_classes(1, "+", 20, 10, check_stability=True)
-    # 1.5 times the cap, but at least the stability box (14 for box 9)
-    assert caps == [(9, 9), (14, 14), (10, 40), (15, 60)]
+    for box in (1, 9, 10):
+        brute_force_classes(1, "+", 20, box, check_stability=True)
+    # 4 * box, then 6 * box at the stability box (3 * box + 1) // 2
+    assert caps == [(1, 4), (2, 6), (9, 36), (14, 54), (10, 40), (15, 60)]
 
 
 def test_brute_force_tiny():

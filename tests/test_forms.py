@@ -157,6 +157,13 @@ def test_lattice_inclusions():
     scalar = [[lattice_member(f, lat) for lat in range(1, 11)] for f in drawn]
     assert (rows < 0).any()
     assert lattice_membership(rows.T).tolist() == scalar
+    # lattice_member takes columns too: one column of that matrix
+    for lat in range(1, 11):
+        column = lattice_member(rows.T, lat)
+        assert column.dtype == bool and column.shape == (len(drawn),)
+        assert column.tolist() == [row[lat - 1] for row in scalar]
+    assert all(type(x) is bool for row in scalar for x in row)
+    assert type(lattice_member(np.array([1, 0, 0, 1]), 2)) is bool
 
 
 def test_lattice_member_rejects_bad_index():

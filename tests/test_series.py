@@ -21,7 +21,8 @@ from cubicforms import (
     verify_relations,
     verify_tables,
 )
-from cubicforms.forms import gauss_jordan
+from cubicforms import series as series_mod
+from cubicforms.forms import discriminant, gauss_jordan, residue_grid
 from cubicforms.golden import golden_table
 from cubicforms.series import _combo_coeff, ALL_PAIRS, series_from_master
 
@@ -154,6 +155,14 @@ def test_checks_reject_n_past_series(series51):
             check(52, series=series51)
 
 
+def test_thirds_rejects_upto_outside_its_range(series51):
+    s = series51[(1, "+")]
+    assert len(s.thirds(0)) == 1 and len(s.thirds(51)) == 52
+    for upto in (-1, -3, -52, 52):
+        with pytest.raises(ValueError, match="outside computed range 0..51"):
+            s.thirds(upto)
+
+
 def test_render_table_rows(series51):
     left = dict(render_table("left", series51))
     right = dict(render_table("right", series51))
@@ -210,6 +219,31 @@ def test_decomposition_spot_examples():
 def test_verify_congruence_lemma():
     rep = verify_congruence_lemma()
     assert rep.passed, str(rep)
+
+
+def test_congruence_lemma_failures_read_tuple_by_tuple(monkeypatch):
+    # a wrong discriminant: the report lists the mismatches residue tuple by
+    # tuple, P = 1 before P = 5 at each, as a loop over the tuples writes them
+    def shifted(cols):
+        return discriminant(cols) + 4
+
+    monkeypatch.setattr(series_mod, "discriminant", shifted)
+    residues = residue_grid(8)
+    p = shifted(residues) % 8
+    a, b, c, d = residues % 2
+    criteria = {
+        1: ((a == 0) & (d == 0) & (b == 1) & (c == 1)) | ((a == 1) & (d == 1) & (b != c)),
+        5: ((b == 0) & (c == 0) & (a == 1) & (d == 1)) | ((b == 1) & (c == 1) & (a != d)),
+    }
+    want = []
+    for i in range(residues.shape[1]):
+        for r, cond in criteria.items():
+            if (p[i] == r) != cond[i]:
+                v = tuple(residues[:, i].tolist())
+                want.append(f"P={r} mod 8 criterion fails at {v}: P%8={p[i]}")
+    rep = verify_congruence_lemma()
+    assert not rep.passed and len(want) > 20
+    assert rep.details == want[:20] + [f"... and {len(want) - 20} more failures"]
 
 
 def test_span_rank(series300):
@@ -300,6 +334,9 @@ def test_series_from_master_rejects_index_past_master(orbit_count):
     for lattice, max_n in ((1, 101), (1, 1000), (2, 4)):
         with pytest.raises(ValueError, match="past the master's 100"):
             series_from_master(m, lattice, "+", max_n)
+    for max_n in (0, -2):
+        with pytest.raises(ValueError, match="max_index must be >= 1"):
+            series_from_master(m, 1, "+", max_n)
     # up to the master's limit it answers: 100 = 1 * 100 and 81 = 27 * 3
     assert orbit_count(series_from_master(m, 1, "-", 100), 100) == (m.disc == -100).sum() > 0
     assert series_from_master(m, 2, "+", 3).max_n == 3
