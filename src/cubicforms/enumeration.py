@@ -37,12 +37,18 @@ Integer arithmetic is int64, exact up to limit = MAX_LIMIT (about 2.3e9).
 
 The brute-force oracle shares none of the strata: it scans the box
 [-box, box]^4 with the same d-windows of forms (exact up to box = MAX_BOX)
-and groups the survivors into orbits by BFS under u(+-1), w.  Before the
-windows, an exact Hessian cut drops the (a, b, c) with a >= 1 and
-3ac > b^2 + h0: by 27 a^2 P = 4 H^3 - G^2 (H = b^2 - 3ac), P >= -p_limit
-needs 4 (-H)^3 <= 27 a^2 p_limit.  Each grouping computes the columns of its
-representatives (discriminant, lattice membership, stabilizer order,
-irreducibility) once, and every (lattice, sign) selects from them.
+and groups the survivors into orbits by BFS under u(+-1), w.  The box, P
+and L2 are invariant under the signed permutations f(x, -y), f(y, x), -f,
+so the scan covers one eighth of the box (a >= 0, b >= 0, |c| <= b) and
+adds the images.  Before the windows, an exact Hessian cut drops the
+(a, b, c) with a >= 1 and 3ac > b^2 + h0: by 27 a^2 P = 4 H^3 - G^2
+(H = b^2 - 3ac), P >= -p_limit needs 4 (-H)^3 <= 27 a^2 p_limit.  The
+grouping seeds each BFS at the least survivor no closure holds yet, its
+orbit's representative, and since f(x, -y) maps BFS closures onto closures,
+one BFS groups a closure and its mirror.  Each grouping computes the columns
+of its representatives (discriminant, lattice membership, stabilizer order,
+irreducibility) with the scalar functions, once, and every (lattice, sign)
+selects from them.
 
 The master rows and an oracle grouping are both MasterClasses: orbit
 columns (representative, discriminant, stabilizer order, irreducibility,
@@ -57,7 +63,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from itertools import groupby
+from itertools import chain, groupby
 from math import isqrt
 
 import numpy as np
@@ -653,21 +659,39 @@ def _hessian_floor(a: int, p_limit: int) -> int:
     return h
 
 
-def _box_survivors(box: int, p_limit: int, family: int) -> np.ndarray:
-    """Forms in [-box, box]^4 with 1 <= |P| <= p_limit, each once; family 2
-    keeps L2 only (b, c in 3Z).
+# f(x, -y): (a, b, c, d) -> (a, -b, c, -d), as a column sign pattern
+_MIRROR = np.array([1, -1, 1, -1], dtype=np.int64)
 
-    Only a >= 1, and a = 0 with b >= 1, are scanned; negation maps them onto
-    the rest, since P(-f) = P(f).  For a >= 1, 27 a^2 P = 4 H^3 - G^2 with
-    H = b^2 - 3ac (the Hessian's A) and G = 2b^3 - 9abc + 27a^2 d, so
-    P >= -p_limit needs H >= -h0 (_hessian_floor): the (b, c) pairs with
-    3ac > b^2 + h0 are dropped before any d.  For each remaining (a, b, c),
-    |P| <= p_limit confines d to the exact integer windows of _d_windows,
-    and the exact test p != 0, |p| <= p_limit runs on every candidate.
+
+def _box_survivors(box: int, p_limit: int, family: int) -> np.ndarray:
+    """Forms in [-box, box]^4 with 1 <= |P| <= p_limit, in lexicographic
+    order, each once; family 2 keeps L2 only (b, c in 3Z).
+
+    The box, P and L2 are invariant under the signed permutations of GL2(Z):
+    f(x, -y) = (a, -b, c, -d), f(y, x) = (d, c, b, a) and f(-x, -y) = -f
+    (GL2 acts on P by det^6 = 1).  They map the domain a >= 0, b >= 0,
+    |c| <= b (b >= 1 at a = 0) onto every form with P != 0: negation makes
+    a >= 0 and f(x, -y) then b >= 0; if still |c| > b, f(y, x) and then
+    f(-x, y) = (-a, b, -c, d) and f(x, -y) as needed give a' >= 0 and
+    b' = |c| > b = |c'|.  (At a = b = 0 the domain forces c = 0, hence
+    P = 0.)  Only that domain is scanned; the other rows are its images
+    under the three maps, which generate the group (order 8, with
+    -f = (f(y, x) o f(x, -y))^2), and a lexicographic sort with an
+    adjacent-row diff drops the repeated images of the rows on the domain's
+    edges (a = 0, b = 0, |c| = b).
+
+    For a >= 1, 27 a^2 P = 4 H^3 - G^2 with H = b^2 - 3ac (the Hessian's
+    A) and G = 2b^3 - 9abc + 27a^2 d, so P >= -p_limit needs H >= -h0
+    (_hessian_floor): the (b, c) pairs with 3ac > b^2 + h0 are dropped
+    before any d.  For each remaining (a, b, c), |P| <= p_limit confines d
+    to the exact integer windows of _d_windows, and the exact test p != 0,
+    |p| <= p_limit runs on every candidate.
     """
     side = np.arange(-box, box + 1, dtype=np.int64)
     bc_side = side[side % 3 == 0] if family == 2 else side
     b, c = (g.ravel() for g in np.meshgrid(bc_side, bc_side, indexing="ij"))
+    wedge = np.abs(c) <= b
+    b, c = b[wedge], c[wedge]
     chunks = []
     for a in range(box + 1):
         keep = b > 0 if a == 0 else 3 * a * c <= b * b + _hessian_floor(a, p_limit)
@@ -677,7 +701,33 @@ def _box_survivors(box: int, p_limit: int, family: int) -> np.ndarray:
         p = discriminant(rows.T)
         chunks.append(rows[(p != 0) & (np.abs(p) <= p_limit)])
     rows = _ranges_to_rows(chunks)
-    return np.concatenate([rows, -rows])
+    rows = np.concatenate([rows, rows * _MIRROR])
+    rows = np.concatenate([rows, rows[:, ::-1]])
+    rows = np.concatenate([rows, -rows])
+    rows = rows[_lex_order(rows)]
+    fresh = (rows[1:] != rows[:-1]).any(axis=1)
+    return np.concatenate([rows[:1], rows[1:][fresh]])
+
+
+def _box_keys(rows: np.ndarray, box: int) -> np.ndarray:
+    """One int64 per row of [-box, box]^4: its digits in base 2 box + 1, so
+    the keys increase with the rows' lexicographic order.  (2 box + 1)^4 <
+    7e11 for box <= MAX_BOX."""
+    width = 2 * box + 1
+    keys = rows[:, 0] + box
+    for col in rows.T[1:]:
+        keys = keys * width + (col + box)
+    return keys
+
+
+def _box_positions(keys: np.ndarray, rows: np.ndarray, box: int) -> np.ndarray:
+    """The positions in the increasing keys of the rows of [-box, box]^4,
+    each of which must be there."""
+    want = _box_keys(rows, box)
+    at = np.searchsorted(keys, want)
+    if not np.array_equal(keys[np.minimum(at, len(keys) - 1)], want):
+        raise AssertionError("a closure's in-box member is not a box survivor")
+    return at
 
 
 def _group_box_orbits(
@@ -686,7 +736,19 @@ def _group_box_orbits(
     """Group the box survivors into orbits: their lexmin in-box reps, in
     lexicographic order, and the columns of each.  The survivors are
     filtered from the scan at scan_box >= box, which is made once per
-    (scan_box, p_limit, family)."""
+    (scan_box, p_limit, family).
+
+    The seeds are taken in lexicographic order, each the first survivor no
+    earlier closure holds, so a seed is the lexmin in-box member of its
+    closure: the representative.  A closure's in-box members are all
+    survivors (they share P, and L2 is invariant), found by key.  The
+    mirror F = f(x, -y) conjugates u(1) to u(-1) and w to w^-1 = -w, and
+    keeps the cap box; BFS closures are negation-closed, so F maps each
+    closure C onto the closure of F(seed).  When F(seed) is not in C, F(C)
+    is another closure, disjoint from every earlier one; its in-box members
+    are the images of C's, and its representative is their lexmin, with no
+    second BFS.
+    """
     key = (box, p_limit, cap, family)
     if key in _ORACLE_CACHE:
         return _ORACLE_CACHE[key]
@@ -695,17 +757,25 @@ def _group_box_orbits(
         _SCAN_CACHE[scan_key] = _box_survivors(*scan_key)
     survivors = _SCAN_CACHE[scan_key]
     survivors = survivors[(np.abs(survivors) <= box).all(axis=1)]
-    # A closure's in-box members are its survivors: all share P, and L2 is
-    # invariant, so the family-2 filter keeps every one of them.
-    in_box = set(map(tuple, survivors.tolist()))
-    todo = set(in_box)
-    reps = []
-    while todo:
-        members = orbit_bfs(todo.pop(), cap) & in_box
-        todo -= members
-        reps.append(min(members))
-    reps.sort()
-    rows = np.array(reps, dtype=np.int64).reshape(-1, 4)
+    keys = _box_keys(survivors, box)
+    held = np.zeros(len(survivors), dtype=bool)
+    rep_at = []
+    for seed in range(len(survivors)):
+        if held[seed]:
+            continue
+        f = survivors[seed].tolist()
+        closure = orbit_bfs(f, cap)
+        flat = chain.from_iterable(closure)
+        members = np.fromiter(flat, dtype=np.int64, count=4 * len(closure)).reshape(-1, 4)
+        members = members[(np.abs(members) <= box).all(axis=1)]
+        held[_box_positions(keys, members, box)] = True
+        rep_at.append(seed)
+        if (f[0], -f[1], f[2], -f[3]) not in closure:
+            mirror = _box_positions(keys, members * _MIRROR, box)
+            held[mirror] = True
+            rep_at.append(mirror.min())
+    rows = survivors[np.sort(np.array(rep_at, dtype=np.int64))]
+    reps = list(map(tuple, rows.tolist()))
     cols = rows.T
     orbits = MasterClasses(
         p_limit,

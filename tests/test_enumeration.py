@@ -294,6 +294,41 @@ def test_group_box_orbits_reps_are_lexmin_in_box(monkeypatch, family, p_limit):
     assert orbits.irred.tolist() == [is_irreducible(f) for f in reps]
 
 
+def test_group_box_orbits_one_bfs_per_mirror_pair(monkeypatch, reference_orbit_bfs):
+    box, cap = 20, 80
+    seeds = []
+
+    def spy(f, cap):
+        seeds.append(tuple(f))
+        return orbit_bfs(f, cap)
+
+    monkeypatch.setattr(enumeration, "orbit_bfs", spy)
+    mirror = lambda x: (x[0], -x[1], x[2], -x[3])
+    for family, p_limit in ((1, 100), (2, 27 * 100)):
+        monkeypatch.setattr(enumeration, "_ORACLE_CACHE", {})
+        monkeypatch.setattr(enumeration, "_SCAN_CACHE", {})
+        seeds.clear()
+        orbits = enumeration._group_box_orbits(box, p_limit, cap, family, box)
+        reps = list(map(tuple, orbits.reps.tolist()))
+        # reference: the in-box members of each closure, one act-based BFS
+        # per seed until every survivor is held
+        todo = set(map(tuple, enumeration._box_survivors(box, p_limit, family).tolist()))
+        closures = []
+        while todo:
+            closure = reference_orbit_bfs(todo.pop(), cap)
+            members = frozenset(x for x in closure if max(map(abs, x)) <= box)
+            todo -= members
+            closures.append(members)
+        assert reps == sorted(min(members) for members in closures), family
+        # the mirror f(x, -y) maps closures onto closures; a pair is named
+        # by the least form of its two closures
+        assert {frozenset(map(mirror, m)) for m in closures} == set(closures), family
+        pairs = {min(min(m), min(map(mirror, m))) for m in closures}
+        # one BFS per pair, seeded in lexicographic order at its representative
+        assert seeds == sorted(pairs), family
+        assert len(pairs) < len(closures), family
+
+
 def test_brute_force_matches_enumeration_small():
     for lattice, sign, max_index, box in [
         (1, "+", 60, 30),
@@ -526,11 +561,14 @@ def _grid_survivors(box: int, p_limit: int, family: int) -> np.ndarray:
     family 2) with 1 <= |P| <= p_limit, in lexicographic order."""
     side = np.arange(-box, box + 1, dtype=np.int64)
     bc = side[side % 3 == 0] if family == 2 else side
-    rows = np.stack(
-        [g.ravel() for g in np.meshgrid(side, bc, bc, side, indexing="ij")], axis=1
-    )
-    p = np.abs(discriminant(rows.T))
-    return rows[(p >= 1) & (p <= p_limit)]
+    chunks = []
+    for a in side.tolist():  # one leading coefficient at a time keeps it small
+        rows = np.stack(
+            [g.ravel() for g in np.meshgrid([a], bc, bc, side, indexing="ij")], axis=1
+        )
+        p = np.abs(discriminant(rows.T))
+        chunks.append(rows[(p >= 1) & (p <= p_limit)])
+    return np.concatenate(chunks)
 
 
 def _lex_rows(rows: np.ndarray) -> np.ndarray:
@@ -562,8 +600,8 @@ def test_tangent_cases_sit_at_the_peak():
 
 def test_box_survivors_match_full_grid():
     for box, p_limit, family in (
-        (3, 1, 1), (6, 4, 1), (4, 8, 1), (9, 27, 1), (12, 300, 1),
-        (4, 1, 2), (6, 27, 2), (9, 4, 2), (12, 300, 2),
+        (3, 1, 1), (6, 4, 1), (4, 8, 1), (9, 27, 1), (12, 300, 1), (20, 300, 1),
+        (4, 1, 2), (6, 27, 2), (9, 4, 2), (12, 300, 2), (21, 324, 2),
     ):
         got = enumeration._box_survivors(box, p_limit, family)
         assert len(np.unique(got, axis=0)) == len(got), (box, p_limit, family)
@@ -620,8 +658,10 @@ def test_hessian_floor_exact_near_cubes():
 
 
 def test_box_scan_cut_is_exactly_the_hessian_bound(monkeypatch):
-    # the (b, c) pairs handed to _d_windows at a >= 1 are exactly those with
-    # 4 max(-H, 0)^3 <= 27 a^2 p_limit, i.e. H >= -h0
+    # the (b, c) pairs handed to _d_windows are exactly those of the scan
+    # domain b >= 0, |c| <= b, in lexicographic order: at a = 0 those with
+    # b >= 1, at a >= 1 those with 4 max(-H, 0)^3 <= 27 a^2 p_limit, i.e.
+    # H >= -h0
     handed = []
     d_windows = enumeration._d_windows
 
@@ -635,16 +675,35 @@ def test_box_scan_cut_is_exactly_the_hessian_bound(monkeypatch):
         handed.clear()
         enumeration._box_survivors(box, p_limit, family)
         side = [v for v in range(-box, box + 1) if family == 1 or v % 3 == 0]
+        domain = [(bv, cv) for bv in side for cv in side if abs(cv) <= bv]
         assert [a for a, _, _ in handed] == list(range(box + 1))
+        _, b, c = handed[0]
+        assert list(zip(b, c)) == [(bv, cv) for bv, cv in domain if bv >= 1]
         for a, b, c in handed[1:]:
             want = [
-                (bv, cv) for bv in side for cv in side
+                (bv, cv) for bv, cv in domain
                 if 4 * max(3 * a * cv - bv * bv, 0) ** 3 <= 27 * a * a * p_limit
             ]
             assert list(zip(b, c)) == want, (box, p_limit, family, a)
             h0 = enumeration._hessian_floor(a, p_limit)
             binding += sum(3 * a * cv == bv * bv + h0 for bv, cv in want)
     assert binding > 0  # pairs on the bound itself were kept
+
+
+def test_box_survivors_sorted_distinct_and_closed_under_the_signed_permutations():
+    # f(x, -y), f(y, x) and -f map the survivors onto themselves
+    maps = (
+        lambda r: r * np.array([1, -1, 1, -1]),
+        lambda r: r[:, ::-1],
+        lambda r: -r,
+    )
+    for box, p_limit, family in ((12, 300, 1), (20, 60, 1), (15, 27 * 12, 2), (21, 324, 2)):
+        got = enumeration._box_survivors(box, p_limit, family)
+        assert got.dtype == np.int64 and len(got) > 100, (box, p_limit, family)
+        keys = list(map(tuple, got.tolist()))
+        assert all(x < y for x, y in zip(keys, keys[1:])), (box, p_limit, family)
+        for image in maps:
+            assert np.array_equal(_lex_rows(image(got)), got), (box, p_limit, family)
 
 
 def test_box_survivors_filter_from_the_stability_box():

@@ -185,6 +185,16 @@ def test_golden_table_shape():
         golden_table("middle")
 
 
+def test_relations_and_twisted_identity_past_one_million():
+    # the even lattices index by |P| / 27, so at max_n = 40000 the identities
+    # compare rows of different strata up to |P| = 1.08e6, past the 1.35e5
+    # that the acceptance tests reach
+    series = series_mod.build_all_series(40000)
+    for check in (verify_relations, lambda_coefficient_identity):
+        rep = check(40000, series=series)
+        assert rep.passed, str(rep)
+
+
 def test_verify_relations(series300):
     rep = verify_relations(300, series=series300)
     assert rep.passed, str(rep)
