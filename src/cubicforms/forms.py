@@ -88,7 +88,8 @@ def u_of(alpha: int) -> UnimodularMatrix:
 
 
 def discriminant(f) -> int:
-    """P(f) = x2^2 x3^2 - 4 x1 x3^3 - 4 x2^3 x4 + 18 x1 x2 x3 x4 - 27 x1^2 x4^2."""
+    """P(f) = x2^2 x3^2 - 4 x1 x3^3 - 4 x2^3 x4 + 18 x1 x2 x3 x4 - 27 x1^2 x4^2.
+    On broadcastable coefficient columns, P of the broadcast shape."""
     a, b, c, d = f
     return (
         b * b * c * c
@@ -338,13 +339,15 @@ _MEMBERSHIP.flags.writeable = False  # one form's lookup is a view of it
 
 def lattice_membership(f) -> np.ndarray:
     """Membership in L1..L10: shape (10,) for one form, (N, 10) for
-    coefficient columns (e.g. rows.T of an (N, 4) array)."""
+    coefficient columns (e.g. rows.T of an (N, 4) array).  Broadcastable
+    columns give the broadcast shape plus a trailing axis of ten."""
     return _MEMBERSHIP[_residue_row(f)]
 
 
 def lattice_member(f, lattice: int):
     """Membership in L_lattice, lattice in 1..10: a bool for one form, an
-    (N,) bool array for coefficient columns (one column of the table)."""
+    (N,) bool array for coefficient columns (one column of the table).
+    Broadcastable columns give a bool array of the broadcast shape."""
     _check_lattice(lattice)
     member = _MEMBERSHIP[_residue_row(f), lattice - 1]
     return bool(member) if member.ndim == 0 else member

@@ -47,7 +47,9 @@ class ModpSubspace:
         return len(self.basis)
 
     def contains(self, v) -> bool:
-        return _reduce_against(self.p, self.basis, v) is None
+        rows = np.array(self.basis, dtype=np.int64).reshape(-1, _DIM)
+        pivots = (rows % self.p != 0).argmax(axis=1)  # each row's leading column
+        return bool(_in_span(self.p, pivots, rows, np.array(v, dtype=np.int64)))
 
     def _span(self) -> np.ndarray:
         # the basis padded with zero rows to the four rows residue_span takes
@@ -63,50 +65,57 @@ class ModpSubspace:
         return table[tuple(grid % self.p)]
 
 
-def _reduce_against(p: int, basis, v):
-    """Reduce v against RREF rows; None if v lies in the span, else remainder."""
-    v = [x % p for x in v]
-    for row in basis:
-        lead = next(i for i in range(_DIM) if row[i] % p)
-        if v[lead] % p:
-            inv = pow(row[lead], p - 2, p) if p > 2 else row[lead]
-            fac = (v[lead] * inv) % p
-            v = [(x - fac * y) % p for x, y in zip(v, row)]
-    return None if all(x % p == 0 for x in v) else tuple(v)
+def _in_span(p: int, pivots, rows: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Whether the vectors v (..., 4) lie in the span mod p of the RREF rows
+    (..., d, 4) with these pivot columns.  Row k has 1 at its own pivot and 0
+    at the others, so the only candidate in the span is sum_k v[pivot_k] row_k,
+    and v lies in the span iff v minus it vanishes mod p."""
+    return ((v - v[..., pivots] @ rows) % p == 0).all(axis=-1)
+
+
+def _pivot_patterns(p: int):
+    """For each pivot tuple of a nonzero subspace of F_p^4: (pivots, rows),
+    rows the (n, d, 4) int64 array of every RREF basis with those pivots
+    (1 at each pivot, 0 above and below it, free entries right of it)."""
+    for d in range(1, _DIM + 1):
+        for pivots in itertools.combinations(range(_DIM), d):
+            free = [
+                (i, j) for i in range(d) for j in range(_DIM) if j > pivots[i] and j not in pivots
+            ]
+            fills = np.array(list(itertools.product(range(p), repeat=len(free))), dtype=np.int64)
+            rows = np.zeros((p ** len(free), d, _DIM), dtype=np.int64)
+            rows[:, range(d), pivots] = 1
+            for k, (i, j) in enumerate(free):
+                rows[:, i, j] = fills[:, k]
+            yield pivots, rows
+
+
+def _subspace(p: int, rows: np.ndarray) -> ModpSubspace:
+    return ModpSubspace(p, tuple(map(tuple, rows.tolist())))
 
 
 def _all_subspaces(p: int):
     """All subspaces of F_p^4 as RREF bases (including 0 and the full space)."""
     yield ModpSubspace(p, ())
-    for d in range(1, _DIM + 1):
-        for pivots in itertools.combinations(range(_DIM), d):
-            free_positions = [
-                (i, j)
-                for i in range(d)
-                for j in range(_DIM)
-                if j > pivots[i] and j not in pivots
-            ]
-            for fill in itertools.product(range(p), repeat=len(free_positions)):
-                rows = [[0] * _DIM for _ in range(d)]
-                for i in range(d):
-                    rows[i][pivots[i]] = 1
-                for (i, j), val in zip(free_positions, fill):
-                    rows[i][j] = val
-                yield ModpSubspace(p, tuple(tuple(r) for r in rows))
+    for _, rows in _pivot_patterns(p):
+        yield from (_subspace(p, r) for r in rows)
 
 
 def invariant_subspaces_mod_p(p: int) -> list:
     """All subspaces of F_p^4 invariant under the reduced SL2(Z)-action,
-    ordered by (dimension, basis).  p must be prime: Z/p is a field only then."""
+    ordered by (dimension, basis).  p must be prime: Z/p is a field only then.
+    The bases of one pivot pattern are tested together: a subspace is
+    invariant iff the images M v of its basis rows v (the rows of B M^T) lie
+    in its span (_in_span)."""
     if p < 2 or any(p % d == 0 for d in range(2, isqrt(p) + 1)):
         raise ValueError(f"p must be prime; got {p}")
     mats = [np.array(action_matrix(g), dtype=np.int64) % p for g in (U1, W)]
-    out = []
-    for sub in _all_subspaces(p):
-        # the images M v of the basis rows v are the rows of B M^T
-        rows = np.array(sub.basis, dtype=np.int64).reshape(-1, _DIM)
-        if all(sub.contains(v) for m in mats for v in (rows @ m.T).tolist()):
-            out.append(sub)
+    out = [ModpSubspace(p, ())]  # the zero space
+    for pivots, rows in _pivot_patterns(p):
+        keep = np.ones(len(rows), dtype=bool)
+        for m in mats:
+            keep &= _in_span(p, pivots, rows, rows @ m.T % p).all(axis=-1)
+        out.extend(_subspace(p, r) for r in rows[keep])
     out.sort(key=lambda s: (s.dim, s.basis))
     return out
 

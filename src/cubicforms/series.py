@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import isqrt
 
 import numpy as np
 
@@ -250,40 +251,55 @@ _DECOMPOSITIONS = (
 )
 
 
-def _decomposition_sides(lattice: int, base: int, p_res: int, cols):
-    """Columnwise (x in lattice, x in 2*base, P(x) = p_res mod 8) for the
-    points x = cols (base 1) or x = phi(cols) (base 2)."""
+# The largest box at which the box check stays exact in int64: each of the
+# five terms of P(phi(x)) = P(a, 3b, 3c, d) is at most 81, 108, 108, 162 and
+# 27 box^4, so |P| <= 486 box^4, and so is each partial sum and product.
+MAX_DECOMPOSITION_BOX = isqrt(isqrt((2 ** 63 - 1) // 486))  # 11737
+
+
+def _decomposition_sides(cols) -> list:
+    """For each of _DECOMPOSITIONS in order, (x in lattice, x in 2*base,
+    P(x) = p_res mod 8) at the points x = cols (base 1) or x = phi(cols)
+    (base 2), in the broadcast shape of the columns.  The discriminant of
+    each base is computed once, for both of its lattices."""
     a, b, c, d = cols
-    x = cols if base == 1 else phi(cols)
-    in_lat = lattice_member(x, lattice)
     doubled = (a % 2 == 0) & (b % 2 == 0) & (c % 2 == 0) & (d % 2 == 0)
-    return in_lat, doubled, discriminant(x) % 8 == p_res
+    xs = {1: cols, 2: phi(cols)}
+    p8 = {base: discriminant(x) % 8 for base, x in xs.items()}
+    return [
+        (lattice_member(xs[base], lattice), doubled, p8[base] == p_res)
+        for lattice, base, p_res in _DECOMPOSITIONS
+    ]
 
 
 def verify_decompositions(box: int = 20) -> CheckReport:
     """Each of L7..L10 is the disjoint union of a doubled lattice and a
-    discriminant-residue slice; checked exhaustively mod 8 and on a box."""
+    discriminant-residue slice; checked exhaustively mod 8 and on the box
+    [-box, box]^4.  The box is one broadcast (b, c, d) grid per x1 = a, and
+    each lattice's mismatches are summed over a.  ValueError for a box
+    outside 0..MAX_DECOMPOSITION_BOX."""
+    if not 0 <= box <= MAX_DECOMPOSITION_BOX:
+        raise ValueError(f"box must be in 0..{MAX_DECOMPOSITION_BOX}; got {box}")
     failures = []
     residues = residue_grid(8)
-    for lattice, base, p_res in _DECOMPOSITIONS:
-        in_lat, doubled, res = _decomposition_sides(lattice, base, p_res, residues)
+    for (lattice, _, _), (in_lat, doubled, res) in zip(
+        _DECOMPOSITIONS, _decomposition_sides(residues)
+    ):
         for i in np.flatnonzero((in_lat != (doubled | res)) | (doubled & res)):
             failures.append(
                 f"L{lattice} mod-8 failure at residues {tuple(residues[:, i].tolist())}: "
                 f"member={in_lat[i]}, doubled={doubled[i]}, residue-slice={res[i]}"
             )
-    # set-level check on an integer box, vectorized over (c, d)
-    rng = range(-box, box + 1)
-    side = np.array(rng, dtype=np.int64)
-    cg, dg = (g.ravel() for g in np.meshgrid(side, side, indexing="ij"))
-    for lattice, base, p_res in _DECOMPOSITIONS:
-        bad = 0
-        for a in rng:
-            for b in rng:
-                m, dbl, res = _decomposition_sides(lattice, base, p_res, (a, b, cg, dg))
-                bad += int((m != (dbl | res)).sum()) + int((dbl & res).sum())
-        if bad:
-            failures.append(f"L{lattice} box decomposition: {bad} mismatching points")
+    # set-level check on the integer box: (b, c, d) broadcast, a by a
+    side = np.arange(-box, box + 1, dtype=np.int64)
+    bcd = side[:, None, None], side[None, :, None], side[None, None, :]
+    bad = [0] * len(_DECOMPOSITIONS)
+    for a in range(-box, box + 1):
+        for k, (m, dbl, res) in enumerate(_decomposition_sides((a, *bcd))):
+            bad[k] += np.count_nonzero(m != (dbl | res)) + np.count_nonzero(dbl & res)
+    for (lattice, _, _), count in zip(_DECOMPOSITIONS, bad):
+        if count:
+            failures.append(f"L{lattice} box decomposition: {count} mismatching points")
     return _report(
         f"lattice decompositions (mod 8 exhaustive + box {box})", failures
     )

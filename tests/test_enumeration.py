@@ -516,6 +516,25 @@ def test_master_matches_sorted_reference(monkeypatch, reference_master):
         assert got.tobytes() == ref.tobytes(), name
 
 
+def test_master_stab_column_matches_scalar_rule_at_one_million(monkeypatch):
+    # a stab-3 form's reduced Hessian is fixed by an order-3 matrix, so
+    # |B| = A = C: every P > 0 row with A = C against the scalar
+    # stabilizer_order, and stab 1 on every other row.  The stab-3 rows
+    # reach x1 = 0 with P > 1e5, where no smaller master has them
+    monkeypatch.setattr(enumeration, "_MASTER_CACHE", {})
+    m = master_classes(10 ** 6)
+    A, _, C = hessian(m.reps.T)
+    rows = np.flatnonzero((m.disc > 0) & (A == C))
+    want = [stabilizer_order(f) for f in m.reps[rows]]
+    assert m.stab[rows].tolist() == want
+    others = np.ones(len(m), dtype=bool)
+    others[rows] = False
+    assert (m.stab[others] == 1).all()
+    stab3 = rows[np.array(want) == 3]
+    assert len(rows) == 1128 and len(stab3) == 609
+    assert ((m.reps[stab3, 0] == 0) & (m.disc[stab3] > 10 ** 5)).sum() == 14
+
+
 def test_master_positive_block_is_canonical():
     # each P > 0 row is its own canonical image, so distinct rows are
     # distinct orbits

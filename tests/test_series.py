@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import random
 from fractions import Fraction
 
@@ -22,7 +23,7 @@ from cubicforms import (
     verify_tables,
 )
 from cubicforms import series as series_mod
-from cubicforms.forms import discriminant, gauss_jordan, residue_grid
+from cubicforms.forms import discriminant, gauss_jordan, lattice_member, phi, residue_grid
 from cubicforms.golden import golden_table
 from cubicforms.series import _combo_coeff, ALL_PAIRS, series_from_master
 
@@ -214,6 +215,82 @@ def test_verify_non_relation(series300):
 def test_verify_decompositions():
     rep = verify_decompositions()
     assert rep.passed, str(rep)
+
+
+@pytest.mark.parametrize("box", [-1, series_mod.MAX_DECOMPOSITION_BOX + 1])
+def test_verify_decompositions_rejects_box_out_of_range(box):
+    # below 0 the box is empty (a vacuous pass); past the bound P(phi(x))
+    # can leave int64
+    with pytest.raises(ValueError, match="box must be in 0..11737"):
+        verify_decompositions(box)
+
+
+def _scalar_decomposition_failures(box: int) -> list:
+    """The failure lines of verify_decompositions(box), point by point with
+    the scalar discriminant and lattice_member that series reads."""
+    disc, member = series_mod.discriminant, series_mod.lattice_member
+
+    def sides(v):
+        doubled = all(t % 2 == 0 for t in v)
+        for lattice, base, p_res in series_mod._DECOMPOSITIONS:
+            x = v if base == 1 else phi(v)
+            yield lattice, member(x, lattice), doubled, disc(x) % 8 == p_res
+
+    by_lattice = {lattice: [] for lattice, _, _ in series_mod._DECOMPOSITIONS}
+    for v in itertools.product(range(8), repeat=4):
+        for lattice, m, dbl, res in sides(v):
+            if m != (dbl or res) or (dbl and res):
+                by_lattice[lattice].append(
+                    f"L{lattice} mod-8 failure at residues {v}: "
+                    f"member={m}, doubled={dbl}, residue-slice={res}"
+                )
+    failures = [line for lines in by_lattice.values() for line in lines]
+    bad = dict.fromkeys(by_lattice, 0)
+    for v in itertools.product(range(-box, box + 1), repeat=4):
+        for lattice, m, dbl, res in sides(v):
+            # a point on both sides of the union counts once for each test
+            bad[lattice] += int(m != (dbl or res)) + int(dbl and res)
+    failures += [
+        f"L{lattice} box decomposition: {count} mismatching points"
+        for lattice, count in bad.items() if count
+    ]
+    return failures
+
+
+def _flipped_member(f, lattice):
+    # membership with the residue (1, 0, 0, 0) mod 6 flipped in every lattice
+    a, b, c, d = f
+    hit = (a % 6 == 1) & (b % 6 == 0) & (c % 6 == 0) & (d % 6 == 0)
+    return lattice_member(f, lattice) ^ hit
+
+
+@pytest.mark.parametrize("box", [3, 5])
+def test_decomposition_box_counts_every_point(monkeypatch, box):
+    # the broadcast grid against a scalar loop over every point, unpatched
+    # and with a wrong discriminant or membership, whose mismatches the box
+    # lines count; the report's full failure list is read through _report
+    captured, report = [], series_mod._report
+
+    def capture(name, failures, extra=None):
+        captured.append(failures)
+        return report(name, failures, extra)
+
+    monkeypatch.setattr(series_mod, "_report", capture)
+    mutants = [
+        None,
+        ("discriminant", lambda cols: discriminant(cols) + 4),
+        ("lattice_member", _flipped_member),
+    ]
+    for mutant in mutants:
+        with monkeypatch.context() as patch:
+            if mutant:
+                patch.setattr(series_mod, *mutant)
+            want = _scalar_decomposition_failures(box)
+            rep = verify_decompositions(box)
+        assert captured.pop() == want
+        assert rep.passed == (mutant is None)
+        if mutant:
+            assert len([line for line in want if "box" in line]) == 4
 
 
 def test_decomposition_spot_examples():
