@@ -26,13 +26,15 @@ binary cubic forms with 1 <= |P| <= Y in three provably complete strata:
   0 <= q < 2r; then P = -r^2 (4pr - q^2), enumerated directly.
 
 At fixed (a, b, c) every condition on d is an exact integer window: the
-bound on P is forms._d_windows (an int64 isqrt), and |B| <= A, C >= A and
-|s1| < 1 are linear in d.  Only s2 > 1 and the rational-root test of the
-P < 0 irreducible stratum are cuts on the rows.  Each task emits its rows in
-order, and the tasks are listed in row order (P > 0 by descending a, since
-x1 = -a), so no sort is needed: one pass over neighbours (reduction._lex_less)
-checks that each stratum's block strictly increases in its own key, so it has
-no duplicates.  _task_columns gives the stab and irred columns of each task.
+bound on P is forms._d_windows (an int64 isqrt), |B| <= A, C >= A and
+|s1| < 1 are linear in d, and s2 > 1 is quadratic in d (one more isqrt).
+The only cut on the rows of the P < 0 irreducible stratum is its
+rational-root test, an exact integer bisection with no float root
+(_neg_ird_reducible).  Each task emits its rows in order, and the tasks are
+listed in row order (P > 0 by descending a, since x1 = -a), so no sort is
+needed: one pass over neighbours (reduction._lex_less) checks that each
+stratum's block strictly increases in its own key, so it has no
+duplicates.  _task_columns gives the stab and irred columns of each task.
 Integer arithmetic is int64, exact up to limit = MAX_LIMIT (about 2.3e9).
 
 The brute-force oracle shares none of the strata: it scans the box
@@ -56,7 +58,8 @@ lattice membership).  MasterClasses.select is the one rule for the orbits of
 a (lattice, sign) pair: enumerate_classes and brute_force_classes return its
 rows as a ClassTable, and the series and density counts read them too.
 master_classes can also build a selection, one sign of P or the irreducible
-orbits only, from the stratum tasks that can hold it.
+orbits only, from the stratum tasks that can hold it; enumerate_classes
+builds the sign it lists, and the cache keeps masters by (limit, sign).
 """
 
 from __future__ import annotations
@@ -72,6 +75,7 @@ from .forms import (
     EVEN_LATTICES,
     _ceil_div,
     _d_windows,
+    _isqrt64,
     discriminant,
     index_scale,
     is_irreducible,
@@ -82,7 +86,6 @@ from .reduction import (
     _canonical_pos,
     _lex_less,
     _pos_stab_column,
-    _s2_above_one,
     orbit_bfs,
     stabilizer_order,
 )
@@ -271,15 +274,6 @@ def _depressed(rows: np.ndarray):
     return p, q, b / (3 * a)
 
 
-def _real_root(rows: np.ndarray) -> np.ndarray:
-    """Real root of the dehomogenized cubic (exactly one; P < 0), by Cardano."""
-    p, q, shift = _depressed(rows)
-    disc = (q / 2) ** 2 + (p / 3) ** 3
-    sq = np.sqrt(np.maximum(disc, 0.0))
-    y = np.cbrt(-q / 2 + sq) + np.cbrt(-q / 2 - sq)
-    return y - shift
-
-
 # A rational root p/q (lowest terms) of a row with leading coefficient +-a has
 # q | a, so y = a p / q is an integer with f(y, a) = 0; _root_near_mask finds
 # it among rint(a * root) + {-1, 0, 1} whenever |root - p/q| < 1.5 / a.
@@ -300,11 +294,22 @@ def _root_near_mask(rows: np.ndarray, root: np.ndarray, a: int) -> np.ndarray:
     return red
 
 
-def _neg_ird_stratum(a: int, limit: int) -> np.ndarray:
-    """The irreducible P < 0 representatives with leading coefficient a >= 1
-    and -limit <= P <= -1, in lexicographic order: the exact d-windows of P,
-    clipped to |s1| < 1, then the exact cuts s2 > 1 and no rational root."""
-    b, c = _bc_pairs(*_neg_ird_bc_windows(a, limit))
+def _outside(windows, lo: np.ndarray, hi: np.ndarray, cut: np.ndarray) -> list:
+    """Each window without [lo, hi] where cut holds: its piece below lo,
+    then its piece above hi (emptied where cut is False).  Disjoint
+    increasing windows give disjoint increasing pieces."""
+    pieces = []
+    for w_lo, w_hi in windows:
+        below = (w_lo, np.where(cut, np.minimum(w_hi, lo - 1), w_hi))
+        pieces += [below, *_only([(np.maximum(w_lo, hi + 1), w_hi)], cut)]
+    return pieces
+
+
+def _neg_ird_windows(a: int, b: np.ndarray, c: np.ndarray, limit: int) -> list:
+    """The d-windows of the root-reduced rows (a, b_i, c_i, d) with
+    -limit <= P <= -1, a >= 1: the exact windows of P, clipped to
+    |s1| < 1 and cut to s2 > 1, each exact in d.  The windows also keep
+    d = 0 where c > a, rows with the rational root 0."""
     # |s1| < 1, the sign tests of _in_open_domain at (-b -+ a)/a, in d:
     # -(a - b)(a - b + c) < a d < (a + b)(a + b + c)
     windows = _clip(
@@ -312,9 +317,44 @@ def _neg_ird_stratum(a: int, limit: int) -> np.ndarray:
         (-(a - b) * (a - b + c)) // a + 1,
         _ceil_div((a + b) * (a + b + c), a) - 1,
     )
-    rows = _window_rows(a, b, c, windows)
-    rows = rows[_s2_above_one(rows.T)]
-    return rows[~_root_near_mask(rows, _real_root(rows), a)]
+    # s2 > 1 iff d != 0 and d^2 - b d + a c - a^2 > 0 (reduction._s2_above_one),
+    # i.e. |2d - b| > isqrt(D) with D = b^2 - 4a(c - a); no cut where D < 0
+    disc = b * b - 4 * a * (c - a)
+    s = _isqrt64(np.maximum(disc, 0))
+    return _outside(windows, _ceil_div(b - s, 2), (b + s) // 2, disc >= 0)
+
+
+def _neg_ird_reducible(rows: np.ndarray, a: int) -> np.ndarray:
+    """Rows of _neg_ird_windows at leading coefficient a with a rational
+    root, by exact integer bisection.
+
+    A root p/q has q | a, so y = a p / q is an integer root of the monic
+    g(y) = f(y, a) / a = y^3 + b y^2 + a c y + a^2 d, whose one real root
+    (P < 0) lies in (-b - a, -b + a): the |s1| < 1 clip is g(-b - a) < 0 <
+    g(-b + a).  Bisection keeps g(lo) < 0 and the root in (lo, lo + w]
+    with one width w for every row, halved (rounded up) from 2a to 1 in
+    ceil(log2(2a)) steps; the row is reducible iff g(lo + 1) = 0."""
+    _, b, c, d = rows.T
+    ac, aad = a * c, a * a * d
+
+    def g(y):
+        return ((y + b) * y + ac) * y + aad
+
+    lo, w = -b - a, 2 * a
+    while w > 1:
+        mid = lo + w // 2
+        lo = np.where(g(mid) < 0, mid, lo)
+        w -= w // 2
+    return g(lo + 1) == 0
+
+
+def _neg_ird_stratum(a: int, limit: int) -> np.ndarray:
+    """The irreducible P < 0 representatives with leading coefficient a >= 1
+    and -limit <= P <= -1, in lexicographic order: the rows of the exact
+    d-windows (_neg_ird_windows) without a rational root."""
+    b, c = _bc_pairs(*_neg_ird_bc_windows(a, limit))
+    rows = _window_rows(a, b, c, _neg_ird_windows(a, b, c, limit))
+    return rows[~_neg_ird_reducible(rows, a)]
 
 
 # ---------------------------------------------------------------------------
@@ -472,13 +512,27 @@ def _check_increasing(cols, stratum: str) -> None:
 # Hessian-reduced.  Measured at Y = 1e4..1e6 with the images of every scan
 # row, these maxima matched the terms above (1.6875 Y^2 and 0.5625 Y^2) and
 # stayed below Y^(7/4).
+# The P < 0 root test (_neg_ird_reducible) evaluates g(y) = f(y, a) / a at
+# integers -b - a < y < -b + a only, between the two points at which
+# _in_open_domain evaluates f, so |y| <= |b| + a and |y + b| < a.  Its Horner
+# partials are at most (a (|b| + a) + a |c|)(|b| + a) + a^2 |d|, of order
+# Y^(13/12); over every window row at Y = 1e5, 1e6 and 1e7 that bound was
+# at most 0.34 Y.
 # The d-windows (forms._d_windows) need (isqrt(n) + 1)^2 < 2^63 for
 # n = B2^2 + 4 alpha (|C2| + Y), which grows like Y^(3/2).  Over the strata's
 # (b, c) windows at Y = MAX_LIMIT it is at most 2.45e18 (0.27 * 2^63, P < 0
 # at a = 192) and 1.6e16 for P > 0 (test_strata_windows_exact_at_max_limit).
 MAX_LIMIT = 4 * isqrt((2 ** 63 - 1) // 27) + 2  # 2_337_884_074
 
-_MASTER_CACHE: dict = {}  # limit -> full master (both signs, every orbit)
+# (limit, sign) -> every orbit of that sign of P (sign None: both signs)
+_MASTER_CACHE: dict = {}
+
+
+def _covering_master(limit: int, sign):
+    """The smallest cached master that covers the selection: its limit is at
+    least limit, and its sign is None or sign.  None if there is none."""
+    keys = [k for k in _MASTER_CACHE if k[0] >= limit and k[1] in (None, sign)]
+    return _MASTER_CACHE[min(keys, key=lambda k: (k[0], k[1] is None))] if keys else None
 
 
 def _task_can_hold(task, sign, irreducible: bool) -> bool:
@@ -497,9 +551,10 @@ def master_classes(limit: int, sign: str | None = None, irreducible: bool = Fals
     With sign '+' or '-', only the orbits of that sign of P; with
     irreducible=True, only the irreducible ones.  The rows are in master row
     order, and only the stratum tasks that can hold them are run.  A cached
-    full master that covers limit serves any selection; only full masters
-    are cached.  limit may not exceed MAX_LIMIT, the bound of exact int64
-    arithmetic.
+    master serves every selection it covers: its limit is at least limit,
+    and its sign is None or sign.  Every build except an irreducible-only
+    one is cached, and evicts the cached masters it covers.  limit may not
+    exceed MAX_LIMIT, the bound of exact int64 arithmetic.
     """
     if limit < 1:
         raise ValueError("limit must be >= 1")
@@ -507,26 +562,25 @@ def master_classes(limit: int, sign: str | None = None, irreducible: bool = Fals
         raise ValueError(f"limit {limit} exceeds the int64 safety bound {MAX_LIMIT}")
     if sign is not None:
         _sign_positive(sign)
-    full = sign is None and not irreducible
-    for cached_limit, master in sorted(_MASTER_CACHE.items()):
-        if cached_limit >= limit:
-            if cached_limit == limit and full:
-                return master
-            keep = np.abs(master.disc) <= limit
-            if sign is not None:
-                keep &= (master.disc > 0) == (sign == "+")
-            if irreducible:
-                keep &= master.irred
-            return MasterClasses(
-                limit,
-                master.reps[keep],
-                master.disc[keep],
-                master.stab[keep],
-                master.irred[keep],
-                master.member[keep],
-                sign,
-                irreducible,
-            )
+    master = _covering_master(limit, sign)
+    if master is not None:
+        if (master.limit, master.sign, irreducible) == (limit, sign, False):
+            return master
+        keep = np.abs(master.disc) <= limit
+        if sign != master.sign:
+            keep &= (master.disc > 0) == (sign == "+")
+        if irreducible:
+            keep &= master.irred
+        return MasterClasses(
+            limit,
+            master.reps[keep],
+            master.disc[keep],
+            master.stab[keep],
+            master.irred[keep],
+            master.member[keep],
+            sign,
+            irreducible,
+        )
     tasks = [t for t in _stratum_tasks(limit) if _task_can_hold(t, sign, irreducible)]
     results = [_run_task(t) for t in tasks]
     starts = np.cumsum([0] + [len(rows) for _, rows in results]).tolist()
@@ -556,10 +610,10 @@ def master_classes(limit: int, sign: str | None = None, irreducible: bool = Fals
     master = MasterClasses(
         limit, reps, disc, stab, irred, lattice_membership(reps.T), sign, irreducible
     )
-    if full:
-        _MASTER_CACHE[limit] = master
-        for k in [k for k in _MASTER_CACHE if k < limit]:
-            del _MASTER_CACHE[k]
+    if not irreducible:  # an irreducible-only build would add to its caller's peak
+        for key in [k for k in _MASTER_CACHE if k[0] <= limit and sign in (None, k[1])]:
+            del _MASTER_CACHE[key]
+        _MASTER_CACHE[limit, sign] = master
     return master
 
 
@@ -600,11 +654,10 @@ def _class_table(orbits: MasterClasses, lattice: int, sign: str, max_index: int)
     """The ClassTable of the orbits of one (lattice, sign) pair with
     1 <= index <= max_index (MasterClasses.select), sorted."""
     idx, n = orbits.select(lattice, sign, max_index)
-    order = _lex_order(np.column_stack((n, orbits.reps[idx])))
+    reps = orbits.reps[idx]
+    order = np.lexsort((*reps.T[::-1], n))
     idx = idx[order]
-    return ClassTable(
-        lattice, sign, n[order], orbits.reps[idx], orbits.stab[idx], orbits.irred[idx]
-    )
+    return ClassTable(lattice, sign, n[order], reps[order], orbits.stab[idx], orbits.irred[idx])
 
 
 def enumerate_classes(lattice: int, sign: str, max_index: int) -> ClassTable:
@@ -615,7 +668,7 @@ def enumerate_classes(lattice: int, sign: str, max_index: int) -> ClassTable:
     if max_index < 1:
         raise ValueError("max_index must be >= 1")
     _sign_positive(sign)
-    master = master_classes(max_index * index_scale(lattice))
+    master = master_classes(max_index * index_scale(lattice), sign)
     return _class_table(master, lattice, sign, max_index)
 
 

@@ -258,3 +258,27 @@ def _fraction_coeffs_text(s: CoefficientSeries) -> str:
 @pytest.fixture(scope="session")
 def reference_coeffs_text():
     return _fraction_coeffs_text
+
+
+def _cardano_real_root(rows: np.ndarray) -> np.ndarray:
+    """The real root of the dehomogenized cubic of P < 0 rows (exactly one),
+    as a float, by Cardano."""
+    p, q, shift = enumeration._depressed(rows)
+    disc = (q / 2) ** 2 + (p / 3) ** 3
+    sq = np.sqrt(np.maximum(disc, 0.0))
+    y = np.cbrt(-q / 2 + sq) + np.cbrt(-q / 2 - sq)
+    return y - shift
+
+
+def _float_root_reducible(rows: np.ndarray, a: int) -> np.ndarray:
+    """Rows of the P < 0 irreducible stratum's windows at leading
+    coefficient a with a rational root, found next to the Cardano float
+    root (enumeration._root_near_mask): the reference for the exact
+    bisection of enumeration._neg_ird_reducible."""
+    return enumeration._root_near_mask(rows, _cardano_real_root(rows), a)
+
+
+@pytest.fixture(scope="session")
+def reference_neg_root_mask():
+    return _float_root_reducible
+

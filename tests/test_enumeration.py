@@ -19,10 +19,12 @@ from cubicforms import (
 from cubicforms import enumeration
 from cubicforms.cli import main
 from cubicforms.enumeration import MAX_LIMIT
-from cubicforms.forms import _d_windows, _isqrt64
+from cubicforms.forms import _ceil_div, _d_windows, _isqrt64, index_scale
+from cubicforms.forms import rational_roots
 from cubicforms.reduction import (
     _canonical_pos,
     _in_open_domain,
+    _s2_above_one,
     canonical_reduce,
     orbit_bfs,
     stabilizer_order,
@@ -58,13 +60,17 @@ _SELECTIONS = [("+", False), ("+", True), ("-", False), ("-", True)]
 
 @pytest.mark.parametrize("limit", [2000, 10 ** 5])
 def test_master_selection_is_the_full_master_masked(monkeypatch, limit):
-    # built cold, and served from a cached larger full master
+    # each selection built cold, and served from a cached larger full master
     monkeypatch.setattr(enumeration, "_MASTER_CACHE", {})
-    cold = {sel: master_classes(limit, *sel) for sel in _SELECTIONS}
-    assert enumeration._MASTER_CACHE == {}  # a partial build is not cached
+    cold = {}
+    for sign, irreducible in _SELECTIONS:
+        enumeration._MASTER_CACHE.clear()
+        cold[sign, irreducible] = master_classes(limit, sign, irreducible)
+        # a one-sign build is cached, an irreducible-only one is not
+        assert list(enumeration._MASTER_CACHE) == ([] if irreducible else [(limit, sign)])
     full = master_classes(limit)
     master_classes(limit + 1000)
-    assert list(enumeration._MASTER_CACHE) == [limit + 1000]
+    assert list(enumeration._MASTER_CACHE) == [(limit + 1000, None)]
     for sign, irreducible in _SELECTIONS:
         keep = (full.disc > 0) == (sign == "+")
         if irreducible:
@@ -76,6 +82,91 @@ def test_master_selection_is_the_full_master_masked(monkeypatch, limit):
                 have, want = getattr(got, name), getattr(full, name)[keep]
                 assert (have.dtype, have.shape) == (want.dtype, want.shape), name
                 assert have.tobytes() == want.tobytes(), name
+
+
+def test_master_cache_serves_what_it_covers(monkeypatch):
+    # a cached master serves a smaller limit of its own sign, and of either
+    # sign if it holds both; a new build evicts exactly what it covers
+    monkeypatch.setattr(enumeration, "_MASTER_CACHE", {})
+    builds = []
+    stratum_tasks = enumeration._stratum_tasks
+
+    def recording(limit):
+        builds.append(limit)
+        return stratum_tasks(limit)
+
+    monkeypatch.setattr(enumeration, "_stratum_tasks", recording)
+    cache = enumeration._MASTER_CACHE
+    pos = master_classes(3000, "+")
+    assert master_classes(3000, "+") is pos
+    master_classes(2000, "+")
+    master_classes(2000, "+", True)
+    assert builds == [3000] and list(cache) == [(3000, "+")]
+    master_classes(2000, "-")  # '+' does not cover '-'
+    master_classes(2000)  # nor does a one-sign master cover both signs
+    assert builds == [3000, 2000, 2000]
+    assert set(cache) == {(3000, "+"), (2000, None)}  # (2000, '-') evicted
+    # the smallest master that covers serves: the full one at 2000
+    assert master_classes(1000, "+").reps.tobytes() == pos.reps[np.abs(pos.disc) <= 1000].tobytes()
+    master_classes(4000, "-")
+    assert builds == [3000, 2000, 2000, 4000]
+    assert set(cache) == {(3000, "+"), (2000, None), (4000, "-")}
+    master_classes(4000)
+    assert builds[-1] == 4000 and list(cache) == [(4000, None)]
+
+
+def test_enumerate_builds_only_its_own_sign(monkeypatch):
+    # the oracle's 20 pairs at max_index 300: one '+' and one '-' master at
+    # |P| <= 300, then at 27 * 300, each running its own sign's tasks only
+    pairs = [(lattice, sign) for lattice in range(1, 11) for sign in ("+", "-")]
+    builds = []  # (limit, the kinds of the tasks run) per build
+    stratum_tasks, run_task = enumeration._stratum_tasks, enumeration._run_task
+
+    def tasks_of(limit):
+        builds.append((limit, set()))
+        return stratum_tasks(limit)
+
+    def recording(task):
+        builds[-1][1].add(task[0])
+        return run_task(task)
+
+    monkeypatch.setattr(enumeration, "_stratum_tasks", tasks_of)
+    monkeypatch.setattr(enumeration, "_run_task", recording)
+    monkeypatch.setattr(enumeration, "_MASTER_CACHE", {})
+    tables = [enumerate_classes(lattice, sign, 300) for lattice, sign in pairs]
+    neg = {"negird", "negrd"}
+    assert builds == [(300, {"pos"}), (300, neg), (8100, {"pos"}), (8100, neg)]
+    assert set(enumeration._MASTER_CACHE) == {(8100, "+"), (8100, "-")}
+    # with a full master cached first, nothing is built
+    enumeration._MASTER_CACHE.clear()
+    master_classes(8100)
+    builds.clear()
+    for (lattice, sign), table in zip(pairs, tables):
+        again = enumerate_classes(lattice, sign, 300)
+        assert again.n.tobytes() == table.n.tobytes()
+        assert again.reps.tobytes() == table.reps.tobytes()
+    assert builds == []
+
+
+def test_enumerate_tables_equal_full_master_cuts(monkeypatch):
+    # every pair at max_index 2000, each from a cold one-sign build, byte-equal
+    # to the table cut from the full master
+    monkeypatch.setattr(enumeration, "_MASTER_CACHE", {})
+    full = {}
+    for scale in (1, 27):
+        enumeration._MASTER_CACHE.clear()
+        full[scale] = master_classes(2000 * scale)
+    for lattice in range(1, 11):
+        for sign in ("+", "-"):
+            enumeration._MASTER_CACHE.clear()
+            got = enumerate_classes(lattice, sign, 2000)
+            assert list(enumeration._MASTER_CACHE) == [(2000 * index_scale(lattice), sign)]
+            want = enumeration._class_table(full[index_scale(lattice)], lattice, sign, 2000)
+            assert len(got) > 0
+            for name in ("n", "reps", "stab", "irred"):
+                have, ref = getattr(got, name), getattr(want, name)
+                assert (have.dtype, have.shape) == (ref.dtype, ref.shape), (lattice, sign, name)
+                assert have.tobytes() == ref.tobytes(), (lattice, sign, name)
 
 
 def test_master_selection_rejects_bad_sign_before_build(monkeypatch):
@@ -549,7 +640,7 @@ def test_master_rejects_limit_past_int64_bound(monkeypatch):
 
     monkeypatch.setattr(enumeration, "_run_task", no_work)
     # the bound is checked before the cache, even one that would answer
-    monkeypatch.setattr(enumeration, "_MASTER_CACHE", {MAX_LIMIT + 2: None})
+    monkeypatch.setattr(enumeration, "_MASTER_CACHE", {(MAX_LIMIT + 2, None): None})
     with pytest.raises(ValueError, match="int64 safety bound"):
         master_classes(MAX_LIMIT + 1)
     with pytest.raises(ValueError, match="int64 safety bound"):
@@ -886,35 +977,121 @@ def test_pos_stratum_matches_box_reference(reference_canonical_pos):
 
 def test_root_near_mask_matches_divisor_loop(monkeypatch, reference_root_near_mask):
     # q = a in place of every divisor q of a.  At Y = 3e5 the two masks give
-    # the same verdict on every row they see: the P < 0 irreducible window
-    # rows after the s2 > 1 cut (what the stratum keeps), and the P > 0 rows
-    # with a >= 1 (the union over the three float roots).
+    # the same verdict on every P > 0 row with a >= 1 (the union over the
+    # three float roots).
     limit = 300000
-    tasks = [
-        (k, a)
+    pos = {
+        a: enumeration._pos_stratum(a, limit)
         for k, a, _ in enumeration._stratum_tasks(limit)
-        if k == "negird" or (k == "pos" and a)
-    ]
-    pos = {a: enumeration._pos_stratum(a, limit) for k, a in tasks if k == "pos"}
+        if k == "pos" and a
+    }
 
     def verdicts():
-        return [
-            enumeration._neg_ird_stratum(a, limit)
-            if k == "negird"
-            else enumeration._pos_irreducible_mask(pos[a], a)
-            for k, a in tasks
-        ]
+        return {a: enumeration._pos_irreducible_mask(rows, a) for a, rows in pos.items()}
 
     got = verdicts()
     monkeypatch.setattr(enumeration, "_root_near_mask", reference_root_near_mask)
     want = verdicts()
-    monkeypatch.setattr(enumeration, "_root_near_mask", lambda rows, *_: np.zeros(len(rows), bool))
-    unmasked = verdicts()
-    dropped = {"negird": 0, "pos": 0}
-    for (k, a), x, y, z in zip(tasks, got, want, unmasked):
-        assert np.array_equal(x, y), (k, a)
-        dropped[k] += len(z) - len(x) if k == "negird" else int((~x).sum())
-    assert dropped["negird"] > 1000 and dropped["pos"] > 1000
+    for a in pos:
+        assert np.array_equal(got[a], want[a]), a
+    assert sum(int((~x).sum()) for x in got.values()) > 1000
+
+
+def _neg_ird_window_rows(a: int, limit: int) -> np.ndarray:
+    """The rows of the P < 0 irreducible stratum's windows at leading
+    coefficient a, before the root test."""
+    b, c = enumeration._bc_pairs(*enumeration._neg_ird_bc_windows(a, limit))
+    return enumeration._window_rows(a, b, c, enumeration._neg_ird_windows(a, b, c, limit))
+
+
+def test_neg_ird_bisection_matches_float_root(reference_neg_root_mask):
+    # every window row of every negird task at Y = 3e5: the exact bisection
+    # and the old Cardano float root with _root_near_mask agree, and more
+    # than 1000 rows are dropped (the d = 0 rows among them)
+    limit = 300000
+    dropped = zeros = 0
+    for kind, a, _ in enumeration._stratum_tasks(limit):
+        if kind != "negird":
+            continue
+        rows = _neg_ird_window_rows(a, limit)
+        got = enumeration._neg_ird_reducible(rows, a)
+        assert np.array_equal(got, reference_neg_root_mask(rows, a)), a
+        assert got[rows[:, 3] == 0].all()  # the root 0
+        dropped += int(got.sum())
+        zeros += int((rows[:, 3] == 0).sum())
+    assert dropped > 1000 and 0 < zeros < dropped
+
+
+def test_neg_ird_windows_are_the_s2_cut():
+    # the windows hold exactly the rows that the s2 > 1 cut kept, plus the
+    # d = 0 rows with c > a (and s2 <= 1 is never cut twice)
+    limit = 20000
+    for kind, a, _ in enumeration._stratum_tasks(limit):
+        if kind != "negird":
+            continue
+        b, c = enumeration._bc_pairs(*enumeration._neg_ird_bc_windows(a, limit))
+        windows = enumeration._clip(
+            _d_windows(a, b, c, -limit, -1),
+            (-(a - b) * (a - b + c)) // a + 1,
+            _ceil_div((a + b) * (a + b + c), a) - 1,
+        )
+        rows = enumeration._window_rows(a, b, c, windows)
+        keep = _s2_above_one(rows.T) | ((rows[:, 3] == 0) & (rows[:, 2] > a))
+        assert np.array_equal(_neg_ird_window_rows(a, limit), rows[keep]), a
+
+
+def _edge_forms() -> list:
+    """Root-reduced reducible P < 0 forms (q u - p v)(al u^2 + be u v + ga v^2)
+    with p != 0 and |be| < al < ga (the complex root strictly inside the
+    domain), for q = 1, 2, 3 and each al with some form of 0.9 MAX_LIMIT <
+    |P| <= MAX_LIMIT: the one with the largest ga.  |P| = (4 al ga - be^2)
+    Q^2 with Q = al p^2 + be p q + ga q^2 rises with ga."""
+    forms = []
+    for q in (1, 2, 3):
+        for al in range(1, 200 // q):
+            for be, p in ((al - 1, -1), (1 - al, 1), (al - 1, 1 - 2 * q), (0, 1)):
+                if np.gcd(p, q) != 1:
+                    continue
+                size = lambda ga: (4 * al * ga - be * be) * (al * p * p + be * p * q + ga * q * q) ** 2
+                lo, hi = al, 2 * MAX_LIMIT  # size(lo) may fit, size(hi) does not
+                if size(al + 1) > MAX_LIMIT:
+                    continue
+                while hi - lo > 1:
+                    mid = (lo + hi) // 2
+                    lo, hi = (mid, hi) if size(mid) <= MAX_LIMIT else (lo, mid)
+                if size(lo) > 0.9 * MAX_LIMIT:
+                    forms.append((q * al, q * be - p * al, q * lo - p * be, -p * lo))
+                    break
+    return forms
+
+
+def test_neg_ird_root_test_at_int64_edge():
+    # reducible window rows with |P| near MAX_LIMIT and a up to the
+    # stratum's largest: the root test flags each of them, as
+    # forms.rational_roots does, and the int64 run equals the Python int one
+    forms = _edge_forms()
+    a_max = max(a for kind, a, _ in enumeration._stratum_tasks(MAX_LIMIT) if kind == "negird")
+    assert len(forms) > 300 and max(f[0] for f in forms) > a_max - 60
+    for f in forms:
+        a, b, c, d = f
+        assert 0.9 * MAX_LIMIT < -discriminant(f) <= MAX_LIMIT
+        assert _in_open_domain(f) and rational_roots(f)
+        # the stratum's windows at MAX_LIMIT hold the row
+        bs, c_lo, c_hi = enumeration._neg_ird_bc_windows(a, MAX_LIMIT)
+        i = int(np.searchsorted(bs, b))
+        assert bs[i] == b and c_lo[i] <= c <= c_hi[i]
+        pair = np.array([b]), np.array([c])
+        windows = enumeration._neg_ird_windows(a, *pair, MAX_LIMIT)
+        assert any(lo[0] <= d <= hi[0] for lo, hi in windows)
+        # the row and its neighbours in d, in int64 and in Python ints
+        near = [(a, b, c, d + k) for k in range(-2, 3)]
+        near = [g for g in near if discriminant(g) < 0 and _in_open_domain(g)]
+        rows = np.array(near, dtype=np.int64)
+        got = enumeration._neg_ird_reducible(rows, a)
+        exact = enumeration._neg_ird_reducible(rows.astype(object), a)
+        assert got.tolist() == [bool(x) for x in exact]
+        assert got.tolist() == [bool(rational_roots(g)) for g in near]
+        assert got[near.index(f)]
 
 
 def test_strata_windows_exact_at_max_limit():
