@@ -29,12 +29,13 @@ At fixed (a, b, c) every condition on d is an exact integer window: the
 bound on P is forms._d_windows (an int64 isqrt), |B| <= A, C >= A and
 |s1| < 1 are linear in d, and s2 > 1 is quadratic in d (one more isqrt).
 The only cut on the rows of the P < 0 irreducible stratum is its
-rational-root test, an exact integer bisection with no float root
-(_neg_ird_reducible).  Each task emits its rows in order, and the tasks are
-listed in row order (P > 0 by descending a, since x1 = -a), so no sort is
-needed: one pass over neighbours (reduction._lex_less) checks that each
-stratum's block strictly increases in its own key, so it has no
-duplicates.  _task_columns gives the stab and irred columns of each task.
+rational-root test (_neg_ird_reducible); the P > 0 irreducibility column
+(_pos_irreducible_mask) is the same test.  Both run the exact integer
+bisection of forms.rational_roots (forms._first_rise), with no float
+root.  Each task emits its rows in order, and the tasks are listed in row
+order (P > 0 by descending a, since x1 = -a), so no sort is needed: one
+pass over neighbours (reduction._lex_less) checks that each stratum's
+block strictly increases in its own key, so it has no duplicates.  _task_columns gives the stab and irred columns of each task.
 Integer arithmetic is int64, exact up to limit = MAX_LIMIT (about 2.3e9).
 
 The brute-force oracle shares none of the strata: it scans the box
@@ -75,12 +76,14 @@ from .forms import (
     EVEN_LATTICES,
     _ceil_div,
     _d_windows,
+    _first_rise,
     _isqrt64,
+    _monic_cubic,
+    _monotone_pieces,
     discriminant,
     index_scale,
     is_irreducible,
     lattice_membership,
-    value_at,
 )
 from .reduction import (
     _canonical_pos,
@@ -265,35 +268,6 @@ def _neg_ird_bc_windows(a: int, limit: int) -> tuple:
     return bs, 1 - np.abs(bs), s2a_max + np.abs(bs) + a
 
 
-def _depressed(rows: np.ndarray):
-    """Floats (p, q, shift): the roots of the dehomogenized cubic are
-    y - shift for the roots y of the depressed cubic y^3 + p y + q."""
-    a, b, c, d = rows.T.astype(np.float64)
-    p = c / a - b * b / (3 * a * a)
-    q = 2 * b ** 3 / (27 * a ** 3) - b * c / (3 * a * a) + d / a
-    return p, q, b / (3 * a)
-
-
-# A rational root p/q (lowest terms) of a row with leading coefficient +-a has
-# q | a, so y = a p / q is an integer with f(y, a) = 0; _root_near_mask finds
-# it among rint(a * root) + {-1, 0, 1} whenever |root - p/q| < 1.5 / a.
-# Measured at Y = 1e7 against the old loop over every divisor q of a, on all
-# rows of both masks (7.11 M P < 0 and 2.16 M P > 0, 188 739 of them
-# reducible): no mismatch, a |root - p/q| <= 2.0e-9 for the nearest float
-# root, and 0.70 s in place of 1.78 s.  The int64 values are those of the
-# old loop's largest term, q = a.
-def _root_near_mask(rows: np.ndarray, root: np.ndarray, a: int) -> np.ndarray:
-    """Rows with a rational root next to the float root: f(y, a) == 0 at
-    y = rint(root * a) + {-1, 0, 1}, tested exactly.  a is the common
-    |leading coefficient|, so every rational root is some y / a."""
-    cols = rows.T
-    y0 = np.rint(root * a).astype(np.int64)
-    red = np.zeros(len(rows), dtype=bool)
-    for off in (-1, 0, 1):
-        red |= value_at(cols, y0 + off, a) == 0
-    return red
-
-
 def _outside(windows, lo: np.ndarray, hi: np.ndarray, cut: np.ndarray) -> list:
     """Each window without [lo, hi] where cut holds: its piece below lo,
     then its piece above hi (emptied where cut is False).  Disjoint
@@ -326,26 +300,13 @@ def _neg_ird_windows(a: int, b: np.ndarray, c: np.ndarray, limit: int) -> list:
 
 def _neg_ird_reducible(rows: np.ndarray, a: int) -> np.ndarray:
     """Rows of _neg_ird_windows at leading coefficient a with a rational
-    root, by exact integer bisection.
-
-    A root p/q has q | a, so y = a p / q is an integer root of the monic
+    root p/q.  Then q | a, so y = a p / q is an integer root of the monic
     g(y) = f(y, a) / a = y^3 + b y^2 + a c y + a^2 d, whose one real root
-    (P < 0) lies in (-b - a, -b + a): the |s1| < 1 clip is g(-b - a) < 0 <
-    g(-b + a).  Bisection keeps g(lo) < 0 and the root in (lo, lo + w]
-    with one width w for every row, halved (rounded up) from 2a to 1 in
-    ceil(log2(2a)) steps; the row is reducible iff g(lo + 1) = 0."""
+    lies in (-b - a, -b + a): the |s1| < 1 clip is g(-b - a) < 0 <
+    g(-b + a).  One bisection (forms._first_rise) covers that piece."""
     _, b, c, d = rows.T
-    ac, aad = a * c, a * a * d
-
-    def g(y):
-        return ((y + b) * y + ac) * y + aad
-
-    lo, w = -b - a, 2 * a
-    while w > 1:
-        mid = lo + w // 2
-        lo = np.where(g(mid) < 0, mid, lo)
-        w -= w // 2
-    return g(lo + 1) == 0
+    g = _monic_cubic(b, a * c, a * a * d)
+    return g(_first_rise(g, 1 - a - b, a - 1 - b, 2 * a - 1)) == 0
 
 
 def _neg_ird_stratum(a: int, limit: int) -> np.ndarray:
@@ -421,18 +382,22 @@ class MasterClasses:
         return rows, np.abs(self.disc[rows]) // scale
 
 
-def _pos_irreducible_mask(rows: np.ndarray, a: int) -> np.ndarray:
-    """Irreducibility of P > 0 rows whose leading coefficient is a or -a,
-    a >= 1 (three real roots, trig Cardano)."""
-    p, q, shift = _depressed(rows)
-    # P > 0 => three distinct real roots => (q/2)^2 + (p/3)^3 < 0, p < 0
-    m = np.sqrt(np.maximum(-p / 3.0, 1e-300))
-    arg = np.clip(3.0 * q / (2.0 * p * m), -1.0, 1.0)
-    phi = np.arccos(arg)
+def _pos_irreducible_mask(rows: np.ndarray) -> np.ndarray:
+    """Irreducibility of P > 0 rows (x1, x2, x3, x4), x1 != 0: no integer
+    root of g(y) = f(y, x1) / x1 = y^3 + x2 y^2 + x1 x3 y + x1^2 x4
+    (forms.rational_roots).  Its depressed cubic has p = -A / 3, A = x2^2 -
+    3 x1 x3 (the Hessian's), so its three real roots have |3y + x2| <=
+    2 sqrt(A), i.e. <= t = isqrt(4A); exact bisection (forms._first_rise)
+    tests each monotone piece of that bracket."""
+    x1, b, c, d = rows.T
+    g = _monic_cubic(b, x1 * c, x1 * x1 * d)
+    A = b * b - 3 * x1 * c
+    s = _isqrt64(A)
+    t = 2 * s + ((2 * s + 1) ** 2 <= 4 * A)
     red = np.zeros(len(rows), dtype=bool)
-    for k in range(3):
-        t = 2.0 * m * np.cos((phi - 2.0 * np.pi * k) / 3.0) - shift
-        red |= _root_near_mask(rows, t, a)
+    for lo, hi, rising in _monotone_pieces(g, b, A, s, _ceil_div(-b - t, 3), (t - b) // 3):
+        width = int(np.max(hi - lo, initial=0)) + 1
+        red |= g(_first_rise(rising, lo, hi, width)) == 0
     return ~red
 
 
@@ -469,7 +434,7 @@ def _task_columns(task, rows: np.ndarray) -> tuple:
     kind, a, _ = task
     if kind != "pos":
         return 1, kind == "negird"
-    return _pos_stab_column(rows), a > 0 and _pos_irreducible_mask(rows, a)
+    return _pos_stab_column(rows), a > 0 and _pos_irreducible_mask(rows)
 
 
 # The key columns in which each task kind's block increases: negrd (p, q, r, 0) by (r, q, p)
@@ -493,7 +458,7 @@ def _check_increasing(cols, stratum: str) -> None:
 
 
 # The largest limit Y at which every int64 intermediate of the strata and of
-# the column code (discriminant, value_at, hessian, rows @ mat.T) stays below
+# the column code (discriminant, hessian, rows @ mat.T) stays below
 # 2^63.  By size, in units of Y^2:
 #   - discriminant of a reducible row (p, q, r, 0): r = 1 allows p up to
 #     (Y + 1) // 4 (r >= 2 allows less), and the partial product 27*a*a is
@@ -518,6 +483,14 @@ def _check_increasing(cols, stratum: str) -> None:
 # partials are at most (a (|b| + a) + a |c|)(|b| + a) + a^2 |d|, of order
 # Y^(13/12); over every window row at Y = 1e5, 1e6 and 1e7 that bound was
 # at most 0.34 Y.
+# The P > 0 root test (_pos_irreducible_mask) reads g(y) = f(y, x1) / x1 on
+# the bracket of its roots, |3y + x2| <= 2 sqrt(A), so |y| <= (|x2| +
+# 2 sqrt(A)) / 3, and, since one call has one width, up to the task's widest
+# bracket, 4 Y^(1/4) / 3 + 1, past a row's own piece (values that mid < hi
+# masks).  With A <= sqrt(Y), |x1 x3| <= (x2^2 + A) / 3 and, by |B| <= A,
+# |x1^2 x4| <= |x1| (|x2 x3| + A) / 9, so its Horner partials are of order
+# Y^(3/4); over every point read at Y = 1e5, 1e6 and 1e7 they were at most
+# 0.13 Y^(3/4) (test_pos_root_test_at_int64_edge reads rows at MAX_LIMIT).
 # The d-windows (forms._d_windows) need (isqrt(n) + 1)^2 < 2^63 for
 # n = B2^2 + 4 alpha (|C2| + Y), which grows like Y^(3/2).  Over the strata's
 # (b, c) windows at Y = MAX_LIMIT it is at most 2.45e18 (0.27 * 2^63, P < 0

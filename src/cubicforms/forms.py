@@ -11,7 +11,9 @@ columns; the enumeration strata and the brute-force oracle both scan with it.
 The invariant lattices L1..L10 are defined once, by their Z-bases
 (lattice_basis).  Membership is one residue table mod 6 generated from those
 bases (residue_span, the span of rows mod m), used by both the scalar and the
-columnwise callers.  gauss_jordan is the one exact elimination over Q.
+columnwise callers.  gauss_jordan is the one exact elimination over Q, and
+_first_rise the one integer-root bisection (rational_roots and both
+irreducibility masks of the enumeration).
 """
 
 from __future__ import annotations
@@ -353,38 +355,54 @@ def lattice_member(f, lattice: int):
     return bool(member) if member.ndim == 0 else member
 
 
+def _monic_cubic(b, c, e):
+    """y -> y^3 + b y^2 + c y + e by Horner: pure arithmetic, like value_at."""
+    return lambda y: ((y + b) * y + c) * y + e
+
+
+def _monotone_pieces(g, b, h, s, lo, hi) -> tuple:
+    """(lo, k1, g), (k1 + 1, k2, -g), (k2 + 1, hi, g): the pieces of [lo, hi]
+    on which the monic g(y) = y^3 + b y^2 + c y + e, h = b^2 - 3c >= 0,
+    rises, falls and rises, each with the function that rises there.  k1
+    and k2 floor the critical points (-b -+ sqrt(h)) / 3; s = isqrt(h)."""
+    k1, k2 = (-b - s - (s * s < h)) // 3, (s - b) // 3
+    return (lo, k1, g), (k1 + 1, k2, lambda y: -g(y)), (k2 + 1, hi, g)
+
+
+def _first_rise(g, lo, hi, width: int):
+    """The least y >= lo with y >= hi or g(y) >= 0: where g changes sign at
+    most once on [lo, hi], from < 0 to >= 0, g has a root there iff g(y) = 0.
+    Exact integer bisection in pure arithmetic, like discriminant: on Python
+    ints, or on integer columns with one step bound width >= hi - lo + 1 for
+    every row.  The answer stays in [lo, lo + n) while n halves from width
+    to 1: ceil(log2(width)) evaluations of g."""
+    n = width
+    while n > 1:
+        half = n // 2
+        mid = lo + (half - 1)
+        lo = lo + half * ((mid < hi) & (g(mid) < 0))
+        n -= half
+    return lo
+
+
 def _integer_roots(b: int, c: int, e: int) -> set:
     """The integer roots of the monic cubic g(y) = y^3 + b y^2 + c y + e.
 
-    g rises up to its first critical point, falls to the second and rises
-    after it.  With h = b^2 - 3c (clipped at 0, where g rises throughout),
-    the critical points are (-b -+ sqrt(h)) / 3, and their floors k1 and k2
-    are exact through isqrt.  On each of the monotone pieces (-r, k1],
-    [k1 + 1, k2] and [k2 + 1, r), exact integer bisection finds the one
-    candidate.  Every root lies in (-r, r) (Cauchy bound), so this takes
-    O(digits) evaluations of g.
+    With h = b^2 - 3c (clipped at 0, where g rises throughout), exact
+    integer bisection (_first_rise) finds the one candidate on each
+    monotone piece of [-r, r] (_monotone_pieces).  Every root lies in
+    (-r, r) (Cauchy bound), so this takes O(digits) evaluations of g.
     """
-
-    def g(y):
-        return ((y + b) * y + c) * y + e
-
+    g = _monic_cubic(b, c, e)
     r = 1 + max(abs(b), abs(c), abs(e))
     h = max(b * b - 3 * c, 0)
-    s = isqrt(h)
-    k1, k2 = (-b - s - (s * s < h)) // 3, (s - b) // 3
     roots = set()
-    for lo, hi, sign in ((-r, k1, 1), (k1 + 1, k2, -1), (k2 + 1, r, 1)):
-        # sign * g rises on [lo, hi]: the least y with sign * g(y) >= 0
-        if lo > hi or sign * g(hi) < 0:
+    for lo, hi, rising in _monotone_pieces(g, b, h, isqrt(h), -r, r):
+        if lo > hi or rising(hi) < 0:  # no root on the piece
             continue
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if sign * g(mid) < 0:
-                lo = mid + 1
-            else:
-                hi = mid
-        if g(lo) == 0:
-            roots.add(lo)
+        y = _first_rise(rising, lo, hi, hi - lo + 1)
+        if g(y) == 0:
+            roots.add(y)
     return roots
 
 

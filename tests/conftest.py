@@ -146,7 +146,8 @@ def _lex_sorted(rows: np.ndarray, stratum: str) -> np.ndarray:
 def _sorted_master(limit: int) -> MasterClasses:
     """The master enumeration built from _scan_pos_stratum and the negative
     strata, each block checked and the P > 0 block ordered by a sort, and
-    the P > 0 irreducibility mask run per |x1| over the whole block."""
+    the P > 0 irreducibility from the float roots (_trig_root_reducible)
+    per |x1| over the whole block."""
     tasks = enumeration._stratum_tasks(limit)
     pos = enumeration._ranges_to_rows(
         [_scan_pos_stratum(a, lim) for kind, a, lim in tasks if kind == "pos"]
@@ -168,7 +169,7 @@ def _sorted_master(limit: int) -> MasterClasses:
     x1 = np.abs(pos[:, 0])
     for a in np.unique(x1[x1 > 0]).tolist():
         sel = np.flatnonzero(x1 == a)
-        irred[sel] = enumeration._pos_irreducible_mask(pos[sel], a)
+        irred[sel] = ~_trig_root_reducible(pos[sel], a)
     disc = discriminant(reps.T)
     return MasterClasses(limit, reps, disc, stab, irred, lattice_membership(reps.T))
 
@@ -221,24 +222,6 @@ def reference_rational_roots():
     return _divisor_rational_roots
 
 
-def _divisor_root_near_mask(rows: np.ndarray, root: np.ndarray, a: int) -> np.ndarray:
-    """Rows with f(p, q) == 0 for some divisor q of a and p = rint(root * q)
-    + {-1, 0, 1}: the root mask that tries every denominator, where
-    enumeration._root_near_mask tries q = a only."""
-    cols = rows.T
-    red = np.zeros(len(rows), dtype=bool)
-    for q in _divisors(a):
-        p0 = np.rint(root * q).astype(np.int64)
-        for off in (-1, 0, 1):
-            red |= value_at(cols, p0 + off, q) == 0
-    return red
-
-
-@pytest.fixture(scope="session")
-def reference_root_near_mask():
-    return _divisor_root_near_mask
-
-
 def _fraction_coeffs_text(s: CoefficientSeries) -> str:
     """The coeffs CSV of one series written row by row: each a_n as three
     Fractions and an _orbit_count call, indices with a_n = 0
@@ -260,10 +243,34 @@ def reference_coeffs_text():
     return _fraction_coeffs_text
 
 
+def _depressed(rows: np.ndarray):
+    """Floats (p, q, shift): the roots of the dehomogenized cubic are
+    y - shift for the roots y of the depressed cubic y^3 + p y + q."""
+    a, b, c, d = rows.T.astype(np.float64)
+    p = c / a - b * b / (3 * a * a)
+    q = 2 * b ** 3 / (27 * a ** 3) - b * c / (3 * a * a) + d / a
+    return p, q, b / (3 * a)
+
+
+def _root_near_mask(rows: np.ndarray, root: np.ndarray, a: int) -> np.ndarray:
+    """Rows with a rational root next to the float root: f(y, a) == 0 at
+    y = rint(root * a) + {-1, 0, 1}, tested exactly.  a is the common
+    |leading coefficient|, so every rational root is some y / a; the test
+    finds it whenever |root - y / a| < 1.5 / a.  No bound on the float error
+    is proved: at Y = 1e7 it was at most 2.0e-9 over every row of both
+    strata."""
+    cols = rows.T
+    y0 = np.rint(root * a).astype(np.int64)
+    red = np.zeros(len(rows), dtype=bool)
+    for off in (-1, 0, 1):
+        red |= value_at(cols, y0 + off, a) == 0
+    return red
+
+
 def _cardano_real_root(rows: np.ndarray) -> np.ndarray:
     """The real root of the dehomogenized cubic of P < 0 rows (exactly one),
     as a float, by Cardano."""
-    p, q, shift = enumeration._depressed(rows)
+    p, q, shift = _depressed(rows)
     disc = (q / 2) ** 2 + (p / 3) ** 3
     sq = np.sqrt(np.maximum(disc, 0.0))
     y = np.cbrt(-q / 2 + sq) + np.cbrt(-q / 2 - sq)
@@ -273,12 +280,32 @@ def _cardano_real_root(rows: np.ndarray) -> np.ndarray:
 def _float_root_reducible(rows: np.ndarray, a: int) -> np.ndarray:
     """Rows of the P < 0 irreducible stratum's windows at leading
     coefficient a with a rational root, found next to the Cardano float
-    root (enumeration._root_near_mask): the reference for the exact
-    bisection of enumeration._neg_ird_reducible."""
-    return enumeration._root_near_mask(rows, _cardano_real_root(rows), a)
+    root (_root_near_mask): the reference for the exact bisection of
+    enumeration._neg_ird_reducible."""
+    return _root_near_mask(rows, _cardano_real_root(rows), a)
 
 
 @pytest.fixture(scope="session")
 def reference_neg_root_mask():
     return _float_root_reducible
 
+
+def _trig_root_reducible(rows: np.ndarray, a: int) -> np.ndarray:
+    """Rows of P > 0 (three real roots) with leading coefficient a or -a,
+    a >= 1, that have a rational root next to one of the float roots of
+    trigonometric Cardano (_root_near_mask): the reference for the exact
+    bisection of enumeration._pos_irreducible_mask."""
+    p, q, shift = _depressed(rows)
+    # P > 0 => three distinct real roots => (q/2)^2 + (p/3)^3 < 0, p < 0
+    m = np.sqrt(np.maximum(-p / 3.0, 1e-300))
+    phi = np.arccos(np.clip(3.0 * q / (2.0 * p * m), -1.0, 1.0))
+    red = np.zeros(len(rows), dtype=bool)
+    for k in range(3):
+        t = 2.0 * m * np.cos((phi - 2.0 * np.pi * k) / 3.0) - shift
+        red |= _root_near_mask(rows, t, a)
+    return red
+
+
+@pytest.fixture(scope="session")
+def reference_pos_root_mask():
+    return _trig_root_reducible

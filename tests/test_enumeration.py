@@ -975,26 +975,26 @@ def test_pos_stratum_matches_box_reference(reference_canonical_pos):
     assert total == (master_classes(limit).disc > 0).sum() > 0
 
 
-def test_root_near_mask_matches_divisor_loop(monkeypatch, reference_root_near_mask):
-    # q = a in place of every divisor q of a.  At Y = 3e5 the two masks give
-    # the same verdict on every P > 0 row with a >= 1 (the union over the
-    # three float roots).
-    limit = 300000
-    pos = {
+def _pos_task_rows(limit: int) -> dict:
+    """a -> the P > 0 rows of the stratum task with leading coefficient -a,
+    for every a >= 1."""
+    return {
         a: enumeration._pos_stratum(a, limit)
         for k, a, _ in enumeration._stratum_tasks(limit)
         if k == "pos" and a
     }
 
-    def verdicts():
-        return {a: enumeration._pos_irreducible_mask(rows, a) for a, rows in pos.items()}
 
-    got = verdicts()
-    monkeypatch.setattr(enumeration, "_root_near_mask", reference_root_near_mask)
-    want = verdicts()
-    for a in pos:
-        assert np.array_equal(got[a], want[a]), a
-    assert sum(int((~x).sum()) for x in got.values()) > 1000
+def test_pos_irreducible_mask_matches_float_roots(reference_pos_root_mask):
+    # every P > 0 row with a >= 1 at Y = 3e5: the exact bisection and the
+    # old trigonometric float roots with the test next to them agree, on
+    # more than 1000 reducible rows
+    reducible = 0
+    for a, rows in _pos_task_rows(300000).items():
+        got = enumeration._pos_irreducible_mask(rows)
+        assert np.array_equal(got, ~reference_pos_root_mask(rows, a)), a
+        reducible += int((~got).sum())
+    assert reducible > 1000
 
 
 def _neg_ird_window_rows(a: int, limit: int) -> np.ndarray:
@@ -1020,6 +1020,20 @@ def test_neg_ird_bisection_matches_float_root(reference_neg_root_mask):
         dropped += int(got.sum())
         zeros += int((rows[:, 3] == 0).sum())
     assert dropped > 1000 and 0 < zeros < dropped
+
+
+def test_root_masks_match_scalar_is_irreducible():
+    # every P > 0 row with a >= 1 and every negird window row at Y = 1e5,
+    # against scalar is_irreducible (the Cauchy bound on Python ints)
+    limit = 100000
+    for a, rows in _pos_task_rows(limit).items():
+        want = [is_irreducible(f) for f in rows]
+        assert enumeration._pos_irreducible_mask(rows).tolist() == want, a
+    for kind, a, _ in enumeration._stratum_tasks(limit):
+        if kind == "negird":
+            rows = _neg_ird_window_rows(a, limit)
+            want = [not is_irreducible(f) for f in rows]
+            assert enumeration._neg_ird_reducible(rows, a).tolist() == want, a
 
 
 def test_neg_ird_windows_are_the_s2_cut():
@@ -1092,6 +1106,56 @@ def test_neg_ird_root_test_at_int64_edge():
         assert got.tolist() == [bool(x) for x in exact]
         assert got.tolist() == [bool(rational_roots(g)) for g in near]
         assert got[near.index(f)]
+
+
+def _pos_edge_forms() -> list:
+    """Hessian-reduced (|B| <= A <= C) P > 0 forms (q u - p v)(al u^2 +
+    be u v + ga v^2) with 0.9 MAX_LIMIT < P <= MAX_LIMIT, a = q al in the
+    twelve largest leading coefficients of the stratum's tasks, q = 1, 2, 3
+    and p = -1, 1: each (b, c) of the stratum's windows at a gives the
+    be = (b + p al) / q, ga = (c + p be) / q and d = -p ga of its form."""
+    forms = []
+    a_max = max(a for kind, a, _ in enumeration._stratum_tasks(MAX_LIMIT) if kind == "pos")
+    for a in range(a_max - 11, a_max + 1):
+        b, c = enumeration._bc_pairs(*enumeration._pos_bc_windows(a, MAX_LIMIT))
+        A = b * b - 3 * a * c
+        for q, p in ((1, -1), (1, 1), (2, -1), (2, 1), (3, -1), (3, 1)):
+            if a % q:
+                continue
+            be, b_rem = np.divmod(b + p * (a // q), q)
+            ga, c_rem = np.divmod(c + p * be, q)
+            d = -p * ga
+            B, C = b * c - 9 * a * d, c * c - 3 * b * d
+            P = (4 * A * C - B * B) // 3
+            keep = (b_rem == 0) & (c_rem == 0) & (abs(B) <= A) & (A <= C)
+            keep &= (P > 0.9 * MAX_LIMIT) & (P <= MAX_LIMIT)
+            forms += [(a, *f) for f in zip(b[keep].tolist(), c[keep].tolist(), d[keep].tolist())]
+    return forms
+
+
+def test_pos_root_test_at_int64_edge():
+    # reducible Hessian-reduced rows with P near MAX_LIMIT and a up to the
+    # stratum's largest, with their neighbours in d, as scanned (x1 = a)
+    # and as the master holds them (x1 = -a): the P > 0 root test equals
+    # forms.rational_roots, and the int64 run equals the Python int one
+    forms = _pos_edge_forms()
+    a_max = max(a for kind, a, _ in enumeration._stratum_tasks(MAX_LIMIT) if kind == "pos")
+    assert len(forms) > 300 and max(f[0] for f in forms) >= a_max - 2
+    assert {1, 2, 3} <= {q for f in forms for _, q in rational_roots(f)}
+    near = set()
+    for a, b, c, d in forms:
+        assert 0.9 * MAX_LIMIT < discriminant((a, b, c, d)) <= MAX_LIMIT
+        for g in ((a, b, c, d + k) for k in range(-2, 3)):
+            A, B, C = hessian(g)
+            if 0 < discriminant(g) <= MAX_LIMIT and abs(B) <= A <= C:
+                near |= {g, tuple(-x for x in g)}
+    near = sorted(near)
+    rows = np.array(near, dtype=np.int64)
+    got = enumeration._pos_irreducible_mask(rows)
+    exact = enumeration._pos_irreducible_mask(rows.astype(object))
+    assert got.tolist() == [bool(x) for x in exact]
+    assert got.tolist() == [not rational_roots(g) for g in near]
+    assert got.any() and not any(got[near.index(f)] for f in forms)
 
 
 def test_strata_windows_exact_at_max_limit():

@@ -24,7 +24,7 @@ from cubicforms import (
     psi,
     q_discriminant,
 )
-from cubicforms.forms import lattice_membership, u_of, rational_roots, value_at
+from cubicforms.forms import _first_rise, lattice_membership, u_of, rational_roots, value_at
 from cubicforms.reduction import canonical_reduce
 
 rng = random.Random(12345)
@@ -249,6 +249,21 @@ def test_rational_roots_match_divisor_search(reference_rational_roots):
                     assert finite == sorted(set(finite))
                     assert roots[len(finite):] == ([(1, 0)] if a == 0 else [])
     assert seen == 28088
+
+
+def test_first_rise_on_ints_and_columns():
+    # g(y) = y - t changes sign once, at t: the least y >= lo with y >= hi
+    # or y >= t is max(lo, min(hi, t)), also for an empty [lo, hi] and a t
+    # outside it; Python ints one by one, and int64 columns with one width
+    gen = np.random.default_rng(7)
+    lo, t = gen.integers(-40, 40, 500), gen.integers(-60, 60, 500)
+    hi = lo + gen.integers(-3, 40, 500)
+    want = np.maximum(lo, np.minimum(hi, t))
+    width = int((hi - lo).max()) + 1
+    assert np.array_equal(_first_rise(lambda y: y - t, lo, hi, width), want)
+    for row in zip(lo.tolist(), hi.tolist(), t.tolist(), want.tolist()):
+        a, b, u, w = row
+        assert _first_rise(lambda y: y - u, a, b, max(b - a + 1, 0)) == w, row
 
 
 def test_rational_roots_rejects_degenerate():
