@@ -45,11 +45,12 @@ and L2 are invariant under the signed permutations f(x, -y), f(y, x), -f,
 so the scan covers one eighth of the box (a >= 0, b >= 0, |c| <= b) and
 adds the images.  Before the windows, an exact Hessian cut drops the
 (a, b, c) with a >= 1 and 3ac > b^2 + h0: by 27 a^2 P = 4 H^3 - G^2
-(H = b^2 - 3ac), P >= -p_limit needs 4 (-H)^3 <= 27 a^2 p_limit.  The
-grouping seeds each BFS at the least survivor no closure holds yet, its
-orbit's representative, and since f(x, -y) maps BFS closures onto closures,
-one BFS groups a closure and its mirror.  Each grouping computes the columns
-of its representatives (discriminant, lattice membership, stabilizer order,
+(H = b^2 - 3ac), P >= -p_limit needs 4 (-H)^3 <= 27 a^2 p_limit.  Each
+grouping is one orbit_bfs search from every in-box survivor whose first
+nonzero coefficient is negative (one form of each +-pair) at once; the
+least seed of a closure owns it and is its lexmin in-box member, the
+orbit's representative.  Each grouping computes the columns of its
+representatives (discriminant, lattice membership, stabilizer order,
 irreducibility) with the scalar functions, once, and every (lattice, sign)
 selects from them.
 
@@ -67,7 +68,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from itertools import chain, groupby
+from itertools import groupby
 from math import isqrt
 
 import numpy as np
@@ -735,27 +736,6 @@ def _box_survivors(box: int, p_limit: int, family: int) -> np.ndarray:
     return np.concatenate([rows[:1], rows[1:][fresh]])
 
 
-def _box_keys(rows: np.ndarray, box: int) -> np.ndarray:
-    """One int64 per row of [-box, box]^4: its digits in base 2 box + 1, so
-    the keys increase with the rows' lexicographic order.  (2 box + 1)^4 <
-    7e11 for box <= MAX_BOX."""
-    width = 2 * box + 1
-    keys = rows[:, 0] + box
-    for col in rows.T[1:]:
-        keys = keys * width + (col + box)
-    return keys
-
-
-def _box_positions(keys: np.ndarray, rows: np.ndarray, box: int) -> np.ndarray:
-    """The positions in the increasing keys of the rows of [-box, box]^4,
-    each of which must be there."""
-    want = _box_keys(rows, box)
-    at = np.searchsorted(keys, want)
-    if not np.array_equal(keys[np.minimum(at, len(keys) - 1)], want):
-        raise AssertionError("a closure's in-box member is not a box survivor")
-    return at
-
-
 def _group_box_orbits(
     box: int, p_limit: int, cap: int, family: int, scan_box: int
 ) -> MasterClasses:
@@ -764,16 +744,15 @@ def _group_box_orbits(
     filtered from the scan at scan_box >= box, which is made once per
     (scan_box, p_limit, family).
 
-    The seeds are taken in lexicographic order, each the first survivor no
-    earlier closure holds, so a seed is the lexmin in-box member of its
-    closure: the representative.  A closure's in-box members are all
-    survivors (they share P, and L2 is invariant), found by key.  The
-    mirror F = f(x, -y) conjugates u(1) to u(-1) and w to w^-1 = -w, and
-    keeps the cap box; BFS closures are negation-closed, so F maps each
-    closure C onto the closure of F(seed).  When F(seed) is not in C, F(C)
-    is another closure, disjoint from every earlier one; its in-box members
-    are the images of C's, and its representative is their lexmin, with no
-    second BFS.
+    One orbit_bfs call groups them.  The survivors are lex-sorted and
+    closed under negation, and the rows whose first nonzero coefficient
+    (x1, else x2; x1 = x2 = 0 gives P = 0) is negative sort first, so the
+    first half holds one form of each +-pair: the seeds.  A closure is
+    closed under negation, so its lexmin in-box member is a seed, the least
+    one: the representative, the seed that owns itself.  Every in-box
+    survivor is a seed or a seed's negation, and a closure's in-box members
+    are all survivors (they share P, and L2 is invariant), so no form
+    reached past the seeds may lie in the box.
     """
     key = (box, p_limit, cap, family)
     if key in _ORACLE_CACHE:
@@ -782,25 +761,14 @@ def _group_box_orbits(
     if scan_key not in _SCAN_CACHE:
         _SCAN_CACHE[scan_key] = _box_survivors(*scan_key)
     survivors = _SCAN_CACHE[scan_key]
-    survivors = survivors[(np.abs(survivors) <= box).all(axis=1)]
-    keys = _box_keys(survivors, box)
-    held = np.zeros(len(survivors), dtype=bool)
-    rep_at = []
-    for seed in range(len(survivors)):
-        if held[seed]:
-            continue
-        f = survivors[seed].tolist()
-        closure = orbit_bfs(f, cap)
-        flat = chain.from_iterable(closure)
-        members = np.fromiter(flat, dtype=np.int64, count=4 * len(closure)).reshape(-1, 4)
-        members = members[(np.abs(members) <= box).all(axis=1)]
-        held[_box_positions(keys, members, box)] = True
-        rep_at.append(seed)
-        if (f[0], -f[1], f[2], -f[3]) not in closure:
-            mirror = _box_positions(keys, members * _MIRROR, box)
-            held[mirror] = True
-            rep_at.append(mirror.min())
-    rows = survivors[np.sort(np.array(rep_at, dtype=np.int64))]
+    seeds = survivors[: len(survivors) // 2]
+    inside = ((seeds >= -box) & (seeds <= box)).all(axis=1)
+    if not inside.all():
+        seeds = seeds[inside]
+    owner, reached = orbit_bfs(seeds, cap)
+    if ((reached >= -box) & (reached <= box)).all(axis=1).any():
+        raise AssertionError("a closure's in-box member is not a box survivor")
+    rows = seeds[owner == np.arange(len(seeds))]
     reps = list(map(tuple, rows.tolist()))
     cols = rows.T
     orbits = MasterClasses(
@@ -821,8 +789,11 @@ def brute_force_classes(
     """Independent oracle: box enumeration + BFS orbit grouping, returned as
     the ClassTable of the pair, in the order of enumerate_classes.
 
-    Correct only when every orbit with index <= max_index has a member in
-    [-box, box]^4 and box members are BFS-connected within the cap 4 * box.
+    The survivors of the scan are grouped by one orbit_bfs search from all
+    of them (_group_box_orbits), and each orbit is named by its lexmin
+    in-box form.  Correct only when every orbit with index <= max_index has
+    a member in [-box, box]^4 and box members are BFS-connected within the
+    cap 4 * box.
     With check_stability=True the run is repeated at stability_box(box) =
     (3 * box + 1) // 2 with the cap 6 * box, and a warning is raised if the
     class multiset changes; one scan at that box serves both runs.

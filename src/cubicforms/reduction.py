@@ -36,6 +36,8 @@ digit count of the input.  Reduction strategy, by sign of the discriminant P:
 from __future__ import annotations
 
 import itertools
+from math import isqrt
+from operator import index
 
 import numpy as np
 
@@ -237,50 +239,169 @@ def canonical_reduce(f) -> CubicForm:
     return f
 
 
-def orbit_bfs(f, cap: int) -> set:
-    """BFS closure of {f} under u(1), u(-1), w within the box |coeff| <= cap.
+# orbit_bfs packs each form of the cap box |x_i| <= cap into one key, its
+# digits x_i + cap in base W = 2 cap + 1, so the keys increase with the
+# lexicographic order of the forms and key(-f) = W^4 - 1 - key(f).  Every
+# key and every partial sum of its digits is at most W^4 - 1, which is at
+# most 2^63 - 1 iff W <= floor(2^(63/4)) = 55 108, i.e. cap <= 27 553.
+# Past that cap the keys are Python ints in object arrays.
+_INT64_KEY_CAP = (isqrt(isqrt(2 ** 63)) - 1) // 2
+_BFS_BLOCK = 4096  # frontier pairs expanded at once
 
-    The images are written out: u(+-1) (x1, x2, x3, x4) = (x1 +- x2 + x3 +- x4,
-    x2 +- 2 x3 + 3 x4, x3 +- 3 x4, x4), so u(1) f = f + psi(f), and
-    w (x1, x2, x3, x4) = (x4, -x3, x2, -x1).  u(+-1) keep x4, so only the
-    three coefficients they change are tested against the cap; w permutes and
-    negates, so it never leaves the cap.  w^2 = -I acts as -1, so the closure
-    of a seed inside the cap is closed under negation: each new form enters
-    with its negation, and only the one reached first is expanded, since the
-    images of -x are the negations of those of x.
+
+def _int_rows(forms) -> np.ndarray:
+    """forms as an (N, 4) array: int64 as given, else each coefficient a
+    Python int through operator.index, so floats raise TypeError."""
+    rows = np.asarray(forms)
+    if rows.dtype != np.int64:
+        rows = np.vectorize(index, otypes=[object])(rows)
+    if rows.ndim != 2 or rows.shape[1] != 4:
+        raise ValueError(f"forms must be an (N, 4) array of forms, got shape {rows.shape}")
+    return rows
+
+
+def _pair_keys(x0, x1, x2, x3, cap: int, width: int, top: int):
+    """The key of the +-pair of each form of the cap box, given as columns:
+    the lesser of key(f) and key(-f) = top - key(f)."""
+    key = x0 + cap
+    for x in (x1, x2, x3):
+        key = key * width + (x + cap)
+    return np.minimum(key, top - key)
+
+
+def _key_forms(keys, cap: int, width: int, out=None) -> np.ndarray:
+    """The forms with the given keys, as rows of out (made if None)."""
+    if out is None:
+        out = np.empty((len(keys), 4), dtype=keys.dtype)
+    for j in (3, 2, 1, 0):
+        out[:, j] = keys % width - cap
+        keys = keys // width
+    return out
+
+
+def _seed_pairs(seeds: np.ndarray, cap: int, dtype, width: int, top: int) -> tuple:
+    """The pair keys of the seeds in the cap box, and their indices."""
+    inside = np.flatnonzero(((seeds >= -cap) & (seeds <= cap)).all(axis=1))
+    rows = seeds if len(inside) == len(seeds) else seeds[inside]
+    return _pair_keys(*rows.astype(dtype, copy=False).T, cap, width, top), inside
+
+
+def _images(x0, x1, x2, x3, cap: int) -> list:
+    """The images u(1) f, u(-1) f and w f that lie in the cap box, of the
+    forms f of the box given as columns: the columns of the images and the
+    index of the form each came from."""
+    even, odd, mid, s, t = x0 + x2, x1 + x3, x1 + 3 * x3, 2 * x2, 3 * x3
+    at = np.arange(len(x0))
+    parts = [(x3, -x2, x1, -x0, at)]  # w
+    for y0, y1, y2 in ((even + odd, mid + s, x2 + t), (even - odd, mid - s, x2 - t)):
+        ok = (abs(y0) <= cap) & (abs(y1) <= cap) & (abs(y2) <= cap)
+        parts.append((y0[ok], y1[ok], y2[ok], x3[ok], at[ok]))
+    return [np.concatenate(col) for col in zip(*parts)]
+
+
+def _union(owner: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
+    """Join the classes of a[i] and b[i] in owner, where every entry holds
+    the least index of its class: min-label union, then pointer jumping
+    until every entry holds its class's least index again."""
+    while True:
+        ra, rb = owner[a], owner[b]
+        apart = ra != rb
+        if not apart.any():
+            return
+        ra, rb = ra[apart], rb[apart]
+        np.minimum.at(owner, np.maximum(ra, rb), np.minimum(ra, rb))
+        while True:
+            up = owner[owner]
+            if np.array_equal(up, owner):
+                break
+            owner[:] = up
+
+
+def _fold(keys, labels, edges: list) -> tuple:
+    """The pairs sorted by key, one of each key; the labels of equal keys
+    go to edges."""
+    order = np.argsort(keys)
+    keys, labels = keys[order], labels[order]
+    same = keys[1:] == keys[:-1]
+    edges.append((labels[1:][same], labels[:-1][same]))
+    fresh = np.ones(len(keys), dtype=bool)
+    fresh[1:] = ~same
+    return keys[fresh], labels[fresh]
+
+
+def orbit_bfs(forms, cap: int) -> tuple:
+    """The closures of many seeds under u(1), u(-1), w within the box
+    |coeff| <= cap, by one breadth-first search from all of them.
+
+    forms is an (N, 4) array of seeds.  Returns (owner, reached): owner[i]
+    is the least index of a seed in the same closure as seed i, and reached
+    holds the forms reached that are not seeds, the lexicographically
+    lesser of each +-pair.  So the closure of a single seed f in the cap is
+    {+-f} with +-reached; a seed past the cap is not expanded, its closure
+    is {f} and its owner itself.
+
+    The images are written out: u(+-1) (x1, x2, x3, x4) = (x1 +- x2 + x3 +-
+    x4, x2 +- 2 x3 + 3 x4, x3 +- 3 x4, x4), and w (x1, x2, x3, x4) = (x4,
+    -x3, x2, -x1).  u(+-1) keep x4, so only the three coefficients they
+    change are tested against the cap; w never leaves it.  The search runs
+    on +-pairs, one packed key each (_INT64_KEY_CAP): w^2 = -I acts as -1,
+    so a closure in the cap is closed under negation, and the images of -f
+    are those of f negated.  u(1) and u(-1) are inverse and w^-1 = -w, so
+    the graph on pairs is undirected: a pair found from level k (its
+    distance to the nearest seed) lies at level k - 1, k or k + 1.  Each
+    level's candidates are deduplicated by sort and tested against the
+    sorted keys of levels k - 1 and k only, with no global visited set.
+    Every seed starts as its own label, a new pair takes the label of the
+    pair it was found from, and every edge between two labels is folded
+    into a min-label union over the seed indices (_union).  The frontier
+    is expanded in blocks of _BFS_BLOCK pairs, one union per block.
+
+    The keys are int64 for cap <= _INT64_KEY_CAP and Python ints in object
+    arrays past it, so the search is exact at every cap.  ValueError for a
+    cap < 0 or forms not of shape (N, 4); TypeError for a float cap or
+    coefficient (cap and coefficients are read through operator.index,
+    unless forms is an int64 array).
     """
-    f = _int_form(f)
-    if discriminant(f) == 0:
-        raise ValueError(f"form {tuple(f)} has zero discriminant")
-    start = tuple(f)
-    seen = {start}
-    if not (-cap <= min(start) and max(start) <= cap):
-        return seen
-    seen.add(tuple(-f))
-    queue = [start]  # read while it grows, so in breadth-first order
-    add, push = seen.add, queue.append
-    for x0, x1, x2, x3 in queue:
-        even, odd, mid, s, t = x0 + x2, x1 + x3, x1 + 3 * x3, 2 * x2, 3 * x3
-        y0, y1, y2 = even + odd, mid + s, x2 + t  # u(1)
-        if -cap <= y0 <= cap and -cap <= y1 <= cap and -cap <= y2 <= cap:
-            y = (y0, y1, y2, x3)
-            if y not in seen:
-                add(y)
-                add((-y0, -y1, -y2, -x3))
-                push(y)
-        y0, y1, y2 = even - odd, mid - s, x2 - t  # u(-1)
-        if -cap <= y0 <= cap and -cap <= y1 <= cap and -cap <= y2 <= cap:
-            y = (y0, y1, y2, x3)
-            if y not in seen:
-                add(y)
-                add((-y0, -y1, -y2, -x3))
-                push(y)
-        y = (x3, -x2, x1, -x0)  # w
-        if y not in seen:
-            add(y)
-            add((-x3, x2, -x1, x0))
-            push(y)
-    return seen
+    cap = index(cap)
+    if cap < 0:
+        raise ValueError(f"cap must be >= 0, got {cap}")
+    seeds = _int_rows(forms)
+    dtype = np.int64 if cap <= _INT64_KEY_CAP else object
+    width = 2 * cap + 1
+    top = width ** 4 - 1
+    owner = np.arange(len(seeds))
+    edges = []
+    level = _fold(*_seed_pairs(seeds, cap, dtype, width, top), edges)
+    _union(owner, *map(np.concatenate, zip(*edges)))
+    prev = level[0][:0], level[1][:0]
+    found = []
+    while len(level[0]):
+        fresh = []
+        for start in range(0, len(level[0]), _BFS_BLOCK):
+            block = level[0][start : start + _BFS_BLOCK]
+            *images, at = _images(*_key_forms(block, cap, width).T, cap)
+            labels = level[1][start : start + _BFS_BLOCK][at]
+            edges = []
+            keys, labels = _fold(_pair_keys(*images, cap, width, top), labels, edges)
+            for known, known_labels in (prev, level):
+                if not len(known):
+                    continue
+                pos = np.minimum(np.searchsorted(known, keys), len(known) - 1)
+                hit = known[pos] == keys
+                edges.append((labels[hit], known_labels[pos[hit]]))
+                keys, labels = keys[~hit], labels[~hit]
+            fresh.append((keys, labels))
+            _union(owner, *map(np.concatenate, zip(*edges)))
+        edges = []
+        prev, level = level, _fold(*map(np.concatenate, zip(*fresh)), edges)
+        _union(owner, *map(np.concatenate, zip(*edges)))
+        found.append(level[0])
+    reached = np.empty((sum(map(len, found)), 4), dtype=dtype)
+    start = 0
+    for keys in found:
+        _key_forms(keys, cap, width, reached[start : start + len(keys)])
+        start += len(keys)
+    return owner, reached
 
 
 def stabilizer_order(f) -> int:

@@ -1,6 +1,7 @@
 from collections import deque
 from fractions import Fraction
 from math import gcd
+from operator import index
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from cubicforms import enumeration
 from cubicforms.cli import _frac_str
 from cubicforms.enumeration import MasterClasses
 from cubicforms.forms import U1_INV, action_matrix, discriminant, lattice_membership, value_at
-from cubicforms.reduction import SMALL_MATRICES, _canonical_pos, _pos_stab_column
+from cubicforms.reduction import SMALL_MATRICES, _canonical_pos, _pos_stab_column, orbit_bfs
 
 
 @pytest.fixture(scope="session")
@@ -119,6 +120,27 @@ def _act_orbit_bfs(f, cap: int) -> set:
 @pytest.fixture(scope="session")
 def reference_orbit_bfs():
     return _act_orbit_bfs
+
+
+def _bfs_closure(f, cap: int) -> set:
+    """The closure of the one seed f under u(1), u(-1), w within the cap,
+    as a set of tuples, from one orbit_bfs call: {f} past the cap, else
+    {+-f} with the forms of reached and their negations."""
+    owner, reached = orbit_bfs([f], cap)
+    assert owner.tolist() == [0]
+    start = tuple(map(index, f))
+    if max(map(abs, start)) > cap:
+        assert reached.shape == (0, 4)
+        return {start}
+    pairs = [start, *map(tuple, reached.tolist())]
+    closure = {y for x in pairs for y in (x, tuple(-t for t in x))}
+    assert len(closure) == 2 * len(pairs)  # one of each +-pair, none a seed
+    return closure
+
+
+@pytest.fixture(scope="session")
+def bfs_closure():
+    return _bfs_closure
 
 
 def _scan_pos_stratum(a: int, limit: int) -> np.ndarray:

@@ -357,7 +357,7 @@ def test_brute_force_tiny():
 
 
 @pytest.mark.parametrize("family, p_limit", [(1, 60), (2, 27 * 12)])
-def test_group_box_orbits_reps_are_lexmin_in_box(monkeypatch, family, p_limit):
+def test_group_box_orbits_reps_are_lexmin_in_box(monkeypatch, reference_orbit_bfs, family, p_limit):
     box, cap = 12, 48
     monkeypatch.setattr(enumeration, "_ORACLE_CACHE", {})
     monkeypatch.setattr(enumeration, "_SCAN_CACHE", {})
@@ -371,7 +371,7 @@ def test_group_box_orbits_reps_are_lexmin_in_box(monkeypatch, family, p_limit):
     todo = set(map(tuple, enumeration._box_survivors(box, p_limit, family).tolist()))
     want = []
     while todo:
-        orbit = orbit_bfs(todo.pop(), cap)
+        orbit = reference_orbit_bfs(todo.pop(), cap)
         todo -= orbit
         want.append(min(x for x in orbit if max(map(abs, x)) <= box))
     assert len(reps) > 10
@@ -385,25 +385,25 @@ def test_group_box_orbits_reps_are_lexmin_in_box(monkeypatch, family, p_limit):
     assert orbits.irred.tolist() == [is_irreducible(f) for f in reps]
 
 
-def test_group_box_orbits_one_bfs_per_mirror_pair(monkeypatch, reference_orbit_bfs):
+def test_group_box_orbits_one_bfs_per_grouping(monkeypatch, reference_orbit_bfs):
     box, cap = 20, 80
-    seeds = []
+    calls = []
 
-    def spy(f, cap):
-        seeds.append(tuple(f))
-        return orbit_bfs(f, cap)
+    def spy(forms, cap):
+        calls.append((np.array(forms), cap))
+        return orbit_bfs(forms, cap)
 
     monkeypatch.setattr(enumeration, "orbit_bfs", spy)
-    mirror = lambda x: (x[0], -x[1], x[2], -x[3])
     for family, p_limit in ((1, 100), (2, 27 * 100)):
         monkeypatch.setattr(enumeration, "_ORACLE_CACHE", {})
         monkeypatch.setattr(enumeration, "_SCAN_CACHE", {})
-        seeds.clear()
+        calls.clear()
         orbits = enumeration._group_box_orbits(box, p_limit, cap, family, box)
         reps = list(map(tuple, orbits.reps.tolist()))
         # reference: the in-box members of each closure, one act-based BFS
         # per seed until every survivor is held
-        todo = set(map(tuple, enumeration._box_survivors(box, p_limit, family).tolist()))
+        survivors = enumeration._box_survivors(box, p_limit, family).tolist()
+        todo = set(map(tuple, survivors))
         closures = []
         while todo:
             closure = reference_orbit_bfs(todo.pop(), cap)
@@ -411,13 +411,33 @@ def test_group_box_orbits_one_bfs_per_mirror_pair(monkeypatch, reference_orbit_b
             todo -= members
             closures.append(members)
         assert reps == sorted(min(members) for members in closures), family
-        # the mirror f(x, -y) maps closures onto closures; a pair is named
-        # by the least form of its two closures
-        assert {frozenset(map(mirror, m)) for m in closures} == set(closures), family
-        pairs = {min(min(m), min(map(mirror, m))) for m in closures}
-        # one BFS per pair, seeded in lexicographic order at its representative
-        assert seeds == sorted(pairs), family
-        assert len(pairs) < len(closures), family
+        # one call, seeded in lexicographic order with one form of every
+        # +-pair of survivors, the lesser
+        pairs = sorted({min(tuple(x), tuple(-t for t in x)) for x in survivors})
+        assert len(calls) == 1 and calls[0][1] == cap, family
+        assert list(map(tuple, calls[0][0].tolist())) == pairs, family
+        # a second grouping of the same scan makes a second call
+        enumeration._group_box_orbits(box // 2, p_limit, cap, family, box)
+        assert len(calls) == 2, family
+
+
+def test_group_box_orbits_checks_the_scan(monkeypatch):
+    # a closure's in-box member missing from the survivors is an
+    # AssertionError: a non-representative +-pair, then a representative's
+    box, p_limit, cap, family = 12, 60, 48, 1
+    monkeypatch.setattr(enumeration, "_ORACLE_CACHE", {})
+    monkeypatch.setattr(enumeration, "_SCAN_CACHE", {})
+    survivors = enumeration._box_survivors(box, p_limit, family)
+    reps = set(map(tuple, enumeration._group_box_orbits(box, p_limit, cap, family, box).reps.tolist()))
+    rows = list(map(tuple, survivors.tolist()))
+    other = next(f for f in rows if f not in reps and f < tuple(-t for t in f))
+    for f in (other, min(reps)):
+        drop = (survivors == f).all(axis=1) | (survivors == [-t for t in f]).all(axis=1)
+        assert drop.sum() == 2
+        monkeypatch.setattr(enumeration, "_ORACLE_CACHE", {})
+        monkeypatch.setattr(enumeration, "_SCAN_CACHE", {(box, p_limit, family): survivors[~drop]})
+        with pytest.raises(AssertionError, match="in-box member is not a box survivor"):
+            enumeration._group_box_orbits(box, p_limit, cap, family, box)
 
 
 def test_brute_force_matches_enumeration_small():

@@ -357,7 +357,7 @@ def test_14_digit_neg_forms_in_polynomial_time():
         assert canonical_reduce(act(random_unimodular(local), f)) == rep
 
 
-def test_scalar_entry_points_read_numpy_integers_exactly():
+def test_scalar_entry_points_read_numpy_integers_exactly(bfs_closure):
     # an int64 array gives the same answers as the tuple of Python ints,
     # where int64 arithmetic would wrap (or steer root reduction astray);
     # floats are not forms
@@ -379,11 +379,15 @@ def test_scalar_entry_points_read_numpy_integers_exactly():
         assert act(np.array(W), arr) == act(W, f)
         assert all(type(x) is int for x in act(W, arr))
     assert stabilizer_order(np.array(stab3)) == 3
-    closure = orbit_bfs(np.array((1, 0, -3, 1)), 4)
-    assert closure == orbit_bfs((1, 0, -3, 1), 4)
+    closure = bfs_closure(np.array((1, 0, -3, 1)), 4)
+    assert closure == bfs_closure((1, 0, -3, 1), 4)
     assert all(type(x) is int for y in closure for x in y)
+    for seeds in (np.array([(1, 0, -3, 1), (1, 3, 0, -1)]), [(1, 0, -3, 1), (1, 3, 0, -1)]):
+        owner, reached = orbit_bfs(seeds, 4)
+        assert owner.tolist() == [0, 0] and reached.dtype == np.int64
+        assert {tuple(y) for y in reached.tolist()} | {(1, 3, 0, -1)} < closure
     for entry in (rational_roots, is_irreducible, canonical_reduce, stabilizer_order,
-                  lambda f: orbit_bfs(f, 4), lambda f: act(W, f)):
+                  lambda f: orbit_bfs([f], 4), lambda f: act(W, f)):
         with pytest.raises(TypeError):
             entry((1.0, 0, -3, 1))
 

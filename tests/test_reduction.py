@@ -14,7 +14,7 @@ from cubicforms import (
     discriminant,
     hessian,
 )
-from cubicforms import enumeration
+from cubicforms import enumeration, reduction
 from cubicforms.forms import UnimodularMatrix, action_matrix, is_irreducible, u_of
 from cubicforms.reduction import (
     ORDER3_MATRICES,
@@ -65,19 +65,19 @@ def test_canonical_reduce_same_orbit_example():
     assert canonical_reduce(act(U1, f)) == canonical_reduce(f)
 
 
-def test_canonical_reduce_stays_in_orbit():
+def test_canonical_reduce_stays_in_orbit(bfs_closure):
     # the representative must be BFS-reachable from the input
     for _ in range(60):
         f = random_nondegenerate(rng, bound=4)
         rep = canonical_reduce(f)
-        closure = orbit_bfs(f, cap=64)
+        closure = bfs_closure(f, cap=64)
         assert tuple(rep) in closure
 
 
-def test_canonical_reduce_adjudicated_by_bfs():
+def test_canonical_reduce_adjudicated_by_bfs(bfs_closure):
     f1, f2 = (1, 0, -3, 1), (1, 3, 0, -1)
     same_rep = canonical_reduce(f1) == canonical_reduce(f2)
-    same_orbit = tuple(CubicForm(*f2)) in orbit_bfs(f1, cap=64)
+    same_orbit = tuple(CubicForm(*f2)) in bfs_closure(f1, cap=64)
     assert same_rep == same_orbit
 
 
@@ -86,35 +86,35 @@ def test_canonical_reduce_rejects_degenerate():
         canonical_reduce((1, 3, 3, 1))
 
 
-def test_orbit_bfs_contains_generator_images():
+def test_orbit_bfs_contains_generator_images(bfs_closure):
     f = (0, 1, -1, 0)
-    closure = orbit_bfs(f, cap=3)
+    closure = bfs_closure(f, cap=3)
     assert f in closure
     assert tuple(act(W, f)) in closure
 
 
-def test_orbit_bfs_cap_boundary():
+def test_orbit_bfs_cap_boundary(bfs_closure):
     f = (5, 0, 0, 7)
-    closure = orbit_bfs(f, cap=2)
+    closure = bfs_closure(f, cap=2)
     assert closure == {f}
 
 
-def test_orbit_bfs_matches_act_reference(reference_orbit_bfs):
+def test_orbit_bfs_matches_act_reference(reference_orbit_bfs, bfs_closure):
     # seeded random box-40 oracle survivors, BFS at cap 160
     rows = enumeration._box_survivors(40, 300, 1)
     pick = np.random.default_rng(2024).choice(len(rows), size=200, replace=False)
     sizes = 0
     for row in rows[pick].tolist():
-        closure = orbit_bfs(row, 160)
+        closure = bfs_closure(row, 160)
         assert closure == reference_orbit_bfs(row, 160), row
         sizes += len(closure)
     assert sizes > 200  # the closures are not just their seeds
     # the cap boundary: a seed past the cap, and images that reach it exactly
     for f, cap in (((5, 0, 0, 7), 2), ((0, 1, -1, 0), 3), ((0, 1, -1, 0), 1), ((1, 0, -3, 1), 3)):
-        assert orbit_bfs(f, cap) == reference_orbit_bfs(f, cap), (f, cap)
+        assert bfs_closure(f, cap) == reference_orbit_bfs(f, cap), (f, cap)
 
 
-def test_orbit_bfs_images_match_act(reference_orbit_bfs):
+def test_orbit_bfs_images_match_act(reference_orbit_bfs, bfs_closure):
     # seeded random forms, up to Python ints far past int64; the cap admits
     # the seed and its three images, so each must be in the closure
     r = random.Random(31)
@@ -123,12 +123,12 @@ def test_orbit_bfs_images_match_act(reference_orbit_bfs):
             f = random_nondegenerate(r, bound=2 ** bits)
             images = [tuple(act(g, f)) for g in (U1, U1_INV, W)]
             cap = max(abs(t) for x in (f, *images) for t in x)
-            closure = orbit_bfs(f, cap)
+            closure = bfs_closure(f, cap)
             assert set(images) <= closure, f
             assert closure == reference_orbit_bfs(f, cap), f
 
 
-def test_orbit_bfs_one_image_past_the_cap(reference_orbit_bfs):
+def test_orbit_bfs_one_image_past_the_cap(reference_orbit_bfs, bfs_closure):
     # seeds on the cap where exactly one of u(1) f, u(-1) f leaves it
     cases = 0
     for f in itertools.product(range(-3, 4), repeat=4):
@@ -139,33 +139,134 @@ def test_orbit_bfs_one_image_past_the_cap(reference_orbit_bfs):
         inside = [max(map(abs, y)) <= cap for y in (up, down)]
         if inside.count(True) != 1:
             continue
-        closure = orbit_bfs(f, cap)
+        closure = bfs_closure(f, cap)
         assert closure == reference_orbit_bfs(f, cap), f
         assert [y in closure for y in (up, down)] == inside, f
         cases += 1
     assert cases > 100
 
 
-def test_orbit_bfs_matches_act_reference_family2(reference_orbit_bfs):
+def test_orbit_bfs_matches_act_reference_family2(reference_orbit_bfs, bfs_closure):
     # seeded random L2 survivors of the box-150 scan at P = 27 * 300, cap 600
     rows = enumeration._box_survivors(150, 27 * 300, 2)
     pick = np.random.default_rng(2025).choice(len(rows), size=60, replace=False)
     sizes = 0
     for row in rows[pick].tolist():
-        closure = orbit_bfs(row, 600)
+        closure = bfs_closure(row, 600)
         assert closure == reference_orbit_bfs(row, 600), row
         sizes += len(closure)
     assert sizes > 60 * 100
 
 
-def test_orbit_bfs_shared_closures():
+def test_orbit_bfs_shared_closures(bfs_closure):
     for _ in range(40):
         f = random_nondegenerate(rng, bound=3)
         if abs(discriminant(f)) > 100:
             continue
-        closure = orbit_bfs(f, cap=64)
+        closure = bfs_closure(f, cap=64)
         other = next(iter(closure))
-        assert orbit_bfs(other, cap=64) == closure
+        assert bfs_closure(other, cap=64) == closure
+
+
+def _assert_one_search(monkeypatch, seeds, cap, reference_orbit_bfs):
+    """orbit_bfs on all the seeds at once against one act-based reference
+    closure per orbit: seed i is owned by the least seed j whose closure
+    holds it, and reached is every other member, the lesser of each
+    +-pair.  Each pair is expanded once, into at most three images, which
+    bounds the keys made.  Returns the reached forms."""
+    seeds = np.asarray(seeds)
+    rows = list(map(tuple, seeds.tolist()))
+    closures, want = [], []
+    for i, f in enumerate(rows):
+        j = next((j for j, closure in closures if f in closure), None)
+        if j is None:
+            closures.append((i, reference_orbit_bfs(f, cap)))
+            j = i
+        want.append(j)
+    neg = lambda x: tuple(-t for t in x)
+    members = set().union(*(closure for _, closure in closures))
+    budget = [len(rows) + 3 * len({min(x, neg(x)) for x in members})]
+
+    def counted(*args):
+        keys = pair_keys(*args)
+        budget[0] -= len(keys)
+        assert budget[0] >= 0, "a pair was expanded twice"
+        return keys
+
+    pair_keys = reduction._pair_keys
+    with monkeypatch.context() as m:
+        m.setattr(reduction, "_pair_keys", counted)
+        owner, reached = orbit_bfs(seeds, cap)
+    assert owner.tolist() == want
+    got = list(map(tuple, reached.tolist()))
+    assert len(set(got)) == len(got) and all(x < neg(x) for x in got)
+    members -= set(rows) | set(map(neg, rows))
+    assert set(got) | set(map(neg, got)) == members
+    return reached
+
+
+@pytest.mark.parametrize("block", [4096, 61])
+def test_orbit_bfs_several_seeds_match_act_reference(monkeypatch, reference_orbit_bfs, block):
+    # seeded random survivors of two oracle scans, each set in one call;
+    # with 61-pair blocks most levels span several blocks
+    monkeypatch.setattr(reduction, "_BFS_BLOCK", block)
+    for (box, p_limit, family), cap, size, seed in (
+        ((40, 300, 1), 160, 400, 2026),
+        ((150, 27 * 300, 2), 600, 200, 2027),
+    ):
+        rows = enumeration._box_survivors(box, p_limit, family)
+        seeds = rows[np.random.default_rng(seed).choice(len(rows), size=size, replace=False)]
+        reached = _assert_one_search(monkeypatch, seeds, cap, reference_orbit_bfs)
+        owner, _ = orbit_bfs(seeds, cap)
+        shared = size - len(set(owner.tolist()))
+        assert shared > size // 20 and len(reached) > 50 * size, (box, shared)
+    # one seed past the cap stays its own closure among the others
+    seeds = [(1, 0, -3, 1), (5, 0, 0, 7), (1, 3, 0, -1)]
+    _assert_one_search(monkeypatch, seeds, 3, reference_orbit_bfs)
+    # u(1) f, f, u(-1) f and its negation: the seeds' own fold joins the
+    # last two, and the first block joins all three labels at once
+    f = (1, 0, -3, 1)
+    seeds = [tuple(act(U1, f)), f, tuple(act(U1_INV, f)), tuple(-t for t in act(U1_INV, f))]
+    _assert_one_search(monkeypatch, seeds, 10, reference_orbit_bfs)
+    assert orbit_bfs(seeds, 10)[0].tolist() == [0, 0, 0, 0]
+
+
+def test_union_leaves_every_entry_at_its_least_index():
+    # one call joins the chain 2 -> 1 -> 0, and 3, joined to 2 by an
+    # earlier call and no endpoint now, reaches 0 by a second pointer jump
+    owner = np.arange(5)
+    reduction._union(owner, np.array([3]), np.array([2]))
+    reduction._union(owner, np.array([1, 2]), np.array([0, 1]))
+    assert owner.tolist() == [0, 0, 0, 0, 4]
+
+
+@pytest.mark.parametrize("cap", [27553, 27554])
+def test_orbit_bfs_on_both_sides_of_the_int64_key_bound(monkeypatch, cap, reference_orbit_bfs):
+    # keys are int64 up to cap 27 553 and Python ints past it; the corner
+    # forms have the least and the largest keys, 0 and (2 cap + 1)^4 - 1
+    assert cap - 27553 == (cap > reduction._INT64_KEY_CAP)
+    seeds = [(0, 1, -1, 0), (-cap,) * 4, (cap, 0, 0, -cap), (cap,) * 4, (2, 3, -5, 7),
+             (1, 0, -3, 1), (-cap - 1, 0, 0, 1)]
+    reached = _assert_one_search(monkeypatch, seeds, cap, reference_orbit_bfs)
+    assert reached.dtype == (np.int64 if cap <= reduction._INT64_KEY_CAP else object)
+    assert np.abs(reached).max() == cap
+    assert len(reached) > 5000
+
+
+def test_orbit_bfs_rejects_bad_caps_and_forms():
+    seed = [(1, 0, -3, 1)]
+    owner, reached = orbit_bfs(seed, np.int64(4))
+    assert owner.tolist() == [0] and reached.tolist() == orbit_bfs(seed, 4)[1].tolist()
+    for cap in (4.5, np.float64(4.0), 4.0):
+        with pytest.raises(TypeError):
+            orbit_bfs(seed, cap)
+    for cap in (-1, np.int64(-4)):
+        with pytest.raises(ValueError, match="cap must be >= 0"):
+            orbit_bfs(seed, cap)
+    for forms in ((1, 0, -3, 1), [(1, 0, -3)], np.zeros((2, 2, 4), dtype=np.int64)):
+        with pytest.raises(ValueError, match=r"\(N, 4\)"):
+            orbit_bfs(forms, 4)
+    assert orbit_bfs(np.empty((0, 4), dtype=np.int64), 4)[1].shape == (0, 4)
 
 
 def test_stabilizer_order_examples():
