@@ -216,36 +216,46 @@ def _verify_rank() -> series_mod.CheckReport:
     )
 
 
+def _max_n(args) -> int:
+    return args.max if args.max is not None else 300
+
+
+def _indices_and_duality(args) -> list:
+    return [latclass.verify_indices_and_duality()]
+
+
+# suite -> check, in `verify --suite all` order; the dual and indices suites
+# are one check
+_CHECKS = {
+    "tables": lambda args: [series_mod.verify_tables()],
+    "relations": lambda args: [series_mod.verify_relations(_max_n(args))],
+    "non-relation": lambda args: [series_mod.verify_non_relation()],
+    "decomps": lambda args: [series_mod.verify_decompositions()],
+    "congruence": lambda args: [series_mod.verify_congruence_lemma()],
+    "rank": lambda args: [_verify_rank()],
+    "euler": lambda args: [series_mod.euler_product_check()],
+    "lambda": lambda args: [series_mod.lambda_coefficient_identity(_max_n(args))],
+    "dual": _indices_and_duality,
+    "indices": _indices_and_duality,
+    "classification": lambda args: [latclass.verify_classification()],
+    "local-densities": lambda args: [analytic.verify_table1_ratios()],
+    "oracle": lambda args: [verify_oracle(_max_n(args), args.box)],
+    "density": lambda args: [_verify_density(args.max if args.max is not None else 10 ** 5)],
+}
+SUITES = ("all", *_CHECKS)
+
+
 def _suite_checks(suite: str, args) -> list:
-    max_n = args.max if args.max is not None else 300
-    # the dual and indices suites are one check
-    indices_and_duality = lambda: [latclass.verify_indices_and_duality()]
-    checks = {
-        "tables": lambda: [series_mod.verify_tables()],
-        "relations": lambda: [series_mod.verify_relations(max_n)],
-        "non-relation": lambda: [series_mod.verify_non_relation()],
-        "decomps": lambda: [series_mod.verify_decompositions()],
-        "congruence": lambda: [series_mod.verify_congruence_lemma()],
-        "rank": lambda: [_verify_rank()],
-        "euler": lambda: [series_mod.euler_product_check()],
-        "lambda": lambda: [series_mod.lambda_coefficient_identity(max_n)],
-        "dual": indices_and_duality,
-        "indices": indices_and_duality,
-        "classification": lambda: [latclass.verify_classification()],
-        "local-densities": lambda: [analytic.verify_table1_ratios()],
-        "oracle": lambda: [verify_oracle(max_n, args.box)],
-        "density": lambda: [_verify_density(args.max if args.max is not None else 10 ** 5)],
-    }
     if suite == "all":
         # run each distinct check once; a shared one prints at every position
         done = {}
         out = []
-        for check in checks.values():
+        for check in _CHECKS.values():
             if check not in done:
-                done[check] = check()
+                done[check] = check(args)
             out.extend(done[check])
         return out
-    return checks[suite]()
+    return _CHECKS[suite](args)
 
 
 def cmd_verify(args, out) -> int:
@@ -273,12 +283,6 @@ def cmd_density(args, out) -> int:
 # ---------------------------------------------------------------------------
 # parser
 # ---------------------------------------------------------------------------
-
-SUITES = (
-    "all", "tables", "relations", "non-relation", "decomps", "congruence",
-    "rank", "euler", "lambda", "dual", "indices", "classification",
-    "local-densities", "oracle", "density",
-)
 
 MAX_DENSITY_X = 10 ** 7
 

@@ -11,9 +11,10 @@ columns; the enumeration strata and the brute-force oracle both scan with it.
 The invariant lattices L1..L10 are defined once, by their Z-bases
 (lattice_basis).  Membership is one residue table mod 6 generated from those
 bases (residue_span, the span of rows mod m), used by both the scalar and the
-columnwise callers.  gauss_jordan is the one exact elimination over Q, and
-_first_rise the one integer-root bisection (rational_roots and both
-irreducibility masks of the enumeration).
+columnwise callers.  bareiss is the one exact elimination, fraction-free
+over Z (every rank and determinant), and _first_rise the one integer-root
+bisection (rational_roots and both irreducibility masks of the
+enumeration).
 """
 
 from __future__ import annotations
@@ -293,17 +294,20 @@ def residue_span(rows, mod: int) -> np.ndarray:
     return residue_grid(mod).T @ np.array(rows, dtype=np.int64) % mod
 
 
-def gauss_jordan(rows) -> tuple:
-    """Exact Gauss-Jordan elimination over Q: (reduced, pivots, det).
+def bareiss(rows) -> tuple:
+    """Fraction-free forward elimination over Z (Bareiss, Math. Comp. 22,
+    1968): (pivots, det).
 
-    Each pivot column is cleared in every other row; pivot rows are not
-    scaled, so reduced[k][pivots[k]] is the k-th pivot and len(pivots) is the
-    rank.  det is the determinant of the leading square block (the first
-    len(rows) columns), zero when it is singular.
+    Entries are read through operator.index, so a float or Fraction raises
+    TypeError.  Each step replaces a row below the pivot row by
+    (p*x - f*y) // prev, p the pivot and prev the one before it: every
+    entry is then a minor of the input, so each division is exact.  A
+    column with no pivot is skipped; len(pivots) is the rank.  det is the
+    determinant of the leading square block (the first len(rows) columns),
+    zero when it is singular.
     """
-    m = [[Fraction(x) for x in row] for row in rows]
-    pivots = []
-    det = Fraction(1)
+    m = [[index(x) for x in row] for row in rows]
+    pivots, sign, prev = [], 1, 1
     for col in range(len(m[0]) if m else 0):
         k = len(pivots)
         if k == len(m):
@@ -313,15 +317,14 @@ def gauss_jordan(rows) -> tuple:
             continue
         if piv != k:
             m[k], m[piv] = m[piv], m[k]
-            det = -det
-        pv = m[k][col]
-        det *= pv
-        for i in range(len(m)):
-            if i != k and m[i][col]:
-                fac = m[i][col] / pv
-                m[i] = [x - fac * y for x, y in zip(m[i], m[k])]
+            sign = -sign
+        p = m[k][col]
+        for i in range(k + 1, len(m)):
+            f = m[i][col]
+            m[i] = [(p * x - f * y) // prev for x, y in zip(m[i], m[k])]
+        prev = p
         pivots.append(col)
-    return m, pivots, det if pivots == list(range(len(m))) else Fraction(0)
+    return pivots, sign * prev if pivots == list(range(len(m))) else 0
 
 
 def _membership_table() -> np.ndarray:

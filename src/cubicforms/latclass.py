@@ -10,8 +10,10 @@ The lattices are defined by their Z-bases in `forms`; the CRT gluing and the
 congruences written here are checks on them.  A subspace's elements are the
 residue array forms.residue_span of its basis, the one span mod m that also
 builds the membership table; the gluing compares boolean masks over
-(Z/6)^4 with the columns of that table.  Determinants, coordinates and
-duals come from the one exact elimination over Q, forms.gauss_jordan.
+(Z/6)^4 with the columns of that table.  Every determinant comes from the
+one fraction-free elimination over Z, forms.bareiss: the indices are
+ratios of determinants, membership by basis is Cramer's rule, and a
+duality is a pairing matrix that is integral with determinant +-1.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from math import isqrt
 
 import numpy as np
 
-from .forms import (EVEN_PARTNER, U1, W, action_matrix, gauss_jordan, lattice_basis,
+from .forms import (EVEN_PARTNER, U1, W, action_matrix, bareiss, lattice_basis,
                     lattice_membership, pairing, residue_grid, residue_span)
 from .series import CheckReport, _report
 
@@ -211,49 +213,32 @@ def _congruence_membership(a, b, c, d) -> np.ndarray:
     return np.stack(columns, axis=1)
 
 
-def _det4(rows) -> Fraction:
-    return gauss_jordan(rows)[2]
-
-
-def _solve4(rows, rhs) -> list:
-    """Exact x over Q with sum_j x_j * rows[j] = rhs: the coordinates of rhs
-    in the basis `rows` (the 4x4 system rows^T * x = rhs)."""
-    m, _, det = gauss_jordan([[rows[j][i] for j in range(4)] + [rhs[i]] for i in range(4)])
-    if not det:
-        raise ValueError(f"rows {rows} are not a basis")
-    return [m[i][4] / m[i][i] for i in range(4)]
+def _det4(rows) -> int:
+    return bareiss(rows)[1]
 
 
 def _index_in(sup: int, sub: int) -> Fraction:
     """[sup : sub] for nested lattices given by bases (ratio of determinants)."""
-    return abs(_det4(lattice_basis(sub))) / abs(_det4(lattice_basis(sup)))
+    return Fraction(abs(_det4(lattice_basis(sub))), abs(_det4(lattice_basis(sup))))
 
 
 def _is_member_by_basis(lattice: int, v) -> bool:
-    return all(c.denominator == 1 for c in _solve4(lattice_basis(lattice), v))
+    """Whether v is an integer combination of the basis rows.  By Cramer's
+    rule its j-th coordinate is det(basis with row j replaced by v) / det."""
+    basis = lattice_basis(lattice)
+    det = _det4(basis)
+    return all(_det4(basis[:j] + (tuple(v),) + basis[j + 1:]) % det == 0 for j in range(4))
 
 
-def dual_basis(lattice: int) -> tuple:
-    """Basis of the dual lattice under the alternating pairing."""
-    # <x, y> = x1 y4 - x2 y3/3 + x3 y2/3 - x4 y1 is linear in y with
-    # coefficients (-x4, x3/3, -x2/3, x1).  The dual vector y_i solves
-    # <basis[j], y_i> = delta_ij, i.e. sum_k y_ik * columns[k] = e_i.
-    rows = [
-        (-x[3], Fraction(x[2], 3), Fraction(-x[1], 3), x[0])
-        for x in lattice_basis(lattice)
-    ]
-    columns = tuple(zip(*rows))
-    return tuple(
-        tuple(_solve4(columns, [int(i == j) for j in range(4)])) for i in range(4)
-    )
-
-
-def _same_lattice(basis_a, basis_b) -> bool:
-    """Whether two rational bases span the same lattice."""
-    coords = [_solve4(basis_b, v) for v in basis_a]
-    if any(c.denominator != 1 for row in coords for c in row):
+def _is_dual(basis, other) -> bool:
+    """Whether `other` spans the dual of the lattice that `basis` spans,
+    under the alternating pairing.  The pairing matrix G = (<x, y>) is
+    integral iff other lies in the dual; then G holds the coordinates of
+    other in the dual basis, so other spans all of it iff det G = +-1."""
+    gram = [[pairing(x, y) for y in other] for x in basis]
+    if any(g.denominator != 1 for row in gram for g in row):
         return False
-    return abs(_det4(coords)) == 1
+    return abs(_det4([[g.numerator for g in row] for row in gram])) == 1
 
 
 def verify_indices_and_duality() -> CheckReport:
@@ -302,31 +287,21 @@ def verify_indices_and_duality() -> CheckReport:
             failures.append(f"[L{sup}:L{sub}] = {got}, expected {want}")
     # [L5 : 2 L1] = 2 and [L9 : 2 L1] = 4: det(2 L1) = 16
     for lat, want in ((5, 2), (9, 4)):
-        got = 16 / abs(_det4(lattice_basis(lat)))
+        got = Fraction(16, abs(_det4(lattice_basis(lat))))
         if got != want:
             failures.append(f"[L{lat}:2L1] = {got}, expected {want}")
 
     # duality: dual of L_i is (1/2) L_{i+1} for i = 3, 5, 7, 9
     for i in (3, 5, 7, 9):
-        dual = dual_basis(i)
-        half_even = tuple(
-            tuple(Fraction(x, 2) for x in v) for v in lattice_basis(i + 1)
-        )
-        if not _same_lattice(dual, half_even):
+        half_even = [[Fraction(x, 2) for x in v] for v in lattice_basis(i + 1)]
+        if not _is_dual(lattice_basis(i), half_even):
             failures.append(f"dual of L{i} is not (1/2) L{i + 1}")
-        # integrality of the pairing between L_i and (1/2) L_{i+1}
-        for x in lattice_basis(i):
-            for y in half_even:
-                if pairing(x, y).denominator != 1:
-                    failures.append(
-                        f"pairing of L{i} with (1/2)L{i + 1} non-integral at {x}, {y}"
-                    )
     details.append("dual(L_i) = (1/2) L_{i+1} for i = 3, 5, 7, 9")
 
     # duality of the base pair: dual of L1 is L2 (no halving)
-    if not _same_lattice(dual_basis(1), lattice_basis(2)):
+    if not _is_dual(lattice_basis(1), lattice_basis(2)):
         failures.append("dual of L1 is not L2")
-    if not _same_lattice(dual_basis(2), lattice_basis(1)):
+    if not _is_dual(lattice_basis(2), lattice_basis(1)):
         failures.append("dual of L2 is not L1")
     details.append("dual(L1) = L2 and dual(L2) = L1")
 

@@ -22,7 +22,7 @@ from math import isqrt
 import numpy as np
 
 from .enumeration import MasterClasses, master_classes
-from .forms import EVEN_LATTICES, discriminant, gauss_jordan, lattice_member, phi, residue_grid
+from .forms import EVEN_LATTICES, bareiss, discriminant, lattice_member, phi, residue_grid
 from .golden import golden_table
 
 ALL_PAIRS = tuple((lat, sign) for lat in range(1, 11) for sign in ("+", "-"))
@@ -335,7 +335,7 @@ def span_rank(max_n: int = 200, series: dict | None = None) -> int:
     if series is None:
         series = build_all_series(max_n)
     rows = [series[pair].thirds(max_n)[1:].tolist() for pair in ALL_PAIRS]
-    return len(gauss_jordan(rows)[1])
+    return len(bareiss(rows)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 from collections import deque
 from fractions import Fraction
+from functools import cache
 from math import gcd
 from operator import index
 
@@ -97,15 +98,20 @@ def reference_canonical_pos():
     return _lexmin_small_images
 
 
-def _act_orbit_bfs(f, cap: int) -> set:
+def _act_orbit_bfs(f, cap: int) -> frozenset:
     """The BFS closure of {f} under u(1), u(-1), w within |coeff| <= cap,
     taking every image with a scalar act call and testing all four
     coefficients of each against the cap, where orbit_bfs writes the images
-    out, tests only the changed ones and expands one form of each +-pair."""
-    start = tuple(f)
+    out, tests only the changed ones and expands one form of each +-pair.
+    Memoised by (f, cap): tests that repeat a search share one closure."""
+    return _act_closure(tuple(f), cap)
+
+
+@cache
+def _act_closure(start: tuple, cap: int) -> frozenset:
     seen = {start}
     if any(abs(t) > cap for t in start):
-        return seen
+        return frozenset(seen)
     queue = deque([start])
     while queue:
         x = queue.popleft()
@@ -114,7 +120,7 @@ def _act_orbit_bfs(f, cap: int) -> set:
             if y not in seen and all(abs(t) <= cap for t in y):
                 seen.add(y)
                 queue.append(y)
-    return seen
+    return frozenset(seen)
 
 
 @pytest.fixture(scope="session")

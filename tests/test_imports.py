@@ -1,7 +1,9 @@
 """Every imported name is used in its module.  The package `__init__` is not
-scanned: its imports are the public re-exports."""
+scanned: its imports are the public re-exports.  The package imports only
+the standard library and numpy."""
 
 import ast
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -25,3 +27,27 @@ def test_no_unused_imports():
     sources += sorted(ROOT.glob("tests/*.py"))
     unused = [item for path in sources for item in _unused_imports(path)]
     assert not unused, unused
+
+
+def _imported_modules(path: Path) -> set:
+    """The top-level module of every absolute import in the file."""
+    tree = ast.parse(path.read_text())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_src_imports_only_stdlib_and_numpy():
+    # pyproject declares numpy as the one dependency; relative imports stay
+    # inside the package
+    allowed = set(sys.stdlib_module_names) | {"numpy", "cubicforms"}
+    foreign = {
+        f"{path.relative_to(ROOT)}: {name}"
+        for path in sorted(ROOT.glob("src/cubicforms/*.py"))
+        for name in _imported_modules(path) - allowed
+    }
+    assert not foreign, sorted(foreign)

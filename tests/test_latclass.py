@@ -12,12 +12,13 @@ from cubicforms import (
     verify_classification,
     verify_indices_and_duality,
 )
+from cubicforms.forms import bareiss
 from cubicforms.latclass import (
     _all_subspaces,
     _det4,
     _index_in,
-    _solve4,
-    dual_basis,
+    _is_dual,
+    _is_member_by_basis,
     lattice_basis,
 )
 
@@ -111,21 +112,48 @@ def test_duality_pairing_example():
     assert val.denominator == 1
 
 
-def test_dual_basis_is_dual():
-    for lattice in (1, 2, 3, 5, 7, 9):
-        basis = lattice_basis(lattice)
-        dual = dual_basis(lattice)
-        for i, x in enumerate(basis):
-            for j, y in enumerate(dual):
-                assert pairing(x, y) == (1 if i == j else 0)
+def _halved(basis) -> list:
+    return [[Fraction(x, 2) for x in v] for v in basis]
 
 
-def test_dual_determinant_inverse():
-    for lattice in (1, 3, 5, 7, 9):
-        d = abs(_det4(lattice_basis(lattice)))
-        dd = abs(_det4(dual_basis(lattice)))
-        # pairing matrix has determinant 1/9, so det(dual) = 9 / det(basis)
-        assert d * dd == 9
+def test_is_dual_on_the_checked_pairs():
+    for i in (3, 5, 7, 9):
+        assert _is_dual(lattice_basis(i), _halved(lattice_basis(i + 1))), i
+    assert _is_dual(lattice_basis(1), lattice_basis(2))
+    assert _is_dual(lattice_basis(2), lattice_basis(1))
+
+
+def test_is_dual_rejects_mutants():
+    # one vector of (1/2) L4 doubled: still inside dual(L3), of index 2
+    half = _halved(lattice_basis(4))
+    half[0] = [2 * x for x in half[0]]
+    assert not _is_dual(lattice_basis(3), half)
+    # L1 against itself: <e2, e3> = -1/3.  The numerators of its pairing
+    # matrix have determinant 1, so only the integrality test rejects it
+    assert not _is_dual(lattice_basis(1), lattice_basis(1))
+
+
+def test_mutated_lattice_basis_fails_duality_check(monkeypatch):
+    basis_of = latclass.lattice_basis
+
+    def mutated(lattice):
+        basis = basis_of(lattice)
+        if lattice == 6:
+            return (tuple(2 * x for x in basis[0]),) + basis[1:]
+        return basis
+
+    monkeypatch.setattr(latclass, "lattice_basis", mutated)
+    rep = verify_indices_and_duality()
+    assert not rep.passed
+    duals = [d for d in rep.details if d.startswith("dual of")]
+    assert duals == ["dual of L5 is not (1/2) L6"]
+
+
+def test_membership_by_basis_matches_the_table():
+    # Cramer's rule on the bases against the residue table mod 6
+    for lattice in range(1, 11):
+        for v in itertools.product(range(-3, 4), repeat=4):
+            assert _is_member_by_basis(lattice, v) == lattice_member(v, lattice), (lattice, v)
 
 
 def test_verify_indices_and_duality():
@@ -191,24 +219,17 @@ def test_mutated_basis_fails_classification(monkeypatch, lattice, row, vector, m
 
 
 def _random_matrices(seed: int, count: int = 300):
-    """Seeded 4x4 matrices: integer entries in [-3, 3] (some singular) and
-    Fractions with denominators 1, 2, 3, 6, as in the dual and halved bases."""
+    """Seeded 4x4 integer matrices with entries in [-3, 3], some singular."""
     rng = random.Random(seed)
-    for k in range(count):
-        if k % 2:
-            yield [[rng.randint(-3, 3) for _ in range(4)] for _ in range(4)]
-        else:
-            yield [
-                [Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3, 6))) for _ in range(4)]
-                for _ in range(4)
-            ]
+    for _ in range(count):
+        yield [[rng.randint(-3, 3) for _ in range(4)] for _ in range(4)]
 
 
-def _leibniz_det(m) -> Fraction:
-    total = Fraction(0)
+def _leibniz_det(m) -> int:
+    total = 0
     for perm in itertools.permutations(range(4)):
         inversions = sum(perm[i] > perm[j] for i in range(4) for j in range(i + 1, 4))
-        term = Fraction((-1) ** inversions)
+        term = (-1) ** inversions
         for i, j in enumerate(perm):
             term *= m[i][j]
         total += term
@@ -217,23 +238,34 @@ def _leibniz_det(m) -> Fraction:
 
 def test_det4_matches_leibniz_formula():
     dets = [(_det4(m), _leibniz_det(m)) for m in _random_matrices(1)]
-    assert all(got == want for got, want in dets)
+    assert all(type(got) is int and got == want for got, want in dets)
     assert any(want == 0 for _, want in dets)  # singular matrices were drawn
 
 
-def test_solve4_solutions_are_exact():
-    rng = random.Random(2)
-    solved = 0
-    for rows in _random_matrices(3):
-        rhs = [Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 6))) for _ in range(4)]
-        if _leibniz_det(rows) == 0:
-            with pytest.raises(ValueError, match="not a basis"):
-                _solve4(rows, rhs)
-            continue
-        x = _solve4(rows, rhs)
-        assert [sum(x[j] * rows[j][i] for j in range(4)) for i in range(4)] == rhs
-        solved += 1
-    assert solved > 200
+def test_bareiss_pivots_skip_columns_without_a_pivot():
+    # rows C B with B in echelon form (leading entries at chosen columns,
+    # the others skipped) and I_k among the rows of C: the row space is B's,
+    # so its pivot columns are B's leading columns
+    rng = random.Random(4)
+    for _ in range(200):
+        width, k = rng.randint(1, 8), rng.randint(0, 5)
+        lead = sorted(rng.sample(range(width), min(k, width)))
+        basis = [[0] * c + [rng.choice((-3, -2, -1, 1, 2, 3))]
+                 + [rng.randint(-4, 4) for _ in range(width - c - 1)] for c in lead]
+        coeffs = [[int(i == j) for j in range(len(lead))] for i in range(len(lead))]
+        coeffs += [[rng.randint(-3, 3) for _ in lead] for _ in range(rng.randint(0, 4))]
+        rng.shuffle(coeffs)
+        rows = [[sum(c * b[j] for c, b in zip(cs, basis)) for j in range(width)]
+                for cs in coeffs]
+        assert bareiss(rows)[0] == lead, rows
+
+
+@pytest.mark.parametrize("entry", [1.0, Fraction(1), Fraction(1, 2)])
+def test_bareiss_rejects_non_integer_entries(entry):
+    rows = [[1, 0], [0, 1]]
+    rows[1][1] = entry
+    with pytest.raises(TypeError):
+        bareiss(rows)
 
 
 @pytest.mark.parametrize("p", [2, 3])

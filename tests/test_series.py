@@ -23,7 +23,7 @@ from cubicforms import (
     verify_tables,
 )
 from cubicforms import series as series_mod
-from cubicforms.forms import discriminant, gauss_jordan, lattice_member, phi, residue_grid
+from cubicforms.forms import bareiss, discriminant, lattice_member, phi, residue_grid
 from cubicforms.golden import golden_table
 from cubicforms.series import _combo_coeff, ALL_PAIRS, series_from_master
 
@@ -355,11 +355,14 @@ def test_span_rank(series300):
             col += 1
         return rank
 
-    assert rank_of(rows) == 2
-    pair_rows = [
-        [series300[p].coeff(n) for n in range(1, 201)] for p in [(3, "-"), (4, "+")]
-    ]
-    assert rank_of(pair_rows) == 2
+    def thirds(pairs):
+        # the integer rows 3 a_n that span_rank eliminates
+        return [series300[p].thirds(200)[1:].tolist() for p in pairs]
+
+    assert rank_of(rows) == len(bareiss(thirds(sub))[0]) == 2
+    pairs = [(3, "-"), (4, "+")]
+    pair_rows = [[series300[p].coeff(n) for n in range(1, 201)] for p in pairs]
+    assert rank_of(pair_rows) == len(bareiss(thirds(pairs))[0]) == 2
 
 
 def test_span_rank_full(series300):
@@ -377,9 +380,9 @@ def test_span_rank_elimination_counts_independent_rows(k):
     coeffs += [[rng.randint(-3, 3) for _ in range(k)] for _ in range(20 - k)]
     rng.shuffle(coeffs)
     rows = [[sum(c * b[j] for c, b in zip(cs, basis)) for j in range(40)] for cs in coeffs]
-    reduced, pivots, det = gauss_jordan(rows)
-    assert len(pivots) == k
-    assert all(reduced[i][pivots[i]] for i in range(k))
+    pivots, det = bareiss(rows)
+    # the row space is that of B, whose echelon pivots are its first k columns
+    assert pivots == list(range(k))
     # the leading 20 x 20 block is a row permutation of I_20 at k = 20, else singular
     assert abs(det) == (k == 20)
 
