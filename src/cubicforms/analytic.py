@@ -19,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from .enumeration import master_classes
-from .forms import EVEN_PARTNER, index_scale, lattice_member, residue_grid
+from .forms import EVEN_PARTNER, index_scale, lattice_member, residue_grid, sublattice_of
 from .series import CheckReport, _report
 
 # ---------------------------------------------------------------------------
@@ -344,7 +344,8 @@ def density_report(lattice: int, sign: str, max_x: int, checkpoints: int = 10) -
     scale = index_scale(lattice)
     if checkpoints < 1:
         raise ValueError(f"checkpoints must be >= 1; got {checkpoints}")
-    master = master_classes(max_x * scale, sign, irreducible=True)
+    sublattice = sublattice_of(lattice)
+    master = master_classes(max_x * scale, sign, irreducible=True, sublattice=sublattice)
     rows, n = master.select(lattice, sign, max_x)
     stab = master.stab[rows]
     xs = sorted(

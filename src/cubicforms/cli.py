@@ -33,7 +33,7 @@ from .enumeration import (
     master_classes,
     stability_box,
 )
-from .forms import index_scale
+from .forms import index_scale, sublattice_of
 from .golden import golden_table
 from .series import build_all_series, series_from_master
 
@@ -146,7 +146,8 @@ def _third_pieces(w: np.ndarray) -> list:
 
 def cmd_coeffs(args, out) -> int:
     sign = _sign_arg(args.sign)
-    master = master_classes(args.max * index_scale(args.lattice), sign)
+    scale, sublattice = index_scale(args.lattice), sublattice_of(args.lattice)
+    master = master_classes(args.max * scale, sign, sublattice=sublattice)
     s = series_from_master(master, args.lattice, sign, args.max)
     # 3 a_n: all orbits, the irreducible and the reducible ones
     weighted, ird, rd = (s.thirds(irreducible=i) for i in (None, True, False))

@@ -59,9 +59,12 @@ columns (representative, discriminant, stabilizer order, irreducibility,
 lattice membership).  MasterClasses.select is the one rule for the orbits of
 a (lattice, sign) pair: enumerate_classes and brute_force_classes return its
 rows as a ClassTable, and the series and density counts read them too.
-master_classes can also build a selection, one sign of P or the irreducible
-orbits only, from the stratum tasks that can hold it; enumerate_classes
-builds the sign it lists, and the cache keeps masters by (limit, sign).
+master_classes can also build a selection, one sign of P, the irreducible
+orbits only, or the orbits in L2 = {3 | x2, x3} only (the same strata with
+b, c in 3Z: _STEPS), from the stratum tasks that can hold it.
+enumerate_classes builds the sign it lists, in L2 for an even lattice
+(forms.sublattice_of), and the cache keeps masters by (limit, sign,
+sublattice).
 """
 
 from __future__ import annotations
@@ -74,7 +77,6 @@ from math import isqrt
 import numpy as np
 
 from .forms import (
-    EVEN_LATTICES,
     _ceil_div,
     _d_windows,
     _first_rise,
@@ -85,6 +87,7 @@ from .forms import (
     index_scale,
     is_irreducible,
     lattice_membership,
+    sublattice_of,
 )
 from .reduction import (
     _canonical_pos,
@@ -119,11 +122,27 @@ def _expand_windows(lo: np.ndarray, hi: np.ndarray):
     return idx, vals
 
 
-def _bc_pairs(bs: np.ndarray, c_lo: np.ndarray, c_hi: np.ndarray) -> tuple:
+# The step of the (b, c) coefficients of each sublattice's strata: the L2
+# strata are the L1 strata with b, c (negrd (p, q, r, 0): q, r) in 3Z.
+#
+# L2 = {3 | x2, x3} is SL2(Z)-invariant: u(1) maps (a, b, c, d) to
+# (a, 3a + b, 3a + 2b + c, a + b + c + d) and w to (d, -c, b, -a), and both
+# keep 3 | x2, x3; they generate SL2(Z).  So an orbit lies in L2 or misses
+# it, and every stratum emits one representative per orbit, so its orbits
+# in L2 are exactly its rows with b, c in 3Z.  The coefficients b and c of a
+# row come from the stratum's (b, c) pairs (_bc_pairs), so restricting the
+# pairs to 3Z (b in 3Z, each c-window rounded inward) emits those rows and
+# no other, in the same order, each with the columns of the full master.
+_STEPS = {1: 1, 2: 3}
+
+
+def _bc_pairs(bs: np.ndarray, c_lo: np.ndarray, c_hi: np.ndarray, step: int = 1) -> tuple:
     """The (b, c) columns of the windows c_lo[i] <= c <= c_hi[i] at b = bs[i],
-    in lexicographic order when bs is increasing."""
-    idx, c = _expand_windows(c_lo, c_hi)
-    return bs[idx], c
+    with b and c multiples of step (_STEPS): the b in step Z, each c-window
+    rounded inward to step Z.  In lexicographic order when bs is increasing."""
+    on = bs % step == 0
+    idx, c = _expand_windows(_ceil_div(c_lo[on], step), c_hi[on] // step)
+    return bs[on][idx], c * step
 
 
 def _window_rows(a: int, b: np.ndarray, c: np.ndarray, windows) -> np.ndarray:
@@ -182,13 +201,13 @@ def _pos_bc_windows(a: int, limit: int) -> tuple:
     return bs, c_lo, c_hi
 
 
-def _pos_windows(a: int, limit: int) -> tuple:
-    """(b, c, A, k, windows): the (b, c) pairs of _pos_scan, their Hessian
-    A = b^2 - 3ac and k = c^2 - A, and the d-windows of each pair.  At
-    fixed (b, c) each condition is exact in d: 1 <= P <= limit gives the
-    windows of _d_windows, and |B| <= A and C >= A, both linear in d, clip
-    them."""
-    b, c = _bc_pairs(*_pos_bc_windows(a, limit))
+def _pos_windows(a: int, limit: int, step: int = 1) -> tuple:
+    """(b, c, A, k, windows): the (b, c) pairs of _pos_scan (b, c in step Z),
+    their Hessian A = b^2 - 3ac and k = c^2 - A, and the d-windows of each
+    pair.  At fixed (b, c) each condition is exact in d: 1 <= P <= limit
+    gives the windows of _d_windows, and |B| <= A and C >= A, both linear in
+    d, clip them."""
+    b, c = _bc_pairs(*_pos_bc_windows(a, limit), step)
     A = b * b - 3 * a * c
     windows = _d_windows(a, b, c, 1, limit)
     if a:  # |B| = |bc - 9ad| <= A
@@ -212,10 +231,10 @@ def _pair_counts(windows) -> np.ndarray:
     return sum(np.maximum(w_hi - w_lo + 1, 0) for w_lo, w_hi in windows)
 
 
-def _pos_stratum(a: int, limit: int) -> np.ndarray:
+def _pos_stratum(a: int, limit: int, step: int = 1) -> np.ndarray:
     """The canonical representatives whose negation has leading coefficient
     a, in lexicographic order; over all a >= 0, one row per orbit with
-    1 <= P <= limit.
+    1 <= P <= limit (with step 3, per orbit in L2: _STEPS).
 
     A scan row f is kept, and -f emitted, iff -f is canonical
     (reduction._canonical_pos).  Where A < C that holds iff B != -A, so
@@ -223,7 +242,7 @@ def _pos_stratum(a: int, limit: int) -> np.ndarray:
     the A = C rows go through _canonical_pos: one d = k / (3b) per (b, c),
     the end of the C clip (every d of the pair c = -3a at b = 0).  The
     scan is in lexicographic order, so the negated rows are reversed."""
-    b, c, A, k, windows = _pos_windows(a, limit)
+    b, c, A, k, windows = _pos_windows(a, limit, step)
     if a:  # B = bc - 9ad > -A
         strict = _clip(windows, _INT64.min, (b * c + A - 1) // (9 * a))
     else:  # B = bc > -A = -b^2
@@ -310,11 +329,11 @@ def _neg_ird_reducible(rows: np.ndarray, a: int) -> np.ndarray:
     return g(_first_rise(g, 1 - a - b, a - 1 - b, 2 * a - 1)) == 0
 
 
-def _neg_ird_stratum(a: int, limit: int) -> np.ndarray:
-    """The irreducible P < 0 representatives with leading coefficient a >= 1
-    and -limit <= P <= -1, in lexicographic order: the rows of the exact
-    d-windows (_neg_ird_windows) without a rational root."""
-    b, c = _bc_pairs(*_neg_ird_bc_windows(a, limit))
+def _neg_ird_stratum(a: int, limit: int, step: int = 1) -> np.ndarray:
+    """The irreducible P < 0 representatives with leading coefficient a >= 1,
+    -limit <= P <= -1 and b, c in step Z, in lexicographic order: the rows
+    of the exact d-windows (_neg_ird_windows) without a rational root."""
+    b, c = _bc_pairs(*_neg_ird_bc_windows(a, limit), step)
     rows = _window_rows(a, b, c, _neg_ird_windows(a, b, c, limit))
     return rows[~_neg_ird_reducible(rows, a)]
 
@@ -324,11 +343,11 @@ def _neg_ird_stratum(a: int, limit: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _neg_rd_stratum(r_lo: int, r_hi: int, limit: int) -> np.ndarray:
-    """Rows (p, q, r, 0), r in [r_lo, r_hi], 0 <= q < 2r, 1 <= -P <= limit,
-    in lexicographic order of (r, q, p)."""
+def _neg_rd_stratum(r_lo: int, r_hi: int, limit: int, step: int = 1) -> np.ndarray:
+    """Rows (p, q, r, 0), r in [r_lo, r_hi], 0 <= q < 2r, q and r in step Z,
+    1 <= -P <= limit, in lexicographic order of (r, q, p)."""
     rs = np.arange(r_lo, r_hi + 1, dtype=np.int64)
-    r, q = _bc_pairs(rs, np.zeros_like(rs), 2 * rs - 1)
+    r, q = _bc_pairs(rs, np.zeros_like(rs), 2 * rs - 1, step)
     idx, p = _expand_windows(_ceil_div(q * q + 1, 4 * r), (q * q * r * r + limit) // (4 * r ** 3))
     return np.stack([p, q[idx], r[idx], np.zeros_like(p)], axis=1)
 
@@ -342,8 +361,10 @@ def _neg_rd_stratum(r_lo: int, r_hi: int, limit: int) -> np.ndarray:
 class MasterClasses:
     """One row per orbit with 1 <= |P(rep)| <= limit, as parallel numpy arrays:
     the master enumeration, or one oracle grouping (its in-box orbits).
-    sign ('+' or '-') and irreducible record a selection: the rows are then
-    only the orbits of that sign of P, or only the irreducible ones."""
+    sign ('+' or '-'), irreducible and sublattice record a selection: the
+    rows are then only the orbits of that sign of P, only the irreducible
+    ones, or (sublattice 2) only the orbits in L2, which hold the even
+    lattices and no odd one."""
 
     limit: int
     reps: np.ndarray  # (N, 4) int64, representatives, one per orbit
@@ -353,6 +374,7 @@ class MasterClasses:
     member: np.ndarray  # (N, 10) bool, membership in L1..L10
     sign: str | None = None  # None: both signs
     irreducible: bool = False  # True: the irreducible orbits only
+    sublattice: int = 1  # 2: the orbits in L2 only
 
     def __len__(self):
         return len(self.disc)
@@ -362,13 +384,16 @@ class MasterClasses:
         (lattice, sign) pair with 1 <= index <= max_index, and the index
         n = |P| // index_scale(lattice) of each.  ValueError for a lattice
         outside 1..10, a sign other than '+' or '-', max_index < 1, a sign
-        the rows do not hold, or an index range past the limit."""
+        or (odd on an L2 master) a lattice the rows do not hold, or an index
+        range past the limit."""
         scale = index_scale(lattice)
         positive = _sign_positive(sign)
         if max_index < 1:
             raise ValueError("max_index must be >= 1")
         if self.sign not in (None, sign):
             raise ValueError(f"the master holds the sign {self.sign!r} only, not {sign!r}")
+        if self.sublattice not in (1, sublattice_of(lattice)):
+            raise ValueError(f"the master holds L2 only, not the odd lattice L{lattice}")
         if max_index * scale > self.limit:
             raise ValueError(
                 f"max_index {max_index} needs |P| up to {max_index * scale}, "
@@ -402,37 +427,39 @@ def _pos_irreducible_mask(rows: np.ndarray) -> np.ndarray:
     return ~red
 
 
-def _stratum_tasks(limit: int) -> list:
+def _stratum_tasks(limit: int, step: int = 1) -> list:
+    """The stratum tasks (kind, arg, limit, step) of a master, in row order;
+    step 3 restricts every task to L2 (_STEPS)."""
     amax_pos = int((4.0 / 27.0) ** 0.5 * limit ** 0.25) + 2
     amax_neg = int((16.0 * limit / 27.0) ** 0.25) + 2
     rmax = isqrt(limit // 3) if limit >= 3 else 0
     # x1 = -a on the P > 0 rows: by descending a, the tasks are in row order
-    tasks = [("pos", a, limit) for a in range(amax_pos, -1, -1)]
-    tasks += [("negird", a, limit) for a in range(1, amax_neg + 1)]
+    tasks = [("pos", a, limit, step) for a in range(amax_pos, -1, -1)]
+    tasks += [("negird", a, limit, step) for a in range(1, amax_neg + 1)]
     # 16 r-ranges: one range (one array of nearly all the stratum's rows)
     # raised peak RSS by about 25 MB at Y = 1e6, through glibc's mmap threshold
-    step = max(1, rmax // 16)
+    width = max(1, rmax // 16)
     r = 1
     while r <= rmax:
-        tasks.append(("negrd", (r, min(r + step - 1, rmax)), limit))
-        r += step
+        tasks.append(("negrd", (r, min(r + width - 1, rmax)), limit, step))
+        r += width
     return tasks
 
 
 def _run_task(task) -> tuple:
-    kind, arg, limit = task
+    kind, arg, limit, step = task
     if kind == "pos":
-        return kind, _pos_stratum(arg, limit)
+        return kind, _pos_stratum(arg, limit, step)
     if kind == "negird":
-        return kind, _neg_ird_stratum(arg, limit)
-    return kind, _neg_rd_stratum(*arg, limit)
+        return kind, _neg_ird_stratum(arg, limit, step)
+    return kind, _neg_rd_stratum(*arg, limit, step)
 
 
 def _task_columns(task, rows: np.ndarray) -> tuple:
     """(stab, irred) of the rows of one stratum task, a scalar for a constant
     column: P < 0 rows have stab 1, negird rows are irreducible, and negrd
     rows and the P > 0 rows with x1 = 0 (v divides them) are reducible."""
-    kind, a, _ = task
+    kind, a = task[:2]
     if kind != "pos":
         return 1, kind == "negird"
     return _pos_stab_column(rows), a > 0 and _pos_irreducible_mask(rows)
@@ -498,15 +525,24 @@ def _check_increasing(cols, stratum: str) -> None:
 # at a = 192) and 1.6e16 for P > 0 (test_strata_windows_exact_at_max_limit).
 MAX_LIMIT = 4 * isqrt((2 ** 63 - 1) // 27) + 2  # 2_337_884_074
 
-# (limit, sign) -> every orbit of that sign of P (sign None: both signs)
+# (limit, sign, sublattice) -> every orbit of that sign of P (sign None: both
+# signs) in that sublattice
 _MASTER_CACHE: dict = {}
 
 
-def _covering_master(limit: int, sign):
-    """The smallest cached master that covers the selection: its limit is at
-    least limit, and its sign is None or sign.  None if there is none."""
-    keys = [k for k in _MASTER_CACHE if k[0] >= limit and k[1] in (None, sign)]
-    return _MASTER_CACHE[min(keys, key=lambda k: (k[0], k[1] is None))] if keys else None
+def _covers(key, limit: int, sign, sublattice: int) -> bool:
+    """Whether the master of a cache key holds every orbit of the selection
+    (limit, sign, sublattice): its limit is at least limit, its sign is None
+    or sign, and its sublattice is L1 or the one asked for."""
+    return key[0] >= limit and key[1] in (None, sign) and key[2] in (1, sublattice)
+
+
+def _covering_master(limit: int, sign, sublattice: int):
+    """The smallest cached master that covers the selection (_covers), None
+    if there is none."""
+    keys = [k for k in _MASTER_CACHE if _covers(k, limit, sign, sublattice)]
+    smallest = min(keys, key=lambda k: (k[0], k[1] is None, k[2] == 1), default=None)
+    return _MASTER_CACHE.get(smallest)
 
 
 def _task_can_hold(task, sign, irreducible: bool) -> bool:
@@ -519,16 +555,24 @@ def _task_can_hold(task, sign, irreducible: bool) -> bool:
     return not irreducible or _task_columns(task, _NO_ROWS)[1] is not False
 
 
-def master_classes(limit: int, sign: str | None = None, irreducible: bool = False) -> MasterClasses:
-    """All orbits with 1 <= |P| <= limit, across the full integer lattice L1.
+def master_classes(
+    limit: int, sign: str | None = None, irreducible: bool = False, sublattice: int = 1
+) -> MasterClasses:
+    """All orbits with 1 <= |P| <= limit, in the full integer lattice L1 or,
+    with sublattice=2, in L2 = {3 | x2, x3}, which holds the even lattices.
 
     With sign '+' or '-', only the orbits of that sign of P; with
     irreducible=True, only the irreducible ones.  The rows are in master row
-    order, and only the stratum tasks that can hold them are run.  A cached
-    master serves every selection it covers: its limit is at least limit,
-    and its sign is None or sign.  Every build except an irreducible-only
-    one is cached, and evicts the cached masters it covers.  limit may not
-    exceed MAX_LIMIT, the bound of exact int64 arithmetic.
+    order, and only the stratum tasks that can hold them are run.  An L2
+    master is built by the same strata with the step 3 (_STEPS): it holds
+    exactly the L1 master's rows in L2, in order, because L2 is
+    SL2(Z)-invariant, so every orbit in L2 has its representative there.
+    A cached master serves every selection it covers: its limit is at least
+    limit, its sign is None or sign, and its sublattice is L1 or the one
+    asked for (an L1 master serves L2; an L2 master never serves L1).  Every
+    build except an irreducible-only one is cached, and evicts the cached
+    masters it covers.  limit may not exceed MAX_LIMIT, the bound of exact
+    int64 arithmetic.  ValueError for a sublattice other than 1 or 2.
     """
     if limit < 1:
         raise ValueError("limit must be >= 1")
@@ -536,13 +580,19 @@ def master_classes(limit: int, sign: str | None = None, irreducible: bool = Fals
         raise ValueError(f"limit {limit} exceeds the int64 safety bound {MAX_LIMIT}")
     if sign is not None:
         _sign_positive(sign)
-    master = _covering_master(limit, sign)
+    if sublattice not in _STEPS:
+        raise ValueError(f"sublattice must be 1 or 2, got {sublattice!r}")
+    master = _covering_master(limit, sign, sublattice)
     if master is not None:
-        if (master.limit, master.sign, irreducible) == (limit, sign, False):
+        if (master.limit, master.sign, master.sublattice, irreducible) == (
+            limit, sign, sublattice, False
+        ):
             return master
         keep = np.abs(master.disc) <= limit
         if sign != master.sign:
             keep &= (master.disc > 0) == (sign == "+")
+        if sublattice != master.sublattice:
+            keep &= master.member[:, sublattice - 1]
         if irreducible:
             keep &= master.irred
         return MasterClasses(
@@ -554,8 +604,10 @@ def master_classes(limit: int, sign: str | None = None, irreducible: bool = Fals
             master.member[keep],
             sign,
             irreducible,
+            sublattice,
         )
-    tasks = [t for t in _stratum_tasks(limit) if _task_can_hold(t, sign, irreducible)]
+    tasks = _stratum_tasks(limit, _STEPS[sublattice])
+    tasks = [t for t in tasks if _task_can_hold(t, sign, irreducible)]
     results = [_run_task(t) for t in tasks]
     starts = np.cumsum([0] + [len(rows) for _, rows in results]).tolist()
     reps = _ranges_to_rows([rows for _, rows in results])
@@ -582,12 +634,13 @@ def master_classes(limit: int, sign: str | None = None, irreducible: bool = Fals
     if irreducible and not irred.all():  # the reducible rows of pos a >= 1
         reps, disc, stab, irred = reps[irred], disc[irred], stab[irred], irred[irred]
     master = MasterClasses(
-        limit, reps, disc, stab, irred, lattice_membership(reps.T), sign, irreducible
+        limit, reps, disc, stab, irred, lattice_membership(reps.T), sign, irreducible, sublattice
     )
     if not irreducible:  # an irreducible-only build would add to its caller's peak
-        for key in [k for k in _MASTER_CACHE if k[0] <= limit and sign in (None, k[1])]:
-            del _MASTER_CACHE[key]
-        _MASTER_CACHE[limit, sign] = master
+        key = (limit, sign, sublattice)
+        for old in [k for k in _MASTER_CACHE if _covers(key, *k)]:
+            del _MASTER_CACHE[old]
+        _MASTER_CACHE[key] = master
     return master
 
 
@@ -642,7 +695,8 @@ def enumerate_classes(lattice: int, sign: str, max_index: int) -> ClassTable:
     if max_index < 1:
         raise ValueError("max_index must be >= 1")
     _sign_positive(sign)
-    master = master_classes(max_index * index_scale(lattice), sign)
+    scale, sublattice = index_scale(lattice), sublattice_of(lattice)
+    master = master_classes(max_index * scale, sign, sublattice=sublattice)
     return _class_table(master, lattice, sign, max_index)
 
 
@@ -690,9 +744,9 @@ def _hessian_floor(a: int, p_limit: int) -> int:
 _MIRROR = np.array([1, -1, 1, -1], dtype=np.int64)
 
 
-def _box_survivors(box: int, p_limit: int, family: int) -> np.ndarray:
+def _box_survivors(box: int, p_limit: int, sublattice: int) -> np.ndarray:
     """Forms in [-box, box]^4 with 1 <= |P| <= p_limit, in lexicographic
-    order, each once; family 2 keeps L2 only (b, c in 3Z).
+    order, each once, in the sublattice L1 or L2 (b, c in 3Z: _STEPS).
 
     The box, P and L2 are invariant under the signed permutations of GL2(Z):
     f(x, -y) = (a, -b, c, -d), f(y, x) = (d, c, b, a) and f(-x, -y) = -f
@@ -715,7 +769,7 @@ def _box_survivors(box: int, p_limit: int, family: int) -> np.ndarray:
     |p| <= p_limit runs on every candidate.
     """
     side = np.arange(-box, box + 1, dtype=np.int64)
-    bc_side = side[side % 3 == 0] if family == 2 else side
+    bc_side = side[side % _STEPS[sublattice] == 0]
     b, c = (g.ravel() for g in np.meshgrid(bc_side, bc_side, indexing="ij"))
     wedge = np.abs(c) <= b
     b, c = b[wedge], c[wedge]
@@ -737,12 +791,12 @@ def _box_survivors(box: int, p_limit: int, family: int) -> np.ndarray:
 
 
 def _group_box_orbits(
-    box: int, p_limit: int, cap: int, family: int, scan_box: int
+    box: int, p_limit: int, cap: int, sublattice: int, scan_box: int
 ) -> MasterClasses:
     """Group the box survivors into orbits: their lexmin in-box reps, in
     lexicographic order, and the columns of each.  The survivors are
     filtered from the scan at scan_box >= box, which is made once per
-    (scan_box, p_limit, family).
+    (scan_box, p_limit, sublattice).
 
     One orbit_bfs call groups them.  The survivors are lex-sorted and
     closed under negation, and the rows whose first nonzero coefficient
@@ -754,10 +808,10 @@ def _group_box_orbits(
     are all survivors (they share P, and L2 is invariant), so no form
     reached past the seeds may lie in the box.
     """
-    key = (box, p_limit, cap, family)
+    key = (box, p_limit, cap, sublattice)
     if key in _ORACLE_CACHE:
         return _ORACLE_CACHE[key]
-    scan_key = (scan_box, p_limit, family)
+    scan_key = (scan_box, p_limit, sublattice)
     if scan_key not in _SCAN_CACHE:
         _SCAN_CACHE[scan_key] = _box_survivors(*scan_key)
     survivors = _SCAN_CACHE[scan_key]
@@ -778,6 +832,7 @@ def _group_box_orbits(
         np.array([stabilizer_order(f) for f in reps], dtype=np.int64),
         np.array([is_irreducible(f) for f in reps], dtype=bool),
         lattice_membership(cols),
+        sublattice=sublattice,
     )
     _ORACLE_CACHE[key] = orbits
     return orbits
@@ -813,10 +868,10 @@ def brute_force_classes(
     if p_limit > MAX_LIMIT:
         raise ValueError(f"limit {p_limit} exceeds the int64 safety bound {MAX_LIMIT}")
     # the even lattices lie in L2, where 27 divides P, so |P| // 27 is exact
-    family = 2 if lattice in EVEN_LATTICES else 1
+    sublattice = sublattice_of(lattice)
 
     def grouped(at_box: int, cap: int) -> ClassTable:
-        orbits = _group_box_orbits(at_box, p_limit, cap, family, scan_box)
+        orbits = _group_box_orbits(at_box, p_limit, cap, sublattice, scan_box)
         return _class_table(orbits, lattice, sign, max_index)
 
     table = grouped(box, 4 * box)

@@ -275,6 +275,14 @@ def index_scale(lattice: int) -> int:
     return 27 if lattice in EVEN_LATTICES else 1
 
 
+def sublattice_of(lattice: int) -> int:
+    """2 if L_lattice lies in L2 = {3 | x2, x3} (the even lattices), else 1:
+    the lattice, L1 or L2, whose orbits an enumeration of L_lattice builds.
+    ValueError for a lattice outside 1..10."""
+    _check_lattice(lattice)
+    return 2 if lattice in EVEN_LATTICES else 1
+
+
 def _residue_row(f):
     """Row ((a*6 + b)*6 + c)*6 + d of the residue table for f = (a, b, c, d)."""
     a, b, c, d = f

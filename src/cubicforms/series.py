@@ -22,7 +22,16 @@ from math import isqrt
 import numpy as np
 
 from .enumeration import MasterClasses, master_classes
-from .forms import EVEN_LATTICES, bareiss, discriminant, lattice_member, phi, residue_grid
+from .forms import (
+    EVEN_LATTICES,
+    bareiss,
+    discriminant,
+    index_scale,
+    lattice_member,
+    phi,
+    residue_grid,
+    sublattice_of,
+)
 from .golden import golden_table
 
 ALL_PAIRS = tuple((lat, sign) for lat in range(1, 11) for sign in ("+", "-"))
@@ -116,10 +125,29 @@ def series_from_master(master: MasterClasses, lattice: int, sign: str, max_n: in
     return CoefficientSeries(lattice, sign, max_n, counts.reshape(2, 2, max_n + 1))
 
 
+def _series_source(max_n: int, series: dict | None = None):
+    """A function (lattice, sign) -> the pair's series up to index max_n:
+    a lookup in series if given, else a count from the L1 master at max_n
+    (the odd lattices) or the L2 master at 27 max_n (the even lattices lie
+    in L2 and index by |P| / 27), each built once.
+
+    The counts are made on demand and kept by no one here, so a check that
+    reads one relation at a time holds one relation's series: twenty
+    (2, 2, N + 1) int64 series take 2.37 GB at N = 3.7e6, two take 237 MB.
+    This keeps the int64 counts (no bound on a count to argue) and costs
+    nothing, since each series is one bincount over its master's rows."""
+    if series is not None:
+        return series.__getitem__
+    # L1 indexes by |P| and L2 by |P| / 27, as lattices 1 and 2 do
+    masters = {sub: master_classes(max_n * index_scale(sub), sublattice=sub) for sub in (1, 2)}
+    return lambda pair: series_from_master(masters[sublattice_of(pair[0])], *pair, max_n)
+
+
 def build_all_series(max_n: int) -> dict:
-    """All twenty series (lattice 1..10, both signs) up to index max_n."""
-    master = master_classes(27 * max_n)
-    return {pair: series_from_master(master, *pair, max_n) for pair in ALL_PAIRS}
+    """All twenty series (lattice 1..10, both signs) up to index max_n, from
+    the L1 master at max_n and the L2 master at 27 max_n."""
+    source = _series_source(max_n)
+    return {pair: source(pair) for pair in ALL_PAIRS}
 
 
 # ---------------------------------------------------------------------------
@@ -208,13 +236,14 @@ RELATION_PAIRS = (
 
 
 def verify_relations(max_n: int = 300, series: dict | None = None) -> CheckReport:
-    """The six coefficientwise identities between odd and even lattices."""
-    if series is None:
-        series = build_all_series(max_n)
+    """The six coefficientwise identities between odd and even lattices; with
+    no series given, each relation's two series are counted when it is
+    checked (_series_source)."""
+    source = _series_source(max_n, series)
     failures = []
     for name, left, right, scalar in RELATION_PAIRS:
-        lhs = scalar * series[left].thirds(max_n)
-        rhs = series[right].thirds(max_n)
+        lhs = scalar * source(left).thirds(max_n)
+        rhs = source(right).thirds(max_n)
         failures.extend(
             f"{name} fails at n={n}: {Fraction(int(lhs[n]), 3)} != {Fraction(int(rhs[n]), 3)}"
             for n in np.flatnonzero(lhs != rhs).tolist()
@@ -373,25 +402,35 @@ def euler_product_check(series: dict | None = None) -> CheckReport:
 LAMBDA_BASE_LATTICES = (1, 7, 9)
 
 
+def _twisted_failures(series: dict, i: int, max_n: int) -> list:
+    """The failures of the sqrt(3)-twisted identity at base lattice i, read
+    from the four series of L_i and L_{i+1}."""
+    plus0, minus0, plus1, minus1 = (
+        series[(lat, sign)].thirds(max_n) for lat in (i, i + 1) for sign in "+-"
+    )
+    # In units of 1/3, on both branches: minus1 = 3*plus0 (rational part)
+    # and plus1 = minus0 (sqrt(3) part).
+    bad = np.flatnonzero((minus1 != 3 * plus0) | (plus1 != minus0)).tolist()
+    failures = []
+    for branch in (1, -1):
+        scal = Qrt3(Fraction(0), Fraction(branch))  # +- sqrt(3)
+        for n in bad:
+            lhs = _combo_coeff(series, i + 1, branch, n)
+            rhs = scal * _combo_coeff(series, i, branch, n)
+            failures.append(f"i={i}, branch={branch:+d}, n={n}: {lhs} != {rhs}")
+    return failures
+
+
 def lambda_coefficient_identity(max_n: int = 300, series: dict | None = None) -> CheckReport:
     """sqrt(3)*xi+(L_{i+1}) +- xi-(L_{i+1}) = +-sqrt(3)*(sqrt(3)*xi+(L_i) +- xi-(L_i))
-    coefficientwise, for i in {1, 7, 9}."""
-    if series is None:
-        series = build_all_series(max_n)
+    coefficientwise, for i in {1, 7, 9}; with no series given, the four
+    series of each i are counted when it is checked (_series_source)."""
+    source = _series_source(max_n, series)
     failures = []
     for i in LAMBDA_BASE_LATTICES:
-        plus0, minus0, plus1, minus1 = (
-            series[(lat, sign)].thirds(max_n) for lat in (i, i + 1) for sign in "+-"
-        )
-        # In units of 1/3, on both branches: minus1 = 3*plus0 (rational part)
-        # and plus1 = minus0 (sqrt(3) part).
-        bad = (minus1 != 3 * plus0) | (plus1 != minus0)
-        for branch in (1, -1):
-            scal = Qrt3(Fraction(0), Fraction(branch))  # +- sqrt(3)
-            for n in np.flatnonzero(bad).tolist():
-                lhs = _combo_coeff(series, i + 1, branch, n)
-                rhs = scal * _combo_coeff(series, i, branch, n)
-                failures.append(f"i={i}, branch={branch:+d}, n={n}: {lhs} != {rhs}")
+        four = {(lat, sign): source((lat, sign)) for lat in (i, i + 1) for sign in "+-"}
+        failures += _twisted_failures(four, i, max_n)
+        del four  # counted again for the next i, so never eight at once
     return _report(
         f"sqrt(3)-twisted coefficient identity (i in 1,7,9; n <= {max_n})", failures
     )

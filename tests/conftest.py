@@ -178,7 +178,7 @@ def _sorted_master(limit: int) -> MasterClasses:
     per |x1| over the whole block."""
     tasks = enumeration._stratum_tasks(limit)
     pos = enumeration._ranges_to_rows(
-        [_scan_pos_stratum(a, lim) for kind, a, lim in tasks if kind == "pos"]
+        [_scan_pos_stratum(a, lim) for kind, a, lim, _ in tasks if kind == "pos"]
     )
     pos = _lex_sorted(pos, "pos")
     neg = [

@@ -19,7 +19,7 @@ from cubicforms import (
 from cubicforms import enumeration
 from cubicforms.cli import main
 from cubicforms.enumeration import MAX_LIMIT
-from cubicforms.forms import _ceil_div, _d_windows, _isqrt64, index_scale
+from cubicforms.forms import _ceil_div, _d_windows, _isqrt64, index_scale, sublattice_of
 from cubicforms.forms import rational_roots
 from cubicforms.reduction import (
     _canonical_pos,
@@ -67,17 +67,19 @@ def test_master_selection_is_the_full_master_masked(monkeypatch, limit):
         enumeration._MASTER_CACHE.clear()
         cold[sign, irreducible] = master_classes(limit, sign, irreducible)
         # a one-sign build is cached, an irreducible-only one is not
-        assert list(enumeration._MASTER_CACHE) == ([] if irreducible else [(limit, sign)])
+        assert list(enumeration._MASTER_CACHE) == ([] if irreducible else [(limit, sign, 1)])
     full = master_classes(limit)
     master_classes(limit + 1000)
-    assert list(enumeration._MASTER_CACHE) == [(limit + 1000, None)]
+    assert list(enumeration._MASTER_CACHE) == [(limit + 1000, None, 1)]
     for sign, irreducible in _SELECTIONS:
         keep = (full.disc > 0) == (sign == "+")
         if irreducible:
             keep &= full.irred
         assert 0 < keep.sum() < len(full)
         for got in (cold[sign, irreducible], master_classes(limit, sign, irreducible)):
-            assert (got.limit, got.sign, got.irreducible) == (limit, sign, irreducible)
+            assert (got.limit, got.sign, got.irreducible, got.sublattice) == (
+                limit, sign, irreducible, 1
+            )
             for name in ("reps", "disc", "stab", "irred", "member"):
                 have, want = getattr(got, name), getattr(full, name)[keep]
                 assert (have.dtype, have.shape) == (want.dtype, want.shape), name
@@ -88,12 +90,12 @@ def test_master_cache_serves_what_it_covers(monkeypatch):
     # a cached master serves a smaller limit of its own sign, and of either
     # sign if it holds both; a new build evicts exactly what it covers
     monkeypatch.setattr(enumeration, "_MASTER_CACHE", {})
-    builds = []
+    builds = []  # (limit, step) per build
     stratum_tasks = enumeration._stratum_tasks
 
-    def recording(limit):
-        builds.append(limit)
-        return stratum_tasks(limit)
+    def recording(limit, step=1):
+        builds.append((limit, step))
+        return stratum_tasks(limit, step)
 
     monkeypatch.setattr(enumeration, "_stratum_tasks", recording)
     cache = enumeration._MASTER_CACHE
@@ -101,33 +103,34 @@ def test_master_cache_serves_what_it_covers(monkeypatch):
     assert master_classes(3000, "+") is pos
     master_classes(2000, "+")
     master_classes(2000, "+", True)
-    assert builds == [3000] and list(cache) == [(3000, "+")]
+    assert builds == [(3000, 1)] and list(cache) == [(3000, "+", 1)]
     master_classes(2000, "-")  # '+' does not cover '-'
     master_classes(2000)  # nor does a one-sign master cover both signs
-    assert builds == [3000, 2000, 2000]
-    assert set(cache) == {(3000, "+"), (2000, None)}  # (2000, '-') evicted
+    assert builds == [(3000, 1), (2000, 1), (2000, 1)]
+    assert set(cache) == {(3000, "+", 1), (2000, None, 1)}  # (2000, '-', 1) evicted
     # the smallest master that covers serves: the full one at 2000
     assert master_classes(1000, "+").reps.tobytes() == pos.reps[np.abs(pos.disc) <= 1000].tobytes()
     master_classes(4000, "-")
-    assert builds == [3000, 2000, 2000, 4000]
-    assert set(cache) == {(3000, "+"), (2000, None), (4000, "-")}
+    assert builds == [(3000, 1), (2000, 1), (2000, 1), (4000, 1)]
+    assert set(cache) == {(3000, "+", 1), (2000, None, 1), (4000, "-", 1)}
     master_classes(4000)
-    assert builds[-1] == 4000 and list(cache) == [(4000, None)]
+    assert builds[-1] == (4000, 1) and list(cache) == [(4000, None, 1)]
 
 
 def test_enumerate_builds_only_its_own_sign(monkeypatch):
-    # the oracle's 20 pairs at max_index 300: one '+' and one '-' master at
-    # |P| <= 300, then at 27 * 300, each running its own sign's tasks only
+    # the oracle's 20 pairs at max_index 300: one '+' and one '-' L1 master
+    # at |P| <= 300, then one of each in L2 (step 3) at 27 * 300, each
+    # running its own sign's tasks only
     pairs = [(lattice, sign) for lattice in range(1, 11) for sign in ("+", "-")]
-    builds = []  # (limit, the kinds of the tasks run) per build
+    builds = []  # (limit, step, the kinds of the tasks run) per build
     stratum_tasks, run_task = enumeration._stratum_tasks, enumeration._run_task
 
-    def tasks_of(limit):
-        builds.append((limit, set()))
-        return stratum_tasks(limit)
+    def tasks_of(limit, step=1):
+        builds.append((limit, step, set()))
+        return stratum_tasks(limit, step)
 
     def recording(task):
-        builds[-1][1].add(task[0])
+        builds[-1][2].add(task[0])
         return run_task(task)
 
     monkeypatch.setattr(enumeration, "_stratum_tasks", tasks_of)
@@ -135,8 +138,11 @@ def test_enumerate_builds_only_its_own_sign(monkeypatch):
     monkeypatch.setattr(enumeration, "_MASTER_CACHE", {})
     tables = [enumerate_classes(lattice, sign, 300) for lattice, sign in pairs]
     neg = {"negird", "negrd"}
-    assert builds == [(300, {"pos"}), (300, neg), (8100, {"pos"}), (8100, neg)]
-    assert set(enumeration._MASTER_CACHE) == {(8100, "+"), (8100, "-")}
+    assert builds == [(300, 1, {"pos"}), (300, 1, neg), (8100, 3, {"pos"}), (8100, 3, neg)]
+    # an L2 master covers no L1 selection, so it evicts no L1 master
+    assert set(enumeration._MASTER_CACHE) == {
+        (300, "+", 1), (300, "-", 1), (8100, "+", 2), (8100, "-", 2)
+    }
     # with a full master cached first, nothing is built
     enumeration._MASTER_CACHE.clear()
     master_classes(8100)
@@ -160,13 +166,105 @@ def test_enumerate_tables_equal_full_master_cuts(monkeypatch):
         for sign in ("+", "-"):
             enumeration._MASTER_CACHE.clear()
             got = enumerate_classes(lattice, sign, 2000)
-            assert list(enumeration._MASTER_CACHE) == [(2000 * index_scale(lattice), sign)]
+            key = (2000 * index_scale(lattice), sign, sublattice_of(lattice))
+            assert list(enumeration._MASTER_CACHE) == [key]
             want = enumeration._class_table(full[index_scale(lattice)], lattice, sign, 2000)
             assert len(got) > 0
             for name in ("n", "reps", "stab", "irred"):
                 have, ref = getattr(got, name), getattr(want, name)
                 assert (have.dtype, have.shape) == (ref.dtype, ref.shape), (lattice, sign, name)
                 assert have.tobytes() == ref.tobytes(), (lattice, sign, name)
+
+
+_COLUMNS = ("reps", "disc", "stab", "irred", "member")
+
+
+@pytest.mark.parametrize("limit", [10 ** 5, 10 ** 6])
+def test_l2_master_is_the_full_master_l2_rows(monkeypatch, limit):
+    # each L2 selection built cold (step 3 strata), byte-equal in all five
+    # columns to the full L1 master's rows with 3 | x2, x3
+    monkeypatch.setattr(enumeration, "_MASTER_CACHE", {})
+    full = master_classes(limit)
+    in_l2 = (full.reps[:, 1] % 3 == 0) & (full.reps[:, 2] % 3 == 0)
+    assert (in_l2 == full.member[:, 1]).all()
+    for sign, irreducible in [(None, False), *_SELECTIONS]:
+        enumeration._MASTER_CACHE.clear()
+        got = master_classes(limit, sign, irreducible, sublattice=2)
+        assert (got.limit, got.sign, got.irreducible, got.sublattice) == (
+            limit, sign, irreducible, 2
+        )
+        keep = in_l2.copy()
+        if sign is not None:
+            keep &= (full.disc > 0) == (sign == "+")
+        if irreducible:
+            keep &= full.irred
+        assert keep.any()
+        for name in _COLUMNS:
+            have, want = getattr(got, name), getattr(full, name)[keep]
+            assert (have.dtype, have.shape) == (want.dtype, want.shape), (sign, irreducible, name)
+            assert have.tobytes() == want.tobytes(), (sign, irreducible, name)
+
+
+def test_master_cache_covers_l2_with_l1(monkeypatch):
+    # an L1 master serves an L2 selection with no build; an L2 master serves
+    # no L1 selection, and an L2 build evicts no L1 master
+    monkeypatch.setattr(enumeration, "_MASTER_CACHE", {})
+    builds = []  # (limit, step) per build
+    stratum_tasks = enumeration._stratum_tasks
+
+    def recording(limit, step=1):
+        builds.append((limit, step))
+        return stratum_tasks(limit, step)
+
+    monkeypatch.setattr(enumeration, "_stratum_tasks", recording)
+    cache = enumeration._MASTER_CACHE
+    full = master_classes(5400)
+    got = master_classes(2700, "-", sublattice=2)
+    assert builds == [(5400, 1)]
+    assert (got.limit, got.sign, got.irreducible, got.sublattice) == (2700, "-", False, 2)
+    keep = full.member[:, 1] & (full.disc < 0) & (full.disc >= -2700)
+    for name in _COLUMNS:
+        assert getattr(got, name).tobytes() == getattr(full, name)[keep].tobytes(), name
+    l2 = master_classes(10800, sublattice=2)
+    assert builds == [(5400, 1), (10800, 3)]
+    assert set(cache) == {(5400, None, 1), (10800, None, 2)}
+    assert master_classes(5400) is full and master_classes(10800, sublattice=2) is l2
+    # either cached master gives an L2 selection the same rows
+    small = master_classes(5400, "+", sublattice=2)
+    assert small.reps.tobytes() == l2.reps[(l2.disc > 0) & (l2.disc <= 5400)].tobytes()
+    master_classes(8000)  # L2 does not cover L1
+    assert builds == [(5400, 1), (10800, 3), (8000, 1)]
+    assert set(cache) == {(8000, None, 1), (10800, None, 2)}
+    master_classes(20000)  # L1 covers L2, and evicts it
+    assert list(cache) == [(20000, None, 1)]
+    master_classes(10800, "+", sublattice=2)
+    assert builds[-1] == (20000, 1)
+
+
+def test_select_rejects_odd_lattice_on_l2_master(monkeypatch):
+    monkeypatch.setattr(enumeration, "_MASTER_CACHE", {})
+    l2 = master_classes(2700, sublattice=2)
+    for lattice in (1, 3, 5, 7, 9):
+        with pytest.raises(ValueError, match="holds L2 only"):
+            l2.select(lattice, "+", 100)
+    full = master_classes(2700)
+    for lattice in (2, 4, 6, 8, 10):
+        for sign in ("+", "-"):
+            rows, n = l2.select(lattice, sign, 100)
+            want_rows, want_n = full.select(lattice, sign, 100)
+            assert len(rows) and l2.reps[rows].tobytes() == full.reps[want_rows].tobytes()
+            assert n.tobytes() == want_n.tobytes()
+
+
+def test_master_rejects_bad_sublattice_before_build(monkeypatch):
+    def no_work(task):
+        raise AssertionError("stratum work started")
+
+    monkeypatch.setattr(enumeration, "_run_task", no_work)
+    monkeypatch.setattr(enumeration, "_MASTER_CACHE", {})
+    for sublattice in (0, 3, 4, "2", None):
+        with pytest.raises(ValueError, match="sublattice must be 1 or 2"):
+            master_classes(1000, sublattice=sublattice)
 
 
 def test_master_selection_rejects_bad_sign_before_build(monkeypatch):
@@ -487,7 +585,7 @@ def test_master_matches_unique_reference(monkeypatch, reference_canonical_pos):
     limit = 20000
     tasks = enumeration._stratum_tasks(limit)
     scan = enumeration._ranges_to_rows(
-        [enumeration._pos_scan(a, lim) for kind, a, lim in tasks if kind == "pos"]
+        [enumeration._pos_scan(a, lim) for kind, a, lim, _ in tasks if kind == "pos"]
     )
     pos = np.unique(reference_canonical_pos(scan), axis=0)
     assert len(pos) < len(scan)  # some orbits are scanned more than once
@@ -548,8 +646,8 @@ def test_master_rejects_duplicates_across_tasks(monkeypatch, kind, selection):
     # run twice
     stratum_tasks, run_task = enumeration._stratum_tasks, enumeration._run_task
 
-    def repeated(limit):
-        tasks = stratum_tasks(limit)
+    def repeated(limit, step=1):
+        tasks = stratum_tasks(limit, step)
         i = next(i for i, t in enumerate(tasks) if t[0] == kind and len(run_task(t)[1]))
         return tasks[: i + 1] + tasks[i:]
 
@@ -603,7 +701,7 @@ def test_pos_stratum_matches_scan_reference(limit, reference_pos_stratum):
     # every task, as arrays and in order, against the keep test run on every
     # scan row; the A = C rows occur, and some of them are dropped
     emitted = dropped = 0
-    for kind, a, lim in enumeration._stratum_tasks(limit):
+    for kind, a, lim, _ in enumeration._stratum_tasks(limit):
         if kind != "pos":
             continue
         got = enumeration._pos_stratum(a, lim)
@@ -660,7 +758,7 @@ def test_master_rejects_limit_past_int64_bound(monkeypatch):
 
     monkeypatch.setattr(enumeration, "_run_task", no_work)
     # the bound is checked before the cache, even one that would answer
-    monkeypatch.setattr(enumeration, "_MASTER_CACHE", {(MAX_LIMIT + 2, None): None})
+    monkeypatch.setattr(enumeration, "_MASTER_CACHE", {(MAX_LIMIT + 2, None, 1): None})
     with pytest.raises(ValueError, match="int64 safety bound"):
         master_classes(MAX_LIMIT + 1)
     with pytest.raises(ValueError, match="int64 safety bound"):
@@ -958,8 +1056,8 @@ def test_strata_rows_match_box_reference():
         keep[keep] = [is_irreducible(tuple(f)) for f in rows[keep].tolist()]
         return keep
 
-    pos = [a for kind, a, _ in tasks if kind == "pos"]
-    neg = [a for kind, a, _ in tasks if kind == "negird"]
+    pos = [a for kind, a, *_ in tasks if kind == "pos"]
+    neg = [a for kind, a, *_ in tasks if kind == "negird"]
     assert min(pos) == 0 and neg[0] == 1
     for a in pos:
         want = _box_reference(a, 16, 40, limit // 4 + 8 if a == 0 else 40, weakly_reduced)
@@ -986,7 +1084,7 @@ def test_pos_stratum_matches_box_reference(reference_canonical_pos):
         return keep
 
     total = 0
-    for kind, a, _ in enumeration._stratum_tasks(limit):
+    for kind, a, *_ in enumeration._stratum_tasks(limit):
         if kind == "pos":
             d_max = limit // 4 + 8 if a == 0 else 40
             want = -_box_reference(a, 16, 40, d_max, negation_canonical)[::-1]
@@ -1000,7 +1098,7 @@ def _pos_task_rows(limit: int) -> dict:
     for every a >= 1."""
     return {
         a: enumeration._pos_stratum(a, limit)
-        for k, a, _ in enumeration._stratum_tasks(limit)
+        for k, a, *_ in enumeration._stratum_tasks(limit)
         if k == "pos" and a
     }
 
@@ -1030,7 +1128,7 @@ def test_neg_ird_bisection_matches_float_root(reference_neg_root_mask):
     # than 1000 rows are dropped (the d = 0 rows among them)
     limit = 300000
     dropped = zeros = 0
-    for kind, a, _ in enumeration._stratum_tasks(limit):
+    for kind, a, *_ in enumeration._stratum_tasks(limit):
         if kind != "negird":
             continue
         rows = _neg_ird_window_rows(a, limit)
@@ -1049,7 +1147,7 @@ def test_root_masks_match_scalar_is_irreducible():
     for a, rows in _pos_task_rows(limit).items():
         want = [is_irreducible(f) for f in rows]
         assert enumeration._pos_irreducible_mask(rows).tolist() == want, a
-    for kind, a, _ in enumeration._stratum_tasks(limit):
+    for kind, a, *_ in enumeration._stratum_tasks(limit):
         if kind == "negird":
             rows = _neg_ird_window_rows(a, limit)
             want = [not is_irreducible(f) for f in rows]
@@ -1060,7 +1158,7 @@ def test_neg_ird_windows_are_the_s2_cut():
     # the windows hold exactly the rows that the s2 > 1 cut kept, plus the
     # d = 0 rows with c > a (and s2 <= 1 is never cut twice)
     limit = 20000
-    for kind, a, _ in enumeration._stratum_tasks(limit):
+    for kind, a, *_ in enumeration._stratum_tasks(limit):
         if kind != "negird":
             continue
         b, c = enumeration._bc_pairs(*enumeration._neg_ird_bc_windows(a, limit))
@@ -1104,7 +1202,7 @@ def test_neg_ird_root_test_at_int64_edge():
     # stratum's largest: the root test flags each of them, as
     # forms.rational_roots does, and the int64 run equals the Python int one
     forms = _edge_forms()
-    a_max = max(a for kind, a, _ in enumeration._stratum_tasks(MAX_LIMIT) if kind == "negird")
+    a_max = max(a for kind, a, *_ in enumeration._stratum_tasks(MAX_LIMIT) if kind == "negird")
     assert len(forms) > 300 and max(f[0] for f in forms) > a_max - 60
     for f in forms:
         a, b, c, d = f
@@ -1135,7 +1233,7 @@ def _pos_edge_forms() -> list:
     and p = -1, 1: each (b, c) of the stratum's windows at a gives the
     be = (b + p al) / q, ga = (c + p be) / q and d = -p ga of its form."""
     forms = []
-    a_max = max(a for kind, a, _ in enumeration._stratum_tasks(MAX_LIMIT) if kind == "pos")
+    a_max = max(a for kind, a, *_ in enumeration._stratum_tasks(MAX_LIMIT) if kind == "pos")
     for a in range(a_max - 11, a_max + 1):
         b, c = enumeration._bc_pairs(*enumeration._pos_bc_windows(a, MAX_LIMIT))
         A = b * b - 3 * a * c
@@ -1159,7 +1257,7 @@ def test_pos_root_test_at_int64_edge():
     # and as the master holds them (x1 = -a): the P > 0 root test equals
     # forms.rational_roots, and the int64 run equals the Python int one
     forms = _pos_edge_forms()
-    a_max = max(a for kind, a, _ in enumeration._stratum_tasks(MAX_LIMIT) if kind == "pos")
+    a_max = max(a for kind, a, *_ in enumeration._stratum_tasks(MAX_LIMIT) if kind == "pos")
     assert len(forms) > 300 and max(f[0] for f in forms) >= a_max - 2
     assert {1, 2, 3} <= {q for f in forms for _, q in rational_roots(f)}
     near = set()
@@ -1185,7 +1283,7 @@ def test_strata_windows_exact_at_max_limit():
     # C2 = b^2 c^2 - 4 a c^3 has its extrema at c = 0 and c = b^2 / (6a), so
     # |B2| and |C2| peak at a window end or next to those points.
     worst = {}
-    for kind, a, _ in enumeration._stratum_tasks(MAX_LIMIT):
+    for kind, a, *_ in enumeration._stratum_tasks(MAX_LIMIT):
         if kind == "pos":
             windows = enumeration._pos_bc_windows(a, MAX_LIMIT)
         elif kind == "negird":

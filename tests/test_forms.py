@@ -24,7 +24,16 @@ from cubicforms import (
     psi,
     q_discriminant,
 )
-from cubicforms.forms import _first_rise, lattice_membership, u_of, rational_roots, value_at
+from cubicforms.forms import (
+    _first_rise,
+    index_scale,
+    lattice_basis,
+    lattice_membership,
+    rational_roots,
+    sublattice_of,
+    u_of,
+    value_at,
+)
 from cubicforms.reduction import canonical_reduce
 
 rng = random.Random(12345)
@@ -449,3 +458,20 @@ def test_support_classes_mod_4(series300, orbit_count):
             for n in range(1, 301):
                 if orbit_count(s, n) > 0:
                     assert n % 4 in allowed, (lat, sign, n)
+
+
+def test_sublattice_of_is_the_one_of_l1_l2_holding_the_lattice():
+    # the even lattices lie in L2 = {3 | x2, x3}, and no odd one does
+    for lattice in range(1, 11):
+        in_l2 = all(lattice_member(v, 2) for v in lattice_basis(lattice))
+        assert sublattice_of(lattice) == (2 if in_l2 else 1) == (1 + (lattice % 2 == 0))
+        assert index_scale(lattice) == (27 if in_l2 else 1)
+    for lattice in (0, 11):
+        with pytest.raises(ValueError, match="lattice index must be 1..10"):
+            sublattice_of(lattice)
+    # L2 is SL2(Z)-invariant: u(1) and w, which generate SL2(Z), keep it and
+    # its complement (the L2 strata rest on this)
+    side = range(-3, 4)
+    for f in ((a, b, c, d) for a in side for b in side for c in side for d in side):
+        for g in (U1, W):
+            assert lattice_member(act(g, f), 2) == lattice_member(f, 2)

@@ -340,7 +340,7 @@ def test_canonical_pos_matches_reference_on_scan(reference_canonical_pos):
     # every weakly reduced row the P > 0 stratum scans at Y = 3e5
     limit = 300_000
     rows = enumeration._ranges_to_rows(
-        [enumeration._pos_scan(a, lim) for kind, a, lim in enumeration._stratum_tasks(limit)
+        [enumeration._pos_scan(a, lim) for kind, a, lim, _ in enumeration._stratum_tasks(limit)
          if kind == "pos"]
     )
     A, B, C = hessian(rows.T)

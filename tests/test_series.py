@@ -187,13 +187,14 @@ def test_golden_table_shape():
 
 
 def test_relations_and_twisted_identity_past_one_million():
-    # the even lattices index by |P| / 27, so at max_n = 40000 the identities
-    # compare rows of different strata up to |P| = 1.08e6, past the 1.35e5
-    # that the acceptance tests reach
-    series = series_mod.build_all_series(40000)
+    # the even lattices index by |P| / 27, so at max_n = 370000 the identities
+    # compare the L1 master's rows up to |P| = 3.7e5 with the L2 master's
+    # (b, c in 3Z) up to |P| = 9.99e6, past the 1.35e5 that the acceptance
+    # tests reach; each check counts one relation's series at a time
     for check in (verify_relations, lambda_coefficient_identity):
-        rep = check(40000, series=series)
+        rep = check(370000)
         assert rep.passed, str(rep)
+        assert "n <= 370000" in rep.name
 
 
 def test_verify_relations(series300):
