@@ -30,12 +30,15 @@ bound on P is forms._d_windows (an int64 isqrt), |B| <= A, C >= A and
 |s1| < 1 are linear in d, and s2 > 1 is quadratic in d (one more isqrt).
 The only cut on the rows of the P < 0 irreducible stratum is its
 rational-root test (_neg_ird_reducible); the P > 0 irreducibility column
-(_pos_irreducible_mask) is the same test.  Both run the exact integer
-bisection of forms.rational_roots (forms._first_rise), with no float
-root.  Each task emits its rows in order, and the tasks are listed in row
-order (P > 0 by descending a, since x1 = -a), so no sort is needed: one
-pass over neighbours (reduction._lex_less) checks that each stratum's
-block strictly increases in its own key, so it has no duplicates.  _task_columns gives the stab and irred columns of each task.
+(_pos_irreducible_mask) is the same test, the bisection of
+forms.rational_roots (forms._first_rise).  Every scalar bound (the last a
+of each stratum, the P < 0 c-windows, the oracle's Hessian cut, MAX_BOX)
+is isqrt or forms._icbrt: the one float root left is the corrected column
+square root forms._isqrt64.  Each task emits its rows in order, and the
+tasks are listed in row order (P > 0 by descending a, since x1 = -a), so
+no sort is needed: one pass over neighbours (reduction._lex_less) checks
+that each stratum's block strictly increases in its own key, so it has no
+duplicates.  _task_columns gives the stab and irred columns of each task.
 Integer arithmetic is int64, exact up to limit = MAX_LIMIT (about 2.3e9).
 
 The brute-force oracle shares none of the strata: it scans the box
@@ -73,6 +76,7 @@ import warnings
 from dataclasses import dataclass
 from itertools import groupby
 from math import isqrt
+from operator import index
 
 import numpy as np
 
@@ -80,6 +84,7 @@ from .forms import (
     _ceil_div,
     _d_windows,
     _first_rise,
+    _icbrt,
     _isqrt64,
     _monic_cubic,
     _monotone_pieces,
@@ -257,11 +262,7 @@ def _pos_stratum(a: int, limit: int, step: int = 1) -> np.ndarray:
     counts = _pair_counts(strict)
     at = np.cumsum(counts)[edge_pair] - np.where(b > 0, 0, counts)[edge_pair]
     keep = (_canonical_pos(edge) == -edge).all(axis=1)
-    pieces = np.split(rows, at[keep])
-    merged = pieces[:1]
-    for row, piece in zip(edge[keep], pieces[1:]):
-        merged += [row[None], piece]
-    rows = np.concatenate([piece[::-1] for piece in reversed(merged)])
+    rows = np.insert(rows, at[keep], edge[keep], axis=0)[::-1]
     return np.negative(rows, out=rows)
 
 
@@ -277,14 +278,11 @@ def _neg_ird_bc_windows(a: int, limit: int) -> tuple:
     With |s1| < 1 < s2: |P| >= 27 a^4 s2^3 / 16 and |P| >= 3 a^4 (|rho| - 1/2)^4,
     so a s2 <= (16 limit / (27 a))^(1/3) and |b| = a |rho + s1| <
     3a/2 + (limit/3)^(1/4); c = a (s2 + rho s1) lies in (-|b|, a s2 + |b| + a).
-    The float cube root is rounded up by a margin, so it may cost speed,
-    never rows.
     """
-    if 27 * a ** 4 > 16 * limit:  # s2 <= 1: no reduced form
-        return (np.empty(0, dtype=np.int64),) * 3
     bmax = 3 * a // 2 + isqrt(isqrt(limit // 3)) + 1
     bs = np.arange(-bmax, bmax + 1, dtype=np.int64)
-    s2a_max = int((16 * limit / (27 * a)) ** (1 / 3)) + 2
+    # c < X + |b| + a, X = (16 limit / (27 a))^(1/3), gives c <= floor(X) + |b| + a
+    s2a_max = _icbrt(16 * limit // (27 * a))
     return bs, 1 - np.abs(bs), s2a_max + np.abs(bs) + a
 
 
@@ -385,7 +383,8 @@ class MasterClasses:
         n = |P| // index_scale(lattice) of each.  ValueError for a lattice
         outside 1..10, a sign other than '+' or '-', max_index < 1, a sign
         or (odd on an L2 master) a lattice the rows do not hold, or an index
-        range past the limit."""
+        range past the limit; TypeError for a float max_index."""
+        max_index = index(max_index)
         scale = index_scale(lattice)
         positive = _sign_positive(sign)
         if max_index < 1:
@@ -430,8 +429,9 @@ def _pos_irreducible_mask(rows: np.ndarray) -> np.ndarray:
 def _stratum_tasks(limit: int, step: int = 1) -> list:
     """The stratum tasks (kind, arg, limit, step) of a master, in row order;
     step 3 restricts every task to L2 (_STEPS)."""
-    amax_pos = int((4.0 / 27.0) ** 0.5 * limit ** 0.25) + 2
-    amax_neg = int((16.0 * limit / 27.0) ** 0.25) + 2
+    # 729 a^4 <= 16 P for P > 0, and 27 a^4 < 27 a^4 s2^3 <= 16 |P| for P < 0
+    amax_pos = isqrt(isqrt(16 * limit // 729))
+    amax_neg = isqrt(isqrt(16 * limit // 27))
     rmax = isqrt(limit // 3) if limit >= 3 else 0
     # x1 = -a on the P > 0 rows: by descending a, the tasks are in row order
     tasks = [("pos", a, limit, step) for a in range(amax_pos, -1, -1)]
@@ -522,7 +522,7 @@ def _check_increasing(cols, stratum: str) -> None:
 # The d-windows (forms._d_windows) need (isqrt(n) + 1)^2 < 2^63 for
 # n = B2^2 + 4 alpha (|C2| + Y), which grows like Y^(3/2).  Over the strata's
 # (b, c) windows at Y = MAX_LIMIT it is at most 2.45e18 (0.27 * 2^63, P < 0
-# at a = 192) and 1.6e16 for P > 0 (test_strata_windows_exact_at_max_limit).
+# at a = 192) and 1.55e16 for P > 0 (test_strata_windows_exact_at_max_limit).
 MAX_LIMIT = 4 * isqrt((2 ** 63 - 1) // 27) + 2  # 2_337_884_074
 
 # (limit, sign, sublattice) -> every orbit of that sign of P (sign None: both
@@ -572,8 +572,10 @@ def master_classes(
     asked for (an L1 master serves L2; an L2 master never serves L1).  Every
     build except an irreducible-only one is cached, and evicts the cached
     masters it covers.  limit may not exceed MAX_LIMIT, the bound of exact
-    int64 arithmetic.  ValueError for a sublattice other than 1 or 2.
+    int64 arithmetic.  ValueError for a sublattice other than 1 or 2;
+    TypeError for a float limit (operator.index), cached master or not.
     """
+    limit = index(limit)
     if limit < 1:
         raise ValueError("limit must be >= 1")
     if limit > MAX_LIMIT:
@@ -691,7 +693,9 @@ def enumerate_classes(lattice: int, sign: str, max_index: int) -> ClassTable:
     """The ClassTable of the orbits in the lattice with 1 <= index <= max_index.
 
     The index is |P| for odd lattices and |Q| = |P|/27 for even lattices.
+    TypeError for a float max_index.
     """
+    max_index = index(max_index)
     if max_index < 1:
         raise ValueError("max_index must be >= 1")
     _sign_positive(sign)
@@ -718,7 +722,7 @@ def _scan_window_bound(box: int, p_limit: int) -> int:
 # p_limit <= MAX_LIMIT: _isqrt64 needs (isqrt(n) + 1)^2 < 2^63 for the
 # largest n, _scan_window_bound(box, MAX_LIMIT).  Every other intermediate
 # (B2 +- s, the discriminant of a box row) is of order box^4 or smaller.
-MAX_BOX = int((2 ** 63 / 1024) ** (1 / 6))  # from the box^6 term alone
+MAX_BOX = _icbrt(isqrt(2 ** 63 // 1024))  # from the box^6 term alone
 while (isqrt(_scan_window_bound(MAX_BOX, MAX_LIMIT)) + 1) ** 2 >= 2 ** 63:
     MAX_BOX -= 1  # 455
 
@@ -729,15 +733,8 @@ def stability_box(box: int) -> int:
 
 
 def _hessian_floor(a: int, p_limit: int) -> int:
-    """h0 = max{h >= 0 : 4 h^3 <= 27 a^2 p_limit}, for a >= 1.  The float
-    cube root of n / 4 < 2^53 (n = 27 a^2 p_limit, at most about 1.3e16 for
-    a <= MAX_BOX and p_limit <= MAX_LIMIT) is within one of the integer
-    root, and one exact integer step each way fixes it, as in _isqrt64."""
-    n = 27 * a * a * p_limit
-    h = int((n / 4) ** (1 / 3))
-    h -= 4 * h ** 3 > n
-    h += 4 * (h + 1) ** 3 <= n
-    return h
+    """h0 = max{h >= 0 : 4 h^3 <= 27 a^2 p_limit}, for a >= 1."""
+    return _icbrt(27 * a * a * p_limit // 4)
 
 
 # f(x, -y): (a, b, c, d) -> (a, -b, c, -d), as a column sign pattern
@@ -854,8 +851,9 @@ def brute_force_classes(
     class multiset changes; one scan at that box serves both runs.
     ValueError for max_index < 1 or box < 1.  The box scanned may not exceed
     MAX_BOX, nor the discriminant bound MAX_LIMIT, the bounds of exact int64
-    arithmetic.
+    arithmetic.  TypeError for a float max_index or box.
     """
+    max_index, box = index(max_index), index(box)
     _sign_positive(sign)
     if max_index < 1:
         raise ValueError("max_index must be >= 1")

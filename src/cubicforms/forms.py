@@ -12,9 +12,10 @@ The invariant lattices L1..L10 are defined once, by their Z-bases
 (lattice_basis).  Membership is one residue table mod 6 generated from those
 bases (residue_span, the span of rows mod m), used by both the scalar and the
 columnwise callers.  bareiss is the one exact elimination, fraction-free
-over Z (every rank and determinant), and _first_rise the one integer-root
-bisection (rational_roots and both irreducibility masks of the
-enumeration).
+over Z (every rank and determinant), and _first_rise the one exact integer
+search (rational_roots, the enumeration's root masks and bounds, _icbrt,
+reduction._root_reduce): no scalar float root is left, only the corrected
+column square root _isqrt64.
 """
 
 from __future__ import annotations
@@ -394,6 +395,12 @@ def _first_rise(g, lo, hi, width: int):
         lo = lo + half * ((mid < hi) & (g(mid) < 0))
         n -= half
     return lo
+
+
+def _icbrt(n: int) -> int:
+    """floor(n^(1/3)) for an int n >= 0, by _first_rise on [0, 2^(bits // 3 + 1)]."""
+    top = 1 << (n.bit_length() // 3 + 1)
+    return _first_rise(lambda y: y ** 3 - n - 1, 0, top, top + 1) - 1
 
 
 def _integer_roots(b: int, c: int, e: int) -> set:

@@ -45,6 +45,7 @@ from .forms import (
     CubicForm,
     UnimodularMatrix,
     W,
+    _first_rise,
     _int_form,
     act,
     action_matrix,
@@ -185,17 +186,10 @@ def _root_reduce(f: CubicForm) -> CubicForm:
         if f.x1 < 0:
             f = -f
         a, b, c, d = f
-        # The least k with s1 - 2k < 1, i.e. f((-b - (2k+1)a)/a) < 0.  Every
-        # root lies in (-m, m) (Cauchy bound), so lo fails and hi holds.
+        # the least k with s1 - 2k < 1, i.e. f((-b - (2k+1)a)/a) < 0 (Cauchy: k = m)
         m = 2 + max(abs(b), abs(c), abs(d)) // a
-        lo, hi = -m - 1, m
-        while hi - lo > 1:
-            k = (lo + hi) // 2
-            if value_at(f, -b - (2 * k + 1) * a, a) < 0:
-                hi = k
-            else:
-                lo = k
-        f = act(_n_of(hi), f)
+        k = _first_rise(lambda k: -value_at(f, -b - (2 * k + 1) * a, a) - 1, -m, m, 2 * m + 1)
+        f = act(_n_of(k), f)
         a, _, _, d = f
         # s2 < 1  <=>  f(-d/a) has the sign of d (as in _in_open_domain)
         if d * value_at(f, -d, a) <= 0:

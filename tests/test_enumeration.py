@@ -396,6 +396,23 @@ def test_enumerate_classes_sorted_and_in_lattice(class_rows, produce, lattice, s
     assert all(type(irred) is bool for _, _, _, irred in rows)
 
 
+def test_float_bounds_raise_type_error_with_a_warm_cache():
+    # limit, max_index and box are read through operator.index: a float
+    # raises TypeError also where a cached master could answer it, and a
+    # numpy integer is read as the int it holds
+    master = master_classes(10 ** 4)
+    assert master_classes(np.int64(10 ** 4)) is master
+    with pytest.raises(TypeError):
+        master_classes(1e4)
+    with pytest.raises(TypeError):
+        enumerate_classes(1, "+", 5e3)
+    with pytest.raises(TypeError):
+        master.select(1, "+", 10.5)
+    for max_index, box in ((20.0, 8), (20, 8.0)):
+        with pytest.raises(TypeError):
+            brute_force_classes(1, "+", max_index, box)
+
+
 def test_enumerate_classes_bad_args():
     with pytest.raises(ValueError):
         enumerate_classes(1, "x", 10)
@@ -1276,6 +1293,19 @@ def test_pos_root_test_at_int64_edge():
     assert got.any() and not any(got[near.index(f)] for f in forms)
 
 
+@pytest.mark.parametrize("limit", [10 ** 5, 10 ** 6, 10 ** 7, MAX_LIMIT])
+def test_exact_stratum_bounds_drop_nothing(limit):
+    # the last a of each stratum's tasks is exact: 729 a^4 <= 16 Y (P > 0)
+    # and 27 a^4 <= 16 Y (P < 0); the two a past each bound emit no rows
+    tasks = enumeration._stratum_tasks(limit)
+    top = {kind: max(t[1] for t in tasks if t[0] == kind) for kind in ("pos", "negird")}
+    assert 729 * top["pos"] ** 4 <= 16 * limit < 729 * (top["pos"] + 1) ** 4
+    assert 27 * top["negird"] ** 4 <= 16 * limit < 27 * (top["negird"] + 1) ** 4
+    for k in (1, 2):
+        assert len(enumeration._pos_stratum(top["pos"] + k, limit)) == 0
+        assert len(enumeration._neg_ird_stratum(top["negird"] + k, limit)) == 0
+
+
 def test_strata_windows_exact_at_max_limit():
     # n = B2^2 + 4 alpha (|C2| + L) bounds every int64 intermediate of
     # _d_windows; the strata need (isqrt(n) + 1)^2 < 2^63 over their (b, c)
@@ -1300,4 +1330,4 @@ def test_strata_windows_exact_at_max_limit():
     assert (isqrt(worst["negird"]) + 1) ** 2 < 2 ** 63
     assert (isqrt(worst["pos"]) + 1) ** 2 < 2 ** 63
     # the figures quoted beside MAX_LIMIT
-    assert 2.4e18 < worst["negird"] < 2.5e18 and 1.6e16 < worst["pos"] < 1.7e16
+    assert 2.4e18 < worst["negird"] < 2.5e18 and 1.5e16 < worst["pos"] < 1.6e16

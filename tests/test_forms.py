@@ -26,6 +26,7 @@ from cubicforms import (
 )
 from cubicforms.forms import (
     _first_rise,
+    _icbrt,
     index_scale,
     lattice_basis,
     lattice_membership,
@@ -273,6 +274,17 @@ def test_first_rise_on_ints_and_columns():
     for row in zip(lo.tolist(), hi.tolist(), t.tolist(), want.tolist()):
         a, b, u, w = row
         assert _first_rise(lambda y: y - u, a, b, max(b - a + 1, 0)) == w, row
+
+
+def test_icbrt_exact_near_cubes():
+    # floor(n^(1/3)) at 0, 1 and on both sides of every cube m^3: every m
+    # up to 2^12, and the m = 2^k - 1, 2^k, 2^k + 1 and random m up to 2^40
+    r = random.Random(3)
+    ms = set(range(1, 2 ** 12)) | {2 ** k + e for k in range(41) for e in (-1, 0, 1)}
+    ms |= {r.randint(1, 2 ** 40) for _ in range(2000)}
+    assert _icbrt(0) == 0 and _icbrt(1) == 1
+    for m in sorted(ms - {0}):
+        assert (_icbrt(m ** 3 - 1), _icbrt(m ** 3), _icbrt(m ** 3 + 1)) == (m - 1, m, m), m
 
 
 def test_rational_roots_rejects_degenerate():

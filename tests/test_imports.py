@@ -51,3 +51,26 @@ def test_src_imports_only_stdlib_and_numpy():
         for name in _imported_modules(path) - allowed
     }
     assert not foreign, sorted(foreign)
+
+
+def _float_powers(path: Path) -> list:
+    """Every ** whose exponent holds a float constant or a true division."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+            if any(
+                isinstance(n, ast.Constant) and isinstance(n.value, float)
+                or isinstance(n, ast.BinOp) and isinstance(n.op, ast.Div)
+                for n in ast.walk(node.right)
+            ):
+                found.append(f"{path.relative_to(ROOT)}:{node.lineno}")
+    return found
+
+
+def test_exact_layers_take_no_float_root():
+    # the strata, the oracle and the reduction bound their searches with
+    # integer roots (isqrt, forms._icbrt); analytic's prediction is real
+    # by design and is not scanned
+    names = ("forms.py", "reduction.py", "enumeration.py")
+    found = [x for name in names for x in _float_powers(ROOT / "src/cubicforms" / name)]
+    assert not found, found
