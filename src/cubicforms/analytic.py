@@ -340,22 +340,26 @@ class DensityRow:
 
 def density_report(lattice: int, sign: str, max_x: int, checkpoints: int = 10) -> list:
     """Counts S(X) of irreducible classes at geometric checkpoints up to max_x,
-    against the two-term prediction; gauge = |S - prediction| / X^(2/3)."""
+    against the two-term prediction; gauge = |S - prediction| / X^(2/3).
+    Each count is read from the pair's mask (MasterClasses.mask) and the
+    signed disc column, with no copy of the selected rows."""
     scale = index_scale(lattice)
     if checkpoints < 1:
         raise ValueError(f"checkpoints must be >= 1; got {checkpoints}")
     sublattice = sublattice_of(lattice)
     master = master_classes(max_x * scale, sign, irreducible=True, sublattice=sublattice)
-    rows, n = master.select(lattice, sign, max_x)
-    stab = master.stab[rows]
+    keep = master.mask(lattice, sign, max_x)
+    three = master.stab == 3
     xs = sorted(
         {int(round(max_x ** (j / checkpoints))) for j in range(1, checkpoints + 1)}
     )
     rows = []
     for x in xs:
-        below = n < x
-        count = int(below.sum())
-        weighted = count - (2.0 / 3.0) * int((stab[below] == 3).sum())
+        # index < x iff |P| < x * scale, on the side of P that sign names
+        below = master.disc < x * scale if sign == "+" else master.disc > -x * scale
+        below &= keep
+        count = int(np.count_nonzero(below))
+        weighted = count - (2.0 / 3.0) * int(np.count_nonzero(below & three))
         pred = density_prediction(lattice, sign, float(x))
         resid = count - pred
         rows.append(

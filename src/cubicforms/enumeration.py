@@ -39,6 +39,10 @@ tasks are listed in row order (P > 0 by descending a, since x1 = -a), so
 no sort is needed: one pass over neighbours (reduction._lex_less) checks
 that each stratum's block strictly increases in its own key, so it has no
 duplicates.  _task_columns gives the stab and irred columns of each task.
+The master is written once, in two passes over its tasks: the first counts
+each task's row bound from its exact windows (_task_bound) with no row
+expanded, and sizes every column once; in the second each task writes its
+rows, disc, stab (int8), irred and residue row (uint16) into the next slice.
 Integer arithmetic is int64, exact up to limit = MAX_LIMIT (about 2.3e9).
 
 The brute-force oracle shares none of the strata: it scans the box
@@ -59,9 +63,11 @@ selects from them.
 
 The master rows and an oracle grouping are both MasterClasses: orbit
 columns (representative, discriminant, stabilizer order, irreducibility,
-lattice membership).  MasterClasses.select is the one rule for the orbits of
-a (lattice, sign) pair: enumerate_classes and brute_force_classes return its
-rows as a ClassTable, and the series and density counts read them too.
+residue row mod 6, whose one lookup in the residue table is the lattice
+membership).  MasterClasses.mask is the one rule for the orbits of a
+(lattice, sign) pair: select turns it into row indices, enumerate_classes
+and brute_force_classes return those rows as a ClassTable, the series count
+them, and density_report counts from the mask itself.
 master_classes can also build a selection, one sign of P, the irreducible
 orbits only, or the orbits in L2 = {3 | x2, x3} only (the same strata with
 b, c in 3Z: _STEPS), from the stratum tasks that can hold it.
@@ -74,7 +80,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from itertools import groupby
 from math import isqrt
 from operator import index
 
@@ -87,11 +92,12 @@ from .forms import (
     _icbrt,
     _isqrt64,
     _monic_cubic,
+    _membership,
     _monotone_pieces,
+    _residue_row,
     discriminant,
     index_scale,
     is_irreducible,
-    lattice_membership,
     sublattice_of,
 )
 from .reduction import (
@@ -327,12 +333,19 @@ def _neg_ird_reducible(rows: np.ndarray, a: int) -> np.ndarray:
     return g(_first_rise(g, 1 - a - b, a - 1 - b, 2 * a - 1)) == 0
 
 
+def _neg_ird_pair_windows(a: int, limit: int, step: int = 1) -> tuple:
+    """(b, c, windows): the (b, c) pairs of the P < 0 irreducible stratum at
+    leading coefficient a >= 1 (b, c in step Z) and the exact d-windows of
+    each (_neg_ird_windows)."""
+    b, c = _bc_pairs(*_neg_ird_bc_windows(a, limit), step)
+    return b, c, _neg_ird_windows(a, b, c, limit)
+
+
 def _neg_ird_stratum(a: int, limit: int, step: int = 1) -> np.ndarray:
     """The irreducible P < 0 representatives with leading coefficient a >= 1,
     -limit <= P <= -1 and b, c in step Z, in lexicographic order: the rows
-    of the exact d-windows (_neg_ird_windows) without a rational root."""
-    b, c = _bc_pairs(*_neg_ird_bc_windows(a, limit), step)
-    rows = _window_rows(a, b, c, _neg_ird_windows(a, b, c, limit))
+    of the exact d-windows (_neg_ird_pair_windows) without a rational root."""
+    rows = _window_rows(a, *_neg_ird_pair_windows(a, limit, step))
     return rows[~_neg_ird_reducible(rows, a)]
 
 
@@ -341,12 +354,20 @@ def _neg_ird_stratum(a: int, limit: int, step: int = 1) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _neg_rd_stratum(r_lo: int, r_hi: int, limit: int, step: int = 1) -> np.ndarray:
-    """Rows (p, q, r, 0), r in [r_lo, r_hi], 0 <= q < 2r, q and r in step Z,
-    1 <= -P <= limit, in lexicographic order of (r, q, p)."""
+def _neg_rd_windows(r_lo: int, r_hi: int, limit: int, step: int = 1) -> tuple:
+    """(r, q, lo, hi): the pairs r in [r_lo, r_hi], 0 <= q < 2r, q and r in
+    step Z, in lexicographic order, and the window lo <= p <= hi of each:
+    1 <= -P = r^2 (4pr - q^2) <= limit."""
     rs = np.arange(r_lo, r_hi + 1, dtype=np.int64)
     r, q = _bc_pairs(rs, np.zeros_like(rs), 2 * rs - 1, step)
-    idx, p = _expand_windows(_ceil_div(q * q + 1, 4 * r), (q * q * r * r + limit) // (4 * r ** 3))
+    return r, q, _ceil_div(q * q + 1, 4 * r), (q * q * r * r + limit) // (4 * r ** 3)
+
+
+def _neg_rd_stratum(r_lo: int, r_hi: int, limit: int, step: int = 1) -> np.ndarray:
+    """Rows (p, q, r, 0) of the windows of _neg_rd_windows, in lexicographic
+    order of (r, q, p)."""
+    r, q, lo, hi = _neg_rd_windows(r_lo, r_hi, limit, step)
+    idx, p = _expand_windows(lo, hi)
     return np.stack([p, q[idx], r[idx], np.zeros_like(p)], axis=1)
 
 
@@ -359,6 +380,8 @@ def _neg_rd_stratum(r_lo: int, r_hi: int, limit: int, step: int = 1) -> np.ndarr
 class MasterClasses:
     """One row per orbit with 1 <= |P(rep)| <= limit, as parallel numpy arrays:
     the master enumeration, or one oracle grouping (its in-box orbits).
+    44 bytes a row: reps 32, disc 8, stab 1 (int8), irred 1 and res 2
+    (uint16); the (N, 10) membership is the property member, read from res.
     sign ('+' or '-'), irreducible and sublattice record a selection: the
     rows are then only the orbits of that sign of P, only the irreducible
     ones, or (sublattice 2) only the orbits in L2, which hold the even
@@ -367,9 +390,9 @@ class MasterClasses:
     limit: int
     reps: np.ndarray  # (N, 4) int64, representatives, one per orbit
     disc: np.ndarray  # (N,) int64, signed P
-    stab: np.ndarray  # (N,) int64, 1 or 3
+    stab: np.ndarray  # (N,) int8, 1 or 3
     irred: np.ndarray  # (N,) bool
-    member: np.ndarray  # (N, 10) bool, membership in L1..L10
+    res: np.ndarray  # (N,) uint16, residue row mod 6 (forms._residue_row)
     sign: str | None = None  # None: both signs
     irreducible: bool = False  # True: the irreducible orbits only
     sublattice: int = 1  # 2: the orbits in L2 only
@@ -377,13 +400,19 @@ class MasterClasses:
     def __len__(self):
         return len(self.disc)
 
-    def select(self, lattice: int, sign: str, max_index: int) -> tuple:
-        """(rows, n): the indices, in row order, of the orbits of the
-        (lattice, sign) pair with 1 <= index <= max_index, and the index
-        n = |P| // index_scale(lattice) of each.  ValueError for a lattice
-        outside 1..10, a sign other than '+' or '-', max_index < 1, a sign
-        or (odd on an L2 master) a lattice the rows do not hold, or an index
-        range past the limit; TypeError for a float max_index."""
+    @property
+    def member(self) -> np.ndarray:
+        """(N, 10) bool, membership in L1..L10: one lookup of res in the
+        residue table (forms._membership)."""
+        return _membership(self.res)
+
+    def mask(self, lattice: int, sign: str, max_index: int) -> np.ndarray:
+        """The orbits of the (lattice, sign) pair with 1 <= index <= max_index,
+        index = |P| // index_scale(lattice), as a bool mask over the rows:
+        the one selection rule.  ValueError for a lattice outside 1..10, a
+        sign other than '+' or '-', max_index < 1, a sign or (odd on an L2
+        master) a lattice the rows do not hold, or an index range past the
+        limit; TypeError for a float lattice or max_index."""
         max_index = index(max_index)
         scale = index_scale(lattice)
         positive = _sign_positive(sign)
@@ -402,9 +431,16 @@ class MasterClasses:
         lo, hi = scale, (max_index + 1) * scale - 1
         if not positive:
             lo, hi = -hi, -lo
-        keep = (self.disc >= lo) & (self.disc <= hi) & self.member[:, lattice - 1]
-        rows = np.flatnonzero(keep)
-        return rows, np.abs(self.disc[rows]) // scale
+        keep = self.disc >= lo
+        keep &= self.disc <= hi
+        keep &= _membership(self.res, lattice)
+        return keep
+
+    def select(self, lattice: int, sign: str, max_index: int) -> tuple:
+        """(rows, n): the indices, in row order, of the rows of the pair's
+        mask, and the index n = |P| // index_scale(lattice) of each."""
+        rows = np.flatnonzero(self.mask(lattice, sign, max_index))
+        return rows, np.abs(self.disc[rows]) // index_scale(lattice)
 
 
 def _pos_irreducible_mask(rows: np.ndarray) -> np.ndarray:
@@ -463,6 +499,21 @@ def _task_columns(task, rows: np.ndarray) -> tuple:
     if kind != "pos":
         return 1, kind == "negird"
     return _pos_stab_column(rows), a > 0 and _pos_irreducible_mask(rows)
+
+
+def _task_bound(task) -> int:
+    """At least the number of rows the stratum task emits, counted from its
+    exact windows with no row expanded: a pos or negird task emits some of
+    the rows of its windows (the A = C rows go through _canonical_pos, and
+    the rows with a rational root are cut), a negrd task all of them."""
+    kind, arg, limit, step = task
+    if kind == "pos":
+        windows = _pos_windows(arg, limit, step)[4]
+    elif kind == "negird":
+        windows = _neg_ird_pair_windows(arg, limit, step)[2]
+    else:
+        windows = [_neg_rd_windows(*arg, limit, step)[2:]]
+    return int(_pair_counts(windows).sum())
 
 
 # The key columns in which each task kind's block increases: negrd (p, q, r, 0) by (r, q, p)
@@ -594,7 +645,7 @@ def master_classes(
         if sign != master.sign:
             keep &= (master.disc > 0) == (sign == "+")
         if sublattice != master.sublattice:
-            keep &= master.member[:, sublattice - 1]
+            keep &= _membership(master.res, sublattice)
         if irreducible:
             keep &= master.irred
         return MasterClasses(
@@ -603,40 +654,62 @@ def master_classes(
             master.disc[keep],
             master.stab[keep],
             master.irred[keep],
-            master.member[keep],
+            master.res[keep],
             sign,
             irreducible,
             sublattice,
         )
     tasks = _stratum_tasks(limit, _STEPS[sublattice])
     tasks = [t for t in tasks if _task_can_hold(t, sign, irreducible)]
-    results = [_run_task(t) for t in tasks]
-    starts = np.cumsum([0] + [len(rows) for _, rows in results]).tolist()
-    reps = _ranges_to_rows([rows for _, rows in results])
-    del results  # frees the per-task arrays; reps is the one copy
-    spans = list(zip(tasks, starts[:-1], starts[1:]))
-
-    # Each stratum emits one row per orbit, in order; verify rather than
-    # assume, in each block's own key.
-    for kind, block in groupby(spans, key=lambda span: span[0][0]):
-        block = list(block)
-        _check_increasing(reps[block[0][1] : block[-1][2], _BLOCK_KEYS[kind]].T, kind)
-
-    disc = np.empty(len(reps), dtype=np.int64)
-    stab = np.empty(len(reps), dtype=np.int64)
-    irred = np.empty(len(reps), dtype=bool)
-    for task, start, end in spans:  # per slice, so the temporaries stay small
-        rows = reps[start:end]
+    # Two passes: the row bounds size each column once, and each task then
+    # writes its rows and columns into the next slice.  The tail the bounds
+    # over-count is never written, so its pages are never resident.
+    bounds = [_task_bound(t) for t in tasks]
+    size = sum(bounds)
+    reps = np.empty((size, 4), dtype=np.int64)
+    disc = np.empty(size, dtype=np.int64)
+    stab = np.empty(size, dtype=np.int8)
+    irred = np.empty(size, dtype=bool)
+    res = np.empty(size, dtype=np.uint16)
+    ends = {}  # kind -> the key columns of the first and last row of each task
+    end = 0
+    for task, bound in zip(tasks, bounds):
+        kind, rows = _run_task(task)
+        # Each stratum emits one row per orbit, in order; verify rather than
+        # assume, in each block's own key.  A block strictly increases iff
+        # each task's rows do and so do the first and last rows of its tasks
+        # in turn (checked once the block is written).
+        keys = rows[:, _BLOCK_KEYS[kind]]
+        _check_increasing(keys.T, kind)
+        ends.setdefault(kind, []).append(np.concatenate([keys[:1], keys[1:][-1:]]))
+        if len(rows) > bound:
+            raise AssertionError(
+                f"{kind} task {task[1]} emitted {len(rows)} rows, past its bound {bound}"
+            )
+        task_stab, task_irred = _task_columns(task, rows)
+        if irreducible and task_irred is not True:  # the reducible rows of pos a >= 1
+            rows, task_stab, task_irred = rows[task_irred], task_stab[task_irred], True
+        start, end = end, end + len(rows)
+        reps[start:end] = rows
         disc[start:end] = discriminant(rows.T)
-        stab[start:end], irred[start:end] = _task_columns(task, rows)
+        stab[start:end], irred[start:end] = task_stab, task_irred
+        res[start:end] = _residue_row(rows.T)
+        p = disc[start:end]
+        if not ((p != 0).all() and (np.abs(p) <= limit).all()):
+            raise AssertionError("enumeration produced out-of-range discriminants")
+    for kind, keys in ends.items():
+        _check_increasing(np.concatenate(keys).T, kind)
 
-    if not ((disc != 0).all() and (np.abs(disc) <= limit).all()):
-        raise AssertionError("enumeration produced out-of-range discriminants")
-
-    if irreducible and not irred.all():  # the reducible rows of pos a >= 1
-        reps, disc, stab, irred = reps[irred], disc[irred], stab[irred], irred[irred]
     master = MasterClasses(
-        limit, reps, disc, stab, irred, lattice_membership(reps.T), sign, irreducible, sublattice
+        limit,
+        reps[:end],
+        disc[:end],
+        stab[:end],
+        irred[:end],
+        res[:end],
+        sign,
+        irreducible,
+        sublattice,
     )
     if not irreducible:  # an irreducible-only build would add to its caller's peak
         key = (limit, sign, sublattice)
@@ -667,7 +740,7 @@ class ClassTable:
     sign: str  # '+' or '-'
     n: np.ndarray  # (N,) int64, index
     reps: np.ndarray  # (N, 4) int64, canonical representatives
-    stab: np.ndarray  # (N,) int64, 1 or 3
+    stab: np.ndarray  # (N,) int8, 1 or 3
     irred: np.ndarray  # (N,) bool
 
     def __len__(self):
@@ -826,9 +899,9 @@ def _group_box_orbits(
         p_limit,
         rows,
         discriminant(cols),
-        np.array([stabilizer_order(f) for f in reps], dtype=np.int64),
+        np.array([stabilizer_order(f) for f in reps], dtype=np.int8),
         np.array([is_irreducible(f) for f in reps], dtype=bool),
-        lattice_membership(cols),
+        _residue_row(cols).astype(np.uint16),
         sublattice=sublattice,
     )
     _ORACLE_CACHE[key] = orbits

@@ -10,12 +10,13 @@ _d_windows solves lo <= P <= hi for the last coefficient exactly on int64
 columns; the enumeration strata and the brute-force oracle both scan with it.
 The invariant lattices L1..L10 are defined once, by their Z-bases
 (lattice_basis).  Membership is one residue table mod 6 generated from those
-bases (residue_span, the span of rows mod m), used by both the scalar and the
-columnwise callers.  bareiss is the one exact elimination, fraction-free
-over Z (every rank and determinant), and _first_rise the one exact integer
-search (rational_roots, the enumeration's root masks and bounds, _icbrt,
-reduction._root_reduce): no scalar float root is left, only the corrected
-column square root _isqrt64.
+bases (residue_span, the span of rows mod m), read in one place
+(_membership) by the scalar and the columnwise callers and by the master's
+uint16 column of residue rows (_residue_row).  bareiss is the one exact
+elimination, fraction-free over Z (every rank and determinant), and
+_first_rise the one exact integer search (rational_roots, the enumeration's
+root masks and bounds, _icbrt, reduction._root_reduce): no scalar float root
+is left, only the corrected column square root _isqrt64.
 """
 
 from __future__ import annotations
@@ -264,14 +265,18 @@ def lattice_basis(lattice: int) -> tuple:
     return _ODD_BASES[lattice]
 
 
-def _check_lattice(lattice: int) -> None:
-    if lattice not in range(1, 11):
+def _check_lattice(lattice: int) -> int:
+    """The lattice index, read through operator.index (TypeError for a
+    float); ValueError outside 1..10."""
+    lattice = index(lattice)
+    if not 1 <= lattice <= 10:
         raise ValueError(f"lattice index must be 1..10, got {lattice}")
+    return lattice
 
 
 def index_scale(lattice: int) -> int:
     """|P| per unit of index: 27 on even lattices (index |Q| = |P|/27), else 1.
-    ValueError for a lattice outside 1..10."""
+    ValueError for a lattice outside 1..10, TypeError for a float one."""
     _check_lattice(lattice)
     return 27 if lattice in EVEN_LATTICES else 1
 
@@ -279,7 +284,7 @@ def index_scale(lattice: int) -> int:
 def sublattice_of(lattice: int) -> int:
     """2 if L_lattice lies in L2 = {3 | x2, x3} (the even lattices), else 1:
     the lattice, L1 or L2, whose orbits an enumeration of L_lattice builds.
-    ValueError for a lattice outside 1..10."""
+    ValueError for a lattice outside 1..10, TypeError for a float one."""
     _check_lattice(lattice)
     return 2 if lattice in EVEN_LATTICES else 1
 
@@ -351,19 +356,30 @@ _MEMBERSHIP = _membership_table()
 _MEMBERSHIP.flags.writeable = False  # one form's lookup is a view of it
 
 
+def _membership(res, lattice: int | None = None):
+    """Membership of the forms with residue rows res (_residue_row: an int,
+    or an integer array such as the master's uint16 column) in L_lattice,
+    or with lattice None in L1..L10 (a trailing axis of ten): the one read
+    of the residue table.  ValueError for a lattice outside 1..10,
+    TypeError for a float one."""
+    if lattice is None:
+        return _MEMBERSHIP[res]
+    return _MEMBERSHIP[res, _check_lattice(lattice) - 1]
+
+
 def lattice_membership(f) -> np.ndarray:
     """Membership in L1..L10: shape (10,) for one form, (N, 10) for
     coefficient columns (e.g. rows.T of an (N, 4) array).  Broadcastable
     columns give the broadcast shape plus a trailing axis of ten."""
-    return _MEMBERSHIP[_residue_row(f)]
+    return _membership(_residue_row(f))
 
 
 def lattice_member(f, lattice: int):
     """Membership in L_lattice, lattice in 1..10: a bool for one form, an
     (N,) bool array for coefficient columns (one column of the table).
-    Broadcastable columns give a bool array of the broadcast shape."""
-    _check_lattice(lattice)
-    member = _MEMBERSHIP[_residue_row(f), lattice - 1]
+    Broadcastable columns give a bool array of the broadcast shape.
+    ValueError for a lattice outside 1..10, TypeError for a float one."""
+    member = _membership(_residue_row(f), lattice)
     return bool(member) if member.ndim == 0 else member
 
 

@@ -11,7 +11,7 @@ from cubicforms import U1, W, ClassTable, CoefficientSeries, act, build_all_seri
 from cubicforms import enumeration
 from cubicforms.cli import _frac_str
 from cubicforms.enumeration import MasterClasses
-from cubicforms.forms import U1_INV, action_matrix, discriminant, lattice_membership, value_at
+from cubicforms.forms import U1_INV, _residue_row, action_matrix, discriminant, value_at
 from cubicforms.reduction import SMALL_MATRICES, _canonical_pos, _pos_stab_column, orbit_bfs
 
 
@@ -175,7 +175,8 @@ def _sorted_master(limit: int) -> MasterClasses:
     """The master enumeration built from _scan_pos_stratum and the negative
     strata, each block checked and the P > 0 block ordered by a sort, and
     the P > 0 irreducibility from the float roots (_trig_root_reducible)
-    per |x1| over the whole block."""
+    per |x1| over the whole block; stab int8 and the residue rows uint16,
+    as master_classes stores them."""
     tasks = enumeration._stratum_tasks(limit)
     pos = enumeration._ranges_to_rows(
         [_scan_pos_stratum(a, lim) for kind, a, lim, _ in tasks if kind == "pos"]
@@ -190,7 +191,7 @@ def _sorted_master(limit: int) -> MasterClasses:
     for rows, kind in zip(neg, ("negird", "negrd")):
         _lex_sorted(rows, kind)
     reps = np.concatenate([pos] + neg)
-    stab = np.ones(len(reps), dtype=np.int64)
+    stab = np.ones(len(reps), dtype=np.int8)
     stab[: len(pos)] = _pos_stab_column(pos)
     irred = np.zeros(len(reps), dtype=bool)
     irred[len(pos): len(pos) + len(neg[0])] = True
@@ -199,7 +200,8 @@ def _sorted_master(limit: int) -> MasterClasses:
         sel = np.flatnonzero(x1 == a)
         irred[sel] = ~_trig_root_reducible(pos[sel], a)
     disc = discriminant(reps.T)
-    return MasterClasses(limit, reps, disc, stab, irred, lattice_membership(reps.T))
+    res = _residue_row(reps.T).astype(np.uint16)
+    return MasterClasses(limit, reps, disc, stab, irred, res)
 
 
 @pytest.fixture(scope="session")

@@ -9,6 +9,7 @@ import pytest
 
 from cubicforms import (
     brute_force_classes,
+    density_report,
     discriminant,
     enumerate_classes,
     hessian,
@@ -307,11 +308,13 @@ def test_select_is_the_per_row_rule(selection):
 def test_select_floors_the_index_on_any_columns():
     # columns no stratum makes (P = 0, P not a multiple of 27 in every
     # lattice): the index is still |P| // scale, and n = 0 is left out
+    # residue row 0 (every coefficient divisible by 6) lies in every lattice
     disc = np.arange(-3000, 3001, dtype=np.int64)
     m = enumeration.MasterClasses(
-        3000, np.zeros((len(disc), 4), dtype=np.int64), disc, np.ones_like(disc),
-        disc != 0, np.ones((len(disc), 10), dtype=bool),
+        3000, np.zeros((len(disc), 4), dtype=np.int64), disc, np.ones(len(disc), dtype=np.int8),
+        disc != 0, np.zeros(len(disc), dtype=np.uint16),
     )
+    assert m.member.all()
     for lattice, max_index in ((1, 3000), (1, 5), (2, 111), (2, 1)):
         scale = 27 if lattice == 2 else 1
         for sign in ("+", "-"):
@@ -426,6 +429,36 @@ def test_enumerate_classes_rejects_lattice_out_of_range():
             enumerate_classes(lattice, "+", 50)
 
 
+def test_lattice_is_read_as_an_index_before_any_build(monkeypatch):
+    # lattice is read through operator.index, like limit and max_index: a
+    # float raises TypeError and an index outside 1..10 ValueError, before
+    # any stratum task or box scan runs; a numpy integer is the int it holds
+    def no_work(*args):
+        raise AssertionError("stratum work or box scan started")
+
+    monkeypatch.setattr(enumeration, "_run_task", no_work)
+    monkeypatch.setattr(enumeration, "_box_survivors", no_work)
+    monkeypatch.setattr(enumeration, "_MASTER_CACHE", {})
+    monkeypatch.setattr(enumeration, "_ORACLE_CACHE", {})
+    disc = np.array([5, -27], dtype=np.int64)
+    m = enumeration.MasterClasses(
+        100, np.zeros((2, 4), dtype=np.int64), disc, np.ones(2, dtype=np.int8), disc > 0,
+        np.zeros(2, dtype=np.uint16),
+    )
+    for lattice, error in ((1.0, TypeError), (2.0, TypeError), (0, ValueError), (11, ValueError)):
+        for call in (
+            lambda: enumerate_classes(lattice, "+", 10),
+            lambda: brute_force_classes(lattice, "+", 10, box=8),
+            lambda: density_report(lattice, "+", 10),
+            lambda: lattice_member((1, 0, 0, 1), lattice),
+            lambda: m.select(lattice, "-", 3),
+        ):
+            with pytest.raises(error):
+                call()
+    assert m.select(np.int64(2), "-", 1)[0].tolist() == [1]
+    assert lattice_member((1, 0, 0, 1), np.int64(2)) is True
+
+
 def test_brute_force_rejects_bad_sign_and_lattice():
     with pytest.raises(ValueError, match="sign must be"):
         brute_force_classes(1, "x", 20, box=8)
@@ -455,8 +488,8 @@ def test_brute_force_stability_cap_covers_its_box(monkeypatch):
         caps.append((box, cap))
         no_rows = np.empty((0, 4), dtype=np.int64)
         return enumeration.MasterClasses(
-            p_limit, no_rows, no_rows[:, 0], no_rows[:, 0], no_rows[:, 0] != 0,
-            np.empty((0, 10), dtype=bool),
+            p_limit, no_rows, no_rows[:, 0], no_rows[:, 0].astype(np.int8), no_rows[:, 0] != 0,
+            no_rows[:, 0].astype(np.uint16),
         )
 
     monkeypatch.setattr(enumeration, "_group_box_orbits", record_caps)
@@ -692,6 +725,55 @@ def test_master_rejects_rows_out_of_order(monkeypatch, kind, selection):
     with pytest.raises(AssertionError, match="out of order"):
         master_classes(2000, *selection)
     assert swapped == [True]  # two distinct rows, nothing else changed
+
+
+@pytest.mark.parametrize("limit", [10 ** 5, 10 ** 6])
+@pytest.mark.parametrize("step", [1, 3])
+def test_task_bounds_cover_the_emitted_rows(limit, step):
+    # every task's bound, from its windows alone, is at least the rows it
+    # emits, so at least the rows an irreducible-only build keeps; a negrd
+    # task emits every row of its windows.  Each selection (sign None, '+',
+    # '-', irreducible or not) runs some of these tasks
+    emitted = {}
+    for task in enumeration._stratum_tasks(limit, step):
+        bound = enumeration._task_bound(task)
+        rows = len(enumeration._run_task(task)[1])
+        assert bound >= rows, task
+        assert task[0] != "negrd" or bound == rows, task
+        emitted[task] = rows
+    assert {kind for kind, *_ in emitted} == {"pos", "negird", "negrd"}
+    for sign in (None, "+", "-"):
+        for irreducible in (False, True):
+            held = [t for t in emitted if enumeration._task_can_hold(t, sign, irreducible)]
+            assert sum(emitted[t] for t in held) > 0, (sign, irreducible)
+
+
+@_KIND_SELECTIONS
+def test_task_past_its_bound_raises_before_writing(monkeypatch, kind, selection):
+    # the first task of the kind with rows emits one more row than its
+    # bound, each extra row still increasing in the block key, so the order
+    # check passes it: the bound guard raises before the task writes into
+    # the slice of the task after it (and before the P range check, which
+    # reads the written slice)
+    run_task = enumeration._run_task
+    padded = []
+
+    def past_bound(task):
+        got_kind, rows = run_task(task)
+        if got_kind == kind and not padded and len(rows):
+            last_key = range(4)[enumeration._BLOCK_KEYS[kind]][-1]
+            extra = enumeration._task_bound(task) + 1 - len(rows)
+            more = np.repeat(rows[-1:], extra, axis=0)
+            more[:, last_key] += np.arange(1, extra + 1)
+            rows = np.concatenate([rows, more])
+            padded.append(task)
+        return got_kind, rows
+
+    monkeypatch.setattr(enumeration, "_run_task", past_bound)
+    monkeypatch.setattr(enumeration, "_MASTER_CACHE", {})
+    with pytest.raises(AssertionError, match="past its bound"):
+        master_classes(2000, *selection)
+    assert len(padded) == 1
 
 
 def test_check_increasing_reads_the_first_differing_key():
@@ -1135,8 +1217,7 @@ def test_pos_irreducible_mask_matches_float_roots(reference_pos_root_mask):
 def _neg_ird_window_rows(a: int, limit: int) -> np.ndarray:
     """The rows of the P < 0 irreducible stratum's windows at leading
     coefficient a, before the root test."""
-    b, c = enumeration._bc_pairs(*enumeration._neg_ird_bc_windows(a, limit))
-    return enumeration._window_rows(a, b, c, enumeration._neg_ird_windows(a, b, c, limit))
+    return enumeration._window_rows(a, *enumeration._neg_ird_pair_windows(a, limit))
 
 
 def test_neg_ird_bisection_matches_float_root(reference_neg_root_mask):
