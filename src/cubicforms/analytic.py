@@ -18,7 +18,16 @@ from fractions import Fraction
 
 import numpy as np
 
-from .enumeration import master_classes
+from .enumeration import (
+    _NO_ROWS,
+    _check_selection,
+    _covering_master,
+    _selection_tasks,
+    _sign_positive,
+    _task_columns,
+    _task_orbits,
+    master_classes,
+)
 from .forms import EVEN_PARTNER, index_scale, lattice_member, residue_grid, sublattice_of
 from .series import CheckReport, _report
 
@@ -341,28 +350,37 @@ class DensityRow:
 def density_report(lattice: int, sign: str, max_x: int, checkpoints: int = 10) -> list:
     """Counts S(X) of irreducible classes at geometric checkpoints up to max_x,
     against the two-term prediction; gauge = |S - prediction| / X^(2/3).
-    Each count is read from the pair's mask (MasterClasses.mask) and the
-    signed disc column, with no copy of the selected rows."""
+    The counts stream: each task of the sign whose irred column is not the
+    constant False (enumeration._task_columns) yields one chunk of orbits
+    (enumeration._task_orbits), and the irreducible rows of the pair's mask
+    in it are counted, so no master is held; a cached master that covers
+    the pair is the one chunk.  The checks run before any task."""
     scale = index_scale(lattice)
     if checkpoints < 1:
         raise ValueError(f"checkpoints must be >= 1; got {checkpoints}")
+    _sign_positive(sign)
     sublattice = sublattice_of(lattice)
-    master = master_classes(max_x * scale, sign, irreducible=True, sublattice=sublattice)
-    keep = master.mask(lattice, sign, max_x)
-    three = master.stab == 3
-    xs = sorted(
-        {int(round(max_x ** (j / checkpoints))) for j in range(1, checkpoints + 1)}
-    )
+    limit = _check_selection(max_x * scale, sign, sublattice)
+    if _covering_master(limit, sign, sublattice) is not None:
+        chunks = [master_classes(limit, sign, sublattice=sublattice)]
+    else:
+        tasks = _selection_tasks(limit, sign, sublattice)
+        tasks = [t for t in tasks if _task_columns(t, _NO_ROWS)[1] is not False]
+        chunks = _task_orbits(tasks, limit, sign, sublattice)
+    xs = sorted({int(round(max_x ** (j / checkpoints))) for j in range(1, checkpoints + 1)})
+    # index < x iff |P| < x * scale: a row with edges[i - 1] <= |P| < edges[i]
+    # counts at checkpoint i and every one after it
+    edges = np.array(xs, dtype=np.int64) * scale
+    counts = np.zeros((2, len(xs) + 1), dtype=np.int64)  # all, and stab 3
+    for chunk in chunks:
+        keep = chunk.mask(lattice, sign, max_x) & chunk.irred
+        at = np.searchsorted(edges, np.abs(chunk.disc[keep]), side="right")
+        counts[0] += np.bincount(at, minlength=len(xs) + 1)
+        counts[1] += np.bincount(at[chunk.stab[keep] == 3], minlength=len(xs) + 1)
     rows = []
-    for x in xs:
-        # index < x iff |P| < x * scale, on the side of P that sign names
-        below = master.disc < x * scale if sign == "+" else master.disc > -x * scale
-        below &= keep
-        count = int(np.count_nonzero(below))
-        weighted = count - (2.0 / 3.0) * int(np.count_nonzero(below & three))
+    for x, count, three in zip(xs, *np.cumsum(counts, axis=1).tolist()):
+        weighted = count - (2.0 / 3.0) * three
         pred = density_prediction(lattice, sign, float(x))
         resid = count - pred
-        rows.append(
-            DensityRow(x, count, weighted, pred, resid, abs(resid) / x ** (2.0 / 3.0))
-        )
+        rows.append(DensityRow(x, count, weighted, pred, resid, abs(resid) / x ** (2.0 / 3.0)))
     return rows

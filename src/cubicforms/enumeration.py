@@ -39,11 +39,11 @@ tasks are listed in row order (P > 0 by descending a, since x1 = -a), so
 no sort is needed: one pass over neighbours (reduction._lex_less) checks
 that each stratum's block strictly increases in its own key, so it has no
 duplicates.  _task_columns gives the stab and irred columns of each task.
-The master is written once, in two passes over its tasks: the first counts
+_task_orbits yields each task's orbits, checked, as a MasterClasses chunk.
+The master is written once from that stream, in two passes: the first sums
 each task's row bound from its exact windows (_task_bound) with no row
-expanded, and sizes every column once; in the second each task writes its
-rows, disc, stab (int8), irred and residue row (uint16) into the next slice.
-Integer arithmetic is int64, exact up to limit = MAX_LIMIT (about 2.3e9).
+expanded and sizes every column once; the second writes each chunk into
+the next slice.  Integer arithmetic is int64, exact to MAX_LIMIT (~2.3e9).
 
 The brute-force oracle shares none of the strata: it scans the box
 [-box, box]^4 with the same d-windows of forms (exact up to box = MAX_BOX)
@@ -67,13 +67,12 @@ residue row mod 6, whose one lookup in the residue table is the lattice
 membership).  MasterClasses.mask is the one rule for the orbits of a
 (lattice, sign) pair: select turns it into row indices, enumerate_classes
 and brute_force_classes return those rows as a ClassTable, the series count
-them, and density_report counts from the mask itself.
-master_classes can also build a selection, one sign of P, the irreducible
-orbits only, or the orbits in L2 = {3 | x2, x3} only (the same strata with
-b, c in 3Z: _STEPS), from the stratum tasks that can hold it.
-enumerate_classes builds the sign it lists, in L2 for an even lattice
-(forms.sublattice_of), and the cache keeps masters by (limit, sign,
-sublattice).
+them, and density_report counts the mask of each chunk of the stream,
+holding no master.  master_classes can also build a selection, one sign of
+P, or the orbits in L2 = {3 | x2, x3} only (the same strata with b, c in
+3Z: _STEPS), from the stratum tasks of that sign.  enumerate_classes builds
+the sign it lists, in L2 for an even lattice (forms.sublattice_of), and the
+cache keeps masters by (limit, sign, sublattice).
 """
 
 from __future__ import annotations
@@ -382,10 +381,10 @@ class MasterClasses:
     the master enumeration, or one oracle grouping (its in-box orbits).
     44 bytes a row: reps 32, disc 8, stab 1 (int8), irred 1 and res 2
     (uint16); the (N, 10) membership is the property member, read from res.
-    sign ('+' or '-'), irreducible and sublattice record a selection: the
-    rows are then only the orbits of that sign of P, only the irreducible
-    ones, or (sublattice 2) only the orbits in L2, which hold the even
-    lattices and no odd one."""
+    sign ('+' or '-') and sublattice record a selection: the rows are then
+    only the orbits of that sign of P, or (sublattice 2) only the orbits in
+    L2, which hold the even lattices and no odd one.  A chunk of
+    _task_orbits holds one stratum task's rows."""
 
     limit: int
     reps: np.ndarray  # (N, 4) int64, representatives, one per orbit
@@ -394,7 +393,6 @@ class MasterClasses:
     irred: np.ndarray  # (N,) bool
     res: np.ndarray  # (N,) uint16, residue row mod 6 (forms._residue_row)
     sign: str | None = None  # None: both signs
-    irreducible: bool = False  # True: the irreducible orbits only
     sublattice: int = 1  # 2: the orbits in L2 only
 
     def __len__(self):
@@ -441,6 +439,9 @@ class MasterClasses:
         mask, and the index n = |P| // index_scale(lattice) of each."""
         rows = np.flatnonzero(self.mask(lattice, sign, max_index))
         return rows, np.abs(self.disc[rows]) // index_scale(lattice)
+
+
+_COLUMNS = ("reps", "disc", "stab", "irred", "res")  # the row fields of MasterClasses
 
 
 def _pos_irreducible_mask(rows: np.ndarray) -> np.ndarray:
@@ -596,36 +597,11 @@ def _covering_master(limit: int, sign, sublattice: int):
     return _MASTER_CACHE.get(smallest)
 
 
-def _task_can_hold(task, sign, irreducible: bool) -> bool:
-    """Whether a stratum task can hold orbits of the selection: its rows
-    have the sign of P asked for (P > 0 on the pos rows), and with
-    irreducible=True, _task_columns does not state its irred column as the
-    constant False (as it does for negrd, and for pos at a = 0)."""
-    if sign is not None and (task[0] == "pos") != (sign == "+"):
-        return False
-    return not irreducible or _task_columns(task, _NO_ROWS)[1] is not False
-
-
-def master_classes(
-    limit: int, sign: str | None = None, irreducible: bool = False, sublattice: int = 1
-) -> MasterClasses:
-    """All orbits with 1 <= |P| <= limit, in the full integer lattice L1 or,
-    with sublattice=2, in L2 = {3 | x2, x3}, which holds the even lattices.
-
-    With sign '+' or '-', only the orbits of that sign of P; with
-    irreducible=True, only the irreducible ones.  The rows are in master row
-    order, and only the stratum tasks that can hold them are run.  An L2
-    master is built by the same strata with the step 3 (_STEPS): it holds
-    exactly the L1 master's rows in L2, in order, because L2 is
-    SL2(Z)-invariant, so every orbit in L2 has its representative there.
-    A cached master serves every selection it covers: its limit is at least
-    limit, its sign is None or sign, and its sublattice is L1 or the one
-    asked for (an L1 master serves L2; an L2 master never serves L1).  Every
-    build except an irreducible-only one is cached, and evicts the cached
-    masters it covers.  limit may not exceed MAX_LIMIT, the bound of exact
-    int64 arithmetic.  ValueError for a sublattice other than 1 or 2;
-    TypeError for a float limit (operator.index), cached master or not.
-    """
+def _check_selection(limit: int, sign, sublattice: int) -> int:
+    """limit as an int, after the checks of a selection: ValueError for
+    limit < 1 or past MAX_LIMIT, the bound of exact int64 arithmetic, a sign
+    other than None, '+' or '-', or a sublattice other than 1 or 2;
+    TypeError for a float limit (operator.index)."""
     limit = index(limit)
     if limit < 1:
         raise ValueError("limit must be >= 1")
@@ -635,87 +611,96 @@ def master_classes(
         _sign_positive(sign)
     if sublattice not in _STEPS:
         raise ValueError(f"sublattice must be 1 or 2, got {sublattice!r}")
+    return limit
+
+
+def _selection_tasks(limit: int, sign, sublattice: int) -> list:
+    """The stratum tasks of the sign of P (pos: P > 0; None: all), in row order."""
+    tasks = _stratum_tasks(limit, _STEPS[sublattice])
+    return [t for t in tasks if sign in (None, "+" if t[0] == "pos" else "-")]
+
+
+def _task_orbits(tasks: list, limit: int, sign, sublattice: int):
+    """One MasterClasses chunk per stratum task, its orbits, in turn.  Each
+    stratum emits one row per orbit, in order; verify rather than assume:
+    a block strictly increases in its own key iff each task's rows do and
+    each task's first row follows the last row of its kind so far.  A
+    chunk's P is checked (nonzero, within limit) once its consumer has taken
+    it, so that master_classes' bound guard comes first."""
+    last = {}  # kind -> the key of the last row of the kind so far
+    for task in tasks:
+        kind, rows = _run_task(task)
+        keys = rows[:, _BLOCK_KEYS[kind]]
+        _check_increasing(keys.T, kind)
+        if len(rows):
+            _check_increasing(np.concatenate([last.get(kind, keys[:0]), keys[:1]]).T, kind)
+            last[kind] = keys[-1:].copy()  # not a view: the rows go with the chunk
+        stab, irred = _task_columns(task, rows)
+        disc = discriminant(rows.T)
+        res = _residue_row(rows.T).astype(np.uint16)
+        stab = np.broadcast_to(np.asarray(stab, dtype=np.int8), len(rows))
+        irred = np.broadcast_to(irred, len(rows))
+        yield MasterClasses(limit, rows, disc, stab, irred, res, sign, sublattice)
+        if not ((disc != 0).all() and (np.abs(disc) <= limit).all()):
+            raise AssertionError("enumeration produced out-of-range discriminants")
+
+
+def master_classes(limit: int, sign: str | None = None, *, sublattice: int = 1) -> MasterClasses:
+    """All orbits with 1 <= |P| <= limit, in the full integer lattice L1 or,
+    with sublattice=2, in L2 = {3 | x2, x3}, which holds the even lattices.
+
+    With sign '+' or '-', only the orbits of that sign of P.  The rows are
+    in master row order, and only the stratum tasks of that sign are run
+    (_task_orbits).  An L2 master is built by the same strata with the
+    step 3 (_STEPS): it holds exactly the L1 master's rows in L2, in order,
+    because L2 is SL2(Z)-invariant, so every orbit in L2 has its
+    representative there.  A cached master serves every selection it
+    covers: its limit is at least limit, its sign is None or sign, and its
+    sublattice is L1 or the one asked for (an L1 master serves L2; an L2
+    master never serves L1).  Every build is cached, and evicts the cached
+    masters it covers.  _check_selection runs first, cached master or not.
+    """
+    limit = _check_selection(limit, sign, sublattice)
     master = _covering_master(limit, sign, sublattice)
     if master is not None:
-        if (master.limit, master.sign, master.sublattice, irreducible) == (
-            limit, sign, sublattice, False
-        ):
+        if (master.limit, master.sign, master.sublattice) == (limit, sign, sublattice):
             return master
         keep = np.abs(master.disc) <= limit
         if sign != master.sign:
             keep &= (master.disc > 0) == (sign == "+")
         if sublattice != master.sublattice:
             keep &= _membership(master.res, sublattice)
-        if irreducible:
-            keep &= master.irred
-        return MasterClasses(
-            limit,
-            master.reps[keep],
-            master.disc[keep],
-            master.stab[keep],
-            master.irred[keep],
-            master.res[keep],
-            sign,
-            irreducible,
-            sublattice,
-        )
-    tasks = _stratum_tasks(limit, _STEPS[sublattice])
-    tasks = [t for t in tasks if _task_can_hold(t, sign, irreducible)]
+        cut = [getattr(master, name)[keep] for name in _COLUMNS]
+        return MasterClasses(limit, *cut, sign, sublattice)
+    tasks = _selection_tasks(limit, sign, sublattice)
     # Two passes: the row bounds size each column once, and each task then
-    # writes its rows and columns into the next slice.  The tail the bounds
-    # over-count is never written, so its pages are never resident.
+    # writes its chunk into the next slice.  The tail the bounds over-count
+    # is never written, so its pages are never resident.
     bounds = [_task_bound(t) for t in tasks]
     size = sum(bounds)
-    reps = np.empty((size, 4), dtype=np.int64)
-    disc = np.empty(size, dtype=np.int64)
-    stab = np.empty(size, dtype=np.int8)
-    irred = np.empty(size, dtype=bool)
-    res = np.empty(size, dtype=np.uint16)
-    ends = {}  # kind -> the key columns of the first and last row of each task
-    end = 0
-    for task, bound in zip(tasks, bounds):
-        kind, rows = _run_task(task)
-        # Each stratum emits one row per orbit, in order; verify rather than
-        # assume, in each block's own key.  A block strictly increases iff
-        # each task's rows do and so do the first and last rows of its tasks
-        # in turn (checked once the block is written).
-        keys = rows[:, _BLOCK_KEYS[kind]]
-        _check_increasing(keys.T, kind)
-        ends.setdefault(kind, []).append(np.concatenate([keys[:1], keys[1:][-1:]]))
-        if len(rows) > bound:
-            raise AssertionError(
-                f"{kind} task {task[1]} emitted {len(rows)} rows, past its bound {bound}"
-            )
-        task_stab, task_irred = _task_columns(task, rows)
-        if irreducible and task_irred is not True:  # the reducible rows of pos a >= 1
-            rows, task_stab, task_irred = rows[task_irred], task_stab[task_irred], True
-        start, end = end, end + len(rows)
-        reps[start:end] = rows
-        disc[start:end] = discriminant(rows.T)
-        stab[start:end], irred[start:end] = task_stab, task_irred
-        res[start:end] = _residue_row(rows.T)
-        p = disc[start:end]
-        if not ((p != 0).all() and (np.abs(p) <= limit).all()):
-            raise AssertionError("enumeration produced out-of-range discriminants")
-    for kind, keys in ends.items():
-        _check_increasing(np.concatenate(keys).T, kind)
-
-    master = MasterClasses(
-        limit,
-        reps[:end],
-        disc[:end],
-        stab[:end],
-        irred[:end],
-        res[:end],
-        sign,
-        irreducible,
-        sublattice,
+    columns = (  # in the order of _COLUMNS
+        np.empty((size, 4), dtype=np.int64),
+        np.empty(size, dtype=np.int64),
+        np.empty(size, dtype=np.int8),
+        np.empty(size, dtype=bool),
+        np.empty(size, dtype=np.uint16),
     )
-    if not irreducible:  # an irreducible-only build would add to its caller's peak
-        key = (limit, sign, sublattice)
-        for old in [k for k in _MASTER_CACHE if _covers(key, *k)]:
-            del _MASTER_CACHE[old]
-        _MASTER_CACHE[key] = master
+    end = 0
+    # the stream first: zip then resumes it past its last chunk, whose P check runs
+    for chunk, task, bound in zip(_task_orbits(tasks, limit, sign, sublattice), tasks, bounds):
+        if len(chunk) > bound:
+            raise AssertionError(
+                f"{task[0]} task {task[1]} emitted {len(chunk)} rows, past its bound {bound}"
+            )
+        start, end = end, end + len(chunk)
+        for name, column in zip(_COLUMNS, columns):
+            column[start:end] = getattr(chunk, name)
+
+    master = MasterClasses(limit, *(column[:end] for column in columns), sign, sublattice)
+    key = (limit, sign, sublattice)
+    for old in [k for k in _MASTER_CACHE if _covers(key, *k)]:
+        del _MASTER_CACHE[old]
+    _MASTER_CACHE[key] = master
     return master
 
 

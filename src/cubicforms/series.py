@@ -111,11 +111,7 @@ def series_from_master(master: MasterClasses, lattice: int, sign: str, max_n: in
     """The (lattice, sign) series up to index max_n: one bincount over the
     columns (index, stabilizer order, irreducible) of the pair's master rows
     (MasterClasses.select, which rejects a bad pair, max_n < 1, a sign the
-    master does not hold and an index range past master.limit).  ValueError
-    also on a master of the irreducible orbits only, whose reducible counts
-    would read 0."""
-    if master.irreducible:
-        raise ValueError("a series counts every orbit; the master holds the irreducible ones only")
+    master does not hold and an index range past master.limit)."""
     rows, n = master.select(lattice, sign, max_n)
     stab = master.stab[rows]
     if not np.isin(stab, (1, 3)).all():

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from cubicforms import (
@@ -13,6 +14,7 @@ from cubicforms import (
     zeta,
 )
 from cubicforms import enumeration
+from cubicforms.forms import index_scale, sublattice_of
 from cubicforms.latclass import lattice_basis, _det4
 
 mpmath = pytest.importorskip("mpmath")
@@ -143,9 +145,15 @@ def test_density_report_even_lattice_indexing():
 
 
 def test_density_report_rejects_bad_lattice_and_sign():
-    for lattice, sign in ((0, "+"), (11, "-"), (1, "x")):
-        with pytest.raises(ValueError):
-            density_report(lattice, sign, 100, checkpoints=2)
+    # also where no task can hold an irreducible orbit (L1+ at max_x 1), so
+    # the checks run before any task
+    for max_x in (100, 1):
+        for lattice, sign in ((0, "+"), (11, "-"), (1, "x"), (1, None)):
+            with pytest.raises(ValueError):
+                density_report(lattice, sign, max_x, checkpoints=2)
+    with pytest.raises(TypeError):
+        density_report(1, "+", 1.0)
+    assert [r.count for r in density_report(1, "+", 1)] == [0]
 
 
 def test_density_report_rejects_no_checkpoints_before_master_build(monkeypatch):
@@ -188,3 +196,30 @@ def test_density_report_builds_only_the_strata_it_reads(monkeypatch):
     for sign in ("+", "-"):
         assert density_report(1, sign, limit, checkpoints=3) == rows[sign]
     assert built == []  # served from the cached full master
+
+
+def test_streamed_density_counts_equal_the_full_master_rows(monkeypatch):
+    # every pair: the streamed counts (one chunk per stratum task), count and
+    # the stab-3 count behind weighted, against the rows of the full L1 and
+    # L2 masters; some checkpoints sit on a |P| that holds orbits, which
+    # index < x leaves out
+    monkeypatch.setattr(enumeration, "_MASTER_CACHE", {})
+    max_x = 2000
+    full = {sub: enumeration.master_classes(max_x * 27 ** (sub - 1), sublattice=sub) for sub in (1, 2)}
+    enumeration._MASTER_CACHE.clear()  # no master to serve the reports
+    on_edge = threes = 0
+    for lattice in range(1, 11):
+        scale, m = index_scale(lattice), full[sublattice_of(lattice)]
+        for sign in ("+", "-"):
+            keep = m.mask(lattice, sign, max_x) & m.irred
+            p, three = np.abs(m.disc[keep]), m.stab[keep] == 3
+            for row in density_report(lattice, sign, max_x, checkpoints=10):
+                below = p < row.x * scale
+                count, n3 = int(below.sum()), int((below & three).sum())
+                assert (row.count, row.weighted) == (count, count - (2.0 / 3.0) * n3), (
+                    lattice, sign, row.x
+                )
+                on_edge += int((p == row.x * scale).sum())
+                threes += n3
+    assert not enumeration._MASTER_CACHE
+    assert on_edge > 0 and threes > 0

@@ -56,31 +56,23 @@ def test_master_cache_filters_down():
     assert len(small) < len(big)
 
 
-_SELECTIONS = [("+", False), ("+", True), ("-", False), ("-", True)]
-
-
 @pytest.mark.parametrize("limit", [2000, 10 ** 5])
 def test_master_selection_is_the_full_master_masked(monkeypatch, limit):
     # each selection built cold, and served from a cached larger full master
     monkeypatch.setattr(enumeration, "_MASTER_CACHE", {})
     cold = {}
-    for sign, irreducible in _SELECTIONS:
+    for sign in ("+", "-"):
         enumeration._MASTER_CACHE.clear()
-        cold[sign, irreducible] = master_classes(limit, sign, irreducible)
-        # a one-sign build is cached, an irreducible-only one is not
-        assert list(enumeration._MASTER_CACHE) == ([] if irreducible else [(limit, sign, 1)])
+        cold[sign] = master_classes(limit, sign)
+        assert list(enumeration._MASTER_CACHE) == [(limit, sign, 1)]
     full = master_classes(limit)
     master_classes(limit + 1000)
     assert list(enumeration._MASTER_CACHE) == [(limit + 1000, None, 1)]
-    for sign, irreducible in _SELECTIONS:
+    for sign in ("+", "-"):
         keep = (full.disc > 0) == (sign == "+")
-        if irreducible:
-            keep &= full.irred
         assert 0 < keep.sum() < len(full)
-        for got in (cold[sign, irreducible], master_classes(limit, sign, irreducible)):
-            assert (got.limit, got.sign, got.irreducible, got.sublattice) == (
-                limit, sign, irreducible, 1
-            )
+        for got in (cold[sign], master_classes(limit, sign)):
+            assert (got.limit, got.sign, got.sublattice) == (limit, sign, 1)
             for name in ("reps", "disc", "stab", "irred", "member"):
                 have, want = getattr(got, name), getattr(full, name)[keep]
                 assert (have.dtype, have.shape) == (want.dtype, want.shape), name
@@ -103,7 +95,6 @@ def test_master_cache_serves_what_it_covers(monkeypatch):
     pos = master_classes(3000, "+")
     assert master_classes(3000, "+") is pos
     master_classes(2000, "+")
-    master_classes(2000, "+", True)
     assert builds == [(3000, 1)] and list(cache) == [(3000, "+", 1)]
     master_classes(2000, "-")  # '+' does not cover '-'
     master_classes(2000)  # nor does a one-sign master cover both signs
@@ -188,22 +179,18 @@ def test_l2_master_is_the_full_master_l2_rows(monkeypatch, limit):
     full = master_classes(limit)
     in_l2 = (full.reps[:, 1] % 3 == 0) & (full.reps[:, 2] % 3 == 0)
     assert (in_l2 == full.member[:, 1]).all()
-    for sign, irreducible in [(None, False), *_SELECTIONS]:
+    for sign in (None, "+", "-"):
         enumeration._MASTER_CACHE.clear()
-        got = master_classes(limit, sign, irreducible, sublattice=2)
-        assert (got.limit, got.sign, got.irreducible, got.sublattice) == (
-            limit, sign, irreducible, 2
-        )
+        got = master_classes(limit, sign, sublattice=2)
+        assert (got.limit, got.sign, got.sublattice) == (limit, sign, 2)
         keep = in_l2.copy()
         if sign is not None:
             keep &= (full.disc > 0) == (sign == "+")
-        if irreducible:
-            keep &= full.irred
         assert keep.any()
         for name in _COLUMNS:
             have, want = getattr(got, name), getattr(full, name)[keep]
-            assert (have.dtype, have.shape) == (want.dtype, want.shape), (sign, irreducible, name)
-            assert have.tobytes() == want.tobytes(), (sign, irreducible, name)
+            assert (have.dtype, have.shape) == (want.dtype, want.shape), (sign, name)
+            assert have.tobytes() == want.tobytes(), (sign, name)
 
 
 def test_master_cache_covers_l2_with_l1(monkeypatch):
@@ -222,7 +209,7 @@ def test_master_cache_covers_l2_with_l1(monkeypatch):
     full = master_classes(5400)
     got = master_classes(2700, "-", sublattice=2)
     assert builds == [(5400, 1)]
-    assert (got.limit, got.sign, got.irreducible, got.sublattice) == (2700, "-", False, 2)
+    assert (got.limit, got.sign, got.sublattice) == (2700, "-", 2)
     keep = full.member[:, 1] & (full.disc < 0) & (full.disc >= -2700)
     for name in _COLUMNS:
         assert getattr(got, name).tobytes() == getattr(full, name)[keep].tobytes(), name
@@ -268,6 +255,16 @@ def test_master_rejects_bad_sublattice_before_build(monkeypatch):
             master_classes(1000, sublattice=sublattice)
 
 
+def test_master_sublattice_is_keyword_only(monkeypatch):
+    # True == 1 would pass the sublattice check, so a positional third
+    # argument must fail rather than build L1
+    monkeypatch.setattr(enumeration, "_MASTER_CACHE", {})
+    for args in ((1000, "+", True), (1000, None, 2)):
+        with pytest.raises(TypeError):
+            master_classes(*args)
+    assert not enumeration._MASTER_CACHE
+
+
 def test_master_selection_rejects_bad_sign_before_build(monkeypatch):
     def no_work(task):
         raise AssertionError("stratum work started")
@@ -279,14 +276,19 @@ def test_master_selection_rejects_bad_sign_before_build(monkeypatch):
             master_classes(1000, sign)
 
 
-@pytest.mark.parametrize("selection", [(None, False), *_SELECTIONS])
+@pytest.mark.parametrize(
+    "selection",
+    [{}, {"sign": "+"}, {"sign": "-"}, {"sublattice": 2}, {"sign": "-", "sublattice": 2}],
+)
 def test_select_is_the_per_row_rule(selection):
     # every pair, on the full master and on each selection: the rows of
     # sign +- in the lattice with 1 <= |P| // scale <= max_index, row by row
-    m = master_classes(2000, *selection)
+    m = master_classes(2000, **selection)
     disc = m.disc.tolist()
     reps = m.reps.tolist()
     for lattice in range(1, 11):
+        if m.sublattice not in (1, sublattice_of(lattice)):
+            continue
         scale = 27 if lattice % 2 == 0 else 1
         member = [lattice_member(f, lattice) for f in reps]
         for sign in ("+", "-"):
@@ -664,14 +666,31 @@ def test_master_positive_block_strictly_increasing(monkeypatch):
     assert (m.disc[: len(pos)] > 0).all()
 
 
-# Each task kind, with the full master and with one partial selection that
-# still runs that kind's tasks.
-_PARTIAL = {"pos": ("+", True), "negird": ("-", True), "negrd": ("-",)}
+# Each task kind, with the full master and with the one-sign selection that
+# runs that kind's tasks.
+_PARTIAL = {"pos": ("+",), "negird": ("-",), "negrd": ("-",)}
 _KIND_SELECTIONS = pytest.mark.parametrize(
     "kind, selection",
     [(kind, ()) for kind in _PARTIAL] + list(_PARTIAL.items()),
     ids=list(_PARTIAL) + [f"{kind}-partial" for kind in _PARTIAL],
 )
+
+
+def _stream_consumers(kind: str, selection: tuple) -> list:
+    """The calls that run the kind's tasks through the orbit stream
+    (enumeration._task_orbits), each on an empty cache: the master of the
+    selection, and density_report of the kind's sign where it reads the
+    kind (pos and negird; the negrd rows are reducible)."""
+
+    def master():
+        enumeration._MASTER_CACHE.clear()
+        return master_classes(2000, *selection)
+
+    def density():
+        enumeration._MASTER_CACHE.clear()
+        return density_report(1, _PARTIAL[kind][0], 2000, checkpoints=3)
+
+    return [master] if kind == "negrd" else [master, density]
 
 
 @_KIND_SELECTIONS
@@ -686,8 +705,9 @@ def test_master_rejects_duplicate_rows(monkeypatch, kind, selection):
 
     monkeypatch.setattr(enumeration, "_run_task", doubled)
     monkeypatch.setattr(enumeration, "_MASTER_CACHE", {})
-    with pytest.raises(AssertionError, match="duplicate representatives"):
-        master_classes(2000, *selection)
+    for consume in _stream_consumers(kind, selection):
+        with pytest.raises(AssertionError, match="duplicate representatives"):
+            consume()
 
 
 @_KIND_SELECTIONS
@@ -703,8 +723,9 @@ def test_master_rejects_duplicates_across_tasks(monkeypatch, kind, selection):
 
     monkeypatch.setattr(enumeration, "_stratum_tasks", repeated)
     monkeypatch.setattr(enumeration, "_MASTER_CACHE", {})
-    with pytest.raises(AssertionError, match="duplicate representatives"):
-        master_classes(2000, *selection)
+    for consume in _stream_consumers(kind, selection):
+        with pytest.raises(AssertionError, match="duplicate representatives"):
+            consume()
 
 
 @_KIND_SELECTIONS
@@ -722,18 +743,19 @@ def test_master_rejects_rows_out_of_order(monkeypatch, kind, selection):
 
     monkeypatch.setattr(enumeration, "_run_task", swap_first_pair)
     monkeypatch.setattr(enumeration, "_MASTER_CACHE", {})
-    with pytest.raises(AssertionError, match="out of order"):
-        master_classes(2000, *selection)
-    assert swapped == [True]  # two distinct rows, nothing else changed
+    for consume in _stream_consumers(kind, selection):
+        swapped.clear()
+        with pytest.raises(AssertionError, match="out of order"):
+            consume()
+        assert swapped == [True]  # two distinct rows, nothing else changed
 
 
 @pytest.mark.parametrize("limit", [10 ** 5, 10 ** 6])
 @pytest.mark.parametrize("step", [1, 3])
 def test_task_bounds_cover_the_emitted_rows(limit, step):
     # every task's bound, from its windows alone, is at least the rows it
-    # emits, so at least the rows an irreducible-only build keeps; a negrd
-    # task emits every row of its windows.  Each selection (sign None, '+',
-    # '-', irreducible or not) runs some of these tasks
+    # emits; a negrd task emits every row of its windows.  Each selection
+    # (sign None, '+', '-') runs some of these tasks
     emitted = {}
     for task in enumeration._stratum_tasks(limit, step):
         bound = enumeration._task_bound(task)
@@ -743,9 +765,8 @@ def test_task_bounds_cover_the_emitted_rows(limit, step):
         emitted[task] = rows
     assert {kind for kind, *_ in emitted} == {"pos", "negird", "negrd"}
     for sign in (None, "+", "-"):
-        for irreducible in (False, True):
-            held = [t for t in emitted if enumeration._task_can_hold(t, sign, irreducible)]
-            assert sum(emitted[t] for t in held) > 0, (sign, irreducible)
+        held = enumeration._selection_tasks(limit, sign, {1: 1, 3: 2}[step])
+        assert sum(emitted[t] for t in held) > 0, sign
 
 
 @_KIND_SELECTIONS
@@ -753,8 +774,8 @@ def test_task_past_its_bound_raises_before_writing(monkeypatch, kind, selection)
     # the first task of the kind with rows emits one more row than its
     # bound, each extra row still increasing in the block key, so the order
     # check passes it: the bound guard raises before the task writes into
-    # the slice of the task after it (and before the P range check, which
-    # reads the written slice)
+    # the slice of the task after it (and before the P range check of its
+    # chunk, which the extra rows fail)
     run_task = enumeration._run_task
     padded = []
 

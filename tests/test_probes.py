@@ -8,6 +8,7 @@ canonical_reduce: the representative must be a master row, found by binary
 search in its block's own key, and that row's disc, stab, irred and member
 must equal the scalar discriminant, stabilizer_order, is_irreducible and
 lattice_membership of the scattered form (all four are orbit invariants).
+Boundary probes draw their forms from the edges of the strata instead.
 """
 
 import random
@@ -22,11 +23,12 @@ from cubicforms.forms import (
     W,
     act,
     discriminant,
+    hessian,
     is_irreducible,
     lattice_member,
     lattice_membership,
 )
-from cubicforms.reduction import _lex_less, canonical_reduce, stabilizer_order
+from cubicforms.reduction import _in_open_domain, _lex_less, canonical_reduce, stabilizer_order
 
 PROBES = 1000  # per master: 2000 over the two
 WORD = 20  # letters of each scattering word
@@ -36,6 +38,13 @@ def _product(rng, k: int) -> tuple:
     """(q u - p v)(A u^2 + B u v + C v^2) with coefficients in [-k, k]."""
     p, q, A, B, C = (rng.randint(-k, k) for _ in range(5))
     return (q * A, q * B - p * A, q * C - p * B, -p * C)
+
+
+def _scatter(rng, f: tuple) -> tuple:
+    """f moved by a random word of WORD letters in u(1), u(-1) and w."""
+    for _ in range(WORD):
+        f = act(rng.choice((U1, U1_INV, W)), f)
+    return tuple(f)
 
 
 def _probe_forms(seed: int, limit: int, sublattice: int, count: int = PROBES) -> list:
@@ -51,10 +60,43 @@ def _probe_forms(seed: int, limit: int, sublattice: int, count: int = PROBES) ->
             f = tuple(rng.randint(-9, 9) for _ in range(4))
         if not 1 <= abs(discriminant(f)) <= limit or not lattice_member(f, sublattice):
             continue
-        for _ in range(WORD):
-            f = act(rng.choice((U1, U1_INV, W)), f)
-        forms.append(tuple(f))
+        forms.append(_scatter(rng, f))
     return forms
+
+
+def _boundary_forms(seed: int, limit: int, sublattice: int, count: int) -> dict:
+    """Up to count forms of each boundary of the strata, drawn from the box
+    [-9, 9]^4 (b, c in 3Z for L2), with 1 <= |P| <= limit: P > 0 forms with
+    weakly reduced Hessian (|B| <= A <= C) and A = C, or B = -A; and P < 0
+    forms with x1 > 0 on either side of s2 = 1.  With q = d^2 - b d + a c -
+    a^2, s2 > 1 iff d != 0 and q > 0 (reduction._s2_above_one), and q = 0
+    makes -d/a the real root, so an irreducible form has q >= 1: 's2 edge'
+    holds the root-reduced forms with q = 1, the first rows past the s2 cut
+    of the windows, and 's2 = 1' the forms with q = 0, d != 0, all
+    reducible.  name -> (forms, each scattered by a random word)."""
+    rng = random.Random(seed)
+    side = np.arange(-9, 10, dtype=np.int64)
+    bc = side[side % (3 if sublattice == 2 else 1) == 0]
+    cols = tuple(g.ravel() for g in np.meshgrid(side, bc, bc, side, indexing="ij"))
+    a, b, c, d = cols
+    p = discriminant(cols)
+    A, B, C = hessian(cols)
+    q = d * d - b * d + a * c - a * a
+    pos = (p >= 1) & (p <= limit) & (np.abs(B) <= A) & (A <= C)
+    neg = (p <= -1) & (p >= -limit) & (a > 0) & (d != 0)
+    edges = {
+        "A = C": pos & (A == C),
+        "B = -A": pos & (B == -A),
+        "s2 edge": neg & (q == 1) & _in_open_domain(cols),
+        "s2 = 1": neg & (q == 0),
+    }
+    rows = np.stack(cols, axis=1)
+    drawn = {}
+    for name, on_edge in edges.items():
+        forms = [tuple(f) for f in rows[on_edge].tolist()]
+        forms = rng.sample(forms, min(count, len(forms)))
+        drawn[name] = (forms, [_scatter(rng, f) for f in forms])
+    return drawn
 
 
 def _blocks(master) -> dict:
@@ -168,3 +210,22 @@ def test_probes_see_one_corrupted_row(probed):
             assert _probe(master, forms, reps), column
         finally:
             col[row] = saved
+
+
+def test_boundary_probes_land_on_master_rows(probed):
+    # the forms on the edges of the strata, scattered: the A = C rows (the
+    # ones _canonical_pos decides), B = -A, and both sides of s2 = 1
+    limit, sublattice, master = probed
+    drawn = _boundary_forms(limit + sublattice, limit, sublattice, 25)
+    forms = [f for _, scattered in drawn.values() for f in scattered]
+    reps = [tuple(canonical_reduce(f)) for f in forms]
+    assert _probe(master, forms, reps) == []  # one probe for all: _blocks reads the master
+    kinds = {}
+    for name, (edge, scattered) in drawn.items():
+        assert len(scattered) >= 10, name
+        mine, reps = reps[: len(edge)], reps[len(edge) :]
+        kinds[name] = {_kind(rep) for rep in mine}
+        if name == "s2 edge":  # in the open domain: each is its own representative
+            assert mine == edge
+            assert all(is_irreducible(f) for f in edge)
+    assert kinds == {"A = C": {"pos"}, "B = -A": {"pos"}, "s2 edge": {"negird"}, "s2 = 1": {"negrd"}}

@@ -434,14 +434,9 @@ def test_series_from_master_rejects_index_past_master(orbit_count):
 
 
 def test_series_from_master_rejects_a_partial_master():
-    # a one-sign master answers its own sign only, and an irreducible-only
-    # master no series: its reducible counts would read 0
+    # a one-sign master answers its own sign only
     full = series_from_master(master_classes(300), 1, "-", 300)
     neg = master_classes(300, "-")
     assert (series_from_master(neg, 1, "-", 300).orbits == full.orbits).all()
     with pytest.raises(ValueError, match="holds the sign '-' only"):
         series_from_master(neg, 1, "+", 300)
-    for sign in ("+", "-"):
-        irred = master_classes(300, sign, irreducible=True)
-        with pytest.raises(ValueError, match="irreducible ones only"):
-            series_from_master(irred, 1, sign, 300)
