@@ -21,7 +21,6 @@ import numpy as np
 from .enumeration import (
     _NO_ROWS,
     _check_selection,
-    _covering_master,
     _selection_tasks,
     _sign_positive,
     _task_columns,
@@ -29,7 +28,11 @@ from .enumeration import (
     master_classes,
 )
 from .forms import EVEN_PARTNER, index_scale, lattice_member, residue_grid, sublattice_of
-from .series import CheckReport, _report
+from .series import CheckReport, _report, count_orbits
+
+# No count here reads a master: the name stays bound for the benchmark's
+# tracing, whose binding test (perfbench/test_tracing.py) names it here.
+_TRACED_BINDING = master_classes
 
 # ---------------------------------------------------------------------------
 # exact ring Q(2^(1/3)), elements e0 + e1*x + e2*x^2 with x = 2^(-1/3)
@@ -352,33 +355,23 @@ def density_report(lattice: int, sign: str, max_x: int, checkpoints: int = 10) -
     against the two-term prediction; gauge = |S - prediction| / X^(2/3).
     The counts stream: each task of the sign whose irred column is not the
     constant False (enumeration._task_columns) yields one chunk of orbits
-    (enumeration._task_orbits), and the irreducible rows of the pair's mask
-    in it are counted, so no master is held; a cached master that covers
-    the pair is the one chunk.  The checks run before any task."""
-    scale = index_scale(lattice)
+    (enumeration._task_orbits), and series.count_orbits bins the pair's
+    orbits in it by checkpoint, so no master is built or read.  The checks
+    run before any task."""
+    sublattice = sublattice_of(lattice)
     if checkpoints < 1:
         raise ValueError(f"checkpoints must be >= 1; got {checkpoints}")
     _sign_positive(sign)
-    sublattice = sublattice_of(lattice)
-    limit = _check_selection(max_x * scale, sign, sublattice)
-    if _covering_master(limit, sign, sublattice) is not None:
-        chunks = [master_classes(limit, sign, sublattice=sublattice)]
-    else:
-        tasks = _selection_tasks(limit, sign, sublattice)
-        tasks = [t for t in tasks if _task_columns(t, _NO_ROWS)[1] is not False]
-        chunks = _task_orbits(tasks, limit, sign, sublattice)
+    limit = _check_selection(max_x * index_scale(lattice), sign, sublattice)
+    tasks = _selection_tasks(limit, sign, sublattice)
+    tasks = [t for t in tasks if _task_columns(t, _NO_ROWS)[1] is not False]
+    chunks = _task_orbits(tasks, limit, sign, sublattice)
     xs = sorted({int(round(max_x ** (j / checkpoints))) for j in range(1, checkpoints + 1)})
-    # index < x iff |P| < x * scale: a row with edges[i - 1] <= |P| < edges[i]
+    # S(x) counts n < x: an orbit with xs[i - 1] <= n < xs[i] is in bin i and
     # counts at checkpoint i and every one after it
-    edges = np.array(xs, dtype=np.int64) * scale
-    counts = np.zeros((2, len(xs) + 1), dtype=np.int64)  # all, and stab 3
-    for chunk in chunks:
-        keep = chunk.mask(lattice, sign, max_x) & chunk.irred
-        at = np.searchsorted(edges, np.abs(chunk.disc[keep]), side="right")
-        counts[0] += np.bincount(at, minlength=len(xs) + 1)
-        counts[1] += np.bincount(at[chunk.stab[keep] == 3], minlength=len(xs) + 1)
+    ones, threes = count_orbits(chunks, lattice, sign, max_x, np.array(xs))[:, 1]
     rows = []
-    for x, count, three in zip(xs, *np.cumsum(counts, axis=1).tolist()):
+    for x, count, three in zip(xs, *np.cumsum([ones + threes, threes], axis=1).tolist()):
         weighted = count - (2.0 / 3.0) * three
         pred = density_prediction(lattice, sign, float(x))
         resid = count - pred

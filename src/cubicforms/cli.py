@@ -11,8 +11,11 @@ Exit codes: 0 success, 1 verification or integrity failure, 2 usage error.
 All outputs start with a `schema:1` header line.  The master enumeration
 runs in one process: the worker count that every subcommand accepts (N >= 1)
 is kept for compatibility with existing command lines and has no effect.
-Both bulk writers, `enumerate` and `coeffs`, format whole int64 columns in
-fixed-size blocks of rows (`_format_rows`), with no Python call per row.
+`enumerate` lists the master of its sign; `coeffs` and `density` count the
+stratum tasks of their sign chunk by chunk (series.count_orbits over
+enumeration._task_orbits) and hold no master.  Both bulk writers,
+`enumerate` and `coeffs`, format whole int64 columns in fixed-size blocks of
+rows (`_format_rows`), with no Python call per row.
 """
 
 from __future__ import annotations
@@ -28,14 +31,15 @@ from . import analytic, latclass, series as series_mod
 from .enumeration import (
     MAX_BOX,
     MAX_LIMIT,
+    _selection_tasks,
+    _task_orbits,
     brute_force_classes,
     enumerate_classes,
-    master_classes,
     stability_box,
 )
 from .forms import index_scale, sublattice_of
 from .golden import golden_table
-from .series import build_all_series, series_from_master
+from .series import CoefficientSeries, build_all_series, count_orbits
 
 SCHEMA_LINE = "schema:1"
 
@@ -145,10 +149,10 @@ def _third_pieces(w: np.ndarray) -> list:
 
 
 def cmd_coeffs(args, out) -> int:
-    sign = _sign_arg(args.sign)
-    scale, sublattice = index_scale(args.lattice), sublattice_of(args.lattice)
-    master = master_classes(args.max * scale, sign, sublattice=sublattice)
-    s = series_from_master(master, args.lattice, sign, args.max)
+    sign, lattice = _sign_arg(args.sign), args.lattice
+    limit, sublattice = args.max * index_scale(lattice), sublattice_of(lattice)
+    chunks = _task_orbits(_selection_tasks(limit, sign, sublattice), limit, sign, sublattice)
+    s = CoefficientSeries(lattice, sign, args.max, count_orbits(chunks, lattice, sign, args.max))
     # 3 a_n: all orbits, the irreducible and the reducible ones
     weighted, ird, rd = (s.thirds(irreducible=i) for i in (None, True, False))
     n = np.flatnonzero(weighted)  # index 0 holds no orbit

@@ -65,14 +65,17 @@ The master rows and an oracle grouping are both MasterClasses: orbit
 columns (representative, discriminant, stabilizer order, irreducibility,
 residue row mod 6, whose one lookup in the residue table is the lattice
 membership).  MasterClasses.mask is the one rule for the orbits of a
-(lattice, sign) pair: select turns it into row indices, enumerate_classes
-and brute_force_classes return those rows as a ClassTable, the series count
-them, and density_report counts the mask of each chunk of the stream,
-holding no master.  master_classes can also build a selection, one sign of
-P, or the orbits in L2 = {3 | x2, x3} only (the same strata with b, c in
-3Z: _STEPS), from the stratum tasks of that sign.  enumerate_classes builds
-the sign it lists, in L2 for an even lattice (forms.sublattice_of), and the
-cache keeps masters by (limit, sign, sublattice).
+(lattice, sign) pair: select turns it into row indices and the index n of
+each, enumerate_classes and brute_force_classes return those rows as a
+ClassTable (in the order of _lex_order), and series.count_orbits, the one
+count, bins them chunk by chunk: over one master for the series of the
+verify suites, over the _task_orbits stream of a sign for `coeffs` and
+density_report, which hold no master.  master_classes can also build a
+selection, one sign of P, or the orbits in L2 = {3 | x2, x3} only (the same
+strata with b, c in 3Z: _STEPS), from the stratum tasks of that sign.
+enumerate_classes builds the sign it lists, in L2 for an even lattice
+(forms.sublattice_of), and the cache keeps masters by (limit, sign,
+sublattice).
 """
 
 from __future__ import annotations
@@ -521,9 +524,27 @@ def _task_bound(task) -> int:
 _BLOCK_KEYS = {"pos": slice(None), "negird": slice(None), "negrd": slice(2, None, -1)}
 
 
-def _lex_order(rows: np.ndarray) -> np.ndarray:
-    """Indices that sort the rows lexicographically (first column first)."""
-    return np.lexsort(rows.T[::-1])
+def _lex_order(cols) -> np.ndarray:
+    """Indices that sort the rows of the int64 key columns cols (first key
+    first) lexicographically, stably.  Each column, shifted to start at 0,
+    spans a known number of bits, and adjacent columns share one uint64
+    word while their bits fit in 64, so a word compares as its columns do
+    and np.lexsort sorts a few words, not every column: exact at every
+    range, a column of 64 bits taking a word of its own."""
+    if not len(cols[0]):
+        return np.arange(0)
+    words, room = [], 0
+    for col in cols:
+        lo = int(col.min())
+        bits = (int(col.max()) - lo).bit_length()
+        shifted = (col - lo).view(np.uint64)  # col - lo, exact modulo 2^64
+        if words and bits <= room:
+            words[-1] = words[-1] << np.uint64(bits) | shifted
+            room -= bits
+        else:
+            words.append(shifted)
+            room = 64 - bits
+    return np.lexsort(words[::-1])
 
 
 def _check_increasing(cols, stratum: str) -> None:
@@ -587,14 +608,6 @@ def _covers(key, limit: int, sign, sublattice: int) -> bool:
     (limit, sign, sublattice): its limit is at least limit, its sign is None
     or sign, and its sublattice is L1 or the one asked for."""
     return key[0] >= limit and key[1] in (None, sign) and key[2] in (1, sublattice)
-
-
-def _covering_master(limit: int, sign, sublattice: int):
-    """The smallest cached master that covers the selection (_covers), None
-    if there is none."""
-    keys = [k for k in _MASTER_CACHE if _covers(k, limit, sign, sublattice)]
-    smallest = min(keys, key=lambda k: (k[0], k[1] is None, k[2] == 1), default=None)
-    return _MASTER_CACHE.get(smallest)
 
 
 def _check_selection(limit: int, sign, sublattice: int) -> int:
@@ -661,8 +674,9 @@ def master_classes(limit: int, sign: str | None = None, *, sublattice: int = 1) 
     masters it covers.  _check_selection runs first, cached master or not.
     """
     limit = _check_selection(limit, sign, sublattice)
-    master = _covering_master(limit, sign, sublattice)
-    if master is not None:
+    keys = [k for k in _MASTER_CACHE if _covers(k, limit, sign, sublattice)]
+    if keys:  # the smallest covering master
+        master = _MASTER_CACHE[min(keys, key=lambda k: (k[0], k[1] is None, k[2] == 1))]
         if (master.limit, master.sign, master.sublattice) == (limit, sign, sublattice):
             return master
         keep = np.abs(master.disc) <= limit
@@ -742,7 +756,7 @@ def _class_table(orbits: MasterClasses, lattice: int, sign: str, max_index: int)
     1 <= index <= max_index (MasterClasses.select), sorted."""
     idx, n = orbits.select(lattice, sign, max_index)
     reps = orbits.reps[idx]
-    order = np.lexsort((*reps.T[::-1], n))
+    order = _lex_order([n, *reps.T])
     idx = idx[order]
     return ClassTable(lattice, sign, n[order], reps[order], orbits.stab[idx], orbits.irred[idx])
 
@@ -840,7 +854,7 @@ def _box_survivors(box: int, p_limit: int, sublattice: int) -> np.ndarray:
     rows = np.concatenate([rows, rows * _MIRROR])
     rows = np.concatenate([rows, rows[:, ::-1]])
     rows = np.concatenate([rows, -rows])
-    rows = rows[_lex_order(rows)]
+    rows = rows[_lex_order(rows.T)]
     fresh = (rows[1:] != rows[:-1]).any(axis=1)
     return np.concatenate([rows[:1], rows[1:][fresh]])
 

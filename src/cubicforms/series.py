@@ -24,10 +24,11 @@ import numpy as np
 from .enumeration import MasterClasses, master_classes
 from .forms import (
     EVEN_LATTICES,
+    _membership,
+    _residue_row,
     bareiss,
     discriminant,
     index_scale,
-    lattice_member,
     phi,
     residue_grid,
     sublattice_of,
@@ -107,34 +108,47 @@ class CoefficientSeries:
         return Fraction(3 * c1 + c3, 3)
 
 
+def count_orbits(chunks, lattice: int, sign: str, max_index: int, edges=None) -> np.ndarray:
+    """The one count of a (lattice, sign) pair's orbits, (2, 2, bins) int64
+    [stab is 3, irreducible, bin], over what each chunk (a master, or one of
+    enumeration._task_orbits) selects (MasterClasses.select).  The bin is
+    the index n, or with edges the number of edges <= n."""
+    if max_index < 1:  # before the counts are sized, even with no chunk
+        raise ValueError("max_index must be >= 1")
+    bins = max_index + 1 if edges is None else len(edges) + 1
+    counts = np.zeros(4 * bins, dtype=np.int64)
+    for chunk in chunks:
+        rows, n = chunk.select(lattice, sign, max_index)
+        stab = chunk.stab[rows]
+        three = stab == 3
+        if not (three | (stab == 1)).all():
+            raise ValueError("stabilizer orders must be 1 or 3")
+        key = n if edges is None else np.searchsorted(edges, n, side="right")
+        key += bins * (2 * three + chunk.irred[rows])
+        np.add.at(counts, key, 1)
+        del rows, n, stab, three, key  # not held while the next chunk is built
+    return counts.reshape(2, 2, bins)
+
+
 def series_from_master(master: MasterClasses, lattice: int, sign: str, max_n: int):
-    """The (lattice, sign) series up to index max_n: one bincount over the
-    columns (index, stabilizer order, irreducible) of the pair's master rows
-    (MasterClasses.select, which rejects a bad pair, max_n < 1, a sign the
-    master does not hold and an index range past master.limit)."""
-    rows, n = master.select(lattice, sign, max_n)
-    stab = master.stab[rows]
-    if not np.isin(stab, (1, 3)).all():
-        raise ValueError("stabilizer orders must be 1 or 3")
-    cell = 2 * (stab == 3) + master.irred[rows]
-    counts = np.bincount(cell * (max_n + 1) + n, minlength=4 * (max_n + 1))
-    return CoefficientSeries(lattice, sign, max_n, counts.reshape(2, 2, max_n + 1))
+    """The (lattice, sign) series up to index max_n, counted over the one
+    master (count_orbits)."""
+    return CoefficientSeries(lattice, sign, max_n, count_orbits([master], lattice, sign, max_n))
 
 
 def _series_source(max_n: int, series: dict | None = None):
     """A function (lattice, sign) -> the pair's series up to index max_n:
-    a lookup in series if given, else a count from the L1 master at max_n
-    (the odd lattices) or the L2 master at 27 max_n (the even lattices lie
-    in L2 and index by |P| / 27), each built once.
+    a lookup in series if given, else a count (series_from_master) over the
+    L1 master at max_n (the odd lattices) or the L2 master at 27 max_n (the
+    even lattices lie in L2 and index by |P| / 27), both from the master
+    cache, which the verify suites share.
 
     The counts are made on demand and kept by no one here, so a check that
     reads one relation at a time holds one relation's series: twenty
     (2, 2, N + 1) int64 series take 2.37 GB at N = 3.7e6, two take 237 MB.
-    This keeps the int64 counts (no bound on a count to argue) and costs
-    nothing, since each series is one bincount over its master's rows."""
+    This keeps the int64 counts (no bound on a count to argue)."""
     if series is not None:
         return series.__getitem__
-    # L1 indexes by |P| and L2 by |P| / 27, as lattices 1 and 2 do
     masters = {sub: master_classes(max_n * index_scale(sub), sublattice=sub) for sub in (1, 2)}
     return lambda pair: series_from_master(masters[sublattice_of(pair[0])], *pair, max_n)
 
@@ -285,14 +299,16 @@ MAX_DECOMPOSITION_BOX = isqrt(isqrt((2 ** 63 - 1) // 486))  # 11737
 def _decomposition_sides(cols) -> list:
     """For each of _DECOMPOSITIONS in order, (x in lattice, x in 2*base,
     P(x) = p_res mod 8) at the points x = cols (base 1) or x = phi(cols)
-    (base 2), in the broadcast shape of the columns.  The discriminant of
-    each base is computed once, for both of its lattices."""
+    (base 2), in the broadcast shape of the columns.  The discriminant and
+    the residue row of each base are computed once, for both of its
+    lattices."""
     a, b, c, d = cols
     doubled = (a % 2 == 0) & (b % 2 == 0) & (c % 2 == 0) & (d % 2 == 0)
     xs = {1: cols, 2: phi(cols)}
     p8 = {base: discriminant(x) % 8 for base, x in xs.items()}
+    res = {base: _residue_row(x) for base, x in xs.items()}
     return [
-        (lattice_member(xs[base], lattice), doubled, p8[base] == p_res)
+        (_membership(res[base], lattice), doubled, p8[base] == p_res)
         for lattice, base, p_res in _DECOMPOSITIONS
     ]
 

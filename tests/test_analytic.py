@@ -169,8 +169,9 @@ def test_density_report_rejects_no_checkpoints_before_master_build(monkeypatch):
 
 def test_density_report_builds_only_the_strata_it_reads(monkeypatch):
     # P < 0: the negird tasks alone; P > 0: the pos tasks with a >= 1 (the
-    # negrd rows and the a = 0 rows are reducible).  The counts equal those
-    # read from the full master.
+    # negrd rows and the a = 0 rows are reducible).  A cached master that
+    # covers the pair is not read: the report streams the same tasks, gives
+    # the same rows and leaves the cache as it was.
     run_task = enumeration._run_task
     built = []
 
@@ -182,20 +183,22 @@ def test_density_report_builds_only_the_strata_it_reads(monkeypatch):
     monkeypatch.setattr(enumeration, "_MASTER_CACHE", {})
     limit = 20000
     tasks = enumeration._stratum_tasks(limit)
+    wants = {
+        "-": [t for t in tasks if t[0] == "negird"],
+        "+": [t for t in tasks if t[0] == "pos" and t[1] >= 1],
+    }
     rows = {}
-    for sign, want in (
-        ("-", [t for t in tasks if t[0] == "negird"]),
-        ("+", [t for t in tasks if t[0] == "pos" and t[1] >= 1]),
-    ):
+    for sign, want in wants.items():
         built.clear()
         rows[sign] = density_report(1, sign, limit, checkpoints=3)
         assert built == want
     assert not enumeration._MASTER_CACHE
-    enumeration.master_classes(limit)
-    built.clear()
-    for sign in ("+", "-"):
+    master = enumeration.master_classes(limit)
+    for sign, want in wants.items():
+        built.clear()
         assert density_report(1, sign, limit, checkpoints=3) == rows[sign]
-    assert built == []  # served from the cached full master
+        assert built == want
+    assert enumeration._MASTER_CACHE == {(limit, None, 1): master}
 
 
 def test_streamed_density_counts_equal_the_full_master_rows(monkeypatch):

@@ -178,6 +178,21 @@ def test_coeffs_equals_fraction_rows(tmp_path, monkeypatch, reference_coeffs_tex
         assert any((w % 3 != 0).any() for w in split)
 
 
+def test_coeffs_and_density_build_no_master(tmp_path, monkeypatch):
+    # both count the stratum tasks of their sign chunk by chunk; every
+    # master build is cached, so an empty cache means none was built
+    monkeypatch.setattr(enumeration, "_MASTER_CACHE", {})
+    for argv in (
+        ["coeffs", "--lattice", "1", "--sign", "neg", "--max", "2000"],
+        ["coeffs", "--lattice", "2", "--sign", "pos", "--max", "300"],
+        ["density", "--lattice", "1", "--sign", "pos", "--max", "2000"],
+        ["density", "--lattice", "4", "--sign", "neg", "--max", "300"],
+    ):
+        code, text = run_cli(argv, tmp_path)
+        assert code == 0 and text.count("\n") > 5, argv
+    assert not enumeration._MASTER_CACHE
+
+
 @pytest.mark.parametrize(
     "argv",
     [["enumerate", "--lattice", "6", "--sign", "neg", "--max", "500"],

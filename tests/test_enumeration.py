@@ -920,7 +920,7 @@ def _grid_survivors(box: int, p_limit: int, family: int) -> np.ndarray:
 
 
 def _lex_rows(rows: np.ndarray) -> np.ndarray:
-    return rows[enumeration._lex_order(rows)]
+    return rows[np.lexsort(rows.T[::-1])]
 
 
 # forms at the peak d = B2 / (2 alpha) of P in d, with |P| = p_limit there:
@@ -1433,3 +1433,40 @@ def test_strata_windows_exact_at_max_limit():
     assert (isqrt(worst["pos"]) + 1) ** 2 < 2 ** 63
     # the figures quoted beside MAX_LIMIT
     assert 2.4e18 < worst["negird"] < 2.5e18 and 1.5e16 < worst["pos"] < 1.6e16
+
+
+def test_lex_order_equals_the_lexsort_order():
+    # the packed words at every range: ties (kept in input order), columns
+    # spanning all 64 bits, constant and negative columns, several words
+    rng = np.random.default_rng(5)
+    top = np.iinfo(np.int64)
+    cases = [
+        [rng.integers(-5, 5, 2000), rng.integers(-3, 3, 2000)],
+        [rng.integers(top.min, top.max, 2000, endpoint=True), rng.integers(0, 2, 2000)],
+        [np.array([top.min, top.max, 0, top.min, top.max]), np.array([1, 0, 0, 0, -1])],
+        [np.full(500, 7), rng.integers(-2 ** 40, 2 ** 40, 500), rng.integers(-2 ** 30, 2 ** 30, 500),
+         rng.integers(0, 3, 500), np.zeros(500, dtype=np.int64)],
+    ]
+    for cols in cases:
+        cols = [np.asarray(c, dtype=np.int64) for c in cols]
+        assert np.array_equal(enumeration._lex_order(cols), np.lexsort(cols[::-1]))
+    assert len(enumeration._lex_order([np.empty(0, dtype=np.int64)] * 3)) == 0
+
+
+def test_class_tables_in_lexsort_order(monkeypatch):
+    # all 20 pairs at index 3e5: the table's rows are the selection's rows
+    # in the order np.lexsort gives the five keys (n, x1..x4)
+    monkeypatch.setattr(enumeration, "_MASTER_CACHE", {})
+    max_index = 300000
+    for lattice in range(1, 11):
+        for sign in "+-":
+            table = enumerate_classes(lattice, sign, max_index)
+            limit, sub = max_index * index_scale(lattice), sublattice_of(lattice)
+            master = master_classes(limit, sign, sublattice=sub)  # the cached one
+            idx, n = master.select(lattice, sign, max_index)
+            idx = idx[np.lexsort((*master.reps[idx].T[::-1], n))]
+            assert len(table) == len(idx) > 1000
+            assert np.array_equal(table.reps, master.reps[idx])
+            assert np.array_equal(table.n, np.abs(master.disc[idx]) // index_scale(lattice))
+            assert np.array_equal(table.stab, master.stab[idx])
+            assert np.array_equal(table.irred, master.irred[idx])

@@ -22,10 +22,11 @@ from cubicforms import (
     verify_relations,
     verify_tables,
 )
-from cubicforms import series as series_mod
-from cubicforms.forms import bareiss, discriminant, lattice_member, phi, residue_grid
+from cubicforms import enumeration, series as series_mod
+from cubicforms.forms import _membership, _residue_row, bareiss, discriminant, index_scale
+from cubicforms.forms import lattice_member, phi, residue_grid
 from cubicforms.golden import golden_table
-from cubicforms.series import _combo_coeff, ALL_PAIRS, series_from_master
+from cubicforms.series import _combo_coeff, ALL_PAIRS, count_orbits, series_from_master
 
 
 def test_qrt3_arithmetic():
@@ -228,8 +229,11 @@ def test_verify_decompositions_rejects_box_out_of_range(box):
 
 def _scalar_decomposition_failures(box: int) -> list:
     """The failure lines of verify_decompositions(box), point by point with
-    the scalar discriminant and lattice_member that series reads."""
-    disc, member = series_mod.discriminant, series_mod.lattice_member
+    the scalar discriminant and residue-table lookup that series reads."""
+    disc = series_mod.discriminant
+
+    def member(x, lattice):
+        return series_mod._membership(_residue_row(x), lattice)
 
     def sides(v):
         doubled = all(t % 2 == 0 for t in v)
@@ -258,11 +262,9 @@ def _scalar_decomposition_failures(box: int) -> list:
     return failures
 
 
-def _flipped_member(f, lattice):
+def _flipped_membership(res, lattice):
     # membership with the residue (1, 0, 0, 0) mod 6 flipped in every lattice
-    a, b, c, d = f
-    hit = (a % 6 == 1) & (b % 6 == 0) & (c % 6 == 0) & (d % 6 == 0)
-    return lattice_member(f, lattice) ^ hit
+    return _membership(res, lattice) ^ (res == _residue_row((1, 0, 0, 0)))
 
 
 @pytest.mark.parametrize("box", [3, 5])
@@ -280,7 +282,7 @@ def test_decomposition_box_counts_every_point(monkeypatch, box):
     mutants = [
         None,
         ("discriminant", lambda cols: discriminant(cols) + 4),
-        ("lattice_member", _flipped_member),
+        ("_membership", _flipped_membership),
     ]
     for mutant in mutants:
         with monkeypatch.context() as patch:
@@ -440,3 +442,35 @@ def test_series_from_master_rejects_a_partial_master():
     assert (series_from_master(neg, 1, "-", 300).orbits == full.orbits).all()
     with pytest.raises(ValueError, match="holds the sign '-' only"):
         series_from_master(neg, 1, "+", 300)
+
+
+def _dense_counts(master, lattice: int, sign: str, max_n: int) -> np.ndarray:
+    """The pair's (2, 2, max_n + 1) orbit counts by one dense bincount over
+    the master's rows: a reference that shares no code with count_orbits."""
+    rows, n = master.select(lattice, sign, max_n)
+    cell = 2 * (master.stab[rows] == 3) + master.irred[rows]
+    counts = np.bincount(cell * (max_n + 1) + n, minlength=4 * (max_n + 1))
+    return counts.reshape(2, 2, max_n + 1)
+
+
+@pytest.mark.parametrize("max_n", [10 ** 5, 10 ** 6])
+def test_streamed_counts_equal_the_master_counts(monkeypatch, max_n):
+    # every pair, count for count: count_orbits over the stratum tasks of
+    # the sign (the stream `coeffs` counts) and over the master
+    # (series_from_master), each against the dense count of the master
+    monkeypatch.setattr(enumeration, "_MASTER_CACHE", {})
+    cells = np.zeros((2, 2), dtype=np.int64)  # every cell [stab is 3, irreducible] is read
+    for sub in (1, 2):
+        limit = max_n * index_scale(sub)
+        for sign in "+-":
+            master = master_classes(limit, sign, sublattice=sub)
+            tasks = enumeration._selection_tasks(limit, sign, sub)
+            chunks = list(enumeration._task_orbits(tasks, limit, sign, sub))
+            assert len(chunks) > 1
+            for lattice in range(sub, 11, 2):  # the lattices of the sublattice
+                want = _dense_counts(master, lattice, sign, max_n)
+                assert np.array_equal(series_from_master(master, lattice, sign, max_n).orbits, want)
+                assert np.array_equal(count_orbits(chunks, lattice, sign, max_n), want)
+                cells += want.sum(axis=2)
+            enumeration._MASTER_CACHE.clear()
+    assert (cells > 0).all()
