@@ -11,9 +11,11 @@ Exit codes: 0 success, 1 verification or integrity failure, 2 usage error.
 All outputs start with a `schema:1` header line.  The master enumeration
 runs in one process: the worker count that every subcommand accepts (N >= 1)
 is kept for compatibility with existing command lines and has no effect.
-`enumerate` lists the master of its sign; `coeffs` and `density` count the
-stratum tasks of their sign chunk by chunk (series.count_orbits over
-enumeration._task_orbits) and hold no master.  Both bulk writers,
+The one-shot commands read the stratum tasks of their sign chunk by chunk
+(enumeration._task_orbits) and hold no master: `enumerate` gathers and
+sorts its pair's rows, `coeffs` and `density` count them
+(series.count_orbits).  The verify suites share one cached master per
+sublattice, the oracle's tables included.  Both bulk writers,
 `enumerate` and `coeffs`, format whole int64 columns in fixed-size blocks of
 rows (`_format_rows`), with no Python call per row.
 """
@@ -31,10 +33,12 @@ from . import analytic, latclass, series as series_mod
 from .enumeration import (
     MAX_BOX,
     MAX_LIMIT,
+    _class_table,
     _selection_tasks,
     _task_orbits,
     brute_force_classes,
     enumerate_classes,
+    master_classes,
     stability_box,
 )
 from .forms import index_scale, sublattice_of
@@ -181,11 +185,14 @@ def cmd_table(args, out) -> int:
 
 
 def verify_oracle(max_index: int, box: int) -> series_mod.CheckReport:
-    """Enumeration against the brute-force oracle, for all 20 pairs."""
+    """Enumeration against the brute-force oracle, for all 20 pairs: each
+    pair's table from the shared master of its sublattice (as the series
+    suites read it), the L1 master at max_index, the L2 one at 27 max_index."""
+    masters = {sub: master_classes(max_index * index_scale(sub), sublattice=sub) for sub in (1, 2)}
     failures = []
     for lattice in range(1, 11):
         for sign in ("+", "-"):
-            fast = enumerate_classes(lattice, sign, max_index)
+            fast = _class_table([masters[sublattice_of(lattice)]], lattice, sign, max_index)
             slow = brute_force_classes(lattice, sign, max_index, box, check_stability=True)
             a, b = fast.class_multiset(), slow.class_multiset()
             if a != b:

@@ -66,16 +66,15 @@ columns (representative, discriminant, stabilizer order, irreducibility,
 residue row mod 6, whose one lookup in the residue table is the lattice
 membership).  MasterClasses.mask is the one rule for the orbits of a
 (lattice, sign) pair: select turns it into row indices and the index n of
-each, enumerate_classes and brute_force_classes return those rows as a
-ClassTable (in the order of _lex_order), and series.count_orbits, the one
-count, bins them chunk by chunk: over one master for the series of the
-verify suites, over the _task_orbits stream of a sign for `coeffs` and
-density_report, which hold no master.  master_classes can also build a
-selection, one sign of P, or the orbits in L2 = {3 | x2, x3} only (the same
-strata with b, c in 3Z: _STEPS), from the stratum tasks of that sign.
-enumerate_classes builds the sign it lists, in L2 for an even lattice
-(forms.sublattice_of), and the cache keeps masters by (limit, sign,
-sublattice).
+each.  Each kind of traffic reads one source.  The one-shot commands read
+the _task_orbits stream of their sign, in L2 (the same strata with b, c in
+3Z: _STEPS) for an even lattice (forms.sublattice_of), and hold no master:
+enumerate_classes gathers the pair's rows of each chunk into a ClassTable
+(in the order of _lex_order), and series.count_orbits, the one count,
+bins them for `coeffs` and density_report.  The verify suites share one
+cached two-sign master per sublattice (master_classes): the series are
+counted over it, and the oracle compares brute_force_classes with its
+tables.
 """
 
 from __future__ import annotations
@@ -384,10 +383,10 @@ class MasterClasses:
     the master enumeration, or one oracle grouping (its in-box orbits).
     44 bytes a row: reps 32, disc 8, stab 1 (int8), irred 1 and res 2
     (uint16); the (N, 10) membership is the property member, read from res.
-    sign ('+' or '-') and sublattice record a selection: the rows are then
-    only the orbits of that sign of P, or (sublattice 2) only the orbits in
-    L2, which hold the even lattices and no odd one.  A chunk of
-    _task_orbits holds one stratum task's rows."""
+    sublattice 2 records that the rows are only the orbits in L2, which
+    hold the even lattices and no odd one.  A chunk of _task_orbits holds
+    one stratum task's rows, and its sign ('+' or '-', None for both)
+    records the sign of P of the stream."""
 
     limit: int
     reps: np.ndarray  # (N, 4) int64, representatives, one per orbit
@@ -598,16 +597,8 @@ def _check_increasing(cols, stratum: str) -> None:
 # at a = 192) and 1.55e16 for P > 0 (test_strata_windows_exact_at_max_limit).
 MAX_LIMIT = 4 * isqrt((2 ** 63 - 1) // 27) + 2  # 2_337_884_074
 
-# (limit, sign, sublattice) -> every orbit of that sign of P (sign None: both
-# signs) in that sublattice
+# sublattice -> the largest master built in it, both signs
 _MASTER_CACHE: dict = {}
-
-
-def _covers(key, limit: int, sign, sublattice: int) -> bool:
-    """Whether the master of a cache key holds every orbit of the selection
-    (limit, sign, sublattice): its limit is at least limit, its sign is None
-    or sign, and its sublattice is L1 or the one asked for."""
-    return key[0] >= limit and key[1] in (None, sign) and key[2] in (1, sublattice)
 
 
 def _check_selection(limit: int, sign, sublattice: int) -> int:
@@ -658,35 +649,27 @@ def _task_orbits(tasks: list, limit: int, sign, sublattice: int):
             raise AssertionError("enumeration produced out-of-range discriminants")
 
 
-def master_classes(limit: int, sign: str | None = None, *, sublattice: int = 1) -> MasterClasses:
-    """All orbits with 1 <= |P| <= limit, in the full integer lattice L1 or,
-    with sublattice=2, in L2 = {3 | x2, x3}, which holds the even lattices.
+def master_classes(limit: int, *, sublattice: int = 1) -> MasterClasses:
+    """All orbits with 1 <= |P| <= limit, both signs, in the full integer
+    lattice L1 or, with sublattice=2, in L2 = {3 | x2, x3}, which holds the
+    even lattices: the master the verify suites share.
 
-    With sign '+' or '-', only the orbits of that sign of P.  The rows are
-    in master row order, and only the stratum tasks of that sign are run
-    (_task_orbits).  An L2 master is built by the same strata with the
-    step 3 (_STEPS): it holds exactly the L1 master's rows in L2, in order,
-    because L2 is SL2(Z)-invariant, so every orbit in L2 has its
-    representative there.  A cached master serves every selection it
-    covers: its limit is at least limit, its sign is None or sign, and its
-    sublattice is L1 or the one asked for (an L1 master serves L2; an L2
-    master never serves L1).  Every build is cached, and evicts the cached
-    masters it covers.  _check_selection runs first, cached master or not.
+    The rows are in master row order (_task_orbits).  An L2 master is built
+    by the same strata with the step 3 (_STEPS): it holds exactly the L1
+    master's rows in L2, in order, because L2 is SL2(Z)-invariant, so every
+    orbit in L2 has its representative there.  The cache keeps the largest
+    master built in each sublattice; a smaller limit gets its rows with
+    |P| <= limit.  _check_selection runs first, cached master or not.
     """
-    limit = _check_selection(limit, sign, sublattice)
-    keys = [k for k in _MASTER_CACHE if _covers(k, limit, sign, sublattice)]
-    if keys:  # the smallest covering master
-        master = _MASTER_CACHE[min(keys, key=lambda k: (k[0], k[1] is None, k[2] == 1))]
-        if (master.limit, master.sign, master.sublattice) == (limit, sign, sublattice):
+    limit = _check_selection(limit, None, sublattice)
+    master = _MASTER_CACHE.get(sublattice)
+    if master is not None and master.limit >= limit:
+        if master.limit == limit:
             return master
         keep = np.abs(master.disc) <= limit
-        if sign != master.sign:
-            keep &= (master.disc > 0) == (sign == "+")
-        if sublattice != master.sublattice:
-            keep &= _membership(master.res, sublattice)
         cut = [getattr(master, name)[keep] for name in _COLUMNS]
-        return MasterClasses(limit, *cut, sign, sublattice)
-    tasks = _selection_tasks(limit, sign, sublattice)
+        return MasterClasses(limit, *cut, sublattice=sublattice)
+    tasks = _selection_tasks(limit, None, sublattice)
     # Two passes: the row bounds size each column once, and each task then
     # writes its chunk into the next slice.  The tail the bounds over-count
     # is never written, so its pages are never resident.
@@ -701,7 +684,7 @@ def master_classes(limit: int, sign: str | None = None, *, sublattice: int = 1) 
     )
     end = 0
     # the stream first: zip then resumes it past its last chunk, whose P check runs
-    for chunk, task, bound in zip(_task_orbits(tasks, limit, sign, sublattice), tasks, bounds):
+    for chunk, task, bound in zip(_task_orbits(tasks, limit, None, sublattice), tasks, bounds):
         if len(chunk) > bound:
             raise AssertionError(
                 f"{task[0]} task {task[1]} emitted {len(chunk)} rows, past its bound {bound}"
@@ -710,11 +693,8 @@ def master_classes(limit: int, sign: str | None = None, *, sublattice: int = 1) 
         for name, column in zip(_COLUMNS, columns):
             column[start:end] = getattr(chunk, name)
 
-    master = MasterClasses(limit, *(column[:end] for column in columns), sign, sublattice)
-    key = (limit, sign, sublattice)
-    for old in [k for k in _MASTER_CACHE if _covers(key, *k)]:
-        del _MASTER_CACHE[old]
-    _MASTER_CACHE[key] = master
+    master = MasterClasses(limit, *(column[:end] for column in columns), sublattice=sublattice)
+    _MASTER_CACHE[sublattice] = master
     return master
 
 
@@ -751,29 +731,36 @@ class ClassTable:
         return sorted(zip(self.n.tolist(), self.stab.tolist(), self.irred.tolist()))
 
 
-def _class_table(orbits: MasterClasses, lattice: int, sign: str, max_index: int) -> ClassTable:
+def _class_table(chunks, lattice: int, sign: str, max_index: int) -> ClassTable:
     """The ClassTable of the orbits of one (lattice, sign) pair with
-    1 <= index <= max_index (MasterClasses.select), sorted."""
-    idx, n = orbits.select(lattice, sign, max_index)
-    reps = orbits.reps[idx]
+    1 <= index <= max_index that the chunks (a master, or the _task_orbits
+    stream) select (MasterClasses.select), sorted once."""
+    no_n = _NO_ROWS[:, 0]  # typed empty columns, for a stream of no task
+    parts = [(no_n, _NO_ROWS, no_n.astype(np.int8), no_n != 0)]
+    for chunk in chunks:
+        rows, n = chunk.select(lattice, sign, max_index)
+        parts.append((n, chunk.reps[rows], chunk.stab[rows], chunk.irred[rows]))
+    n, reps, stab, irred = map(np.concatenate, zip(*parts))
+    del parts  # not held through the sort
     order = _lex_order([n, *reps.T])
-    idx = idx[order]
-    return ClassTable(lattice, sign, n[order], reps[order], orbits.stab[idx], orbits.irred[idx])
+    return ClassTable(lattice, sign, n[order], reps[order], stab[order], irred[order])
 
 
 def enumerate_classes(lattice: int, sign: str, max_index: int) -> ClassTable:
     """The ClassTable of the orbits in the lattice with 1 <= index <= max_index.
 
     The index is |P| for odd lattices and |Q| = |P|/27 for even lattices.
-    TypeError for a float max_index.
+    The rows come from the _task_orbits stream of the sign, in L2 for an
+    even lattice, and no master is built.  TypeError for a float max_index.
     """
     max_index = index(max_index)
     if max_index < 1:
         raise ValueError("max_index must be >= 1")
     _sign_positive(sign)
-    scale, sublattice = index_scale(lattice), sublattice_of(lattice)
-    master = master_classes(max_index * scale, sign, sublattice=sublattice)
-    return _class_table(master, lattice, sign, max_index)
+    sublattice = sublattice_of(lattice)
+    limit = _check_selection(max_index * index_scale(lattice), sign, sublattice)
+    chunks = _task_orbits(_selection_tasks(limit, sign, sublattice), limit, sign, sublattice)
+    return _class_table(chunks, lattice, sign, max_index)
 
 
 # ---------------------------------------------------------------------------
@@ -942,7 +929,7 @@ def brute_force_classes(
 
     def grouped(at_box: int, cap: int) -> ClassTable:
         orbits = _group_box_orbits(at_box, p_limit, cap, sublattice, scan_box)
-        return _class_table(orbits, lattice, sign, max_index)
+        return _class_table([orbits], lattice, sign, max_index)
 
     table = grouped(box, 4 * box)
     if check_stability:

@@ -198,7 +198,7 @@ def test_density_report_builds_only_the_strata_it_reads(monkeypatch):
         built.clear()
         assert density_report(1, sign, limit, checkpoints=3) == rows[sign]
         assert built == want
-    assert enumeration._MASTER_CACHE == {(limit, None, 1): master}
+    assert enumeration._MASTER_CACHE == {1: master}
 
 
 def test_streamed_density_counts_equal_the_full_master_rows(monkeypatch):

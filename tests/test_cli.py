@@ -179,10 +179,13 @@ def test_coeffs_equals_fraction_rows(tmp_path, monkeypatch, reference_coeffs_tex
 
 
 def test_coeffs_and_density_build_no_master(tmp_path, monkeypatch):
-    # both count the stratum tasks of their sign chunk by chunk; every
-    # master build is cached, so an empty cache means none was built
+    # the one-shot commands read the stratum tasks of their sign chunk by
+    # chunk; every master build is cached, so an empty cache means none was
+    # built
     monkeypatch.setattr(enumeration, "_MASTER_CACHE", {})
     for argv in (
+        ["enumerate", "--lattice", "3", "--sign", "neg", "--max", "2000"],
+        ["enumerate", "--lattice", "8", "--sign", "pos", "--max", "300"],
         ["coeffs", "--lattice", "1", "--sign", "neg", "--max", "2000"],
         ["coeffs", "--lattice", "2", "--sign", "pos", "--max", "300"],
         ["density", "--lattice", "1", "--sign", "pos", "--max", "2000"],

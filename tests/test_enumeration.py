@@ -18,7 +18,7 @@ from cubicforms import (
     master_classes,
 )
 from cubicforms import enumeration
-from cubicforms.cli import main
+from cubicforms.cli import main, verify_oracle
 from cubicforms.enumeration import MAX_LIMIT
 from cubicforms.forms import _ceil_div, _d_windows, _isqrt64, index_scale, sublattice_of
 from cubicforms.forms import rational_roots
@@ -58,30 +58,25 @@ def test_master_cache_filters_down():
 
 @pytest.mark.parametrize("limit", [2000, 10 ** 5])
 def test_master_selection_is_the_full_master_masked(monkeypatch, limit):
-    # each selection built cold, and served from a cached larger full master
+    # the stream of each sign, its chunks joined, is byte-equal in all five
+    # columns to the rows of that sign of the full master
     monkeypatch.setattr(enumeration, "_MASTER_CACHE", {})
-    cold = {}
-    for sign in ("+", "-"):
-        enumeration._MASTER_CACHE.clear()
-        cold[sign] = master_classes(limit, sign)
-        assert list(enumeration._MASTER_CACHE) == [(limit, sign, 1)]
     full = master_classes(limit)
-    master_classes(limit + 1000)
-    assert list(enumeration._MASTER_CACHE) == [(limit + 1000, None, 1)]
     for sign in ("+", "-"):
         keep = (full.disc > 0) == (sign == "+")
         assert 0 < keep.sum() < len(full)
-        for got in (cold[sign], master_classes(limit, sign)):
-            assert (got.limit, got.sign, got.sublattice) == (limit, sign, 1)
-            for name in ("reps", "disc", "stab", "irred", "member"):
-                have, want = getattr(got, name), getattr(full, name)[keep]
-                assert (have.dtype, have.shape) == (want.dtype, want.shape), name
-                assert have.tobytes() == want.tobytes(), name
+        got = _stream_master(limit, sign)
+        assert (got.limit, got.sign, got.sublattice) == (limit, sign, 1)
+        for name in _COLUMNS:
+            have, want = getattr(got, name), getattr(full, name)[keep]
+            assert (have.dtype, have.shape) == (want.dtype, want.shape), name
+            assert have.tobytes() == want.tobytes(), name
 
 
 def test_master_cache_serves_what_it_covers(monkeypatch):
-    # a cached master serves a smaller limit of its own sign, and of either
-    # sign if it holds both; a new build evicts exactly what it covers
+    # the cache keeps one two-sign master per sublattice, the largest built:
+    # a smaller limit gets its rows with |P| <= limit and builds nothing, a
+    # larger one replaces it, and a build in one sublattice leaves the other
     monkeypatch.setattr(enumeration, "_MASTER_CACHE", {})
     builds = []  # (limit, step) per build
     stratum_tasks = enumeration._stratum_tasks
@@ -92,75 +87,72 @@ def test_master_cache_serves_what_it_covers(monkeypatch):
 
     monkeypatch.setattr(enumeration, "_stratum_tasks", recording)
     cache = enumeration._MASTER_CACHE
-    pos = master_classes(3000, "+")
-    assert master_classes(3000, "+") is pos
-    master_classes(2000, "+")
-    assert builds == [(3000, 1)] and list(cache) == [(3000, "+", 1)]
-    master_classes(2000, "-")  # '+' does not cover '-'
-    master_classes(2000)  # nor does a one-sign master cover both signs
-    assert builds == [(3000, 1), (2000, 1), (2000, 1)]
-    assert set(cache) == {(3000, "+", 1), (2000, None, 1)}  # (2000, '-', 1) evicted
-    # the smallest master that covers serves: the full one at 2000
-    assert master_classes(1000, "+").reps.tobytes() == pos.reps[np.abs(pos.disc) <= 1000].tobytes()
-    master_classes(4000, "-")
-    assert builds == [(3000, 1), (2000, 1), (2000, 1), (4000, 1)]
-    assert set(cache) == {(3000, "+", 1), (2000, None, 1), (4000, "-", 1)}
-    master_classes(4000)
-    assert builds[-1] == (4000, 1) and list(cache) == [(4000, None, 1)]
+    full = master_classes(3000)
+    assert master_classes(3000) is full
+    small = master_classes(1000)
+    assert builds == [(3000, 1)] and cache == {1: full}
+    assert (small.limit, small.sign, small.sublattice) == (1000, None, 1)
+    keep = np.abs(full.disc) <= 1000
+    assert 0 < keep.sum() < len(full)
+    for name in _COLUMNS:
+        have, want = getattr(small, name), getattr(full, name)[keep]
+        assert (have.dtype, have.shape) == (want.dtype, want.shape), name
+        assert have.tobytes() == want.tobytes(), name
+    l2 = master_classes(27 * 300, sublattice=2)  # an L1 master serves no L2 request
+    assert builds == [(3000, 1), (8100, 3)] and cache == {1: full, 2: l2}
+    assert (l2.disc > 0).any() and (l2.disc < 0).any()
+    bigger = master_classes(4000)  # an L1 build leaves the L2 master in place
+    assert builds[-1] == (4000, 1) and cache == {1: bigger, 2: l2}
+    assert bigger.reps[np.abs(bigger.disc) <= 3000].tobytes() == full.reps.tobytes()
+    master_classes(2000, sublattice=2)
+    master_classes(3000)
+    assert len(builds) == 3
 
 
 def test_enumerate_builds_only_its_own_sign(monkeypatch):
-    # the oracle's 20 pairs at max_index 300: one '+' and one '-' L1 master
-    # at |P| <= 300, then one of each in L2 (step 3) at 27 * 300, each
-    # running its own sign's tasks only
+    # each of the oracle's 20 pairs at max_index 300 streams only its sign's
+    # tasks, at |P| <= 300 in L1 and (step 3) at 27 * 300 in L2, and builds
+    # no master; the oracle builds exactly two, one per sublattice
     pairs = [(lattice, sign) for lattice in range(1, 11) for sign in ("+", "-")]
-    builds = []  # (limit, step, the kinds of the tasks run) per build
+    runs = []  # (limit, step, the kinds of the tasks run) per task list
     stratum_tasks, run_task = enumeration._stratum_tasks, enumeration._run_task
 
     def tasks_of(limit, step=1):
-        builds.append((limit, step, set()))
+        runs.append((limit, step, set()))
         return stratum_tasks(limit, step)
 
     def recording(task):
-        builds[-1][2].add(task[0])
+        runs[-1][2].add(task[0])
         return run_task(task)
 
     monkeypatch.setattr(enumeration, "_stratum_tasks", tasks_of)
     monkeypatch.setattr(enumeration, "_run_task", recording)
     monkeypatch.setattr(enumeration, "_MASTER_CACHE", {})
-    tables = [enumerate_classes(lattice, sign, 300) for lattice, sign in pairs]
     neg = {"negird", "negrd"}
-    assert builds == [(300, 1, {"pos"}), (300, 1, neg), (8100, 3, {"pos"}), (8100, 3, neg)]
-    # an L2 master covers no L1 selection, so it evicts no L1 master
-    assert set(enumeration._MASTER_CACHE) == {
-        (300, "+", 1), (300, "-", 1), (8100, "+", 2), (8100, "-", 2)
-    }
-    # with a full master cached first, nothing is built
-    enumeration._MASTER_CACHE.clear()
-    master_classes(8100)
-    builds.clear()
-    for (lattice, sign), table in zip(pairs, tables):
-        again = enumerate_classes(lattice, sign, 300)
-        assert again.n.tobytes() == table.n.tobytes()
-        assert again.reps.tobytes() == table.reps.tobytes()
-    assert builds == []
+    for lattice, sign in pairs:
+        runs.clear()
+        enumerate_classes(lattice, sign, 300)
+        limit, step = 300 * index_scale(lattice), 3 if lattice % 2 == 0 else 1
+        assert runs == [(limit, step, {"pos"} if sign == "+" else neg)], (lattice, sign)
+    assert not enumeration._MASTER_CACHE
+    runs.clear()
+    monkeypatch.setattr(enumeration, "_ORACLE_CACHE", {})
+    monkeypatch.setattr(enumeration, "_SCAN_CACHE", {})
+    assert verify_oracle(300, 100).passed
+    assert runs == [(300, 1, {"pos"} | neg), (8100, 3, {"pos"} | neg)]
+    assert set(enumeration._MASTER_CACHE) == {1, 2}
 
 
 def test_enumerate_tables_equal_full_master_cuts(monkeypatch):
-    # every pair at max_index 2000, each from a cold one-sign build, byte-equal
-    # to the table cut from the full master
+    # every pair at max_index 2000, streamed from the tasks of its sign,
+    # byte-equal to the table the oracle's check cuts from the shared master
+    # of the pair's sublattice (cli.verify_oracle)
     monkeypatch.setattr(enumeration, "_MASTER_CACHE", {})
-    full = {}
-    for scale in (1, 27):
-        enumeration._MASTER_CACHE.clear()
-        full[scale] = master_classes(2000 * scale)
+    full = {sub: master_classes(2000 * index_scale(sub), sublattice=sub) for sub in (1, 2)}
     for lattice in range(1, 11):
         for sign in ("+", "-"):
-            enumeration._MASTER_CACHE.clear()
             got = enumerate_classes(lattice, sign, 2000)
-            key = (2000 * index_scale(lattice), sign, sublattice_of(lattice))
-            assert list(enumeration._MASTER_CACHE) == [key]
-            want = enumeration._class_table(full[index_scale(lattice)], lattice, sign, 2000)
+            want = enumeration._class_table([full[sublattice_of(lattice)]], lattice, sign, 2000)
             assert len(got) > 0
             for name in ("n", "reps", "stab", "irred"):
                 have, ref = getattr(got, name), getattr(want, name)
@@ -171,17 +163,26 @@ def test_enumerate_tables_equal_full_master_cuts(monkeypatch):
 _COLUMNS = ("reps", "disc", "stab", "irred", "member")
 
 
+def _stream_master(limit: int, sign, sublattice: int = 1) -> enumeration.MasterClasses:
+    """The chunks of the _task_orbits stream of the sign, their columns
+    joined into one MasterClasses that records the sign."""
+    tasks = enumeration._selection_tasks(limit, sign, sublattice)
+    chunks = list(enumeration._task_orbits(tasks, limit, sign, sublattice))
+    cols = [np.concatenate([getattr(c, name) for c in chunks]) for name in enumeration._COLUMNS]
+    return enumeration.MasterClasses(limit, *cols, sign, sublattice)
+
+
 @pytest.mark.parametrize("limit", [10 ** 5, 10 ** 6])
 def test_l2_master_is_the_full_master_l2_rows(monkeypatch, limit):
-    # each L2 selection built cold (step 3 strata), byte-equal in all five
-    # columns to the full L1 master's rows with 3 | x2, x3
+    # the L2 master (step 3 strata) and the L2 stream of each sign,
+    # byte-equal in all five columns to the full L1 master's rows with
+    # 3 | x2, x3
     monkeypatch.setattr(enumeration, "_MASTER_CACHE", {})
     full = master_classes(limit)
     in_l2 = (full.reps[:, 1] % 3 == 0) & (full.reps[:, 2] % 3 == 0)
     assert (in_l2 == full.member[:, 1]).all()
     for sign in (None, "+", "-"):
-        enumeration._MASTER_CACHE.clear()
-        got = master_classes(limit, sign, sublattice=2)
+        got = master_classes(limit, sublattice=2) if sign is None else _stream_master(limit, sign, 2)
         assert (got.limit, got.sign, got.sublattice) == (limit, sign, 2)
         keep = in_l2.copy()
         if sign is not None:
@@ -191,42 +192,6 @@ def test_l2_master_is_the_full_master_l2_rows(monkeypatch, limit):
             have, want = getattr(got, name), getattr(full, name)[keep]
             assert (have.dtype, have.shape) == (want.dtype, want.shape), (sign, name)
             assert have.tobytes() == want.tobytes(), (sign, name)
-
-
-def test_master_cache_covers_l2_with_l1(monkeypatch):
-    # an L1 master serves an L2 selection with no build; an L2 master serves
-    # no L1 selection, and an L2 build evicts no L1 master
-    monkeypatch.setattr(enumeration, "_MASTER_CACHE", {})
-    builds = []  # (limit, step) per build
-    stratum_tasks = enumeration._stratum_tasks
-
-    def recording(limit, step=1):
-        builds.append((limit, step))
-        return stratum_tasks(limit, step)
-
-    monkeypatch.setattr(enumeration, "_stratum_tasks", recording)
-    cache = enumeration._MASTER_CACHE
-    full = master_classes(5400)
-    got = master_classes(2700, "-", sublattice=2)
-    assert builds == [(5400, 1)]
-    assert (got.limit, got.sign, got.sublattice) == (2700, "-", 2)
-    keep = full.member[:, 1] & (full.disc < 0) & (full.disc >= -2700)
-    for name in _COLUMNS:
-        assert getattr(got, name).tobytes() == getattr(full, name)[keep].tobytes(), name
-    l2 = master_classes(10800, sublattice=2)
-    assert builds == [(5400, 1), (10800, 3)]
-    assert set(cache) == {(5400, None, 1), (10800, None, 2)}
-    assert master_classes(5400) is full and master_classes(10800, sublattice=2) is l2
-    # either cached master gives an L2 selection the same rows
-    small = master_classes(5400, "+", sublattice=2)
-    assert small.reps.tobytes() == l2.reps[(l2.disc > 0) & (l2.disc <= 5400)].tobytes()
-    master_classes(8000)  # L2 does not cover L1
-    assert builds == [(5400, 1), (10800, 3), (8000, 1)]
-    assert set(cache) == {(8000, None, 1), (10800, None, 2)}
-    master_classes(20000)  # L1 covers L2, and evicts it
-    assert list(cache) == [(20000, None, 1)]
-    master_classes(10800, "+", sublattice=2)
-    assert builds[-1] == (20000, 1)
 
 
 def test_select_rejects_odd_lattice_on_l2_master(monkeypatch):
@@ -259,21 +224,10 @@ def test_master_sublattice_is_keyword_only(monkeypatch):
     # True == 1 would pass the sublattice check, so a positional third
     # argument must fail rather than build L1
     monkeypatch.setattr(enumeration, "_MASTER_CACHE", {})
-    for args in ((1000, "+", True), (1000, None, 2)):
+    for args in ((1000, True), (1000, 2), (1000, "+")):
         with pytest.raises(TypeError):
             master_classes(*args)
     assert not enumeration._MASTER_CACHE
-
-
-def test_master_selection_rejects_bad_sign_before_build(monkeypatch):
-    def no_work(task):
-        raise AssertionError("stratum work started")
-
-    monkeypatch.setattr(enumeration, "_run_task", no_work)
-    monkeypatch.setattr(enumeration, "_MASTER_CACHE", {})
-    for sign in ("x", "pos", 1):
-        with pytest.raises(ValueError, match="sign must be"):
-            master_classes(1000, sign)
 
 
 @pytest.mark.parametrize(
@@ -281,9 +235,13 @@ def test_master_selection_rejects_bad_sign_before_build(monkeypatch):
     [{}, {"sign": "+"}, {"sign": "-"}, {"sublattice": 2}, {"sign": "-", "sublattice": 2}],
 )
 def test_select_is_the_per_row_rule(selection):
-    # every pair, on the full master and on each selection: the rows of
-    # sign +- in the lattice with 1 <= |P| // scale <= max_index, row by row
-    m = master_classes(2000, **selection)
+    # every pair, on the full L1 and L2 masters and on the one-sign streams:
+    # the rows of sign +- in the lattice with 1 <= |P| // scale <= max_index,
+    # row by row
+    if "sign" in selection:
+        m = _stream_master(2000, selection["sign"], selection.get("sublattice", 1))
+    else:
+        m = master_classes(2000, **selection)
     disc = m.disc.tolist()
     reps = m.reps.tolist()
     for lattice in range(1, 11):
@@ -330,13 +288,17 @@ def test_select_floors_the_index_on_any_columns():
 
 
 def test_select_rejects_a_sign_the_master_lacks():
-    # a one-sign master holds no row of the other sign; it may not answer 0
+    # a chunk of a one-sign stream holds no row of the other sign; it may not
+    # answer 0
     for sign, other in (("+", "-"), ("-", "+")):
-        m = master_classes(300, sign)
-        rows, _ = m.select(1, sign, 300)
-        assert rows.tolist() == list(range(len(m)))
-        with pytest.raises(ValueError, match=re.escape(f"holds the sign {sign!r} only")):
-            m.select(1, other, 300)
+        tasks = enumeration._selection_tasks(300, sign, 1)
+        chunks = [c for c in enumeration._task_orbits(tasks, 300, sign, 1) if len(c)]
+        assert chunks
+        for m in chunks:
+            rows, _ = m.select(1, sign, 300)
+            assert rows.tolist() == list(range(len(m)))
+            with pytest.raises(ValueError, match=re.escape(f"holds the sign {sign!r} only")):
+                m.select(1, other, 300)
 
 
 def test_select_rejects_bad_arguments():
@@ -369,6 +331,14 @@ def test_enumerate_classes_examples():
     table = enumerate_classes(4, "+", 3)
     total = sum(Fraction(1, stab) for stab in table.stab[table.n == 3].tolist())
     assert total == Fraction(1, 3)
+
+    # |P| <= 1 runs no P < 0 task: an empty stream gives empty typed columns
+    assert enumeration._selection_tasks(1, "-", 1) == []
+    table = enumerate_classes(1, "-", 1)
+    assert len(table) == 0 and table.reps.shape == (0, 4)
+    assert [col.dtype for col in (table.n, table.reps, table.stab, table.irred)] == [
+        np.int64, np.int64, np.int8, np.bool_
+    ]
 
 
 def _oracle_classes(lattice: int, sign: str, max_index: int):
@@ -666,35 +636,39 @@ def test_master_positive_block_strictly_increasing(monkeypatch):
     assert (m.disc[: len(pos)] > 0).all()
 
 
-# Each task kind, with the full master and with the one-sign selection that
-# runs that kind's tasks.
-_PARTIAL = {"pos": ("+",), "negird": ("-",), "negrd": ("-",)}
+# Each task kind's sign of P: the partial ids read the one-sign stream of it.
+_PARTIAL = {"pos": "+", "negird": "-", "negrd": "-"}
 _KIND_SELECTIONS = pytest.mark.parametrize(
-    "kind, selection",
-    [(kind, ()) for kind in _PARTIAL] + list(_PARTIAL.items()),
+    "kind, partial",
+    [(kind, False) for kind in _PARTIAL] + [(kind, True) for kind in _PARTIAL],
     ids=list(_PARTIAL) + [f"{kind}-partial" for kind in _PARTIAL],
 )
 
 
-def _stream_consumers(kind: str, selection: tuple) -> list:
+def _stream_consumers(kind: str, partial: bool) -> list:
     """The calls that run the kind's tasks through the orbit stream
-    (enumeration._task_orbits), each on an empty cache: the master of the
-    selection, and density_report of the kind's sign where it reads the
-    kind (pos and negird; the negrd rows are reducible)."""
+    (enumeration._task_orbits): the full master, built on an empty cache,
+    or with partial enumerate_classes, which reads the stream of the kind's
+    sign; then density_report of that sign where it reads the kind (pos and
+    negird; the negrd rows are reducible)."""
+    sign = _PARTIAL[kind]
 
     def master():
         enumeration._MASTER_CACHE.clear()
-        return master_classes(2000, *selection)
+        return master_classes(2000)
+
+    def enumerate_():
+        return enumerate_classes(1, sign, 2000)
 
     def density():
-        enumeration._MASTER_CACHE.clear()
-        return density_report(1, _PARTIAL[kind][0], 2000, checkpoints=3)
+        return density_report(1, sign, 2000, checkpoints=3)
 
-    return [master] if kind == "negrd" else [master, density]
+    first = enumerate_ if partial else master
+    return [first] if kind == "negrd" else [first, density]
 
 
 @_KIND_SELECTIONS
-def test_master_rejects_duplicate_rows(monkeypatch, kind, selection):
+def test_master_rejects_duplicate_rows(monkeypatch, kind, partial):
     run_task = enumeration._run_task
 
     def doubled(task):
@@ -705,13 +679,13 @@ def test_master_rejects_duplicate_rows(monkeypatch, kind, selection):
 
     monkeypatch.setattr(enumeration, "_run_task", doubled)
     monkeypatch.setattr(enumeration, "_MASTER_CACHE", {})
-    for consume in _stream_consumers(kind, selection):
+    for consume in _stream_consumers(kind, partial):
         with pytest.raises(AssertionError, match="duplicate representatives"):
             consume()
 
 
 @_KIND_SELECTIONS
-def test_master_rejects_duplicates_across_tasks(monkeypatch, kind, selection):
+def test_master_rejects_duplicates_across_tasks(monkeypatch, kind, partial):
     # each task's rows increase, so only the block-level check sees a task
     # run twice
     stratum_tasks, run_task = enumeration._stratum_tasks, enumeration._run_task
@@ -723,13 +697,13 @@ def test_master_rejects_duplicates_across_tasks(monkeypatch, kind, selection):
 
     monkeypatch.setattr(enumeration, "_stratum_tasks", repeated)
     monkeypatch.setattr(enumeration, "_MASTER_CACHE", {})
-    for consume in _stream_consumers(kind, selection):
+    for consume in _stream_consumers(kind, partial):
         with pytest.raises(AssertionError, match="duplicate representatives"):
             consume()
 
 
 @_KIND_SELECTIONS
-def test_master_rejects_rows_out_of_order(monkeypatch, kind, selection):
+def test_master_rejects_rows_out_of_order(monkeypatch, kind, partial):
     run_task = enumeration._run_task
     swapped = []
 
@@ -743,7 +717,7 @@ def test_master_rejects_rows_out_of_order(monkeypatch, kind, selection):
 
     monkeypatch.setattr(enumeration, "_run_task", swap_first_pair)
     monkeypatch.setattr(enumeration, "_MASTER_CACHE", {})
-    for consume in _stream_consumers(kind, selection):
+    for consume in _stream_consumers(kind, partial):
         swapped.clear()
         with pytest.raises(AssertionError, match="out of order"):
             consume()
@@ -754,8 +728,8 @@ def test_master_rejects_rows_out_of_order(monkeypatch, kind, selection):
 @pytest.mark.parametrize("step", [1, 3])
 def test_task_bounds_cover_the_emitted_rows(limit, step):
     # every task's bound, from its windows alone, is at least the rows it
-    # emits; a negrd task emits every row of its windows.  Each selection
-    # (sign None, '+', '-') runs some of these tasks
+    # emits; a negrd task emits every row of its windows.  Each sign of a
+    # stream (None for the master, '+', '-') runs some of these tasks
     emitted = {}
     for task in enumeration._stratum_tasks(limit, step):
         bound = enumeration._task_bound(task)
@@ -769,8 +743,8 @@ def test_task_bounds_cover_the_emitted_rows(limit, step):
         assert sum(emitted[t] for t in held) > 0, sign
 
 
-@_KIND_SELECTIONS
-def test_task_past_its_bound_raises_before_writing(monkeypatch, kind, selection):
+@pytest.mark.parametrize("kind", list(_PARTIAL))
+def test_task_past_its_bound_raises_before_writing(monkeypatch, kind):
     # the first task of the kind with rows emits one more row than its
     # bound, each extra row still increasing in the block key, so the order
     # check passes it: the bound guard raises before the task writes into
@@ -793,7 +767,7 @@ def test_task_past_its_bound_raises_before_writing(monkeypatch, kind, selection)
     monkeypatch.setattr(enumeration, "_run_task", past_bound)
     monkeypatch.setattr(enumeration, "_MASTER_CACHE", {})
     with pytest.raises(AssertionError, match="past its bound"):
-        master_classes(2000, *selection)
+        master_classes(2000)
     assert len(padded) == 1
 
 
@@ -878,7 +852,11 @@ def test_master_rejects_limit_past_int64_bound(monkeypatch):
 
     monkeypatch.setattr(enumeration, "_run_task", no_work)
     # the bound is checked before the cache, even one that would answer
-    monkeypatch.setattr(enumeration, "_MASTER_CACHE", {(MAX_LIMIT + 2, None, 1): None})
+    no = np.empty(0, dtype=np.int64)
+    past = enumeration.MasterClasses(
+        MAX_LIMIT + 2, no.reshape(0, 4), no, no.astype(np.int8), no != 0, no.astype(np.uint16)
+    )
+    monkeypatch.setattr(enumeration, "_MASTER_CACHE", {1: past})
     with pytest.raises(ValueError, match="int64 safety bound"):
         master_classes(MAX_LIMIT + 1)
     with pytest.raises(ValueError, match="int64 safety bound"):
@@ -1454,15 +1432,16 @@ def test_lex_order_equals_the_lexsort_order():
 
 
 def test_class_tables_in_lexsort_order(monkeypatch):
-    # all 20 pairs at index 3e5: the table's rows are the selection's rows
-    # in the order np.lexsort gives the five keys (n, x1..x4)
+    # all 20 pairs at index 3e5: the table's rows are the rows the master
+    # of the pair's sublattice selects, in the order np.lexsort gives the
+    # five keys (n, x1..x4)
     monkeypatch.setattr(enumeration, "_MASTER_CACHE", {})
     max_index = 300000
+    masters = {sub: master_classes(max_index * index_scale(sub), sublattice=sub) for sub in (1, 2)}
     for lattice in range(1, 11):
         for sign in "+-":
             table = enumerate_classes(lattice, sign, max_index)
-            limit, sub = max_index * index_scale(lattice), sublattice_of(lattice)
-            master = master_classes(limit, sign, sublattice=sub)  # the cached one
+            master = masters[sublattice_of(lattice)]
             idx, n = master.select(lattice, sign, max_index)
             idx = idx[np.lexsort((*master.reps[idx].T[::-1], n))]
             assert len(table) == len(idx) > 1000
