@@ -17,7 +17,10 @@ sorts its pair's rows, `coeffs` and `density` count them
 (series.count_orbits).  The verify suites share one cached master per
 sublattice, the oracle's tables included.  Both bulk writers,
 `enumerate` and `coeffs`, format whole int64 columns in fixed-size blocks of
-rows (`_format_rows`), with no Python call per row.
+rows (`_format_rows`), with no Python call per row: a block is one uint8
+matrix, filled from a template row of the constants, into which each
+column's digits are written right to left at that column's own width, and
+one compress drops the NUL padding.
 """
 
 from __future__ import annotations
@@ -70,59 +73,68 @@ def _frac_str(x: Fraction) -> str:
 # Rows formatted per write by the enumerate and coeffs writers, so neither
 # output is ever held as one string.
 _ENUMERATE_BLOCK = 8192
-# 10, 100, ..., 10**18: a nonnegative int64 v has
-# 1 + searchsorted(_POW10, v, "right") decimal digits.
-_POW10 = 10 ** np.arange(1, 19, dtype=np.int64)
+_INT64_MIN = int(np.iinfo(np.int64).min)
+
+
+def _write_digits(mat: np.ndarray, col: np.ndarray, end: int, top: int) -> None:
+    """Write str(v) of each value v of col right-aligned before mat[:, end],
+    over NULs, where top is the largest |v|: a digit position gets NUL once
+    the quotient is 0, and a negative v gets '-' just left of its digits."""
+    mag = np.abs(col.astype(np.int32 if top < 2 ** 31 else np.int64))
+    digits = len(str(top))
+    for k in range(digits):
+        quot = mag // 10
+        cell = mag - 10 * quot + ord("0")
+        if k:
+            cell *= mag != 0
+        mat[:, end - 1 - k] = cell
+        mag = quot
+    at = np.flatnonzero(col < 0)
+    if len(at):
+        mat[at, end - 1 - np.count_nonzero(mat[at, end - digits:end], axis=1)] = ord("-")
 
 
 def _format_rows(pieces, block: slice = slice(None)) -> bytes:
     """The lines of one block of rows, formatted from whole columns.
 
-    Each piece is constant bytes, an int64 column (written as str(int)
+    Each piece is constant bytes, an int column (written as str(int)
     writes it) or a tuple (mask, if_true, if_false) of a bool column and two
     constants; a row joins its pieces in order, and at least one piece is a
-    column.  The fields are right-aligned in a NUL-padded (rows, width) uint8
-    matrix and one compress drops the NULs, so no constant may hold a NUL.
-    ValueError for INT64_MIN, whose absolute value int64 cannot hold.
+    column.  Each field has its own width: an int column's is the digit
+    count of its largest magnitude, plus 1 if it holds a negative, and a
+    tuple's is its longer constant.  One (rows, width) uint8 matrix is
+    filled with a template row (the constants, NUL at the field slots), the
+    fields are written right-aligned into their slots, and one compress
+    drops the NULs, so no constant may hold a NUL.  ValueError for
+    INT64_MIN, whose absolute value int64 cannot hold.
     """
-    cols = [p[block] for p in pieces if not isinstance(p, (bytes, tuple))]
-    ints = np.column_stack(cols).astype(np.int64, copy=False)
-    rows = len(ints)
-    if not rows:
-        return b""
-    mag = np.abs(ints)
-    if (mag < 0).any():
-        raise ValueError("INT64_MIN has no int64 absolute value")
-    ndig = 1 + np.searchsorted(_POW10, mag, side="right")
-    top = int(ndig.max())
-    # field[row, col, j] is the digit of 10**(top - j) for j > start =
-    # top - ndig, the sign or NUL at start, and NUL before it
-    field = np.empty(ints.shape + (top + 1,), dtype=np.uint8)
-    for j in range(top, 0, -1):
-        quot = mag // 10
-        field[..., j] = mag - 10 * quot
-        mag = quot
-    field += ord("0")
-    start = top - ndig
-    field *= np.arange(top + 1) > start[..., None]
-    neg = ints < 0
-    at = np.flatnonzero(neg)
-    field.reshape(-1)[at * (top + 1) + start.reshape(-1)[at]] = ord("-")
-    widths = (ndig + neg).max(axis=0).tolist()
-    fields = iter([field[:, c, top + 1 - w:] for c, w in enumerate(widths)])
-    parts = []
+    template, numbers, choices = b"", [], []
     for p in pieces:
         if isinstance(p, bytes):
-            parts.append(np.broadcast_to(np.frombuffer(p, dtype=np.uint8), (rows, len(p))))
+            template += p
         elif isinstance(p, tuple):
             mask, yes, no = p
             choice = np.zeros((2, max(len(yes), len(no))), dtype=np.uint8)
             choice[0, : len(no)] = list(no)
             choice[1, : len(yes)] = list(yes)
-            parts.append(choice[np.asarray(mask[block], dtype=np.intp)])
+            template += bytes(choice.shape[1])
+            choices.append((len(template), choice, mask[block]))
         else:
-            parts.append(next(fields))
-    mat = np.concatenate(parts, axis=1)
+            col = p[block]
+            if not len(col):
+                return b""
+            lo, hi = int(col.min()), int(col.max())
+            if lo == _INT64_MIN:
+                raise ValueError("INT64_MIN has no int64 absolute value")
+            top = max(-lo, hi)
+            template += bytes(len(str(top)) + (lo < 0))
+            numbers.append((len(template), col, top))
+    mat = np.empty((len(col), len(template)), dtype=np.uint8)
+    mat[:] = np.frombuffer(template, dtype=np.uint8)
+    for end, col, top in numbers:
+        _write_digits(mat, col, end, top)
+    for end, choice, mask in choices:
+        mat[:, end - choice.shape[1]:end] = choice[np.asarray(mask, dtype=np.intp)]
     return mat[mat != 0].tobytes()
 
 

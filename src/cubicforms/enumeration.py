@@ -123,15 +123,17 @@ def _ranges_to_rows(parts: list) -> np.ndarray:
 
 
 def _expand_windows(lo: np.ndarray, hi: np.ndarray):
-    """Flatten integer windows [lo_i, hi_i] into (row index, value) arrays."""
-    cnt = np.maximum(hi - lo + 1, 0)
+    """Flatten integer windows [lo_i, hi_i] into (row index, value) arrays;
+    the empty windows (hi_i < lo_i) are dropped before any row is built."""
+    at = np.flatnonzero(hi >= lo)
+    cnt = hi[at] - lo[at] + 1
     total = int(cnt.sum())
     if total == 0:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    idx = np.repeat(np.arange(len(lo)), cnt)
-    starts = np.concatenate(([0], np.cumsum(cnt)[:-1]))
-    vals = lo.repeat(cnt) + (np.arange(total, dtype=np.int64) - starts.repeat(cnt))
-    return idx, vals
+    # value = lo_i + (position - start_i), start_i the window's first position
+    starts = np.cumsum(cnt) - cnt
+    vals = (lo[at] - starts).repeat(cnt) + np.arange(total, dtype=np.int64)
+    return at.repeat(cnt), vals
 
 
 # The step of the (b, c) coefficients of each sublattice's strata: the L2
@@ -527,10 +529,14 @@ def _lex_order(cols) -> np.ndarray:
     """Indices that sort the rows of the int64 key columns cols (first key
     first) lexicographically, stably.  Each column, shifted to start at 0,
     spans a known number of bits, and adjacent columns share one uint64
-    word while their bits fit in 64, so a word compares as its columns do
-    and np.lexsort sorts a few words, not every column: exact at every
-    range, a column of 64 bits taking a word of its own."""
-    if not len(cols[0]):
+    word while their bits fit in 64, so a word compares as its columns do:
+    exact at every range, a column of 64 bits taking a word of its own.
+    Several words are lexsorted.  One word is argsorted, and the rows of
+    each run of equal words are put back in input order by a second
+    argsort of run * N + index, exact while N^2 < 2^63 (past that, the one
+    word is lexsorted too)."""
+    n = len(cols[0])
+    if not n:
         return np.arange(0)
     words, room = [], 0
     for col in cols:
@@ -543,7 +549,18 @@ def _lex_order(cols) -> np.ndarray:
         else:
             words.append(shifted)
             room = 64 - bits
-    return np.lexsort(words[::-1])
+    if len(words) > 1 or n * n >= 2 ** 63:
+        return np.lexsort(words[::-1])
+    order = np.argsort(words[0])
+    ranked = words[0]
+    ranked.sort()  # a fresh array, sorted in place: no gathered copy
+    fresh = ranked[1:] != ranked[:-1]
+    if fresh.all():
+        return order
+    run = np.concatenate(([0], np.cumsum(fresh)))
+    # distinct keys, sorted but inside the runs: the stable sort (a merge
+    # of sorted runs) is the faster one here
+    return order[np.argsort(run * n + order, kind="stable")]
 
 
 def _check_increasing(cols, stratum: str) -> None:
@@ -743,7 +760,11 @@ def _class_table(chunks, lattice: int, sign: str, max_index: int) -> ClassTable:
     n, reps, stab, irred = map(np.concatenate, zip(*parts))
     del parts  # not held through the sort
     order = _lex_order([n, *reps.T])
-    return ClassTable(lattice, sign, n[order], reps[order], stab[order], irred[order])
+    # one column reordered at a time, each unordered column dropped as its
+    # copy is made
+    n = n[order]
+    reps = reps[order]
+    return ClassTable(lattice, sign, n, reps, stab[order], irred[order])
 
 
 def enumerate_classes(lattice: int, sign: str, max_index: int) -> ClassTable:

@@ -138,6 +138,26 @@ def test_format_rows_equals_str():
     assert cli._format_rows([b"x", values, b"\n"], slice(len(values), None)) == b""
 
 
+def test_format_rows_field_widths():
+    # each field at its own width: a column whose widest value is negative,
+    # an all-zero column, +-INT64_MAX beside a one-digit column, magnitudes
+    # on both sides of the int32 digit arithmetic's 2^31, and choice
+    # constants of unequal lengths on both sides
+    mask = np.array([True, False, False])
+    cases = [
+        [np.array([-99, 5, -1], dtype=np.int64), b";", np.zeros(3, dtype=np.int64), b"\n"],
+        [np.array([_INT64_MAX, -_INT64_MAX, 0], dtype=np.int64), b",",
+         np.array([3, -4, 0], dtype=np.int64), b"\n"],
+        [np.array([2 ** 31 - 1, -2 ** 31, 1 - 2 ** 31], dtype=np.int64), b" ",
+         np.array([2 ** 31, 9, -2 ** 31], dtype=np.int64), b"\n"],
+        [np.array([7, 0, 1], dtype=np.int8), (mask, b"a", b"bcd"), (~mask, b"xyz", b""), b"\n"],
+    ]
+    for pieces in cases:
+        for block in (slice(None), slice(1, 2), slice(2, 3)):
+            assert cli._format_rows(pieces, block) == _str_lines(pieces, block)
+    assert cli._format_rows(cases[0]) == b"-99;0\n5;0\n-1;0\n"
+
+
 def test_format_rows_rejects_int64_min():
     # np.abs wraps at INT64_MIN; the kernel must refuse it, not misprint it
     col = np.array([5, np.iinfo(np.int64).min, -3], dtype=np.int64)

@@ -1413,6 +1413,21 @@ def test_strata_windows_exact_at_max_limit():
     assert 2.4e18 < worst["negird"] < 2.5e18 and 1.5e16 < worst["pos"] < 1.6e16
 
 
+def test_expand_windows_equals_the_python_reference():
+    # nonempty, empty (hi = lo - 1) and inverted (hi < lo - 1) windows
+    # mixed, and all-empty: the same (row index, value) pairs in order
+    rng = np.random.default_rng(11)
+    for size in (0, 1, 7, 200):
+        lo = rng.integers(-50, 50, size)
+        kinds = [lo + rng.integers(0, 6, size), lo - 1, lo - rng.integers(2, 9, size)]
+        mixed = np.choose(rng.integers(0, 3, size), kinds)
+        for hi in (mixed, kinds[1], kinds[2]):
+            idx, vals = enumeration._expand_windows(lo, hi)
+            want = [(i, v) for i in range(size) for v in range(lo[i], hi[i] + 1)]
+            assert list(zip(idx.tolist(), vals.tolist())) == want
+            assert idx.dtype == vals.dtype == np.int64
+
+
 def test_lex_order_equals_the_lexsort_order():
     # the packed words at every range: ties (kept in input order), columns
     # spanning all 64 bits, constant and negative columns, several words
@@ -1425,6 +1440,11 @@ def test_lex_order_equals_the_lexsort_order():
         [np.full(500, 7), rng.integers(-2 ** 40, 2 ** 40, 500), rng.integers(-2 ** 30, 2 ** 30, 500),
          rng.integers(0, 3, 500), np.zeros(500, dtype=np.int64)],
     ]
+    # one word with long runs of equal words, as the box scan's repeated
+    # images give: the argsort's ties, put back in input order
+    scan = rng.integers(-3, 4, (300, 4))
+    scan = np.concatenate([scan, scan[::-1], scan * [1, -1, 1, -1], scan])
+    cases += [list(scan.T), [np.repeat(rng.integers(0, 4, 50), 40)], [np.zeros(64, dtype=np.int64)]]
     for cols in cases:
         cols = [np.asarray(c, dtype=np.int64) for c in cols]
         assert np.array_equal(enumeration._lex_order(cols), np.lexsort(cols[::-1]))
