@@ -9,10 +9,10 @@ so they also accept coefficient columns, e.g. rows.T of an (N, 4) numpy array.
 _d_windows solves lo <= P <= hi for the last coefficient exactly on int64
 columns; the enumeration strata and the brute-force oracle both scan with it.
 The invariant lattices L1..L10 are defined once, by their Z-bases
-(lattice_basis).  Membership is one residue table mod 6 generated from those
-bases (residue_span, the span of rows mod m), read in one place
-(_membership) by the scalar and the columnwise callers and by the master's
-uint16 column of residue rows (_residue_row).  bareiss is the one exact
+(lattice_basis).  Membership is one lattice-major residue table mod 6
+generated from those bases (residue_span, the span of rows mod m), read in
+one place (_membership) by the scalar and the columnwise callers and by the
+master's uint16 column of residue rows (_residue_row).  bareiss is the one exact
 elimination, fraction-free over Z (every rank and determinant), and
 _first_rise the one exact integer search (rational_roots, the enumeration's
 root masks and bounds, _icbrt, reduction._root_reduce): no scalar float root
@@ -342,13 +342,15 @@ def bareiss(rows) -> tuple:
 
 
 def _membership_table() -> np.ndarray:
-    """(6^4, 10) booleans: the membership of each residue tuple mod 6 in
-    L1..L10.  L_i mod 6 is the residue_span of its basis rows mod 6.  Every
-    L_i contains 6 Z^4 (checked by latclass.verify_indices_and_duality), so a
-    form's residues mod 6 decide its membership."""
-    table = np.zeros((6 ** 4, 10), dtype=bool)
+    """(10, 6^4) booleans, lattice-major: row i - 1 is the membership of
+    each residue tuple mod 6 in L_i, so one lattice's read is a gather from
+    one contiguous row.  L_i mod 6 is the residue_span of its basis rows
+    mod 6.  Every L_i contains 6 Z^4 (checked by
+    latclass.verify_indices_and_duality), so a form's residues mod 6 decide
+    its membership."""
+    table = np.zeros((10, 6 ** 4), dtype=bool)
     for i in range(1, 11):
-        table[_residue_row(residue_span(lattice_basis(i), 6).T), i - 1] = True
+        table[i - 1, _residue_row(residue_span(lattice_basis(i), 6).T)] = True
     return table
 
 
@@ -359,12 +361,12 @@ _MEMBERSHIP.flags.writeable = False  # one form's lookup is a view of it
 def _membership(res, lattice: int | None = None):
     """Membership of the forms with residue rows res (_residue_row: an int,
     or an integer array such as the master's uint16 column) in L_lattice,
-    or with lattice None in L1..L10 (a trailing axis of ten): the one read
-    of the residue table.  ValueError for a lattice outside 1..10,
-    TypeError for a float one."""
+    a take from the lattice's row of the table, or with lattice None in
+    L1..L10 (a trailing axis of ten): the one read of the residue table.
+    ValueError for a lattice outside 1..10, TypeError for a float one."""
     if lattice is None:
-        return _MEMBERSHIP[res]
-    return _MEMBERSHIP[res, _check_lattice(lattice) - 1]
+        return np.moveaxis(_MEMBERSHIP[:, res], 0, -1)
+    return _MEMBERSHIP[_check_lattice(lattice) - 1].take(res)
 
 
 def lattice_membership(f) -> np.ndarray:
@@ -376,8 +378,9 @@ def lattice_membership(f) -> np.ndarray:
 
 def lattice_member(f, lattice: int):
     """Membership in L_lattice, lattice in 1..10: a bool for one form, an
-    (N,) bool array for coefficient columns (one column of the table).
-    Broadcastable columns give a bool array of the broadcast shape.
+    (N,) bool array for coefficient columns (a take from the lattice's row
+    of the table).  Broadcastable columns give a bool array of the
+    broadcast shape.
     ValueError for a lattice outside 1..10, TypeError for a float one."""
     member = _membership(_residue_row(f), lattice)
     return bool(member) if member.ndim == 0 else member

@@ -290,23 +290,50 @@ _DECOMPOSITIONS = (
 )
 
 
-# The largest box at which the box check stays exact in int64: each of the
-# five terms of P(phi(x)) = P(a, 3b, 3c, d) is at most 81, 108, 108, 162 and
-# 27 box^4, so |P| <= 486 box^4, and so is each partial sum and product.
+# The largest box verify_decompositions accepts (ValueError past it).  The
+# box check reads P mod 8 and the residue rows from the coordinates reduced
+# mod 8 and mod 6 (_p_mod8, _residue_rows), so this int64 bound on P no
+# longer binds it: no value of P is formed, and the grid, at most 3 box
+# after phi, is far inside int64.  What the bound still protects is a check
+# that reads P whole on the box (the tests' Python-int reference, or an
+# int64 one): each of the five terms of P(phi(x)) = P(a, 3b, 3c, d) is at
+# most 81, 108, 108, 162 and 27 box^4, so |P| <= 486 box^4 < 2^63.
 MAX_DECOMPOSITION_BOX = isqrt(isqrt((2 ** 63 - 1) // 486))  # 11737
+
+
+def _reduced(x, mod: int, dtype):
+    """x mod `mod`, an array of it narrowed to dtype only once reduced (a
+    Python int stays one)."""
+    x = x % mod
+    return x if isinstance(x, int) else x.astype(dtype)
+
+
+def _p_mod8(cols):
+    """P mod 8 at the points cols (ints or broadcastable integer columns):
+    the one rule of the mod-8 checks.  P has integer coefficients, so
+    P(x) = P(x mod 8) (mod 8), and the one discriminant runs on the
+    coordinates reduced mod 8 as uint16.  uint16 arithmetic is exact mod
+    2^16 and 8 divides 2^16, so & 7 is P mod 8 however far a term wraps."""
+    return discriminant([_reduced(x, 8, np.uint16) for x in cols]) & 7
+
+
+def _residue_rows(cols):
+    """_residue_row of the points cols, from the coordinates reduced mod 6
+    first, as int16: narrowing first would wrap phi's 3 x, which reaches
+    35211 at MAX_DECOMPOSITION_BOX, past int16."""
+    return _residue_row([_reduced(x, 6, np.int16) for x in cols])
 
 
 def _decomposition_sides(cols) -> list:
     """For each of _DECOMPOSITIONS in order, (x in lattice, x in 2*base,
     P(x) = p_res mod 8) at the points x = cols (base 1) or x = phi(cols)
-    (base 2), in the broadcast shape of the columns.  The discriminant and
-    the residue row of each base are computed once, for both of its
-    lattices."""
+    (base 2), in the broadcast shape of the columns.  P mod 8 and the
+    residue row of each base are computed once, for both of its lattices."""
     a, b, c, d = cols
     doubled = (a % 2 == 0) & (b % 2 == 0) & (c % 2 == 0) & (d % 2 == 0)
     xs = {1: cols, 2: phi(cols)}
-    p8 = {base: discriminant(x) % 8 for base, x in xs.items()}
-    res = {base: _residue_row(x) for base, x in xs.items()}
+    p8 = {base: _p_mod8(x) for base, x in xs.items()}
+    res = {base: _residue_rows(x) for base, x in xs.items()}
     return [
         (_membership(res[base], lattice), doubled, p8[base] == p_res)
         for lattice, base, p_res in _DECOMPOSITIONS
@@ -350,7 +377,7 @@ def verify_congruence_lemma() -> CheckReport:
     """Characterize P = 1 and P = 5 mod 8 by coefficient parities, exhaustively."""
     failures = []
     residues = residue_grid(8)
-    p = discriminant(residues) % 8
+    p = _p_mod8(residues)
     a, b, c, d = residues % 2
     criteria = {
         1: ((a == 0) & (d == 0) & (b == 1) & (c == 1)) | ((a == 1) & (d == 1) & (b != c)),

@@ -20,10 +20,12 @@ from cubicforms import (
     hessian,
     is_irreducible,
     lattice_member,
+    master_classes,
     pairing,
     psi,
     q_discriminant,
 )
+from cubicforms import forms as forms_mod
 from cubicforms.forms import (
     _first_rise,
     _icbrt,
@@ -174,6 +176,33 @@ def test_lattice_inclusions():
         assert column.tolist() == [row[lat - 1] for row in scalar]
     assert all(type(x) is bool for row in scalar for x in row)
     assert type(lattice_member(np.array([1, 0, 0, 1]), 2)) is bool
+
+
+def test_membership_reads_the_one_table(monkeypatch):
+    # the table is lattice-major, (10, 6^4), with each lattice's row one
+    # contiguous read; the all-ten read keeps its shapes, (10,) for one
+    # residue row and (N, 10) for a column, and stacks the ten rows' reads
+    assert forms_mod._MEMBERSHIP.shape == (10, 6 ** 4)
+    assert all(forms_mod._MEMBERSHIP[i].flags.c_contiguous for i in range(10))
+    rows = np.array([(1, 0, 0, 0), (2, 0, 0, 2), (0, 3, 3, 0), (5, -4, 7, 1)], dtype=np.int64)
+    res = forms_mod._residue_row(rows.T)
+    stacked = np.stack([forms_mod._membership(res, lat) for lat in range(1, 11)], axis=-1)
+    assert forms_mod._membership(res).shape == stacked.shape == (len(rows), 10)
+    assert (forms_mod._membership(res) == stacked).all()
+    for r, want in zip(res.tolist(), stacked.tolist()):
+        assert forms_mod._membership(r).shape == (10,)
+        assert forms_mod._membership(r).tolist() == want
+    master = master_classes(100)
+    assert lattice_member(rows[0], 1) and lattice_membership(rows.T).any()
+    assert master.mask(1, "+", 100).any() and master.member.any()
+    # every reader reads the one table: an all-False one empties them all
+    monkeypatch.setattr(forms_mod, "_MEMBERSHIP", np.zeros_like(forms_mod._MEMBERSHIP))
+    assert not lattice_member(rows[0], 1)
+    assert not lattice_member(rows.T, 1).any()
+    assert not lattice_membership(rows.T).any()
+    assert not lattice_membership(rows[0]).any()
+    assert not master.mask(1, "+", 100).any()
+    assert not master.member.any()
 
 
 def test_lattice_member_rejects_bad_index():

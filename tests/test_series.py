@@ -227,23 +227,23 @@ def test_verify_decompositions_rejects_box_out_of_range(box):
         verify_decompositions(box)
 
 
+def _scalar_sides(v):
+    """(lattice, member, doubled, residue-slice) for each of the
+    decompositions at the point v, on Python ints, with the scalar
+    discriminant and residue-table lookup that series reads."""
+    doubled = all(t % 2 == 0 for t in v)
+    for lattice, base, p_res in series_mod._DECOMPOSITIONS:
+        x = v if base == 1 else phi(v)
+        member = series_mod._membership(_residue_row(x), lattice)
+        yield lattice, member, doubled, series_mod.discriminant(x) % 8 == p_res
+
+
 def _scalar_decomposition_failures(box: int) -> list:
-    """The failure lines of verify_decompositions(box), point by point with
-    the scalar discriminant and residue-table lookup that series reads."""
-    disc = series_mod.discriminant
-
-    def member(x, lattice):
-        return series_mod._membership(_residue_row(x), lattice)
-
-    def sides(v):
-        doubled = all(t % 2 == 0 for t in v)
-        for lattice, base, p_res in series_mod._DECOMPOSITIONS:
-            x = v if base == 1 else phi(v)
-            yield lattice, member(x, lattice), doubled, disc(x) % 8 == p_res
-
+    """The failure lines of verify_decompositions(box), point by point
+    (_scalar_sides)."""
     by_lattice = {lattice: [] for lattice, _, _ in series_mod._DECOMPOSITIONS}
     for v in itertools.product(range(8), repeat=4):
-        for lattice, m, dbl, res in sides(v):
+        for lattice, m, dbl, res in _scalar_sides(v):
             if m != (dbl or res) or (dbl and res):
                 by_lattice[lattice].append(
                     f"L{lattice} mod-8 failure at residues {v}: "
@@ -252,7 +252,7 @@ def _scalar_decomposition_failures(box: int) -> list:
     failures = [line for lines in by_lattice.values() for line in lines]
     bad = dict.fromkeys(by_lattice, 0)
     for v in itertools.product(range(-box, box + 1), repeat=4):
-        for lattice, m, dbl, res in sides(v):
+        for lattice, m, dbl, res in _scalar_sides(v):
             # a point on both sides of the union counts once for each test
             bad[lattice] += int(m != (dbl or res)) + int(dbl and res)
     failures += [
@@ -260,6 +260,32 @@ def _scalar_decomposition_failures(box: int) -> list:
         for lattice, count in bad.items() if count
     ]
     return failures
+
+
+def test_decomposition_sides_exact_at_the_box_bound():
+    # every coordinate within 3 of +-MAX_DECOMPOSITION_BOX, where phi's 3 x
+    # is past int16: the narrow P mod 8 and residue rows of both bases
+    # agree with Python ints point by point, on a grid of four columns and
+    # on the box's form, a Python int x1 with (x2, x3, x4) columns
+    m = series_mod.MAX_DECOMPOSITION_BOX
+    assert 3 * m > np.iinfo(np.int16).max
+    side = np.array([-m, -m + 1, -m + 2, -m + 3, m - 3, m - 2, m - 1, m], dtype=np.int64)
+    n = len(side)
+    cols = [side.reshape([-1 if i == k else 1 for i in range(4)]) for k in range(4)]
+    points = list(itertools.product(side.tolist(), repeat=4))
+    want = np.array([[s[1:] for s in _scalar_sides(v)] for v in points])
+
+    def got(sides):
+        # (points, lattices, 3) in the order of itertools.product
+        return np.stack([np.broadcast_arrays(*s) for s in sides]).reshape(4, 3, -1).transpose(2, 0, 1)
+
+    grid = got(series_mod._decomposition_sides(cols))
+    assert grid.shape == want.shape == (n ** 4, 4, 3)
+    bad = np.flatnonzero((grid != want).any(axis=(1, 2)))
+    assert not bad.size, [(points[i], grid[i].tolist(), want[i].tolist()) for i in bad[:5]]
+    for i, a in enumerate(side.tolist()):
+        at_a = got(series_mod._decomposition_sides((a, *cols[1:])))
+        assert (at_a == want[i * n ** 3:(i + 1) * n ** 3]).all(), a
 
 
 def _flipped_membership(res, lattice):
