@@ -263,7 +263,7 @@ _CHECKS = {
     "indices": _indices_and_duality,
     "classification": lambda args: [latclass.verify_classification()],
     "local-densities": lambda args: [analytic.verify_table1_ratios()],
-    "oracle": lambda args: [verify_oracle(_max_n(args), args.box)],
+    "oracle": lambda args: [verify_oracle(_max_n(args), 100 if args.box is None else args.box)],
     "density": lambda args: [_verify_density(args.max if args.max is not None else 10 ** 5)],
 }
 SUITES = ("all", *_CHECKS)
@@ -346,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p, lattice=False)
     p.add_argument("--suite", required=True, choices=SUITES)
     p.add_argument("--max", type=int, default=None)
-    p.add_argument("--box", type=int, default=100)
+    p.add_argument("--box", type=int, default=None)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("density", help="counts vs two-term prediction, CSV")
@@ -363,15 +363,21 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "max", None) is not None and args.max < 1:
         return _fail_usage(parser, "--max must be >= 1")
-    if args.command == "verify" and args.box < 1:
-        return _fail_usage(parser, "--box must be >= 1")
-    # the oracle scans at its stability box, (3 * --box + 1) // 2
-    if getattr(args, "suite", None) in ("oracle", "all") and stability_box(args.box) > MAX_BOX:
-        return _fail_usage(
-            parser,
-            f"--box {args.box} scans at box {stability_box(args.box)}, "
-            f"past the int64 safety bound {MAX_BOX}",
-        )
+    # only the oracle reads --box (100 when it is not given)
+    if getattr(args, "box", None) is not None:
+        if args.box < 1:
+            return _fail_usage(parser, "--box must be >= 1")
+        if args.suite not in ("oracle", "all"):
+            return _fail_usage(
+                parser, f"--box is read by the oracle and all suites only, not {args.suite}"
+            )
+        # the oracle scans at its stability box, (3 * --box + 1) // 2
+        if stability_box(args.box) > MAX_BOX:
+            return _fail_usage(
+                parser,
+                f"--box {args.box} scans at box {stability_box(args.box)}, "
+                f"past the int64 safety bound {MAX_BOX}",
+            )
     if args.command == "density" and args.checkpoints < 1:
         return _fail_usage(parser, "--checkpoints must be >= 1")
     # the density command and verify's density and all suites run at X = --max

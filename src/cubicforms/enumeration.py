@@ -40,10 +40,9 @@ no sort is needed: one pass over neighbours (reduction._lex_less) checks
 that each stratum's block strictly increases in its own key, so it has no
 duplicates.  _task_columns gives the stab and irred columns of each task.
 _task_orbits yields each task's orbits, checked, as a MasterClasses chunk.
-The master is written once from that stream, in two passes: the first sums
-each task's row bound from its exact windows (_task_bound) with no row
-expanded and sizes every column once; the second writes each chunk into
-the next slice.  Integer arithmetic is int64, exact to MAX_LIMIT (~2.3e9).
+The master is written once from that stream, in one pass: each column
+grows in place by each chunk's length, and the chunk goes into its new
+tail.  Integer arithmetic is int64, exact to MAX_LIMIT (~2.3e9).
 
 The brute-force oracle shares none of the strata: it scans the box
 [-box, box]^4 with the same d-windows of forms (exact up to box = MAX_BOX)
@@ -357,20 +356,13 @@ def _neg_ird_stratum(a: int, limit: int, step: int = 1) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _neg_rd_windows(r_lo: int, r_hi: int, limit: int, step: int = 1) -> tuple:
-    """(r, q, lo, hi): the pairs r in [r_lo, r_hi], 0 <= q < 2r, q and r in
-    step Z, in lexicographic order, and the window lo <= p <= hi of each:
-    1 <= -P = r^2 (4pr - q^2) <= limit."""
+def _neg_rd_stratum(r_lo: int, r_hi: int, limit: int, step: int = 1) -> np.ndarray:
+    """Rows (p, q, r, 0) with r in [r_lo, r_hi], 0 <= q < 2r, q and r in
+    step Z, and 1 <= -P = r^2 (4pr - q^2) <= limit, in lexicographic order
+    of (r, q, p): the (r, q) pairs in order, and the window of p of each."""
     rs = np.arange(r_lo, r_hi + 1, dtype=np.int64)
     r, q = _bc_pairs(rs, np.zeros_like(rs), 2 * rs - 1, step)
-    return r, q, _ceil_div(q * q + 1, 4 * r), (q * q * r * r + limit) // (4 * r ** 3)
-
-
-def _neg_rd_stratum(r_lo: int, r_hi: int, limit: int, step: int = 1) -> np.ndarray:
-    """Rows (p, q, r, 0) of the windows of _neg_rd_windows, in lexicographic
-    order of (r, q, p)."""
-    r, q, lo, hi = _neg_rd_windows(r_lo, r_hi, limit, step)
-    idx, p = _expand_windows(lo, hi)
+    idx, p = _expand_windows(_ceil_div(q * q + 1, 4 * r), (q * q * r * r + limit) // (4 * r ** 3))
     return np.stack([p, q[idx], r[idx], np.zeros_like(p)], axis=1)
 
 
@@ -506,21 +498,6 @@ def _task_columns(task, rows: np.ndarray) -> tuple:
     return _pos_stab_column(rows), a > 0 and _pos_irreducible_mask(rows)
 
 
-def _task_bound(task) -> int:
-    """At least the number of rows the stratum task emits, counted from its
-    exact windows with no row expanded: a pos or negird task emits some of
-    the rows of its windows (the A = C rows go through _canonical_pos, and
-    the rows with a rational root are cut), a negrd task all of them."""
-    kind, arg, limit, step = task
-    if kind == "pos":
-        windows = _pos_windows(arg, limit, step)[4]
-    elif kind == "negird":
-        windows = _neg_ird_pair_windows(arg, limit, step)[2]
-    else:
-        windows = [_neg_rd_windows(*arg, limit, step)[2:]]
-    return int(_pair_counts(windows).sum())
-
-
 # The key columns in which each task kind's block increases: negrd (p, q, r, 0) by (r, q, p)
 _BLOCK_KEYS = {"pos": slice(None), "negird": slice(None), "negrd": slice(2, None, -1)}
 
@@ -645,9 +622,9 @@ def _task_orbits(tasks: list, limit: int, sign, sublattice: int):
     """One MasterClasses chunk per stratum task, its orbits, in turn.  Each
     stratum emits one row per orbit, in order; verify rather than assume:
     a block strictly increases in its own key iff each task's rows do and
-    each task's first row follows the last row of its kind so far.  A
-    chunk's P is checked (nonzero, within limit) once its consumer has taken
-    it, so that master_classes' bound guard comes first."""
+    each task's first row follows the last row of its kind so far, and every
+    P is nonzero and within limit before the chunk is yielded, so no
+    consumer sees a chunk that fails a check."""
     last = {}  # kind -> the key of the last row of the kind so far
     for task in tasks:
         kind, rows = _run_task(task)
@@ -656,14 +633,14 @@ def _task_orbits(tasks: list, limit: int, sign, sublattice: int):
         if len(rows):
             _check_increasing(np.concatenate([last.get(kind, keys[:0]), keys[:1]]).T, kind)
             last[kind] = keys[-1:].copy()  # not a view: the rows go with the chunk
-        stab, irred = _task_columns(task, rows)
         disc = discriminant(rows.T)
+        if not ((disc != 0).all() and (np.abs(disc) <= limit).all()):
+            raise AssertionError("enumeration produced out-of-range discriminants")
+        stab, irred = _task_columns(task, rows)
         res = _residue_row(rows.T).astype(np.uint16)
         stab = np.broadcast_to(np.asarray(stab, dtype=np.int8), len(rows))
         irred = np.broadcast_to(irred, len(rows))
         yield MasterClasses(limit, rows, disc, stab, irred, res, sign, sublattice)
-        if not ((disc != 0).all() and (np.abs(disc) <= limit).all()):
-            raise AssertionError("enumeration produced out-of-range discriminants")
 
 
 def master_classes(limit: int, *, sublattice: int = 1) -> MasterClasses:
@@ -671,7 +648,8 @@ def master_classes(limit: int, *, sublattice: int = 1) -> MasterClasses:
     lattice L1 or, with sublattice=2, in L2 = {3 | x2, x3}, which holds the
     even lattices: the master the verify suites share.
 
-    The rows are in master row order (_task_orbits).  An L2 master is built
+    The rows are in master row order: one pass over the _task_orbits
+    stream grows each column by each chunk.  An L2 master is built
     by the same strata with the step 3 (_STEPS): it holds exactly the L1
     master's rows in L2, in order, because L2 is SL2(Z)-invariant, so every
     orbit in L2 has its representative there.  The cache keeps the largest
@@ -686,31 +664,25 @@ def master_classes(limit: int, *, sublattice: int = 1) -> MasterClasses:
         keep = np.abs(master.disc) <= limit
         cut = [getattr(master, name)[keep] for name in _COLUMNS]
         return MasterClasses(limit, *cut, sublattice=sublattice)
-    tasks = _selection_tasks(limit, None, sublattice)
-    # Two passes: the row bounds size each column once, and each task then
-    # writes its chunk into the next slice.  The tail the bounds over-count
-    # is never written, so its pages are never resident.
-    bounds = [_task_bound(t) for t in tasks]
-    size = sum(bounds)
-    columns = (  # in the order of _COLUMNS
-        np.empty((size, 4), dtype=np.int64),
-        np.empty(size, dtype=np.int64),
-        np.empty(size, dtype=np.int8),
-        np.empty(size, dtype=bool),
-        np.empty(size, dtype=np.uint16),
+    columns = (  # in the order of _COLUMNS, empty until the first chunk
+        np.empty((0, 4), dtype=np.int64),
+        np.empty(0, dtype=np.int64),
+        np.empty(0, dtype=np.int8),
+        np.empty(0, dtype=bool),
+        np.empty(0, dtype=np.uint16),
     )
-    end = 0
-    # the stream first: zip then resumes it past its last chunk, whose P check runs
-    for chunk, task, bound in zip(_task_orbits(tasks, limit, None, sublattice), tasks, bounds):
-        if len(chunk) > bound:
-            raise AssertionError(
-                f"{task[0]} task {task[1]} emitted {len(chunk)} rows, past its bound {bound}"
-            )
-        start, end = end, end + len(chunk)
+    # Each column grows in place by the chunk's length (ndarray.resize: a
+    # realloc, an mremap for a large block on glibc, so no row is held
+    # twice), and the chunk is written into the new tail.  resize may move
+    # the buffer, so it runs unchecked (refcheck=False) only because no view
+    # of a column exists while it grows: the tail written is a temporary,
+    # and the MasterClasses is made after the last chunk.
+    for chunk in _task_orbits(_selection_tasks(limit, None, sublattice), limit, None, sublattice):
         for name, column in zip(_COLUMNS, columns):
-            column[start:end] = getattr(chunk, name)
-
-    master = MasterClasses(limit, *(column[:end] for column in columns), sublattice=sublattice)
+            end = len(column)
+            column.resize((end + len(chunk), *column.shape[1:]), refcheck=False)
+            column[end:] = getattr(chunk, name)
+    master = MasterClasses(limit, *columns, sublattice=sublattice)
     _MASTER_CACHE[sublattice] = master
     return master
 

@@ -345,6 +345,22 @@ def test_verify_rejects_box_past_int64_bound(monkeypatch):
     assert main(["verify", "--suite", "oracle", "--box", str(top)]) == 0
 
 
+def test_box_is_read_by_the_oracle_only(monkeypatch, capsys):
+    # an explicit --box with a suite that does not read it is a usage error
+    # before any suite runs (decomps checks its own box, 20); without one
+    # the oracle reads 100
+    def no_check(args):
+        raise AssertionError("a suite ran")
+
+    for suite in ("decomps", "relations", "density"):
+        monkeypatch.setitem(cli._CHECKS, suite, no_check)
+        assert main(["verify", "--suite", suite, "--box", "40"]) == 2
+        err = capsys.readouterr().err
+        assert f"--box is read by the oracle and all suites only, not {suite}" in err
+    assert main(["verify", "--suite", "oracle", "--max", "10"]) == 0
+    assert capsys.readouterr().out == "[PASS] oracle equivalence (index <= 10, box 100)\n"
+
+
 def test_verify_oracle_names_a_class_missing_one_copy(monkeypatch):
     # The enumeration's multiset against an oracle stand-in that lacks one
     # copy of a repeated class (L1-) or holds an extra copy (L1+): each

@@ -17,7 +17,7 @@ from cubicforms import (
     lattice_member,
     master_classes,
 )
-from cubicforms import enumeration
+from cubicforms import analytic, enumeration
 from cubicforms.cli import main, verify_oracle
 from cubicforms.enumeration import MAX_LIMIT
 from cubicforms.forms import _ceil_div, _d_windows, _isqrt64, index_scale, sublattice_of
@@ -58,19 +58,21 @@ def test_master_cache_filters_down():
 
 @pytest.mark.parametrize("limit", [2000, 10 ** 5])
 def test_master_selection_is_the_full_master_masked(monkeypatch, limit):
-    # the stream of each sign, its chunks joined, is byte-equal in all five
-    # columns to the rows of that sign of the full master
+    # the stream of each sign (None: both), its chunks joined, is byte- and
+    # dtype-equal in all five columns to the rows of that sign of the full
+    # master, in L1 and in L2
     monkeypatch.setattr(enumeration, "_MASTER_CACHE", {})
-    full = master_classes(limit)
-    for sign in ("+", "-"):
-        keep = (full.disc > 0) == (sign == "+")
-        assert 0 < keep.sum() < len(full)
-        got = _stream_master(limit, sign)
-        assert (got.limit, got.sign, got.sublattice) == (limit, sign, 1)
-        for name in _COLUMNS:
-            have, want = getattr(got, name), getattr(full, name)[keep]
-            assert (have.dtype, have.shape) == (want.dtype, want.shape), name
-            assert have.tobytes() == want.tobytes(), name
+    for sublattice in (1, 2):
+        full = master_classes(limit, sublattice=sublattice)
+        for sign in (None, "+", "-"):
+            keep = (full.disc > 0) == (sign == "+") if sign else np.ones(len(full), dtype=bool)
+            assert keep.any() and (sign is None or not keep.all())
+            got = _stream_master(limit, sign, sublattice)
+            assert (got.limit, got.sign, got.sublattice) == (limit, sign, sublattice)
+            for name in enumeration._COLUMNS:
+                have, want = getattr(got, name), getattr(full, name)[keep]
+                assert (have.dtype, have.shape) == (want.dtype, want.shape), (sign, name)
+                assert have.tobytes() == want.tobytes(), (sign, name)
 
 
 def test_master_cache_serves_what_it_covers(monkeypatch):
@@ -726,49 +728,66 @@ def test_master_rejects_rows_out_of_order(monkeypatch, kind, partial):
 
 @pytest.mark.parametrize("limit", [10 ** 5, 10 ** 6])
 @pytest.mark.parametrize("step", [1, 3])
-def test_task_bounds_cover_the_emitted_rows(limit, step):
-    # every task's bound, from its windows alone, is at least the rows it
-    # emits; a negrd task emits every row of its windows.  Each sign of a
-    # stream (None for the master, '+', '-') runs some of these tasks
-    emitted = {}
-    for task in enumeration._stratum_tasks(limit, step):
-        bound = enumeration._task_bound(task)
-        rows = len(enumeration._run_task(task)[1])
-        assert bound >= rows, task
-        assert task[0] != "negrd" or bound == rows, task
-        emitted[task] = rows
-    assert {kind for kind, *_ in emitted} == {"pos", "negird", "negrd"}
+def test_every_task_kind_emits_rows(limit, step):
+    # in L1 (step 1) and L2 (step 3) every task kind emits rows, and so do
+    # the tasks of each sign of a stream (None for the master, '+', '-')
+    emitted = {t: len(enumeration._run_task(t)[1]) for t in enumeration._stratum_tasks(limit, step)}
+    assert {kind for (kind, *_), rows in emitted.items() if rows} == {"pos", "negird", "negrd"}
     for sign in (None, "+", "-"):
         held = enumeration._selection_tasks(limit, sign, {1: 1, 3: 2}[step])
         assert sum(emitted[t] for t in held) > 0, sign
 
 
 @pytest.mark.parametrize("kind", list(_PARTIAL))
-def test_task_past_its_bound_raises_before_writing(monkeypatch, kind):
-    # the first task of the kind with rows emits one more row than its
-    # bound, each extra row still increasing in the block key, so the order
-    # check passes it: the bound guard raises before the task writes into
-    # the slice of the task after it (and before the P range check of its
-    # chunk, which the extra rows fail)
+def test_rows_past_the_limit_raise_before_any_consumer(monkeypatch, kind):
+    # the first task of the kind with rows emits three more rows, each still
+    # increasing in the block key, so the order check passes them, and each
+    # with |P| past the limit: _task_orbits raises before it yields the
+    # chunk, so master_classes caches nothing, and the consumers of
+    # enumerate_classes (_class_table) and density_report (count_orbits)
+    # never receive a row past the limit
     run_task = enumeration._run_task
     padded = []
 
-    def past_bound(task):
+    def past_limit(task):
         got_kind, rows = run_task(task)
         if got_kind == kind and not padded and len(rows):
             last_key = range(4)[enumeration._BLOCK_KEYS[kind]][-1]
-            extra = enumeration._task_bound(task) + 1 - len(rows)
-            more = np.repeat(rows[-1:], extra, axis=0)
-            more[:, last_key] += np.arange(1, extra + 1)
+            more = np.repeat(rows[-1:], 3, axis=0)
+            more[:, last_key] += task[2] * np.arange(1, 4)
+            assert (np.abs(discriminant(more.T)) > task[2]).all()
             rows = np.concatenate([rows, more])
             padded.append(task)
         return got_kind, rows
 
-    monkeypatch.setattr(enumeration, "_run_task", past_bound)
+    received = []  # the largest |P| of each chunk a consumer takes
+
+    def receiving(consumer):
+        def wrapped(chunks, *args, **kwargs):
+            def taken():
+                for chunk in chunks:
+                    received.append(int(np.abs(chunk.disc).max(initial=0)))
+                    yield chunk
+
+            return consumer(taken(), *args, **kwargs)
+
+        return wrapped
+
+    monkeypatch.setattr(enumeration, "_run_task", past_limit)
+    monkeypatch.setattr(enumeration, "_class_table", receiving(enumeration._class_table))
+    monkeypatch.setattr(analytic, "count_orbits", receiving(analytic.count_orbits))
     monkeypatch.setattr(enumeration, "_MASTER_CACHE", {})
-    with pytest.raises(AssertionError, match="past its bound"):
-        master_classes(2000)
-    assert len(padded) == 1
+    sign = _PARTIAL[kind]
+    calls = [lambda: master_classes(2000), lambda: enumerate_classes(1, sign, 2000)]
+    if kind != "negrd":  # density streams the tasks whose rows may be irreducible
+        calls.append(lambda: density_report(1, sign, 2000, checkpoints=3))
+    for call in calls:
+        padded.clear()
+        with pytest.raises(AssertionError, match="enumeration produced out-of-range discriminants"):
+            call()
+        assert len(padded) == 1
+    assert not enumeration._MASTER_CACHE
+    assert max(received, default=0) <= 2000
 
 
 def test_check_increasing_reads_the_first_differing_key():
