@@ -33,12 +33,17 @@ rational-root test (_neg_ird_reducible); the P > 0 irreducibility column
 (_pos_irreducible_mask) is the same test, the bisection of
 forms.rational_roots (forms._first_rise).  Every scalar bound (the last a
 of each stratum, the P < 0 c-windows, the oracle's Hessian cut, MAX_BOX)
-is isqrt or forms._icbrt: the one float root left is the corrected column
-square root forms._isqrt64.  Each task emits its rows in order, and the
-tasks are listed in row order (P > 0 by descending a, since x1 = -a), so
-no sort is needed: one pass over neighbours (reduction._lex_less) checks
-that each stratum's block strictly increases in its own key, so it has no
-duplicates.  _task_columns gives the stab and irred columns of each task.
+is isqrt or forms._icbrt: the one float root left is the column square
+root forms._isqrt64.  Each task emits its rows in order, and the tasks are
+listed in row order (P > 0 by descending a, since x1 = -a), so no sort is
+needed: one pass over neighbours (reduction._lex_less) checks that each
+stratum's block strictly increases in its own key, so it has no
+duplicates.  Each block is column-ordered, the transpose of a (4, N)
+block stacked from its coefficient columns and filtered along its second
+axis, so every per-row pass (discriminant, residue rows, the order check,
+the root tests and the stab and irred columns) reads contiguous columns.
+_task_columns gives the stab and irred columns of each task; the stab
+column is the closed-form test of reduction._pos_stab_column.
 _task_orbits yields each task's orbits, checked, as a MasterClasses chunk.
 The master is written once from that stream, in one pass: each column
 grows in place by each chunk's length, and the chunk goes into its new
@@ -68,8 +73,8 @@ membership).  MasterClasses.mask is the one rule for the orbits of a
 each.  Each kind of traffic reads one source.  The one-shot commands read
 the _task_orbits stream of their sign, in L2 (the same strata with b, c in
 3Z: _STEPS) for an even lattice (forms.sublattice_of), and hold no master:
-enumerate_classes gathers the pair's rows of each chunk into a ClassTable
-(in the order of _lex_order), and series.count_orbits, the one count,
+enumerate_classes grows a ClassTable in place by the pair's rows of each
+chunk and sorts it once (_lex_order), and series.count_orbits, the one count,
 bins them for `coeffs` and density_report.  The verify suites share one
 cached two-sign master per sublattice (master_classes): the series are
 counted over it, and the oracle compares brute_force_classes with its
@@ -161,12 +166,13 @@ def _bc_pairs(bs: np.ndarray, c_lo: np.ndarray, c_hi: np.ndarray, step: int = 1)
 def _window_rows(a: int, b: np.ndarray, c: np.ndarray, windows) -> np.ndarray:
     """The rows (a, b_i, c_i, d) for every d in the windows (lo, hi) of each
     (b_i, c_i); in lexicographic order when the (b, c) pairs are and the
-    windows of a pair are disjoint and increasing."""
+    windows of a pair are disjoint and increasing.  Column-ordered: the
+    transpose of a (4, N) block, so each coefficient column is contiguous."""
     lo = np.stack([w[0] for w in windows], axis=1).ravel()
     hi = np.stack([w[1] for w in windows], axis=1).ravel()
     idx, d = _expand_windows(lo, hi)
     idx //= len(windows)
-    return np.stack([np.full(len(d), a, dtype=np.int64), b[idx], c[idx], d], axis=1)
+    return np.stack([np.full(len(d), a, dtype=np.int64), b[idx], c[idx], d]).T
 
 
 _INT64 = np.iinfo(np.int64)  # its min and max stand for no bound in _clip
@@ -270,8 +276,9 @@ def _pos_stratum(a: int, limit: int, step: int = 1) -> np.ndarray:
     counts = _pair_counts(strict)
     at = np.cumsum(counts)[edge_pair] - np.where(b > 0, 0, counts)[edge_pair]
     keep = (_canonical_pos(edge) == -edge).all(axis=1)
-    rows = np.insert(rows, at[keep], edge[keep], axis=0)[::-1]
-    return np.negative(rows, out=rows)
+    block = np.insert(rows.T, at[keep], edge.T[:, keep], axis=1)
+    del rows  # not held beside the negated block
+    return np.negative(block[:, ::-1]).T
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +355,7 @@ def _neg_ird_stratum(a: int, limit: int, step: int = 1) -> np.ndarray:
     -limit <= P <= -1 and b, c in step Z, in lexicographic order: the rows
     of the exact d-windows (_neg_ird_pair_windows) without a rational root."""
     rows = _window_rows(a, *_neg_ird_pair_windows(a, limit, step))
-    return rows[~_neg_ird_reducible(rows, a)]
+    return np.compress(~_neg_ird_reducible(rows, a), rows.T, axis=1).T
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +370,7 @@ def _neg_rd_stratum(r_lo: int, r_hi: int, limit: int, step: int = 1) -> np.ndarr
     rs = np.arange(r_lo, r_hi + 1, dtype=np.int64)
     r, q = _bc_pairs(rs, np.zeros_like(rs), 2 * rs - 1, step)
     idx, p = _expand_windows(_ceil_div(q * q + 1, 4 * r), (q * q * r * r + limit) // (4 * r ** 3))
-    return np.stack([p, q[idx], r[idx], np.zeros_like(p)], axis=1)
+    return np.stack([p, q[idx], r[idx], np.zeros_like(p)]).T
 
 
 # ---------------------------------------------------------------------------
@@ -552,18 +559,23 @@ def _check_increasing(cols, stratum: str) -> None:
 
 
 # The largest limit Y at which every int64 intermediate of the strata and of
-# the column code (discriminant, hessian, rows @ mat.T) stays below
-# 2^63.  By size, in units of Y^2:
-#   - discriminant of a reducible row (p, q, r, 0): r = 1 allows p up to
+# the column code (discriminant, hessian, the small-matrix images) stays
+# below 2^63.  By size, in units of Y^2:
+#   - discriminant c^2 (b^2 - 4ac) + d (b (18ac - 4b^2) - 27 a^2 d) of a
+#     reducible row (a, b, c, d) = (p, q, r, 0): r = 1 allows p up to
 #     (Y + 1) // 4 (r >= 2 allows less), and the partial product 27*a*a is
-#     27 p^2 <= 27 ((Y + 1) // 4)^2, about 1.69 Y^2.  This one binds;
+#     27 p^2 <= 27 ((Y + 1) // 4)^2, about 1.69 Y^2.  This one binds.  The
+#     other partials are at most of order Y^(3/2): c^2 (b^2 - 4ac) = -|P|,
+#     ac = pr <= (q^2 r^2 + Y) / (4 r^2), and |b (18ac - 4b^2)| <= 4.5 q^3 +
+#     4.5 q Y / r^2 with q < 2r, r^2 <= Y / 3.  On a P > 0 row (0, b, c, d)
+#     the d term is -4 b^3 d, within |P| + b^2 c^2;
 #   - small-matrix images of a P > 0 row (0, b, c, d): b = 1 allows
 #     |c| <= 1 and |d| <= Y/4 + 1, so s = |b| + |c| + |d| <= Y/4 + 3.  Image
 #     coefficients are at most s (x1, x4) and 3 s (x2, x3), so a Hessian
 #     product of an image is at most 9 s^2, about 0.56 Y^2.  The stratum
 #     takes images (and their Hessians) of its A = C rows only, which have
-#     |d| <= b / 3 at a = 0, and the stabilizer column takes images without
-#     Hessians, so this bound is not reached;
+#     |d| <= b / 3 at a = 0, and the stabilizer column takes no images (its
+#     closed form reads 3a and 3d), so this bound is not reached;
 #   - in _neg_rd_stratum, q^2 r^2 < 4 r^4 <= 4 Y^2 / 9 (q < 2r, r^2 <= Y/3),
 #     and 4 p r^3 <= q^2 r^2 + Y.
 # Everything else grows at most like Y^(7/4): the P < 0 irreducible windows
@@ -585,10 +597,12 @@ def _check_increasing(cols, stratum: str) -> None:
 # |x1^2 x4| <= |x1| (|x2 x3| + A) / 9, so its Horner partials are of order
 # Y^(3/4); over every point read at Y = 1e5, 1e6 and 1e7 they were at most
 # 0.13 Y^(3/4) (test_pos_root_test_at_int64_edge reads rows at MAX_LIMIT).
-# The d-windows (forms._d_windows) need (isqrt(n) + 1)^2 < 2^63 for
-# n = B2^2 + 4 alpha (|C2| + Y), which grows like Y^(3/2).  Over the strata's
-# (b, c) windows at Y = MAX_LIMIT it is at most 2.45e18 (0.27 * 2^63, P < 0
-# at a = 192) and 1.55e16 for P > 0 (test_strata_windows_exact_at_max_limit).
+# The d-windows (forms._d_windows) take the isqrt of 4 H^3 - alpha k, a
+# quarter of B2^2 + 4 alpha (C2 - k), and are exact while (isqrt(n) + 1)^2
+# < 2^63 for n = B2^2 + 4 alpha (|C2| + Y), which grows like Y^(3/2).  Over
+# the strata's (b, c) windows at Y = MAX_LIMIT it is at most 2.45e18
+# (0.27 * 2^63, P < 0 at a = 192) and 1.55e16 for P > 0
+# (test_strata_windows_exact_at_max_limit).
 MAX_LIMIT = 4 * isqrt((2 ** 63 - 1) // 27) + 2  # 2_337_884_074
 
 # sublattice -> the largest master built in it, both signs
@@ -723,20 +737,27 @@ class ClassTable:
 def _class_table(chunks, lattice: int, sign: str, max_index: int) -> ClassTable:
     """The ClassTable of the orbits of one (lattice, sign) pair with
     1 <= index <= max_index that the chunks (a master, or the _task_orbits
-    stream) select (MasterClasses.select), sorted once."""
-    no_n = _NO_ROWS[:, 0]  # typed empty columns, for a stream of no task
-    parts = [(no_n, _NO_ROWS, no_n.astype(np.int8), no_n != 0)]
+    stream) select (MasterClasses.select), sorted once.  Its columns grow
+    in place by each chunk's selection, as master_classes' do, and are
+    reordered one at a time, each through one temporary."""
+    n, reps = np.empty(0, dtype=np.int64), np.empty((0, 4), dtype=np.int64)
+    stab, irred = np.empty(0, dtype=np.int8), np.empty(0, dtype=bool)
     for chunk in chunks:
-        rows, n = chunk.select(lattice, sign, max_index)
-        parts.append((n, chunk.reps[rows], chunk.stab[rows], chunk.irred[rows]))
-    n, reps, stab, irred = map(np.concatenate, zip(*parts))
-    del parts  # not held through the sort
+        rows, n_rows = chunk.select(lattice, sign, max_index)
+        end = len(n)
+        for column in (n, reps, stab, irred):
+            # no view of a column exists while it grows (master_classes)
+            column.resize((end + len(rows), *column.shape[1:]), refcheck=False)
+        n[end:] = n_rows
+        for j in range(4):  # one column's gather at a time
+            reps[end:, j] = chunk.reps[rows, j]
+        stab[end:] = chunk.stab[rows]
+        irred[end:] = chunk.irred[rows]
+        del rows, n_rows  # not held while the next chunk is made
     order = _lex_order([n, *reps.T])
-    # one column reordered at a time, each unordered column dropped as its
-    # copy is made
-    n = n[order]
-    reps = reps[order]
-    return ClassTable(lattice, sign, n, reps, stab[order], irred[order])
+    for column in (n, *reps.T, stab, irred):
+        column[...] = column[order]
+    return ClassTable(lattice, sign, n, reps, stab, irred)
 
 
 def enumerate_classes(lattice: int, sign: str, max_index: int) -> ClassTable:
@@ -765,15 +786,17 @@ _SCAN_CACHE: dict = {}
 
 
 def _scan_window_bound(box: int, p_limit: int) -> int:
-    """The largest B2^2 + 4 alpha (C2 + p_limit) of _d_windows over the box,
+    """The largest n = B2^2 + 4 alpha (C2 + p_limit) over the box, four
+    times the largest 4 H^3 + alpha p_limit whose isqrt _d_windows takes,
     reached at a = b = -c = box: there |B2| = 22 box^3 and C2 = 5 box^4."""
     return 1024 * box ** 6 + 108 * box ** 2 * p_limit
 
 
 # The largest box at which the exact windows stay in int64 for every
-# p_limit <= MAX_LIMIT: _isqrt64 needs (isqrt(n) + 1)^2 < 2^63 for the
-# largest n, _scan_window_bound(box, MAX_LIMIT).  Every other intermediate
-# (B2 +- s, the discriminant of a box row) is of order box^4 or smaller.
+# p_limit <= MAX_LIMIT: _d_windows is exact while (isqrt(n) + 1)^2 < 2^63
+# for the largest n, _scan_window_bound(box, MAX_LIMIT).  |4 H^3| is at
+# most n / 4, and every other intermediate (g0 +- s, the discriminant of a
+# box row) is of order box^4 or smaller.
 MAX_BOX = _icbrt(isqrt(2 ** 63 // 1024))  # from the box^6 term alone
 while (isqrt(_scan_window_bound(MAX_BOX, MAX_LIMIT)) + 1) ** 2 >= 2 ** 63:
     MAX_BOX -= 1  # 455
@@ -829,7 +852,7 @@ def _box_survivors(box: int, p_limit: int, sublattice: int) -> np.ndarray:
         windows = _clip(_d_windows(a, ab, ac, -p_limit, p_limit), -box, box)
         rows = _window_rows(a, ab, ac, windows)
         p = discriminant(rows.T)
-        chunks.append(rows[(p != 0) & (np.abs(p) <= p_limit)])
+        chunks.append(np.compress((p != 0) & (np.abs(p) <= p_limit), rows.T, axis=1).T)
     rows = _ranges_to_rows(chunks)
     rows = np.concatenate([rows, rows * _MIRROR])
     rows = np.concatenate([rows, rows[:, ::-1]])

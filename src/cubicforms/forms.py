@@ -7,7 +7,8 @@ by 1/det; the discriminant P is a degree-4 invariant with P(g.f) = det(g)^2 P(f)
 The polynomial helpers (discriminant, value_at, hessian) are pure arithmetic,
 so they also accept coefficient columns, e.g. rows.T of an (N, 4) numpy array.
 _d_windows solves lo <= P <= hi for the last coefficient exactly on int64
-columns; the enumeration strata and the brute-force oracle both scan with it.
+columns, from the Hessian syzygy 27 a^2 P = 4 H^3 - G^2; the enumeration
+strata and the brute-force oracle both scan with it.
 The invariant lattices L1..L10 are defined once, by their Z-bases
 (lattice_basis).  Membership is one lattice-major residue table mod 6
 generated from those bases (residue_span, the span of rows mod m), read in
@@ -16,7 +17,8 @@ master's uint16 column of residue rows (_residue_row).  bareiss is the one exact
 elimination, fraction-free over Z (every rank and determinant), and
 _first_rise the one exact integer search (rational_roots, the enumeration's
 root masks and bounds, _icbrt, reduction._root_reduce): no scalar float root
-is left, only the corrected column square root _isqrt64.
+is left, only the column square root _isqrt64 (exact as is below 2^52,
+corrected by one integer step each way past it).
 """
 
 from __future__ import annotations
@@ -93,16 +95,12 @@ def u_of(alpha: int) -> UnimodularMatrix:
 
 
 def discriminant(f) -> int:
-    """P(f) = x2^2 x3^2 - 4 x1 x3^3 - 4 x2^3 x4 + 18 x1 x2 x3 x4 - 27 x1^2 x4^2.
-    On broadcastable coefficient columns, P of the broadcast shape."""
+    """P(f) = x2^2 x3^2 - 4 x1 x3^3 - 4 x2^3 x4 + 18 x1 x2 x3 x4 - 27 x1^2 x4^2,
+    evaluated as c^2 (b^2 - 4ac) + d (b (18ac - 4b^2) - 27 a^2 d) for
+    f = (a, b, c, d): products only, no powers.  On broadcastable
+    coefficient columns, P of the broadcast shape."""
     a, b, c, d = f
-    return (
-        b * b * c * c
-        - 4 * a * c ** 3
-        - 4 * b ** 3 * d
-        + 18 * a * b * c * d
-        - 27 * a * a * d * d
-    )
+    return c * c * (b * b - 4 * a * c) + d * (b * (18 * a * c - 4 * b * b) - 27 * a * a * d)
 
 
 def _ceil_div(x, y):
@@ -111,10 +109,16 @@ def _ceil_div(x, y):
 
 
 def _isqrt64(n: np.ndarray) -> np.ndarray:
-    """floor(sqrt(n)) for int64 n >= 0 with (isqrt(n) + 1)^2 < 2^63.  The
-    float64 root of n < 2^63 is within one of the integer root (both n and
-    its root are rounded to 53 bits), and one integer step each way fixes it."""
+    """floor(sqrt(n)) for int64 n >= 0 with (isqrt(n) + 1)^2 < 2^63.  When
+    every n is below 2^52, the truncated float64 root is exact: n is exact in
+    float64, sqrt rounds correctly, and for k = isqrt(n) + 1 <= 2^26,
+    sqrt(k^2 - 1) < k - 1/(2k) lies more than half an ulp below k.  Past
+    that, the float64 root of n < 2^63 is within one of the integer root
+    (both n and its root are rounded to 53 bits), and one integer step each
+    way fixes it."""
     s = np.sqrt(n.astype(np.float64)).astype(np.int64)
+    if n.max(initial=0) < 2 ** 52:
+        return s
     s -= s * s > n
     s += (s + 1) * (s + 1) <= n
     return s
@@ -125,33 +129,35 @@ def _d_windows(a: int, b: np.ndarray, c: np.ndarray, lo: int, hi: int) -> tuple:
     d-windows (lo_i, hi_i), the first below the second, whose union is
     exactly the d with lo <= P(a, b, c, d) <= hi.
 
-    For a >= 1, P(d) = -alpha d^2 + B2 d + C2 with alpha = 27 a^2, so
-    4 alpha (P(d) - k) = B2^2 + 4 alpha (C2 - k) - (2 alpha d - B2)^2, and
-    each bound on P is a bound on the integer |2 alpha d - B2|: an isqrt.
-    The int64 intermediates are exact while B2^2 + 4 alpha (|C2| + max(|lo|,
-    |hi|)) = n has (isqrt(n) + 1)^2 < 2^63.  For a = 0, P = b^2 c^2 - 4 b^3 d
-    falls with d: one window, and an empty second one.
+    For a >= 1, alpha P = 4 H^3 - G^2 with alpha = 27 a^2, H = b^2 - 3ac
+    (the Hessian's A) and G = g0 + alpha d, g0 = b (2 b^2 - 9ac).  So with
+    K = 4 H^3, P >= k iff G^2 <= K - alpha k, and each bound on P is a
+    bound on the integer |G|: an isqrt.  Writing P = -alpha d^2 + B2 d + C2,
+    K - alpha k is a quarter of B2^2 + 4 alpha (C2 - k) (B2 = -2 g0), so the
+    int64 intermediates are exact while n = B2^2 + 4 alpha (|C2| +
+    max(|lo|, |hi|)) has (isqrt(n) + 1)^2 < 2^63.  For a = 0,
+    P = b^2 c^2 - 4 b^3 d falls with d: one window, and an empty second one.
     """
     if a == 0:
         bbcc, slope = b * b * c * c, 4 * b ** 3
         first = (_ceil_div(bbcc - hi, slope), (bbcc - lo) // slope)
         return first, (first[1] + 1, first[1])
     alpha = 27 * a * a
-    B2 = 18 * a * b * c - 4 * b ** 3
-    C2 = b * b * c * c - 4 * a * c ** 3
-    two_alpha = 2 * alpha
-    # P >= lo  <=>  (2 alpha d - B2)^2 <= outer
-    outer = B2 * B2 + 4 * alpha * (C2 - lo)
+    H = b * b - 3 * a * c
+    g0 = b * (2 * b * b - 9 * a * c)
+    K = 4 * H * H * H
+    # P >= lo  <=>  |G| <= isqrt(K - alpha lo)
+    outer = K - alpha * lo
     s = _isqrt64(np.maximum(outer, 0))
-    w_lo = _ceil_div(B2 - s, two_alpha)
-    w_hi = np.where(outer >= 0, (B2 + s) // two_alpha, w_lo - 1)
-    # P > hi  <=>  (2 alpha d - B2)^2 < inner: the gap between the windows
-    inner = B2 * B2 + 4 * alpha * (C2 - hi)
+    w_lo = _ceil_div(-s - g0, alpha)
+    w_hi = np.where(outer >= 0, (s - g0) // alpha, w_lo - 1)
+    # P > hi  <=>  G^2 < K - alpha hi = inner: the gap between the windows
+    inner = K - alpha * hi
     t = _isqrt64(np.maximum(inner, 0))
-    t -= t * t == inner  # strict: |2 alpha d - B2| <= t
+    t -= t * t == inner  # strict: |G| <= t
     gap = inner > 0
-    g_lo = np.where(gap, _ceil_div(B2 - t, two_alpha), w_hi + 1)
-    g_hi = np.where(gap, (B2 + t) // two_alpha, w_hi)
+    g_lo = np.where(gap, _ceil_div(-t - g0, alpha), w_hi + 1)
+    g_hi = np.where(gap, (t - g0) // alpha, w_hi)
     return (w_lo, np.minimum(w_hi, g_lo - 1)), (np.maximum(w_lo, g_hi + 1), w_hi)
 
 
@@ -290,9 +296,14 @@ def sublattice_of(lattice: int) -> int:
 
 
 def _residue_row(f):
-    """Row ((a*6 + b)*6 + c)*6 + d of the residue table for f = (a, b, c, d)."""
+    """Row ((a*6 + b)*6 + c)*6 + d of the residue table for f = (a, b, c, d),
+    each coefficient reduced mod 6 as x - 6 (x // 6): numpy divides an int64
+    column by a constant several times faster than it takes a remainder.
+    One coefficient is reduced at a time, so a column pass holds no more
+    than two temporaries."""
     a, b, c, d = f
-    return ((a % 6 * 6 + b % 6) * 6 + c % 6) * 6 + d % 6
+    mod6 = lambda x: x // 6 * -6 + x
+    return ((mod6(a) * 6 + mod6(b)) * 6 + mod6(c)) * 6 + mod6(d)
 
 
 def residue_grid(mod: int) -> np.ndarray:
@@ -428,10 +439,14 @@ def _integer_roots(b: int, c: int, e: int) -> set:
     With h = b^2 - 3c (clipped at 0, where g rises throughout), exact
     integer bisection (_first_rise) finds the one candidate on each
     monotone piece of [-r, r] (_monotone_pieces).  Every root lies in
-    (-r, r) (Cauchy bound), so this takes O(digits) evaluations of g.
+    (-r, r) for r = 2 max(|b|, isqrt(|c|) + 1, _icbrt(|e| // 2) + 1), the
+    Fujiwara bound 2 max(|b|, |c|^(1/2), |e / 2|^(1/3)) made strict: at
+    |y| >= r, |b y^2| <= |y|^3 / 2 and |c y|, |e| < |y|^3 / 4.  r >= 2|b|
+    and r > 2 sqrt(|c|) keep both critical points inside, and this takes
+    O(digits) evaluations of g.
     """
     g = _monic_cubic(b, c, e)
-    r = 1 + max(abs(b), abs(c), abs(e))
+    r = 2 * max(abs(b), isqrt(abs(c)) + 1, _icbrt(abs(e) // 2) + 1)
     h = max(b * b - 3 * c, 0)
     roots = set()
     for lo, hi, rising in _monotone_pieces(g, b, h, isqrt(h), -r, r):

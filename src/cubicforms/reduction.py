@@ -13,10 +13,14 @@ digit count of the input.  Reduction strategy, by sign of the discriminant P:
   which images compete: +-f if |B| < A < C, all 20 if A = C.  If |B| = A < C,
   +-n(-B/A) f flip B, and the image with B = A always wins: once the sign makes
   x1 (or x2 if x1 = 0) negative, n(1) lowers x2 by 3|x1| (or x3 by 2|x2|).
-  One columnwise rule (_canonical_pos) serves single forms and whole strata.
+  One columnwise rule (_canonical_pos) serves single forms and whole strata:
+  one product with the stacked action matrices gives all 20 images of each
+  A = C row, and a knockout of lexicographic comparisons keeps the least.
   A stabilizer of f fixes its Hessian, and the automorphs of a reduced
   positive-definite quadratic form have entries in {-1, 0, 1}, so the
-  stabilizer is read off the same reduced form.
+  stabilizer is read off the same reduced form.  The forms an order-3
+  matrix fixes are a rank-2 lattice, so the stabilizer column is two pairs
+  of linear tests in closed form (_pos_stab_column), with no product.
 
 * P < 0: the dehomogenized cubic has one real root rho and two complex roots.
   Root reduction moves the upper-half-plane root theta into the closed
@@ -93,9 +97,17 @@ def _hessian_reduce(f: CubicForm) -> CubicForm:
             return f
 
 
-_SMALL_MATS = [np.array(action_matrix(g), dtype=np.int64) for g in SMALL_MATRICES]
+# The transposed action matrices of SMALL_MATRICES side by side, (4, 80):
+# rows @ _SMALL_STACK holds the 20 images of each row, four columns each.
+_SMALL_STACK = np.concatenate(
+    [np.array(action_matrix(g), dtype=np.int64).T for g in SMALL_MATRICES], axis=1
+)
 # ORDER3_MATRICES are two inverse pairs g, g^-1 = g^2, and g fixes f iff g^-1
-# does: one of each pair (the lexicographically smaller) decides.
+# does: one of each pair (the lexicographically smaller) decides.  The forms
+# each fixes, ker(M - I), are spanned by x (0, -1, 1, 0) + y (1, -3, 0, 1) =
+# (y, -x - 3y, x, y) for the first and by x (0, 1, 1, 0) + y (-1, -3, 0, 1)
+# = (-y, x - 3y, x, y) for the second.  (a, c) reads off (y, x), so the
+# integer forms fixed are exactly these Z-spans (_pos_stab_column).
 _STAB3_MATS = [
     np.array(action_matrix(g), dtype=np.int64)
     for g in ORDER3_MATRICES
@@ -127,23 +139,33 @@ def _canonical_pos(rows: np.ndarray) -> np.ndarray:
     # lexmin(f, -f): the first nonzero coefficient (x1, else x2) made negative
     x1, x2 = best[:, 0], best[:, 1]
     best[(x1 > 0) | ((x1 == 0) & (x2 > 0))] *= -1
-    # +-f have the same 20 images, since -I times a small matrix is one
+    # +-f have the same 20 images, since -I times a small matrix is one; f
+    # is among them and weakly reduced, so the images that are not stand in
+    # for f, and a knockout of _lex_less rounds leaves each row's lexmin
     idx = np.flatnonzero(A == C)
+    if not len(idx):
+        return best
     small = best[idx]
-    for mat in _SMALL_MATS:
-        imgs = small @ mat.T
-        ok = _weakly_reduced(imgs.T) & _lex_less(imgs, best[idx])
-        best[idx[ok]] = imgs[ok]
+    imgs = (small @ _SMALL_STACK).reshape(len(idx), len(SMALL_MATRICES), 4)
+    ok = _weakly_reduced(imgs.transpose(2, 0, 1))
+    imgs = np.where(ok[:, :, None], imgs, small[:, None, :])
+    while imgs.shape[1] > 1:
+        half = imgs.shape[1] // 2
+        first, second = imgs[:, :half], imgs[:, half : 2 * half]
+        less = _lex_less(second.reshape(-1, 4), first.reshape(-1, 4)).reshape(-1, half)
+        won = np.where(less[:, :, None], second, first)
+        imgs = np.concatenate([won, imgs[:, 2 * half :]], axis=1)
+    best[idx] = imgs[:, 0]
     return best
 
 
 def _pos_stab_column(rows: np.ndarray) -> np.ndarray:
     """Stabilizer orders (1 or 3) of Hessian-reduced P > 0 rows (an (N, 4)
     array; dtype object keeps big ints exact): 3 iff an ORDER3_MATRICES
-    element fixes the row, tested on one of each inverse pair."""
-    fixed = np.zeros(len(rows), dtype=bool)
-    for mat in _STAB3_MATS:
-        fixed |= (rows @ mat.T == rows).all(axis=1)
+    element fixes the row, i.e. the row lies in the fixed lattice of one of
+    the _STAB3_MATS (one per inverse pair), tested in closed form."""
+    a, b, c, d = rows.T
+    fixed = ((a == d) & (b + c + 3 * a == 0)) | ((a == -d) & (b == c - 3 * d))
     return np.where(fixed, 3, 1)
 
 

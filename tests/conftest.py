@@ -1,7 +1,7 @@
 from collections import deque
 from fractions import Fraction
 from functools import cache
-from math import gcd
+from math import gcd, isqrt
 from operator import index
 
 import numpy as np
@@ -11,7 +11,16 @@ from cubicforms import U1, W, ClassTable, CoefficientSeries, act, build_all_seri
 from cubicforms import enumeration
 from cubicforms.cli import _frac_str
 from cubicforms.enumeration import MasterClasses
-from cubicforms.forms import U1_INV, _residue_row, action_matrix, discriminant, value_at
+from cubicforms.forms import (
+    U1_INV,
+    _first_rise,
+    _monic_cubic,
+    _monotone_pieces,
+    _residue_row,
+    action_matrix,
+    discriminant,
+    value_at,
+)
 from cubicforms.reduction import SMALL_MATRICES, _canonical_pos, _pos_stab_column, orbit_bfs
 
 
@@ -250,6 +259,27 @@ def _divisor_rational_roots(f) -> list:
 @pytest.fixture(scope="session")
 def reference_rational_roots():
     return _divisor_rational_roots
+
+
+def _cauchy_integer_roots(b: int, c: int, e: int) -> set:
+    """The integer roots of y^3 + b y^2 + c y + e, by the same bisection as
+    forms._integer_roots on Cauchy's bracket 1 + max(|b|, |c|, |e|): the
+    reference for its Fujiwara bracket."""
+    g = _monic_cubic(b, c, e)
+    r = 1 + max(abs(b), abs(c), abs(e))
+    h = max(b * b - 3 * c, 0)
+    roots = set()
+    for lo, hi, rising in _monotone_pieces(g, b, h, isqrt(h), -r, r):
+        if lo <= hi and rising(hi) >= 0:
+            y = _first_rise(rising, lo, hi, hi - lo + 1)
+            if g(y) == 0:
+                roots.add(y)
+    return roots
+
+
+@pytest.fixture(scope="session")
+def reference_integer_roots():
+    return _cauchy_integer_roots
 
 
 def _fraction_coeffs_text(s: CoefficientSeries) -> str:

@@ -1065,6 +1065,18 @@ def test_isqrt64_exact_near_squares():
     ns = [k * k + off for k in ks for off in (-1, 0, 1, 2 * k)]
     got = _isqrt64(np.array(ns, dtype=np.int64))
     assert got.tolist() == [isqrt(n) for n in ns]
+    # at the switch to the corrected root (n < 2^52 takes the float root
+    # as is): squares near 2^52 and near 2^54, one block at a time, since
+    # the largest n of a call picks the path
+    for centre in (2 ** 26, 2 ** 27 - 1):
+        ks = range(centre - 3, centre + 4)
+        ns = [k * k + off for k in ks for off in (-1, 0, 1)]
+        for block in (ns, [n for n in ns if n < 2 ** 52]):
+            got = _isqrt64(np.array(block, dtype=np.int64))
+            assert got.tolist() == [isqrt(n) for n in block]
+    ns = [2 ** 52 - 1, 2 ** 52, 2 ** 52 + 1]
+    for block in (ns, ns[:1]):
+        assert _isqrt64(np.array(block, dtype=np.int64)).tolist() == [isqrt(n) for n in block]
 
 
 def test_scan_windows_exact_at_the_box_bound():

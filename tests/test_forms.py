@@ -305,6 +305,29 @@ def test_first_rise_on_ints_and_columns():
         assert _first_rise(lambda y: y - u, a, b, max(b - a + 1, 0)) == w, row
 
 
+def test_integer_roots_fujiwara_bracket_matches_cauchy(reference_integer_roots):
+    # random cubics with coefficients past int64, and with planted roots
+    rng = random.Random(38)
+    for digits in (2, 6, 25):
+        for _ in range(200):
+            b, c, e = (rng.randint(-(10 ** digits), 10 ** digits) for _ in range(3))
+            assert forms_mod._integer_roots(b, c, e) == reference_integer_roots(b, c, e)
+            y, p, q = (rng.randint(-(10 ** digits), 10 ** digits) for _ in range(3))
+            # (y' - y)(y'^2 + p y' + q)
+            b, c, e = p - y, q - p * y, -q * y
+            roots = forms_mod._integer_roots(b, c, e)
+            assert y in roots and roots == reference_integer_roots(b, c, e)
+    # the largest root magnitude the bracket allows: y^3 - m y^2 - m (m + 2) y
+    # - (2m + 1)(m^2 + m + 1) has the root 2m + 1 = r - 1, since isqrt(|c|) =
+    # _icbrt(|e| // 2) = m gives r = 2 (m + 1); its mirror y -> -y has -r + 1
+    for m in (*range(1, 40), 10 ** 6, 2 ** 64, 10 ** 30):
+        for sign in (1, -1):
+            b, c, e = -sign * m, -m * (m + 2), -sign * (2 * m + 1) * (m * m + m + 1)
+            roots = forms_mod._integer_roots(b, c, e)
+            assert sign * (2 * m + 1) in roots
+            assert roots == reference_integer_roots(b, c, e)
+
+
 def test_icbrt_exact_near_cubes():
     # floor(n^(1/3)) at 0, 1 and on both sides of every cube m^3: every m
     # up to 2^12, and the m = 2^k - 1, 2^k, 2^k + 1 and random m up to 2^40

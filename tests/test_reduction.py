@@ -15,7 +15,7 @@ from cubicforms import (
     hessian,
 )
 from cubicforms import enumeration, reduction
-from cubicforms.forms import UnimodularMatrix, action_matrix, is_irreducible, u_of
+from cubicforms.forms import UnimodularMatrix, action_matrix, bareiss, is_irreducible, u_of
 from cubicforms.reduction import (
     ORDER3_MATRICES,
     SMALL_MATRICES,
@@ -398,12 +398,37 @@ def test_order3_matrices_are_two_inverse_pairs():
     assert [m.tolist() for m in _STAB3_MATS] == [action_matrix(g) for g in kept]
 
 
+# A Z-basis of the forms each _STAB3_MATS element fixes
+_STAB3_FIXED = (((0, -1, 1, 0), (1, -3, 0, 1)), ((0, 1, 1, 0), (-1, -3, 0, 1)))
+
+
 def test_pos_stab_column_matches_all_four_order3_matrices():
-    m = enumeration.master_classes(10 ** 5)
+    m = enumeration.master_classes(10 ** 6)
     rows = m.reps[m.disc > 0]
-    fixed = np.zeros(len(rows), dtype=bool)
-    for g in ORDER3_MATRICES:
-        mat = np.array(action_matrix(g), dtype=np.int64)
-        fixed |= (rows @ mat.T == rows).all(axis=1)
-    assert fixed.sum() > 0
-    assert np.array_equal(_pos_stab_column(rows), np.where(fixed, 3, 1))
+    # forms fixed by an order-3 matrix, scaled past int64, with a coefficient
+    # moved by one so they are not
+    fixed_forms = [x * np.array(v) + y * np.array(w) for v, w in _STAB3_FIXED
+                   for x, y in ((1, 1), (2, -1), (-3, 5))]
+    big = np.array(fixed_forms, dtype=object) * (10 ** 20 + 1)
+    off = big.copy()
+    off[:, 2] += 1
+    for block in (rows, np.concatenate([big, off])):
+        fixed = np.zeros(len(block), dtype=bool)
+        for g in ORDER3_MATRICES:
+            mat = np.array(action_matrix(g), dtype=np.int64)
+            fixed |= (block @ mat.T == block).all(axis=1)
+        assert fixed.sum() > 0
+        assert np.array_equal(_pos_stab_column(block), np.where(fixed, 3, 1))
+    assert _pos_stab_column(big).tolist() == [3] * len(big)
+    assert _pos_stab_column(off).tolist() == [1] * len(off)
+
+
+def test_stab3_fixed_lattices_are_the_whole_fixed_sets():
+    # each matrix fixes its two basis forms, and M - I has rank 2, so they
+    # span ker(M - I); (a, c) reads off the coordinates, so the span is
+    # saturated and the closed form of _pos_stab_column is the whole test
+    for mat, basis in zip(_STAB3_MATS, _STAB3_FIXED):
+        for v in basis:
+            assert (mat @ np.array(v)).tolist() == list(v)
+        pivots, _ = bareiss((mat - np.eye(4, dtype=np.int64)).tolist())
+        assert len(pivots) == 2
