@@ -353,11 +353,11 @@ class DensityRow:
 def density_report(lattice: int, sign: str, max_x: int, checkpoints: int = 10) -> list:
     """Counts S(X) of irreducible classes at geometric checkpoints up to max_x,
     against the two-term prediction; gauge = |S - prediction| / X^(2/3).
-    The counts stream: each task of the sign whose irred column is not the
-    constant False (enumeration._task_columns) yields one chunk of orbits
-    (enumeration._task_orbits), and series.count_orbits bins the pair's
-    orbits in it by checkpoint, so no master is built or read.  The checks
-    run before any task."""
+    The counts stream: the stratum units of the sign whose irred column is
+    not the constant False (enumeration._task_columns) yield their orbits
+    chunk by chunk (enumeration._task_orbits), and series.count_orbits bins
+    the pair's orbits in each by checkpoint, so no master is built or read.
+    The checks run before any unit."""
     sublattice = sublattice_of(lattice)
     if checkpoints < 1:
         raise ValueError(f"checkpoints must be >= 1; got {checkpoints}")

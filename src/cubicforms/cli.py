@@ -11,7 +11,7 @@ Exit codes: 0 success, 1 verification or integrity failure, 2 usage error.
 All outputs start with a `schema:1` header line.  The master enumeration
 runs in one process: the worker count that every subcommand accepts (N >= 1)
 is kept for compatibility with existing command lines and has no effect.
-The one-shot commands read the stratum tasks of their sign chunk by chunk
+The one-shot commands read the stratum units of their sign chunk by chunk
 (enumeration._task_orbits) and hold no master: `enumerate` gathers and
 sorts its pair's rows, `coeffs` and `density` count them
 (series.count_orbits).  The verify suites share one cached master per
@@ -46,7 +46,7 @@ from .enumeration import (
 )
 from .forms import index_scale, sublattice_of
 from .golden import golden_table
-from .series import CoefficientSeries, build_all_series, count_orbits
+from .series import build_all_series, count_orbits
 
 SCHEMA_LINE = "schema:1"
 
@@ -73,6 +73,10 @@ def _frac_str(x: Fraction) -> str:
 # Rows formatted per write by the enumerate and coeffs writers, so neither
 # output is ever held as one string.
 _ENUMERATE_BLOCK = 8192
+
+# Indices per block of the coeffs writer, which reads each block's
+# coefficients from the counts in turn.
+_COEFFS_BLOCK = 2 ** 20
 _INT64_MIN = int(np.iinfo(np.int64).min)
 
 
@@ -168,16 +172,20 @@ def cmd_coeffs(args, out) -> int:
     sign, lattice = _sign_arg(args.sign), args.lattice
     limit, sublattice = args.max * index_scale(lattice), sublattice_of(lattice)
     chunks = _task_orbits(_selection_tasks(limit, sign, sublattice), limit, sign, sublattice)
-    s = CoefficientSeries(lattice, sign, args.max, count_orbits(chunks, lattice, sign, args.max))
-    # 3 a_n: all orbits, the irreducible and the reducible ones
-    weighted, ird, rd = (s.thirds(irreducible=i) for i in (None, True, False))
-    n = np.flatnonzero(weighted)  # index 0 holds no orbit
+    orbits = count_orbits(chunks, lattice, sign, args.max)
     print(SCHEMA_LINE, file=out)
     print("n,weighted,unweighted,irreducible_weighted,reducible_weighted", file=out)
-    _write_rows(out, len(n), [
-        n, b",", *_third_pieces(weighted[n]), b",", s.orbits.sum(axis=(0, 1))[n],
-        b",", *_third_pieces(ird[n]), b",", *_third_pieces(rd[n]), b"\n",
-    ])
+    # a block of indices at a time, so no column of every index is held
+    # beside the counts (at --max 1e7, each is 80 MB)
+    for start in range(0, args.max + 1, _COEFFS_BLOCK):
+        block = orbits[:, :, start:start + _COEFFS_BLOCK]
+        # 3 a_n: all orbits, the irreducible and the reducible ones
+        weighted, ird, rd = (series_mod._thirds(block, i) for i in (None, True, False))
+        n = np.flatnonzero(weighted)  # index 0 holds no orbit
+        _write_rows(out, len(n), [
+            n + start, b",", *_third_pieces(weighted[n]), b",", block.sum(axis=(0, 1))[n],
+            b",", *_third_pieces(ird[n]), b",", *_third_pieces(rd[n]), b"\n",
+        ])
     return 0
 
 

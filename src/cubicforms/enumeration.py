@@ -34,17 +34,19 @@ rational-root test (_neg_ird_reducible); the P > 0 irreducibility column
 forms.rational_roots (forms._first_rise).  Every scalar bound (the last a
 of each stratum, the P < 0 c-windows, the oracle's Hessian cut, MAX_BOX)
 is isqrt or forms._icbrt: the one float root left is the column square
-root forms._isqrt64.  Each task emits its rows in order, and the tasks are
-listed in row order (P > 0 by descending a, since x1 = -a), so no sort is
-needed: one pass over neighbours (reduction._lex_less) checks that each
-stratum's block strictly increases in its own key, so it has no
-duplicates.  Each block is column-ordered, the transpose of a (4, N)
+root forms._isqrt64.  Each stratum unit (one a, or the r-range of the
+reducible stratum) emits its rows in order, and the units are listed in
+row order (P > 0 by descending a, since x1 = -a), so no sort is needed:
+one pass over neighbours (reduction._lex_less) checks that each stratum's
+block strictly increases in its own key, so it has no duplicates.  Each block is column-ordered, the transpose of a (4, N)
 block stacked from its coefficient columns and filtered along its second
 axis, so every per-row pass (discriminant, residue rows, the order check,
 the root tests and the stab and irred columns) reads contiguous columns.
-_task_columns gives the stab and irred columns of each task; the stab
+_task_columns gives the stab and irred columns of a unit's rows; the stab
 column is the closed-form test of reduction._pos_stab_column.
-_task_orbits yields each task's orbits, checked, as a MasterClasses chunk.
+_stratum_chunks runs consecutive units of one kind as one pass and cuts
+their rows at pair boundaries into chunks of at most _CHUNK_ROWS rows, and
+_task_orbits yields each chunk's orbits, checked, as a MasterClasses.
 The master is written once from that stream, in one pass: each column
 grows in place by each chunk's length, and the chunk goes into its new
 tail.  Integer arithmetic is int64, exact to MAX_LIMIT (~2.3e9).
@@ -86,6 +88,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from math import isqrt
+from itertools import groupby
 from operator import index
 
 import numpy as np
@@ -148,31 +151,46 @@ def _expand_windows(lo: np.ndarray, hi: np.ndarray):
 # keep 3 | x2, x3; they generate SL2(Z).  So an orbit lies in L2 or misses
 # it, and every stratum emits one representative per orbit, so its orbits
 # in L2 are exactly its rows with b, c in 3Z.  The coefficients b and c of a
-# row come from the stratum's (b, c) pairs (_bc_pairs), so restricting the
-# pairs to 3Z (b in 3Z, each c-window rounded inward) emits those rows and
-# no other, in the same order, each with the columns of the full master.
+# row come from the stratum's (b, c) pairs (_step_windows), so restricting
+# the pairs to 3Z (b in 3Z, each c-window rounded inward) emits those rows
+# and no other, in the same order, each with the columns of the full master.
 _STEPS = {1: 1, 2: 3}
+
+
+def _step_windows(bs: np.ndarray, c_lo: np.ndarray, c_hi: np.ndarray, step: int) -> tuple:
+    """The c-windows c_lo[i] <= c <= c_hi[i] at b = bs[i] in units of step
+    (_STEPS): each rounded inward to step Z and divided by step, and emptied
+    where b is not in step Z."""
+    on = bs % step == 0
+    return np.where(on, _ceil_div(c_lo, step), 1), np.where(on, c_hi // step, 0)
 
 
 def _bc_pairs(bs: np.ndarray, c_lo: np.ndarray, c_hi: np.ndarray, step: int = 1) -> tuple:
     """The (b, c) columns of the windows c_lo[i] <= c <= c_hi[i] at b = bs[i],
-    with b and c multiples of step (_STEPS): the b in step Z, each c-window
-    rounded inward to step Z.  In lexicographic order when bs is increasing."""
-    on = bs % step == 0
-    idx, c = _expand_windows(_ceil_div(c_lo[on], step), c_hi[on] // step)
-    return bs[on][idx], c * step
+    with b and c multiples of step (_step_windows).  In lexicographic order
+    when bs is increasing."""
+    idx, c = _expand_windows(*_step_windows(bs, c_lo, c_hi, step))
+    return bs[idx], c * step
 
 
-def _window_rows(a: int, b: np.ndarray, c: np.ndarray, windows) -> np.ndarray:
-    """The rows (a, b_i, c_i, d) for every d in the windows (lo, hi) of each
-    (b_i, c_i); in lexicographic order when the (b, c) pairs are and the
-    windows of a pair are disjoint and increasing.  Column-ordered: the
-    transpose of a (4, N) block, so each coefficient column is contiguous."""
-    lo = np.stack([w[0] for w in windows], axis=1).ravel()
-    hi = np.stack([w[1] for w in windows], axis=1).ravel()
-    idx, d = _expand_windows(lo, hi)
-    idx //= len(windows)
-    return np.stack([np.full(len(d), a, dtype=np.int64), b[idx], c[idx], d]).T
+def _window_set(windows) -> list:
+    """[lo, hi, n]: the windows (w_lo, w_hi) of each pair side by side, as
+    two (pairs, windows) arrays, and the number of d in them per pair; all
+    three slice as the pairs do."""
+    n = sum(np.maximum(w_hi - w_lo + 1, 0) for w_lo, w_hi in windows)
+    return [np.stack([w[0] for w in windows], axis=1), np.stack([w[1] for w in windows], axis=1), n]
+
+
+def _window_rows(a, b: np.ndarray, c: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The rows (a_i, b_i, c_i, d) for every d in the windows lo, hi of a
+    _window_set at each pair i, a an int or a column; in lexicographic order
+    when the pairs are and the windows of a pair are disjoint and increasing.
+    Column-ordered: the transpose of a (4, N) block, so each coefficient
+    column is contiguous."""
+    idx, d = _expand_windows(lo.ravel(), hi.ravel())
+    idx //= lo.shape[1]
+    x1 = a[idx] if np.ndim(a) else np.full(len(d), a, dtype=np.int64)
+    return np.stack([x1, b[idx], c[idx], d]).T
 
 
 _INT64 = np.iinfo(np.int64)  # its min and max stand for no bound in _clip
@@ -220,60 +238,60 @@ def _pos_bc_windows(a: int, limit: int) -> tuple:
     return bs, c_lo, c_hi
 
 
-def _pos_windows(a: int, limit: int, step: int = 1) -> tuple:
-    """(b, c, A, k, windows): the (b, c) pairs of _pos_scan (b, c in step Z),
-    their Hessian A = b^2 - 3ac and k = c^2 - A, and the d-windows of each
-    pair.  At fixed (b, c) each condition is exact in d: 1 <= P <= limit
-    gives the windows of _d_windows, and |B| <= A and C >= A, both linear in
-    d, clip them."""
-    b, c = _bc_pairs(*_pos_bc_windows(a, limit), step)
+def _pos_scan_windows(a, b: np.ndarray, c: np.ndarray, limit: int) -> tuple:
+    """(A, k, windows): the Hessian A = b^2 - 3ac of the (b, c) pairs at
+    leading coefficient a (an int >= 0, or a column of a >= 1), k = c^2 - A,
+    and the d-windows of the weakly reduced rows (|B| <= A <= C).  At fixed
+    (a, b, c) each condition is exact in d: 1 <= P <= limit gives the
+    windows of _d_windows, and |B| <= A and C >= A, both linear in d, clip
+    them."""
     A = b * b - 3 * a * c
     windows = _d_windows(a, b, c, 1, limit)
-    if a:  # |B| = |bc - 9ad| <= A
+    if np.ndim(a) or a:  # |B| = |bc - 9ad| <= A
         windows = _clip(windows, _ceil_div(b * c - A, 9 * a), (b * c + A) // (9 * a))
     # C = c^2 - 3bd >= A, i.e. 3bd <= k, bounds d above for b > 0 and below
     # for b < 0 (b = 0 is settled by the c-windows)
     k = c * c - A
-    return b, c, A, k, _clip(windows, *_at_most(3 * b, k))
+    return A, k, _clip(windows, *_at_most(3 * b, k))
 
 
 def _pos_scan(a: int, limit: int) -> np.ndarray:
     """The weakly Hessian-reduced rows (|B| <= A <= C) with leading
     coefficient a >= 0 (b >= 1 if a = 0) and 1 <= P <= limit, in
     lexicographic order."""
-    b, c, _, _, windows = _pos_windows(a, limit)
-    return _window_rows(a, b, c, windows)
+    b, c = _bc_pairs(*_pos_bc_windows(a, limit))
+    return _window_rows(a, b, c, *_window_set(_pos_scan_windows(a, b, c, limit)[2])[:2])
 
 
-def _pair_counts(windows) -> np.ndarray:
-    """The number of d in the windows of each (b, c) pair."""
-    return sum(np.maximum(w_hi - w_lo + 1, 0) for w_lo, w_hi in windows)
-
-
-def _pos_stratum(a: int, limit: int, step: int = 1) -> np.ndarray:
-    """The canonical representatives whose negation has leading coefficient
-    a, in lexicographic order; over all a >= 0, one row per orbit with
-    1 <= P <= limit (with step 3, per orbit in L2: _STEPS).
+def _pos_windows(a, b: np.ndarray, c: np.ndarray, limit: int) -> list:
+    """The _window_set of the scan rows (_pos_scan_windows) kept outright,
+    then that of its A = C rows, as one list of six arrays.
 
     A scan row f is kept, and -f emitted, iff -f is canonical
     (reduction._canonical_pos).  Where A < C that holds iff B != -A, so
     the strict clips B > -A and C > A give the rows kept outright.  Only
-    the A = C rows go through _canonical_pos: one d = k / (3b) per (b, c),
-    the end of the C clip (every d of the pair c = -3a at b = 0).  The
-    scan is in lexicographic order, so the negated rows are reversed."""
-    b, c, A, k, windows = _pos_windows(a, limit, step)
-    if a:  # B = bc - 9ad > -A
+    the A = C rows go through _canonical_pos (_pos_rows): one d = k / (3b)
+    per (b, c), the end of the C clip (every d of the pair c = -3a at
+    b = 0)."""
+    A, k, windows = _pos_scan_windows(a, b, c, limit)
+    if np.ndim(a) or a:  # B = bc - 9ad > -A
         strict = _clip(windows, _INT64.min, (b * c + A - 1) // (9 * a))
     else:  # B = bc > -A = -b^2
         strict = _only(windows, c != -b)
     # C > A, and C = A; at b = 0, C - A = k for every d
     strict = _only(_clip(strict, *_at_most(3 * b, k - 1)), (b != 0) | (k > 0))
     equal = _only(_clip(windows, *_at_most(-3 * b, -k)), (b != 0) | (k == 0))
-    rows = _window_rows(a, b, c, strict)
-    edge = _window_rows(a, b, c, equal)
-    edge_pair = np.repeat(np.arange(len(b)), _pair_counts(equal))
+    return _window_set(strict) + _window_set(equal)
+
+
+def _pos_rows(a, b, c, lo, hi, counts, edge_lo, edge_hi, edge_counts) -> np.ndarray:
+    """The canonical representatives whose negations are the scan rows of
+    the pairs (b, c) at a kept by their windows (_pos_windows), in
+    lexicographic order: the scan is, so the negated rows are reversed."""
+    rows = _window_rows(a, b, c, lo, hi)
+    edge = _window_rows(a, b, c, edge_lo, edge_hi)
+    edge_pair = np.repeat(np.arange(len(b)), edge_counts)
     # an A = C row ends its pair's rows for b > 0 and starts them for b <= 0
-    counts = _pair_counts(strict)
     at = np.cumsum(counts)[edge_pair] - np.where(b > 0, 0, counts)[edge_pair]
     keep = (_canonical_pos(edge) == -edge).all(axis=1)
     block = np.insert(rows.T, at[keep], edge.T[:, keep], axis=1)
@@ -312,11 +330,12 @@ def _outside(windows, lo: np.ndarray, hi: np.ndarray, cut: np.ndarray) -> list:
     return pieces
 
 
-def _neg_ird_windows(a: int, b: np.ndarray, c: np.ndarray, limit: int) -> list:
-    """The d-windows of the root-reduced rows (a, b_i, c_i, d) with
-    -limit <= P <= -1, a >= 1: the exact windows of P, clipped to
-    |s1| < 1 and cut to s2 > 1, each exact in d.  The windows also keep
-    d = 0 where c > a, rows with the rational root 0."""
+def _neg_ird_windows(a, b: np.ndarray, c: np.ndarray, limit: int) -> list:
+    """The _window_set of the d-windows of the root-reduced rows
+    (a, b_i, c_i, d) with -limit <= P <= -1, a >= 1 (an int or a column):
+    the exact windows of P, clipped to |s1| < 1 and cut to s2 > 1, each
+    exact in d.  The windows also keep d = 0 where c > a, rows with the
+    rational root 0."""
     # |s1| < 1, the sign tests of _in_open_domain at (-b -+ a)/a, in d:
     # -(a - b)(a - b + c) < a d < (a + b)(a + b + c)
     windows = _clip(
@@ -328,34 +347,34 @@ def _neg_ird_windows(a: int, b: np.ndarray, c: np.ndarray, limit: int) -> list:
     # i.e. |2d - b| > isqrt(D) with D = b^2 - 4a(c - a); no cut where D < 0
     disc = b * b - 4 * a * (c - a)
     s = _isqrt64(np.maximum(disc, 0))
-    return _outside(windows, _ceil_div(b - s, 2), (b + s) // 2, disc >= 0)
+    return _window_set(_outside(windows, _ceil_div(b - s, 2), (b + s) // 2, disc >= 0))
 
 
-def _neg_ird_reducible(rows: np.ndarray, a: int) -> np.ndarray:
-    """Rows of _neg_ird_windows at leading coefficient a with a rational
-    root p/q.  Then q | a, so y = a p / q is an integer root of the monic
-    g(y) = f(y, a) / a = y^3 + b y^2 + a c y + a^2 d, whose one real root
-    lies in (-b - a, -b + a): the |s1| < 1 clip is g(-b - a) < 0 <
-    g(-b + a).  One bisection (forms._first_rise) covers that piece."""
-    _, b, c, d = rows.T
+def _neg_ird_reducible(rows: np.ndarray) -> np.ndarray:
+    """Rows of _neg_ird_windows with a rational root p/q.  Then q | a, so
+    y = a p / q is an integer root of the monic g(y) = f(y, a) / a =
+    y^3 + b y^2 + a c y + a^2 d, whose one real root lies in
+    (-b - a, -b + a): the |s1| < 1 clip is g(-b - a) < 0 < g(-b + a).  One
+    bisection (forms._first_rise) covers that piece of every row, with the
+    step bound of the widest (the largest a).  Where the rows' a differ, g
+    is read at min(y, -b + a - 1), so a row with a smaller a is read in its
+    own piece only."""
+    x1, b, c, d = rows.T
+    one = len(x1) and (x1 == x1[0]).all()
+    a = int(x1[0]) if one else x1  # an int where it can: numpy multiplies by one faster
     g = _monic_cubic(b, a * c, a * a * d)
-    return g(_first_rise(g, 1 - a - b, a - 1 - b, 2 * a - 1)) == 0
+    hi = a - 1 - b
+    width = 2 * int(np.max(a, initial=1)) - 1
+    rising = g if one else lambda y: g(np.minimum(y, hi))
+    return g(_first_rise(rising, 1 - a - b, hi, width)) == 0
 
 
-def _neg_ird_pair_windows(a: int, limit: int, step: int = 1) -> tuple:
-    """(b, c, windows): the (b, c) pairs of the P < 0 irreducible stratum at
-    leading coefficient a >= 1 (b, c in step Z) and the exact d-windows of
-    each (_neg_ird_windows)."""
-    b, c = _bc_pairs(*_neg_ird_bc_windows(a, limit), step)
-    return b, c, _neg_ird_windows(a, b, c, limit)
-
-
-def _neg_ird_stratum(a: int, limit: int, step: int = 1) -> np.ndarray:
-    """The irreducible P < 0 representatives with leading coefficient a >= 1,
-    -limit <= P <= -1 and b, c in step Z, in lexicographic order: the rows
-    of the exact d-windows (_neg_ird_pair_windows) without a rational root."""
-    rows = _window_rows(a, *_neg_ird_pair_windows(a, limit, step))
-    return np.compress(~_neg_ird_reducible(rows, a), rows.T, axis=1).T
+def _neg_ird_rows(a, b, c, lo, hi, _) -> np.ndarray:
+    """The irreducible P < 0 representatives of the pairs (b, c) at a: the
+    rows of their windows (_neg_ird_windows) without a rational root, in
+    lexicographic order."""
+    rows = _window_rows(a, b, c, lo, hi)
+    return np.compress(~_neg_ird_reducible(rows), rows.T, axis=1).T
 
 
 # ---------------------------------------------------------------------------
@@ -363,13 +382,17 @@ def _neg_ird_stratum(a: int, limit: int, step: int = 1) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _neg_rd_stratum(r_lo: int, r_hi: int, limit: int, step: int = 1) -> np.ndarray:
-    """Rows (p, q, r, 0) with r in [r_lo, r_hi], 0 <= q < 2r, q and r in
-    step Z, and 1 <= -P = r^2 (4pr - q^2) <= limit, in lexicographic order
-    of (r, q, p): the (r, q) pairs in order, and the window of p of each."""
-    rs = np.arange(r_lo, r_hi + 1, dtype=np.int64)
-    r, q = _bc_pairs(rs, np.zeros_like(rs), 2 * rs - 1, step)
-    idx, p = _expand_windows(_ceil_div(q * q + 1, 4 * r), (q * q * r * r + limit) // (4 * r ** 3))
+def _neg_rd_windows(_, r: np.ndarray, q: np.ndarray, limit: int) -> list:
+    """The _window_set of the p-windows of the rows (p, q_i, r_i, 0) with
+    1 <= -P = r^2 (4pr - q^2) <= limit: one window per (r, q) pair."""
+    return _window_set([(_ceil_div(q * q + 1, 4 * r), (q * q * r * r + limit) // (4 * r ** 3))])
+
+
+def _neg_rd_rows(_, r, q, lo, hi, __) -> np.ndarray:
+    """The rows (p, q, r, 0) of the (r, q) pairs' p-windows
+    (_neg_rd_windows), in lexicographic order of (r, q, p) when the pairs
+    are in order of (r, q)."""
+    idx, p = _expand_windows(lo.ravel(), hi.ravel())
     return np.stack([p, q[idx], r[idx], np.zeros_like(p)]).T
 
 
@@ -386,8 +409,8 @@ class MasterClasses:
     (uint16); the (N, 10) membership is the property member, read from res.
     sublattice 2 records that the rows are only the orbits in L2, which
     hold the even lattices and no odd one.  A chunk of _task_orbits holds
-    one stratum task's rows, and its sign ('+' or '-', None for both)
-    records the sign of P of the stream."""
+    the rows of one chunk of _stratum_chunks, and its sign ('+' or '-',
+    None for both) records the sign of P of the stream."""
 
     limit: int
     reps: np.ndarray  # (N, 4) int64, representatives, one per orbit
@@ -467,36 +490,25 @@ def _pos_irreducible_mask(rows: np.ndarray) -> np.ndarray:
 
 
 def _stratum_tasks(limit: int, step: int = 1) -> list:
-    """The stratum tasks (kind, arg, limit, step) of a master, in row order;
-    step 3 restricts every task to L2 (_STEPS)."""
+    """The stratum units (kind, arg, limit, step) of a master, in row order:
+    one per leading coefficient a of each P > 0 and P < 0 irreducible
+    stratum, and one r-range for the reducible one; step 3 restricts every
+    unit to L2 (_STEPS).  The units plan the rows; _stratum_chunks cuts
+    them into chunks."""
     # 729 a^4 <= 16 P for P > 0, and 27 a^4 < 27 a^4 s2^3 <= 16 |P| for P < 0
     amax_pos = isqrt(isqrt(16 * limit // 729))
     amax_neg = isqrt(isqrt(16 * limit // 27))
     rmax = isqrt(limit // 3) if limit >= 3 else 0
-    # x1 = -a on the P > 0 rows: by descending a, the tasks are in row order
+    # x1 = -a on the P > 0 rows: by descending a, the units are in row order
     tasks = [("pos", a, limit, step) for a in range(amax_pos, -1, -1)]
     tasks += [("negird", a, limit, step) for a in range(1, amax_neg + 1)]
-    # 16 r-ranges: one range (one array of nearly all the stratum's rows)
-    # raised peak RSS by about 25 MB at Y = 1e6, through glibc's mmap threshold
-    width = max(1, rmax // 16)
-    r = 1
-    while r <= rmax:
-        tasks.append(("negrd", (r, min(r + width - 1, rmax)), limit, step))
-        r += width
+    if rmax:
+        tasks.append(("negrd", (1, rmax), limit, step))
     return tasks
 
 
-def _run_task(task) -> tuple:
-    kind, arg, limit, step = task
-    if kind == "pos":
-        return kind, _pos_stratum(arg, limit, step)
-    if kind == "negird":
-        return kind, _neg_ird_stratum(arg, limit, step)
-    return kind, _neg_rd_stratum(*arg, limit, step)
-
-
 def _task_columns(task, rows: np.ndarray) -> tuple:
-    """(stab, irred) of the rows of one stratum task, a scalar for a constant
+    """(stab, irred) of rows of a stratum unit, a scalar for a constant
     column: P < 0 rows have stab 1, negird rows are irreducible, and negrd
     rows and the P > 0 rows with x1 = 0 (v divides them) are reducible."""
     kind, a = task[:2]
@@ -505,7 +517,116 @@ def _task_columns(task, rows: np.ndarray) -> tuple:
     return _pos_stab_column(rows), a > 0 and _pos_irreducible_mask(rows)
 
 
-# The key columns in which each task kind's block increases: negrd (p, q, r, 0) by (r, q, p)
+# The most rows a chunk of the orbit stream holds, unless one (b, c) pair
+# ((r, q) for negrd) emits more by itself, and the most pairs whose windows
+# one pass computes, unless one b (r) holds more: a big unit is cut at pair
+# boundaries.  It sets the stream's peak.  density L1 +- at 1e6 read a
+# VmHWM of 40.2, 44.4 and 50.2 MB at 2^14, 2^15 and 2^16 rows, and 47.0 MB
+# with one chunk per unit (its largest 123 280 rows), on a 2-core VM
+# (Python 3.11, numpy 2.4); their times differed by less than the runs'
+# spread.
+_CHUNK_ROWS = 2 ** 15
+
+# The most pairs of several units that one pass merges.  A merged pass
+# divides by a column of leading coefficients, about 13 times slower per
+# element than by one int, so past a few thousand pairs it costs more than
+# the numpy calls of the passes it saves: the L2 master at 135 000 took
+# 17, 13, 11.6 and 10.7 ms at 2^10, 2^11, 2^12 and 2^13 pairs, and no more
+# past that, and density at 1e6 no longer than with one pass per unit.
+_MERGE_PAIRS = 2 ** 13
+
+
+def _cuts(counts: np.ndarray, budget: int, backward: bool = False) -> list:
+    """(i, j) for consecutive slices that cover the items, each holding at
+    most budget of the counts, or one item that holds more by itself; a
+    slice whose counts are all 0 is left out.  In order, or last first
+    (backward)."""
+    ends = np.cumsum(counts)
+    cuts, i = [], 0
+    while i < len(ends):
+        start = int(ends[i - 1]) if i else 0
+        j = max(int(np.searchsorted(ends, start + budget, side="right")), i + 1)
+        if ends[j - 1] > start:
+            cuts.append((i, j))
+        i = j
+    return cuts[::-1] if backward else cuts
+
+
+def _unit_rule(task) -> tuple:
+    """The units that run as one pass: those of one kind and, for pos, one
+    column rule (x1 = 0, or not: _task_columns)."""
+    kind, arg = task[:2]
+    return kind, kind == "pos" and arg > 0
+
+
+def _unit_windows(task) -> tuple:
+    """(a, bs, c_lo, c_hi): the b of one stratum unit (r for negrd), the
+    c-window (q-window) of each, and the unit's leading coefficient a (0 for
+    negrd, which has none)."""
+    kind, arg, limit, _ = task
+    if kind == "pos":
+        return arg, *_pos_bc_windows(arg, limit)
+    if kind == "negird":
+        return arg, *_neg_ird_bc_windows(arg, limit)
+    rs = np.arange(arg[0], arg[1] + 1, dtype=np.int64)
+    return 0, rs, np.zeros_like(rs), 2 * rs - 1
+
+
+# kind -> (the _window_sets of its pairs, the rows of a slice of them)
+_PAIR_PASSES = {
+    "pos": (_pos_windows, _pos_rows),
+    "negird": (_neg_ird_windows, _neg_ird_rows),
+    "negrd": (_neg_rd_windows, _neg_rd_rows),
+}
+
+
+def _passes(run: list, backward: bool):
+    """The (a, b, c) pair columns of each pass over a run of units of one
+    kind: their b (r) and c-windows joined, a run's leading coefficients a
+    as a column, cut (_cuts) into passes.  Consecutive units merge into one
+    pass while they hold at most _MERGE_PAIRS pairs together, and one unit
+    is cut at b into passes of at most _CHUNK_ROWS pairs; a is an int where
+    a pass has one unit (numpy divides an int64 column by an int about 13
+    times faster than by a column)."""
+    _, _, limit, step = run[0]
+    units = [_unit_windows(t) for t in run]
+    sizes = [len(u[1]) for u in units]  # every unit has a b
+    a = np.repeat([u[0] for u in units], sizes)
+    bs, c_lo, c_hi = (np.concatenate(col) for col in zip(*(u[1:] for u in units)))
+    c_lo, c_hi = _step_windows(bs, c_lo, c_hi, step)
+    pairs = np.maximum(c_hi - c_lo + 1, 0)
+    starts = np.cumsum([0] + sizes)
+    for u, v in _cuts(np.add.reduceat(pairs, starts[:-1]), _MERGE_PAIRS, backward):
+        for i, j in _cuts(pairs[starts[u]:starts[v]], _CHUNK_ROWS, backward):
+            i, j = i + starts[u], j + starts[u]
+            at, c = _expand_windows(c_lo[i:j], c_hi[i:j])
+            yield (int(a[i]) if v == u + 1 else a[i:j][at]), bs[i:j][at], c * step
+
+
+def _stratum_chunks(tasks: list):
+    """(unit, rows) for each chunk of the stratum rows of the units, in row
+    order; unit is the first of the run that made the chunk, whose column
+    rule (_task_columns) the chunk's rows share.
+
+    Consecutive units with one _unit_rule are one run, and a run is one or
+    more vectorized passes (_passes).  The rows of a pass's pairs are cut
+    at pair boundaries into chunks of at most _CHUNK_ROWS rows, or one
+    pair's rows, so small units share a chunk and big ones split.  A P > 0
+    run is the scan's rows negated, last first (_pos_rows): its units,
+    passes and chunks are taken last first."""
+    for _, run in groupby(tasks, _unit_rule):
+        run = list(run)
+        kind, _, limit, _ = run[0]
+        backward = kind == "pos"
+        pair_windows, pair_rows = _PAIR_PASSES[kind]
+        for pairs in _passes(run[::-1] if backward else run, backward):
+            windows = pair_windows(*pairs, limit)
+            for k, l in _cuts(sum(windows[2::3]), _CHUNK_ROWS, backward):
+                # the pairs k..l - 1 of each column (a stays itself where it is an int)
+                yield run[0], pair_rows(*(x[k:l] if np.ndim(x) else x for x in (*pairs, *windows)))
+
+
+# The key columns in which each kind's block increases: negrd (p, q, r, 0) by (r, q, p)
 _BLOCK_KEYS = {"pos": slice(None), "negird": slice(None), "negrd": slice(2, None, -1)}
 
 
@@ -576,7 +697,7 @@ def _check_increasing(cols, stratum: str) -> None:
 #     takes images (and their Hessians) of its A = C rows only, which have
 #     |d| <= b / 3 at a = 0, and the stabilizer column takes no images (its
 #     closed form reads 3a and 3d), so this bound is not reached;
-#   - in _neg_rd_stratum, q^2 r^2 < 4 r^4 <= 4 Y^2 / 9 (q < 2r, r^2 <= Y/3),
+#   - in _neg_rd_windows, q^2 r^2 < 4 r^4 <= 4 Y^2 / 9 (q < 2r, r^2 <= Y/3),
 #     and 4 p r^3 <= q^2 r^2 + Y.
 # Everything else grows at most like Y^(7/4): the P < 0 irreducible windows
 # keep |d| = a |t| s2 of order Y^(7/12), and the P > 0 rows with a != 0 are
@@ -591,7 +712,7 @@ def _check_increasing(cols, stratum: str) -> None:
 # at most 0.34 Y.
 # The P > 0 root test (_pos_irreducible_mask) reads g(y) = f(y, x1) / x1 on
 # the bracket of its roots, |3y + x2| <= 2 sqrt(A), so |y| <= (|x2| +
-# 2 sqrt(A)) / 3, and, since one call has one width, up to the task's widest
+# 2 sqrt(A)) / 3, and, since one call has one width, up to the chunk's widest
 # bracket, 4 Y^(1/4) / 3 + 1, past a row's own piece (values that mid < hi
 # masks).  With A <= sqrt(Y), |x1 x3| <= (x2^2 + A) / 3 and, by |B| <= A,
 # |x1^2 x4| <= |x1| (|x2 x3| + A) / 9, so its Horner partials are of order
@@ -627,21 +748,22 @@ def _check_selection(limit: int, sign, sublattice: int) -> int:
 
 
 def _selection_tasks(limit: int, sign, sublattice: int) -> list:
-    """The stratum tasks of the sign of P (pos: P > 0; None: all), in row order."""
+    """The stratum units of the sign of P (pos: P > 0; None: all), in row order."""
     tasks = _stratum_tasks(limit, _STEPS[sublattice])
     return [t for t in tasks if sign in (None, "+" if t[0] == "pos" else "-")]
 
 
 def _task_orbits(tasks: list, limit: int, sign, sublattice: int):
-    """One MasterClasses chunk per stratum task, its orbits, in turn.  Each
-    stratum emits one row per orbit, in order; verify rather than assume:
-    a block strictly increases in its own key iff each task's rows do and
-    each task's first row follows the last row of its kind so far, and every
-    P is nonzero and within limit before the chunk is yielded, so no
-    consumer sees a chunk that fails a check."""
+    """The orbits of the stratum units, one MasterClasses chunk for each
+    chunk of _stratum_chunks (at most _CHUNK_ROWS = 2^15 rows, unless one
+    pair holds more; the census peaks beside _CHUNK_ROWS set it), in turn.  Each stratum emits one row per orbit, in order;
+    verify rather than assume: a block strictly increases in its own key
+    iff each chunk's rows do and each chunk's first row follows the last
+    row of its kind so far, and every P is nonzero and within limit before
+    the chunk is yielded, so no consumer sees a chunk that fails a check."""
     last = {}  # kind -> the key of the last row of the kind so far
-    for task in tasks:
-        kind, rows = _run_task(task)
+    for task, rows in _stratum_chunks(tasks):
+        kind = task[0]
         keys = rows[:, _BLOCK_KEYS[kind]]
         _check_increasing(keys.T, kind)
         if len(rows):
@@ -663,7 +785,10 @@ def master_classes(limit: int, *, sublattice: int = 1) -> MasterClasses:
     even lattices: the master the verify suites share.
 
     The rows are in master row order: one pass over the _task_orbits
-    stream grows each column by each chunk.  An L2 master is built
+    stream grows each column by each chunk, of at most _CHUNK_ROWS = 2^15
+    rows unless one pair holds more (at 1e7, 2.5 M rows: the pairs b = 1 of
+    the P > 0 unit a = 0, and r = 1 of the reducible one), so the transient
+    of a chunk stays small beside the columns.  An L2 master is built
     by the same strata with the step 3 (_STEPS): it holds exactly the L1
     master's rows in L2, in order, because L2 is SL2(Z)-invariant, so every
     orbit in L2 has its representative there.  The cache keeps the largest
@@ -850,7 +975,7 @@ def _box_survivors(box: int, p_limit: int, sublattice: int) -> np.ndarray:
         keep = b > 0 if a == 0 else 3 * a * c <= b * b + _hessian_floor(a, p_limit)
         ab, ac = b[keep], c[keep]
         windows = _clip(_d_windows(a, ab, ac, -p_limit, p_limit), -box, box)
-        rows = _window_rows(a, ab, ac, windows)
+        rows = _window_rows(a, ab, ac, *_window_set(windows)[:2])
         p = discriminant(rows.T)
         chunks.append(np.compress((p != 0) & (np.abs(p) <= p_limit), rows.T, axis=1).T)
     rows = _ranges_to_rows(chunks)

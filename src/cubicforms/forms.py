@@ -125,9 +125,10 @@ def _isqrt64(n: np.ndarray) -> np.ndarray:
 
 
 def _d_windows(a: int, b: np.ndarray, c: np.ndarray, lo: int, hi: int) -> tuple:
-    """For a >= 0 and int64 columns b, c (b >= 1 where a = 0): two disjoint
-    d-windows (lo_i, hi_i), the first below the second, whose union is
-    exactly the d with lo <= P(a, b, c, d) <= hi.
+    """For an int a >= 0, or an int64 column of a >= 1, and int64 columns
+    b, c (b >= 1 where a = 0): two disjoint d-windows (lo_i, hi_i), the
+    first below the second, whose union is exactly the d with
+    lo <= P(a, b, c, d) <= hi.
 
     For a >= 1, alpha P = 4 H^3 - G^2 with alpha = 27 a^2, H = b^2 - 3ac
     (the Hessian's A) and G = g0 + alpha d, g0 = b (2 b^2 - 9ac).  So with
@@ -138,7 +139,7 @@ def _d_windows(a: int, b: np.ndarray, c: np.ndarray, lo: int, hi: int) -> tuple:
     max(|lo|, |hi|)) has (isqrt(n) + 1)^2 < 2^63.  For a = 0,
     P = b^2 c^2 - 4 b^3 d falls with d: one window, and an empty second one.
     """
-    if a == 0:
+    if not np.ndim(a) and a == 0:
         bbcc, slope = b * b * c * c, 4 * b ** 3
         first = (_ceil_div(bbcc - hi, slope), (bbcc - lo) // slope)
         return first, (first[1] + 1, first[1])

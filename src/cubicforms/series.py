@@ -97,15 +97,21 @@ class CoefficientSeries:
         upto = self.max_n if upto is None else upto
         if not 0 <= upto <= self.max_n:
             raise ValueError(f"n = {upto} outside computed range 0..{self.max_n}")
-        c = self.orbits[:, :, : upto + 1]
-        c = c.sum(axis=1) if irreducible is None else c[:, int(irreducible)]
-        return 3 * c[0] + c[1]
+        return _thirds(self.orbits[:, :, : upto + 1], irreducible)
 
     def coeff(self, n: int) -> Fraction:
         if not 1 <= n <= self.max_n:
             raise ValueError(f"n = {n} outside computed range 1..{self.max_n}")
         c1, c3 = self.orbits[:, :, n].sum(axis=1).tolist()
         return Fraction(3 * c1 + c3, 3)
+
+
+def _thirds(orbits: np.ndarray, irreducible: bool | None = None) -> np.ndarray:
+    """3 a_n (int64) from (2, 2, k) orbit counts [stab is 3, irreducible,
+    n], all orbits or, with `irreducible` given, only the irreducible or
+    only the reducible ones: the one rule of CoefficientSeries.thirds."""
+    c = orbits.sum(axis=1) if irreducible is None else orbits[:, int(irreducible)]
+    return 3 * c[0] + c[1]
 
 
 def count_orbits(chunks, lattice: int, sign: str, max_index: int, edges=None) -> np.ndarray:
@@ -301,6 +307,11 @@ _DECOMPOSITIONS = (
 MAX_DECOMPOSITION_BOX = isqrt(isqrt((2 ** 63 - 1) // 486))  # 11737
 
 
+# The period of every side of _decomposition_sides in each coordinate
+# (lcm of 6 and 8): verify_decompositions reads one point per class mod it.
+_BOX_PERIOD = 24
+
+
 def _reduced(x, mod: int, dtype):
     """x mod `mod`, an array of it narrowed to dtype only once reduced (a
     Python int stays one)."""
@@ -343,9 +354,14 @@ def _decomposition_sides(cols) -> list:
 def verify_decompositions(box: int = 20) -> CheckReport:
     """Each of L7..L10 is the disjoint union of a doubled lattice and a
     discriminant-residue slice; checked exhaustively mod 8 and on the box
-    [-box, box]^4.  The box is one broadcast (b, c, d) grid per x1 = a, and
-    each lattice's mismatches are summed over a.  ValueError for a box
-    outside 0..MAX_DECOMPOSITION_BOX."""
+    [-box, box]^4.  Every side (_decomposition_sides) depends on x mod 24
+    only: the residue rows on x mod 6, the doubling on x mod 2, P mod 8 on
+    x mod 8, and phi keeps this (3 x mod 6 and mod 8 depend on x mod 2 and
+    x mod 8).  So each class of (Z/24)^4 is read once, at its least
+    representative, and its mismatches count once for each of its points
+    in the box: the product of the number of x in [-box, box] in each
+    coordinate's class.  ValueError for a box outside
+    0..MAX_DECOMPOSITION_BOX."""
     if not 0 <= box <= MAX_DECOMPOSITION_BOX:
         raise ValueError(f"box must be in 0..{MAX_DECOMPOSITION_BOX}; got {box}")
     failures = []
@@ -358,13 +374,16 @@ def verify_decompositions(box: int = 20) -> CheckReport:
                 f"L{lattice} mod-8 failure at residues {tuple(residues[:, i].tolist())}: "
                 f"member={in_lat[i]}, doubled={doubled[i]}, residue-slice={res[i]}"
             )
-    # set-level check on the integer box: (b, c, d) broadcast, a by a
-    side = np.arange(-box, box + 1, dtype=np.int64)
+    # set-level check on the integer box, one point per class mod 24: a
+    # broadcast (x2, x3, x4) grid of the classes per class of x1
+    per_class = np.bincount(np.arange(-box, box + 1) % _BOX_PERIOD, minlength=_BOX_PERIOD)
+    side = np.arange(_BOX_PERIOD)
     bcd = side[:, None, None], side[None, :, None], side[None, None, :]
     bad = [0] * len(_DECOMPOSITIONS)
-    for a in range(-box, box + 1):
+    for a in np.flatnonzero(per_class).tolist():
         for k, (m, dbl, res) in enumerate(_decomposition_sides((a, *bcd))):
-            bad[k] += np.count_nonzero(m != (dbl | res)) + np.count_nonzero(dbl & res)
+            wrong = (m != (dbl | res)).astype(np.int64) + (dbl & res)
+            bad[k] += int(per_class[a]) * int(np.einsum("jkl,j,k,l->", wrong, *[per_class] * 3))
     for (lattice, _, _), count in zip(_DECOMPOSITIONS, bad):
         if count:
             failures.append(f"L{lattice} box decomposition: {count} mismatching points")

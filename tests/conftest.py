@@ -13,6 +13,7 @@ from cubicforms.cli import _frac_str
 from cubicforms.enumeration import MasterClasses
 from cubicforms.forms import (
     U1_INV,
+    _ceil_div,
     _first_rise,
     _monic_cubic,
     _monotone_pieces,
@@ -172,6 +173,63 @@ def reference_pos_stratum():
     return _scan_pos_stratum
 
 
+def _reference_tasks(limit: int, step: int = 1) -> list:
+    """The stratum units of a master as the one-chunk-per-unit stream cut
+    them: one per leading coefficient a (enumeration._stratum_tasks), and
+    the reducible stratum in 16 r-ranges."""
+    tasks = [t for t in enumeration._stratum_tasks(limit, step) if t[0] != "negrd"]
+    rmax = isqrt(limit // 3) if limit >= 3 else 0
+    width = max(1, rmax // 16)
+    return tasks + [
+        ("negrd", (r, min(r + width - 1, rmax)), limit, step) for r in range(1, rmax + 1, width)
+    ]
+
+
+def _reference_unit_rows(task) -> np.ndarray:
+    """The rows of one stratum unit, built whole: every (b, c) pair of the
+    unit ((r, q) for negrd), their windows with a an int, and all their rows
+    in one array, as the one-chunk-per-unit stream built them."""
+    kind, arg, limit, step = task
+    if kind == "negrd":
+        rs = np.arange(arg[0], arg[1] + 1, dtype=np.int64)
+        r, q = enumeration._bc_pairs(rs, np.zeros_like(rs), 2 * rs - 1, step)
+        idx, p = enumeration._expand_windows(
+            _ceil_div(q * q + 1, 4 * r), (q * q * r * r + limit) // (4 * r ** 3)
+        )
+        return np.stack([p, q[idx], r[idx], np.zeros_like(p)]).T
+    bc_windows = enumeration._pos_bc_windows if kind == "pos" else enumeration._neg_ird_bc_windows
+    pair_windows, pair_rows = enumeration._PAIR_PASSES[kind]
+    b, c = enumeration._bc_pairs(*bc_windows(arg, limit), step)
+    return pair_rows(arg, b, c, *pair_windows(arg, b, c, limit))
+
+
+def _reference_orbits(limit: int, sign, sublattice: int = 1):
+    """The one-chunk-per-unit orbit stream: one MasterClasses per unit of
+    _reference_tasks of the sign (None: both), its columns made as
+    enumeration._task_orbits makes them."""
+    step = {1: 1, 2: 3}[sublattice]
+    for task in _reference_tasks(limit, step):
+        if sign not in (None, "+" if task[0] == "pos" else "-"):
+            continue
+        rows = _reference_unit_rows(task)
+        stab, irred = enumeration._task_columns(task, rows)
+        yield MasterClasses(
+            limit,
+            rows,
+            discriminant(rows.T),
+            np.broadcast_to(np.asarray(stab, dtype=np.int8), len(rows)),
+            np.broadcast_to(irred, len(rows)),
+            _residue_row(rows.T).astype(np.uint16),
+            sign,
+            sublattice,
+        )
+
+
+@pytest.fixture(scope="session")
+def reference_orbits():
+    return _reference_orbits
+
+
 def _lex_sorted(rows: np.ndarray, stratum: str) -> np.ndarray:
     """The rows in lexicographic order; AssertionError if two are equal."""
     rows = rows[np.lexsort(rows.T[::-1])]
@@ -182,19 +240,18 @@ def _lex_sorted(rows: np.ndarray, stratum: str) -> np.ndarray:
 
 def _sorted_master(limit: int) -> MasterClasses:
     """The master enumeration built from _scan_pos_stratum and the negative
-    strata, each block checked and the P > 0 block ordered by a sort, and
-    the P > 0 irreducibility from the float roots (_trig_root_reducible)
-    per |x1| over the whole block; stab int8 and the residue rows uint16,
-    as master_classes stores them."""
-    tasks = enumeration._stratum_tasks(limit)
+    strata of the one-chunk-per-unit stream (_reference_unit_rows), each
+    block checked and the P > 0 block ordered by a sort, and the P > 0
+    irreducibility from the float roots (_trig_root_reducible) per |x1|
+    over the whole block; stab int8 and the residue rows uint16, as
+    master_classes stores them."""
+    tasks = _reference_tasks(limit)
     pos = enumeration._ranges_to_rows(
         [_scan_pos_stratum(a, lim) for kind, a, lim, _ in tasks if kind == "pos"]
     )
     pos = _lex_sorted(pos, "pos")
     neg = [
-        enumeration._ranges_to_rows(
-            [enumeration._run_task(t)[1] for t in tasks if t[0] == kind]
-        )
+        enumeration._ranges_to_rows([_reference_unit_rows(t) for t in tasks if t[0] == kind])
         for kind in ("negird", "negrd")
     ]
     for rows, kind in zip(neg, ("negird", "negrd")):

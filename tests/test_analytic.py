@@ -157,10 +157,10 @@ def test_density_report_rejects_bad_lattice_and_sign():
 
 
 def test_density_report_rejects_no_checkpoints_before_master_build(monkeypatch):
-    def no_work(task):
+    def no_work(tasks):
         raise AssertionError("stratum work started")
 
-    monkeypatch.setattr(enumeration, "_run_task", no_work)
+    monkeypatch.setattr(enumeration, "_stratum_chunks", no_work)
     monkeypatch.setattr(enumeration, "_MASTER_CACHE", {})
     for checkpoints in (0, -1):
         with pytest.raises(ValueError, match="checkpoints must be"):
@@ -172,14 +172,14 @@ def test_density_report_builds_only_the_strata_it_reads(monkeypatch):
     # negrd rows and the a = 0 rows are reducible).  A cached master that
     # covers the pair is not read: the report streams the same tasks, gives
     # the same rows and leaves the cache as it was.
-    run_task = enumeration._run_task
+    stratum_chunks = enumeration._stratum_chunks
     built = []
 
-    def recording(task):
-        built.append(task)
-        return run_task(task)
+    def recording(tasks):
+        built.extend(tasks)
+        return stratum_chunks(tasks)
 
-    monkeypatch.setattr(enumeration, "_run_task", recording)
+    monkeypatch.setattr(enumeration, "_stratum_chunks", recording)
     monkeypatch.setattr(enumeration, "_MASTER_CACHE", {})
     limit = 20000
     tasks = enumeration._stratum_tasks(limit)

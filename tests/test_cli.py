@@ -255,10 +255,10 @@ def test_workers_byte_identical(tmp_path):
 
 
 def test_workers_below_one_is_a_usage_error(monkeypatch):
-    def no_work(task):
+    def no_work(tasks):
         raise AssertionError("stratum work started")
 
-    monkeypatch.setattr(enumeration, "_run_task", no_work)
+    monkeypatch.setattr(enumeration, "_stratum_chunks", no_work)
     monkeypatch.setattr(enumeration, "_MASTER_CACHE", {})
     for workers in ("0", "-1"):
         assert main(["enumerate", "--lattice", "1", "--sign", "neg", "--max", "100",

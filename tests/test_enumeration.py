@@ -22,6 +22,7 @@ from cubicforms.cli import main, verify_oracle
 from cubicforms.enumeration import MAX_LIMIT
 from cubicforms.forms import _ceil_div, _d_windows, _isqrt64, index_scale, sublattice_of
 from cubicforms.forms import rational_roots
+from cubicforms.series import count_orbits
 from cubicforms.reduction import (
     _canonical_pos,
     _in_open_domain,
@@ -30,6 +31,24 @@ from cubicforms.reduction import (
     orbit_bfs,
     stabilizer_order,
 )
+
+
+def _unit_rows(task) -> np.ndarray:
+    """The rows the orbit stream emits for one stratum unit, its chunks
+    (enumeration._stratum_chunks) joined."""
+    return enumeration._ranges_to_rows([rows for _, rows in enumeration._stratum_chunks([task])])
+
+
+def _chunks_changed(change):
+    """A stand-in for enumeration._stratum_chunks that passes each chunk's
+    (unit, rows) through change, which returns the rows to yield."""
+    stratum_chunks = enumeration._stratum_chunks
+
+    def changed(tasks):
+        for task, rows in stratum_chunks(tasks):
+            yield task, change(task, rows)
+
+    return changed
 
 
 def test_master_rows_are_canonical_distinct_classes():
@@ -116,19 +135,19 @@ def test_enumerate_builds_only_its_own_sign(monkeypatch):
     # tasks, at |P| <= 300 in L1 and (step 3) at 27 * 300 in L2, and builds
     # no master; the oracle builds exactly two, one per sublattice
     pairs = [(lattice, sign) for lattice in range(1, 11) for sign in ("+", "-")]
-    runs = []  # (limit, step, the kinds of the tasks run) per task list
-    stratum_tasks, run_task = enumeration._stratum_tasks, enumeration._run_task
+    runs = []  # (limit, step, the kinds of the chunks made) per task list
+    stratum_tasks = enumeration._stratum_tasks
 
     def tasks_of(limit, step=1):
         runs.append((limit, step, set()))
         return stratum_tasks(limit, step)
 
-    def recording(task):
+    def recording(task, rows):
         runs[-1][2].add(task[0])
-        return run_task(task)
+        return rows
 
     monkeypatch.setattr(enumeration, "_stratum_tasks", tasks_of)
-    monkeypatch.setattr(enumeration, "_run_task", recording)
+    monkeypatch.setattr(enumeration, "_stratum_chunks", _chunks_changed(recording))
     monkeypatch.setattr(enumeration, "_MASTER_CACHE", {})
     neg = {"negird", "negrd"}
     for lattice, sign in pairs:
@@ -212,10 +231,10 @@ def test_select_rejects_odd_lattice_on_l2_master(monkeypatch):
 
 
 def test_master_rejects_bad_sublattice_before_build(monkeypatch):
-    def no_work(task):
+    def no_work(tasks):
         raise AssertionError("stratum work started")
 
-    monkeypatch.setattr(enumeration, "_run_task", no_work)
+    monkeypatch.setattr(enumeration, "_stratum_chunks", no_work)
     monkeypatch.setattr(enumeration, "_MASTER_CACHE", {})
     for sublattice in (0, 3, 4, "2", None):
         with pytest.raises(ValueError, match="sublattice must be 1 or 2"):
@@ -410,7 +429,7 @@ def test_lattice_is_read_as_an_index_before_any_build(monkeypatch):
     def no_work(*args):
         raise AssertionError("stratum work or box scan started")
 
-    monkeypatch.setattr(enumeration, "_run_task", no_work)
+    monkeypatch.setattr(enumeration, "_stratum_chunks", no_work)
     monkeypatch.setattr(enumeration, "_box_survivors", no_work)
     monkeypatch.setattr(enumeration, "_MASTER_CACHE", {})
     monkeypatch.setattr(enumeration, "_ORACLE_CACHE", {})
@@ -613,9 +632,8 @@ def test_master_matches_unique_reference(monkeypatch, reference_canonical_pos):
     )
     pos = np.unique(reference_canonical_pos(scan), axis=0)
     assert len(pos) < len(scan)  # some orbits are scanned more than once
-    results = [enumeration._run_task(t) for t in tasks if t[0] != "pos"]
     blocks = {
-        kind: enumeration._ranges_to_rows([r for k, r in results if k == kind])
+        kind: enumeration._ranges_to_rows([_unit_rows(t) for t in tasks if t[0] == kind])
         for kind in ("negird", "negrd")
     }
     for kind in ("negird", "negrd"):
@@ -671,15 +689,10 @@ def _stream_consumers(kind: str, partial: bool) -> list:
 
 @_KIND_SELECTIONS
 def test_master_rejects_duplicate_rows(monkeypatch, kind, partial):
-    run_task = enumeration._run_task
+    def doubled(task, rows):
+        return np.concatenate([rows, rows[:1]]) if task[0] == kind else rows
 
-    def doubled(task):
-        got_kind, rows = run_task(task)
-        if got_kind == kind:
-            rows = np.concatenate([rows, rows[:1]])
-        return got_kind, rows
-
-    monkeypatch.setattr(enumeration, "_run_task", doubled)
+    monkeypatch.setattr(enumeration, "_stratum_chunks", _chunks_changed(doubled))
     monkeypatch.setattr(enumeration, "_MASTER_CACHE", {})
     for consume in _stream_consumers(kind, partial):
         with pytest.raises(AssertionError, match="duplicate representatives"):
@@ -688,13 +701,13 @@ def test_master_rejects_duplicate_rows(monkeypatch, kind, partial):
 
 @_KIND_SELECTIONS
 def test_master_rejects_duplicates_across_tasks(monkeypatch, kind, partial):
-    # each task's rows increase, so only the block-level check sees a task
-    # run twice
-    stratum_tasks, run_task = enumeration._stratum_tasks, enumeration._run_task
+    # a unit planned twice: each unit's rows increase, so only a check
+    # across units sees its rows twice, in one chunk or across chunks
+    stratum_tasks = enumeration._stratum_tasks
 
     def repeated(limit, step=1):
         tasks = stratum_tasks(limit, step)
-        i = next(i for i, t in enumerate(tasks) if t[0] == kind and len(run_task(t)[1]))
+        i = next(i for i, t in enumerate(tasks) if t[0] == kind and len(_unit_rows(t)))
         return tasks[: i + 1] + tasks[i:]
 
     monkeypatch.setattr(enumeration, "_stratum_tasks", repeated)
@@ -706,18 +719,16 @@ def test_master_rejects_duplicates_across_tasks(monkeypatch, kind, partial):
 
 @_KIND_SELECTIONS
 def test_master_rejects_rows_out_of_order(monkeypatch, kind, partial):
-    run_task = enumeration._run_task
     swapped = []
 
-    def swap_first_pair(task):
-        got_kind, rows = run_task(task)
-        if got_kind == kind and not swapped and len(rows) >= 2:
+    def swap_first_pair(task, rows):
+        if task[0] == kind and not swapped and len(rows) >= 2:
             rows = rows.copy()
             rows[[0, 1]] = rows[[1, 0]]
             swapped.append((rows[0] != rows[1]).any())
-        return got_kind, rows
+        return rows
 
-    monkeypatch.setattr(enumeration, "_run_task", swap_first_pair)
+    monkeypatch.setattr(enumeration, "_stratum_chunks", _chunks_changed(swap_first_pair))
     monkeypatch.setattr(enumeration, "_MASTER_CACHE", {})
     for consume in _stream_consumers(kind, partial):
         swapped.clear()
@@ -731,7 +742,7 @@ def test_master_rejects_rows_out_of_order(monkeypatch, kind, partial):
 def test_every_task_kind_emits_rows(limit, step):
     # in L1 (step 1) and L2 (step 3) every task kind emits rows, and so do
     # the tasks of each sign of a stream (None for the master, '+', '-')
-    emitted = {t: len(enumeration._run_task(t)[1]) for t in enumeration._stratum_tasks(limit, step)}
+    emitted = {t: len(_unit_rows(t)) for t in enumeration._stratum_tasks(limit, step)}
     assert {kind for (kind, *_), rows in emitted.items() if rows} == {"pos", "negird", "negrd"}
     for sign in (None, "+", "-"):
         held = enumeration._selection_tasks(limit, sign, {1: 1, 3: 2}[step])
@@ -740,25 +751,23 @@ def test_every_task_kind_emits_rows(limit, step):
 
 @pytest.mark.parametrize("kind", list(_PARTIAL))
 def test_rows_past_the_limit_raise_before_any_consumer(monkeypatch, kind):
-    # the first task of the kind with rows emits three more rows, each still
+    # the first chunk of the kind with rows gets three more rows, each still
     # increasing in the block key, so the order check passes them, and each
     # with |P| past the limit: _task_orbits raises before it yields the
     # chunk, so master_classes caches nothing, and the consumers of
     # enumerate_classes (_class_table) and density_report (count_orbits)
     # never receive a row past the limit
-    run_task = enumeration._run_task
     padded = []
 
-    def past_limit(task):
-        got_kind, rows = run_task(task)
-        if got_kind == kind and not padded and len(rows):
+    def past_limit(task, rows):
+        if task[0] == kind and not padded and len(rows):
             last_key = range(4)[enumeration._BLOCK_KEYS[kind]][-1]
             more = np.repeat(rows[-1:], 3, axis=0)
             more[:, last_key] += task[2] * np.arange(1, 4)
             assert (np.abs(discriminant(more.T)) > task[2]).all()
             rows = np.concatenate([rows, more])
             padded.append(task)
-        return got_kind, rows
+        return rows
 
     received = []  # the largest |P| of each chunk a consumer takes
 
@@ -773,7 +782,7 @@ def test_rows_past_the_limit_raise_before_any_consumer(monkeypatch, kind):
 
         return wrapped
 
-    monkeypatch.setattr(enumeration, "_run_task", past_limit)
+    monkeypatch.setattr(enumeration, "_stratum_chunks", _chunks_changed(past_limit))
     monkeypatch.setattr(enumeration, "_class_table", receiving(enumeration._class_table))
     monkeypatch.setattr(analytic, "count_orbits", receiving(analytic.count_orbits))
     monkeypatch.setattr(enumeration, "_MASTER_CACHE", {})
@@ -817,7 +826,7 @@ def test_pos_stratum_matches_scan_reference(limit, reference_pos_stratum):
     for kind, a, lim, _ in enumeration._stratum_tasks(limit):
         if kind != "pos":
             continue
-        got = enumeration._pos_stratum(a, lim)
+        got = _unit_rows((kind, a, lim, 1))
         want = reference_pos_stratum(a, lim)[::-1]
         assert got.dtype == want.dtype and np.array_equal(got, want), a
         emitted += _count_a_equal_c(got)
@@ -866,10 +875,10 @@ def test_master_positive_block_is_canonical():
 
 
 def test_master_rejects_limit_past_int64_bound(monkeypatch):
-    def no_work(task):
+    def no_work(tasks):
         raise AssertionError("stratum work started")
 
-    monkeypatch.setattr(enumeration, "_run_task", no_work)
+    monkeypatch.setattr(enumeration, "_stratum_chunks", no_work)
     # the bound is checked before the cache, even one that would answer
     no = np.empty(0, dtype=np.int64)
     past = enumeration.MasterClasses(
@@ -883,10 +892,10 @@ def test_master_rejects_limit_past_int64_bound(monkeypatch):
 
 
 def test_enumerate_rejects_bad_sign_before_master_build(monkeypatch):
-    def no_work(task):
+    def no_work(tasks):
         raise AssertionError("stratum work started")
 
-    monkeypatch.setattr(enumeration, "_run_task", no_work)
+    monkeypatch.setattr(enumeration, "_stratum_chunks", no_work)
     monkeypatch.setattr(enumeration, "_MASTER_CACHE", {})
     with pytest.raises(ValueError, match="sign must be"):
         enumerate_classes(1, "x", 10 ** 6)
@@ -1193,7 +1202,7 @@ def test_strata_rows_match_box_reference():
         assert np.array_equal(enumeration._pos_scan(a, limit), want), a
     for a in neg:
         want = _box_reference(a, 16, 40, 60, root_reduced_irreducible)
-        assert np.array_equal(enumeration._neg_ird_stratum(a, limit), want), a
+        assert np.array_equal(_unit_rows(("negird", a, limit, 1)), want), a
     # past the tasks' a there is nothing
     assert len(_box_reference(max(pos) + 1, 16, 40, 40, weakly_reduced)) == 0
     assert len(_box_reference(neg[-1] + 1, 16, 40, 60, root_reduced_irreducible)) == 0
@@ -1217,7 +1226,7 @@ def test_pos_stratum_matches_box_reference(reference_canonical_pos):
         if kind == "pos":
             d_max = limit // 4 + 8 if a == 0 else 40
             want = -_box_reference(a, 16, 40, d_max, negation_canonical)[::-1]
-            assert np.array_equal(enumeration._pos_stratum(a, limit), want), a
+            assert np.array_equal(_unit_rows(("pos", a, limit, 1)), want), a
             total += len(want)
     assert total == (master_classes(limit).disc > 0).sum() > 0
 
@@ -1226,7 +1235,7 @@ def _pos_task_rows(limit: int) -> dict:
     """a -> the P > 0 rows of the stratum task with leading coefficient -a,
     for every a >= 1."""
     return {
-        a: enumeration._pos_stratum(a, limit)
+        a: _unit_rows(("pos", a, limit, 1))
         for k, a, *_ in enumeration._stratum_tasks(limit)
         if k == "pos" and a
     }
@@ -1247,25 +1256,31 @@ def test_pos_irreducible_mask_matches_float_roots(reference_pos_root_mask):
 def _neg_ird_window_rows(a: int, limit: int) -> np.ndarray:
     """The rows of the P < 0 irreducible stratum's windows at leading
     coefficient a, before the root test."""
-    return enumeration._window_rows(a, *enumeration._neg_ird_pair_windows(a, limit))
+    b, c = enumeration._bc_pairs(*enumeration._neg_ird_bc_windows(a, limit))
+    return enumeration._window_rows(a, b, c, *enumeration._neg_ird_windows(a, b, c, limit)[:2])
 
 
 def test_neg_ird_bisection_matches_float_root(reference_neg_root_mask):
     # every window row of every negird task at Y = 3e5: the exact bisection
     # and the old Cardano float root with _root_near_mask agree, and more
-    # than 1000 rows are dropped (the d = 0 rows among them)
+    # than 1000 rows are dropped (the d = 0 rows among them); the rows of
+    # all a in one call, as a merged pass tests them, agree too
     limit = 300000
     dropped = zeros = 0
+    every, want = [], []
     for kind, a, *_ in enumeration._stratum_tasks(limit):
         if kind != "negird":
             continue
         rows = _neg_ird_window_rows(a, limit)
-        got = enumeration._neg_ird_reducible(rows, a)
+        got = enumeration._neg_ird_reducible(rows)
         assert np.array_equal(got, reference_neg_root_mask(rows, a)), a
         assert got[rows[:, 3] == 0].all()  # the root 0
         dropped += int(got.sum())
         zeros += int((rows[:, 3] == 0).sum())
+        every.append(rows)
+        want.append(got)
     assert dropped > 1000 and 0 < zeros < dropped
+    assert np.array_equal(enumeration._neg_ird_reducible(np.concatenate(every)), np.concatenate(want))
 
 
 def test_root_masks_match_scalar_is_irreducible():
@@ -1279,7 +1294,7 @@ def test_root_masks_match_scalar_is_irreducible():
         if kind == "negird":
             rows = _neg_ird_window_rows(a, limit)
             want = [not is_irreducible(f) for f in rows]
-            assert enumeration._neg_ird_reducible(rows, a).tolist() == want, a
+            assert enumeration._neg_ird_reducible(rows).tolist() == want, a
 
 
 def test_neg_ird_windows_are_the_s2_cut():
@@ -1295,7 +1310,7 @@ def test_neg_ird_windows_are_the_s2_cut():
             (-(a - b) * (a - b + c)) // a + 1,
             _ceil_div((a + b) * (a + b + c), a) - 1,
         )
-        rows = enumeration._window_rows(a, b, c, windows)
+        rows = enumeration._window_rows(a, b, c, *enumeration._window_set(windows)[:2])
         keep = _s2_above_one(rows.T) | ((rows[:, 3] == 0) & (rows[:, 2] > a))
         assert np.array_equal(_neg_ird_window_rows(a, limit), rows[keep]), a
 
@@ -1325,13 +1340,17 @@ def _edge_forms() -> list:
     return forms
 
 
-def test_neg_ird_root_test_at_int64_edge():
+def test_neg_ird_root_test_at_int64_edge(monkeypatch):
     # reducible window rows with |P| near MAX_LIMIT and a up to the
     # stratum's largest: the root test flags each of them, as
-    # forms.rational_roots does, and the int64 run equals the Python int one
+    # forms.rational_roots does, and the int64 run equals the Python int
+    # one.  The rows of every a in one call, as a merged pass tests them,
+    # give the same answers, and g is read only inside each row's own
+    # piece -b - a < y < -b + a (the bound beside MAX_LIMIT)
     forms = _edge_forms()
     a_max = max(a for kind, a, *_ in enumeration._stratum_tasks(MAX_LIMIT) if kind == "negird")
     assert len(forms) > 300 and max(f[0] for f in forms) > a_max - 60
+    every, want = [], []
     for f in forms:
         a, b, c, d = f
         assert 0.9 * MAX_LIMIT < -discriminant(f) <= MAX_LIMIT
@@ -1341,17 +1360,38 @@ def test_neg_ird_root_test_at_int64_edge():
         i = int(np.searchsorted(bs, b))
         assert bs[i] == b and c_lo[i] <= c <= c_hi[i]
         pair = np.array([b]), np.array([c])
-        windows = enumeration._neg_ird_windows(a, *pair, MAX_LIMIT)
-        assert any(lo[0] <= d <= hi[0] for lo, hi in windows)
+        lo, hi, _ = enumeration._neg_ird_windows(a, *pair, MAX_LIMIT)
+        assert any(lo[0, w] <= d <= hi[0, w] for w in range(lo.shape[1]))
         # the row and its neighbours in d, in int64 and in Python ints
         near = [(a, b, c, d + k) for k in range(-2, 3)]
         near = [g for g in near if discriminant(g) < 0 and _in_open_domain(g)]
         rows = np.array(near, dtype=np.int64)
-        got = enumeration._neg_ird_reducible(rows, a)
-        exact = enumeration._neg_ird_reducible(rows.astype(object), a)
+        got = enumeration._neg_ird_reducible(rows)
+        exact = enumeration._neg_ird_reducible(rows.astype(object))
         assert got.tolist() == [bool(x) for x in exact]
         assert got.tolist() == [bool(rational_roots(g)) for g in near]
         assert got[near.index(f)]
+        every += near
+        want += got.tolist()
+    rows = np.array(every, dtype=np.int64)
+    a, b = rows[:, 0], rows[:, 1]
+    assert len(set(a.tolist())) > 50
+    reads = []
+    monic_cubic = enumeration._monic_cubic
+
+    def recording(*coeffs):
+        g = monic_cubic(*coeffs)
+
+        def read(y):
+            reads.append(np.broadcast_to(y, b.shape).copy())
+            return g(y)
+
+        return read
+
+    monkeypatch.setattr(enumeration, "_monic_cubic", recording)
+    assert enumeration._neg_ird_reducible(rows).tolist() == want
+    assert len(reads) > 8 and all(((y > -b - a) & (y < -b + a)).all() for y in reads)
+    assert [bool(x) for x in enumeration._neg_ird_reducible(rows.astype(object))] == want
 
 
 def _pos_edge_forms() -> list:
@@ -1413,8 +1453,8 @@ def test_exact_stratum_bounds_drop_nothing(limit):
     assert 729 * top["pos"] ** 4 <= 16 * limit < 729 * (top["pos"] + 1) ** 4
     assert 27 * top["negird"] ** 4 <= 16 * limit < 27 * (top["negird"] + 1) ** 4
     for k in (1, 2):
-        assert len(enumeration._pos_stratum(top["pos"] + k, limit)) == 0
-        assert len(enumeration._neg_ird_stratum(top["negird"] + k, limit)) == 0
+        assert len(_unit_rows(("pos", top["pos"] + k, limit, 1))) == 0
+        assert len(_unit_rows(("negird", top["negird"] + k, limit, 1))) == 0
 
 
 def test_strata_windows_exact_at_max_limit():
@@ -1442,6 +1482,90 @@ def test_strata_windows_exact_at_max_limit():
     assert (isqrt(worst["pos"]) + 1) ** 2 < 2 ** 63
     # the figures quoted beside MAX_LIMIT
     assert 2.4e18 < worst["negird"] < 2.5e18 and 1.5e16 < worst["pos"] < 1.6e16
+
+
+@pytest.mark.parametrize("kind", ["pos", "negird"])
+def test_merged_windows_equal_the_unit_windows_at_max_limit(kind):
+    # a pass over the pairs of several units, with a as a column, gives each
+    # pair the windows that its unit's pass gives it, for the largest and
+    # the smallest a at MAX_LIMIT (a sample of each unit's pairs)
+    bc_windows = {"pos": enumeration._pos_bc_windows, "negird": enumeration._neg_ird_bc_windows}[kind]
+    pair_windows = enumeration._PAIR_PASSES[kind][0]
+    tops = sorted(a for k, a, *_ in enumeration._stratum_tasks(MAX_LIMIT) if k == kind and a)
+    for units in (tops[-3:], tops[:3]):
+        parts = []
+        for a in units:
+            bs, c_lo, c_hi = bc_windows(a, MAX_LIMIT)
+            b = np.repeat(bs[::7], 3)
+            c = np.stack([c_lo, (c_lo + c_hi) // 2, c_hi])[:, ::7].T.ravel()
+            parts.append((a, b, c, pair_windows(a, b, c, MAX_LIMIT)))
+        a_col = np.concatenate([np.full(len(b), a) for a, b, *_ in parts])
+        merged = pair_windows(a_col, *(np.concatenate([p[i] for p in parts]) for i in (1, 2)), MAX_LIMIT)
+        for got, *want in zip(merged, *(p[3] for p in parts)):
+            assert np.array_equal(got, np.concatenate(want)), units
+
+
+def _pair_keys(kind: str, rows: np.ndarray) -> np.ndarray:
+    """The (a, b, c) of each row, the (q, r) of a negrd row (p, q, r, 0)."""
+    return rows[:, 1:3] if kind == "negrd" else rows[:, :3]
+
+
+@pytest.mark.parametrize(
+    "limit, sublattice", [(10 ** 5, 1), (10 ** 6, 1), (10 ** 5, 2), (27 * 10 ** 5, 2)]
+)
+def test_chunked_stream_equals_the_unit_stream(monkeypatch, reference_orbits, limit, sublattice):
+    # the master, streamed in chunks cut by rows, is byte-equal in all five
+    # columns to the one-chunk-per-unit stream of the same strata
+    monkeypatch.setattr(enumeration, "_MASTER_CACHE", {})
+    got = master_classes(limit, sublattice=sublattice)
+    chunks = list(reference_orbits(limit, None, sublattice))
+    for name in enumeration._COLUMNS:
+        have = getattr(got, name)
+        want = np.concatenate([getattr(c, name) for c in chunks])
+        assert (have.dtype, have.shape) == (want.dtype, want.shape), name
+        assert have.tobytes() == want.tobytes(), name
+
+
+def test_chunked_counts_equal_the_unit_stream_counts(reference_orbits):
+    # series.count_orbits of all 20 pairs at index 1e5, over the chunked
+    # stream of the pair's sign and sublattice and over the
+    # one-chunk-per-unit stream
+    streams = {}
+    for lattice in range(1, 11):
+        for sign in ("+", "-"):
+            sub, limit = sublattice_of(lattice), 10 ** 5 * index_scale(lattice)
+            if (sign, sub) not in streams:
+                tasks = enumeration._selection_tasks(limit, sign, sub)
+                streams[sign, sub] = (
+                    list(enumeration._task_orbits(tasks, limit, sign, sub)),
+                    list(reference_orbits(limit, sign, sub)),
+                )
+            got, want = (count_orbits(c, lattice, sign, 10 ** 5) for c in streams[sign, sub])
+            assert got.sum() > 1000 and np.array_equal(got, want), (lattice, sign)
+
+
+@pytest.mark.parametrize("limit, budget", [(10 ** 6, None), (10 ** 5, None), (10 ** 5, 300)])
+def test_chunks_hold_at_most_the_budget(monkeypatch, reference_orbits, limit, budget):
+    # each chunk of the stream holds at most _CHUNK_ROWS rows, or the rows
+    # of one pair; joined they are the one-chunk-per-unit stream's rows.
+    # Some chunk holds the rows of several units, and some unit is cut
+    # into several chunks
+    if budget:
+        monkeypatch.setattr(enumeration, "_CHUNK_ROWS", budget)
+    budget = enumeration._CHUNK_ROWS
+    chunks = [c for c in enumeration._stratum_chunks(enumeration._stratum_tasks(limit)) if len(c[1])]
+    merged = split = False
+    for (task, rows), (after, next_rows) in zip(chunks, chunks[1:]):
+        keys = _pair_keys(task[0], rows)
+        assert len(rows) <= budget or (keys == keys[0]).all(), (task, len(rows))
+        # the unit of a row: its leading coefficient (x1 = -a for pos), or
+        # the one negrd unit
+        unit = rows[:, 0] if task[0] != "negrd" else np.zeros(len(rows))
+        merged |= len(set(unit.tolist())) > 1
+        split |= after[0] == task[0] and (task[0] == "negrd" or next_rows[0, 0] == unit[-1])
+    want = np.concatenate([c.reps for c in reference_orbits(limit, None)])
+    assert np.array_equal(np.concatenate([rows for _, rows in chunks]), want)
+    assert merged and split
 
 
 def test_expand_windows_equals_the_python_reference():

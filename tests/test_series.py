@@ -288,6 +288,23 @@ def test_decomposition_sides_exact_at_the_box_bound():
         assert (at_a == want[i * n ** 3:(i + 1) * n ** 3]).all(), a
 
 
+def test_decomposition_sides_have_period_24():
+    # verify_decompositions reads one point per class mod 24: every side at
+    # x and at x + 24 e_k agrees, on a grid that reaches
+    # +-MAX_DECOMPOSITION_BOX and crosses 0 in each coordinate
+    m = series_mod.MAX_DECOMPOSITION_BOX
+    side = np.array([-m, -m + 5, -30, -24, -13, -1, 0, 7, 23, m - 40, m - 24], dtype=np.int64)
+    cols = [side.reshape([-1 if i == k else 1 for i in range(4)]) for k in range(4)]
+    want = [np.broadcast_arrays(*s) for s in series_mod._decomposition_sides(cols)]
+    for k in range(4):
+        shifted = [col + 24 * (i == k) for i, col in enumerate(cols)]
+        assert int(np.abs(shifted[k]).max()) <= m
+        got = [np.broadcast_arrays(*s) for s in series_mod._decomposition_sides(shifted)]
+        for lattice_sides, want_sides in zip(got, want):
+            for g, w in zip(lattice_sides, want_sides):
+                assert np.array_equal(g, w), k
+
+
 def _flipped_membership(res, lattice):
     # membership with the residue (1, 0, 0, 0) mod 6 flipped in every lattice
     return _membership(res, lattice) ^ (res == _residue_row((1, 0, 0, 0)))
