@@ -18,16 +18,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .enumeration import (
-    _NO_ROWS,
-    _check_selection,
-    _selection_tasks,
-    _sign_positive,
-    _task_columns,
-    _task_orbits,
-    master_classes,
-)
-from .forms import EVEN_PARTNER, index_scale, lattice_member, residue_grid, sublattice_of
+from .enumeration import _pair_stream, master_classes
+from .forms import EVEN_PARTNER, lattice_member, residue_grid
 from .series import CheckReport, _report, count_orbits
 
 # No count here reads a master: the name stays bound for the benchmark's
@@ -353,19 +345,14 @@ class DensityRow:
 def density_report(lattice: int, sign: str, max_x: int, checkpoints: int = 10) -> list:
     """Counts S(X) of irreducible classes at geometric checkpoints up to max_x,
     against the two-term prediction; gauge = |S - prediction| / X^(2/3).
-    The counts stream: the stratum units of the sign whose irred column is
-    not the constant False (enumeration._task_columns) yield their orbits
-    chunk by chunk (enumeration._task_orbits), and series.count_orbits bins
-    the pair's orbits in each by checkpoint, so no master is built or read.
-    The checks run before any unit."""
-    sublattice = sublattice_of(lattice)
+    The counts stream: the pair's units that may hold an irreducible orbit
+    yield their orbits chunk by chunk (enumeration._pair_stream with
+    irreducible=True), and series.count_orbits bins the pair's orbits in
+    each by checkpoint, so no master is built or read.  The checks (those
+    of _pair_stream and checkpoints >= 1) run before any unit."""
     if checkpoints < 1:
         raise ValueError(f"checkpoints must be >= 1; got {checkpoints}")
-    _sign_positive(sign)
-    limit = _check_selection(max_x * index_scale(lattice), sign, sublattice)
-    tasks = _selection_tasks(limit, sign, sublattice)
-    tasks = [t for t in tasks if _task_columns(t, _NO_ROWS)[1] is not False]
-    chunks = _task_orbits(tasks, limit, sign, sublattice)
+    chunks = _pair_stream(lattice, sign, max_x, irreducible=True)
     xs = sorted({int(round(max_x ** (j / checkpoints))) for j in range(1, checkpoints + 1)})
     # S(x) counts n < x: an orbit with xs[i - 1] <= n < xs[i] is in bin i and
     # counts at checkpoint i and every one after it

@@ -11,21 +11,23 @@ Exit codes: 0 success, 1 verification or integrity failure, 2 usage error.
 All outputs start with a `schema:1` header line.  The master enumeration
 runs in one process: the worker count that every subcommand accepts (N >= 1)
 is kept for compatibility with existing command lines and has no effect.
-The one-shot commands read the stratum units of their sign chunk by chunk
-(enumeration._task_orbits) and hold no master: `enumerate` gathers and
-sorts its pair's rows, `coeffs` and `density` count them
-(series.count_orbits).  The verify suites share one cached master per
-sublattice, the oracle's tables included.  Both bulk writers,
-`enumerate` and `coeffs`, format whole int64 columns in fixed-size blocks of
-rows (`_format_rows`), with no Python call per row: a block is one uint8
-matrix, filled from a template row of the constants, into which each
-column's digits are written right to left at that column's own width, and
-one compress drops the NUL padding.
+The one-shot commands read their pair's orbit stream chunk by chunk
+(enumeration._pair_stream, which checks the pair first) and hold no
+master: `enumerate` gathers and sorts its pair's rows, `coeffs` and
+`density` count them (series.count_orbits).  The verify suites share one
+cached master per sublattice, the oracle's tables included; the oracle's
+own groupings are memoised, one per sublattice (enumeration._oracle_orbits).
+Both bulk writers, `enumerate` and `coeffs`, format whole int64 columns in
+fixed-size blocks of rows (`_format_rows`), with no Python call per row: a
+block is one uint8 matrix, filled from a template row of the constants,
+into which each column's digits are written right to left at that
+column's own width, and one compress drops the NUL padding.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -37,8 +39,7 @@ from .enumeration import (
     MAX_BOX,
     MAX_LIMIT,
     _class_table,
-    _selection_tasks,
-    _task_orbits,
+    _pair_stream,
     brute_force_classes,
     enumerate_classes,
     master_classes,
@@ -58,7 +59,8 @@ def _fail_usage(parser: argparse.ArgumentParser, message: str) -> int:
 
 
 def _sign_arg(value: str) -> str:
-    return {"pos": "+", "neg": "-", "+": "+", "-": "-"}[value]
+    """'+' for pos, '-' for neg; any other value as it is, for the library to check."""
+    return {"pos": "+", "neg": "-"}.get(value, value)
 
 
 def _frac_str(x: Fraction) -> str:
@@ -170,9 +172,7 @@ def _third_pieces(w: np.ndarray) -> list:
 
 def cmd_coeffs(args, out) -> int:
     sign, lattice = _sign_arg(args.sign), args.lattice
-    limit, sublattice = args.max * index_scale(lattice), sublattice_of(lattice)
-    chunks = _task_orbits(_selection_tasks(limit, sign, sublattice), limit, sign, sublattice)
-    orbits = count_orbits(chunks, lattice, sign, args.max)
+    orbits = count_orbits(_pair_stream(lattice, sign, args.max), lattice, sign, args.max)
     print(SCHEMA_LINE, file=out)
     print("n,weighted,unweighted,irreducible_weighted,reducible_weighted", file=out)
     # a block of indices at a time, so no column of every index is held
@@ -319,6 +319,7 @@ def cmd_density(args, out) -> int:
 MAX_DENSITY_X = 10 ** 7
 
 
+@functools.cache  # one parser per process: main is called once per command
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cubicforms",

@@ -73,20 +73,22 @@ residue row mod 6, whose one lookup in the residue table is the lattice
 membership).  MasterClasses.mask is the one rule for the orbits of a
 (lattice, sign) pair: select turns it into row indices and the index n of
 each.  Each kind of traffic reads one source.  The one-shot commands read
-the _task_orbits stream of their sign, in L2 (the same strata with b, c in
-3Z: _STEPS) for an even lattice (forms.sublattice_of), and hold no master:
-enumerate_classes grows a ClassTable in place by the pair's rows of each
-chunk and sorts it once (_lex_order), and series.count_orbits, the one count,
-bins them for `coeffs` and density_report.  The verify suites share one
-cached two-sign master per sublattice (master_classes): the series are
-counted over it, and the oracle compares brute_force_classes with its
-tables.
+their pair's stream (_pair_stream: checked first, then the units of its
+sign, in L2 (the strata with b, c in 3Z: _STEPS) for an even lattice) and
+hold no master: enumerate_classes grows a ClassTable in place by the
+pair's rows of each chunk and sorts it once (_lex_order, one np.lexsort),
+and series.count_orbits, the one count, bins them for `coeffs` and
+density_report.  The verify suites share one cached two-sign master per
+sublattice (master_classes): the series are counted over it, and the
+oracle compares brute_force_classes, its groupings memoised one per
+sublattice (_oracle_orbits), with its tables.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 from math import isqrt
 from itertools import groupby
 from operator import index
@@ -510,7 +512,9 @@ def _stratum_tasks(limit: int, step: int = 1) -> list:
 def _task_columns(task, rows: np.ndarray) -> tuple:
     """(stab, irred) of rows of a stratum unit, a scalar for a constant
     column: P < 0 rows have stab 1, negird rows are irreducible, and negrd
-    rows and the P > 0 rows with x1 = 0 (v divides them) are reducible."""
+    rows and the P > 0 rows with x1 = 0 (v divides them) are reducible.
+    A unit whose irred column is the constant False holds no irreducible
+    orbit, so a stream of the irreducible orbits (_pair_stream) skips it."""
     kind, a = task[:2]
     if kind != "pos":
         return 1, kind == "negird"
@@ -632,16 +636,12 @@ _BLOCK_KEYS = {"pos": slice(None), "negird": slice(None), "negrd": slice(2, None
 
 def _lex_order(cols) -> np.ndarray:
     """Indices that sort the rows of the int64 key columns cols (first key
-    first) lexicographically, stably.  Each column, shifted to start at 0,
-    spans a known number of bits, and adjacent columns share one uint64
-    word while their bits fit in 64, so a word compares as its columns do:
-    exact at every range, a column of 64 bits taking a word of its own.
-    Several words are lexsorted.  One word is argsorted, and the rows of
-    each run of equal words are put back in input order by a second
-    argsort of run * N + index, exact while N^2 < 2^63 (past that, the one
-    word is lexsorted too)."""
-    n = len(cols[0])
-    if not n:
+    first) lexicographically, stably: one np.lexsort of packed words.  Each
+    column, shifted to start at 0, spans a known number of bits, and
+    adjacent columns share one uint64 word while their bits fit in 64, so a
+    word compares as its columns do: exact at every range, a column of 64
+    bits taking a word of its own."""
+    if not len(cols[0]):
         return np.arange(0)
     words, room = [], 0
     for col in cols:
@@ -654,18 +654,7 @@ def _lex_order(cols) -> np.ndarray:
         else:
             words.append(shifted)
             room = 64 - bits
-    if len(words) > 1 or n * n >= 2 ** 63:
-        return np.lexsort(words[::-1])
-    order = np.argsort(words[0])
-    ranked = words[0]
-    ranked.sort()  # a fresh array, sorted in place: no gathered copy
-    fresh = ranked[1:] != ranked[:-1]
-    if fresh.all():
-        return order
-    run = np.concatenate(([0], np.cumsum(fresh)))
-    # distinct keys, sorted but inside the runs: the stable sort (a merge
-    # of sorted runs) is the faster one here
-    return order[np.argsort(run * n + order, kind="stable")]
+    return np.lexsort(words[::-1])
 
 
 def _check_increasing(cols, stratum: str) -> None:
@@ -730,27 +719,18 @@ MAX_LIMIT = 4 * isqrt((2 ** 63 - 1) // 27) + 2  # 2_337_884_074
 _MASTER_CACHE: dict = {}
 
 
-def _check_selection(limit: int, sign, sublattice: int) -> int:
+def _check_selection(limit: int, sublattice: int) -> int:
     """limit as an int, after the checks of a selection: ValueError for
-    limit < 1 or past MAX_LIMIT, the bound of exact int64 arithmetic, a sign
-    other than None, '+' or '-', or a sublattice other than 1 or 2;
-    TypeError for a float limit (operator.index)."""
+    limit < 1 or past MAX_LIMIT, the bound of exact int64 arithmetic, or a
+    sublattice other than 1 or 2; TypeError for a float limit."""
     limit = index(limit)
     if limit < 1:
         raise ValueError("limit must be >= 1")
     if limit > MAX_LIMIT:
         raise ValueError(f"limit {limit} exceeds the int64 safety bound {MAX_LIMIT}")
-    if sign is not None:
-        _sign_positive(sign)
     if sublattice not in _STEPS:
         raise ValueError(f"sublattice must be 1 or 2, got {sublattice!r}")
     return limit
-
-
-def _selection_tasks(limit: int, sign, sublattice: int) -> list:
-    """The stratum units of the sign of P (pos: P > 0; None: all), in row order."""
-    tasks = _stratum_tasks(limit, _STEPS[sublattice])
-    return [t for t in tasks if sign in (None, "+" if t[0] == "pos" else "-")]
 
 
 def _task_orbits(tasks: list, limit: int, sign, sublattice: int):
@@ -779,6 +759,25 @@ def _task_orbits(tasks: list, limit: int, sign, sublattice: int):
         yield MasterClasses(limit, rows, disc, stab, irred, res, sign, sublattice)
 
 
+def _pair_stream(lattice: int, sign: str, max_index: int, irreducible: bool = False):
+    """The _task_orbits stream of the (lattice, sign) pair up to index
+    max_index: the units of the sign of P, in L2 (_STEPS) for an even
+    lattice; with irreducible, only those whose irred column is not the
+    constant False (_task_columns).  Every check runs before any unit:
+    TypeError for a float max_index or lattice, ValueError for max_index
+    < 1, a bad sign or lattice, or a limit past MAX_LIMIT."""
+    max_index = index(max_index)
+    if max_index < 1:
+        raise ValueError("max_index must be >= 1")
+    positive = _sign_positive(sign)
+    sublattice = sublattice_of(lattice)
+    limit = _check_selection(max_index * index_scale(lattice), sublattice)
+    tasks = [t for t in _stratum_tasks(limit, _STEPS[sublattice]) if (t[0] == "pos") == positive]
+    if irreducible:
+        tasks = [t for t in tasks if _task_columns(t, _NO_ROWS)[1] is not False]
+    return _task_orbits(tasks, limit, sign, sublattice)
+
+
 def master_classes(limit: int, *, sublattice: int = 1) -> MasterClasses:
     """All orbits with 1 <= |P| <= limit, both signs, in the full integer
     lattice L1 or, with sublattice=2, in L2 = {3 | x2, x3}, which holds the
@@ -795,7 +794,7 @@ def master_classes(limit: int, *, sublattice: int = 1) -> MasterClasses:
     master built in each sublattice; a smaller limit gets its rows with
     |P| <= limit.  _check_selection runs first, cached master or not.
     """
-    limit = _check_selection(limit, None, sublattice)
+    limit = _check_selection(limit, sublattice)
     master = _MASTER_CACHE.get(sublattice)
     if master is not None and master.limit >= limit:
         if master.limit == limit:
@@ -816,7 +815,8 @@ def master_classes(limit: int, *, sublattice: int = 1) -> MasterClasses:
     # the buffer, so it runs unchecked (refcheck=False) only because no view
     # of a column exists while it grows: the tail written is a temporary,
     # and the MasterClasses is made after the last chunk.
-    for chunk in _task_orbits(_selection_tasks(limit, None, sublattice), limit, None, sublattice):
+    tasks = _stratum_tasks(limit, _STEPS[sublattice])
+    for chunk in _task_orbits(tasks, limit, None, sublattice):
         for name, column in zip(_COLUMNS, columns):
             end = len(column)
             column.resize((end + len(chunk), *column.shape[1:]), refcheck=False)
@@ -889,25 +889,16 @@ def enumerate_classes(lattice: int, sign: str, max_index: int) -> ClassTable:
     """The ClassTable of the orbits in the lattice with 1 <= index <= max_index.
 
     The index is |P| for odd lattices and |Q| = |P|/27 for even lattices.
-    The rows come from the _task_orbits stream of the sign, in L2 for an
-    even lattice, and no master is built.  TypeError for a float max_index.
+    The rows come from the pair's stream (_pair_stream: the units of the
+    sign, in L2 for an even lattice; its checks run first), and no master
+    is built.
     """
-    max_index = index(max_index)
-    if max_index < 1:
-        raise ValueError("max_index must be >= 1")
-    _sign_positive(sign)
-    sublattice = sublattice_of(lattice)
-    limit = _check_selection(max_index * index_scale(lattice), sign, sublattice)
-    chunks = _task_orbits(_selection_tasks(limit, sign, sublattice), limit, sign, sublattice)
-    return _class_table(chunks, lattice, sign, max_index)
+    return _class_table(_pair_stream(lattice, sign, max_index), lattice, sign, max_index)
 
 
 # ---------------------------------------------------------------------------
 # brute-force oracle: box scan + BFS grouping
 # ---------------------------------------------------------------------------
-
-_ORACLE_CACHE: dict = {}
-_SCAN_CACHE: dict = {}
 
 
 def _scan_window_bound(box: int, p_limit: int) -> int:
@@ -988,12 +979,11 @@ def _box_survivors(box: int, p_limit: int, sublattice: int) -> np.ndarray:
 
 
 def _group_box_orbits(
-    box: int, p_limit: int, cap: int, sublattice: int, scan_box: int
+    survivors: np.ndarray, box: int, p_limit: int, cap: int, sublattice: int
 ) -> MasterClasses:
     """Group the box survivors into orbits: their lexmin in-box reps, in
-    lexicographic order, and the columns of each.  The survivors are
-    filtered from the scan at scan_box >= box, which is made once per
-    (scan_box, p_limit, sublattice).
+    lexicographic order, and the columns of each.  survivors come from
+    _box_survivors at a box >= box (_oracle_orbits) and are cut to box here.
 
     One orbit_bfs call groups them.  The survivors are lex-sorted and
     closed under negation, and the rows whose first nonzero coefficient
@@ -1005,13 +995,6 @@ def _group_box_orbits(
     are all survivors (they share P, and L2 is invariant), so no form
     reached past the seeds may lie in the box.
     """
-    key = (box, p_limit, cap, sublattice)
-    if key in _ORACLE_CACHE:
-        return _ORACLE_CACHE[key]
-    scan_key = (scan_box, p_limit, sublattice)
-    if scan_key not in _SCAN_CACHE:
-        _SCAN_CACHE[scan_key] = _box_survivors(*scan_key)
-    survivors = _SCAN_CACHE[scan_key]
     seeds = survivors[: len(survivors) // 2]
     inside = ((seeds >= -box) & (seeds <= box)).all(axis=1)
     if not inside.all():
@@ -1022,7 +1005,7 @@ def _group_box_orbits(
     rows = seeds[owner == np.arange(len(seeds))]
     reps = list(map(tuple, rows.tolist()))
     cols = rows.T
-    orbits = MasterClasses(
+    return MasterClasses(
         p_limit,
         rows,
         discriminant(cols),
@@ -1031,8 +1014,19 @@ def _group_box_orbits(
         _residue_row(cols).astype(np.uint16),
         sublattice=sublattice,
     )
-    _ORACLE_CACHE[key] = orbits
-    return orbits
+
+
+@lru_cache(maxsize=2)  # verify_oracle's 20 pairs read one per sublattice, in turn
+def _oracle_orbits(p_limit: int, box: int, sublattice: int, check_stability: bool) -> tuple:
+    """(orbits, wider): the _group_box_orbits grouping at box with the cap
+    4 * box and, with check_stability, the one at stability_box(box) with
+    the cap 6 * box (else None).  One scan, at the larger box, serves both."""
+    scan_box = stability_box(box) if check_stability else box
+    survivors = _box_survivors(scan_box, p_limit, sublattice)
+    orbits = _group_box_orbits(survivors, box, p_limit, 4 * box, sublattice)
+    if not check_stability:
+        return orbits, None
+    return orbits, _group_box_orbits(survivors, scan_box, p_limit, 6 * box, sublattice)
 
 
 def brute_force_classes(
@@ -1048,7 +1042,9 @@ def brute_force_classes(
     cap 4 * box.
     With check_stability=True the run is repeated at stability_box(box) =
     (3 * box + 1) // 2 with the cap 6 * box, and a warning is raised if the
-    class multiset changes; one scan at that box serves both runs.
+    class multiset changes; one scan at that box serves both runs.  The
+    groupings of the last two (p_limit, box, sublattice, check_stability)
+    are memoised (_oracle_orbits), so the pairs of one sublattice share them.
     ValueError for max_index < 1 or box < 1.  The box scanned may not exceed
     MAX_BOX, nor the discriminant bound MAX_LIMIT, the bounds of exact int64
     arithmetic.  TypeError for a float max_index or box.
@@ -1066,15 +1062,10 @@ def brute_force_classes(
     if p_limit > MAX_LIMIT:
         raise ValueError(f"limit {p_limit} exceeds the int64 safety bound {MAX_LIMIT}")
     # the even lattices lie in L2, where 27 divides P, so |P| // 27 is exact
-    sublattice = sublattice_of(lattice)
-
-    def grouped(at_box: int, cap: int) -> ClassTable:
-        orbits = _group_box_orbits(at_box, p_limit, cap, sublattice, scan_box)
-        return _class_table([orbits], lattice, sign, max_index)
-
-    table = grouped(box, 4 * box)
+    orbits, wider = _oracle_orbits(p_limit, box, sublattice_of(lattice), check_stability)
+    table = _class_table([orbits], lattice, sign, max_index)
     if check_stability:
-        bigger = grouped(scan_box, 6 * box)
+        bigger = _class_table([wider], lattice, sign, max_index)
         if table.class_multiset() != bigger.class_multiset():
             warnings.warn(
                 f"brute_force_classes unstable under box growth "

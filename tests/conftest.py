@@ -203,14 +203,40 @@ def _reference_unit_rows(task) -> np.ndarray:
     return pair_rows(arg, b, c, *pair_windows(arg, b, c, limit))
 
 
+def _reference_plan(tasks: list, sign, irreducible: bool = False) -> list:
+    """The stratum units of the sign of P among tasks (None: all of them),
+    in order: '+' the pos units, '-' the negird and negrd ones; with
+    irreducible, only the units that may hold an irreducible orbit, the
+    negird units and the pos units with a >= 1 (the negrd rows and the pos
+    rows with x1 = 0 are reducible)."""
+    return [
+        t for t in tasks
+        if sign in (None, "+" if t[0] == "pos" else "-")
+        and not (irreducible and (t[0] == "negrd" or t[0] == "pos" and t[1] == 0))
+    ]
+
+
+@pytest.fixture(scope="session")
+def reference_plan():
+    return _reference_plan
+
+
+@pytest.fixture
+def fresh_oracle_memo():
+    """The oracle's memo (enumeration._oracle_orbits) emptied before and
+    after the test, so a test that patches the scan or the grouping neither
+    reads a grouping made before it nor leaves one made by its stand-ins."""
+    enumeration._oracle_orbits.cache_clear()
+    yield enumeration._oracle_orbits
+    enumeration._oracle_orbits.cache_clear()
+
+
 def _reference_orbits(limit: int, sign, sublattice: int = 1):
     """The one-chunk-per-unit orbit stream: one MasterClasses per unit of
-    _reference_tasks of the sign (None: both), its columns made as
-    enumeration._task_orbits makes them."""
+    _reference_tasks of the sign (None: both; _reference_plan), its columns
+    made as enumeration._task_orbits makes them."""
     step = {1: 1, 2: 3}[sublattice]
-    for task in _reference_tasks(limit, step):
-        if sign not in (None, "+" if task[0] == "pos" else "-"):
-            continue
+    for task in _reference_plan(_reference_tasks(limit, step), sign):
         rows = _reference_unit_rows(task)
         stab, irred = enumeration._task_columns(task, rows)
         yield MasterClasses(

@@ -1,3 +1,5 @@
+import argparse
+import io
 import json
 import random
 import re
@@ -17,7 +19,7 @@ from cubicforms import (
     lattice_member,
     master_classes,
 )
-from cubicforms import analytic, enumeration
+from cubicforms import analytic, cli, enumeration
 from cubicforms.cli import main, verify_oracle
 from cubicforms.enumeration import MAX_LIMIT
 from cubicforms.forms import _ceil_div, _d_windows, _isqrt64, index_scale, sublattice_of
@@ -76,7 +78,7 @@ def test_master_cache_filters_down():
 
 
 @pytest.mark.parametrize("limit", [2000, 10 ** 5])
-def test_master_selection_is_the_full_master_masked(monkeypatch, limit):
+def test_master_selection_is_the_full_master_masked(monkeypatch, reference_plan, limit):
     # the stream of each sign (None: both), its chunks joined, is byte- and
     # dtype-equal in all five columns to the rows of that sign of the full
     # master, in L1 and in L2
@@ -86,7 +88,7 @@ def test_master_selection_is_the_full_master_masked(monkeypatch, limit):
         for sign in (None, "+", "-"):
             keep = (full.disc > 0) == (sign == "+") if sign else np.ones(len(full), dtype=bool)
             assert keep.any() and (sign is None or not keep.all())
-            got = _stream_master(limit, sign, sublattice)
+            got = _stream_master(reference_plan, limit, sign, sublattice)
             assert (got.limit, got.sign, got.sublattice) == (limit, sign, sublattice)
             for name in enumeration._COLUMNS:
                 have, want = getattr(got, name), getattr(full, name)[keep]
@@ -130,7 +132,7 @@ def test_master_cache_serves_what_it_covers(monkeypatch):
     assert len(builds) == 3
 
 
-def test_enumerate_builds_only_its_own_sign(monkeypatch):
+def test_enumerate_builds_only_its_own_sign(monkeypatch, fresh_oracle_memo):
     # each of the oracle's 20 pairs at max_index 300 streams only its sign's
     # tasks, at |P| <= 300 in L1 and (step 3) at 27 * 300 in L2, and builds
     # no master; the oracle builds exactly two, one per sublattice
@@ -157,8 +159,6 @@ def test_enumerate_builds_only_its_own_sign(monkeypatch):
         assert runs == [(limit, step, {"pos"} if sign == "+" else neg)], (lattice, sign)
     assert not enumeration._MASTER_CACHE
     runs.clear()
-    monkeypatch.setattr(enumeration, "_ORACLE_CACHE", {})
-    monkeypatch.setattr(enumeration, "_SCAN_CACHE", {})
     assert verify_oracle(300, 100).passed
     assert runs == [(300, 1, {"pos"} | neg), (8100, 3, {"pos"} | neg)]
     assert set(enumeration._MASTER_CACHE) == {1, 2}
@@ -184,17 +184,19 @@ def test_enumerate_tables_equal_full_master_cuts(monkeypatch):
 _COLUMNS = ("reps", "disc", "stab", "irred", "member")
 
 
-def _stream_master(limit: int, sign, sublattice: int = 1) -> enumeration.MasterClasses:
-    """The chunks of the _task_orbits stream of the sign, their columns
-    joined into one MasterClasses that records the sign."""
-    tasks = enumeration._selection_tasks(limit, sign, sublattice)
+def _stream_master(plan, limit: int, sign, sublattice: int = 1) -> enumeration.MasterClasses:
+    """The chunks of the _task_orbits stream of the units of the sign (None:
+    every unit) that plan (the reference_plan fixture) keeps, their columns
+    joined into one MasterClasses that records the sign.  At any limit: a
+    pair stream (_pair_stream) runs at a multiple of its index scale only."""
+    tasks = plan(enumeration._stratum_tasks(limit, enumeration._STEPS[sublattice]), sign)
     chunks = list(enumeration._task_orbits(tasks, limit, sign, sublattice))
     cols = [np.concatenate([getattr(c, name) for c in chunks]) for name in enumeration._COLUMNS]
     return enumeration.MasterClasses(limit, *cols, sign, sublattice)
 
 
 @pytest.mark.parametrize("limit", [10 ** 5, 10 ** 6])
-def test_l2_master_is_the_full_master_l2_rows(monkeypatch, limit):
+def test_l2_master_is_the_full_master_l2_rows(monkeypatch, reference_plan, limit):
     # the L2 master (step 3 strata) and the L2 stream of each sign,
     # byte-equal in all five columns to the full L1 master's rows with
     # 3 | x2, x3
@@ -203,7 +205,10 @@ def test_l2_master_is_the_full_master_l2_rows(monkeypatch, limit):
     in_l2 = (full.reps[:, 1] % 3 == 0) & (full.reps[:, 2] % 3 == 0)
     assert (in_l2 == full.member[:, 1]).all()
     for sign in (None, "+", "-"):
-        got = master_classes(limit, sublattice=2) if sign is None else _stream_master(limit, sign, 2)
+        if sign is None:
+            got = master_classes(limit, sublattice=2)
+        else:
+            got = _stream_master(reference_plan, limit, sign, 2)
         assert (got.limit, got.sign, got.sublattice) == (limit, sign, 2)
         keep = in_l2.copy()
         if sign is not None:
@@ -255,12 +260,12 @@ def test_master_sublattice_is_keyword_only(monkeypatch):
     "selection",
     [{}, {"sign": "+"}, {"sign": "-"}, {"sublattice": 2}, {"sign": "-", "sublattice": 2}],
 )
-def test_select_is_the_per_row_rule(selection):
+def test_select_is_the_per_row_rule(reference_plan, selection):
     # every pair, on the full L1 and L2 masters and on the one-sign streams:
     # the rows of sign +- in the lattice with 1 <= |P| // scale <= max_index,
     # row by row
     if "sign" in selection:
-        m = _stream_master(2000, selection["sign"], selection.get("sublattice", 1))
+        m = _stream_master(reference_plan, 2000, selection["sign"], selection.get("sublattice", 1))
     else:
         m = master_classes(2000, **selection)
     disc = m.disc.tolist()
@@ -312,8 +317,7 @@ def test_select_rejects_a_sign_the_master_lacks():
     # a chunk of a one-sign stream holds no row of the other sign; it may not
     # answer 0
     for sign, other in (("+", "-"), ("-", "+")):
-        tasks = enumeration._selection_tasks(300, sign, 1)
-        chunks = [c for c in enumeration._task_orbits(tasks, 300, sign, 1) if len(c)]
+        chunks = [c for c in enumeration._pair_stream(1, sign, 300) if len(c)]
         assert chunks
         for m in chunks:
             rows, _ = m.select(1, sign, 300)
@@ -354,7 +358,7 @@ def test_enumerate_classes_examples():
     assert total == Fraction(1, 3)
 
     # |P| <= 1 runs no P < 0 task: an empty stream gives empty typed columns
-    assert enumeration._selection_tasks(1, "-", 1) == []
+    assert list(enumeration._pair_stream(1, "-", 1)) == []
     table = enumerate_classes(1, "-", 1)
     assert len(table) == 0 and table.reps.shape == (0, 4)
     assert [col.dtype for col in (table.n, table.reps, table.stab, table.irred)] == [
@@ -422,7 +426,7 @@ def test_enumerate_classes_rejects_lattice_out_of_range():
             enumerate_classes(lattice, "+", 50)
 
 
-def test_lattice_is_read_as_an_index_before_any_build(monkeypatch):
+def test_lattice_is_read_as_an_index_before_any_build(monkeypatch, fresh_oracle_memo):
     # lattice is read through operator.index, like limit and max_index: a
     # float raises TypeError and an index outside 1..10 ValueError, before
     # any stratum task or box scan runs; a numpy integer is the int it holds
@@ -432,7 +436,6 @@ def test_lattice_is_read_as_an_index_before_any_build(monkeypatch):
     monkeypatch.setattr(enumeration, "_stratum_chunks", no_work)
     monkeypatch.setattr(enumeration, "_box_survivors", no_work)
     monkeypatch.setattr(enumeration, "_MASTER_CACHE", {})
-    monkeypatch.setattr(enumeration, "_ORACLE_CACHE", {})
     disc = np.array([5, -27], dtype=np.int64)
     m = enumeration.MasterClasses(
         100, np.zeros((2, 4), dtype=np.int64), disc, np.ones(2, dtype=np.int8), disc > 0,
@@ -474,10 +477,10 @@ def test_brute_force_rejects_bad_bounds(monkeypatch):
             brute_force_classes(1, "+", max_index, box)
 
 
-def test_brute_force_stability_cap_covers_its_box(monkeypatch):
+def test_brute_force_stability_cap_covers_its_box(monkeypatch, fresh_oracle_memo):
     caps = []
 
-    def record_caps(box, p_limit, cap, family, scan_box):
+    def record_caps(survivors, box, p_limit, cap, family):
         caps.append((box, cap))
         no_rows = np.empty((0, 4), dtype=np.int64)
         return enumeration.MasterClasses(
@@ -498,12 +501,11 @@ def test_brute_force_tiny():
 
 
 @pytest.mark.parametrize("family, p_limit", [(1, 60), (2, 27 * 12)])
-def test_group_box_orbits_reps_are_lexmin_in_box(monkeypatch, reference_orbit_bfs, family, p_limit):
+def test_group_box_orbits_reps_are_lexmin_in_box(reference_orbit_bfs, family, p_limit):
+    # grouped at box from the survivors of the scan at the stability box
     box, cap = 12, 48
-    monkeypatch.setattr(enumeration, "_ORACLE_CACHE", {})
-    monkeypatch.setattr(enumeration, "_SCAN_CACHE", {})
-    scan_box = enumeration.stability_box(box)
-    orbits = enumeration._group_box_orbits(box, p_limit, cap, family, scan_box)
+    survivors = enumeration._box_survivors(enumeration.stability_box(box), p_limit, family)
+    orbits = enumeration._group_box_orbits(survivors, box, p_limit, cap, family)
     assert orbits.limit == p_limit
     assert orbits.reps.dtype == np.int64 and orbits.reps.shape == (len(orbits), 4)
     reps = list(map(tuple, orbits.reps.tolist()))
@@ -536,14 +538,13 @@ def test_group_box_orbits_one_bfs_per_grouping(monkeypatch, reference_orbit_bfs)
 
     monkeypatch.setattr(enumeration, "orbit_bfs", spy)
     for family, p_limit in ((1, 100), (2, 27 * 100)):
-        monkeypatch.setattr(enumeration, "_ORACLE_CACHE", {})
-        monkeypatch.setattr(enumeration, "_SCAN_CACHE", {})
         calls.clear()
-        orbits = enumeration._group_box_orbits(box, p_limit, cap, family, box)
+        scan = enumeration._box_survivors(box, p_limit, family)
+        orbits = enumeration._group_box_orbits(scan, box, p_limit, cap, family)
         reps = list(map(tuple, orbits.reps.tolist()))
         # reference: the in-box members of each closure, one act-based BFS
         # per seed until every survivor is held
-        survivors = enumeration._box_survivors(box, p_limit, family).tolist()
+        survivors = scan.tolist()
         todo = set(map(tuple, survivors))
         closures = []
         while todo:
@@ -558,27 +559,53 @@ def test_group_box_orbits_one_bfs_per_grouping(monkeypatch, reference_orbit_bfs)
         assert len(calls) == 1 and calls[0][1] == cap, family
         assert list(map(tuple, calls[0][0].tolist())) == pairs, family
         # a second grouping of the same scan makes a second call
-        enumeration._group_box_orbits(box // 2, p_limit, cap, family, box)
+        enumeration._group_box_orbits(scan, box // 2, p_limit, cap, family)
         assert len(calls) == 2, family
 
 
-def test_group_box_orbits_checks_the_scan(monkeypatch):
+def test_group_box_orbits_checks_the_scan():
     # a closure's in-box member missing from the survivors is an
     # AssertionError: a non-representative +-pair, then a representative's
     box, p_limit, cap, family = 12, 60, 48, 1
-    monkeypatch.setattr(enumeration, "_ORACLE_CACHE", {})
-    monkeypatch.setattr(enumeration, "_SCAN_CACHE", {})
     survivors = enumeration._box_survivors(box, p_limit, family)
-    reps = set(map(tuple, enumeration._group_box_orbits(box, p_limit, cap, family, box).reps.tolist()))
+    orbits = enumeration._group_box_orbits(survivors, box, p_limit, cap, family)
+    reps = set(map(tuple, orbits.reps.tolist()))
     rows = list(map(tuple, survivors.tolist()))
     other = next(f for f in rows if f not in reps and f < tuple(-t for t in f))
     for f in (other, min(reps)):
         drop = (survivors == f).all(axis=1) | (survivors == [-t for t in f]).all(axis=1)
         assert drop.sum() == 2
-        monkeypatch.setattr(enumeration, "_ORACLE_CACHE", {})
-        monkeypatch.setattr(enumeration, "_SCAN_CACHE", {(box, p_limit, family): survivors[~drop]})
         with pytest.raises(AssertionError, match="in-box member is not a box survivor"):
-            enumeration._group_box_orbits(box, p_limit, cap, family, box)
+            enumeration._group_box_orbits(survivors[~drop], box, p_limit, cap, family)
+
+
+def test_oracle_memo_is_bounded_and_shared(monkeypatch, fresh_oracle_memo):
+    # verify_oracle's 20 pairs scan each sublattice once and group each scan
+    # twice (box, then the stability box): 2 scans, 4 searches, 18 memo
+    # hits; the memo holds at most two groupings, whatever the boxes
+    scans, caps = [], []
+    box_survivors = enumeration._box_survivors
+
+    def scanning(box, p_limit, family):
+        scans.append((box, p_limit, family))
+        return box_survivors(box, p_limit, family)
+
+    def searching(forms, cap):
+        caps.append(cap)
+        return orbit_bfs(forms, cap)
+
+    monkeypatch.setattr(enumeration, "_box_survivors", scanning)
+    monkeypatch.setattr(enumeration, "orbit_bfs", searching)
+    assert verify_oracle(60, 30).passed
+    assert scans == [(45, 60, 1), (45, 27 * 60, 2)]
+    assert caps == [120, 180, 120, 180]
+    info = fresh_oracle_memo.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (18, 2, 2)
+    for box in (8, 9, 10):
+        brute_force_classes(1, "+", 20, box, check_stability=True)
+        assert fresh_oracle_memo.cache_info().currsize == 2
+    brute_force_classes(1, "-", 20, 10, check_stability=True)  # the box 10 grouping, held
+    assert len(scans) == 5 and fresh_oracle_memo.cache_info().hits == 19
 
 
 def test_brute_force_matches_enumeration_small():
@@ -740,13 +767,75 @@ def test_master_rejects_rows_out_of_order(monkeypatch, kind, partial):
 @pytest.mark.parametrize("limit", [10 ** 5, 10 ** 6])
 @pytest.mark.parametrize("step", [1, 3])
 def test_every_task_kind_emits_rows(limit, step):
-    # in L1 (step 1) and L2 (step 3) every task kind emits rows, and so do
-    # the tasks of each sign of a stream (None for the master, '+', '-')
+    # in L1 (step 1) and L2 (step 3) every task kind emits rows, and so does
+    # the pair stream of each sign (L1 or L2 up to the largest index whose
+    # |P| is within limit)
     emitted = {t: len(_unit_rows(t)) for t in enumeration._stratum_tasks(limit, step)}
     assert {kind for (kind, *_), rows in emitted.items() if rows} == {"pos", "negird", "negrd"}
-    for sign in (None, "+", "-"):
-        held = enumeration._selection_tasks(limit, sign, {1: 1, 3: 2}[step])
-        assert sum(emitted[t] for t in held) > 0, sign
+    lattice = {1: 1, 3: 2}[step]
+    for sign in ("+", "-"):
+        stream = enumeration._pair_stream(lattice, sign, limit // index_scale(lattice))
+        assert sum(len(chunk) for chunk in stream) > 0, sign
+
+
+@pytest.mark.parametrize("max_index", [10 ** 5, 10 ** 6])
+def test_pair_stream_plans_the_reference_units(monkeypatch, reference_plan, max_index):
+    # all 20 pairs, with and without irreducible: _pair_stream hands
+    # _task_orbits exactly the units of the reference plan (the sign's
+    # units; with irreducible, those that may hold an irreducible orbit) of
+    # the pair's sublattice, at the pair's limit, so the chunks are those
+    # of that plan too
+    monkeypatch.setattr(enumeration, "_task_orbits", lambda *args: args)
+    for lattice in range(1, 11):
+        sub = sublattice_of(lattice)
+        limit = max_index * index_scale(lattice)
+        units = enumeration._stratum_tasks(limit, {1: 1, 2: 3}[sub])
+        for sign in ("+", "-"):
+            for irreducible in (False, True):
+                tasks, *rest = enumeration._pair_stream(lattice, sign, max_index, irreducible)
+                assert rest == [limit, sign, sub], (lattice, sign, irreducible)
+                want = reference_plan(units, sign, irreducible)
+                assert tasks == want and want, (lattice, sign, irreducible)
+            # the irreducible plan leaves out the reducible units only
+            assert len(reference_plan(units, sign, True)) < len(reference_plan(units, sign))
+
+
+def _coeffs(lattice, sign, max_index):
+    """cli.cmd_coeffs on its own, as main calls it once the options parse."""
+    args = argparse.Namespace(lattice=lattice, sign=sign, max=max_index)
+    return cli.cmd_coeffs(args, io.StringIO())
+
+
+def test_pair_stream_checks_run_before_any_unit(monkeypatch):
+    # every check of _pair_stream, for each of its three consumers: a float
+    # max_index or lattice is a TypeError, and max_index < 1, a bad sign or
+    # lattice and a limit past MAX_LIMIT are ValueErrors, each raised
+    # before _stratum_chunks starts; with the checks passed it does start
+    def no_work(tasks):
+        raise AssertionError("stratum work started")
+
+    monkeypatch.setattr(enumeration, "_stratum_chunks", no_work)
+    monkeypatch.setattr(enumeration, "_MASTER_CACHE", {})
+    bad = [
+        ((1, "+", 10.0), TypeError, None),
+        ((1.0, "+", 10), TypeError, None),
+        ((1, "+", 0), ValueError, "max_index must be >= 1"),
+        ((1, "-", -3), ValueError, "max_index must be >= 1"),
+        ((1, "x", 10), ValueError, "sign must be"),
+        ((1, None, 10), ValueError, "sign must be"),
+        ((0, "-", 10), ValueError, "lattice index must be 1..10"),
+        ((11, "+", 10), ValueError, "lattice index must be 1..10"),
+        ((1, "-", MAX_LIMIT + 1), ValueError, "exceeds the int64 safety bound"),
+        ((2, "+", MAX_LIMIT // 27 + 1), ValueError, "exceeds the int64 safety bound"),
+    ]
+    for consume in (enumerate_classes, density_report, _coeffs):
+        for args, error, match in bad:
+            with pytest.raises(error, match=match):
+                consume(*args)
+        for lattice, sign in ((1, "-"), (2, "+")):
+            with pytest.raises(AssertionError, match="stratum work started"):
+                consume(lattice, sign, 10 ** 4)
+    assert not enumeration._MASTER_CACHE
 
 
 @pytest.mark.parametrize("kind", list(_PARTIAL))
@@ -1535,9 +1624,8 @@ def test_chunked_counts_equal_the_unit_stream_counts(reference_orbits):
         for sign in ("+", "-"):
             sub, limit = sublattice_of(lattice), 10 ** 5 * index_scale(lattice)
             if (sign, sub) not in streams:
-                tasks = enumeration._selection_tasks(limit, sign, sub)
                 streams[sign, sub] = (
-                    list(enumeration._task_orbits(tasks, limit, sign, sub)),
+                    list(enumeration._pair_stream(lattice, sign, 10 ** 5)),
                     list(reference_orbits(limit, sign, sub)),
                 )
             got, want = (count_orbits(c, lattice, sign, 10 ** 5) for c in streams[sign, sub])

@@ -481,8 +481,7 @@ def test_series_from_master_rejects_index_past_master(orbit_count):
 def test_series_from_master_rejects_a_partial_master():
     # a chunk of the '-' stream answers its own sign only
     full = series_from_master(master_classes(300), 1, "-", 300)
-    tasks = enumeration._selection_tasks(300, "-", 1)
-    chunks = [c for c in enumeration._task_orbits(tasks, 300, "-", 1) if len(c)]
+    chunks = [c for c in enumeration._pair_stream(1, "-", 300) if len(c)]
     assert np.array_equal(count_orbits(chunks, 1, "-", 300), full.orbits)
     with pytest.raises(ValueError, match="holds the sign '-' only"):
         series_from_master(chunks[0], 1, "+", 300)
@@ -499,18 +498,17 @@ def _dense_counts(master, lattice: int, sign: str, max_n: int) -> np.ndarray:
 
 @pytest.mark.parametrize("max_n", [10 ** 5, 10 ** 6])
 def test_streamed_counts_equal_the_master_counts(monkeypatch, max_n):
-    # every pair, count for count: count_orbits over the stratum tasks of
-    # the sign (the stream `coeffs` counts) and over the master of the
-    # sublattice (series_from_master), each against the dense count of the
-    # master
+    # every pair, count for count: count_orbits over the pair stream of the
+    # sign in the sublattice (the stream `coeffs` counts) and over the
+    # master of the sublattice (series_from_master), each against the dense
+    # count of the master
     monkeypatch.setattr(enumeration, "_MASTER_CACHE", {})
     cells = np.zeros((2, 2), dtype=np.int64)  # every cell [stab is 3, irreducible] is read
     for sub in (1, 2):
         limit = max_n * index_scale(sub)
         master = master_classes(limit, sublattice=sub)
         for sign in "+-":
-            tasks = enumeration._selection_tasks(limit, sign, sub)
-            chunks = list(enumeration._task_orbits(tasks, limit, sign, sub))
+            chunks = list(enumeration._pair_stream(sub, sign, max_n))
             assert len(chunks) > 1
             for lattice in range(sub, 11, 2):  # the lattices of the sublattice
                 want = _dense_counts(master, lattice, sign, max_n)
