@@ -6,20 +6,23 @@ The counting function S(X) of irreducible classes of bounded index obeys
 
 where alpha = pi^2 / 9 and beta is an explicit product of zeta and Gamma
 values.  The lattice-dependent multipliers are rational up to factors of
-sqrt(3) and 2^(-1/3); they are stored exactly and cross-checked against
-2-adic densities computed by residue counting.
+sqrt(3) and 2^(-1/3).  They are derived exactly, not stored: from L1+'s,
+2-adic densities of L3, L5, L7 and L9 computed by residue counting, the
+sign rule and the even rule (residue_constants).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cache
 from fractions import Fraction
+from types import MappingProxyType
 
 import numpy as np
 
-from .enumeration import _pair_stream, master_classes
-from .forms import EVEN_PARTNER, lattice_member, residue_grid
+from .enumeration import _pair_stream, _sign_positive, master_classes
+from .forms import EVEN_PARTNER, _check_lattice, lattice_member, residue_grid
 from .series import CheckReport, _report, count_orbits
 
 # No count here reads a master: the name stays bound for the benchmark's
@@ -95,39 +98,14 @@ class BetaMultiplier:
 class ResidueEntry:
     lattice: int
     sign: str
-    m_alpha: Fraction
     m_beta: BetaMultiplier
     m_alpha_ird: Fraction
     m_alpha_rd: Fraction
 
-
-def _F(a, b=1):
-    return Fraction(a, b)
-
-
-# multipliers per lattice, '+' then '-': (m_alpha, m_beta, m_alpha_ird, m_alpha_rd)
-_TABLE = {
-    (1, "+"): (_F(1), BetaMultiplier(_F(1)), _F(1, 4), _F(3, 4)),
-    (3, "+"): (_F(1, 2), BetaMultiplier(_F(1, 2)), _F(1, 8), _F(3, 8)),
-    (5, "+"): (_F(7, 32), BetaMultiplier(_F(1, 4), inv_cbrt2=True), _F(1, 32), _F(3, 16)),
-    (7, "+"): (_F(1, 4), BetaMultiplier(_F(1, 4)), _F(1, 16), _F(3, 16)),
-    (9, "+"): (_F(1, 4), BetaMultiplier(_F(1, 4)), _F(1, 16), _F(3, 16)),
-    (2, "+"): (_F(3, 2), BetaMultiplier(_F(1), sqrt3=True), _F(3, 4), _F(3, 4)),
-    (4, "+"): (_F(9, 32), BetaMultiplier(_F(1, 4), sqrt3=True, inv_cbrt2=True), _F(3, 32), _F(3, 16)),
-    (6, "+"): (_F(3, 4), BetaMultiplier(_F(1, 2), sqrt3=True), _F(3, 8), _F(3, 8)),
-    (8, "+"): (_F(3, 8), BetaMultiplier(_F(1, 4), sqrt3=True), _F(3, 16), _F(3, 16)),
-    (10, "+"): (_F(3, 8), BetaMultiplier(_F(1, 4), sqrt3=True), _F(3, 16), _F(3, 16)),
-    (1, "-"): (_F(3, 2), BetaMultiplier(_F(1), sqrt3=True), _F(3, 4), _F(3, 4)),
-    (3, "-"): (_F(3, 4), BetaMultiplier(_F(1, 2), sqrt3=True), _F(3, 8), _F(3, 8)),
-    (5, "-"): (_F(9, 32), BetaMultiplier(_F(1, 4), sqrt3=True, inv_cbrt2=True), _F(3, 32), _F(3, 16)),
-    (7, "-"): (_F(3, 8), BetaMultiplier(_F(1, 4), sqrt3=True), _F(3, 16), _F(3, 16)),
-    (9, "-"): (_F(3, 8), BetaMultiplier(_F(1, 4), sqrt3=True), _F(3, 16), _F(3, 16)),
-    (2, "-"): (_F(3), BetaMultiplier(_F(3)), _F(9, 4), _F(3, 4)),
-    (4, "-"): (_F(15, 32), BetaMultiplier(_F(3, 4), inv_cbrt2=True), _F(9, 32), _F(3, 16)),
-    (6, "-"): (_F(3, 2), BetaMultiplier(_F(3, 2)), _F(9, 8), _F(3, 8)),
-    (8, "-"): (_F(3, 4), BetaMultiplier(_F(3, 4)), _F(9, 16), _F(3, 16)),
-    (10, "-"): (_F(3, 4), BetaMultiplier(_F(3, 4)), _F(9, 16), _F(3, 16)),
-}
+    @property
+    def m_alpha(self) -> Fraction:
+        """The whole residue at s = 1: irreducible plus reducible part."""
+        return self.m_alpha_ird + self.m_alpha_rd
 
 
 @dataclass(frozen=True)
@@ -137,7 +115,11 @@ class ResidueTable:
     entries: dict = field(default_factory=dict)  # (lattice, sign) -> ResidueEntry
 
     def entry(self, lattice: int, sign: str) -> ResidueEntry:
-        return self.entries[(lattice, sign)]
+        """The multipliers of (L_lattice, sign).  ValueError for a lattice
+        outside 1..10 or a sign other than '+' and '-', TypeError for a
+        lattice that is not an integer."""
+        _sign_positive(sign)
+        return self.entries[(_check_lattice(lattice), sign)]
 
 
 def _eta(s: float, n: int = 60) -> float:
@@ -161,23 +143,6 @@ def _eta(s: float, n: int = 60) -> float:
 def zeta(s: float) -> float:
     """Riemann zeta for real s != 1, via the alternating series."""
     return _eta(s) / (1.0 - 2.0 ** (1.0 - s))
-
-
-def residue_constants() -> ResidueTable:
-    alpha = math.pi ** 2 / 9.0
-    beta = (
-        math.sqrt(3.0)
-        * (2.0 * math.pi) ** (1.0 / 3.0)
-        / 18.0
-        * zeta(2.0 / 3.0)
-        * math.gamma(1.0 / 3.0)
-        / math.gamma(2.0 / 3.0)
-    )
-    entries = {
-        key: ResidueEntry(key[0], key[1], v[0], v[1], v[2], v[3])
-        for key, v in _TABLE.items()
-    }
-    return ResidueTable(alpha, beta, entries)
 
 
 # ---------------------------------------------------------------------------
@@ -243,77 +208,104 @@ def local_density_ratios(lattice: int, mod: int = 8) -> DensityRatios:
     return DensityRatios(lattice, ird, rd, _density_b(lattice, mod), _density_b(1, mod))
 
 
-def verify_table1_ratios() -> CheckReport:
-    """Cross-check the stored multipliers against 2-adic residue counting.
+# every other entry follows from L1+'s, the 2-adic densities and two rules
+_L1_PLUS = ResidueEntry(1, "+", BetaMultiplier(Fraction(1)), Fraction(1, 4), Fraction(3, 4))
 
-    For each odd lattice L in {L3, L5, L7, L9}:
+
+def _plus_entry(r: DensityRatios) -> ResidueEntry:
+    """(L, +) for L in {L3, L5, L7, L9}: L1+'s multipliers scaled by the
+    2-adic density ratios of L against L1.  B(L1) = 2(1 + x + x^2) with
+    x = 2^(-1/3) has inverse 1 - x, so B(L) / B(L1) is exact; it must be
+    r or r * x, the two forms a BetaMultiplier holds (AssertionError
+    otherwise)."""
+    inverse = Qcbrt(Fraction(1), Fraction(-1))
+    if r.b_reference * inverse != Qcbrt(Fraction(1)):
+        raise AssertionError(f"B(L1) = {r.b_reference} is not 2(1 + x + x^2)")
+    q = (r.b_value * inverse).scale(_L1_PLUS.m_beta.rational)
+    if q.e1 == q.e2 == 0:
+        m_beta = BetaMultiplier(q.e0)
+    elif q.e0 == q.e2 == 0:
+        m_beta = BetaMultiplier(q.e1, inv_cbrt2=True)
+    else:
+        raise AssertionError(f"L{r.lattice}: B(L) / B(L1) = {q} is neither r nor r * 2^(-1/3)")
+    return ResidueEntry(
+        r.lattice, "+", m_beta, _L1_PLUS.m_alpha_ird * r.ird_ratio, _L1_PLUS.m_alpha_rd * r.rd_ratio
+    )
+
+
+def _minus_entry(e: ResidueEntry) -> ResidueEntry:
+    """The sign rule: (L, -) = (3 m_alpha_ird, m_alpha_rd, sqrt(3) m_beta)
+    of (L, +), with sqrt(3) * sqrt(3) = 3."""
+    b = e.m_beta
+    m_beta = replace(b, rational=3 * b.rational, sqrt3=False) if b.sqrt3 else replace(b, sqrt3=True)
+    return ResidueEntry(e.lattice, "-", m_beta, 3 * e.m_alpha_ird, e.m_alpha_rd)
+
+
+@cache
+def residue_constants() -> ResidueTable:
+    """alpha = pi^2 / 9, beta, and the multipliers of all 20 (lattice,
+    sign) pairs, derived once (on the first call) rather than typed in:
+
+      * L1+ is (m_alpha_ird, m_alpha_rd, m_beta) = (1/4, 3/4, 1);
+      * (L, +) for L in {L3, L5, L7, L9} is L1+ scaled by the 2-adic density
+        ratios of `local_density_ratios(L, 8)`, the only counted entries;
+      * the sign rule, on all ten lattices: (L, -) is (3 m_alpha_ird,
+        m_alpha_rd, sqrt(3) m_beta) of (L, +);
+      * the even rule: (L', +) = (L, -) for the odd partner L of each even
+        L' (forms.EVEN_PARTNER), after the Ohno-Nakagawa duality: for L1,
+        L7 and L9 the residue side of the verified relations, for L3 and
+        L5 (no relation holds) a claim of its own.
+
+    m_alpha = m_alpha_ird + m_alpha_rd is a property of each entry."""
+    alpha = math.pi ** 2 / 9.0
+    beta = (
+        math.sqrt(3.0)
+        * (2.0 * math.pi) ** (1.0 / 3.0)
+        / 18.0
+        * zeta(2.0 / 3.0)
+        * math.gamma(1.0 / 3.0)
+        / math.gamma(2.0 / 3.0)
+    )
+    plus = {1: _L1_PLUS}
+    for lattice in (3, 5, 7, 9):
+        plus[lattice] = _plus_entry(local_density_ratios(lattice, 8))
+    for even, odd in EVEN_PARTNER.items():
+        plus[even] = replace(_minus_entry(plus[odd]), lattice=even, sign="+")
+    entries = [*plus.values(), *map(_minus_entry, plus.values())]
+    # read-only: every caller shares the one cached table
+    return ResidueTable(alpha, beta, MappingProxyType({(e.lattice, e.sign): e for e in entries}))
+
+
+def verify_table1_ratios() -> CheckReport:
+    """Count the 2-adic densities again, mod 2 and mod 4, against the
+    residue multipliers.
+
+    residue_constants() counts the densities of L3, L5, L7 and L9 mod 8
+    and derives their (L, +) entries from them; every other entry comes
+    from L1+ and the sign and even rules.  Here each of the four (L, +)
+    entries is derived again from the densities mod 2 and mod 4, and must
+    equal the table's:
       * the irreducible-part multiplier ratio equals the 2-adic density ratio
         of the lattice closures,
       * the reducible-part multiplier ratio equals the |t|^2-weighted ratio,
       * the beta multiplier ratio equals the |t|^(1/3)-weighted ratio,
         exactly in Q(2^(1/3)) (this is where 2^(-1/3) enters for L5).
-    The even-lattice columns are the odd ones scaled by 3 (alpha-type) and
-    sqrt(3) (beta-type) under the correspondence x -> (x1, 3x2, 3x3, x4).
-    Counting is repeated at moduli 2, 4, 8 and must be stable.
+    So the counted entries are stable over moduli 2, 4 and 8.  The other
+    16 (L1+ and the 15 the rules derive) are not counted here, and the
+    rules themselves are the construction, not a check.
     """
     table = residue_constants()
     failures = []
-
-    def beta_as_qcbrt(m: BetaMultiplier) -> Qcbrt:
-        # sqrt(3) never mixes with 2^(-1/3); strip it for the 2-adic part.
-        base = Qcbrt(m.rational) if not m.inv_cbrt2 else Qcbrt(0, m.rational)
-        return base
-
-    for mod in (2, 4, 8):
+    for mod in (2, 4):
         for lattice in (3, 5, 7, 9):
-            r = local_density_ratios(lattice, mod=mod)
-            e1 = table.entry(1, "+")
-            el = table.entry(lattice, "+")
-            if r.ird_ratio != el.m_alpha_ird / e1.m_alpha_ird:
-                failures.append(
-                    f"mod {mod}: L{lattice} irreducible density ratio {r.ird_ratio} "
-                    f"!= multiplier ratio {el.m_alpha_ird / e1.m_alpha_ird}"
-                )
-            if r.rd_ratio != el.m_alpha_rd / e1.m_alpha_rd:
-                failures.append(
-                    f"mod {mod}: L{lattice} reducible density ratio {r.rd_ratio} "
-                    f"!= multiplier ratio {el.m_alpha_rd / e1.m_alpha_rd}"
-                )
-            want = beta_as_qcbrt(el.m_beta)  # ratio vs m_beta(L1) = 1
-            got_ref = r.b_reference
-            got = r.b_value
-            # compare got / got_ref with want:  got == want * got_ref
-            if got != want * got_ref:
-                failures.append(
-                    f"mod {mod}: L{lattice} beta-type density {got} != "
-                    f"{want} * reference {got_ref}"
-                )
-    # structural checks on the table itself
-    for (lat, sign), e in table.entries.items():
-        if e.m_alpha != e.m_alpha_ird + e.m_alpha_rd:
-            failures.append(
-                f"(L{lat}, {sign}): m_alpha {e.m_alpha} != ird + rd "
-                f"{e.m_alpha_ird + e.m_alpha_rd}"
-            )
-    for even_l, odd_l in EVEN_PARTNER.items():
-        eo = table.entry(odd_l, "+")
-        ee = table.entry(even_l, "+")
-        if ee.m_alpha_ird != 3 * eo.m_alpha_ird:
-            failures.append(
-                f"even column L{even_l}: ird multiplier not 3x that of L{odd_l}"
-            )
-        if ee.m_alpha_rd != eo.m_alpha_rd:
-            failures.append(
-                f"even column L{even_l}: rd multiplier differs from L{odd_l}"
-            )
-        if (
-            ee.m_beta.rational != eo.m_beta.rational
-            or ee.m_beta.inv_cbrt2 != eo.m_beta.inv_cbrt2
-            or ee.m_beta.sqrt3 == eo.m_beta.sqrt3
-        ):
-            failures.append(
-                f"even column L{even_l}: beta multiplier not sqrt(3) x that of L{odd_l}"
-            )
+            want = table.entry(lattice, "+")
+            try:
+                got = _plus_entry(local_density_ratios(lattice, mod=mod))
+            except AssertionError as exc:
+                failures.append(f"mod {mod}: {exc}")
+                continue
+            if got != want:
+                failures.append(f"mod {mod}: L{lattice}+ from the densities {got} != table {want}")
     return _report("local density ratios vs stored multipliers", failures)
 
 

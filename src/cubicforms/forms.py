@@ -274,7 +274,9 @@ def lattice_basis(lattice: int) -> tuple:
 
 def _check_lattice(lattice: int) -> int:
     """The lattice index, read through operator.index (TypeError for a
-    float); ValueError outside 1..10."""
+    float or a bool); ValueError outside 1..10."""
+    if isinstance(lattice, bool):
+        raise TypeError(f"lattice index must be an integer, not {lattice!r}")
     lattice = index(lattice)
     if not 1 <= lattice <= 10:
         raise ValueError(f"lattice index must be 1..10, got {lattice}")

@@ -1,4 +1,7 @@
 import math
+import subprocess
+import sys
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -13,7 +16,8 @@ from cubicforms import (
     verify_table1_ratios,
     zeta,
 )
-from cubicforms import enumeration
+from cubicforms import analytic, enumeration
+from cubicforms.analytic import BetaMultiplier, DensityRatios
 from cubicforms.forms import index_scale, sublattice_of
 from cubicforms.latclass import lattice_basis, _det4
 
@@ -57,6 +61,116 @@ def test_multiplier_sum_invariant():
     t = residue_constants()
     for e in t.entries.values():
         assert e.m_alpha == e.m_alpha_ird + e.m_alpha_rd
+
+
+# the paper's residue multipliers, as they were typed into the package before
+# residue_constants() derived them: (m_alpha, m_beta, m_alpha_ird, m_alpha_rd)
+_F = Fraction
+_B = BetaMultiplier
+PAPER_TABLE = {
+    (1, "+"): (_F(1), _B(_F(1)), _F(1, 4), _F(3, 4)),
+    (3, "+"): (_F(1, 2), _B(_F(1, 2)), _F(1, 8), _F(3, 8)),
+    (5, "+"): (_F(7, 32), _B(_F(1, 4), inv_cbrt2=True), _F(1, 32), _F(3, 16)),
+    (7, "+"): (_F(1, 4), _B(_F(1, 4)), _F(1, 16), _F(3, 16)),
+    (9, "+"): (_F(1, 4), _B(_F(1, 4)), _F(1, 16), _F(3, 16)),
+    (2, "+"): (_F(3, 2), _B(_F(1), sqrt3=True), _F(3, 4), _F(3, 4)),
+    (4, "+"): (_F(9, 32), _B(_F(1, 4), sqrt3=True, inv_cbrt2=True), _F(3, 32), _F(3, 16)),
+    (6, "+"): (_F(3, 4), _B(_F(1, 2), sqrt3=True), _F(3, 8), _F(3, 8)),
+    (8, "+"): (_F(3, 8), _B(_F(1, 4), sqrt3=True), _F(3, 16), _F(3, 16)),
+    (10, "+"): (_F(3, 8), _B(_F(1, 4), sqrt3=True), _F(3, 16), _F(3, 16)),
+    (1, "-"): (_F(3, 2), _B(_F(1), sqrt3=True), _F(3, 4), _F(3, 4)),
+    (3, "-"): (_F(3, 4), _B(_F(1, 2), sqrt3=True), _F(3, 8), _F(3, 8)),
+    (5, "-"): (_F(9, 32), _B(_F(1, 4), sqrt3=True, inv_cbrt2=True), _F(3, 32), _F(3, 16)),
+    (7, "-"): (_F(3, 8), _B(_F(1, 4), sqrt3=True), _F(3, 16), _F(3, 16)),
+    (9, "-"): (_F(3, 8), _B(_F(1, 4), sqrt3=True), _F(3, 16), _F(3, 16)),
+    (2, "-"): (_F(3), _B(_F(3)), _F(9, 4), _F(3, 4)),
+    (4, "-"): (_F(15, 32), _B(_F(3, 4), inv_cbrt2=True), _F(9, 32), _F(3, 16)),
+    (6, "-"): (_F(3, 2), _B(_F(3, 2)), _F(9, 8), _F(3, 8)),
+    (8, "-"): (_F(3, 4), _B(_F(3, 4)), _F(9, 16), _F(3, 16)),
+    (10, "-"): (_F(3, 4), _B(_F(3, 4)), _F(9, 16), _F(3, 16)),
+}
+
+# float(m_beta), and density_prediction at x = 1e3, 1e6 and 1e9, as float.hex,
+# recorded from the typed-in table
+PAPER_FLOATS = {
+    (1, "+"): ("0x1.0000000000000p+0", ("-0x1.a0e327b991530p+5", "0x1.4df28f989a960p+17", "0x1.ccae174ee8fc4p+27")),
+    (3, "+"): ("0x1.0000000000000p-1", ("-0x1.a0e327b991530p+4", "0x1.4df28f989a960p+16", "0x1.ccae174ee8fc4p+26")),
+    (5, "+"): ("0x1.965fea53d6e3dp-3", ("-0x1.e785403fe552ap+4", "0x1.af28477569a30p+13", "0x1.a820368e47251p+24")),
+    (7, "+"): ("0x1.0000000000000p-2", ("-0x1.a0e327b991530p+3", "0x1.4df28f989a960p+15", "0x1.ccae174ee8fc4p+25")),
+    (9, "+"): ("0x1.0000000000000p-2", ("-0x1.a0e327b991530p+3", "0x1.4df28f989a960p+15", "0x1.ccae174ee8fc4p+25")),
+    (2, "+"): ("0x1.bb67ae8584caap+0", ("0x1.015b51caea2a6p+8", "0x1.3a566ebbfb840p+19", "0x1.6d3c7d0e194fcp+29")),
+    (4, "+"): ("0x1.5fee480fc03e4p-2", ("-0x1.2a5bd475654a8p+3", "0x1.07151965e85a2p+16", "0x1.5d686892880fep+26")),
+    (6, "+"): ("0x1.bb67ae8584caap-1", ("0x1.015b51caea2a6p+7", "0x1.3a566ebbfb840p+18", "0x1.6d3c7d0e194fcp+28")),
+    (8, "+"): ("0x1.bb67ae8584caap-2", ("0x1.015b51caea2a6p+6", "0x1.3a566ebbfb840p+17", "0x1.6d3c7d0e194fcp+27")),
+    (10, "+"): ("0x1.bb67ae8584caap-2", ("0x1.015b51caea2a6p+6", "0x1.3a566ebbfb840p+17", "0x1.6d3c7d0e194fcp+27")),
+    (1, "-"): ("0x1.bb67ae8584caap+0", ("0x1.015b51caea2a6p+8", "0x1.3a566ebbfb840p+19", "0x1.6d3c7d0e194fcp+29")),
+    (3, "-"): ("0x1.bb67ae8584caap-1", ("0x1.015b51caea2a6p+7", "0x1.3a566ebbfb840p+18", "0x1.6d3c7d0e194fcp+28")),
+    (5, "-"): ("0x1.5fee480fc03e4p-2", ("-0x1.2a5bd475654a8p+3", "0x1.07151965e85a2p+16", "0x1.5d686892880fep+26")),
+    (7, "-"): ("0x1.bb67ae8584caap-2", ("0x1.015b51caea2a6p+6", "0x1.3a566ebbfb840p+17", "0x1.6d3c7d0e194fcp+27")),
+    (9, "-"): ("0x1.bb67ae8584caap-2", ("0x1.015b51caea2a6p+6", "0x1.3a566ebbfb840p+17", "0x1.6d3c7d0e194fcp+27")),
+    (2, "-"): ("0x1.8000000000000p+1", ("0x1.74267c06ebba7p+10", "0x1.0769ab7584b53p+21", "0x1.1a780bc47dfa0p+31")),
+    (4, "-"): ("0x1.30c7efbee12aep-1", ("0x1.c8d39f50b6b68p+6", "0x1.e26fee77d340ap+17", "0x1.139d71a05fa1ap+28")),
+    (6, "-"): ("0x1.8000000000000p+0", ("0x1.74267c06ebba7p+9", "0x1.0769ab7584b53p+20", "0x1.1a780bc47dfa0p+30")),
+    (8, "-"): ("0x1.8000000000000p-1", ("0x1.74267c06ebba7p+8", "0x1.0769ab7584b53p+19", "0x1.1a780bc47dfa0p+29")),
+    (10, "-"): ("0x1.8000000000000p-1", ("0x1.74267c06ebba7p+8", "0x1.0769ab7584b53p+19", "0x1.1a780bc47dfa0p+29")),
+}
+
+
+def test_derived_table_equals_the_papers():
+    t = residue_constants()
+    assert set(t.entries) == set(PAPER_TABLE)
+    for (lattice, sign), want in PAPER_TABLE.items():
+        e = t.entry(lattice, sign)
+        assert (e.lattice, e.sign) == (lattice, sign)
+        assert (e.m_alpha, e.m_beta, e.m_alpha_ird, e.m_alpha_rd) == want, (lattice, sign)
+
+
+def test_derived_table_floats_are_bit_identical():
+    t = residue_constants()
+    for (lattice, sign), (beta, predictions) in PAPER_FLOATS.items():
+        assert float(t.entry(lattice, sign).m_beta).hex() == beta, (lattice, sign)
+        got = [density_prediction(lattice, sign, x).hex() for x in (1e3, 1e6, 1e9)]
+        assert got == list(predictions), (lattice, sign)
+
+
+def test_residue_constants_is_built_once_and_not_at_import():
+    assert residue_constants() is residue_constants()
+    with pytest.raises(TypeError):
+        residue_constants().entries[(1, "+")] = None
+    code = "import cubicforms.analytic as a; print(a.residue_constants.cache_info().currsize)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "0"
+
+
+def test_beta_ratio_outside_the_two_forms_is_an_assertion():
+    x = Qcbrt(Fraction(0), Fraction(1))  # 2^(-1/3)
+    reference = Qcbrt(Fraction(2), Fraction(2), Fraction(2))  # B(L1)
+    plus_x = DensityRatios(3, Fraction(1), Fraction(1), (Qcbrt(Fraction(1)) + x) * reference, reference)
+    with pytest.raises(AssertionError, match="neither r nor"):
+        analytic._plus_entry(plus_x)
+    with pytest.raises(AssertionError, match=r"B\(L1\)"):
+        analytic._plus_entry(DensityRatios(3, Fraction(1), Fraction(1), reference, x))
+    assert analytic._plus_entry(DensityRatios(5, Fraction(1), Fraction(1), x * reference, reference)).m_beta == (
+        BetaMultiplier(Fraction(1), inv_cbrt2=True)
+    )
+
+
+def test_residue_entry_and_prediction_check_lattice_and_sign():
+    t = residue_constants()
+    for lattice, sign, error in (
+        (0, "+", ValueError),
+        (11, "-", ValueError),
+        (1, "x", ValueError),
+        (1, None, ValueError),
+        (1.0, "+", TypeError),
+        (True, "+", TypeError),
+        ("1", "+", TypeError),
+    ):
+        with pytest.raises(error):
+            t.entry(lattice, sign)
+        with pytest.raises(error):
+            density_prediction(lattice, sign, 10.0)
+    assert t.entry(np.int64(7), "-") == t.entry(7, "-")
 
 
 def test_local_density_ratio_examples():
@@ -226,3 +340,14 @@ def test_streamed_density_counts_equal_the_full_master_rows(monkeypatch):
                 threes += n3
     assert not enumeration._MASTER_CACHE
     assert on_edge > 0 and threes > 0
+
+
+def test_verify_table1_ratios_reads_the_table(monkeypatch):
+    # a counted entry that disagrees with the densities mod 2 and mod 4 fails
+    t = residue_constants()
+    wrong = dict(t.entries)
+    wrong[(5, "+")] = replace(t.entry(5, "+"), m_beta=BetaMultiplier(Fraction(1, 4)))
+    monkeypatch.setattr(analytic, "residue_constants", lambda: replace(t, entries=wrong))
+    rep = verify_table1_ratios()
+    assert not rep.passed
+    assert [d.split(":")[0] for d in rep.details] == ["mod 2", "mod 4"]
