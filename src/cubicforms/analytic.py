@@ -1,14 +1,16 @@
 """Residue constants, 2-adic local densities, and counting asymptotics.
 
-The counting function S(X) of irreducible classes of bounded index obeys
+The counting function S(X) of irreducible classes of bounded index is
 
-    S(X) = m_ird * alpha * X + (6/5) * m_beta * beta * X^(5/6) + O(X^(2/3)),
+    S(X) = m_ird * alpha * X + (6/5) * m_beta * beta * X^(5/6) + error,
 
 where alpha = pi^2 / 9 and beta is an explicit product of zeta and Gamma
-values.  The lattice-dependent multipliers are rational up to factors of
-sqrt(3) and 2^(-1/3).  They are derived exactly, not stored: from L1+'s,
-2-adic densities of L3, L5, L7 and L9 computed by residue counting, the
-sign rule and the even rule (residue_constants).
+values.  density_report gauges the error in units of X^(2/3), the gauge's
+scale: no bound on the error is argued here.  The lattice-dependent
+multipliers are rational up to factors of sqrt(3) and 2^(-1/3).  They are
+derived exactly, not stored: from L1+'s, 2-adic densities of L3, L5, L7
+and L9 computed by residue counting, the sign rule and the even rule
+(residue_constants).
 """
 
 from __future__ import annotations
@@ -126,12 +128,10 @@ def _eta(s: float, n: int = 60) -> float:
     """Alternating zeta eta(s) by P. Borwein's Chebyshev-weight algorithm."""
     # d_k = n * sum_{i<=k} (n+i-1)! 4^i / ((n-i)! (2i)!)
     d = [0.0] * (n + 1)
-    term = 0.0
     acc = 0.0
     for k in range(n + 1):
-        i = k
-        num = math.factorial(n + i - 1) * 4 ** i
-        den = math.factorial(n - i) * math.factorial(2 * i)
+        num = math.factorial(n + k - 1) * 4 ** k
+        den = math.factorial(n - k) * math.factorial(2 * k)
         acc += num / den
         d[k] = n * acc
     total = 0.0

@@ -15,8 +15,9 @@ The one-shot commands read their pair's orbit stream chunk by chunk
 (enumeration._pair_stream, which checks the pair first) and hold no
 master: `enumerate` gathers and sorts its pair's rows, `coeffs` and
 `density` count them (series.count_orbits).  The verify suites share one
-cached master per sublattice, the oracle's tables included; the oracle's
-own groupings are memoised, one per sublattice (enumeration._oracle_orbits).
+master per sublattice (series._verify_master), the oracle's tables
+included; the oracle's own groupings are memoised, one per sublattice
+(enumeration._oracle_orbits).
 Both bulk writers, `enumerate` and `coeffs`, format whole int64 columns in
 fixed-size blocks of rows (`_format_rows`), with no Python call per row: a
 block is one uint8 matrix, filled from a template row of the constants,
@@ -42,7 +43,6 @@ from .enumeration import (
     _pair_stream,
     brute_force_classes,
     enumerate_classes,
-    master_classes,
     stability_box,
 )
 from .forms import index_scale, sublattice_of
@@ -206,9 +206,9 @@ def cmd_table(args, out) -> int:
 
 def verify_oracle(max_index: int, box: int) -> series_mod.CheckReport:
     """Enumeration against the brute-force oracle, for all 20 pairs: each
-    pair's table from the shared master of its sublattice (as the series
-    suites read it), the L1 master at max_index, the L2 one at 27 max_index."""
-    masters = {sub: master_classes(max_index * index_scale(sub), sublattice=sub) for sub in (1, 2)}
+    pair's table from the verify suites' master of its sublattice
+    (series._verify_master), L1 at max_index, L2 at 27 max_index."""
+    masters = {sub: series_mod._verify_master(max_index * index_scale(sub), sub) for sub in (1, 2)}
     failures = []
     for lattice in range(1, 11):
         for sign in ("+", "-"):

@@ -78,8 +78,8 @@ sign, in L2 (the strata with b, c in 3Z: _STEPS) for an even lattice) and
 hold no master: enumerate_classes grows a ClassTable in place by the
 pair's rows of each chunk and sorts it once (_lex_order, one np.lexsort),
 and series.count_orbits, the one count, bins them for `coeffs` and
-density_report.  The verify suites share one cached two-sign master per
-sublattice (master_classes): the series are counted over it, and the
+density_report.  master_classes builds a two-sign master at each call; the
+verify suites memoise one per sublattice (series._verify_master), and the
 oracle compares brute_force_classes, its groupings memoised one per
 sublattice (_oracle_orbits), with its tables.
 """
@@ -715,9 +715,6 @@ def _check_increasing(cols, stratum: str) -> None:
 # (test_strata_windows_exact_at_max_limit).
 MAX_LIMIT = 4 * isqrt((2 ** 63 - 1) // 27) + 2  # 2_337_884_074
 
-# sublattice -> the largest master built in it, both signs
-_MASTER_CACHE: dict = {}
-
 
 def _check_selection(limit: int, sublattice: int) -> int:
     """limit as an int, after the checks of a selection: ValueError for
@@ -781,7 +778,8 @@ def _pair_stream(lattice: int, sign: str, max_index: int, irreducible: bool = Fa
 def master_classes(limit: int, *, sublattice: int = 1) -> MasterClasses:
     """All orbits with 1 <= |P| <= limit, both signs, in the full integer
     lattice L1 or, with sublattice=2, in L2 = {3 | x2, x3}, which holds the
-    even lattices: the master the verify suites share.
+    even lattices.  Each call checks its arguments (_check_selection), then
+    builds and returns a master of its own.
 
     The rows are in master row order: one pass over the _task_orbits
     stream grows each column by each chunk, of at most _CHUNK_ROWS = 2^15
@@ -790,18 +788,9 @@ def master_classes(limit: int, *, sublattice: int = 1) -> MasterClasses:
     of a chunk stays small beside the columns.  An L2 master is built
     by the same strata with the step 3 (_STEPS): it holds exactly the L1
     master's rows in L2, in order, because L2 is SL2(Z)-invariant, so every
-    orbit in L2 has its representative there.  The cache keeps the largest
-    master built in each sublattice; a smaller limit gets its rows with
-    |P| <= limit.  _check_selection runs first, cached master or not.
+    orbit in L2 has its representative there.
     """
     limit = _check_selection(limit, sublattice)
-    master = _MASTER_CACHE.get(sublattice)
-    if master is not None and master.limit >= limit:
-        if master.limit == limit:
-            return master
-        keep = np.abs(master.disc) <= limit
-        cut = [getattr(master, name)[keep] for name in _COLUMNS]
-        return MasterClasses(limit, *cut, sublattice=sublattice)
     columns = (  # in the order of _COLUMNS, empty until the first chunk
         np.empty((0, 4), dtype=np.int64),
         np.empty(0, dtype=np.int64),
@@ -821,9 +810,7 @@ def master_classes(limit: int, *, sublattice: int = 1) -> MasterClasses:
             end = len(column)
             column.resize((end + len(chunk), *column.shape[1:]), refcheck=False)
             column[end:] = getattr(chunk, name)
-    master = MasterClasses(limit, *columns, sublattice=sublattice)
-    _MASTER_CACHE[sublattice] = master
-    return master
+    return MasterClasses(limit, *columns, sublattice=sublattice)
 
 
 # ---------------------------------------------------------------------------

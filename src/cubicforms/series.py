@@ -21,7 +21,7 @@ from math import isqrt
 
 import numpy as np
 
-from .enumeration import MasterClasses, master_classes
+from .enumeration import _COLUMNS, MasterClasses, _check_selection, master_classes
 from .forms import (
     EVEN_LATTICES,
     _membership,
@@ -136,18 +136,31 @@ def count_orbits(chunks, lattice: int, sign: str, max_index: int, edges=None) ->
     return counts.reshape(2, 2, bins)
 
 
-def series_from_master(master: MasterClasses, lattice: int, sign: str, max_n: int):
-    """The (lattice, sign) series up to index max_n, counted over the one
-    master (count_orbits)."""
-    return CoefficientSeries(lattice, sign, max_n, count_orbits([master], lattice, sign, max_n))
+# sublattice -> the largest master the verify suites have built in it
+_VERIFY_MASTERS: dict = {}
+
+
+def _verify_master(limit: int, sublattice: int) -> MasterClasses:
+    """The verify suites' master of the sublattice at limit: the largest one
+    built in it so far, cut to |P| <= limit, or a new build (master_classes)
+    that replaces it.  _check_selection runs first, memoised master or not."""
+    limit = _check_selection(limit, sublattice)
+    master = _VERIFY_MASTERS.get(sublattice)
+    if master is None or master.limit < limit:
+        master = _VERIFY_MASTERS[sublattice] = master_classes(limit, sublattice=sublattice)
+    if master.limit == limit:
+        return master
+    keep = np.abs(master.disc) <= limit
+    cut = [getattr(master, name)[keep] for name in _COLUMNS]
+    return MasterClasses(limit, *cut, sublattice=sublattice)
 
 
 def _series_source(max_n: int, series: dict | None = None):
     """A function (lattice, sign) -> the pair's series up to index max_n:
-    a lookup in series if given, else a count (series_from_master) over the
-    L1 master at max_n (the odd lattices) or the L2 master at 27 max_n (the
-    even lattices lie in L2 and index by |P| / 27), both from the master
-    cache, which the verify suites share.
+    a lookup in series if given, else a count (count_orbits) over the L1
+    master at max_n (the odd lattices) or the L2 master at 27 max_n (the
+    even lattices lie in L2 and index by |P| / 27), both the verify
+    suites' shared masters (_verify_master).
 
     The counts are made on demand and kept by no one here, so a check that
     reads one relation at a time holds one relation's series: twenty
@@ -155,8 +168,10 @@ def _series_source(max_n: int, series: dict | None = None):
     This keeps the int64 counts (no bound on a count to argue)."""
     if series is not None:
         return series.__getitem__
-    masters = {sub: master_classes(max_n * index_scale(sub), sublattice=sub) for sub in (1, 2)}
-    return lambda pair: series_from_master(masters[sublattice_of(pair[0])], *pair, max_n)
+    masters = {sub: _verify_master(max_n * index_scale(sub), sub) for sub in (1, 2)}
+    return lambda pair: CoefficientSeries(
+        *pair, max_n, count_orbits([masters[sublattice_of(pair[0])]], *pair, max_n)
+    )
 
 
 def build_all_series(max_n: int) -> dict:
@@ -251,23 +266,30 @@ RELATION_PAIRS = (
 )
 
 
-def verify_relations(max_n: int = 300, series: dict | None = None) -> CheckReport:
-    """The six coefficientwise identities between odd and even lattices; with
-    no series given, each relation's two series are counted when it is
-    checked (_series_source)."""
+def _relation_comparisons(max_n: int, series: dict | None = None):
+    """For each of RELATION_PAIRS in order, (name, lhs, rhs, bad): scalar
+    times 3 a_n of the left series, 3 a_n of the right one (n = 0..max_n)
+    and the n where they differ, the one comparison of the six identities.
+    A relation's two series are counted when it is reached (_series_source)."""
     source = _series_source(max_n, series)
-    failures = []
     for name, left, right, scalar in RELATION_PAIRS:
         lhs = scalar * source(left).thirds(max_n)
         rhs = source(right).thirds(max_n)
-        failures.extend(
+        yield name, lhs, rhs, np.flatnonzero(lhs != rhs).tolist()
+
+
+def verify_relations(max_n: int = 300, series: dict | None = None) -> CheckReport:
+    """The six coefficientwise identities between odd and even lattices
+    (_relation_comparisons)."""
+    failures = []
+    for name, lhs, rhs, bad in _relation_comparisons(max_n, series):
+        failures += [
             f"{name} fails at n={n}: {Fraction(int(lhs[n]), 3)} != {Fraction(int(rhs[n]), 3)}"
-            for n in np.flatnonzero(lhs != rhs).tolist()
-        )
+            for n in bad
+        ]
+        del lhs, rhs  # not held while the next relation is counted
     return _report(
-        f"relation identities (n <= {max_n})",
-        failures,
-        [f"6 identities x {max_n} coefficients"],
+        f"relation identities (n <= {max_n})", failures, [f"6 identities x {max_n} coefficients"]
     )
 
 
@@ -460,35 +482,24 @@ def euler_product_check(series: dict | None = None) -> CheckReport:
 LAMBDA_BASE_LATTICES = (1, 7, 9)
 
 
-def _twisted_failures(series: dict, i: int, max_n: int) -> list:
-    """The failures of the sqrt(3)-twisted identity at base lattice i, read
-    from the four series of L_i and L_{i+1}."""
-    plus0, minus0, plus1, minus1 = (
-        series[(lat, sign)].thirds(max_n) for lat in (i, i + 1) for sign in "+-"
-    )
-    # In units of 1/3, on both branches: minus1 = 3*plus0 (rational part)
-    # and plus1 = minus0 (sqrt(3) part).
-    bad = np.flatnonzero((minus1 != 3 * plus0) | (plus1 != minus0)).tolist()
-    failures = []
-    for branch in (1, -1):
-        scal = Qrt3(Fraction(0), Fraction(branch))  # +- sqrt(3)
-        for n in bad:
-            lhs = _combo_coeff(series, i + 1, branch, n)
-            rhs = scal * _combo_coeff(series, i, branch, n)
-            failures.append(f"i={i}, branch={branch:+d}, n={n}: {lhs} != {rhs}")
-    return failures
-
-
 def lambda_coefficient_identity(max_n: int = 300, series: dict | None = None) -> CheckReport:
     """sqrt(3)*xi+(L_{i+1}) +- xi-(L_{i+1}) = +-sqrt(3)*(sqrt(3)*xi+(L_i) +- xi-(L_i))
-    coefficientwise, for i in {1, 7, 9}; with no series given, the four
-    series of each i are counted when it is checked (_series_source)."""
-    source = _series_source(max_n, series)
+    coefficientwise, for i in {1, 7, 9}.  Its rational part is 3 xi+(L_i) =
+    xi-(L_{i+1}) and its sqrt(3) part xi-(L_i) = xi+(L_{i+1}), the two
+    relations of (L_i, L_{i+1}): it fails where either does in their
+    comparison (_relation_comparisons), whose 3 a_n render each failure."""
+    relations = _relation_comparisons(max_n, series)
     failures = []
     for i in LAMBDA_BASE_LATTICES:
-        four = {(lat, sign): source((lat, sign)) for lat in (i, i + 1) for sign in "+-"}
-        failures += _twisted_failures(four, i, max_n)
-        del four  # counted again for the next i, so never eight at once
+        (_, minus0, plus1, bad0), (_, plus0_x3, minus1, bad1) = next(relations), next(relations)
+        bad = sorted({*bad0, *bad1})
+        for branch in (1, -1):
+            scal = Qrt3(Fraction(0), Fraction(branch))  # +- sqrt(3)
+            for n in bad:
+                # sqrt(3)*xi+ + branch*xi- at n, of L_{i+1} and of L_i
+                lhs = Qrt3(branch * Fraction(int(minus1[n]), 3), Fraction(int(plus1[n]), 3))
+                base = Qrt3(branch * Fraction(int(minus0[n]), 3), Fraction(int(plus0_x3[n]), 9))
+                failures.append(f"i={i}, branch={branch:+d}, n={n}: {lhs} != {scal * base}")
     return _report(
         f"sqrt(3)-twisted coefficient identity (i in 1,7,9; n <= {max_n})", failures
     )

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from cubicforms import U1, W, ClassTable, CoefficientSeries, act, build_all_series, hessian
-from cubicforms import enumeration
+from cubicforms import enumeration, master_classes, series
 from cubicforms.cli import _frac_str
 from cubicforms.enumeration import MasterClasses
 from cubicforms.forms import (
@@ -32,8 +32,25 @@ def series300():
 
 @pytest.fixture(scope="session")
 def series51(series300):
-    # any max_n <= 300 can reuse the cached master enumeration
+    # any max_n <= 300 is cut from the verify suites' memoised masters
     return build_all_series(51)
+
+
+@pytest.fixture(scope="session")
+def shared_master():
+    """master_classes(limit, sublattice=...) built once per session for each
+    (limit, sublattice) asked of it, for the tests that read a master and
+    change nothing in it."""
+    return cache(master_classes)
+
+
+@pytest.fixture
+def fresh_verify_memo(monkeypatch):
+    """The verify suites' memo (series._VERIFY_MASTERS) empty for the test,
+    and the session's memo back after it."""
+    memo = {}
+    monkeypatch.setattr(series, "_VERIFY_MASTERS", memo)
+    return memo
 
 
 def _class_rows(table: ClassTable):

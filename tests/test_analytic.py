@@ -20,6 +20,7 @@ from cubicforms import analytic, enumeration
 from cubicforms.analytic import BetaMultiplier, DensityRatios
 from cubicforms.forms import index_scale, sublattice_of
 from cubicforms.latclass import lattice_basis, _det4
+from cubicforms.series import _verify_master
 
 mpmath = pytest.importorskip("mpmath")
 
@@ -55,12 +56,6 @@ def test_residue_table_examples():
     e = t.entry(7, "-")
     assert e.m_alpha == Fraction(3, 8)
     assert e.m_beta.rational == Fraction(1, 4) and e.m_beta.sqrt3
-
-
-def test_multiplier_sum_invariant():
-    t = residue_constants()
-    for e in t.entries.values():
-        assert e.m_alpha == e.m_alpha_ird + e.m_alpha_rd
 
 
 # the paper's residue multipliers, as they were typed into the package before
@@ -275,17 +270,16 @@ def test_density_report_rejects_no_checkpoints_before_master_build(monkeypatch):
         raise AssertionError("stratum work started")
 
     monkeypatch.setattr(enumeration, "_stratum_chunks", no_work)
-    monkeypatch.setattr(enumeration, "_MASTER_CACHE", {})
     for checkpoints in (0, -1):
         with pytest.raises(ValueError, match="checkpoints must be"):
             density_report(1, "+", 10 ** 6, checkpoints=checkpoints)
 
 
-def test_density_report_builds_only_the_strata_it_reads(monkeypatch):
+def test_density_report_builds_only_the_strata_it_reads(monkeypatch, fresh_verify_memo):
     # P < 0: the negird tasks alone; P > 0: the pos tasks with a >= 1 (the
-    # negrd rows and the a = 0 rows are reducible).  A cached master that
-    # covers the pair is not read: the report streams the same tasks, gives
-    # the same rows and leaves the cache as it was.
+    # negrd rows and the a = 0 rows are reducible).  A memoised verify
+    # master that covers the pair is not read: the report streams the same
+    # tasks, gives the same rows and leaves the memo as it was.
     stratum_chunks = enumeration._stratum_chunks
     built = []
 
@@ -294,7 +288,6 @@ def test_density_report_builds_only_the_strata_it_reads(monkeypatch):
         return stratum_chunks(tasks)
 
     monkeypatch.setattr(enumeration, "_stratum_chunks", recording)
-    monkeypatch.setattr(enumeration, "_MASTER_CACHE", {})
     limit = 20000
     tasks = enumeration._stratum_tasks(limit)
     wants = {
@@ -306,24 +299,22 @@ def test_density_report_builds_only_the_strata_it_reads(monkeypatch):
         built.clear()
         rows[sign] = density_report(1, sign, limit, checkpoints=3)
         assert built == want
-    assert not enumeration._MASTER_CACHE
-    master = enumeration.master_classes(limit)
+    assert not fresh_verify_memo
+    master = _verify_master(limit, 1)
     for sign, want in wants.items():
         built.clear()
         assert density_report(1, sign, limit, checkpoints=3) == rows[sign]
         assert built == want
-    assert enumeration._MASTER_CACHE == {1: master}
+    assert fresh_verify_memo == {1: master}
 
 
-def test_streamed_density_counts_equal_the_full_master_rows(monkeypatch):
+def test_streamed_density_counts_equal_the_full_master_rows():
     # every pair: the streamed counts (one chunk per stratum task), count and
     # the stab-3 count behind weighted, against the rows of the full L1 and
     # L2 masters; some checkpoints sit on a |P| that holds orbits, which
     # index < x leaves out
-    monkeypatch.setattr(enumeration, "_MASTER_CACHE", {})
     max_x = 2000
     full = {sub: enumeration.master_classes(max_x * 27 ** (sub - 1), sublattice=sub) for sub in (1, 2)}
-    enumeration._MASTER_CACHE.clear()  # no master to serve the reports
     on_edge = threes = 0
     for lattice in range(1, 11):
         scale, m = index_scale(lattice), full[sublattice_of(lattice)]
@@ -338,7 +329,6 @@ def test_streamed_density_counts_equal_the_full_master_rows(monkeypatch):
                 )
                 on_edge += int((p == row.x * scale).sum())
                 threes += n3
-    assert not enumeration._MASTER_CACHE
     assert on_edge > 0 and threes > 0
 
 

@@ -7,7 +7,7 @@ from cubicforms import cli, enumeration
 from cubicforms.cli import MAX_DENSITY_X, main
 from cubicforms.enumeration import MAX_LIMIT, master_classes
 from cubicforms.forms import index_scale
-from cubicforms.series import CheckReport, series_from_master
+from cubicforms.series import CheckReport, CoefficientSeries, count_orbits
 
 
 def run_cli(args, tmp_path):
@@ -180,10 +180,9 @@ def test_coeffs_equals_fraction_rows(tmp_path, monkeypatch, reference_coeffs_tex
         tmp_path,
     )
     assert code == 0
-    s = series_from_master(
-        master_classes(max_index * index_scale(lattice)),
-        lattice, "+" if sign == "pos" else "-", max_index,
-    )
+    pair = (lattice, "+" if sign == "pos" else "-")
+    master = master_classes(max_index * index_scale(lattice))
+    s = CoefficientSeries(*pair, max_index, count_orbits([master], *pair, max_index))
     assert text == reference_coeffs_text(s)
     weighted = s.thirds()
     # indices with a_n = 0 are left out
@@ -200,9 +199,16 @@ def test_coeffs_equals_fraction_rows(tmp_path, monkeypatch, reference_coeffs_tex
 
 def test_coeffs_and_density_build_no_master(tmp_path, monkeypatch):
     # the one-shot commands read the stratum tasks of their sign chunk by
-    # chunk; every master build is cached, so an empty cache means none was
-    # built
-    monkeypatch.setattr(enumeration, "_MASTER_CACHE", {})
+    # chunk: each orbit stream they run has one sign, where a master's
+    # stream has both (sign None)
+    signs = []
+    task_orbits = enumeration._task_orbits
+
+    def recording(tasks, limit, sign, sublattice):
+        signs.append(sign)
+        return task_orbits(tasks, limit, sign, sublattice)
+
+    monkeypatch.setattr(enumeration, "_task_orbits", recording)
     for argv in (
         ["enumerate", "--lattice", "3", "--sign", "neg", "--max", "2000"],
         ["enumerate", "--lattice", "8", "--sign", "pos", "--max", "300"],
@@ -213,7 +219,7 @@ def test_coeffs_and_density_build_no_master(tmp_path, monkeypatch):
     ):
         code, text = run_cli(argv, tmp_path)
         assert code == 0 and text.count("\n") > 5, argv
-    assert not enumeration._MASTER_CACHE
+    assert sorted(signs) == ["+"] * 3 + ["-"] * 3
 
 
 @pytest.mark.parametrize(
@@ -259,7 +265,6 @@ def test_workers_below_one_is_a_usage_error(monkeypatch):
         raise AssertionError("stratum work started")
 
     monkeypatch.setattr(enumeration, "_stratum_chunks", no_work)
-    monkeypatch.setattr(enumeration, "_MASTER_CACHE", {})
     for workers in ("0", "-1"):
         assert main(["enumerate", "--lattice", "1", "--sign", "neg", "--max", "100",
                      "--workers", workers]) == 2

@@ -19,12 +19,12 @@ from cubicforms import (
     lattice_member,
     master_classes,
 )
-from cubicforms import analytic, cli, enumeration
+from cubicforms import analytic, cli, enumeration, series
 from cubicforms.cli import main, verify_oracle
 from cubicforms.enumeration import MAX_LIMIT
 from cubicforms.forms import _ceil_div, _d_windows, _isqrt64, index_scale, sublattice_of
 from cubicforms.forms import rational_roots
-from cubicforms.series import count_orbits
+from cubicforms.series import _verify_master, count_orbits
 from cubicforms.reduction import (
     _canonical_pos,
     _in_open_domain,
@@ -69,22 +69,23 @@ def test_master_rows_are_canonical_distinct_classes():
             assert lattice_member(rep, lat) == bool(m.member[i, lat - 1])
 
 
-def test_master_cache_filters_down():
-    big = master_classes(400)
-    small = master_classes(150)
+def test_master_cache_filters_down(fresh_verify_memo):
+    # the verify suites' memo cuts its master to a smaller limit
+    big = _verify_master(400, 1)
+    small = _verify_master(150, 1)
+    assert fresh_verify_memo == {1: big}
     assert small.limit == 150
     assert (np.abs(small.disc) <= 150).all()
     assert len(small) < len(big)
 
 
 @pytest.mark.parametrize("limit", [2000, 10 ** 5])
-def test_master_selection_is_the_full_master_masked(monkeypatch, reference_plan, limit):
+def test_master_selection_is_the_full_master_masked(reference_plan, shared_master, limit):
     # the stream of each sign (None: both), its chunks joined, is byte- and
     # dtype-equal in all five columns to the rows of that sign of the full
     # master, in L1 and in L2
-    monkeypatch.setattr(enumeration, "_MASTER_CACHE", {})
     for sublattice in (1, 2):
-        full = master_classes(limit, sublattice=sublattice)
+        full = shared_master(limit, sublattice=sublattice)
         for sign in (None, "+", "-"):
             keep = (full.disc > 0) == (sign == "+") if sign else np.ones(len(full), dtype=bool)
             assert keep.any() and (sign is None or not keep.all())
@@ -96,11 +97,11 @@ def test_master_selection_is_the_full_master_masked(monkeypatch, reference_plan,
                 assert have.tobytes() == want.tobytes(), (sign, name)
 
 
-def test_master_cache_serves_what_it_covers(monkeypatch):
-    # the cache keeps one two-sign master per sublattice, the largest built:
-    # a smaller limit gets its rows with |P| <= limit and builds nothing, a
-    # larger one replaces it, and a build in one sublattice leaves the other
-    monkeypatch.setattr(enumeration, "_MASTER_CACHE", {})
+def test_master_cache_serves_what_it_covers(monkeypatch, fresh_verify_memo):
+    # the verify suites' memo (series._verify_master) keeps one two-sign
+    # master per sublattice, the largest built: a smaller limit gets its
+    # rows with |P| <= limit and builds nothing, a larger one replaces it,
+    # and a build in one sublattice leaves the other
     builds = []  # (limit, step) per build
     stratum_tasks = enumeration._stratum_tasks
 
@@ -109,11 +110,11 @@ def test_master_cache_serves_what_it_covers(monkeypatch):
         return stratum_tasks(limit, step)
 
     monkeypatch.setattr(enumeration, "_stratum_tasks", recording)
-    cache = enumeration._MASTER_CACHE
-    full = master_classes(3000)
-    assert master_classes(3000) is full
-    small = master_classes(1000)
-    assert builds == [(3000, 1)] and cache == {1: full}
+    memo = fresh_verify_memo
+    full = _verify_master(3000, 1)
+    assert _verify_master(3000, 1) is full
+    small = _verify_master(1000, 1)
+    assert builds == [(3000, 1)] and memo == {1: full}
     assert (small.limit, small.sign, small.sublattice) == (1000, None, 1)
     keep = np.abs(full.disc) <= 1000
     assert 0 < keep.sum() < len(full)
@@ -121,18 +122,18 @@ def test_master_cache_serves_what_it_covers(monkeypatch):
         have, want = getattr(small, name), getattr(full, name)[keep]
         assert (have.dtype, have.shape) == (want.dtype, want.shape), name
         assert have.tobytes() == want.tobytes(), name
-    l2 = master_classes(27 * 300, sublattice=2)  # an L1 master serves no L2 request
-    assert builds == [(3000, 1), (8100, 3)] and cache == {1: full, 2: l2}
+    l2 = _verify_master(27 * 300, 2)  # an L1 master serves no L2 request
+    assert builds == [(3000, 1), (8100, 3)] and memo == {1: full, 2: l2}
     assert (l2.disc > 0).any() and (l2.disc < 0).any()
-    bigger = master_classes(4000)  # an L1 build leaves the L2 master in place
-    assert builds[-1] == (4000, 1) and cache == {1: bigger, 2: l2}
+    bigger = _verify_master(4000, 1)  # an L1 build leaves the L2 master in place
+    assert builds[-1] == (4000, 1) and memo == {1: bigger, 2: l2}
     assert bigger.reps[np.abs(bigger.disc) <= 3000].tobytes() == full.reps.tobytes()
-    master_classes(2000, sublattice=2)
-    master_classes(3000)
+    _verify_master(2000, 2)
+    _verify_master(3000, 1)
     assert len(builds) == 3
 
 
-def test_enumerate_builds_only_its_own_sign(monkeypatch, fresh_oracle_memo):
+def test_enumerate_builds_only_its_own_sign(monkeypatch, fresh_oracle_memo, fresh_verify_memo):
     # each of the oracle's 20 pairs at max_index 300 streams only its sign's
     # tasks, at |P| <= 300 in L1 and (step 3) at 27 * 300 in L2, and builds
     # no master; the oracle builds exactly two, one per sublattice
@@ -150,25 +151,23 @@ def test_enumerate_builds_only_its_own_sign(monkeypatch, fresh_oracle_memo):
 
     monkeypatch.setattr(enumeration, "_stratum_tasks", tasks_of)
     monkeypatch.setattr(enumeration, "_stratum_chunks", _chunks_changed(recording))
-    monkeypatch.setattr(enumeration, "_MASTER_CACHE", {})
     neg = {"negird", "negrd"}
     for lattice, sign in pairs:
         runs.clear()
         enumerate_classes(lattice, sign, 300)
         limit, step = 300 * index_scale(lattice), 3 if lattice % 2 == 0 else 1
         assert runs == [(limit, step, {"pos"} if sign == "+" else neg)], (lattice, sign)
-    assert not enumeration._MASTER_CACHE
+    assert not fresh_verify_memo
     runs.clear()
     assert verify_oracle(300, 100).passed
     assert runs == [(300, 1, {"pos"} | neg), (8100, 3, {"pos"} | neg)]
-    assert set(enumeration._MASTER_CACHE) == {1, 2}
+    assert set(fresh_verify_memo) == {1, 2}
 
 
-def test_enumerate_tables_equal_full_master_cuts(monkeypatch):
+def test_enumerate_tables_equal_full_master_cuts():
     # every pair at max_index 2000, streamed from the tasks of its sign,
     # byte-equal to the table the oracle's check cuts from the shared master
     # of the pair's sublattice (cli.verify_oracle)
-    monkeypatch.setattr(enumeration, "_MASTER_CACHE", {})
     full = {sub: master_classes(2000 * index_scale(sub), sublattice=sub) for sub in (1, 2)}
     for lattice in range(1, 11):
         for sign in ("+", "-"):
@@ -196,17 +195,16 @@ def _stream_master(plan, limit: int, sign, sublattice: int = 1) -> enumeration.M
 
 
 @pytest.mark.parametrize("limit", [10 ** 5, 10 ** 6])
-def test_l2_master_is_the_full_master_l2_rows(monkeypatch, reference_plan, limit):
+def test_l2_master_is_the_full_master_l2_rows(reference_plan, shared_master, limit):
     # the L2 master (step 3 strata) and the L2 stream of each sign,
     # byte-equal in all five columns to the full L1 master's rows with
     # 3 | x2, x3
-    monkeypatch.setattr(enumeration, "_MASTER_CACHE", {})
-    full = master_classes(limit)
+    full = shared_master(limit)
     in_l2 = (full.reps[:, 1] % 3 == 0) & (full.reps[:, 2] % 3 == 0)
     assert (in_l2 == full.member[:, 1]).all()
     for sign in (None, "+", "-"):
         if sign is None:
-            got = master_classes(limit, sublattice=2)
+            got = shared_master(limit, sublattice=2)
         else:
             got = _stream_master(reference_plan, limit, sign, 2)
         assert (got.limit, got.sign, got.sublattice) == (limit, sign, 2)
@@ -220,8 +218,7 @@ def test_l2_master_is_the_full_master_l2_rows(monkeypatch, reference_plan, limit
             assert have.tobytes() == want.tobytes(), (sign, name)
 
 
-def test_select_rejects_odd_lattice_on_l2_master(monkeypatch):
-    monkeypatch.setattr(enumeration, "_MASTER_CACHE", {})
+def test_select_rejects_odd_lattice_on_l2_master():
     l2 = master_classes(2700, sublattice=2)
     for lattice in (1, 3, 5, 7, 9):
         with pytest.raises(ValueError, match="holds L2 only"):
@@ -240,20 +237,17 @@ def test_master_rejects_bad_sublattice_before_build(monkeypatch):
         raise AssertionError("stratum work started")
 
     monkeypatch.setattr(enumeration, "_stratum_chunks", no_work)
-    monkeypatch.setattr(enumeration, "_MASTER_CACHE", {})
     for sublattice in (0, 3, 4, "2", None):
         with pytest.raises(ValueError, match="sublattice must be 1 or 2"):
             master_classes(1000, sublattice=sublattice)
 
 
-def test_master_sublattice_is_keyword_only(monkeypatch):
+def test_master_sublattice_is_keyword_only():
     # True == 1 would pass the sublattice check, so a positional third
     # argument must fail rather than build L1
-    monkeypatch.setattr(enumeration, "_MASTER_CACHE", {})
     for args in ((1000, True), (1000, 2), (1000, "+")):
         with pytest.raises(TypeError):
             master_classes(*args)
-    assert not enumeration._MASTER_CACHE
 
 
 @pytest.mark.parametrize(
@@ -396,14 +390,16 @@ def test_enumerate_classes_sorted_and_in_lattice(class_rows, produce, lattice, s
     assert all(type(irred) is bool for _, _, _, irred in rows)
 
 
-def test_float_bounds_raise_type_error_with_a_warm_cache():
+def test_float_bounds_raise_type_error_with_a_warm_cache(fresh_verify_memo):
     # limit, max_index and box are read through operator.index: a float
-    # raises TypeError also where a cached master could answer it, and a
-    # numpy integer is read as the int it holds
-    master = master_classes(10 ** 4)
-    assert master_classes(np.int64(10 ** 4)) is master
-    with pytest.raises(TypeError):
-        master_classes(1e4)
+    # raises TypeError also where the verify suites' memoised master could
+    # answer it, and a numpy integer is read as the int it holds
+    master = _verify_master(10 ** 4, 1)
+    assert _verify_master(np.int64(10 ** 4), 1) is master
+    for limit in (1e4, 5e3):
+        for build in (master_classes, lambda limit: _verify_master(limit, 1)):
+            with pytest.raises(TypeError):
+                build(limit)
     with pytest.raises(TypeError):
         enumerate_classes(1, "+", 5e3)
     with pytest.raises(TypeError):
@@ -435,7 +431,6 @@ def test_lattice_is_read_as_an_index_before_any_build(monkeypatch, fresh_oracle_
 
     monkeypatch.setattr(enumeration, "_stratum_chunks", no_work)
     monkeypatch.setattr(enumeration, "_box_survivors", no_work)
-    monkeypatch.setattr(enumeration, "_MASTER_CACHE", {})
     disc = np.array([5, -27], dtype=np.int64)
     m = enumeration.MasterClasses(
         100, np.zeros((2, 4), dtype=np.int64), disc, np.ones(2, dtype=np.int8), disc > 0,
@@ -649,7 +644,7 @@ def test_json_roundtrip(tmp_path):
         assert discriminant(d["rep"]) == d["n"]
 
 
-def test_master_matches_unique_reference(monkeypatch, reference_canonical_pos):
+def test_master_matches_unique_reference(reference_canonical_pos):
     # the P > 0 block is a row-wise np.unique of the reference canonical
     # images of every scanned row, whichever row the stratum keeps
     limit = 20000
@@ -666,15 +661,13 @@ def test_master_matches_unique_reference(monkeypatch, reference_canonical_pos):
     for kind in ("negird", "negrd"):
         assert len(np.unique(blocks[kind], axis=0)) == len(blocks[kind])
     want = np.concatenate([pos, blocks["negird"], blocks["negrd"]])
-    monkeypatch.setattr(enumeration, "_MASTER_CACHE", {})
     m = master_classes(limit)
     assert m.reps.dtype == want.dtype and m.reps.shape == want.shape
     assert (m.reps == want).all()
     assert (m.disc == discriminant(want.T)).all()
 
 
-def test_master_positive_block_strictly_increasing(monkeypatch):
-    monkeypatch.setattr(enumeration, "_MASTER_CACHE", {})
+def test_master_positive_block_strictly_increasing():
     m = master_classes(20000)
     pos = [tuple(r) for r in m.reps[m.disc > 0].tolist()]
     assert len(pos) == (m.disc > 0).sum() > 0
@@ -694,14 +687,13 @@ _KIND_SELECTIONS = pytest.mark.parametrize(
 
 def _stream_consumers(kind: str, partial: bool) -> list:
     """The calls that run the kind's tasks through the orbit stream
-    (enumeration._task_orbits): the full master, built on an empty cache,
-    or with partial enumerate_classes, which reads the stream of the kind's
+    (enumeration._task_orbits): the full master, or with partial
+    enumerate_classes, which reads the stream of the kind's
     sign; then density_report of that sign where it reads the kind (pos and
     negird; the negrd rows are reducible)."""
     sign = _PARTIAL[kind]
 
     def master():
-        enumeration._MASTER_CACHE.clear()
         return master_classes(2000)
 
     def enumerate_():
@@ -720,7 +712,6 @@ def test_master_rejects_duplicate_rows(monkeypatch, kind, partial):
         return np.concatenate([rows, rows[:1]]) if task[0] == kind else rows
 
     monkeypatch.setattr(enumeration, "_stratum_chunks", _chunks_changed(doubled))
-    monkeypatch.setattr(enumeration, "_MASTER_CACHE", {})
     for consume in _stream_consumers(kind, partial):
         with pytest.raises(AssertionError, match="duplicate representatives"):
             consume()
@@ -738,7 +729,6 @@ def test_master_rejects_duplicates_across_tasks(monkeypatch, kind, partial):
         return tasks[: i + 1] + tasks[i:]
 
     monkeypatch.setattr(enumeration, "_stratum_tasks", repeated)
-    monkeypatch.setattr(enumeration, "_MASTER_CACHE", {})
     for consume in _stream_consumers(kind, partial):
         with pytest.raises(AssertionError, match="duplicate representatives"):
             consume()
@@ -756,7 +746,6 @@ def test_master_rejects_rows_out_of_order(monkeypatch, kind, partial):
         return rows
 
     monkeypatch.setattr(enumeration, "_stratum_chunks", _chunks_changed(swap_first_pair))
-    monkeypatch.setattr(enumeration, "_MASTER_CACHE", {})
     for consume in _stream_consumers(kind, partial):
         swapped.clear()
         with pytest.raises(AssertionError, match="out of order"):
@@ -815,7 +804,6 @@ def test_pair_stream_checks_run_before_any_unit(monkeypatch):
         raise AssertionError("stratum work started")
 
     monkeypatch.setattr(enumeration, "_stratum_chunks", no_work)
-    monkeypatch.setattr(enumeration, "_MASTER_CACHE", {})
     bad = [
         ((1, "+", 10.0), TypeError, None),
         ((1.0, "+", 10), TypeError, None),
@@ -835,7 +823,6 @@ def test_pair_stream_checks_run_before_any_unit(monkeypatch):
         for lattice, sign in ((1, "-"), (2, "+")):
             with pytest.raises(AssertionError, match="stratum work started"):
                 consume(lattice, sign, 10 ** 4)
-    assert not enumeration._MASTER_CACHE
 
 
 @pytest.mark.parametrize("kind", list(_PARTIAL))
@@ -843,7 +830,7 @@ def test_rows_past_the_limit_raise_before_any_consumer(monkeypatch, kind):
     # the first chunk of the kind with rows gets three more rows, each still
     # increasing in the block key, so the order check passes them, and each
     # with |P| past the limit: _task_orbits raises before it yields the
-    # chunk, so master_classes caches nothing, and the consumers of
+    # chunk, so master_classes returns nothing, and the consumers of
     # enumerate_classes (_class_table) and density_report (count_orbits)
     # never receive a row past the limit
     padded = []
@@ -874,7 +861,6 @@ def test_rows_past_the_limit_raise_before_any_consumer(monkeypatch, kind):
     monkeypatch.setattr(enumeration, "_stratum_chunks", _chunks_changed(past_limit))
     monkeypatch.setattr(enumeration, "_class_table", receiving(enumeration._class_table))
     monkeypatch.setattr(analytic, "count_orbits", receiving(analytic.count_orbits))
-    monkeypatch.setattr(enumeration, "_MASTER_CACHE", {})
     sign = _PARTIAL[kind]
     calls = [lambda: master_classes(2000), lambda: enumerate_classes(1, sign, 2000)]
     if kind != "negrd":  # density streams the tasks whose rows may be irreducible
@@ -884,7 +870,6 @@ def test_rows_past_the_limit_raise_before_any_consumer(monkeypatch, kind):
         with pytest.raises(AssertionError, match="enumeration produced out-of-range discriminants"):
             call()
         assert len(padded) == 1
-    assert not enumeration._MASTER_CACHE
     assert max(received, default=0) <= 2000
 
 
@@ -923,11 +908,10 @@ def test_pos_stratum_matches_scan_reference(limit, reference_pos_stratum):
     assert emitted > 0 and dropped > 0
 
 
-def test_master_matches_sorted_reference(monkeypatch, reference_master):
+def test_master_matches_sorted_reference(reference_master):
     # byte-equal to the master whose P > 0 block comes from the keep test on
     # every scan row, ordered by a lexsort
     limit = 300_000
-    monkeypatch.setattr(enumeration, "_MASTER_CACHE", {})
     m = master_classes(limit)
     want = reference_master(limit)
     for name in ("reps", "disc", "stab", "irred", "member"):
@@ -936,13 +920,12 @@ def test_master_matches_sorted_reference(monkeypatch, reference_master):
         assert got.tobytes() == ref.tobytes(), name
 
 
-def test_master_stab_column_matches_scalar_rule_at_one_million(monkeypatch):
+def test_master_stab_column_matches_scalar_rule_at_one_million(shared_master):
     # a stab-3 form's reduced Hessian is fixed by an order-3 matrix, so
     # |B| = A = C: every P > 0 row with A = C against the scalar
     # stabilizer_order, and stab 1 on every other row.  The stab-3 rows
     # reach x1 = 0 with P > 1e5, where no smaller master has them
-    monkeypatch.setattr(enumeration, "_MASTER_CACHE", {})
-    m = master_classes(10 ** 6)
+    m = shared_master(10 ** 6)
     A, _, C = hessian(m.reps.T)
     rows = np.flatnonzero((m.disc > 0) & (A == C))
     want = [stabilizer_order(f) for f in m.reps[rows]]
@@ -968,14 +951,16 @@ def test_master_rejects_limit_past_int64_bound(monkeypatch):
         raise AssertionError("stratum work started")
 
     monkeypatch.setattr(enumeration, "_stratum_chunks", no_work)
-    # the bound is checked before the cache, even one that would answer
+    # the bound is checked before the verify suites' memo, even one that
+    # would answer
     no = np.empty(0, dtype=np.int64)
     past = enumeration.MasterClasses(
         MAX_LIMIT + 2, no.reshape(0, 4), no, no.astype(np.int8), no != 0, no.astype(np.uint16)
     )
-    monkeypatch.setattr(enumeration, "_MASTER_CACHE", {1: past})
-    with pytest.raises(ValueError, match="int64 safety bound"):
-        master_classes(MAX_LIMIT + 1)
+    monkeypatch.setattr(series, "_VERIFY_MASTERS", {1: past})
+    for build in (master_classes, lambda limit: _verify_master(limit, 1)):
+        with pytest.raises(ValueError, match="int64 safety bound"):
+            build(MAX_LIMIT + 1)
     with pytest.raises(ValueError, match="int64 safety bound"):
         enumerate_classes(2, "+", MAX_LIMIT // 27 + 1)
 
@@ -985,7 +970,6 @@ def test_enumerate_rejects_bad_sign_before_master_build(monkeypatch):
         raise AssertionError("stratum work started")
 
     monkeypatch.setattr(enumeration, "_stratum_chunks", no_work)
-    monkeypatch.setattr(enumeration, "_MASTER_CACHE", {})
     with pytest.raises(ValueError, match="sign must be"):
         enumerate_classes(1, "x", 10 ** 6)
 
@@ -1602,11 +1586,10 @@ def _pair_keys(kind: str, rows: np.ndarray) -> np.ndarray:
 @pytest.mark.parametrize(
     "limit, sublattice", [(10 ** 5, 1), (10 ** 6, 1), (10 ** 5, 2), (27 * 10 ** 5, 2)]
 )
-def test_chunked_stream_equals_the_unit_stream(monkeypatch, reference_orbits, limit, sublattice):
+def test_chunked_stream_equals_the_unit_stream(reference_orbits, shared_master, limit, sublattice):
     # the master, streamed in chunks cut by rows, is byte-equal in all five
     # columns to the one-chunk-per-unit stream of the same strata
-    monkeypatch.setattr(enumeration, "_MASTER_CACHE", {})
-    got = master_classes(limit, sublattice=sublattice)
+    got = shared_master(limit, sublattice=sublattice)
     chunks = list(reference_orbits(limit, None, sublattice))
     for name in enumeration._COLUMNS:
         have = getattr(got, name)
@@ -1694,11 +1677,10 @@ def test_lex_order_equals_the_lexsort_order():
     assert len(enumeration._lex_order([np.empty(0, dtype=np.int64)] * 3)) == 0
 
 
-def test_class_tables_in_lexsort_order(monkeypatch):
+def test_class_tables_in_lexsort_order():
     # all 20 pairs at index 3e5: the table's rows are the rows the master
     # of the pair's sublattice selects, in the order np.lexsort gives the
     # five keys (n, x1..x4)
-    monkeypatch.setattr(enumeration, "_MASTER_CACHE", {})
     max_index = 300000
     masters = {sub: master_classes(max_index * index_scale(sub), sublattice=sub) for sub in (1, 2)}
     for lattice in range(1, 11):

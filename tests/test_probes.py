@@ -173,11 +173,9 @@ def _probe(master, forms: list, reps: list) -> list:
 
 @pytest.fixture(scope="module", params=[(10 ** 6, 1), (10 ** 7, 2)], ids=["L1-1e6", "L2-1e7"])
 def probed(request):
-    """(limit, sublattice, master), built in a cache of its own."""
+    """(limit, sublattice, master), a master of the module's own."""
     limit, sublattice = request.param
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(enumeration, "_MASTER_CACHE", {})
-        yield limit, sublattice, master_classes(limit, sublattice=sublattice)
+    return limit, sublattice, master_classes(limit, sublattice=sublattice)
 
 
 def test_seeded_probes_land_on_master_rows(probed):

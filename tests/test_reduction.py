@@ -402,8 +402,8 @@ def test_order3_matrices_are_two_inverse_pairs():
 _STAB3_FIXED = (((0, -1, 1, 0), (1, -3, 0, 1)), ((0, 1, 1, 0), (-1, -3, 0, 1)))
 
 
-def test_pos_stab_column_matches_all_four_order3_matrices():
-    m = enumeration.master_classes(10 ** 6)
+def test_pos_stab_column_matches_all_four_order3_matrices(shared_master):
+    m = shared_master(10 ** 6)
     rows = m.reps[m.disc > 0]
     # forms fixed by an order-3 matrix, scaled past int64, with a coefficient
     # moved by one so they are not

@@ -1,6 +1,8 @@
 import dataclasses
+import gc
 import itertools
 import random
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -23,10 +25,11 @@ from cubicforms import (
     verify_tables,
 )
 from cubicforms import enumeration, series as series_mod
+from cubicforms.cli import main
 from cubicforms.forms import _membership, _residue_row, bareiss, discriminant, index_scale
 from cubicforms.forms import lattice_member, phi, residue_grid
 from cubicforms.golden import golden_table
-from cubicforms.series import _combo_coeff, ALL_PAIRS, count_orbits, series_from_master
+from cubicforms.series import _combo_coeff, ALL_PAIRS, count_orbits
 
 
 def test_qrt3_arithmetic():
@@ -149,6 +152,31 @@ def test_identity_failures_report_exact_text(series300, pair, stab, irred, relat
         rep = check(300, series=series)
         assert not rep.passed
         assert str(rep) == want
+
+
+def test_twisted_identity_fails_where_its_two_relations_fail(series300):
+    # orbits added to a few pairs of L1, L2, L7..L10 at a few indices: at
+    # each i the twisted identity fails, on both branches, at exactly the n
+    # where 3 xi+(L_i) = xi-(L_{i+1}) or xi-(L_i) = xi+(L_{i+1}) fails
+    base_of = {name: left[0] for name, left, _, _ in series_mod.RELATION_PAIRS}
+    pairs = [pair for pair in ALL_PAIRS if pair[0] in (1, 2, 7, 8, 9, 10)]
+    rng = random.Random(5)
+    for _ in range(8):
+        series = dict(series300)
+        for _ in range(3):
+            pair, n = rng.choice(pairs), rng.randrange(1, 301)
+            orbits = series[pair].orbits.copy()
+            orbits[rng.randrange(2), rng.randrange(2), n] += 1
+            series[pair] = dataclasses.replace(series[pair], orbits=orbits)
+        relations = verify_relations(300, series=series).details[1:]
+        twisted = lambda_coefficient_identity(300, series=series).details
+        assert 0 < len(relations) <= len(twisted) <= 12
+        want = {(base_of[line.split(" fails")[0]], int(line.split("n=")[1].split(":")[0]))
+                for line in relations}
+        for branch in ("+1", "-1"):
+            got = {(int(line.split(",")[0][2:]), int(line.split("n=")[1].split(":")[0]))
+                   for line in twisted if f"branch={branch}," in line}
+            assert got == want
 
 
 def test_checks_reject_n_past_series(series51):
@@ -457,34 +485,66 @@ def test_lambda_identity(series300):
     assert lhs == rhs == Qrt3(Fraction(1), Fraction(0))
 
 
-def test_series_from_master_rejects_lattice_out_of_range():
+def test_count_orbits_rejects_lattice_out_of_range():
     m = master_classes(50)
     for lattice in (-1, 0, 11):
         with pytest.raises(ValueError, match="lattice index must be 1..10"):
-            series_from_master(m, lattice, "+", 50)
+            count_orbits([m], lattice, "+", 50)
 
 
-def test_series_from_master_rejects_index_past_master(orbit_count):
+def test_count_orbits_rejects_index_past_master():
     # the master at 100 holds no row with |P| = 500; it may not answer 0
     m = master_classes(100)
     for lattice, max_n in ((1, 101), (1, 1000), (2, 4)):
         with pytest.raises(ValueError, match="past the master's 100"):
-            series_from_master(m, lattice, "+", max_n)
+            count_orbits([m], lattice, "+", max_n)
     for max_n in (0, -2):
         with pytest.raises(ValueError, match="max_index must be >= 1"):
-            series_from_master(m, 1, "+", max_n)
+            count_orbits([m], 1, "+", max_n)
     # up to the master's limit it answers: 100 = 1 * 100 and 81 = 27 * 3
-    assert orbit_count(series_from_master(m, 1, "-", 100), 100) == (m.disc == -100).sum() > 0
-    assert series_from_master(m, 2, "+", 3).max_n == 3
+    assert count_orbits([m], 1, "-", 100)[:, :, 100].sum() == (m.disc == -100).sum() > 0
+    assert count_orbits([m], 2, "+", 3).shape == (2, 2, 4)
 
 
-def test_series_from_master_rejects_a_partial_master():
+def test_count_orbits_rejects_a_partial_master():
     # a chunk of the '-' stream answers its own sign only
-    full = series_from_master(master_classes(300), 1, "-", 300)
+    full = count_orbits([master_classes(300)], 1, "-", 300)
     chunks = [c for c in enumeration._pair_stream(1, "-", 300) if len(c)]
-    assert np.array_equal(count_orbits(chunks, 1, "-", 300), full.orbits)
+    assert np.array_equal(count_orbits(chunks, 1, "-", 300), full)
     with pytest.raises(ValueError, match="holds the sign '-' only"):
-        series_from_master(chunks[0], 1, "+", 300)
+        count_orbits(chunks[:1], 1, "+", 300)
+
+
+def test_master_classes_shares_nothing():
+    # each call builds a master of its own, which no verify suite reads: a
+    # change to one leaves the relations passing, and a dropped one is freed
+    m = master_classes(2000)
+    assert m is not master_classes(2000)
+    m.stab[:] = 3
+    assert verify_relations(300).passed
+    dropped = weakref.ref(m)
+    del m
+    gc.collect()
+    assert dropped() is None
+
+
+def test_verify_all_shares_one_master_per_sublattice(monkeypatch, capsys, fresh_verify_memo):
+    # `verify --suite all` builds a master only where a suite reads past the
+    # memo's (series._verify_master): the tables at index 51 (L1 at 51, L2
+    # at 27 * 51), then the relations at 300; every later suite, the oracle
+    # included, reads those two or their cuts, and the memo ends with one
+    # master per sublattice
+    builds = []
+
+    def recording(limit, *, sublattice=1):
+        builds.append((limit, sublattice))
+        return master_classes(limit, sublattice=sublattice)
+
+    monkeypatch.setattr(series_mod, "master_classes", recording)
+    assert main(["verify", "--suite", "all"]) == 0
+    assert capsys.readouterr().out.count("[PASS]") > 10
+    assert builds == [(51, 1), (1377, 2), (300, 1), (8100, 2)]
+    assert {sub: m.limit for sub, m in fresh_verify_memo.items()} == {1: 300, 2: 8100}
 
 
 def _dense_counts(master, lattice: int, sign: str, max_n: int) -> np.ndarray:
@@ -497,12 +557,11 @@ def _dense_counts(master, lattice: int, sign: str, max_n: int) -> np.ndarray:
 
 
 @pytest.mark.parametrize("max_n", [10 ** 5, 10 ** 6])
-def test_streamed_counts_equal_the_master_counts(monkeypatch, max_n):
+def test_streamed_counts_equal_the_master_counts(max_n):
     # every pair, count for count: count_orbits over the pair stream of the
     # sign in the sublattice (the stream `coeffs` counts) and over the
-    # master of the sublattice (series_from_master), each against the dense
-    # count of the master
-    monkeypatch.setattr(enumeration, "_MASTER_CACHE", {})
+    # master of the sublattice (the verify suites' count), each against the
+    # dense count of the master
     cells = np.zeros((2, 2), dtype=np.int64)  # every cell [stab is 3, irreducible] is read
     for sub in (1, 2):
         limit = max_n * index_scale(sub)
@@ -512,8 +571,7 @@ def test_streamed_counts_equal_the_master_counts(monkeypatch, max_n):
             assert len(chunks) > 1
             for lattice in range(sub, 11, 2):  # the lattices of the sublattice
                 want = _dense_counts(master, lattice, sign, max_n)
-                assert np.array_equal(series_from_master(master, lattice, sign, max_n).orbits, want)
+                assert np.array_equal(count_orbits([master], lattice, sign, max_n), want)
                 assert np.array_equal(count_orbits(chunks, lattice, sign, max_n), want)
                 cells += want.sum(axis=2)
-        enumeration._MASTER_CACHE.clear()
     assert (cells > 0).all()
