@@ -18,6 +18,8 @@ master: `enumerate` gathers and sorts its pair's rows, `coeffs` and
 master per sublattice (series._verify_master), the oracle's tables
 included; the oracle's own groupings are memoised, one per sublattice
 (enumeration._oracle_orbits).
+main checks every bound before any work: --max against MAX_LIMIT over its
+index scale, and the oracle's --max and --box by _oracle_bounds.
 Both bulk writers, `enumerate` and `coeffs`, format whole int64 columns in
 fixed-size blocks of rows (`_format_rows`), with no Python call per row: a
 block is one uint8 matrix, filled from a template row of the constants,
@@ -37,7 +39,6 @@ import numpy as np
 
 from . import analytic, latclass, series as series_mod
 from .enumeration import (
-    MAX_BOX,
     MAX_LIMIT,
     _class_table,
     _pair_stream,
@@ -204,16 +205,30 @@ def cmd_table(args, out) -> int:
     return 0
 
 
+def _oracle_bounds(max_index: int, box: int) -> None:
+    """ValueError for a box that stability_box refuses, or for max_index >
+    4 * box: f = (p, 3, 3, 0) = x (p x^2 + 3 x y + 3 y^2), of index 4p - 3
+    in L2- and L6-, has |f(x, y)| >= p at integers x != 0 (its quadratic
+    factor is 3 (y + x/2)^2 + (p - 3/4) x^2), and an SL2(Z) image has
+    x1 = f(alpha, gamma), x4 = f(beta, delta) with alpha, beta not both 0,
+    so at p = box + 1 (index 4 * box + 1) no form of the orbit is in the box."""
+    stability_box(box)
+    if max_index > 4 * box:
+        raise ValueError(f"index {max_index} exceeds 4 * box = {4 * box}, the oracle's reach")
+
+
 def verify_oracle(max_index: int, box: int) -> series_mod.CheckReport:
     """Enumeration against the brute-force oracle, for all 20 pairs: each
     pair's table from the verify suites' master of its sublattice
-    (series._verify_master), L1 at max_index, L2 at 27 max_index."""
+    (series._verify_master), L1 at max_index, L2 at 27 max_index.
+    _oracle_bounds runs first, before any build or scan."""
+    _oracle_bounds(max_index, box)
     masters = {sub: series_mod._verify_master(max_index * index_scale(sub), sub) for sub in (1, 2)}
     failures = []
     for lattice in range(1, 11):
         for sign in ("+", "-"):
             fast = _class_table([masters[sublattice_of(lattice)]], lattice, sign, max_index)
-            slow = brute_force_classes(lattice, sign, max_index, box, check_stability=True)
+            slow = brute_force_classes(lattice, sign, max_index, box)
             a, b = fast.class_multiset(), slow.class_multiset()
             if a != b:
                 only_fast = sorted((Counter(a) - Counter(b)).elements())[:3]
@@ -228,10 +243,8 @@ def verify_oracle(max_index: int, box: int) -> series_mod.CheckReport:
 
 
 def _verify_density(max_x: int) -> series_mod.CheckReport:
-    failures = []
-    details = []
-    rows = analytic.density_report(1, "+", max_x, checkpoints=10)
-    for row in rows:
+    failures, details = [], []
+    for row in analytic.density_report(1, "+", max_x, checkpoints=10):
         details.append(
             f"X={row.x}: S={row.count}, prediction={row.prediction:.1f}, "
             f"gauge={row.gauge:.4f}"
@@ -250,6 +263,10 @@ def _verify_rank() -> series_mod.CheckReport:
 
 def _max_n(args) -> int:
     return args.max if args.max is not None else 300
+
+
+def _box(args) -> int:
+    return args.box if args.box is not None else 100
 
 
 def _indices_and_duality(args) -> list:
@@ -271,7 +288,7 @@ _CHECKS = {
     "indices": _indices_and_duality,
     "classification": lambda args: [latclass.verify_classification()],
     "local-densities": lambda args: [analytic.verify_table1_ratios()],
-    "oracle": lambda args: [verify_oracle(_max_n(args), 100 if args.box is None else args.box)],
+    "oracle": lambda args: [verify_oracle(_max_n(args), _box(args))],
     "density": lambda args: [_verify_density(args.max if args.max is not None else 10 ** 5)],
 }
 SUITES = ("all", *_CHECKS)
@@ -315,8 +332,6 @@ def cmd_density(args, out) -> int:
 # ---------------------------------------------------------------------------
 # parser
 # ---------------------------------------------------------------------------
-
-MAX_DENSITY_X = 10 ** 7
 
 
 @functools.cache  # one parser per process: main is called once per command
@@ -373,32 +388,25 @@ def main(argv=None) -> int:
     if getattr(args, "max", None) is not None and args.max < 1:
         return _fail_usage(parser, "--max must be >= 1")
     # only the oracle reads --box (100 when it is not given)
-    if getattr(args, "box", None) is not None:
-        if args.box < 1:
-            return _fail_usage(parser, "--box must be >= 1")
-        if args.suite not in ("oracle", "all"):
-            return _fail_usage(
-                parser, f"--box is read by the oracle and all suites only, not {args.suite}"
-            )
-        # the oracle scans at its stability box, (3 * --box + 1) // 2
-        if stability_box(args.box) > MAX_BOX:
-            return _fail_usage(
-                parser,
-                f"--box {args.box} scans at box {stability_box(args.box)}, "
-                f"past the int64 safety bound {MAX_BOX}",
-            )
+    if getattr(args, "box", None) is not None and args.suite not in ("oracle", "all"):
+        return _fail_usage(
+            parser, f"--box is read by the oracle and all suites only, not {args.suite}"
+        )
     if args.command == "density" and args.checkpoints < 1:
         return _fail_usage(parser, "--checkpoints must be >= 1")
-    # the density command and verify's density and all suites run at X = --max
-    if args.command == "density" or getattr(args, "suite", None) in ("density", "all"):
-        if args.max is not None and args.max > MAX_DENSITY_X:
-            return _fail_usage(parser, f"--max exceeds safety bound {MAX_DENSITY_X}")
-    # enumeration runs at --max times the index scale (27 for the series suites)
-    series_suite = getattr(args, "suite", None) in ("relations", "lambda", "oracle")
-    if args.command in ("enumerate", "coeffs") or series_suite:
-        bound = MAX_LIMIT // (27 if series_suite else index_scale(args.lattice))
-        if args.max is not None and args.max > bound:
-            return _fail_usage(parser, f"--max exceeds the int64 safety bound {bound}")
+    # enumeration runs at --max times an index scale: the lattice's for the
+    # one-shot commands, L1+'s for the density suite and 27 (the even
+    # lattices) for the series suites and for all, which runs every suite
+    suite = getattr(args, "suite", None)
+    scales = {"density": 1, "relations": 27, "lambda": 27, "oracle": 27, "all": 27}
+    scale = index_scale(args.lattice) if hasattr(args, "lattice") else scales.get(suite)
+    if scale and args.max is not None and args.max > MAX_LIMIT // scale:
+        return _fail_usage(parser, f"--max exceeds the int64 safety bound {MAX_LIMIT // scale}")
+    if suite in ("oracle", "all"):
+        try:
+            _oracle_bounds(_max_n(args), _box(args))
+        except ValueError as exc:
+            return _fail_usage(parser, str(exc))
     if args.workers < 1:
         return _fail_usage(parser, "--workers must be >= 1")
     if args.output:

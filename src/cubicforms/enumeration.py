@@ -51,21 +51,19 @@ The master is written once from that stream, in one pass: each column
 grows in place by each chunk's length, and the chunk goes into its new
 tail.  Integer arithmetic is int64, exact to MAX_LIMIT (~2.3e9).
 
-The brute-force oracle shares none of the strata: it scans the box
-[-box, box]^4 with the same d-windows of forms (exact up to box = MAX_BOX)
-and groups the survivors into orbits by BFS under u(+-1), w.  The box, P
-and L2 are invariant under the signed permutations f(x, -y), f(y, x), -f,
-so the scan covers one eighth of the box (a >= 0, b >= 0, |c| <= b) and
-adds the images.  Before the windows, an exact Hessian cut drops the
-(a, b, c) with a >= 1 and 3ac > b^2 + h0: by 27 a^2 P = 4 H^3 - G^2
-(H = b^2 - 3ac), P >= -p_limit needs 4 (-H)^3 <= 27 a^2 p_limit.  Each
-grouping is one orbit_bfs search from every in-box survivor whose first
-nonzero coefficient is negative (one form of each +-pair) at once; the
-least seed of a closure owns it and is its lexmin in-box member, the
-orbit's representative.  Each grouping computes the columns of its
-representatives (discriminant, lattice membership, stabilizer order,
-irreducibility) with the scalar functions, once, and every (lattice, sign)
-selects from them.
+The brute-force oracle shares none of the strata.  It scans [-s, s]^4
+once, s the stability box (3 * box + 1) // 2 (_box_survivors: the same
+exact d-windows of forms, up to MAX_BOX, over one eighth of the box, whose
+images under f(x, -y), f(y, x) and -f give the rest, after an exact
+Hessian cut), and groups the survivors into orbits by BFS under u(+-1), w
+twice: at box (cap 4 * box) and at s (cap 6 * box), with a warning if the
+class multiset changes.  Each grouping is one orbit_bfs
+search from every in-box survivor whose first nonzero coefficient is
+negative (one form of each +-pair) at once; the least seed of a closure
+owns it and is its lexmin in-box member, the orbit's representative.
+Each grouping computes the columns of its representatives (discriminant,
+lattice membership, stabilizer order, irreducibility) with the scalar
+functions, once, and every (lattice, sign) selects from them.
 
 The master rows and an oracle grouping are both MasterClasses: orbit
 columns (representative, discriminant, stabilizer order, irreducibility,
@@ -906,8 +904,14 @@ while (isqrt(_scan_window_bound(MAX_BOX, MAX_LIMIT)) + 1) ** 2 >= 2 ** 63:
 
 
 def stability_box(box: int) -> int:
-    """The box of brute_force_classes' stability re-run."""
-    return (3 * box + 1) // 2
+    """The box of brute_force_classes' stability re-run, the box it scans.
+    ValueError for box < 1, or for a stability box past MAX_BOX."""
+    if box < 1:
+        raise ValueError("box must be >= 1")
+    scan = (3 * box + 1) // 2
+    if scan > MAX_BOX:
+        raise ValueError(f"box {box} scans at box {scan}, past the int64 safety bound {MAX_BOX}")
+    return scan
 
 
 def _hessian_floor(a: int, p_limit: int) -> int:
@@ -1004,21 +1008,19 @@ def _group_box_orbits(
 
 
 @lru_cache(maxsize=2)  # verify_oracle's 20 pairs read one per sublattice, in turn
-def _oracle_orbits(p_limit: int, box: int, sublattice: int, check_stability: bool) -> tuple:
-    """(orbits, wider): the _group_box_orbits grouping at box with the cap
-    4 * box and, with check_stability, the one at stability_box(box) with
-    the cap 6 * box (else None).  One scan, at the larger box, serves both."""
-    scan_box = stability_box(box) if check_stability else box
+def _oracle_orbits(p_limit: int, box: int, sublattice: int) -> tuple:
+    """(orbits, wider): the _group_box_orbits groupings at box with the cap
+    4 * box and at stability_box(box) with the cap 6 * box.  One scan, at
+    the larger box, serves both."""
+    scan_box = stability_box(box)
     survivors = _box_survivors(scan_box, p_limit, sublattice)
-    orbits = _group_box_orbits(survivors, box, p_limit, 4 * box, sublattice)
-    if not check_stability:
-        return orbits, None
-    return orbits, _group_box_orbits(survivors, scan_box, p_limit, 6 * box, sublattice)
+    return (
+        _group_box_orbits(survivors, box, p_limit, 4 * box, sublattice),
+        _group_box_orbits(survivors, scan_box, p_limit, 6 * box, sublattice),
+    )
 
 
-def brute_force_classes(
-    lattice: int, sign: str, max_index: int, box: int, check_stability: bool = False
-) -> ClassTable:
+def brute_force_classes(lattice: int, sign: str, max_index: int, box: int) -> ClassTable:
     """Independent oracle: box enumeration + BFS orbit grouping, returned as
     the ClassTable of the pair, in the order of enumerate_classes.
 
@@ -1026,38 +1028,27 @@ def brute_force_classes(
     of them (_group_box_orbits), and each orbit is named by its lexmin
     in-box form.  Correct only when every orbit with index <= max_index has
     a member in [-box, box]^4 and box members are BFS-connected within the
-    cap 4 * box.
-    With check_stability=True the run is repeated at stability_box(box) =
-    (3 * box + 1) // 2 with the cap 6 * box, and a warning is raised if the
-    class multiset changes; one scan at that box serves both runs.  The
-    groupings of the last two (p_limit, box, sublattice, check_stability)
-    are memoised (_oracle_orbits), so the pairs of one sublattice share them.
-    ValueError for max_index < 1 or box < 1.  The box scanned may not exceed
-    MAX_BOX, nor the discriminant bound MAX_LIMIT, the bounds of exact int64
-    arithmetic.  TypeError for a float max_index or box.
+    cap 4 * box (no box covers max_index > 4 * box: cli._oracle_bounds).
+    Every call repeats the run at stability_box(box) = (3 * box + 1) // 2
+    with the cap 6 * box, and warns if the class multiset changes; one
+    scan at that box serves both runs, and the groupings of the last two
+    (p_limit, box, sublattice) are memoised (_oracle_orbits).  ValueError
+    for max_index < 1, a box stability_box refuses, or |P| past MAX_LIMIT,
+    the bound of exact int64 arithmetic.  TypeError for a float max_index
+    or box.
     """
     max_index, box = index(max_index), index(box)
     _sign_positive(sign)
     if max_index < 1:
         raise ValueError("max_index must be >= 1")
-    if box < 1:
-        raise ValueError("box must be >= 1")
-    p_limit = max_index * index_scale(lattice)
-    scan_box = stability_box(box) if check_stability else box
-    if scan_box > MAX_BOX:
-        raise ValueError(f"box {scan_box} exceeds the int64 safety bound {MAX_BOX}")
-    if p_limit > MAX_LIMIT:
-        raise ValueError(f"limit {p_limit} exceeds the int64 safety bound {MAX_LIMIT}")
+    scan_box = stability_box(box)
+    p_limit = _check_selection(max_index * index_scale(lattice), sublattice_of(lattice))
     # the even lattices lie in L2, where 27 divides P, so |P| // 27 is exact
-    orbits, wider = _oracle_orbits(p_limit, box, sublattice_of(lattice), check_stability)
+    orbits, wider = _oracle_orbits(p_limit, box, sublattice_of(lattice))
     table = _class_table([orbits], lattice, sign, max_index)
-    if check_stability:
-        bigger = _class_table([wider], lattice, sign, max_index)
-        if table.class_multiset() != bigger.class_multiset():
-            warnings.warn(
-                f"brute_force_classes unstable under box growth "
-                f"({box} -> {scan_box}) for (L{lattice}, {sign}); "
-                f"results may be incomplete",
-                stacklevel=2,
-            )
+    if table.class_multiset() != _class_table([wider], lattice, sign, max_index).class_multiset():
+        warnings.warn(
+            f"brute_force_classes unstable under box growth ({box} -> {scan_box}) "
+            f"for (L{lattice}, {sign}); results may be incomplete", stacklevel=2,
+        )
     return table

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cubicforms import cli, enumeration
-from cubicforms.cli import MAX_DENSITY_X, main
+from cubicforms.cli import main
 from cubicforms.enumeration import MAX_LIMIT, master_classes
 from cubicforms.forms import index_scale
 from cubicforms.series import CheckReport, CoefficientSeries, count_orbits
@@ -306,10 +306,10 @@ def test_usage_errors():
         )
         == 2
     )
-    assert (
-        main(["density", "--lattice", "1", "--sign", "pos", "--max", str(10 ** 8)])
-        == 2
-    )
+    # density stops at the int64 bound of enumerate and coeffs, scaled by 27
+    # on even lattices
+    for lattice, max_x in (("1", MAX_LIMIT + 1), ("2", MAX_LIMIT // 27 + 1)):
+        assert main(["density", "--lattice", lattice, "--sign", "pos", "--max", str(max_x)]) == 2
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--suite", "bogus"])
     assert exc.value.code == 2
@@ -317,9 +317,10 @@ def test_usage_errors():
     assert main(["verify", "--suite", "oracle", "--max", "0"]) == 2
     assert main(["verify", "--suite", "oracle", "--box", "0"]) == 2
     assert main(["verify", "--suite", "oracle", "--box", "-3"]) == 2
-    over = str(MAX_DENSITY_X + 1)
-    assert main(["verify", "--suite", "density", "--max", over]) == 2
-    assert main(["verify", "--suite", "all", "--max", over]) == 2
+    # the density suite counts L1+ up to the int64 bound; all is held to the
+    # bound of every suite it runs, the oracle's 4 * box (400) the least
+    assert main(["verify", "--suite", "density", "--max", str(MAX_LIMIT + 1)]) == 2
+    assert main(["verify", "--suite", "all", "--max", "401"]) == 2
     # enumerate and coeffs stop at the int64 bound, scaled by 27 on even
     # lattices, before any enumeration runs
     assert main(["enumerate", "--lattice", "2", "--sign", "pos", "--max", "200000000"]) == 2
@@ -350,6 +351,26 @@ def test_verify_rejects_box_past_int64_bound(monkeypatch):
     assert main(["verify", "--suite", "oracle", "--box", str(top)]) == 0
 
 
+def test_oracle_refuses_an_index_past_four_boxes(monkeypatch):
+    # past index 4 * box some orbit has no form in the box
+    # (cli._oracle_bounds): verify_oracle raises ValueError, and the oracle
+    # and all suites exit 2, before any master build or box scan
+    def no_work(*args):
+        raise AssertionError("a master build or box scan started")
+
+    monkeypatch.setattr(enumeration, "_stratum_chunks", no_work)
+    monkeypatch.setattr(enumeration, "_box_survivors", no_work)
+    with pytest.raises(ValueError, match=r"index 401 exceeds 4 \* box = 400"):
+        cli.verify_oracle(401, 100)
+    assert main(["verify", "--suite", "oracle", "--max", "401"]) == 2
+    assert main(["verify", "--suite", "all", "--max", "3700000"]) == 2
+    assert main(["verify", "--suite", "oracle", "--max", "1213", "--box", "303"]) == 2
+    passed = CheckReport("oracle stand-in", True, [])
+    monkeypatch.setattr(cli, "verify_oracle", lambda max_index, box: passed)
+    assert main(["verify", "--suite", "oracle", "--max", "400"]) == 0
+    assert main(["verify", "--suite", "oracle", "--max", "1200", "--box", "303"]) == 0
+
+
 def test_box_is_read_by_the_oracle_only(monkeypatch, capsys):
     # an explicit --box with a suite that does not read it is a usage error
     # before any suite runs (decomps checks its own box, 20); without one
@@ -370,7 +391,7 @@ def test_verify_oracle_names_a_class_missing_one_copy(monkeypatch):
     # The enumeration's multiset against an oracle stand-in that lacks one
     # copy of a repeated class (L1-) or holds an extra copy (L1+): each
     # surplus copy is named, though the class itself is on both sides.
-    def stand_in(lattice, sign, max_index, box, check_stability):
+    def stand_in(lattice, sign, max_index, box):
         table = enumeration.enumerate_classes(lattice, sign, max_index)
         idx = np.arange(len(table))
         if (lattice, sign) == (1, "-"):
@@ -383,6 +404,9 @@ def test_verify_oracle_names_a_class_missing_one_copy(monkeypatch):
         )
 
     monkeypatch.setattr(cli, "brute_force_classes", stand_in)
+    # the stand-in reads no box, so the box's index bound (23 > 4 * 5) is
+    # not what this test checks
+    monkeypatch.setattr(cli, "_oracle_bounds", lambda max_index, box: None)
     assert str(cli.verify_oracle(23, box=5)) == (
         "[FAIL] oracle equivalence (index <= 23, box 5)\n"
         "    (L1, +): enumeration and oracle disagree; "

@@ -3,6 +3,7 @@ import io
 import json
 import random
 import re
+import warnings
 from fractions import Fraction
 from math import isqrt
 
@@ -473,7 +474,15 @@ def test_brute_force_rejects_bad_bounds(monkeypatch):
 
 
 def test_brute_force_stability_cap_covers_its_box(monkeypatch, fresh_oracle_memo):
-    caps = []
+    # every call, with no option, scans once at the stability box
+    # (3 * box + 1) // 2 and groups that scan twice: at box with the cap
+    # 4 * box, then at the stability box with the cap 6 * box
+    scans, caps = [], []
+    box_survivors = enumeration._box_survivors
+
+    def scanning(box, p_limit, family):
+        scans.append(box)
+        return box_survivors(box, p_limit, family)
 
     def record_caps(survivors, box, p_limit, cap, family):
         caps.append((box, cap))
@@ -483,11 +492,29 @@ def test_brute_force_stability_cap_covers_its_box(monkeypatch, fresh_oracle_memo
             no_rows[:, 0].astype(np.uint16),
         )
 
+    monkeypatch.setattr(enumeration, "_box_survivors", scanning)
     monkeypatch.setattr(enumeration, "_group_box_orbits", record_caps)
     for box in (1, 9, 10):
-        brute_force_classes(1, "+", 20, box, check_stability=True)
-    # 4 * box, then 6 * box at the stability box (3 * box + 1) // 2
+        brute_force_classes(1, "+", 20, box)
+    assert scans == [2, 14, 15]
     assert caps == [(1, 4), (2, 6), (9, 36), (14, 54), (10, 40), (15, 60)]
+
+
+def test_brute_force_misses_an_orbit_past_four_boxes():
+    # (9, 3, 3, 0), of index 33 = 4 * 8 + 1 in L2-, has no form in the box
+    # [-8, 8]^4 (cli._oracle_bounds): the oracle at box 8 lacks its class,
+    # and the stability grouping at box 12 sees it and warns
+    fast = enumerate_classes(2, "-", 33)
+    assert (33, (9, 3, 3, 0)) in zip(fast.n.tolist(), map(tuple, fast.reps.tolist()))
+    assert fast.class_multiset().count((33, 1, False)) == 1
+    with pytest.warns(UserWarning, match=r"unstable under box growth \(8 -> 12\) for \(L2, -\)"):
+        slow = brute_force_classes(2, "-", 33, 8)
+    assert (33, 1, False) not in slow.class_multiset()
+    # one index lower, the two agree with no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        slow = brute_force_classes(2, "-", 32, 8)
+    assert slow.class_multiset() == enumerate_classes(2, "-", 32).class_multiset()
 
 
 def test_brute_force_tiny():
@@ -596,11 +623,16 @@ def test_oracle_memo_is_bounded_and_shared(monkeypatch, fresh_oracle_memo):
     assert caps == [120, 180, 120, 180]
     info = fresh_oracle_memo.cache_info()
     assert (info.hits, info.misses, info.currsize) == (18, 2, 2)
+    # the key is (p_limit, box, sublattice): both groupings are held
+    for key in ((60, 30, 1), (27 * 60, 30, 2)):
+        orbits, wider = fresh_oracle_memo(*key)
+        assert (orbits.limit, wider.limit, orbits.sublattice) == (key[0], key[0], key[2])
+    assert len(scans) == 2 and fresh_oracle_memo.cache_info().hits == 20
     for box in (8, 9, 10):
-        brute_force_classes(1, "+", 20, box, check_stability=True)
+        brute_force_classes(1, "+", 20, box)
         assert fresh_oracle_memo.cache_info().currsize == 2
-    brute_force_classes(1, "-", 20, 10, check_stability=True)  # the box 10 grouping, held
-    assert len(scans) == 5 and fresh_oracle_memo.cache_info().hits == 19
+    brute_force_classes(1, "-", 20, 10)  # the box 10 grouping, held
+    assert len(scans) == 5 and fresh_oracle_memo.cache_info().hits == 21
 
 
 def test_brute_force_matches_enumeration_small():
@@ -1189,20 +1221,20 @@ def test_brute_force_rejects_box_past_int64_bound(monkeypatch):
 
     monkeypatch.setattr(enumeration, "_box_survivors", no_scan)
     box = enumeration.MAX_BOX
-    with pytest.raises(ValueError, match="int64 safety bound"):
-        brute_force_classes(1, "+", 1, box=box + 1)
-    # with the stability check the scan is at (3 box + 1) // 2
+    # every call scans at the stability box (3 box + 1) // 2, so the largest
+    # box is 303, and MAX_BOX itself is refused
     stable = 2 * box // 3
-    assert enumeration.stability_box(stable) == box
-    with pytest.raises(ValueError, match="int64 safety bound"):
-        brute_force_classes(1, "+", 1, box=stable + 1, check_stability=True)
+    assert stable == 303 and enumeration.stability_box(stable) == box
+    for past in (stable + 1, box, box + 1):
+        with pytest.raises(ValueError, match="int64 safety bound"):
+            brute_force_classes(1, "+", 1, box=past)
+        with pytest.raises(ValueError, match="int64 safety bound"):
+            enumeration.stability_box(past)
     with pytest.raises(ValueError, match="int64 safety bound"):
         brute_force_classes(1, "+", MAX_LIMIT + 1, box=2)
     # at the bound the scan starts
     with pytest.raises(AssertionError, match="box scan started"):
-        brute_force_classes(1, "+", 1, box=box)
-    with pytest.raises(AssertionError, match="box scan started"):
-        brute_force_classes(1, "+", 1, box=stable, check_stability=True)
+        brute_force_classes(1, "+", 1, box=stable)
 
 
 def _brute_d_windows(a: int, b: int, c: int, lo: int, hi: int) -> list:
