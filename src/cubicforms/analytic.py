@@ -140,8 +140,22 @@ def _eta(s: float, n: int = 60) -> float:
     return -total / d[n]
 
 
+# The domain of zeta.  Against mpmath the absolute error is at most 4.3e-13
+# on [-2.5, 0] (a sweep in steps of 1/256) and passes 1e-12 near s = -2.83
+# (the series is 0.0089 off at s = -10).  From s = 55 up the series gives
+# exactly 1.0 (a sweep in steps of 1/512), zeta(s) to double precision, and
+# past s = 173.3 its terms (k + 1)^s overflow.  tests/test_analytic.py
+# sweeps both ends.
+ZETA_MIN, ZETA_ONE = -2.5, 55.0
+
+
 def zeta(s: float) -> float:
-    """Riemann zeta for real s != 1, via the alternating series."""
+    """Riemann zeta for real s in [ZETA_MIN, inf) other than 1, via the
+    alternating series; 1.0 from ZETA_ONE up.  ValueError elsewhere."""
+    if not ZETA_MIN <= s or s == 1:
+        raise ValueError(f"zeta is answered on [{ZETA_MIN}, inf) without s = 1, got {s}")
+    if s >= ZETA_ONE:
+        return 1.0
     return _eta(s) / (1.0 - 2.0 ** (1.0 - s))
 
 
@@ -315,7 +329,10 @@ def verify_table1_ratios() -> CheckReport:
 
 
 def density_prediction(lattice: int, sign: str, x: float) -> float:
-    """Main + secondary term of the irreducible-class count below x."""
+    """Main + secondary term of the irreducible-class count below x.
+    ValueError for x < 0 or a non-finite x."""
+    if not 0 <= x < math.inf:
+        raise ValueError(f"x must be finite and >= 0, got {x}")
     table = residue_constants()
     e = table.entry(lattice, sign)
     return (

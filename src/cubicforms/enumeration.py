@@ -53,14 +53,14 @@ tail.  Integer arithmetic is int64, exact to MAX_LIMIT (~2.3e9).
 
 The brute-force oracle shares none of the strata.  It scans [-s, s]^4
 once, s the stability box (3 * box + 1) // 2 (_box_survivors: the same
-exact d-windows of forms, up to MAX_BOX, over one eighth of the box, whose
-images under f(x, -y), f(y, x) and -f give the rest, after an exact
-Hessian cut), and groups the survivors into orbits by BFS under u(+-1), w
-twice: at box (cap 4 * box) and at s (cap 6 * box), with a warning if the
-class multiset changes.  Each grouping is one orbit_bfs
-search from every in-box survivor whose first nonzero coefficient is
-negative (one form of each +-pair) at once; the least seed of a closure
-owns it and is its lexmin in-box member, the orbit's representative.
+exact d-windows of forms, up to MAX_BOX, over one eighth of the box, after
+an exact Hessian cut), and keeps one seed per +-pair: the lesser
+(reduction._lesser_of_pair) of each scanned form and of its images under
+f(x, -y), f(y, x) and both.  It groups the seeds into orbits by BFS under
+u(+-1), w twice: at box (cap 4 * box) and at s (cap 6 * box), with a
+warning if the class multiset changes.  Each grouping is one orbit_bfs
+search from every in-box seed at once; the least seed of a closure owns
+it and is its lexmin in-box member, the orbit's representative.
 Each grouping computes the columns of its representatives (discriminant,
 lattice membership, stabilizer order, irreducibility) with the scalar
 functions, once, and every (lattice, sign) selects from them.
@@ -110,6 +110,7 @@ from .forms import (
 )
 from .reduction import (
     _canonical_pos,
+    _lesser_of_pair,
     _lex_less,
     _pos_stab_column,
     orbit_bfs,
@@ -924,8 +925,10 @@ _MIRROR = np.array([1, -1, 1, -1], dtype=np.int64)
 
 
 def _box_survivors(box: int, p_limit: int, sublattice: int) -> np.ndarray:
-    """Forms in [-box, box]^4 with 1 <= |P| <= p_limit, in lexicographic
-    order, each once, in the sublattice L1 or L2 (b, c in 3Z: _STEPS).
+    """The seeds of the box: one form of each +-pair in [-box, box]^4 with
+    1 <= |P| <= p_limit, the lesser (reduction._lesser_of_pair), in
+    lexicographic order, each once, in the sublattice L1 or L2 (b, c in
+    3Z: _STEPS).
 
     The box, P and L2 are invariant under the signed permutations of GL2(Z):
     f(x, -y) = (a, -b, c, -d), f(y, x) = (d, c, b, a) and f(-x, -y) = -f
@@ -934,11 +937,12 @@ def _box_survivors(box: int, p_limit: int, sublattice: int) -> np.ndarray:
     a >= 0 and f(x, -y) then b >= 0; if still |c| > b, f(y, x) and then
     f(-x, y) = (-a, b, -c, d) and f(x, -y) as needed give a' >= 0 and
     b' = |c| > b = |c'|.  (At a = b = 0 the domain forces c = 0, hence
-    P = 0.)  Only that domain is scanned; the other rows are its images
-    under the three maps, which generate the group (order 8, with
-    -f = (f(y, x) o f(x, -y))^2), and a lexicographic sort with an
-    adjacent-row diff drops the repeated images of the rows on the domain's
-    edges (a = 0, b = 0, |c| = b).
+    P = 0.)  Only that domain is scanned.  With -f the maps generate the
+    group (order 8, with -f = (f(y, x) o f(x, -y))^2), so its images under
+    the identity, f(x, -y), f(y, x) and both meet every +-pair; each image
+    goes through _lesser_of_pair, and a lexicographic sort with an
+    adjacent-row diff drops the pairs met twice (the domain's edges
+    a = 0, b = 0, |c| = b).
 
     For a >= 1, 27 a^2 P = 4 H^3 - G^2 with H = b^2 - 3ac (the Hessian's
     A) and G = 2b^3 - 9abc + 27a^2 d, so P >= -p_limit needs H >= -h0
@@ -963,7 +967,7 @@ def _box_survivors(box: int, p_limit: int, sublattice: int) -> np.ndarray:
     rows = _ranges_to_rows(chunks)
     rows = np.concatenate([rows, rows * _MIRROR])
     rows = np.concatenate([rows, rows[:, ::-1]])
-    rows = np.concatenate([rows, -rows])
+    _lesser_of_pair(rows)
     rows = rows[_lex_order(rows.T)]
     fresh = (rows[1:] != rows[:-1]).any(axis=1)
     return np.concatenate([rows[:1], rows[1:][fresh]])
@@ -973,23 +977,17 @@ def _group_box_orbits(
     survivors: np.ndarray, box: int, p_limit: int, cap: int, sublattice: int
 ) -> MasterClasses:
     """Group the box survivors into orbits: their lexmin in-box reps, in
-    lexicographic order, and the columns of each.  survivors come from
-    _box_survivors at a box >= box (_oracle_orbits) and are cut to box here.
+    lexicographic order, and the columns of each.  survivors are the seeds
+    of _box_survivors at a box >= box (_oracle_orbits), cut to box here.
 
-    One orbit_bfs call groups them.  The survivors are lex-sorted and
-    closed under negation, and the rows whose first nonzero coefficient
-    (x1, else x2; x1 = x2 = 0 gives P = 0) is negative sort first, so the
-    first half holds one form of each +-pair: the seeds.  A closure is
+    One orbit_bfs call from all the seeds groups them.  A closure is
     closed under negation, so its lexmin in-box member is a seed, the least
-    one: the representative, the seed that owns itself.  Every in-box
-    survivor is a seed or a seed's negation, and a closure's in-box members
-    are all survivors (they share P, and L2 is invariant), so no form
-    reached past the seeds may lie in the box.
+    one: the representative, the seed that owns itself.  A closure's in-box
+    members are all a seed or its negation (they share P, and L2 is
+    invariant), so no form reached past the seeds may lie in the box.
     """
-    seeds = survivors[: len(survivors) // 2]
-    inside = ((seeds >= -box) & (seeds <= box)).all(axis=1)
-    if not inside.all():
-        seeds = seeds[inside]
+    inside = ((survivors >= -box) & (survivors <= box)).all(axis=1)
+    seeds = survivors if inside.all() else survivors[inside]
     owner, reached = orbit_bfs(seeds, cap)
     if ((reached >= -box) & (reached <= box)).all(axis=1).any():
         raise AssertionError("a closure's in-box member is not a box survivor")

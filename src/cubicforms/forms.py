@@ -266,7 +266,9 @@ def phi(f) -> tuple:
 
 
 def lattice_basis(lattice: int) -> tuple:
-    """Z-basis of L_lattice (rows), lattice in 1..10."""
+    """Z-basis of L_lattice (rows).  ValueError for a lattice outside 1..10,
+    TypeError for a float or a bool one (_check_lattice)."""
+    lattice = _check_lattice(lattice)
     if lattice in EVEN_PARTNER:
         return tuple(phi(v) for v in _ODD_BASES[EVEN_PARTNER[lattice]])
     return _ODD_BASES[lattice]

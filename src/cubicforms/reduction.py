@@ -128,6 +128,14 @@ def _lex_less(y: np.ndarray, b: np.ndarray) -> np.ndarray:
     return score > 0
 
 
+def _lesser_of_pair(rows: np.ndarray) -> None:
+    """Replace each row f of an (N, 4) array (int64 or object, P != 0) in
+    place by lexmin(f, -f): the first nonzero coefficient (x1, else x2;
+    x1 = x2 = 0 gives P = 0) made negative.  The one +-pair rule."""
+    x1, x2 = rows[:, 0], rows[:, 1]
+    rows[(x1 > 0) | ((x1 == 0) & (x2 > 0))] *= -1
+
+
 def _canonical_pos(rows: np.ndarray) -> np.ndarray:
     """Canonical representatives for P > 0, given Hessian-reduced rows (an
     (N, 4) array; dtype object keeps big ints exact): the lex-least weakly
@@ -136,9 +144,7 @@ def _canonical_pos(rows: np.ndarray) -> np.ndarray:
     best = rows.copy()
     edge = np.flatnonzero((B == -A) & (A < C))
     best[edge] = best[edge] @ _FLIP_MAT.T
-    # lexmin(f, -f): the first nonzero coefficient (x1, else x2) made negative
-    x1, x2 = best[:, 0], best[:, 1]
-    best[(x1 > 0) | ((x1 == 0) & (x2 > 0))] *= -1
+    _lesser_of_pair(best)
     # +-f have the same 20 images, since -I times a small matrix is one; f
     # is among them and weakly reduced, so the images that are not stand in
     # for f, and a knockout of _lex_less rounds leaves each row's lexmin
@@ -360,7 +366,9 @@ def orbit_bfs(forms, cap: int) -> tuple:
     x4, x2 +- 2 x3 + 3 x4, x3 +- 3 x4, x4), and w (x1, x2, x3, x4) = (x4,
     -x3, x2, -x1).  u(+-1) keep x4, so only the three coefficients they
     change are tested against the cap; w never leaves it.  The search runs
-    on +-pairs, one packed key each (_INT64_KEY_CAP): w^2 = -I acts as -1,
+    on +-pairs, one packed key each (_INT64_KEY_CAP), the lesser of key(f)
+    and key(-f) (_pair_keys): since the keys follow the row order, that is
+    the key of _lesser_of_pair's form, the same rule.  w^2 = -I acts as -1,
     so a closure in the cap is closed under negation, and the images of -f
     are those of f negated.  u(1) and u(-1) are inverse and w^-1 = -w, so
     the graph on pairs is undirected: a pair found from level k (its

@@ -18,12 +18,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt
+from operator import index
 
 import numpy as np
 
-from .enumeration import _COLUMNS, MasterClasses, _check_selection, master_classes
+from .enumeration import _COLUMNS, MasterClasses, _check_selection, _sign_positive, master_classes
 from .forms import (
     EVEN_LATTICES,
+    _check_lattice,
     _membership,
     _residue_row,
     bareiss,
@@ -100,6 +102,9 @@ class CoefficientSeries:
         return _thirds(self.orbits[:, :, : upto + 1], irreducible)
 
     def coeff(self, n: int) -> Fraction:
+        """a_n exactly.  ValueError outside 1..max_n, TypeError for an n
+        that is not an integer (operator.index)."""
+        n = index(n)
         if not 1 <= n <= self.max_n:
             raise ValueError(f"n = {n} outside computed range 1..{self.max_n}")
         c1, c3 = self.orbits[:, :, n].sum(axis=1).tolist()
@@ -216,8 +221,11 @@ def _report(name: str, failures: list, extra: list | None = None) -> CheckReport
 
 
 def table_multiplier(lattice: int, sign: str) -> int:
-    """Printed table entries are 3 * a_n except in even-lattice minus columns."""
-    return 1 if (lattice in EVEN_LATTICES and sign == "-") else 3
+    """Printed table entries are 3 * a_n except in even-lattice minus columns.
+    ValueError for a lattice outside 1..10 or a sign other than '+' and '-',
+    TypeError for a lattice that is not an integer."""
+    positive = _sign_positive(sign)
+    return 1 if (_check_lattice(lattice) in EVEN_LATTICES and not positive) else 3
 
 
 def render_table(side: str, series: dict) -> list:

@@ -17,7 +17,7 @@ from cubicforms import (
     zeta,
 )
 from cubicforms import analytic, enumeration
-from cubicforms.analytic import BetaMultiplier, DensityRatios
+from cubicforms.analytic import ZETA_MIN, ZETA_ONE, BetaMultiplier, DensityRatios
 from cubicforms.forms import index_scale, sublattice_of
 from cubicforms.latclass import lattice_basis, _det4
 from cubicforms.series import _verify_master
@@ -28,6 +28,31 @@ mpmath = pytest.importorskip("mpmath")
 def test_zeta_against_mpmath():
     for s in (2.0 / 3.0, 0.5, 2.0, 3.0, -0.5):
         assert abs(zeta(s) - float(mpmath.zeta(s))) < 1e-12, s
+
+
+def test_zeta_sweep_against_mpmath_and_its_domain():
+    # [ZETA_MIN, 60] in steps of 1/16 but s = 1: within 1e-12, relative to
+    # |zeta| past 1 (near the pole); from ZETA_ONE up the series itself
+    # gives 1.0, so the shortcut changes no value
+    for k in range(int(16 * ZETA_MIN), 16 * 60 + 1):
+        s = k / 16
+        if s != 1:
+            want = float(mpmath.zeta(s))
+            assert abs(zeta(s) - want) <= 1e-12 * max(1.0, abs(want)), s
+    for k in range(int(8 * ZETA_ONE), 8 * 173 + 1):
+        s = k / 8
+        assert analytic._eta(s) / (1.0 - 2.0 ** (1.0 - s)) == zeta(s) == 1.0, s
+    assert zeta(175.0) == zeta(1e300) == zeta(math.inf) == 1.0
+    for s in (1, 1.0, ZETA_MIN - 2 ** -40, -3.0, -10.0, -30.0, math.nan, -math.inf):
+        with pytest.raises(ValueError, match="zeta is answered on"):
+            zeta(s)
+
+
+def test_density_prediction_rejects_x_it_cannot_answer():
+    assert density_prediction(1, "+", 0) == 0.0
+    for x in (-1, -1e-300, math.inf, math.nan, -math.inf):
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            density_prediction(1, "+", x)
 
 
 def test_alpha_beta_values():

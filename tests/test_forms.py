@@ -524,6 +524,16 @@ def test_support_classes_mod_4(series300, orbit_count):
                     assert n % 4 in allowed, (lat, sign, n)
 
 
+def test_lattice_basis_checks_the_lattice():
+    assert lattice_basis(np.int64(2)) == lattice_basis(2) != lattice_basis(1)
+    for lattice in (0, 11, -1):
+        with pytest.raises(ValueError, match="lattice index must be 1..10"):
+            lattice_basis(lattice)
+    for lattice in (1.0, True, "1"):
+        with pytest.raises(TypeError):
+            lattice_basis(lattice)
+
+
 def test_sublattice_of_is_the_one_of_l1_l2_holding_the_lattice():
     # the even lattices lie in L2 = {3 | x2, x3}, and no odd one does
     for lattice in range(1, 11):

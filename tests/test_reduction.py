@@ -22,6 +22,7 @@ from cubicforms.reduction import (
     _STAB3_MATS,
     _canonical_pos,
     _hessian_reduce,
+    _lesser_of_pair,
     _pos_stab_column,
     canonical_reduce,
     orbit_bfs,
@@ -321,6 +322,21 @@ def test_stabilizer_order_matches_bounded_search():
     got = [stabilizer_order(tuple(int(t) for t in f)) for f in forms]
     assert got == expected.tolist()
     assert (expected == 3).sum() > 0
+
+
+def test_lesser_of_pair_is_the_lex_min_of_the_pair():
+    # seeded random rows with P != 0 (so x1 = x2 = 0 never occurs), with
+    # x1 = 0 in some: int64, and Python ints far past int64 in object arrays
+    r = random.Random(45)
+    for bits, dtype in ((2, np.int64), (30, np.int64), (70, object), (130, object)):
+        forms = [random_nondegenerate(r, bound=2 ** bits) for _ in range(400)]
+        forms += [(0, *f[1:]) for f in forms[:100] if discriminant((0, *f[1:]))]
+        rows = np.array(forms, dtype=dtype)
+        _lesser_of_pair(rows)
+        assert rows.dtype == dtype
+        assert list(map(tuple, rows.tolist())) == [
+            min(f, tuple(-t for t in f)) for f in forms
+        ], bits
 
 
 def test_canonical_pos_matches_reference_on_box(reference_canonical_pos):

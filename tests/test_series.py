@@ -29,7 +29,7 @@ from cubicforms.cli import main
 from cubicforms.forms import _membership, _residue_row, bareiss, discriminant, index_scale
 from cubicforms.forms import lattice_member, phi, residue_grid
 from cubicforms.golden import golden_table
-from cubicforms.series import _combo_coeff, ALL_PAIRS, count_orbits
+from cubicforms.series import _combo_coeff, ALL_PAIRS, count_orbits, table_multiplier
 
 
 def test_qrt3_arithmetic():
@@ -191,6 +191,28 @@ def test_thirds_rejects_upto_outside_its_range(series51):
     for upto in (-1, -3, -52, 52):
         with pytest.raises(ValueError, match="outside computed range 0..51"):
             s.thirds(upto)
+
+
+def test_coeff_reads_n_as_an_integer(series51):
+    s = series51[(1, "+")]
+    assert s.coeff(np.int64(5)) == s.coeff(5)
+    for n in (5.0, 5.5, Fraction(5)):
+        with pytest.raises(TypeError):
+            s.coeff(n)
+    for n in (0, 52):
+        with pytest.raises(ValueError, match="outside computed range 1..51"):
+            s.coeff(n)
+
+
+def test_table_multiplier_checks_lattice_and_sign():
+    got = [table_multiplier(lat, sign) for lat in (1, 2, 10) for sign in "+-"]
+    assert got == [3, 3, 3, 1, 3, 1]
+    for lattice, sign in ((0, "+"), (11, "-"), (2, "x"), (1, "pos")):
+        with pytest.raises(ValueError):
+            table_multiplier(lattice, sign)
+    for lattice in (2.0, True):
+        with pytest.raises(TypeError):
+            table_multiplier(lattice, "-")
 
 
 def test_render_table_rows(series51):
