@@ -15,11 +15,10 @@ The one-shot commands read their pair's orbit stream chunk by chunk
 (enumeration._pair_stream, which checks the pair first) and hold no
 master: `enumerate` gathers and sorts its pair's rows, `coeffs` and
 `density` count them (series.count_orbits).  The verify suites share one
-master per sublattice (series._verify_master), the oracle's tables
-included; the oracle's own groupings are memoised, one per sublattice
-(enumeration._oracle_orbits).
+master per sublattice (series._verify_masters), the oracle's tables
+included, and verify_oracle groups each sublattice's box once per call.
 main checks every bound before any work: --max against MAX_LIMIT over its
-index scale, and the oracle's --max and --box by _oracle_bounds.
+index scale, and the oracle's --max and --box by enumeration._check_reach.
 Both bulk writers, `enumerate` and `coeffs`, format whole int64 columns in
 fixed-size blocks of rows (`_format_rows`), with no Python call per row: a
 block is one uint8 matrix, filled from a template row of the constants,
@@ -40,11 +39,12 @@ import numpy as np
 from . import analytic, latclass, series as series_mod
 from .enumeration import (
     MAX_LIMIT,
+    _check_reach,
     _class_table,
+    _oracle_orbits,
     _pair_stream,
     brute_force_classes,
     enumerate_classes,
-    stability_box,
 )
 from .forms import index_scale, sublattice_of
 from .golden import golden_table
@@ -205,41 +205,28 @@ def cmd_table(args, out) -> int:
     return 0
 
 
-def _oracle_bounds(max_index: int, box: int) -> None:
-    """ValueError for a box that stability_box refuses, or for max_index >
-    4 * box: f = (p, 3, 3, 0) = x (p x^2 + 3 x y + 3 y^2), of index 4p - 3
-    in L2- and L6-, has |f(x, y)| >= p at integers x != 0 (its quadratic
-    factor is 3 (y + x/2)^2 + (p - 3/4) x^2), and an SL2(Z) image has
-    x1 = f(alpha, gamma), x4 = f(beta, delta) with alpha, beta not both 0,
-    so at p = box + 1 (index 4 * box + 1) no form of the orbit is in the box."""
-    stability_box(box)
-    if max_index > 4 * box:
-        raise ValueError(f"index {max_index} exceeds 4 * box = {4 * box}, the oracle's reach")
-
-
 def verify_oracle(max_index: int, box: int) -> series_mod.CheckReport:
-    """Enumeration against the brute-force oracle, for all 20 pairs: each
-    pair's table from the verify suites' master of its sublattice
-    (series._verify_master), L1 at max_index, L2 at 27 max_index.
-    _oracle_bounds runs first, before any build or scan."""
-    _oracle_bounds(max_index, box)
-    masters = {sub: series_mod._verify_master(max_index * index_scale(sub), sub) for sub in (1, 2)}
+    """Enumeration against the brute-force oracle for all 20 pairs, after
+    the oracle's reach (_check_reach): each pair's table from the verify
+    suites' master of its sublattice (series._verify_masters) against
+    brute_force_classes from the sublattice's groupings, made once per call."""
+    _check_reach(max_index, box)
+    masters = series_mod._verify_masters(max_index)
+    groupings = {sub: _oracle_orbits(max_index * index_scale(sub), box, sub) for sub in masters}
     failures = []
-    for lattice in range(1, 11):
-        for sign in ("+", "-"):
-            fast = _class_table([masters[sublattice_of(lattice)]], lattice, sign, max_index)
-            slow = brute_force_classes(lattice, sign, max_index, box)
-            a, b = fast.class_multiset(), slow.class_multiset()
-            if a != b:
-                only_fast = sorted((Counter(a) - Counter(b)).elements())[:3]
-                only_slow = sorted((Counter(b) - Counter(a)).elements())[:3]
-                failures.append(
-                    f"(L{lattice}, {sign}): enumeration and oracle disagree; "
-                    f"fast-only {only_fast}, oracle-only {only_slow}"
-                )
-    return series_mod._report(
-        f"oracle equivalence (index <= {max_index}, box {box})", failures
-    )
+    for lattice, sign in series_mod.ALL_PAIRS:
+        sub = sublattice_of(lattice)
+        fast = _class_table([masters[sub]], lattice, sign, max_index)
+        slow = brute_force_classes(lattice, sign, max_index, box, _groupings=groupings[sub])
+        a, b = fast.class_multiset(), slow.class_multiset()
+        if a != b:
+            only_fast = sorted((Counter(a) - Counter(b)).elements())[:3]
+            only_slow = sorted((Counter(b) - Counter(a)).elements())[:3]
+            failures.append(
+                f"(L{lattice}, {sign}): enumeration and oracle disagree; "
+                f"fast-only {only_fast}, oracle-only {only_slow}"
+            )
+    return series_mod._report(f"oracle equivalence (index <= {max_index}, box {box})", failures)
 
 
 def _verify_density(max_x: int) -> series_mod.CheckReport:
@@ -404,7 +391,7 @@ def main(argv=None) -> int:
         return _fail_usage(parser, f"--max exceeds the int64 safety bound {MAX_LIMIT // scale}")
     if suite in ("oracle", "all"):
         try:
-            _oracle_bounds(_max_n(args), _box(args))
+            _check_reach(_max_n(args), _box(args))
         except ValueError as exc:
             return _fail_usage(parser, str(exc))
     if args.workers < 1:

@@ -78,15 +78,14 @@ pair's rows of each chunk and sorts it once (_lex_order, one np.lexsort),
 and series.count_orbits, the one count, bins them for `coeffs` and
 density_report.  master_classes builds a two-sign master at each call; the
 verify suites memoise one per sublattice (series._verify_master), and the
-oracle compares brute_force_classes, its groupings memoised one per
-sublattice (_oracle_orbits), with its tables.
+oracle compares brute_force_classes, which keeps nothing and refuses an
+index past 4 * box (_check_reach), with its tables.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 from math import isqrt
 from itertools import groupby
 from operator import index
@@ -915,6 +914,18 @@ def stability_box(box: int) -> int:
     return scan
 
 
+def _check_reach(max_index: int, box: int) -> None:
+    """ValueError for a box stability_box refuses or for max_index > 4 * box,
+    the oracle's reach: f = (p, 3, 3, 0) = x (p x^2 + 3 x y + 3 y^2), of
+    index 4p - 3 in L2- and L6-, has |f(x, y)| >= p at integers x != 0
+    (its quadratic factor is 3 (y + x/2)^2 + (p - 3/4) x^2), and an SL2(Z)
+    image has x1 = f(alpha, gamma), x4 = f(beta, delta) with alpha, beta
+    not both 0, so at p = box + 1 no form of the orbit is in the box."""
+    stability_box(box)
+    if max_index > 4 * box:
+        raise ValueError(f"index {max_index} exceeds 4 * box = {4 * box}, the oracle's reach")
+
+
 def _hessian_floor(a: int, p_limit: int) -> int:
     """h0 = max{h >= 0 : 4 h^3 <= 27 a^2 p_limit}, for a >= 1."""
     return _icbrt(27 * a * a * p_limit // 4)
@@ -1005,11 +1016,9 @@ def _group_box_orbits(
     )
 
 
-@lru_cache(maxsize=2)  # verify_oracle's 20 pairs read one per sublattice, in turn
 def _oracle_orbits(p_limit: int, box: int, sublattice: int) -> tuple:
-    """(orbits, wider): the _group_box_orbits groupings at box with the cap
-    4 * box and at stability_box(box) with the cap 6 * box.  One scan, at
-    the larger box, serves both."""
+    """(orbits, wider): the _group_box_orbits groupings at box, cap 4 * box,
+    and at stability_box(box), cap 6 * box, of one scan at the larger box."""
     scan_box = stability_box(box)
     survivors = _box_survivors(scan_box, p_limit, sublattice)
     return (
@@ -1018,7 +1027,9 @@ def _oracle_orbits(p_limit: int, box: int, sublattice: int) -> tuple:
     )
 
 
-def brute_force_classes(lattice: int, sign: str, max_index: int, box: int) -> ClassTable:
+def brute_force_classes(
+    lattice: int, sign: str, max_index: int, box: int, *, _groupings: tuple | None = None
+) -> ClassTable:
     """Independent oracle: box enumeration + BFS orbit grouping, returned as
     the ClassTable of the pair, in the order of enumerate_classes.
 
@@ -1026,14 +1037,14 @@ def brute_force_classes(lattice: int, sign: str, max_index: int, box: int) -> Cl
     of them (_group_box_orbits), and each orbit is named by its lexmin
     in-box form.  Correct only when every orbit with index <= max_index has
     a member in [-box, box]^4 and box members are BFS-connected within the
-    cap 4 * box (no box covers max_index > 4 * box: cli._oracle_bounds).
-    Every call repeats the run at stability_box(box) = (3 * box + 1) // 2
-    with the cap 6 * box, and warns if the class multiset changes; one
-    scan at that box serves both runs, and the groupings of the last two
-    (p_limit, box, sublattice) are memoised (_oracle_orbits).  ValueError
-    for max_index < 1, a box stability_box refuses, or |P| past MAX_LIMIT,
-    the bound of exact int64 arithmetic.  TypeError for a float max_index
-    or box.
+    cap 4 * box.  Every call repeats the run at stability_box(box) =
+    (3 * box + 1) // 2 with the cap 6 * box, and warns if the class
+    multiset changes; one scan at that box serves both (_oracle_orbits),
+    and nothing is kept: a caller of many pairs (cli.verify_oracle) passes
+    their sublattice's as _groupings.  ValueError, before any scan, for
+    max_index < 1, a box stability_box refuses, |P| past MAX_LIMIT, the
+    bound of exact int64 arithmetic, or max_index past the reach 4 * box
+    (_check_reach).  TypeError for a float max_index or box.
     """
     max_index, box = index(max_index), index(box)
     _sign_positive(sign)
@@ -1041,8 +1052,9 @@ def brute_force_classes(lattice: int, sign: str, max_index: int, box: int) -> Cl
         raise ValueError("max_index must be >= 1")
     scan_box = stability_box(box)
     p_limit = _check_selection(max_index * index_scale(lattice), sublattice_of(lattice))
+    _check_reach(max_index, box)
     # the even lattices lie in L2, where 27 divides P, so |P| // 27 is exact
-    orbits, wider = _oracle_orbits(p_limit, box, sublattice_of(lattice))
+    orbits, wider = _groupings or _oracle_orbits(p_limit, box, sublattice_of(lattice))
     table = _class_table([orbits], lattice, sign, max_index)
     if table.class_multiset() != _class_table([wider], lattice, sign, max_index).class_multiset():
         warnings.warn(

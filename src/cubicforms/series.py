@@ -22,7 +22,7 @@ from operator import index
 
 import numpy as np
 
-from .enumeration import _COLUMNS, MasterClasses, _check_selection, _sign_positive, master_classes
+from .enumeration import MasterClasses, _check_selection, _sign_positive, master_classes
 from .forms import (
     EVEN_LATTICES,
     _check_lattice,
@@ -146,18 +146,19 @@ _VERIFY_MASTERS: dict = {}
 
 
 def _verify_master(limit: int, sublattice: int) -> MasterClasses:
-    """The verify suites' master of the sublattice at limit: the largest one
-    built in it so far, cut to |P| <= limit, or a new build (master_classes)
-    that replaces it.  _check_selection runs first, memoised master or not."""
+    """The verify suites' master of the sublattice that covers limit, after
+    _check_selection: the largest built in it so far, whole (select bounds
+    every read), or a new build (master_classes) that replaces it."""
     limit = _check_selection(limit, sublattice)
     master = _VERIFY_MASTERS.get(sublattice)
     if master is None or master.limit < limit:
         master = _VERIFY_MASTERS[sublattice] = master_classes(limit, sublattice=sublattice)
-    if master.limit == limit:
-        return master
-    keep = np.abs(master.disc) <= limit
-    cut = [getattr(master, name)[keep] for name in _COLUMNS]
-    return MasterClasses(limit, *cut, sublattice=sublattice)
+    return master
+
+
+def _verify_masters(max_n: int) -> dict:
+    """sublattice -> its _verify_master covering index max_n (|P| <= 27 max_n in L2)."""
+    return {sub: _verify_master(max_n * index_scale(sub), sub) for sub in (1, 2)}
 
 
 def _series_source(max_n: int, series: dict | None = None):
@@ -165,7 +166,7 @@ def _series_source(max_n: int, series: dict | None = None):
     a lookup in series if given, else a count (count_orbits) over the L1
     master at max_n (the odd lattices) or the L2 master at 27 max_n (the
     even lattices lie in L2 and index by |P| / 27), both the verify
-    suites' shared masters (_verify_master).
+    suites' shared masters (_verify_masters).
 
     The counts are made on demand and kept by no one here, so a check that
     reads one relation at a time holds one relation's series: twenty
@@ -173,7 +174,7 @@ def _series_source(max_n: int, series: dict | None = None):
     This keeps the int64 counts (no bound on a count to argue)."""
     if series is not None:
         return series.__getitem__
-    masters = {sub: _verify_master(max_n * index_scale(sub), sub) for sub in (1, 2)}
+    masters = _verify_masters(max_n)
     return lambda pair: CoefficientSeries(
         *pair, max_n, count_orbits([masters[sublattice_of(pair[0])]], *pair, max_n)
     )

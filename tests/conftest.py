@@ -238,16 +238,6 @@ def reference_plan():
     return _reference_plan
 
 
-@pytest.fixture
-def fresh_oracle_memo():
-    """The oracle's memo (enumeration._oracle_orbits) emptied before and
-    after the test, so a test that patches the scan or the grouping neither
-    reads a grouping made before it nor leaves one made by its stand-ins."""
-    enumeration._oracle_orbits.cache_clear()
-    yield enumeration._oracle_orbits
-    enumeration._oracle_orbits.cache_clear()
-
-
 def _reference_orbits(limit: int, sign, sublattice: int = 1):
     """The one-chunk-per-unit orbit stream: one MasterClasses per unit of
     _reference_tasks of the sign (None: both; _reference_plan), its columns

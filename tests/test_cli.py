@@ -353,8 +353,8 @@ def test_verify_rejects_box_past_int64_bound(monkeypatch):
 
 def test_oracle_refuses_an_index_past_four_boxes(monkeypatch):
     # past index 4 * box some orbit has no form in the box
-    # (cli._oracle_bounds): verify_oracle raises ValueError, and the oracle
-    # and all suites exit 2, before any master build or box scan
+    # (enumeration._check_reach): verify_oracle raises ValueError, and the
+    # oracle and all suites exit 2, before any master build or box scan
     def no_work(*args):
         raise AssertionError("a master build or box scan started")
 
@@ -391,7 +391,7 @@ def test_verify_oracle_names_a_class_missing_one_copy(monkeypatch):
     # The enumeration's multiset against an oracle stand-in that lacks one
     # copy of a repeated class (L1-) or holds an extra copy (L1+): each
     # surplus copy is named, though the class itself is on both sides.
-    def stand_in(lattice, sign, max_index, box):
+    def stand_in(lattice, sign, max_index, box, *, _groupings):
         table = enumeration.enumerate_classes(lattice, sign, max_index)
         idx = np.arange(len(table))
         if (lattice, sign) == (1, "-"):
@@ -403,10 +403,11 @@ def test_verify_oracle_names_a_class_missing_one_copy(monkeypatch):
             lattice, sign, table.n[idx], table.reps[idx], table.stab[idx], table.irred[idx]
         )
 
+    # the stand-in is the per-pair step (brute_force_classes with the
+    # sublattice's groupings), and it reads no box, so the oracle's reach
+    # (23 > 4 * 5) is not what this test checks
     monkeypatch.setattr(cli, "brute_force_classes", stand_in)
-    # the stand-in reads no box, so the box's index bound (23 > 4 * 5) is
-    # not what this test checks
-    monkeypatch.setattr(cli, "_oracle_bounds", lambda max_index, box: None)
+    monkeypatch.setattr(cli, "_check_reach", lambda max_index, box: None)
     assert str(cli.verify_oracle(23, box=5)) == (
         "[FAIL] oracle equivalence (index <= 23, box 5)\n"
         "    (L1, +): enumeration and oracle disagree; "

@@ -1,9 +1,11 @@
 import argparse
+import gc
 import io
 import json
 import random
 import re
 import warnings
+import weakref
 from fractions import Fraction
 from math import isqrt
 
@@ -72,13 +74,18 @@ def test_master_rows_are_canonical_distinct_classes():
 
 
 def test_master_cache_filters_down(fresh_verify_memo):
-    # the verify suites' memo cuts its master to a smaller limit
+    # the verify suites' memo hands a smaller limit its master whole, and a
+    # selection from it reads only the rows with |P| <= the smaller limit
     big = _verify_master(400, 1)
-    small = _verify_master(150, 1)
-    assert fresh_verify_memo == {1: big}
-    assert small.limit == 150
-    assert (np.abs(small.disc) <= 150).all()
-    assert len(small) < len(big)
+    assert _verify_master(150, 1) is big and fresh_verify_memo == {1: big}
+    assert big.limit == 400
+    for sign in "+-":
+        rows, n = big.select(1, sign, 150)
+        keep = np.abs(big.disc) <= 150
+        keep &= (big.disc > 0) == (sign == "+")
+        assert 0 < keep.sum() < len(big)
+        assert rows.tolist() == np.flatnonzero(keep).tolist()
+        assert n.tolist() == np.abs(big.disc[keep]).tolist()
 
 
 @pytest.mark.parametrize("limit", [2000, 10 ** 5])
@@ -101,9 +108,10 @@ def test_master_selection_is_the_full_master_masked(reference_plan, shared_maste
 
 def test_master_cache_serves_what_it_covers(monkeypatch, fresh_verify_memo):
     # the verify suites' memo (series._verify_master) keeps one two-sign
-    # master per sublattice, the largest built: a smaller limit gets its
-    # rows with |P| <= limit and builds nothing, a larger one replaces it,
-    # and a build in one sublattice leaves the other
+    # master per sublattice, the largest built: a smaller limit gets that
+    # master and builds nothing, and its selections are the rows with
+    # |P| <= limit; a larger one replaces it, and a build in one sublattice
+    # leaves the other
     builds = []  # (limit, step) per build
     stratum_tasks = enumeration._stratum_tasks
 
@@ -115,15 +123,15 @@ def test_master_cache_serves_what_it_covers(monkeypatch, fresh_verify_memo):
     memo = fresh_verify_memo
     full = _verify_master(3000, 1)
     assert _verify_master(3000, 1) is full
-    small = _verify_master(1000, 1)
+    assert _verify_master(1000, 1) is full
     assert builds == [(3000, 1)] and memo == {1: full}
-    assert (small.limit, small.sign, small.sublattice) == (1000, None, 1)
+    assert (full.limit, full.sign, full.sublattice) == (3000, None, 1)
     keep = np.abs(full.disc) <= 1000
     assert 0 < keep.sum() < len(full)
-    for name in _COLUMNS:
-        have, want = getattr(small, name), getattr(full, name)[keep]
-        assert (have.dtype, have.shape) == (want.dtype, want.shape), name
-        assert have.tobytes() == want.tobytes(), name
+    for lattice in (1, 3):
+        rows = np.concatenate([full.select(lattice, sign, 1000)[0] for sign in "+-"])
+        want = np.flatnonzero(keep & full.member[:, lattice - 1])
+        assert np.sort(rows).tolist() == want.tolist(), lattice
     l2 = _verify_master(27 * 300, 2)  # an L1 master serves no L2 request
     assert builds == [(3000, 1), (8100, 3)] and memo == {1: full, 2: l2}
     assert (l2.disc > 0).any() and (l2.disc < 0).any()
@@ -135,7 +143,7 @@ def test_master_cache_serves_what_it_covers(monkeypatch, fresh_verify_memo):
     assert len(builds) == 3
 
 
-def test_enumerate_builds_only_its_own_sign(monkeypatch, fresh_oracle_memo, fresh_verify_memo):
+def test_enumerate_builds_only_its_own_sign(monkeypatch, fresh_verify_memo):
     # each of the oracle's 20 pairs at max_index 300 streams only its sign's
     # tasks, at |P| <= 300 in L1 and (step 3) at 27 * 300 in L2, and builds
     # no master; the oracle builds exactly two, one per sublattice
@@ -424,7 +432,7 @@ def test_enumerate_classes_rejects_lattice_out_of_range():
             enumerate_classes(lattice, "+", 50)
 
 
-def test_lattice_is_read_as_an_index_before_any_build(monkeypatch, fresh_oracle_memo):
+def test_lattice_is_read_as_an_index_before_any_build(monkeypatch):
     # lattice is read through operator.index, like limit and max_index: a
     # float raises TypeError and an index outside 1..10 ValueError, before
     # any stratum task or box scan runs; a numpy integer is the int it holds
@@ -474,7 +482,7 @@ def test_brute_force_rejects_bad_bounds(monkeypatch):
             brute_force_classes(1, "+", max_index, box)
 
 
-def test_brute_force_stability_cap_covers_its_box(monkeypatch, fresh_oracle_memo):
+def test_brute_force_stability_cap_covers_its_box(monkeypatch):
     # every call, with no option, scans once at the stability box
     # (3 * box + 1) // 2 and groups that scan twice: at box with the cap
     # 4 * box, then at the stability box with the cap 6 * box
@@ -496,26 +504,56 @@ def test_brute_force_stability_cap_covers_its_box(monkeypatch, fresh_oracle_memo
     monkeypatch.setattr(enumeration, "_box_survivors", scanning)
     monkeypatch.setattr(enumeration, "_group_box_orbits", record_caps)
     for box in (1, 9, 10):
-        brute_force_classes(1, "+", 20, box)
+        brute_force_classes(1, "+", 4, box)  # 4 * 1: the reach of box 1
     assert scans == [2, 14, 15]
     assert caps == [(1, 4), (2, 6), (9, 36), (14, 54), (10, 40), (15, 60)]
 
 
-def test_brute_force_misses_an_orbit_past_four_boxes():
+def test_brute_force_refuses_an_index_past_four_boxes(monkeypatch):
     # (9, 3, 3, 0), of index 33 = 4 * 8 + 1 in L2-, has no form in the box
-    # [-8, 8]^4 (cli._oracle_bounds): the oracle at box 8 lacks its class,
-    # and the stability grouping at box 12 sees it and warns
+    # [-8, 8]^4 (enumeration._check_reach): the oracle at box 8 refuses
+    # index 33 before any scan, where it would lack that class
     fast = enumerate_classes(2, "-", 33)
     assert (33, (9, 3, 3, 0)) in zip(fast.n.tolist(), map(tuple, fast.reps.tolist()))
     assert fast.class_multiset().count((33, 1, False)) == 1
-    with pytest.warns(UserWarning, match=r"unstable under box growth \(8 -> 12\) for \(L2, -\)"):
-        slow = brute_force_classes(2, "-", 33, 8)
-    assert (33, 1, False) not in slow.class_multiset()
+    scans = []
+    box_survivors = enumeration._box_survivors
+
+    def scanning(box, p_limit, family):
+        scans.append(box)
+        return box_survivors(box, p_limit, family)
+
+    monkeypatch.setattr(enumeration, "_box_survivors", scanning)
+    with pytest.raises(ValueError, match=r"index 33 exceeds 4 \* box = 32, the oracle's reach"):
+        brute_force_classes(2, "-", 33, 8)
+    assert scans == []
     # one index lower, the two agree with no warning
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         slow = brute_force_classes(2, "-", 32, 8)
+    assert scans == [12]
     assert slow.class_multiset() == enumerate_classes(2, "-", 32).class_multiset()
+
+
+def test_brute_force_refuses_past_its_reach_before_any_scan(monkeypatch):
+    # at box 100 the oracle would lack a class of index 401 in L2- and in
+    # L6- (the class of (101, 3, 3, 0)); the library refuses both before
+    # any scan, and its earlier checks keep their own messages
+    def no_scan(box, p_limit, family):
+        raise AssertionError("box scan started")
+
+    monkeypatch.setattr(enumeration, "_box_survivors", no_scan)
+    for lattice in (2, 6):
+        with pytest.raises(ValueError, match=r"index 401 exceeds 4 \* box = 400"):
+            brute_force_classes(lattice, "-", 401, 100)
+    for args, match in (
+        ((2, "x", 401, 100), "sign must be"),
+        ((11, "-", 401, 100), "lattice index must be 1..10"),
+        ((2, "-", 401, 304), "int64 safety bound 455"),
+        ((1, "-", MAX_LIMIT + 1, 100), f"int64 safety bound {MAX_LIMIT}"),
+    ):
+        with pytest.raises(ValueError, match=match):
+            brute_force_classes(*args)
 
 
 def test_brute_force_tiny():
@@ -601,12 +639,14 @@ def test_group_box_orbits_checks_the_scan():
             enumeration._group_box_orbits(survivors[~drop], box, p_limit, cap, family)
 
 
-def test_oracle_memo_is_bounded_and_shared(monkeypatch, fresh_oracle_memo):
+def test_oracle_scans_once_per_sublattice_and_keeps_nothing(monkeypatch):
     # verify_oracle's 20 pairs scan each sublattice once and group each scan
-    # twice (box, then the stability box): 2 scans, 4 searches, 18 memo
-    # hits; the memo holds at most two groupings, whatever the boxes
-    scans, caps = [], []
+    # twice (box, then the stability box): 2 scans, 4 searches; every
+    # brute_force_classes call of its own scans once, and no grouping
+    # outlives the call that made it
+    scans, caps, groupings = [], [], []
     box_survivors = enumeration._box_survivors
+    group_box_orbits = enumeration._group_box_orbits
 
     def scanning(box, p_limit, family):
         scans.append((box, p_limit, family))
@@ -616,23 +656,23 @@ def test_oracle_memo_is_bounded_and_shared(monkeypatch, fresh_oracle_memo):
         caps.append(cap)
         return orbit_bfs(forms, cap)
 
+    def grouping(*args):
+        orbits = group_box_orbits(*args)
+        groupings.append(weakref.ref(orbits))
+        return orbits
+
     monkeypatch.setattr(enumeration, "_box_survivors", scanning)
     monkeypatch.setattr(enumeration, "orbit_bfs", searching)
+    monkeypatch.setattr(enumeration, "_group_box_orbits", grouping)
     assert verify_oracle(60, 30).passed
     assert scans == [(45, 60, 1), (45, 27 * 60, 2)]
     assert caps == [120, 180, 120, 180]
-    info = fresh_oracle_memo.cache_info()
-    assert (info.hits, info.misses, info.currsize) == (18, 2, 2)
-    # the key is (p_limit, box, sublattice): both groupings are held
-    for key in ((60, 30, 1), (27 * 60, 30, 2)):
-        orbits, wider = fresh_oracle_memo(*key)
-        assert (orbits.limit, wider.limit, orbits.sublattice) == (key[0], key[0], key[2])
-    assert len(scans) == 2 and fresh_oracle_memo.cache_info().hits == 20
     for box in (8, 9, 10):
         brute_force_classes(1, "+", 20, box)
-        assert fresh_oracle_memo.cache_info().currsize == 2
-    brute_force_classes(1, "-", 20, 10)  # the box 10 grouping, held
-    assert len(scans) == 5 and fresh_oracle_memo.cache_info().hits == 21
+    brute_force_classes(1, "-", 20, 10)  # the same grouping, made again
+    assert scans[2:] == [(12, 20, 1), (14, 20, 1), (15, 20, 1), (15, 20, 1)]
+    gc.collect()
+    assert len(groupings) == 12 and all(ref() is None for ref in groupings)
 
 
 def test_brute_force_matches_enumeration_small():

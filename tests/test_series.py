@@ -554,8 +554,8 @@ def test_verify_all_shares_one_master_per_sublattice(monkeypatch, capsys, fresh_
     # `verify --suite all` builds a master only where a suite reads past the
     # memo's (series._verify_master): the tables at index 51 (L1 at 51, L2
     # at 27 * 51), then the relations at 300; every later suite, the oracle
-    # included, reads those two or their cuts, and the memo ends with one
-    # master per sublattice
+    # included, reads those two, and the memo ends with one master per
+    # sublattice
     builds = []
 
     def recording(limit, *, sublattice=1):
