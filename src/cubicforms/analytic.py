@@ -142,11 +142,13 @@ def _eta(s: float, n: int = 60) -> float:
 
 # The domain of zeta.  Against mpmath the absolute error is at most 4.3e-13
 # on [-2.5, 0] (a sweep in steps of 1/256) and passes 1e-12 near s = -2.83
-# (the series is 0.0089 off at s = -10).  From s = 55 up the series gives
-# exactly 1.0 (a sweep in steps of 1/512), zeta(s) to double precision, and
-# past s = 173.3 its terms (k + 1)^s overflow.  tests/test_analytic.py
-# sweeps both ends.
-ZETA_MIN, ZETA_ONE = -2.5, 55.0
+# (the series is 0.0089 off at s = -10).  From s = 53.5 up zeta(s) rounds
+# to 1.0: comparing the sum with an integral, sum_{k >= 2} k^-s <=
+# 2^-s + int_2^inf x^-s dx = 2^-s (1 + 2 / (s - 1)) < 2^-53 there, less
+# than half the spacing 2^-52 of doubles above 1.  The series itself is an
+# ulp high on [53.5, 55), and past s = 173.3 its terms (k + 1)^s overflow.
+# tests/test_analytic.py sweeps both ends.
+ZETA_MIN, ZETA_ONE = -2.5, 53.5
 
 
 def zeta(s: float) -> float:

@@ -54,16 +54,17 @@ tail.  Integer arithmetic is int64, exact to MAX_LIMIT (~2.3e9).
 The brute-force oracle shares none of the strata.  It scans [-s, s]^4
 once, s the stability box (3 * box + 1) // 2 (_box_survivors: the same
 exact d-windows of forms, up to MAX_BOX, over one eighth of the box, after
-an exact Hessian cut), and keeps one seed per +-pair: the lesser
-(reduction._lesser_of_pair) of each scanned form and of its images under
-f(x, -y), f(y, x) and both.  It groups the seeds into orbits by BFS under
-u(+-1), w twice: at box (cap 4 * box) and at s (cap 6 * box), with a
-warning if the class multiset changes.  Each grouping is one orbit_bfs
-search from every in-box seed at once; the least seed of a closure owns
-it and is its lexmin in-box member, the orbit's representative.
-Each grouping computes the columns of its representatives (discriminant,
-lattice membership, stabilizer order, irreducibility) with the scalar
-functions, once, and every (lattice, sign) selects from them.
+an exact Hessian cut), and keeps one seed per <w>-class {+-f, +-w f}: the
+least (reduction._lesser_of_class) of each scanned form and of its image
+under f(x, -y).  It groups the seeds into orbits by BFS under u(+-1), w
+twice: at box (cap 4 * box) and at s (cap 6 * box), with a warning if the
+class multiset changes.  Each grouping is one orbit_bfs search from every
+in-box seed at once; the least seed of a closure owns it and is its
+lexmin in-box member, the orbit's representative.  Each grouping computes
+the discriminant and lattice membership of its representatives; the
+stabilizer order and irreducibility come from the scalar functions, once
+per orbit of the wider grouping, which the narrower one reads through its
+representatives' owners there.  Every (lattice, sign) selects from them.
 
 The master rows and an oracle grouping are both MasterClasses: orbit
 columns (representative, discriminant, stabilizer order, irreducibility,
@@ -109,7 +110,7 @@ from .forms import (
 )
 from .reduction import (
     _canonical_pos,
-    _lesser_of_pair,
+    _lesser_of_class,
     _lex_less,
     _pos_stab_column,
     orbit_bfs,
@@ -936,10 +937,10 @@ _MIRROR = np.array([1, -1, 1, -1], dtype=np.int64)
 
 
 def _box_survivors(box: int, p_limit: int, sublattice: int) -> np.ndarray:
-    """The seeds of the box: one form of each +-pair in [-box, box]^4 with
-    1 <= |P| <= p_limit, the lesser (reduction._lesser_of_pair), in
-    lexicographic order, each once, in the sublattice L1 or L2 (b, c in
-    3Z: _STEPS).
+    """The seeds of the box: one form of each <w>-class {+-f, +-w f} in
+    [-box, box]^4 with 1 <= |P| <= p_limit, the least
+    (reduction._lesser_of_class), in lexicographic order, each once, in
+    the sublattice L1 or L2 (b, c in 3Z: _STEPS).
 
     The box, P and L2 are invariant under the signed permutations of GL2(Z):
     f(x, -y) = (a, -b, c, -d), f(y, x) = (d, c, b, a) and f(-x, -y) = -f
@@ -948,12 +949,14 @@ def _box_survivors(box: int, p_limit: int, sublattice: int) -> np.ndarray:
     a >= 0 and f(x, -y) then b >= 0; if still |c| > b, f(y, x) and then
     f(-x, y) = (-a, b, -c, d) and f(x, -y) as needed give a' >= 0 and
     b' = |c| > b = |c'|.  (At a = b = 0 the domain forces c = 0, hence
-    P = 0.)  Only that domain is scanned.  With -f the maps generate the
-    group (order 8, with -f = (f(y, x) o f(x, -y))^2), so its images under
-    the identity, f(x, -y), f(y, x) and both meet every +-pair; each image
-    goes through _lesser_of_pair, and a lexicographic sort with an
-    adjacent-row diff drops the pairs met twice (the domain's edges
-    a = 0, b = 0, |c| = b).
+    P = 0.)  Only that domain is scanned.  The maps generate a group of
+    order 8, in which w f = (d, -c, b, -a), f(x, -y) after f(y, x),
+    generates the classes' group of order 4 (w^2 f = -f), and the other
+    coset is f(x, -y) <w>.  So the images of the domain under the identity
+    and f(x, -y) meet every class; each image goes through
+    _lesser_of_class, and a lexicographic sort with an adjacent-row diff
+    drops the classes met twice (the domain's edges a = 0, b = 0,
+    |c| = b).
 
     For a >= 1, 27 a^2 P = 4 H^3 - G^2 with H = b^2 - 3ac (the Hessian's
     A) and G = 2b^3 - 9abc + 27a^2 d, so P >= -p_limit needs H >= -h0
@@ -977,54 +980,65 @@ def _box_survivors(box: int, p_limit: int, sublattice: int) -> np.ndarray:
         chunks.append(np.compress((p != 0) & (np.abs(p) <= p_limit), rows.T, axis=1).T)
     rows = _ranges_to_rows(chunks)
     rows = np.concatenate([rows, rows * _MIRROR])
-    rows = np.concatenate([rows, rows[:, ::-1]])
-    _lesser_of_pair(rows)
+    _lesser_of_class(rows)
     rows = rows[_lex_order(rows.T)]
     fresh = (rows[1:] != rows[:-1]).any(axis=1)
     return np.concatenate([rows[:1], rows[1:][fresh]])
 
 
-def _group_box_orbits(
-    survivors: np.ndarray, box: int, p_limit: int, cap: int, sublattice: int
-) -> MasterClasses:
-    """Group the box survivors into orbits: their lexmin in-box reps, in
-    lexicographic order, and the columns of each.  survivors are the seeds
-    of _box_survivors at a box >= box (_oracle_orbits), cut to box here.
+def _group_box_orbits(survivors: np.ndarray, box: int, cap: int) -> tuple:
+    """(inside, owner): the indices of the survivors in the box, the seeds
+    of one orbit_bfs search within the cap, and for each seed the index of
+    the survivor that owns its closure.  survivors are the seeds of
+    _box_survivors at a box >= box (_oracle_orbits).
 
-    One orbit_bfs call from all the seeds groups them.  A closure is
-    closed under negation, so its lexmin in-box member is a seed, the least
-    one: the representative, the seed that owns itself.  A closure's in-box
-    members are all a seed or its negation (they share P, and L2 is
-    invariant), so no form reached past the seeds may lie in the box.
+    Each seed is the least form of its <w>-class, and the box is invariant
+    under negation and w, so a closure's lexmin in-box member is a seed,
+    the least one, which owns it: the representative.  A closure's in-box
+    members all lie in the class of a seed (they share P, and L2 is
+    invariant), so no class reached past the seeds may have its least form,
+    or any form, in the box.
     """
-    inside = ((survivors >= -box) & (survivors <= box)).all(axis=1)
-    seeds = survivors if inside.all() else survivors[inside]
-    owner, reached = orbit_bfs(seeds, cap)
+    inside = np.flatnonzero(((survivors >= -box) & (survivors <= box)).all(axis=1))
+    owner, reached = orbit_bfs(survivors[inside], cap)
     if ((reached >= -box) & (reached <= box)).all(axis=1).any():
         raise AssertionError("a closure's in-box member is not a box survivor")
-    rows = seeds[owner == np.arange(len(seeds))]
-    reps = list(map(tuple, rows.tolist()))
-    cols = rows.T
-    return MasterClasses(
-        p_limit,
-        rows,
-        discriminant(cols),
-        np.array([stabilizer_order(f) for f in reps], dtype=np.int8),
-        np.array([is_irreducible(f) for f in reps], dtype=bool),
-        _residue_row(cols).astype(np.uint16),
-        sublattice=sublattice,
-    )
+    return inside, inside[owner]
 
 
 def _oracle_orbits(p_limit: int, box: int, sublattice: int) -> tuple:
-    """(orbits, wider): the _group_box_orbits groupings at box, cap 4 * box,
-    and at stability_box(box), cap 6 * box, of one scan at the larger box."""
+    """(orbits, wider): the orbits of the _group_box_orbits groupings at
+    box, cap 4 * box, and at stability_box(box), cap 6 * box, of one scan
+    at the larger box, as MasterClasses: the representatives in
+    lexicographic order and the columns of each.
+
+    The stabilizer order and irreducibility are orbit invariants, computed
+    with the scalar functions once, on the representatives of the wider
+    grouping, whose seeds are every survivor.  Every survivor reads them
+    through its owner there, the narrower grouping's representatives too.
+    """
     scan_box = stability_box(box)
     survivors = _box_survivors(scan_box, p_limit, sublattice)
-    return (
-        _group_box_orbits(survivors, box, p_limit, 4 * box, sublattice),
-        _group_box_orbits(survivors, scan_box, p_limit, 6 * box, sublattice),
+    groupings = (
+        _group_box_orbits(survivors, box, 4 * box),
+        _group_box_orbits(survivors, scan_box, 6 * box),
     )
+    _, owner = groupings[1]
+    head = owner == np.arange(len(owner))
+    reps = list(map(tuple, survivors[head].tolist()))
+    orbit = (np.cumsum(head) - 1)[owner]  # each survivor's row among reps
+    stab = np.array([stabilizer_order(f) for f in reps], dtype=np.int8)[orbit]
+    irred = np.array([is_irreducible(f) for f in reps], dtype=bool)[orbit]
+    tables = []
+    for inside, owner in groupings:
+        heads = inside[owner == inside]
+        rows = survivors[heads]
+        cols = rows.T
+        tables.append(MasterClasses(
+            p_limit, rows, discriminant(cols), stab[heads], irred[heads],
+            _residue_row(cols).astype(np.uint16), sublattice=sublattice,
+        ))
+    return tuple(tables)
 
 
 def brute_force_classes(
@@ -1033,8 +1047,8 @@ def brute_force_classes(
     """Independent oracle: box enumeration + BFS orbit grouping, returned as
     the ClassTable of the pair, in the order of enumerate_classes.
 
-    The survivors of the scan are grouped by one orbit_bfs search from all
-    of them (_group_box_orbits), and each orbit is named by its lexmin
+    The seeds of the scan are grouped by one orbit_bfs search from all of
+    them (_group_box_orbits), and each orbit is named by its lexmin
     in-box form.  Correct only when every orbit with index <= max_index has
     a member in [-box, box]^4 and box members are BFS-connected within the
     cap 4 * box.  Every call repeats the run at stability_box(box) =

@@ -136,6 +136,22 @@ def _lesser_of_pair(rows: np.ndarray) -> None:
     rows[(x1 > 0) | ((x1 == 0) & (x2 > 0))] *= -1
 
 
+_W_SIGNS = np.array([1, -1, 1, -1], dtype=np.int64)  # w f = f[::-1] * _W_SIGNS
+
+
+def _lesser_of_class(rows: np.ndarray) -> None:
+    """Replace each row f of an (N, 4) array (int64 or object, P != 0) in
+    place by the least form of its <w>-class {+-f, +-w f}, w f = (x4, -x3,
+    x2, -x1): the lesser of the +-pair rule's forms for f and for w f.
+    w f = f or -f forces x1 = x4 = 0 and x2 = x3 = 0, so each class of a
+    nonzero form is exactly two +-pairs.  The one class rule."""
+    turned = rows[:, ::-1] * _W_SIGNS
+    _lesser_of_pair(rows)
+    _lesser_of_pair(turned)
+    less = _lex_less(turned, rows)
+    rows[less] = turned[less]
+
+
 def _canonical_pos(rows: np.ndarray) -> np.ndarray:
     """Canonical representatives for P > 0, given Hessian-reduced rows (an
     (N, 4) array; dtype object keeps big ints exact): the lex-least weakly
@@ -268,7 +284,7 @@ def canonical_reduce(f) -> CubicForm:
 # most 2^63 - 1 iff W <= floor(2^(63/4)) = 55 108, i.e. cap <= 27 553.
 # Past that cap the keys are Python ints in object arrays.
 _INT64_KEY_CAP = (isqrt(isqrt(2 ** 63)) - 1) // 2
-_BFS_BLOCK = 4096  # frontier pairs expanded at once
+_BFS_BLOCK = 4096  # frontier classes expanded at once
 
 
 def _int_rows(forms) -> np.ndarray:
@@ -291,6 +307,15 @@ def _pair_keys(x0, x1, x2, x3, cap: int, width: int, top: int):
     return np.minimum(key, top - key)
 
 
+def _class_keys(x0, x1, x2, x3, cap: int, width: int, top: int):
+    """The key of the <w>-class of each form of the cap box, given as
+    columns: the lesser of the pair keys of f and w f = (x4, -x3, x2, -x1),
+    the key of _lesser_of_class's form, since the keys follow the row
+    order."""
+    return np.minimum(_pair_keys(x0, x1, x2, x3, cap, width, top),
+                      _pair_keys(x3, -x2, x1, -x0, cap, width, top))
+
+
 def _key_forms(keys, cap: int, width: int, out=None) -> np.ndarray:
     """The forms with the given keys, as rows of out (made if None)."""
     if out is None:
@@ -301,23 +326,31 @@ def _key_forms(keys, cap: int, width: int, out=None) -> np.ndarray:
     return out
 
 
-def _seed_pairs(seeds: np.ndarray, cap: int, dtype, width: int, top: int) -> tuple:
-    """The pair keys of the seeds in the cap box, and their indices."""
+def _seed_classes(seeds: np.ndarray, cap: int, dtype, width: int, top: int) -> tuple:
+    """The class keys of the seeds in the cap box, and their indices."""
     inside = np.flatnonzero(((seeds >= -cap) & (seeds <= cap)).all(axis=1))
     rows = seeds if len(inside) == len(seeds) else seeds[inside]
-    return _pair_keys(*rows.astype(dtype, copy=False).T, cap, width, top), inside
+    return _class_keys(*rows.astype(dtype, copy=False).T, cap, width, top), inside
 
 
-def _images(x0, x1, x2, x3, cap: int) -> list:
-    """The images u(1) f, u(-1) f and w f that lie in the cap box, of the
-    forms f of the box given as columns: the columns of the images and the
-    index of the form each came from."""
+def _u_images(x0, x1, x2, x3, at, cap: int) -> tuple:
+    """The images u(1) f and u(-1) f that lie in the cap box, of the forms
+    f of the box given as columns: two tuples of their columns and the
+    entries of at of the forms they came from."""
     even, odd, mid, s, t = x0 + x2, x1 + x3, x1 + 3 * x3, 2 * x2, 3 * x3
-    at = np.arange(len(x0))
-    parts = [(x3, -x2, x1, -x0, at)]  # w
+    parts = []
     for y0, y1, y2 in ((even + odd, mid + s, x2 + t), (even - odd, mid - s, x2 - t)):
         ok = (abs(y0) <= cap) & (abs(y1) <= cap) & (abs(y2) <= cap)
         parts.append((y0[ok], y1[ok], y2[ok], x3[ok], at[ok]))
+    return tuple(parts)
+
+
+def _images(x0, x1, x2, x3, cap: int) -> list:
+    """The images u(1) f, u(-1) f, u(1) w f and u(-1) w f that lie in the
+    cap box, of the forms f of the box given as columns: the columns of the
+    images and the index of the form each came from."""
+    at = np.arange(len(x0))
+    parts = _u_images(x0, x1, x2, x3, at, cap) + _u_images(x3, -x2, x1, -x0, at, cap)
     return [np.concatenate(col) for col in zip(*parts)]
 
 
@@ -340,7 +373,7 @@ def _union(owner: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
 
 
 def _fold(keys, labels, edges: list) -> tuple:
-    """The pairs sorted by key, one of each key; the labels of equal keys
+    """The classes sorted by key, one of each key; the labels of equal keys
     go to edges."""
     order = np.argsort(keys)
     keys, labels = keys[order], labels[order]
@@ -357,28 +390,32 @@ def orbit_bfs(forms, cap: int) -> tuple:
 
     forms is an (N, 4) array of seeds.  Returns (owner, reached): owner[i]
     is the least index of a seed in the same closure as seed i, and reached
-    holds the forms reached that are not seeds, the lexicographically
-    lesser of each +-pair.  So the closure of a single seed f in the cap is
-    {+-f} with +-reached; a seed past the cap is not expanded, its closure
-    is {f} and its owner itself.
+    holds the <w>-classes {+-f, +-w f} reached that hold no seed, the least
+    form of each (_lesser_of_class).  So the closure of a single seed f in
+    the cap is {+-f, +-w f} with the classes of reached; a seed past the
+    cap is not expanded, its closure is {f} and its owner itself.
 
-    The images are written out: u(+-1) (x1, x2, x3, x4) = (x1 +- x2 + x3 +-
-    x4, x2 +- 2 x3 + 3 x4, x3 +- 3 x4, x4), and w (x1, x2, x3, x4) = (x4,
-    -x3, x2, -x1).  u(+-1) keep x4, so only the three coefficients they
-    change are tested against the cap; w never leaves it.  The search runs
-    on +-pairs, one packed key each (_INT64_KEY_CAP), the lesser of key(f)
-    and key(-f) (_pair_keys): since the keys follow the row order, that is
-    the key of _lesser_of_pair's form, the same rule.  w^2 = -I acts as -1,
-    so a closure in the cap is closed under negation, and the images of -f
-    are those of f negated.  u(1) and u(-1) are inverse and w^-1 = -w, so
-    the graph on pairs is undirected: a pair found from level k (its
+    The search runs on classes: w^2 = -I acts as -1 and the cap box is
+    invariant under negation and w, so a closure in the cap is a union of
+    classes, and no nonzero form has w f = +-f, so each class is two
+    +-pairs.  A class is expanded once, from its least form f, into
+    u(1) f, u(-1) f, u(1) w f and u(-1) w f: the images of -f and -w f are
+    those negated, and w keeps the class.  The images are written out:
+    u(+-1) (x1, x2, x3, x4) = (x1 +- x2 + x3 +- x4, x2 +- 2 x3 + 3 x4,
+    x3 +- 3 x4, x4), and w (x1, x2, x3, x4) = (x4, -x3, x2, -x1); u(+-1)
+    keep x4, so only the three coefficients they change are tested against
+    the cap.  Each class has one packed key (_INT64_KEY_CAP), the least of
+    the keys of its four forms (_class_keys): since the keys follow the
+    row order, that is the key of _lesser_of_class's form, the same rule.
+    u(1) and u(-1) are inverse and act on every form of a class, so the
+    graph on classes is undirected: a class found from level k (its
     distance to the nearest seed) lies at level k - 1, k or k + 1.  Each
     level's candidates are deduplicated by sort and tested against the
     sorted keys of levels k - 1 and k only, with no global visited set.
-    Every seed starts as its own label, a new pair takes the label of the
-    pair it was found from, and every edge between two labels is folded
+    Every seed starts as its own label, a new class takes the label of the
+    class it was found from, and every edge between two labels is folded
     into a min-label union over the seed indices (_union).  The frontier
-    is expanded in blocks of _BFS_BLOCK pairs, one union per block.
+    is expanded in blocks of _BFS_BLOCK classes, one union per block.
 
     The keys are int64 for cap <= _INT64_KEY_CAP and Python ints in object
     arrays past it, so the search is exact at every cap.  ValueError for a
@@ -395,7 +432,7 @@ def orbit_bfs(forms, cap: int) -> tuple:
     top = width ** 4 - 1
     owner = np.arange(len(seeds))
     edges = []
-    level = _fold(*_seed_pairs(seeds, cap, dtype, width, top), edges)
+    level = _fold(*_seed_classes(seeds, cap, dtype, width, top), edges)
     _union(owner, *map(np.concatenate, zip(*edges)))
     prev = level[0][:0], level[1][:0]
     found = []
@@ -406,7 +443,7 @@ def orbit_bfs(forms, cap: int) -> tuple:
             *images, at = _images(*_key_forms(block, cap, width).T, cap)
             labels = level[1][start : start + _BFS_BLOCK][at]
             edges = []
-            keys, labels = _fold(_pair_keys(*images, cap, width, top), labels, edges)
+            keys, labels = _fold(_class_keys(*images, cap, width, top), labels, edges)
             for known, known_labels in (prev, level):
                 if not len(known):
                     continue

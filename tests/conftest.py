@@ -129,7 +129,8 @@ def _act_orbit_bfs(f, cap: int) -> frozenset:
     """The BFS closure of {f} under u(1), u(-1), w within |coeff| <= cap,
     taking every image with a scalar act call and testing all four
     coefficients of each against the cap, where orbit_bfs writes the images
-    out, tests only the changed ones and expands one form of each +-pair.
+    out, tests only the changed ones and expands one form of each
+    <w>-class.
     Memoised by (f, cap): tests that repeat a search share one closure."""
     return _act_closure(tuple(f), cap)
 
@@ -155,25 +156,39 @@ def reference_orbit_bfs():
     return _act_orbit_bfs
 
 
+def _w_class(x: tuple) -> set:
+    """The <w>-class {+-x, +-w x} of the form x, w x = (x4, -x3, x2, -x1)
+    (act(W, x), checked in tests/test_reduction.py)."""
+    a, b, c, d = x
+    return {(a, b, c, d), (-a, -b, -c, -d), (d, -c, b, -a), (-d, c, -b, a)}
+
+
 def _bfs_closure(f, cap: int) -> set:
     """The closure of the one seed f under u(1), u(-1), w within the cap,
     as a set of tuples, from one orbit_bfs call: {f} past the cap, else
-    {+-f} with the forms of reached and their negations."""
+    the <w>-classes of f and of the forms of reached, each of which is the
+    least of its class."""
     owner, reached = orbit_bfs([f], cap)
     assert owner.tolist() == [0]
     start = tuple(map(index, f))
     if max(map(abs, start)) > cap:
         assert reached.shape == (0, 4)
         return {start}
-    pairs = [start, *map(tuple, reached.tolist())]
-    closure = {y for x in pairs for y in (x, tuple(-t for t in x))}
-    assert len(closure) == 2 * len(pairs)  # one of each +-pair, none a seed
+    got = list(map(tuple, reached.tolist()))
+    assert all(x == min(_w_class(x)) for x in got)
+    closure = set().union(*map(_w_class, [start, *got]))
+    assert len(closure) == 4 * (1 + len(got))  # four forms a class, none the seed's
     return closure
 
 
 @pytest.fixture(scope="session")
 def bfs_closure():
     return _bfs_closure
+
+
+@pytest.fixture(scope="session")
+def w_class():
+    return _w_class
 
 
 def _scan_pos_stratum(a: int, limit: int) -> np.ndarray:

@@ -32,20 +32,33 @@ def test_zeta_against_mpmath():
 
 def test_zeta_sweep_against_mpmath_and_its_domain():
     # [ZETA_MIN, 60] in steps of 1/16 but s = 1: within 1e-12, relative to
-    # |zeta| past 1 (near the pole); from ZETA_ONE up the series itself
-    # gives 1.0, so the shortcut changes no value
+    # |zeta| past 1 (near the pole); from 55 up the series itself gives
+    # 1.0, so the shortcut changes no value there
     for k in range(int(16 * ZETA_MIN), 16 * 60 + 1):
         s = k / 16
         if s != 1:
             want = float(mpmath.zeta(s))
             assert abs(zeta(s) - want) <= 1e-12 * max(1.0, abs(want)), s
-    for k in range(int(8 * ZETA_ONE), 8 * 173 + 1):
+    for k in range(8 * 55, 8 * 173 + 1):
         s = k / 8
         assert analytic._eta(s) / (1.0 - 2.0 ** (1.0 - s)) == zeta(s) == 1.0, s
     assert zeta(175.0) == zeta(1e300) == zeta(math.inf) == 1.0
     for s in (1, 1.0, ZETA_MIN - 2 ** -40, -3.0, -10.0, -30.0, math.nan, -math.inf):
         with pytest.raises(ValueError, match="zeta is answered on"):
             zeta(s)
+
+
+def test_zeta_rounds_to_one_from_zeta_one_up():
+    # on [ZETA_ONE, 56] in steps of 1/512, zeta(s) to 30 digits rounds to
+    # 1.0, and so does zeta, where the series is an ulp high at s = 54; at
+    # s = 53, where 2^-s is 2^-53, zeta(s) rounds up, and the series has it
+    assert ZETA_ONE == 53.5
+    with mpmath.workdps(30):
+        for k in range(int(512 * ZETA_ONE), 512 * 56 + 1):
+            s = k / 512
+            assert float(mpmath.zeta(s)) == zeta(s) == 1.0, s
+        assert float(mpmath.zeta(53)) == zeta(53.0) == 1.0000000000000002
+    assert analytic._eta(54.0) / (1.0 - 2.0 ** -53.0) == 1.0000000000000002
 
 
 def test_density_prediction_rejects_x_it_cannot_answer():

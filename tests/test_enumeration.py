@@ -31,7 +31,7 @@ from cubicforms.series import _verify_master, count_orbits
 from cubicforms.reduction import (
     _canonical_pos,
     _in_open_domain,
-    _lesser_of_pair,
+    _lesser_of_class,
     _s2_above_one,
     canonical_reduce,
     orbit_bfs,
@@ -488,18 +488,15 @@ def test_brute_force_stability_cap_covers_its_box(monkeypatch):
     # 4 * box, then at the stability box with the cap 6 * box
     scans, caps = [], []
     box_survivors = enumeration._box_survivors
+    group_box_orbits = enumeration._group_box_orbits
 
     def scanning(box, p_limit, family):
         scans.append(box)
         return box_survivors(box, p_limit, family)
 
-    def record_caps(survivors, box, p_limit, cap, family):
+    def record_caps(survivors, box, cap):
         caps.append((box, cap))
-        no_rows = np.empty((0, 4), dtype=np.int64)
-        return enumeration.MasterClasses(
-            p_limit, no_rows, no_rows[:, 0], no_rows[:, 0].astype(np.int8), no_rows[:, 0] != 0,
-            no_rows[:, 0].astype(np.uint16),
-        )
+        return group_box_orbits(survivors, box, cap)
 
     monkeypatch.setattr(enumeration, "_box_survivors", scanning)
     monkeypatch.setattr(enumeration, "_group_box_orbits", record_caps)
@@ -564,9 +561,8 @@ def test_brute_force_tiny():
 @pytest.mark.parametrize("family, p_limit", [(1, 60), (2, 27 * 12)])
 def test_group_box_orbits_reps_are_lexmin_in_box(reference_orbit_bfs, family, p_limit):
     # grouped at box from the survivors of the scan at the stability box
-    box, cap = 12, 48
-    survivors = enumeration._box_survivors(enumeration.stability_box(box), p_limit, family)
-    orbits = enumeration._group_box_orbits(survivors, box, p_limit, cap, family)
+    box, cap = 12, 48  # the narrower grouping of _oracle_orbits
+    orbits = enumeration._oracle_orbits(p_limit, box, family)[0]
     assert orbits.limit == p_limit
     assert orbits.reps.dtype == np.int64 and orbits.reps.shape == (len(orbits), 4)
     reps = list(map(tuple, orbits.reps.tolist()))
@@ -589,7 +585,7 @@ def test_group_box_orbits_reps_are_lexmin_in_box(reference_orbit_bfs, family, p_
     assert orbits.irred.tolist() == [is_irreducible(f) for f in reps]
 
 
-def test_group_box_orbits_one_bfs_per_grouping(monkeypatch, reference_orbit_bfs):
+def test_group_box_orbits_one_bfs_per_grouping(monkeypatch, reference_orbit_bfs, w_class):
     box, cap = 20, 80
     calls = []
 
@@ -601,8 +597,8 @@ def test_group_box_orbits_one_bfs_per_grouping(monkeypatch, reference_orbit_bfs)
     for family, p_limit in ((1, 100), (2, 27 * 100)):
         calls.clear()
         scan = enumeration._box_survivors(box, p_limit, family)
-        orbits = enumeration._group_box_orbits(scan, box, p_limit, cap, family)
-        reps = list(map(tuple, orbits.reps.tolist()))
+        inside, owner = enumeration._group_box_orbits(scan, box, cap)
+        reps = list(map(tuple, scan[inside[owner == inside]].tolist()))
         # reference: the in-box members of each closure, one act-based BFS
         # per seed until every survivor is held
         survivors = scan.tolist()
@@ -615,12 +611,12 @@ def test_group_box_orbits_one_bfs_per_grouping(monkeypatch, reference_orbit_bfs)
             closures.append(members)
         assert reps == sorted(min(members) for members in closures), family
         # one call, seeded in lexicographic order with one form of every
-        # +-pair of survivors, the lesser
-        pairs = sorted({min(tuple(x), tuple(-t for t in x)) for x in survivors})
+        # <w>-class of survivors, the least
+        classes = sorted({min(w_class(tuple(x))) for x in survivors})
         assert len(calls) == 1 and calls[0][1] == cap, family
-        assert list(map(tuple, calls[0][0].tolist())) == pairs, family
+        assert list(map(tuple, calls[0][0].tolist())) == classes, family
         # a second grouping of the same scan makes a second call
-        enumeration._group_box_orbits(scan, box // 2, p_limit, cap, family)
+        enumeration._group_box_orbits(scan, box // 2, cap)
         assert len(calls) == 2, family
 
 
@@ -629,14 +625,14 @@ def test_group_box_orbits_checks_the_scan():
     # AssertionError: a non-representative seed, then a representative
     box, p_limit, cap, family = 12, 60, 48, 1
     survivors = enumeration._box_survivors(box, p_limit, family)
-    orbits = enumeration._group_box_orbits(survivors, box, p_limit, cap, family)
-    reps = set(map(tuple, orbits.reps.tolist()))
+    _, owner = enumeration._group_box_orbits(survivors, box, cap)
+    reps = set(map(tuple, survivors[owner].tolist()))
     other = next(f for f in map(tuple, survivors.tolist()) if f not in reps)
     for f in (other, min(reps)):
         drop = (survivors == f).all(axis=1)
         assert drop.sum() == 1
         with pytest.raises(AssertionError, match="in-box member is not a box survivor"):
-            enumeration._group_box_orbits(survivors[~drop], box, p_limit, cap, family)
+            enumeration._group_box_orbits(survivors[~drop], box, cap)
 
 
 def test_oracle_scans_once_per_sublattice_and_keeps_nothing(monkeypatch):
@@ -657,9 +653,9 @@ def test_oracle_scans_once_per_sublattice_and_keeps_nothing(monkeypatch):
         return orbit_bfs(forms, cap)
 
     def grouping(*args):
-        orbits = group_box_orbits(*args)
-        groupings.append(weakref.ref(orbits))
-        return orbits
+        inside, owner = group_box_orbits(*args)
+        groupings.append(weakref.ref(owner))
+        return inside, owner
 
     monkeypatch.setattr(enumeration, "_box_survivors", scanning)
     monkeypatch.setattr(enumeration, "orbit_bfs", searching)
@@ -673,6 +669,39 @@ def test_oracle_scans_once_per_sublattice_and_keeps_nothing(monkeypatch):
     assert scans[2:] == [(12, 20, 1), (14, 20, 1), (15, 20, 1), (15, 20, 1)]
     gc.collect()
     assert len(groupings) == 12 and all(ref() is None for ref in groupings)
+
+
+@pytest.mark.parametrize("p_limit, box, family, sizes", [
+    (1200, 60, 1, [1903, 1844]),  # unstable: the narrower grouping splits orbits
+    (5400, 60, 2, [593, 593]),
+])
+def test_oracle_columns_read_through_the_wider_grouping(p_limit, box, family, sizes):
+    # the scalar columns are computed once, on the wider grouping, and the
+    # narrower one reads them through its representatives' owners there:
+    # both equal the scalar functions on every representative
+    tables = enumeration._oracle_orbits(p_limit, box, family)
+    assert [len(table) for table in tables] == sizes
+    for table in tables:
+        reps = list(map(tuple, table.reps.tolist()))
+        assert table.stab.tolist() == [stabilizer_order(f) for f in reps]
+        assert table.irred.tolist() == [is_irreducible(f) for f in reps]
+        assert table.stab.dtype == np.int8 and table.irred.dtype == bool
+
+
+def test_oracle_computes_each_scalar_column_once_per_wider_orbit(monkeypatch):
+    # criterion 9 makes one stabilizer_order and one is_irreducible call
+    # per orbit of the wider grouping of each sublattice, 1 430 in all
+    calls = []
+    for name in ("stabilizer_order", "is_irreducible"):
+        def spy(f, name=name, scalar=getattr(enumeration, name)):
+            calls.append(name)
+            return scalar(f)
+
+        monkeypatch.setattr(enumeration, name, spy)
+    assert verify_oracle(300, 100).passed
+    assert calls.count("stabilizer_order") == calls.count("is_irreducible") == 1430
+    wider = [enumeration._oracle_orbits(p_limit, 100, sub)[1] for sub, p_limit in ((1, 300), (2, 8100))]
+    assert sum(map(len, wider)) == 1430
 
 
 def test_brute_force_matches_enumeration_small():
@@ -1097,8 +1126,8 @@ def test_tangent_cases_sit_at_the_peak():
         assert family == 1 or b % 3 == c % 3 == 0
 
 
-def test_box_survivors_match_full_grid():
-    # the seeds: the grid's rows whose first nonzero coefficient is negative
+def test_box_survivors_match_full_grid(w_class):
+    # the seeds: the grid's rows that are the least of their <w>-class
     for box, p_limit, family in (
         (3, 1, 1), (6, 4, 1), (4, 8, 1), (9, 27, 1), (12, 300, 1), (20, 300, 1),
         (4, 1, 2), (6, 27, 2), (9, 4, 2), (12, 300, 2), (21, 324, 2),
@@ -1106,13 +1135,13 @@ def test_box_survivors_match_full_grid():
         got = enumeration._box_survivors(box, p_limit, family)
         assert len(np.unique(got, axis=0)) == len(got), (box, p_limit, family)
         grid = _grid_survivors(box, p_limit, family)
-        first = np.where(grid[:, 0] != 0, grid[:, 0], grid[:, 1])
-        assert np.array_equal(_lex_rows(got), grid[first < 0]), (box, p_limit, family)
+        least = [f == min(w_class(f)) for f in map(tuple, grid.tolist())]
+        assert np.array_equal(_lex_rows(got), grid[least]), (box, p_limit, family)
         rows = set(map(tuple, got.tolist()))
         for f, limit, fam in TANGENT_CASES:
             if (limit, fam) == (p_limit, family) and max(map(abs, f)) <= box:
-                pair = (f, tuple(-t for t in f))
-                assert min(pair) in rows and max(pair) not in rows
+                members = w_class(f)
+                assert rows & members == {min(members)}
 
 
 def test_tangent_cases_bind_the_hessian_cut():
@@ -1193,13 +1222,15 @@ def test_box_scan_cut_is_exactly_the_hessian_bound(monkeypatch):
 
 
 def test_box_survivors_sorted_distinct_and_closed_under_the_signed_permutations():
-    # the identity, f(x, -y), f(y, x), both and -f, each followed by
-    # _lesser_of_pair, map the seeds onto themselves
+    # the identity, f(x, -y), f(y, x), w = f(x, -y) after f(y, x), f(y, x)
+    # after f(x, -y) and -f, each followed by _lesser_of_class, map the
+    # seeds onto themselves
     mirror = np.array([1, -1, 1, -1])
     maps = (
         lambda r: r.copy(),
         lambda r: r * mirror,
         lambda r: r[:, ::-1].copy(),
+        lambda r: r[:, ::-1] * mirror,
         lambda r: (r * mirror)[:, ::-1].copy(),
         lambda r: -r,
     )
@@ -1210,7 +1241,7 @@ def test_box_survivors_sorted_distinct_and_closed_under_the_signed_permutations(
         assert all(x < y for x, y in zip(keys, keys[1:])), (box, p_limit, family)
         for image in maps:
             rows = image(got)
-            _lesser_of_pair(rows)
+            _lesser_of_class(rows)
             assert np.array_equal(_lex_rows(rows), got), (box, p_limit, family)
 
 

@@ -169,12 +169,13 @@ def test_orbit_bfs_shared_closures(bfs_closure):
         assert bfs_closure(other, cap=64) == closure
 
 
-def _assert_one_search(monkeypatch, seeds, cap, reference_orbit_bfs):
+def _assert_one_search(monkeypatch, seeds, cap, reference_orbit_bfs, w_class):
     """orbit_bfs on all the seeds at once against one act-based reference
     closure per orbit: seed i is owned by the least seed j whose closure
-    holds it, and reached is every other member, the lesser of each
-    +-pair.  Each pair is expanded once, into at most three images, which
-    bounds the keys made.  Returns the reached forms."""
+    holds it, and reached is every other <w>-class {+-x, +-w x} of the
+    closures, the least form of each.  Each class is expanded once, into
+    at most four images, which bounds the class keys made.  Returns the
+    reached forms."""
     seeds = np.asarray(seeds)
     rows = list(map(tuple, seeds.tolist()))
     closures, want = [], []
@@ -184,32 +185,31 @@ def _assert_one_search(monkeypatch, seeds, cap, reference_orbit_bfs):
             closures.append((i, reference_orbit_bfs(f, cap)))
             j = i
         want.append(j)
-    neg = lambda x: tuple(-t for t in x)
     members = set().union(*(closure for _, closure in closures))
-    budget = [len(rows) + 3 * len({min(x, neg(x)) for x in members})]
+    budget = [len(rows) + 4 * len({min(w_class(x)) for x in members})]
 
     def counted(*args):
-        keys = pair_keys(*args)
+        keys = class_keys(*args)
         budget[0] -= len(keys)
-        assert budget[0] >= 0, "a pair was expanded twice"
+        assert budget[0] >= 0, "a class was expanded twice"
         return keys
 
-    pair_keys = reduction._pair_keys
+    class_keys = reduction._class_keys
     with monkeypatch.context() as m:
-        m.setattr(reduction, "_pair_keys", counted)
+        m.setattr(reduction, "_class_keys", counted)
         owner, reached = orbit_bfs(seeds, cap)
     assert owner.tolist() == want
     got = list(map(tuple, reached.tolist()))
-    assert len(set(got)) == len(got) and all(x < neg(x) for x in got)
-    members -= set(rows) | set(map(neg, rows))
-    assert set(got) | set(map(neg, got)) == members
+    assert len(set(got)) == len(got) and all(x == min(w_class(x)) for x in got)
+    members -= set().union(*map(w_class, rows))
+    assert set().union(*map(w_class, got)) == members
     return reached
 
 
 @pytest.mark.parametrize("block", [4096, 61])
-def test_orbit_bfs_several_seeds_match_act_reference(monkeypatch, reference_orbit_bfs, block):
+def test_orbit_bfs_several_seeds_match_act_reference(monkeypatch, reference_orbit_bfs, w_class, block):
     # seeded random survivors of two oracle scans, each set in one call;
-    # with 61-pair blocks most levels span several blocks
+    # with 61-class blocks most levels span several blocks
     monkeypatch.setattr(reduction, "_BFS_BLOCK", block)
     for (box, p_limit, family), cap, size, seed in (
         ((40, 300, 1), 160, 400, 2026),
@@ -217,18 +217,18 @@ def test_orbit_bfs_several_seeds_match_act_reference(monkeypatch, reference_orbi
     ):
         rows = enumeration._box_survivors(box, p_limit, family)
         seeds = rows[np.random.default_rng(seed).choice(len(rows), size=size, replace=False)]
-        reached = _assert_one_search(monkeypatch, seeds, cap, reference_orbit_bfs)
+        reached = _assert_one_search(monkeypatch, seeds, cap, reference_orbit_bfs, w_class)
         owner, _ = orbit_bfs(seeds, cap)
         shared = size - len(set(owner.tolist()))
-        assert shared > size // 20 and len(reached) > 50 * size, (box, shared)
+        assert shared > size // 20 and len(reached) > 25 * size, (box, shared)
     # one seed past the cap stays its own closure among the others
     seeds = [(1, 0, -3, 1), (5, 0, 0, 7), (1, 3, 0, -1)]
-    _assert_one_search(monkeypatch, seeds, 3, reference_orbit_bfs)
+    _assert_one_search(monkeypatch, seeds, 3, reference_orbit_bfs, w_class)
     # u(1) f, f, u(-1) f and its negation: the seeds' own fold joins the
     # last two, and the first block joins all three labels at once
     f = (1, 0, -3, 1)
     seeds = [tuple(act(U1, f)), f, tuple(act(U1_INV, f)), tuple(-t for t in act(U1_INV, f))]
-    _assert_one_search(monkeypatch, seeds, 10, reference_orbit_bfs)
+    _assert_one_search(monkeypatch, seeds, 10, reference_orbit_bfs, w_class)
     assert orbit_bfs(seeds, 10)[0].tolist() == [0, 0, 0, 0]
 
 
@@ -242,16 +242,18 @@ def test_union_leaves_every_entry_at_its_least_index():
 
 
 @pytest.mark.parametrize("cap", [27553, 27554])
-def test_orbit_bfs_on_both_sides_of_the_int64_key_bound(monkeypatch, cap, reference_orbit_bfs):
+def test_orbit_bfs_on_both_sides_of_the_int64_key_bound(monkeypatch, cap, reference_orbit_bfs, w_class):
     # keys are int64 up to cap 27 553 and Python ints past it; the corner
-    # forms have the least and the largest keys, 0 and (2 cap + 1)^4 - 1
+    # forms have the least and the largest keys, 0 and (2 cap + 1)^4 - 1,
+    # and u(1) (cap - 3, 1, 1, 1) = (cap, 6, 4, 1) is a class reached at
+    # the cap
     assert cap - 27553 == (cap > reduction._INT64_KEY_CAP)
     seeds = [(0, 1, -1, 0), (-cap,) * 4, (cap, 0, 0, -cap), (cap,) * 4, (2, 3, -5, 7),
-             (1, 0, -3, 1), (-cap - 1, 0, 0, 1)]
-    reached = _assert_one_search(monkeypatch, seeds, cap, reference_orbit_bfs)
+             (1, 0, -3, 1), (-cap - 1, 0, 0, 1), (cap - 3, 1, 1, 1)]
+    reached = _assert_one_search(monkeypatch, seeds, cap, reference_orbit_bfs, w_class)
     assert reached.dtype == (np.int64 if cap <= reduction._INT64_KEY_CAP else object)
     assert np.abs(reached).max() == cap
-    assert len(reached) > 5000
+    assert len(reached) > 2500  # classes, two +-pairs each
 
 
 def test_orbit_bfs_rejects_bad_caps_and_forms():
@@ -337,6 +339,47 @@ def test_lesser_of_pair_is_the_lex_min_of_the_pair():
         assert list(map(tuple, rows.tolist())) == [
             min(f, tuple(-t for t in f)) for f in forms
         ], bits
+
+
+def test_w_moves_every_nonzero_form_off_its_pair(w_class):
+    # w f = +-f only at f = 0, so each <w>-class is exactly two +-pairs:
+    # seeded random nonzero forms, with zero coefficients in some, and
+    # every nonzero form of the box [-2, 2]^4; the w_class fixture writes
+    # w f out as act(W, f) gives it
+    r = random.Random(47)
+    forms = [tuple(r.choice((0, r.randint(-(2 ** bits), 2 ** bits))) for _ in range(4))
+             for bits in (2, 30, 70) for _ in range(500)]
+    forms += list(itertools.product(range(-2, 3), repeat=4))
+    forms = [f for f in forms if any(f)]
+    assert len(forms) > 1500
+    for f in forms:
+        wf = tuple(act(W, f))
+        assert wf != f and wf != tuple(-t for t in f), f
+        assert w_class(f) == {f, tuple(-t for t in f), wf, tuple(-t for t in wf)}, f
+
+
+@pytest.mark.parametrize("cap", [3, 27553, 27554])
+def test_class_rule_on_rows_equals_the_rule_on_keys(cap, w_class):
+    # _lesser_of_class on rows and _class_keys on packed keys give the
+    # least form of each <w>-class, on both sides of the int64 key bound:
+    # seeded random forms of the cap box with P != 0, the corners and
+    # forms with x1 = 0
+    assert (cap > reduction._INT64_KEY_CAP) == (cap == 27554)
+    dtype = np.int64 if cap <= reduction._INT64_KEY_CAP else object
+    r = random.Random(cap)
+    forms = [random_nondegenerate(r, bound=cap) for _ in range(600)]
+    forms += [(0, *f[1:]) for f in forms[:200] if discriminant((0, *f[1:]))]
+    forms += [(-cap, cap, -cap, cap), (cap, 0, 0, -cap), (0, cap, -cap, 0), (cap, cap, 0, cap)]
+    want = [min(w_class(f)) for f in forms]
+    rows = np.array(forms, dtype=dtype)
+    reduction._lesser_of_class(rows)
+    assert rows.dtype == dtype
+    assert list(map(tuple, rows.tolist())) == want
+    width = 2 * cap + 1
+    cols = np.array(forms, dtype=dtype).T
+    keys = reduction._class_keys(*cols, cap, width, width ** 4 - 1)
+    assert keys.dtype == dtype
+    assert list(map(tuple, reduction._key_forms(keys, cap, width).tolist())) == want
 
 
 def test_canonical_pos_matches_reference_on_box(reference_canonical_pos):
