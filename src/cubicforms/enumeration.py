@@ -88,7 +88,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from math import isqrt
-from itertools import groupby
+from itertools import groupby, product
 from operator import index
 
 import numpy as np
@@ -668,7 +668,7 @@ def _check_increasing(cols, stratum: str) -> None:
 
 
 # The largest limit Y at which every int64 intermediate of the strata and of
-# the column code (discriminant, hessian, the small-matrix images) stays
+# the column code (discriminant, hessian, the canonical form's images) stays
 # below 2^63.  By size, in units of Y^2:
 #   - discriminant c^2 (b^2 - 4ac) + d (b (18ac - 4b^2) - 27 a^2 d) of a
 #     reducible row (a, b, c, d) = (p, q, r, 0): r = 1 allows p up to
@@ -678,20 +678,20 @@ def _check_increasing(cols, stratum: str) -> None:
 #     ac = pr <= (q^2 r^2 + Y) / (4 r^2), and |b (18ac - 4b^2)| <= 4.5 q^3 +
 #     4.5 q Y / r^2 with q < 2r, r^2 <= Y / 3.  On a P > 0 row (0, b, c, d)
 #     the d term is -4 b^3 d, within |P| + b^2 c^2;
-#   - small-matrix images of a P > 0 row (0, b, c, d): b = 1 allows
-#     |c| <= 1 and |d| <= Y/4 + 1, so s = |b| + |c| + |d| <= Y/4 + 3.  Image
-#     coefficients are at most s (x1, x4) and 3 s (x2, x3), so a Hessian
-#     product of an image is at most 9 s^2, about 0.56 Y^2.  The stratum
-#     takes images (and their Hessians) of its A = C rows only, which have
-#     |d| <= b / 3 at a = 0, and the stabilizer column takes no images (its
-#     closed form reads 3a and 3d), so this bound is not reached;
+#   - reduction._canonical_pos forms no Hessian of an image.  Its images
+#     are n(1) f of the rows with B = -A < C, whose coefficients are at
+#     most 6 (|x1| + |x2| + |x3| + |x4|) (the largest absolute row sum of
+#     its action matrix), and w f = (x4, -x3, x2, -x1), which no
+#     coefficient outgrows.  The stratum passes its A = C rows only
+#     (_pos_rows; the hexagonal ones at a = 0 are (0, b, +-b, 0)), so it
+#     takes w f alone.  The stabilizer column takes no images (its closed
+#     form reads 3a and 3d);
 #   - in _neg_rd_windows, q^2 r^2 < 4 r^4 <= 4 Y^2 / 9 (q < 2r, r^2 <= Y/3),
 #     and 4 p r^3 <= q^2 r^2 + Y.
 # Everything else grows at most like Y^(7/4): the P < 0 irreducible windows
 # keep |d| = a |t| s2 of order Y^(7/12), and the P > 0 rows with a != 0 are
-# Hessian-reduced.  Measured at Y = 1e4..1e6 with the images of every scan
-# row, these maxima matched the terms above (1.6875 Y^2 and 0.5625 Y^2) and
-# stayed below Y^(7/4).
+# Hessian-reduced.  Measured at Y = 1e4..1e6, the maximum matched the term
+# above (1.6875 Y^2), and the rest stayed below Y^(7/4).
 # The P < 0 root test (_neg_ird_reducible) evaluates g(y) = f(y, a) / a at
 # integers -b - a < y < -b + a only, between the two points at which
 # _in_open_domain evaluates f, so |y| <= |b| + a and |y + b| < a.  Its Horner
@@ -718,7 +718,8 @@ MAX_LIMIT = 4 * isqrt((2 ** 63 - 1) // 27) + 2  # 2_337_884_074
 def _check_selection(limit: int, sublattice: int) -> int:
     """limit as an int, after the checks of a selection: ValueError for
     limit < 1 or past MAX_LIMIT, the bound of exact int64 arithmetic, or a
-    sublattice other than 1 or 2; TypeError for a float limit."""
+    sublattice other than 1 or 2; TypeError for a float limit, and for a
+    float or bool sublattice (2.0 and True equal 2 and 1)."""
     limit = index(limit)
     if limit < 1:
         raise ValueError("limit must be >= 1")
@@ -726,6 +727,9 @@ def _check_selection(limit: int, sublattice: int) -> int:
         raise ValueError(f"limit {limit} exceeds the int64 safety bound {MAX_LIMIT}")
     if sublattice not in _STEPS:
         raise ValueError(f"sublattice must be 1 or 2, got {sublattice!r}")
+    if isinstance(sublattice, bool):
+        raise TypeError(f"sublattice must be an integer, not {sublattice!r}")
+    index(sublattice)
     return limit
 
 
@@ -932,6 +936,14 @@ def _hessian_floor(a: int, p_limit: int) -> int:
     return _icbrt(27 * a * a * p_limit // 4)
 
 
+# The most wedge pairs of one box-scan pass: int64 columns of 96 KiB stay
+# under glibc's initial 128 KiB mmap threshold, so the passes reuse heap
+# memory whatever was freed before.  With one pass per a, criterion 9's
+# minor page faults read 11 000 to 37 000 by the length of its output path
+# alone, and 9 700 to 16 400 at this size (2^13 pairs: 8 500 to 10 000, but
+# about 5 % slower in all).
+_SCAN_PAIRS = 3 * 2 ** 12
+
 # f(x, -y): (a, b, c, d) -> (a, -b, c, -d), as a column sign pattern
 _MIRROR = np.array([1, -1, 1, -1], dtype=np.int64)
 
@@ -963,7 +975,7 @@ def _box_survivors(box: int, p_limit: int, sublattice: int) -> np.ndarray:
     (_hessian_floor): the (b, c) pairs with 3ac > b^2 + h0 are dropped
     before any d.  For each remaining (a, b, c), |P| <= p_limit confines d
     to the exact integer windows of _d_windows, and the exact test p != 0,
-    |p| <= p_limit runs on every candidate.
+    |p| <= p_limit runs on every candidate, _SCAN_PAIRS pairs at a time.
     """
     side = np.arange(-box, box + 1, dtype=np.int64)
     bc_side = side[side % _STEPS[sublattice] == 0]
@@ -971,9 +983,10 @@ def _box_survivors(box: int, p_limit: int, sublattice: int) -> np.ndarray:
     wedge = np.abs(c) <= b
     b, c = b[wedge], c[wedge]
     chunks = []
-    for a in range(box + 1):
-        keep = b > 0 if a == 0 else 3 * a * c <= b * b + _hessian_floor(a, p_limit)
-        ab, ac = b[keep], c[keep]
+    for a, lo in product(range(box + 1), range(0, len(b), _SCAN_PAIRS)):
+        pb, pc = b[lo : lo + _SCAN_PAIRS], c[lo : lo + _SCAN_PAIRS]
+        keep = pb > 0 if a == 0 else 3 * a * pc <= pb * pb + _hessian_floor(a, p_limit)
+        ab, ac = pb[keep], pc[keep]
         windows = _clip(_d_windows(a, ab, ac, -p_limit, p_limit), -box, box)
         rows = _window_rows(a, ab, ac, *_window_set(windows)[:2])
         p = discriminant(rows.T)

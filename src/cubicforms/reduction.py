@@ -6,16 +6,22 @@ digit count of the input.  Reduction strategy, by sign of the discriminant P:
 
 * P > 0: the Hessian covariant is positive definite (disc = -3P < 0).  Reduce
   it to |B| <= A <= C by classical Gauss reduction, pulling the substitutions
-  back to the cubic.  The forms in one orbit whose Hessian is weakly reduced
-  differ by one of the 20 determinant-one matrices with entries in {-1,0,1};
-  the canonical representative is the lexicographically least of those images
-  that are themselves weakly reduced.  The Hessian's boundary type decides
-  which images compete: +-f if |B| < A < C, all 20 if A = C.  If |B| = A < C,
-  +-n(-B/A) f flip B, and the image with B = A always wins: once the sign makes
-  x1 (or x2 if x1 = 0) negative, n(1) lowers x2 by 3|x1| (or x3 by 2|x2|).
-  One columnwise rule (_canonical_pos) serves single forms and whole strata:
-  one product with the stacked action matrices gives all 20 images of each
-  A = C row, and a knockout of lexicographic comparisons keeps the least.
+  back to the cubic.  The canonical representative is the lexicographically
+  least form g f of the orbit whose Hessian g H is weakly reduced; the
+  Hessian's boundary type names those forms (_canonical_pos):
+  - |B| < A < C: +-f, since H has no other reduced form, automorphs +-I.
+  - |B| = A < C: +-f and +-n(-B/A) f, which flips B.  B = A always wins:
+    once the sign makes x1 (or x2 if x1 = 0) negative, n(1) lowers x2 by
+    3|x1| (or x3 by 2|x2|).
+  - A = C: the <w>-class {+-f, +-w f}, since w flips B.  The automorphs of
+    H add +-w if B = 0, and an order-3 rho if |B| = A, but rho f = f: over
+    C, move the roots of H to 0 and oo, so H = k uv and rho = diag(z, 1/z)
+    with z^3 = 1 (antidiagonal elements have order 4).  Then A = C = 0
+    for f = (p, q, r, s) reads q^2 = 3pr and r^2 = 3qs, so q = 0 iff
+    r = 0, and q r != 0 makes f = (q u + r v)^3 / (3 q r), with P = 0; so
+    f = p u^3 + s v^3, which rho fixes.
+  One columnwise rule (_canonical_pos) serves single forms and whole strata,
+  with no product by the small matrices.
   A stabilizer of f fixes its Hessian, and the automorphs of a reduced
   positive-definite quadratic form have entries in {-1, 0, 1}, so the
   stabilizer is read off the same reduced form.  The forms an order-3
@@ -78,12 +84,6 @@ def _n_of(alpha: int) -> UnimodularMatrix:
     return UnimodularMatrix(1, 0, alpha, 1)
 
 
-def _weakly_reduced(f):
-    """|B| <= A <= C for the Hessian (A, B, C) of f; f may be columns."""
-    A, B, C = hessian(f)
-    return (A > 0) & (abs(B) <= A) & (A <= C)
-
-
 def _hessian_reduce(f: CubicForm) -> CubicForm:
     """A form in the orbit of f (P > 0) whose Hessian is weakly reduced."""
     while True:
@@ -97,11 +97,6 @@ def _hessian_reduce(f: CubicForm) -> CubicForm:
             return f
 
 
-# The transposed action matrices of SMALL_MATRICES side by side, (4, 80):
-# rows @ _SMALL_STACK holds the 20 images of each row, four columns each.
-_SMALL_STACK = np.concatenate(
-    [np.array(action_matrix(g), dtype=np.int64).T for g in SMALL_MATRICES], axis=1
-)
 # ORDER3_MATRICES are two inverse pairs g, g^-1 = g^2, and g fixes f iff g^-1
 # does: one of each pair (the lexicographically smaller) decides.  The forms
 # each fixes, ker(M - I), are spanned by x (0, -1, 1, 0) + y (1, -3, 0, 1) =
@@ -154,30 +149,19 @@ def _lesser_of_class(rows: np.ndarray) -> None:
 
 def _canonical_pos(rows: np.ndarray) -> np.ndarray:
     """Canonical representatives for P > 0, given Hessian-reduced rows (an
-    (N, 4) array; dtype object keeps big ints exact): the lex-least weakly
-    reduced small-matrix image of each row."""
+    (N, 4) array; dtype object keeps big ints exact): the lex-least form of
+    each row's orbit whose Hessian is weakly reduced, by the boundary type
+    of the Hessian (module docstring): the +-pair rule where A < C, after
+    B = -A moves to B = A by n(1), and the class rule where A = C."""
     A, B, C = hessian(rows.T)
     best = rows.copy()
     edge = np.flatnonzero((B == -A) & (A < C))
     best[edge] = best[edge] @ _FLIP_MAT.T
     _lesser_of_pair(best)
-    # +-f have the same 20 images, since -I times a small matrix is one; f
-    # is among them and weakly reduced, so the images that are not stand in
-    # for f, and a knockout of _lex_less rounds leaves each row's lexmin
     idx = np.flatnonzero(A == C)
-    if not len(idx):
-        return best
-    small = best[idx]
-    imgs = (small @ _SMALL_STACK).reshape(len(idx), len(SMALL_MATRICES), 4)
-    ok = _weakly_reduced(imgs.transpose(2, 0, 1))
-    imgs = np.where(ok[:, :, None], imgs, small[:, None, :])
-    while imgs.shape[1] > 1:
-        half = imgs.shape[1] // 2
-        first, second = imgs[:, :half], imgs[:, half : 2 * half]
-        less = _lex_less(second.reshape(-1, 4), first.reshape(-1, 4)).reshape(-1, half)
-        won = np.where(less[:, :, None], second, first)
-        imgs = np.concatenate([won, imgs[:, 2 * half :]], axis=1)
-    best[idx] = imgs[:, 0]
+    square = best[idx]
+    _lesser_of_class(square)
+    best[idx] = square
     return best
 
 

@@ -250,6 +250,10 @@ def test_master_rejects_bad_sublattice_before_build(monkeypatch):
     for sublattice in (0, 3, 4, "2", None):
         with pytest.raises(ValueError, match="sublattice must be 1 or 2"):
             master_classes(1000, sublattice=sublattice)
+    # 2.0 == 2 and True == 1 pass the check above, but are no sublattice
+    for sublattice in (2.0, True):
+        with pytest.raises(TypeError):
+            master_classes(1000, sublattice=sublattice)
 
 
 def test_master_sublattice_is_keyword_only():

@@ -403,10 +403,18 @@ def test_canonical_pos_matches_reference_on_scan(reference_canonical_pos):
          if kind == "pos"]
     )
     A, B, C = hessian(rows.T)
-    # all three boundary types of the Hessian occur
+    # all three boundary types of the Hessian occur, and at A = C each
+    # kind of automorph group: +-I (and +-w at B = 0) where |B| < A, and
+    # the order-3 automorphs of the hexagonal (A, A, A) and (A, -A, A)
     assert ((abs(B) < A) & (A < C)).any()
     assert ((abs(B) == A) & (A < C)).any()
-    assert (A == C).any()
+    assert ((abs(B) < A) & (A == C)).any()
+    assert ((B == A) & (A == C)).any()
+    assert ((B == -A) & (A == C)).any()
+    # an order-3 automorph of the Hessian fixes the form itself: the
+    # hexagonal rows are exactly those of stabilizer order 3, so the class
+    # rule alone covers them
+    assert np.array_equal(_pos_stab_column(rows) == 3, (abs(B) == A) & (A == C))
     assert (_canonical_pos(rows) == reference_canonical_pos(rows)).all()
 
 
